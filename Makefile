@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: all build vet test race stress fuzz-smoke check lint fmt fmtcheck bench benchfull bench-smoke bench-readpath bench-failover bench-fanout bench-readwrite clean
+.PHONY: all build vet test race stress fuzz-smoke check lint fmt fmtcheck bench benchfull bench-smoke bench-readpath bench-failover bench-readwrite clean
 
 all: build
 
@@ -16,8 +16,13 @@ build:
 vet:
 	$(GO) vet ./...
 
+# benchmark/ is a module of its own (BENCHMARK.json runs it), so ./... does
+# not reach it; vetting and testing it here makes an internal API change that
+# breaks the benchmark fail this gate instead of the perf pipeline.
 test:
 	$(GO) test ./...
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 race:
 	$(GO) test -race ./...
@@ -41,11 +46,13 @@ stress:
 
 # fuzz-smoke gives each wire/storage codec fuzzer a short randomized budget
 # on top of its checked-in seed corpus: frame decoding (v2 columnar), the
-# edge-key parser, the mutation-batch codec, and the change-feed record
-# codec. Go allows one -fuzz target per invocation, hence the sequence.
+# gossiped route-table blob, the edge-key parser, the mutation-batch codec,
+# and the change-feed record codec. Go allows one -fuzz target per
+# invocation, hence the sequence.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run '^$$' -fuzz '^FuzzParseEdgeKey$$' -fuzztime $(FUZZTIME) ./internal/gstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/gstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFeedRecords$$' -fuzztime $(FUZZTIME) ./internal/gstore
@@ -78,10 +85,11 @@ fmtcheck:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./internal/...
 
-# benchfull lets the benchmark framework pick iteration counts; expect it to
-# take minutes where bench takes seconds.
+# benchfull lets the benchmark framework pick iteration counts, over every
+# package including the root one (the paper benches in bench_test.go);
+# expect it to take minutes where bench takes seconds.
 benchfull:
-	$(GO) test -bench=. -run=^$$ ./internal/...
+	$(GO) test -bench=. -run=^$$ ./...
 
 # bench-smoke is the CI benchmark gate: every engine on one tiny workload,
 # with engine-equivalence, §VII-A invariant, trace-completeness and
@@ -102,13 +110,6 @@ bench-readpath:
 # equivalence across the failover, and online shard handoff.
 bench-failover:
 	GRAPHTREK_SCALE=tiny $(GO) run ./cmd/graphtrek-bench -exp failover -json BENCH_failover.json
-
-# bench-fanout gates the frontier data path: interned dense ids + packed
-# adjacency + the columnar v2 frame must beat the pre-refactor shape (edge
-# decode + row-major v1 frames) by >= 3x vertices/sec and >= 2x fewer wire
-# bytes per vertex, with the pooled encode path allocating less per batch.
-bench-fanout:
-	GRAPHTREK_SCALE=tiny $(GO) run ./cmd/graphtrek-bench -exp fanout -json BENCH_fanout.json
 
 # bench-readwrite gates the streaming mutation pipeline under a mixed
 # read/write workload: bulk load through the quorum write path, concurrent

@@ -549,12 +549,11 @@ var Experiments = map[string]func(Scale, io.Writer, *ExperimentResult) error{
 	"concurrent": Concurrent,
 	"partition":  Partition,
 	"failover":   Failover,
-	"fanout":     Fanout,
 	"readwrite":  ReadWrite,
 }
 
 // Order is the canonical run order for "all".
-var Order = []string{"smoke", "readpath", "fanout", "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "table3", "ablation", "concurrent", "partition", "failover", "readwrite"}
+var Order = []string{"smoke", "readpath", "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "table3", "ablation", "concurrent", "partition", "failover", "readwrite"}
 
 // RunAll executes every experiment in order, appending one report section
 // per experiment when rep is non-nil. A runner error is recorded on its

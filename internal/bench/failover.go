@@ -209,8 +209,8 @@ func Failover(s Scale, w io.Writer, rep *ExperimentResult) error {
 		}
 	}
 	rep.AddCheck("promotion-event", promoSeen,
-		"no promotion event for partition %d by server %d at epoch %d in the merged journal (%d events)",
-		p0, newPrim, epoch, len(evs))
+		"promotion of partition %d by server %d at epoch %d in the merged journal: seen=%v, %d events",
+		p0, newPrim, epoch, promoSeen, len(evs))
 	fmt.Fprintf(w, "merged event journal: %d events; promotion of partition %d at epoch %d recorded: %v\n",
 		len(evs), p0, epoch, promoSeen)
 

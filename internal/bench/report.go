@@ -66,11 +66,6 @@ type Row struct {
 	VtxCacheMisses int64 `json:"vtx_cache_misses,omitempty"`
 	AdjCacheHits   int64 `json:"adj_cache_hits,omitempty"`
 	AdjCacheMisses int64 `json:"adj_cache_misses,omitempty"`
-	// Frontier data-path counters (the fanout experiment): vertices
-	// expanded, frame bytes produced, and heap allocations per batch.
-	Vertices    int64 `json:"vertices,omitempty"`
-	WireBytes   int64 `json:"wire_bytes,omitempty"`
-	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
 }
 
 // Check is one pass/fail assertion recorded by an experiment.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -14,7 +13,6 @@ import (
 	"graphtrek/internal/partition"
 	"graphtrek/internal/query"
 	"graphtrek/internal/route"
-	"graphtrek/internal/trace"
 	"graphtrek/internal/wire"
 )
 
@@ -35,13 +33,15 @@ type Client struct {
 	seq   atomic.Uint64
 	rtt   time.Duration
 
+	// calls carries every request/reply exchange the client makes (writes,
+	// name lookups, visits, progress and introspection pulls).
+	calls callTable
+
 	mu      sync.Mutex
 	pending map[uint64]*pendingTravel
-	reqs    map[uint64]chan wire.Message
 	// feeds holds this client's open change-feed subscriptions, one per
 	// partition (see feedclient.go).
-	feeds  map[int]*Feed
-	reqSeq atomic.Uint64
+	feeds map[int]*Feed
 }
 
 type pendingTravel struct {
@@ -55,7 +55,6 @@ func NewClient(part partition.Partitioner) *Client {
 	c := &Client{
 		part:    part,
 		pending: make(map[uint64]*pendingTravel),
-		reqs:    make(map[uint64]chan wire.Message),
 	}
 	if v, ok := part.(*route.View); ok {
 		c.route = v
@@ -70,7 +69,10 @@ func NewClient(part partition.Partitioner) *Client {
 }
 
 // Bind attaches the transport; call before submitting.
-func (c *Client) Bind(tr transport) { c.tr = tr }
+func (c *Client) Bind(tr transport) {
+	c.tr = tr
+	c.calls.send = tr.Send
+}
 
 // SetRTT models the client-server network round-trip cost in simulated
 // deployments. Server-side traversal pays it twice per traversal (submit
@@ -101,8 +103,7 @@ func (c *Client) Handle(_ int, msg wire.Message) {
 			}
 			close(p.done)
 		}
-	case wire.KindVisitResp, wire.KindProgressResp, wire.KindTraceResp, wire.KindWriteResp,
-		wire.KindEventsResp, wire.KindStatusResp:
+	case wire.KindVisitResp, wire.KindProgressResp, wire.KindWriteResp, wire.KindIntrospectResp:
 		// A rejected write piggybacks the server's route table so the retry
 		// is already re-routed when the caller sees the error. (A successful
 		// write response's Blob is payload — an intern request's id list —
@@ -110,15 +111,7 @@ func (c *Client) Handle(_ int, msg wire.Message) {
 		if msg.Kind == wire.KindWriteResp && msg.Err != "" && len(msg.Blob) > 0 {
 			c.mergeRoute(msg.Blob)
 		}
-		c.mu.Lock()
-		ch, ok := c.reqs[msg.ReqID]
-		if ok {
-			delete(c.reqs, msg.ReqID)
-		}
-		c.mu.Unlock()
-		if ok {
-			ch <- msg
-		}
+		c.calls.resolve(msg)
 	case wire.KindRouteUpdate:
 		c.mergeRoute(msg.Blob)
 	case wire.KindFeedBatch:
@@ -154,212 +147,101 @@ type WriteOptions struct {
 	Retries int
 }
 
+// budget applies the WriteOptions defaults and returns the absolute
+// deadline of the whole call plus the retry count.
+func (o WriteOptions) budget() (time.Time, int) {
+	if o.Timeout <= 0 {
+		o.Timeout = 30 * time.Second
+	}
+	if o.Retries == 0 {
+		o.Retries = 3
+	}
+	if o.Retries < 0 {
+		o.Retries = 0
+	}
+	return time.Now().Add(o.Timeout), o.Retries
+}
+
 // Write applies graph mutations durably through the replication protocol:
 // each mutation is routed to its partition's primary, which acknowledges
 // only once a quorum of the replica set holds it. Mutations for the same
 // partition ship as one batch (one quorum round). Requires a cluster built
 // with replication (a *route.View partitioner).
 func (c *Client) Write(muts []gstore.Mutation, opts WriteOptions) error {
-	if c.tr == nil {
-		return errors.New("core: client not bound to a transport")
-	}
 	if c.route == nil {
 		return errors.New("core: replication is not enabled on this cluster")
 	}
 	if len(muts) == 0 {
 		return nil
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
-	if opts.Retries == 0 {
-		opts.Retries = 3
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	}
-	deadline := time.Now().Add(opts.Timeout)
+	deadline, retries := opts.budget()
 	byPart := make(map[int][]gstore.Mutation)
 	for _, m := range muts {
 		p := c.route.Partition(m.RoutingID())
 		byPart[p] = append(byPart[p], m)
 	}
 	for p, batch := range byPart {
-		blob := gstore.EncodeBatch(batch)
-		var lastErr error
-		for attempt := 0; ; attempt++ {
-			// Split the remaining budget across the attempts left, so one
-			// silent drop (e.g. a primary that died before gossip reached us)
-			// cannot consume the whole deadline and starve the re-routed
-			// retries.
-			attemptDeadline := deadline
-			if left := opts.Retries - attempt; left > 0 {
-				if slice := time.Until(deadline) / time.Duration(left+1); slice > 0 {
-					attemptDeadline = time.Now().Add(slice)
-				}
-			}
-			lastErr = c.writePart(p, blob, attemptDeadline)
-			if lastErr == nil {
-				break
-			}
-			if attempt >= opts.Retries || !Retryable(lastErr) {
-				return lastErr
-			}
+		if _, err := c.partCall(p, wire.WriteModeMutate, gstore.EncodeBatch(batch), deadline, retries); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// writePart runs one quorum round for one partition's batch against the
-// partition's current primary.
-func (c *Client) writePart(p int, blob []byte, deadline time.Time) error {
-	primary := int(c.route.Assignment(p).Primary)
-	reqID := c.reqSeq.Add(1)
-	ch := make(chan wire.Message, 1)
-	c.mu.Lock()
-	c.reqs[reqID] = ch
-	c.mu.Unlock()
-	err := c.tr.Send(primary, wire.Message{
-		Kind: wire.KindWriteReq, ReqID: reqID, Part: int32(p), Blob: blob,
-	})
-	if err != nil {
-		c.mu.Lock()
-		delete(c.reqs, reqID)
-		c.mu.Unlock()
-		return err
-	}
-	select {
-	case resp := <-ch:
-		if resp.Err != "" {
-			return errors.New(resp.Err)
+// partCall runs one KindWriteReq exchange (a mutation batch, or a name
+// service request, per mode) for partition p and returns the reply payload.
+// It owns the write path's delivery policy: each attempt goes to the
+// partition's primary as the route view names it at that moment (without a
+// view, partition == server), and a Retryable failure — e.g. a write fenced
+// mid-failover, whose rejection piggybacked the new route table — is retried
+// up to `retries` more times inside the overall deadline.
+func (c *Client) partCall(p int, mode uint8, blob []byte, deadline time.Time, retries int) ([]byte, error) {
+	for attempt := 0; ; attempt++ {
+		// Split the remaining budget across the attempts left, so one
+		// silent drop (e.g. a primary that died before gossip reached us)
+		// cannot consume the whole deadline and starve the re-routed
+		// retries.
+		attemptDeadline := deadline
+		if left := retries - attempt; left > 0 {
+			if slice := time.Until(deadline) / time.Duration(left+1); slice > 0 {
+				attemptDeadline = time.Now().Add(slice)
+			}
 		}
-		return nil
-	case <-time.After(time.Until(deadline)):
-		c.mu.Lock()
-		delete(c.reqs, reqID)
-		c.mu.Unlock()
-		return fmt.Errorf("core: write to partition %d (server %d) timed out", p, primary)
+		primary := p
+		if c.route != nil {
+			primary = int(c.route.Assignment(p).Primary)
+		}
+		resp, err := c.calls.do(primary, wire.Message{
+			Kind: wire.KindWriteReq, Part: int32(p), Mode: mode, Blob: blob,
+		}, attemptDeadline)
+		if err == nil {
+			return resp.Blob, nil
+		}
+		if attempt >= retries || !Retryable(err) {
+			return nil, err
+		}
 	}
 }
 
-// Intern allocates (or looks up) dense interned ids for external vertex
-// names through the replication protocol: each name goes to the primary of
-// the partition its hash routes to, which allocates from that partition's
-// counter and acknowledges once a quorum of replicas holds the allocation.
-// The returned ids are positionally aligned with names. Interning is
-// idempotent — re-interning a name returns its existing id.
-func (c *Client) Intern(names []string, opts WriteOptions) ([]model.VertexID, error) {
-	return c.nameRequest(names, wire.WriteModeIntern, opts)
-}
-
-// ResolveNames is the read-only counterpart of Intern: each name resolves
-// to its interned id on the partition primary, or 0 when the name was never
-// interned (0 is never a valid interned id).
-func (c *Client) ResolveNames(names []string, opts WriteOptions) ([]model.VertexID, error) {
-	return c.nameRequest(names, wire.WriteModeResolve, opts)
-}
-
-// nameRequest runs Intern/ResolveNames: group names by the partition their
-// hash routes to, one request per partition, same retry/re-route policy as
-// Write. Interning needs a replicated cluster (the server enforces it);
-// the read-only resolve mode also works against unreplicated clusters,
-// where partition == server.
-func (c *Client) nameRequest(names []string, mode uint8, opts WriteOptions) ([]model.VertexID, error) {
-	if c.tr == nil {
-		return nil, errors.New("core: client not bound to a transport")
-	}
+// scatter is the name service's grouping: keys are grouped by the partition
+// part assigns them, each group makes one partCall in the given mode, and
+// the decoded answers land at their keys' original positions.
+func scatter[K, V any](c *Client, keys []K, part func(K) model.VertexID, mode uint8,
+	enc func([]K) []byte, dec func([]byte) ([]V, error), opts WriteOptions) ([]V, error) {
 	if c.route == nil && mode == wire.WriteModeIntern {
 		return nil, errors.New("core: replication is not enabled on this cluster")
 	}
-	if len(names) == 0 {
+	if len(keys) == 0 {
 		return nil, nil
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
-	if opts.Retries == 0 {
-		opts.Retries = 3
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	}
-	deadline := time.Now().Add(opts.Timeout)
+	deadline, retries := opts.budget()
 	type group struct {
-		idx   []int
-		names []string
+		idx  []int
+		keys []K
 	}
 	byPart := make(map[int]*group)
-	for i, name := range names {
-		p := c.part.Owner(model.VertexID(model.HashName(name)))
-		if c.route != nil {
-			p = c.route.Partition(model.VertexID(model.HashName(name)))
-		}
-		g := byPart[p]
-		if g == nil {
-			g = &group{}
-			byPart[p] = g
-		}
-		g.idx = append(g.idx, i)
-		g.names = append(g.names, name)
-	}
-	out := make([]model.VertexID, len(names))
-	for p, g := range byPart {
-		blob := wire.EncodeNames(g.names)
-		var ids []model.VertexID
-		var lastErr error
-		for attempt := 0; ; attempt++ {
-			attemptDeadline := deadline
-			if left := opts.Retries - attempt; left > 0 {
-				if slice := time.Until(deadline) / time.Duration(left+1); slice > 0 {
-					attemptDeadline = time.Now().Add(slice)
-				}
-			}
-			ids, lastErr = c.namePart(p, mode, blob, attemptDeadline)
-			if lastErr == nil {
-				break
-			}
-			if attempt >= opts.Retries || !Retryable(lastErr) {
-				return nil, lastErr
-			}
-		}
-		if len(ids) != len(g.names) {
-			return nil, fmt.Errorf("core: partition %d returned %d ids for %d names", p, len(ids), len(g.names))
-		}
-		for j, id := range ids {
-			out[g.idx[j]] = id
-		}
-	}
-	return out, nil
-}
-
-// NamesOf materializes interned ids back to their external names — the
-// client-boundary direction for presenting traversal results. Ids that were
-// never interned come back as "". Each id is looked up on its owning
-// server (interned ids embed their partition, so no dictionary round-trip
-// is needed to route the lookup itself).
-func (c *Client) NamesOf(ids []model.VertexID, opts WriteOptions) ([]string, error) {
-	if c.tr == nil {
-		return nil, errors.New("core: client not bound to a transport")
-	}
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
-	if opts.Retries == 0 {
-		opts.Retries = 3
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	}
-	deadline := time.Now().Add(opts.Timeout)
-	type group struct {
-		idx []int
-		ids []model.VertexID
-	}
-	byPart := make(map[int]*group)
-	for i, id := range ids {
+	for i, k := range keys {
+		id := part(k)
 		p := c.part.Owner(id)
 		if c.route != nil {
 			p = c.route.Partition(id)
@@ -370,86 +252,59 @@ func (c *Client) NamesOf(ids []model.VertexID, opts WriteOptions) ([]string, err
 			byPart[p] = g
 		}
 		g.idx = append(g.idx, i)
-		g.ids = append(g.ids, id)
+		g.keys = append(g.keys, k)
 	}
-	out := make([]string, len(ids))
+	out := make([]V, len(keys))
 	for p, g := range byPart {
-		blob := wire.EncodeIDs(g.ids)
-		var resp []byte
-		var lastErr error
-		for attempt := 0; ; attempt++ {
-			attemptDeadline := deadline
-			if left := opts.Retries - attempt; left > 0 {
-				if slice := time.Until(deadline) / time.Duration(left+1); slice > 0 {
-					attemptDeadline = time.Now().Add(slice)
-				}
-			}
-			resp, lastErr = c.rawNamePart(p, wire.WriteModeNames, blob, attemptDeadline)
-			if lastErr == nil {
-				break
-			}
-			if attempt >= opts.Retries || !Retryable(lastErr) {
-				return nil, lastErr
-			}
-		}
-		names, err := wire.DecodeNames(resp)
+		blob, err := c.partCall(p, mode, enc(g.keys), deadline, retries)
 		if err != nil {
 			return nil, err
 		}
-		if len(names) != len(g.ids) {
-			return nil, fmt.Errorf("core: partition %d returned %d names for %d ids", p, len(names), len(g.ids))
+		vals, err := dec(blob)
+		if err != nil {
+			return nil, err
 		}
-		for j, name := range names {
-			out[g.idx[j]] = name
+		if len(vals) != len(g.keys) {
+			return nil, fmt.Errorf("core: partition %d returned %d answers for %d keys", p, len(vals), len(g.keys))
+		}
+		for j, v := range vals {
+			out[g.idx[j]] = v
 		}
 	}
 	return out, nil
 }
 
-// namePart runs one Intern/Resolve round against a partition's current
-// primary.
-func (c *Client) namePart(p int, mode uint8, blob []byte, deadline time.Time) ([]model.VertexID, error) {
-	resp, err := c.rawNamePart(p, mode, blob, deadline)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeIDs(resp)
+// nameHash places a name on the partition its hash routes to.
+func nameHash(name string) model.VertexID { return model.VertexID(model.HashName(name)) }
+
+// Intern allocates (or looks up) dense interned ids for external vertex
+// names through the replication protocol: each name goes to the primary of
+// the partition its hash routes to, which allocates from that partition's
+// counter and acknowledges once a quorum of replicas holds the allocation.
+// The returned ids are positionally aligned with names. Interning is
+// idempotent — re-interning a name returns its existing id. Same
+// retry/re-route policy as Write; needs a replicated cluster (the server
+// enforces it).
+func (c *Client) Intern(names []string, opts WriteOptions) ([]model.VertexID, error) {
+	return scatter(c, names, nameHash, wire.WriteModeIntern, wire.EncodeNames, wire.DecodeIDs, opts)
 }
 
-// rawNamePart ships one name-service request to a partition's primary (or,
-// without a route view, straight to the owning server) and returns the
-// response payload.
-func (c *Client) rawNamePart(p int, mode uint8, blob []byte, deadline time.Time) ([]byte, error) {
-	primary := p
-	if c.route != nil {
-		primary = int(c.route.Assignment(p).Primary)
-	}
-	reqID := c.reqSeq.Add(1)
-	ch := make(chan wire.Message, 1)
-	c.mu.Lock()
-	c.reqs[reqID] = ch
-	c.mu.Unlock()
-	err := c.tr.Send(primary, wire.Message{
-		Kind: wire.KindWriteReq, ReqID: reqID, Part: int32(p), Mode: mode, Blob: blob,
-	})
-	if err != nil {
-		c.mu.Lock()
-		delete(c.reqs, reqID)
-		c.mu.Unlock()
-		return nil, err
-	}
-	select {
-	case resp := <-ch:
-		if resp.Err != "" {
-			return nil, errors.New(resp.Err)
-		}
-		return resp.Blob, nil
-	case <-time.After(time.Until(deadline)):
-		c.mu.Lock()
-		delete(c.reqs, reqID)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("core: name request on partition %d (server %d) timed out", p, primary)
-	}
+// ResolveNames is the read-only counterpart of Intern: each name resolves
+// to its interned id on the partition primary, or 0 when the name was never
+// interned (0 is never a valid interned id). It also works against
+// unreplicated clusters, where partition == server.
+func (c *Client) ResolveNames(names []string, opts WriteOptions) ([]model.VertexID, error) {
+	return scatter(c, names, nameHash, wire.WriteModeResolve, wire.EncodeNames, wire.DecodeIDs, opts)
+}
+
+// NamesOf materializes interned ids back to their external names — the
+// client-boundary direction for presenting traversal results. Ids that were
+// never interned come back as "". Each id is looked up on its owning
+// server (interned ids embed their partition, so no dictionary round-trip
+// is needed to route the lookup itself).
+func (c *Client) NamesOf(ids []model.VertexID, opts WriteOptions) ([]string, error) {
+	self := func(id model.VertexID) model.VertexID { return id }
+	return scatter(c, ids, self, wire.WriteModeNames, wire.EncodeIDs, wire.DecodeNames, opts)
 }
 
 // SubmitOptions tunes one traversal submission.
@@ -601,153 +456,20 @@ func (h *Handle) Cancel() error {
 // executions per step (§IV-C): the user-facing remaining-work estimate.
 // A finished traversal reports an empty map.
 func (h *Handle) Progress(timeout time.Duration) (map[int32]int, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
+	resp, err := h.client.calls.do(h.coord, wire.Message{
+		Kind: wire.KindProgressReq, TravelID: h.travelID,
+	}, pullDeadline(timeout))
+	if err != nil && resp.Err == "" {
+		return nil, err // the query itself failed: send error or timeout
 	}
-	c := h.client
-	reqID := c.reqSeq.Add(1)
-	ch := make(chan wire.Message, 1)
-	c.mu.Lock()
-	c.reqs[reqID] = ch
-	c.mu.Unlock()
-	err := c.tr.Send(h.coord, wire.Message{
-		Kind: wire.KindProgressReq, TravelID: h.travelID, ReqID: reqID,
-	})
-	if err != nil {
-		c.mu.Lock()
-		delete(c.reqs, reqID)
-		c.mu.Unlock()
-		return nil, err
+	// A coordinator answering with Err (finished or unknown traversal) sends
+	// no rows: that is empty progress, not an error — completion races with
+	// the query by design.
+	out := make(map[int32]int, len(resp.Created))
+	for _, ref := range resp.Created {
+		out[ref.Step] = int(ref.ID)
 	}
-	select {
-	case resp := <-ch:
-		out := make(map[int32]int, len(resp.Created))
-		for _, ref := range resp.Created {
-			out[ref.Step] = int(ref.ID)
-		}
-		if resp.Err != "" && len(out) == 0 {
-			// Finished or unknown: report empty progress, not an error —
-			// completion races with the query by design.
-			return out, nil
-		}
-		return out, nil
-	case <-time.After(timeout):
-		c.mu.Lock()
-		delete(c.reqs, reqID)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("core: progress query for traversal %d timed out", h.travelID)
-	}
-}
-
-// Profile gathers the traversal's execution-trace aggregate from every
-// backend: one StepStat row per (step, server) that ran executions, sorted
-// by step then server. Call it after Wait — spans are buffered in each
-// server's trace ring, so a completed traversal stays profilable until
-// later traversals evict its spans. Servers with tracing disabled (or
-// nothing buffered) contribute no rows; a backend that cannot be reached
-// fails the profile.
-func (h *Handle) Profile(timeout time.Duration) ([]trace.StepStat, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	c := h.client
-	deadline := time.Now().Add(timeout)
-	var all []trace.StepStat
-	for srv := 0; srv < c.part.N(); srv++ {
-		reqID := c.reqSeq.Add(1)
-		ch := make(chan wire.Message, 1)
-		c.mu.Lock()
-		c.reqs[reqID] = ch
-		c.mu.Unlock()
-		err := c.tr.Send(srv, wire.Message{
-			Kind: wire.KindTraceReq, TravelID: h.travelID, ReqID: reqID,
-		})
-		if err != nil {
-			c.mu.Lock()
-			delete(c.reqs, reqID)
-			c.mu.Unlock()
-			return nil, err
-		}
-		select {
-		case resp := <-ch:
-			if resp.Err != "" {
-				return nil, errors.New(resp.Err)
-			}
-			if len(resp.Blob) > 0 {
-				var stats []trace.StepStat
-				if err := json.Unmarshal(resp.Blob, &stats); err != nil {
-					return nil, fmt.Errorf("core: bad trace payload from server %d: %v", srv, err)
-				}
-				all = append(all, stats...)
-			}
-		case <-time.After(time.Until(deadline)):
-			c.mu.Lock()
-			delete(c.reqs, reqID)
-			c.mu.Unlock()
-			return nil, fmt.Errorf("core: trace query to server %d timed out", srv)
-		}
-	}
-	trace.Sort(all)
-	return all, nil
-}
-
-// FetchDAG pulls every backend's raw spans for the traversal and joins
-// them into its causal execution DAG: span linkage across servers, ledger
-// cross-check against the coordinator summary, and critical-path
-// attribution (see trace.Assemble). Call it after Wait — like Profile, it
-// reads the servers' trace rings, so the DAG stays fetchable until later
-// traversals evict the spans (DAG.SpansDropped reports ring churn).
-func (h *Handle) FetchDAG(timeout time.Duration) (*trace.DAG, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	c := h.client
-	deadline := time.Now().Add(timeout)
-	var spans []trace.Span
-	var summary *trace.TravelSummary
-	var dropped uint64
-	for srv := 0; srv < c.part.N(); srv++ {
-		reqID := c.reqSeq.Add(1)
-		ch := make(chan wire.Message, 1)
-		c.mu.Lock()
-		c.reqs[reqID] = ch
-		c.mu.Unlock()
-		err := c.tr.Send(srv, wire.Message{
-			Kind: wire.KindTraceReq, TravelID: h.travelID, ReqID: reqID, Mode: traceModeRaw,
-		})
-		if err != nil {
-			c.mu.Lock()
-			delete(c.reqs, reqID)
-			c.mu.Unlock()
-			return nil, err
-		}
-		select {
-		case resp := <-ch:
-			if resp.Err != "" {
-				return nil, errors.New(resp.Err)
-			}
-			if len(resp.Blob) == 0 {
-				continue
-			}
-			var dump trace.SpanDump
-			if err := json.Unmarshal(resp.Blob, &dump); err != nil {
-				return nil, fmt.Errorf("core: bad span payload from server %d: %v", srv, err)
-			}
-			spans = append(spans, dump.Spans...)
-			dropped += dump.Dropped
-			if dump.Summary != nil {
-				summary = dump.Summary
-			}
-		case <-time.After(time.Until(deadline)):
-			c.mu.Lock()
-			delete(c.reqs, reqID)
-			c.mu.Unlock()
-			return nil, fmt.Errorf("core: span query to server %d timed out", srv)
-		}
-	}
-	d := trace.Assemble(h.travelID, spans, summary)
-	d.SpansDropped = dropped
-	return d, nil
+	return out, nil
 }
 
 func sortedUnique(ids []model.VertexID) []model.VertexID {
@@ -872,14 +594,9 @@ func (c *Client) runClientSide(plan *query.Plan, travelID uint64, opts SubmitOpt
 // visit performs one synchronous VisitReq round trip. parent is the
 // ParentExec stamped on the request (zero for roots).
 func (c *Client) visit(srv int, travelID uint64, step int32, parent uint64, entries []wire.Entry, scan bool, deadline time.Time) (wire.Message, error) {
-	reqID := c.reqSeq.Add(1)
-	ch := make(chan wire.Message, 1)
-	c.mu.Lock()
-	c.reqs[reqID] = ch
-	c.mu.Unlock()
 	msg := wire.Message{
 		Kind: wire.KindVisitReq, TravelID: travelID,
-		Step: step, ReqID: reqID, ParentExec: parent, Entries: entries,
+		Step: step, ParentExec: parent, Entries: entries,
 	}
 	if scan {
 		msg.Mode = 1 // scan request marker
@@ -887,22 +604,5 @@ func (c *Client) visit(srv int, travelID uint64, step int32, parent uint64, entr
 	if c.rtt > 0 {
 		time.Sleep(c.rtt)
 	}
-	if err := c.tr.Send(srv, msg); err != nil {
-		c.mu.Lock()
-		delete(c.reqs, reqID)
-		c.mu.Unlock()
-		return wire.Message{}, err
-	}
-	select {
-	case resp := <-ch:
-		if resp.Err != "" {
-			return wire.Message{}, errors.New(resp.Err)
-		}
-		return resp, nil
-	case <-time.After(time.Until(deadline)):
-		c.mu.Lock()
-		delete(c.reqs, reqID)
-		c.mu.Unlock()
-		return wire.Message{}, fmt.Errorf("core: visit request to server %d timed out", srv)
-	}
+	return c.calls.do(srv, msg, deadline)
 }

@@ -2,25 +2,25 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"graphtrek/internal/events"
 	"graphtrek/internal/gstore"
 	"graphtrek/internal/metrics"
 	"graphtrek/internal/status"
+	"graphtrek/internal/trace"
 	"graphtrek/internal/wire"
 )
 
-// This file is the cluster-health introspection surface: the event journal
-// and the replication status document, readable three ways — in process
-// (Server.Events / Server.Status / Server.Ready, which internal/obs serves
-// over HTTP), and over the wire (KindEventsReq / KindStatusReq), which
-// Client.ClusterEvents / Client.ClusterStatus merge across every backend
-// for gtq -events / gtq -status.
+// This file is the introspection surface: a server's execution spans,
+// event journal and replication status document, readable in process
+// (Server.TraceSpans / Events / Status / Ready, which internal/obs serves
+// over HTTP) and over the wire through the one pull message
+// (KindIntrospectReq, Mode naming the document), which the client fans out
+// across every backend for gtq -profile / -critical-path / -events /
+// -status and a coordinator uses for its slow-traversal capture.
 
 // Events returns the server's buffered control-plane journal, oldest
 // first. Empty when the journal is disabled (Config.EventCap < 0).
@@ -165,11 +165,43 @@ func (s *Server) Ready() status.Readiness {
 	return status.Readiness{Ready: len(reasons) == 0, Reasons: reasons}
 }
 
-// handleEventsReq serves a wire pull of the event journal, JSON-encoded in
-// Blob (the PR 5 blob-pull shape: ReqID routes the reply).
-func (s *Server) handleEventsReq(from int, msg wire.Message) {
-	resp := wire.Message{Kind: wire.KindEventsResp, ReqID: msg.ReqID}
-	blob, err := json.Marshal(s.Events())
+// spanDump is this server's answer to a span pull: the spans it buffered
+// for the traversal (travel == 0: everything), its ring's eviction count,
+// and the ledger summary when it coordinated the traversal. With tracing
+// disabled the dump is empty, not an error — profiling degrades, it never
+// fails.
+func (s *Server) spanDump(travel uint64) trace.SpanDump {
+	dump := trace.SpanDump{
+		Server:  int32(s.cfg.ID),
+		Spans:   s.TraceSpans(travel),
+		Dropped: s.trc.Stats().SpansEvicted,
+	}
+	if sum, ok := s.TraceSummary(travel); ok {
+		dump.Summary = &sum
+	}
+	return dump
+}
+
+// handleIntrospectReq serves the one introspection pull: the document
+// msg.Mode names, JSON-encoded in Blob. An unknown Mode is answered with an
+// error rather than dropped, so a newer client asking an older server fails
+// at once instead of waiting out its timeout.
+func (s *Server) handleIntrospectReq(from int, msg wire.Message) {
+	resp := wire.Message{Kind: wire.KindIntrospectResp, TravelID: msg.TravelID, ReqID: msg.ReqID, Mode: msg.Mode}
+	var doc any
+	switch msg.Mode {
+	case wire.IntrospectSpans:
+		doc = s.spanDump(msg.TravelID)
+	case wire.IntrospectEvents:
+		doc = s.Events()
+	case wire.IntrospectStatus:
+		doc = s.Status()
+	default:
+		resp.Err = fmt.Sprintf("core: unknown introspection kind %d", msg.Mode)
+		s.send(from, resp)
+		return
+	}
+	blob, err := json.Marshal(doc)
 	if err != nil {
 		resp.Err = err.Error()
 	} else {
@@ -178,64 +210,72 @@ func (s *Server) handleEventsReq(from int, msg wire.Message) {
 	s.send(from, resp)
 }
 
-// handleStatusReq serves a wire pull of the status document, JSON-encoded
-// in Blob.
-func (s *Server) handleStatusReq(from int, msg wire.Message) {
-	resp := wire.Message{Kind: wire.KindStatusResp, ReqID: msg.ReqID}
-	blob, err := json.Marshal(s.Status())
-	if err != nil {
-		resp.Err = err.Error()
-	} else {
-		resp.Blob = blob
+// assembleDumps joins per-server span dumps into the traversal's causal
+// DAG. summary is the coordinator's ledger record when the caller already
+// holds it; otherwise the one a dump carries is used.
+func assembleDumps(travel uint64, dumps []trace.SpanDump, summary *trace.TravelSummary) *trace.DAG {
+	var spans []trace.Span
+	var dropped uint64
+	for _, d := range dumps {
+		spans = append(spans, d.Spans...)
+		dropped += d.Dropped
+		if summary == nil {
+			summary = d.Summary
+		}
 	}
-	s.send(from, resp)
+	dag := trace.Assemble(travel, spans, summary)
+	dag.SpansDropped = dropped
+	return dag
 }
 
-// introspectPull runs one request/response round of an introspection kind
-// against one backend and returns the JSON payload.
-func (c *Client) introspectPull(srv int, kind wire.Kind, deadline time.Time) ([]byte, error) {
-	if c.tr == nil {
-		return nil, errors.New("core: client not bound to a transport")
-	}
-	reqID := c.reqSeq.Add(1)
-	ch := make(chan wire.Message, 1)
-	c.mu.Lock()
-	c.reqs[reqID] = ch
-	c.mu.Unlock()
-	if err := c.tr.Send(srv, wire.Message{Kind: kind, ReqID: reqID}); err != nil {
-		c.mu.Lock()
-		delete(c.reqs, reqID)
-		c.mu.Unlock()
+// spanDumps pulls every backend's raw spans for the traversal. A backend
+// that cannot be reached fails the pull: a profile or DAG silently missing
+// one server's executions would read as a tracing bug.
+func (h *Handle) spanDumps(timeout time.Duration) ([]trace.SpanDump, error) {
+	c := h.client
+	deadline := pullDeadline(timeout)
+	dumps, errs := fanOut(c.part.N(), func(srv int) (trace.SpanDump, error) {
+		return pull[trace.SpanDump](&c.calls, srv, wire.IntrospectSpans, h.travelID, deadline)
+	})
+	return dumps, failAny(errs)
+}
+
+// Profile gathers the traversal's execution-trace aggregate from every
+// backend: one StepStat row per (step, server) that ran executions, sorted
+// by step then server. Call it after Wait — spans are buffered in each
+// server's trace ring, so a completed traversal stays profilable until
+// later traversals evict its spans. Servers with tracing disabled (or
+// nothing buffered) contribute no rows; a backend that cannot be reached
+// fails the profile.
+func (h *Handle) Profile(timeout time.Duration) ([]trace.StepStat, error) {
+	dumps, err := h.spanDumps(timeout)
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case resp := <-ch:
-		if resp.Err != "" {
-			return nil, errors.New(resp.Err)
-		}
-		return resp.Blob, nil
-	case <-time.After(time.Until(deadline)):
-		c.mu.Lock()
-		delete(c.reqs, reqID)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("core: introspection pull from server %d timed out", srv)
+	var spans []trace.Span
+	for _, d := range dumps {
+		spans = append(spans, d.Spans...)
 	}
+	return trace.Aggregate(spans), nil
+}
+
+// FetchDAG pulls every backend's raw spans for the traversal and joins
+// them into its causal execution DAG: span linkage across servers, ledger
+// cross-check against the coordinator summary, and critical-path
+// attribution (see trace.Assemble). Call it after Wait — like Profile, it
+// reads the servers' trace rings, so the DAG stays fetchable until later
+// traversals evict the spans (DAG.SpansDropped reports ring churn).
+func (h *Handle) FetchDAG(timeout time.Duration) (*trace.DAG, error) {
+	dumps, err := h.spanDumps(timeout)
+	if err != nil {
+		return nil, err
+	}
+	return assembleDumps(h.travelID, dumps, nil), nil
 }
 
 // ServerEvents pulls one backend's event journal.
 func (c *Client) ServerEvents(srv int, timeout time.Duration) ([]events.Event, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	blob, err := c.introspectPull(srv, wire.KindEventsReq, time.Now().Add(timeout))
-	if err != nil {
-		return nil, err
-	}
-	var evs []events.Event
-	if err := json.Unmarshal(blob, &evs); err != nil {
-		return nil, fmt.Errorf("core: bad events payload from server %d: %v", srv, err)
-	}
-	return evs, nil
+	return pull[[]events.Event](&c.calls, srv, wire.IntrospectEvents, 0, pullDeadline(timeout))
 }
 
 // ClusterEvents pulls every backend's journal and merges the entries into
@@ -245,45 +285,16 @@ func (c *Client) ServerEvents(srv int, timeout time.Duration) ([]events.Event, e
 // starving the rest of the fleet, unreachable servers are skipped, and the
 // call errors only when no server answered.
 func (c *Client) ClusterEvents(timeout time.Duration) ([]events.Event, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
+	deadline := pullDeadline(timeout)
+	journals, err := answered(fanOut(c.part.N(), func(srv int) ([]events.Event, error) {
+		return pull[[]events.Event](&c.calls, srv, wire.IntrospectEvents, 0, deadline)
+	}))
+	if err != nil {
+		return nil, err
 	}
-	deadline := time.Now().Add(timeout)
-	n := c.part.N()
-	perSrv := make([][]events.Event, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for srv := 0; srv < n; srv++ {
-		wg.Add(1)
-		go func(srv int) {
-			defer wg.Done()
-			blob, err := c.introspectPull(srv, wire.KindEventsReq, deadline)
-			if err != nil {
-				errs[srv] = err
-				return
-			}
-			var evs []events.Event
-			if err := json.Unmarshal(blob, &evs); err != nil {
-				errs[srv] = fmt.Errorf("core: bad events payload from server %d: %v", srv, err)
-				return
-			}
-			perSrv[srv] = evs
-		}(srv)
-	}
-	wg.Wait()
 	var all []events.Event
-	var lastErr error
-	answered := 0
-	for srv := 0; srv < n; srv++ {
-		if errs[srv] != nil {
-			lastErr = errs[srv]
-			continue
-		}
-		all = append(all, perSrv[srv]...)
-		answered++
-	}
-	if answered == 0 && lastErr != nil {
-		return nil, lastErr
+	for _, evs := range journals {
+		all = append(all, evs...)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].TimeUnixNano != all[j].TimeUnixNano {
@@ -299,18 +310,7 @@ func (c *Client) ClusterEvents(timeout time.Duration) ([]events.Event, error) {
 
 // ServerStatus pulls one backend's status document.
 func (c *Client) ServerStatus(srv int, timeout time.Duration) (status.Server, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	blob, err := c.introspectPull(srv, wire.KindStatusReq, time.Now().Add(timeout))
-	if err != nil {
-		return status.Server{}, err
-	}
-	var st status.Server
-	if err := json.Unmarshal(blob, &st); err != nil {
-		return status.Server{}, fmt.Errorf("core: bad status payload from server %d: %v", srv, err)
-	}
-	return st, nil
+	return pull[status.Server](&c.calls, srv, wire.IntrospectStatus, 0, pullDeadline(timeout))
 }
 
 // ClusterStatus pulls every backend's status document, ordered by server
@@ -318,43 +318,8 @@ func (c *Client) ServerStatus(srv int, timeout time.Duration) (status.Server, er
 // server consumes only its own timeout, unreachable servers are skipped,
 // and the call errors only when no server answered.
 func (c *Client) ClusterStatus(timeout time.Duration) ([]status.Server, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
-	n := c.part.N()
-	perSrv := make([]*status.Server, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for srv := 0; srv < n; srv++ {
-		wg.Add(1)
-		go func(srv int) {
-			defer wg.Done()
-			blob, err := c.introspectPull(srv, wire.KindStatusReq, deadline)
-			if err != nil {
-				errs[srv] = err
-				return
-			}
-			var st status.Server
-			if err := json.Unmarshal(blob, &st); err != nil {
-				errs[srv] = fmt.Errorf("core: bad status payload from server %d: %v", srv, err)
-				return
-			}
-			perSrv[srv] = &st
-		}(srv)
-	}
-	wg.Wait()
-	var all []status.Server
-	var lastErr error
-	for srv := 0; srv < n; srv++ {
-		if errs[srv] != nil {
-			lastErr = errs[srv]
-			continue
-		}
-		all = append(all, *perSrv[srv])
-	}
-	if len(all) == 0 && lastErr != nil {
-		return nil, lastErr
-	}
-	return all, nil
+	deadline := pullDeadline(timeout)
+	return answered(fanOut(c.part.N(), func(srv int) (status.Server, error) {
+		return pull[status.Server](&c.calls, srv, wire.IntrospectStatus, 0, deadline)
+	}))
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -8,7 +10,10 @@ import (
 	"graphtrek/internal/events"
 	"graphtrek/internal/gstore"
 	"graphtrek/internal/model"
+	"graphtrek/internal/query"
 	"graphtrek/internal/simio"
+	"graphtrek/internal/trace"
+	"graphtrek/internal/wire"
 )
 
 // TestStressIntrospectionFailoverJournalAndStatus is the chaos end-to-end
@@ -244,4 +249,87 @@ func TestStressReadinessQuorumLoss(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestIntrospectRoundTrip covers the one pull message end to end: each of
+// the three documents comes back decodable and agrees with the server's
+// in-process view, and a document code the server does not know is answered
+// with an error at once rather than dropped (the caller would otherwise
+// burn its whole timeout).
+func TestIntrospectRoundTrip(t *testing.T) {
+	c := newCluster(t, 2, nil)
+	loadAuditGraph(t, c)
+	h, err := c.client.SubmitPlanAsync(mustPlan(t, query.V(1, 2).E("run").E("read")), SubmitOptions{Mode: ModeGraphTrek})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	calls := &c.client.calls
+	for srv, s := range c.servers {
+		dump, err := pull[trace.SpanDump](calls, srv, wire.IntrospectSpans, h.TravelID(), pullDeadline(0))
+		if err != nil {
+			t.Fatalf("span pull from server %d: %v", srv, err)
+		}
+		if want := s.TraceSpans(h.TravelID()); int(dump.Server) != srv || !reflect.DeepEqual(dump.Spans, want) {
+			t.Errorf("server %d: pulled dump (server %d, %d spans) != %d local spans", srv, dump.Server, len(dump.Spans), len(want))
+		}
+		if (dump.Summary != nil) != (srv == h.Coordinator()) {
+			t.Errorf("server %d: summary present = %v, coordinator is %d", srv, dump.Summary != nil, h.Coordinator())
+		}
+		s.journal.Record(events.Event{Type: events.SlowTravel, Part: -1, Peer: -1, Detail: "marker"})
+		evs, err := c.client.ServerEvents(srv, 0)
+		if err != nil || len(evs) != 1 || evs[0].Detail != "marker" || evs[0].Server != srv {
+			t.Errorf("events pull from server %d: %+v, %v", srv, evs, err)
+		}
+		st, err := c.client.ServerStatus(srv, 0)
+		if err != nil || st.Server != srv || !st.Ready {
+			t.Errorf("status pull from server %d: %+v, %v", srv, st, err)
+		}
+
+		start := time.Now()
+		_, err = pull[json.RawMessage](calls, srv, 99, 0, start.Add(10*time.Second))
+		if err == nil || !strings.Contains(err.Error(), "unknown introspection kind 99") {
+			t.Errorf("unknown document code on server %d: err = %v", srv, err)
+		}
+		if took := time.Since(start); took > 5*time.Second {
+			t.Errorf("unknown document code took %v: dropped, not answered", took)
+		}
+	}
+	// The merged pulls go through the same message.
+	if evs, err := c.client.ClusterEvents(0); err != nil || len(evs) != len(c.servers) {
+		t.Errorf("merged events: %d entries, %v", len(evs), err)
+	}
+	if sts, err := c.client.ClusterStatus(0); err != nil || len(sts) != len(c.servers) {
+		t.Errorf("merged status: %d documents, %v", len(sts), err)
+	}
+}
+
+// TestServerCallFailsAtShutdown pins the other half of the silence fix: a
+// call a server has in flight when it closes returns "server closing"
+// instead of waiting out its timer.
+func TestServerCallFailsAtShutdown(t *testing.T) {
+	c := newCluster(t, 2, nil)
+	s := c.servers[0]
+	// Node 2 is the client slot; it never answers an introspection request.
+	errc := make(chan error, 1)
+	go func() {
+		_, err := pull[trace.SpanDump](&s.calls, 2, wire.IntrospectSpans, 1, time.Now().Add(30*time.Second))
+		errc <- err
+	}()
+	pollUntil(t, 5*time.Second, "the call to register", func() bool {
+		s.calls.mu.Lock()
+		defer s.calls.mu.Unlock()
+		return len(s.calls.waiting) == 1
+	})
+	s.Close()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "server closing") {
+			t.Errorf("in-flight call at shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("in-flight call outlived server shutdown")
+	}
 }

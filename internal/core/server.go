@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -38,6 +37,9 @@ type Server struct {
 	// promotions, handoffs — see internal/events). Nil (a valid no-op
 	// recorder) when Config.EventCap is negative.
 	journal *events.Journal
+	// calls carries the requests this server itself originates (the
+	// slow-traversal capture's span pulls); stop fails them at shutdown.
+	calls callTable
 
 	mu      sync.Mutex
 	travels map[uint64]*travelState
@@ -45,10 +47,6 @@ type Server struct {
 	// pendingMsgs buffers messages that raced ahead of their StartTravel
 	// broadcast (possible across independent links).
 	pendingMsgs map[uint64][]pendingMsg
-	// traceReqs routes KindTraceResp replies to in-flight raw-span pulls
-	// (slow-traversal capture), keyed by request id.
-	traceReqs map[uint64]chan wire.Message
-	traceSeq  atomic.Uint64
 	// slowMu guards the bounded ring of captured slow-traversal DAGs.
 	slowMu   sync.Mutex
 	slowDAGs []*trace.DAG
@@ -113,7 +111,7 @@ func NewServer(cfg Config) *Server {
 	if cfg.EventCap > 0 {
 		journal = events.NewJournal(cfg.ID, cfg.EventCap)
 	}
-	return &Server{
+	s := &Server{
 		cfg:         cfg,
 		disk:        disk,
 		cache:       cache.New(cfg.CacheCap),
@@ -123,7 +121,6 @@ func NewServer(cfg Config) *Server {
 		travels:     make(map[uint64]*travelState),
 		ledgers:     make(map[uint64]*ledger),
 		pendingMsgs: make(map[uint64][]pendingMsg),
-		traceReqs:   make(map[uint64]chan wire.Message),
 		doneTravels: make(map[uint64]bool),
 		lastSeen:    make([]atomic.Int64, cfg.Part.N()),
 		suspected:   make([]atomic.Bool, cfg.Part.N()),
@@ -131,6 +128,8 @@ func NewServer(cfg Config) *Server {
 		repl:        make(map[int]*partRepl),
 		promoPolls:  make(map[int]*seqVote),
 	}
+	s.calls.send, s.calls.stop = s.send, s.stop
+	return s
 }
 
 // Bind attaches the transport and starts the server's worker pool — exactly
@@ -428,10 +427,10 @@ func (s *Server) Handle(from int, msg wire.Message) {
 		// Liveness already noted above; heartbeats carry nothing else.
 	case wire.KindPeerDown:
 		s.handlePeerDown(from, msg)
-	case wire.KindTraceReq:
-		s.handleTraceReq(from, msg)
-	case wire.KindTraceResp:
-		s.handleTraceResp(msg)
+	case wire.KindIntrospectReq:
+		s.handleIntrospectReq(from, msg)
+	case wire.KindIntrospectResp:
+		s.calls.resolve(msg)
 	case wire.KindWriteReq:
 		s.handleWriteReq(from, msg)
 	case wire.KindReplAppend:
@@ -444,61 +443,6 @@ func (s *Server) Handle(from int, msg wire.Message) {
 		s.handleRouteUpdate(from, msg)
 	case wire.KindFeedSub:
 		s.handleFeedSub(from, msg)
-	case wire.KindEventsReq:
-		s.handleEventsReq(from, msg)
-	case wire.KindStatusReq:
-		s.handleStatusReq(from, msg)
-	}
-}
-
-// handleTraceReq answers a trace query, JSON-encoded in Blob. Mode 0
-// returns this server's per-step aggregate for the traversal (TravelID ==
-// 0: everything buffered); Mode traceModeRaw returns the raw spans as a
-// trace.SpanDump — the input the DAG assembler joins across servers — plus
-// the ledger summary when this server coordinated the traversal. With
-// tracing disabled the response carries an empty payload, not an error —
-// profiling degrades, it never fails.
-func (s *Server) handleTraceReq(from int, msg wire.Message) {
-	resp := wire.Message{Kind: wire.KindTraceResp, TravelID: msg.TravelID, ReqID: msg.ReqID, Mode: msg.Mode}
-	var payload any
-	if msg.Mode == traceModeRaw {
-		dump := trace.SpanDump{
-			Server:  int32(s.cfg.ID),
-			Spans:   s.TraceSpans(msg.TravelID),
-			Dropped: s.trc.Stats().SpansEvicted,
-		}
-		if sum, ok := s.TraceSummary(msg.TravelID); ok {
-			dump.Summary = &sum
-		}
-		payload = dump
-	} else {
-		stats := trace.Aggregate(s.TraceSpans(msg.TravelID))
-		if len(stats) == 0 {
-			s.send(from, resp)
-			return
-		}
-		payload = stats
-	}
-	blob, err := json.Marshal(payload)
-	if err != nil {
-		resp.Err = err.Error()
-	} else {
-		resp.Blob = blob
-	}
-	s.send(from, resp)
-}
-
-// handleTraceResp routes a raw-span reply to the slow-traversal capture
-// that requested it; unmatched responses (capture timed out) are dropped.
-func (s *Server) handleTraceResp(msg wire.Message) {
-	s.mu.Lock()
-	ch := s.traceReqs[msg.ReqID]
-	s.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- msg:
-		default:
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -12,14 +11,11 @@ import (
 
 // Slow-traversal capture: when a traversal's end-to-end latency crosses
 // Config.SlowTravelNs, its coordinator pulls every server's raw spans for
-// it (KindTraceReq in raw mode), assembles the causal DAG, and keeps the
-// result in a small bounded ring. The evidence for "why was that one slow"
-// thus survives the per-server trace rings' churn and stays inspectable
-// later through Server.SlowTravels and the obs /traces/slow endpoint.
-
-// traceModeRaw selects the raw-span trace.SpanDump payload on a
-// KindTraceReq, as opposed to the default per-step aggregate.
-const traceModeRaw = 1
+// it (the introspection pull, wire.IntrospectSpans), assembles the causal
+// DAG, and keeps the result in a small bounded ring. The evidence for "why
+// was that one slow" thus survives the per-server trace rings' churn and
+// stays inspectable later through Server.SlowTravels and the obs
+// /traces/slow endpoint.
 
 // slowTravelCap bounds the retained slow-traversal DAGs (oldest evicted).
 const slowTravelCap = 32
@@ -44,68 +40,22 @@ func (s *Server) maybeCaptureSlow(sum trace.TravelSummary) {
 
 func (s *Server) captureSlowTravel(sum trace.TravelSummary) {
 	defer s.wg.Done()
-	spans := s.TraceSpans(sum.Travel)
-	dropped := s.trc.Stats().SpansEvicted
-	for peer := 0; peer < s.cfg.Part.N(); peer++ {
-		if peer == s.cfg.ID {
-			continue
+	deadline := time.Now().Add(slowPullTimeout)
+	// Skip-unreachable: a peer whose pull fails leaves an empty dump, and its
+	// executions surface as orphans in the DAG.
+	dumps, _ := fanOut(s.cfg.Part.N(), func(srv int) (trace.SpanDump, error) {
+		if srv == s.cfg.ID {
+			return s.spanDump(sum.Travel), nil
 		}
-		dump, err := s.pullSpans(peer, sum.Travel, slowPullTimeout)
-		if err != nil {
-			continue // missing servers surface as orphans in the DAG
-		}
-		spans = append(spans, dump.Spans...)
-		dropped += dump.Dropped
-	}
-	d := trace.Assemble(sum.Travel, spans, &sum)
-	d.SpansDropped = dropped
+		return pull[trace.SpanDump](&s.calls, srv, wire.IntrospectSpans, sum.Travel, deadline)
+	})
+	d := assembleDumps(sum.Travel, dumps, &sum)
 	s.slowMu.Lock()
 	s.slowDAGs = append(s.slowDAGs, d)
 	if len(s.slowDAGs) > slowTravelCap {
 		s.slowDAGs = s.slowDAGs[len(s.slowDAGs)-slowTravelCap:]
 	}
 	s.slowMu.Unlock()
-}
-
-// pullSpans fetches one peer's raw spans for a traversal, blocking until
-// the reply, the timeout, or server shutdown.
-func (s *Server) pullSpans(peer int, travel uint64, timeout time.Duration) (trace.SpanDump, error) {
-	req := s.traceSeq.Add(1)
-	ch := make(chan wire.Message, 1)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return trace.SpanDump{}, fmt.Errorf("core: server closed")
-	}
-	s.traceReqs[req] = ch
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.traceReqs, req)
-		s.mu.Unlock()
-	}()
-	if err := s.send(peer, wire.Message{
-		Kind: wire.KindTraceReq, TravelID: travel, ReqID: req, Mode: traceModeRaw,
-	}); err != nil {
-		return trace.SpanDump{}, err
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case msg := <-ch:
-		if msg.Err != "" {
-			return trace.SpanDump{}, fmt.Errorf("core: trace pull from server %d: %s", peer, msg.Err)
-		}
-		var dump trace.SpanDump
-		if err := json.Unmarshal(msg.Blob, &dump); err != nil {
-			return trace.SpanDump{}, fmt.Errorf("core: trace pull from server %d: %w", peer, err)
-		}
-		return dump, nil
-	case <-t.C:
-		return trace.SpanDump{}, fmt.Errorf("core: trace pull from server %d timed out", peer)
-	case <-s.stop:
-		return trace.SpanDump{}, fmt.Errorf("core: server closing")
-	}
 }
 
 // SlowTravels returns the captured slow-traversal DAGs, oldest first.

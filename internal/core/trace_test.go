@@ -123,9 +123,10 @@ func TestTraceDispositionMatchesMetrics(t *testing.T) {
 	}
 }
 
-// TestHandleProfile exercises the TraceReq/TraceResp round trip: the
-// client-side profile of a completed traversal must agree with the spans
-// buffered on the servers.
+// TestHandleProfile pins the profile's definition: the client aggregates
+// the span dumps it pulls, and the rows must equal trace.Aggregate run on
+// each server over its own TraceSpans — what a server-side aggregate would
+// have answered, (step, server) row for row.
 func TestHandleProfile(t *testing.T) {
 	c := newCluster(t, 3, nil)
 	loadAuditGraph(t, c)

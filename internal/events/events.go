@@ -7,7 +7,7 @@
 // the cluster DO around 14:03" without log scraping.
 //
 // The journal is served over HTTP by internal/obs (/events), pulled over
-// the wire by wire.KindEventsReq, and merged cluster-wide + time-sorted
+// the wire by wire.KindIntrospectReq, and merged cluster-wide + time-sorted
 // by `gtq -events`.
 package events
 

@@ -17,6 +17,7 @@ package route
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"graphtrek/internal/model"
@@ -156,12 +157,15 @@ func (t *Table) Encode() []byte {
 	return b
 }
 
-// DecodeTable parses an Encode payload.
+// DecodeTable parses an Encode payload. The blob arrives by gossip and a
+// merged table is republished cluster-wide, so it is checked as outside
+// input: varints must be minimal (decode then Encode is byte-identical) and
+// every replica id must name a server in [0, Servers).
 func DecodeTable(b []byte) (*Table, error) {
 	u := func() (uint64, error) {
 		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return 0, fmt.Errorf("route: truncated table")
+		if n <= 0 || (n > 1 && b[n-1] == 0) {
+			return 0, fmt.Errorf("route: truncated or non-minimal varint")
 		}
 		b = b[n:]
 		return v, nil
@@ -169,6 +173,16 @@ func DecodeTable(b []byte) (*Table, error) {
 	servers, err := u()
 	if err != nil {
 		return nil, err
+	}
+	if servers > math.MaxInt32 {
+		return nil, fmt.Errorf("route: declared %d servers", servers)
+	}
+	replica := func() (int32, error) {
+		id, err := u()
+		if err == nil && id >= servers {
+			err = fmt.Errorf("route: replica id %d outside [0, %d)", id, servers)
+		}
+		return int32(id), err
 	}
 	nparts, err := u()
 	if err != nil {
@@ -185,11 +199,9 @@ func DecodeTable(b []byte) (*Table, error) {
 		if a.Epoch, err = u(); err != nil {
 			return nil, err
 		}
-		prim, err := u()
-		if err != nil {
+		if a.Primary, err = replica(); err != nil {
 			return nil, err
 		}
-		a.Primary = int32(prim)
 		nf, err := u()
 		if err != nil {
 			return nil, err
@@ -198,11 +210,11 @@ func DecodeTable(b []byte) (*Table, error) {
 			return nil, fmt.Errorf("route: declared %d followers in %d bytes", nf, len(b))
 		}
 		for i := uint64(0); i < nf; i++ {
-			f, err := u()
+			f, err := replica()
 			if err != nil {
 				return nil, err
 			}
-			a.Followers = append(a.Followers, int32(f))
+			a.Followers = append(a.Followers, f)
 		}
 		t.Parts[p] = a
 	}

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -153,4 +155,60 @@ func TestViewUpdateAndPropose(t *testing.T) {
 			t.Fatalf("id %d: owner %d want %d", id, got, want)
 		}
 	}
+}
+
+// TestDecodeTableRejectsOutOfRangeReplicas pins the input check on the
+// gossiped blob: a table naming a server outside [0, Servers) — including
+// 1<<31, which wraps negative as an int32 — must be rejected before Merge
+// can publish it.
+func TestDecodeTableRejectsOutOfRangeReplicas(t *testing.T) {
+	for _, bad := range []Assignment{
+		{Epoch: 99, Primary: 3},
+		{Epoch: 99, Primary: 0, Followers: []int32{1, 3}},
+		{Epoch: 99, Primary: math.MinInt32}, // encodes as a huge uvarint
+	} {
+		tbl := Identity(3, 2)
+		tbl.Parts[1] = bad
+		if _, err := DecodeTable(tbl.Encode()); err == nil {
+			t.Errorf("decode accepted assignment %+v for 3 servers", bad)
+		}
+	}
+	// 1<<31 as a canonical uvarint primary: servers=3, 1 partition, epoch 1.
+	blob := []byte{3, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x08, 0}
+	if _, err := DecodeTable(blob); err == nil {
+		t.Error("decode accepted primary 1<<31")
+	}
+	// A non-minimal varint (0 spelled in two bytes) is not Encode's image.
+	if _, err := DecodeTable([]byte{0x83, 0x00, 0}); err == nil {
+		t.Error("decode accepted a non-minimal varint")
+	}
+}
+
+// FuzzDecodeTable fuzzes the route-table blob — it arrives off the network
+// and a winning epoch is republished cluster-wide. Whatever decodes must be
+// exactly Encode's image (re-encoding is byte-identical) and may only name
+// servers the table declares.
+func FuzzDecodeTable(f *testing.F) {
+	tbl := Identity(4, 3)
+	tbl.Parts[2] = Assignment{Epoch: 9, Primary: 0, Followers: []int32{3, 1}}
+	enc := tbl.Encode()
+	f.Add(enc)
+	f.Add(enc[:len(enc)/2])
+	f.Add([]byte{3, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x08, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := DecodeTable(b)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(got.Encode(), b) {
+			t.Fatalf("re-encode differs: %x -> %x", b, got.Encode())
+		}
+		for p, a := range got.Parts {
+			for _, id := range append([]int32{a.Primary}, a.Followers...) {
+				if id < 0 || int(id) >= got.Servers {
+					t.Fatalf("partition %d names server %d outside [0, %d)", p, id, got.Servers)
+				}
+			}
+		}
+	})
 }

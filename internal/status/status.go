@@ -2,7 +2,7 @@
 // about its live replication and engine state: per-partition epoch, role,
 // replica set and sequence watermarks, plus executor queue and read-cache
 // gauges. It is pure data — core fills it in, internal/obs serves it at
-// /status, wire.KindStatusReq pulls it cluster-wide, and `gtq -status`
+// /status, wire.KindIntrospectReq pulls it cluster-wide, and `gtq -status`
 // renders the merged table. Keeping the types here (not in core) lets the
 // HTTP layer and the CLI share them without importing the engine.
 package status

@@ -13,8 +13,8 @@ import "sort"
 // and any deviation is reported precisely (orphaned parents, duplicate
 // exec ids) instead of silently absorbed.
 
-// SpanDump is one server's raw-span answer to a trace pull (KindTraceReq
-// with the raw-span mode bit): the spans it buffered for the traversal
+// SpanDump is one server's answer to a span pull (KindIntrospectReq,
+// wire.IntrospectSpans): the spans it buffered for the traversal
 // plus, when this server coordinated it, the ledger summary. Dropped
 // counts the spans its ring evicted since start, so an assembler can tell
 // a wrapped ring from a tracing bug when spans are missing.

@@ -53,9 +53,10 @@ func TestDecodeMutatedMessagesNeverPanic(t *testing.T) {
 // TestUvarintLengthBombs checks that huge declared lengths inside a tiny
 // message are rejected rather than causing giant allocations.
 func TestUvarintLengthBombs(t *testing.T) {
-	// Header (2) + fixed fields (36) + plan length claiming 2^60 bytes.
-	msg := make([]byte, 38)
-	msg[0] = byte(KindDispatch)
+	// Version byte, kind, mode, eleven zero header varints, then a plan
+	// length claiming 2^60 bytes.
+	msg := make([]byte, 3+11)
+	msg[0], msg[1] = FrameV2, byte(KindDispatch)
 	bomb := append(msg, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x10)
 	if _, err := Decode(bomb); err == nil {
 		t.Error("length bomb should fail to decode")

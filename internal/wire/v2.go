@@ -7,18 +7,18 @@ import (
 	"graphtrek/internal/model"
 )
 
-// The v2 frame is the columnar batch format the transports actually ship.
-// Where v1 interleaves each entry's fields row-at-a-time behind a 58-byte
-// fixed scalar header, v2 writes one varint-packed header (kind, mode,
-// traversal/step/epoch identity) followed by column-major sections: all
-// vertex ids together, all ancestor ids together, and so on. Id columns are
-// delta encoded — consecutive values are subtracted (wrapping) and the
-// signed difference is zigzag-varint coded — so the dense, mostly-ascending
-// id runs a frontier batch carries collapse to one or two bytes per vertex.
+// The v2 frame is the one codec the transports ship: a columnar batch
+// format. One varint-packed header (kind, mode, traversal/step/epoch
+// identity) is followed by column-major sections: all vertex ids together,
+// all ancestor ids together, and so on. Id columns are delta encoded —
+// consecutive values are subtracted (wrapping) and the signed difference is
+// zigzag-varint coded — so the dense, mostly-ascending id runs a frontier
+// batch carries collapse to one or two bytes per vertex. (The row-major v1
+// frame it replaced is gone; EXPERIMENTS.md freezes the measured ratio.)
 //
 // Layout:
 //
-//	FrameV2 (0xF2)                 version byte; never a valid v1 Kind
+//	FrameV2 (0xF2)                 version byte; never a valid Kind
 //	kind:1 mode:1
 //	uvarint  TravelID ExecID ReqID ParentExec Epoch Seq Base
 //	zigzag   Step Coord Peer Part
@@ -35,9 +35,9 @@ import (
 // The decoder never aliases its input: Plan, Blob and Err are copied, so a
 // transport may reuse its read buffer as soon as Decode returns.
 
-// FrameV2 is the v2 version byte. v1 frames start with their Kind byte,
-// which the Kind enum keeps far below 0xF2, so the first byte of any frame
-// identifies its codec version unambiguously.
+// FrameV2 is the v2 version byte. The unversioned v1 frames of older builds
+// started with their Kind byte, which the Kind enum keeps far below 0xF2, so
+// the first byte tells Decode a frame from such a peer (or garbage) apart.
 const FrameV2 = 0xF2
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }

@@ -43,36 +43,19 @@ func TestV2DeltaEdgeCases(t *testing.T) {
 	}
 }
 
-// TestV2RejectsV1Frame pins the versioned rejection in both directions: a
-// legacy v1 frame fed to the v2 decoder (and vice versa) must fail cleanly
-// with an error that names the version mismatch, never misparse.
+// unversionedFrame is the start of what a pre-v2 peer sends: no version
+// byte, so the frame opens with its Kind, then Mode and a fixed-width
+// little-endian TravelID.
+var unversionedFrame = []byte{byte(KindDispatch), 0, 3, 0, 0, 0, 0, 0, 0, 0}
+
+// TestV2RejectsV1Frame pins the versioned rejection: a frame that does not
+// open with the v2 version byte must fail cleanly with an error that names
+// the version mismatch, never misparse.
 func TestV2RejectsV1Frame(t *testing.T) {
-	m := Message{Kind: KindDispatch, TravelID: 3, Entries: []Entry{{Vertex: 1, Anc: 2, AncStep: -1, Dest: -1}}}
-	v1 := AppendV1(nil, &m)
-	if _, err := Decode(v1); err == nil {
-		t.Fatal("v2 decoder accepted a v1 frame")
+	if _, err := Decode(unversionedFrame); err == nil {
+		t.Fatal("v2 decoder accepted an unversioned frame")
 	} else if !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "version") {
 		t.Errorf("v1-frame rejection not actionable: %v", err)
-	}
-	v2 := Append(nil, &m)
-	if _, err := DecodeV1(v2); err == nil {
-		t.Fatal("v1 decoder accepted a v2 frame")
-	} else if !strings.Contains(err.Error(), "v2") {
-		t.Errorf("v2-frame rejection not actionable: %v", err)
-	}
-}
-
-// TestV1RoundTripQuick keeps the retained v1 codec honest — it is the bench
-// baseline the v2 bytes/vertex win is measured against.
-func TestV1RoundTripQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := randomMessage(r)
-		got, err := DecodeV1(AppendV1(nil, &m))
-		return err == nil && reflect.DeepEqual(got, m)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -100,28 +83,8 @@ func TestV2RoundTripFullRangeQuick(t *testing.T) {
 	}
 }
 
-// TestV2SmallerThanV1OnDenseBatches is the format's reason to exist: a
-// frontier batch of dense, ascending interned ids must take fewer bytes
-// columnar-delta-coded than in the v1 row format.
-func TestV2SmallerThanV1OnDenseBatches(t *testing.T) {
-	m := Message{Kind: KindDispatch, TravelID: 1, Step: 2, Coord: 0, ExecID: 7, Epoch: 3}
-	for i := 0; i < 1024; i++ {
-		m.Entries = append(m.Entries, Entry{
-			Vertex:  model.InternedID(3, uint64(4*i)),
-			Anc:     model.InternedID(3, 0),
-			AncStep: -1,
-			Dest:    -1,
-		})
-	}
-	v1 := len(AppendV1(nil, &m))
-	v2 := len(Append(nil, &m))
-	if v2*2 > v1 {
-		t.Errorf("v2 frame %dB vs v1 %dB: want at least 2x smaller", v2, v1)
-	}
-}
-
 // FuzzDecodeV2 is the native fuzz target over the v2 trust boundary; the
-// seeds cover a valid frame, a truncation, a v1 frame and raw soup.
+// seeds cover a valid frame, a truncation, an unversioned frame and raw soup.
 func FuzzDecodeV2(f *testing.F) {
 	m := Message{Kind: KindDispatch, TravelID: 5,
 		Entries: []Entry{{Vertex: 1, Anc: ^model.VertexID(0), AncStep: -1, Dest: 2}},
@@ -129,7 +92,7 @@ func FuzzDecodeV2(f *testing.F) {
 	valid := Append(nil, &m)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(AppendV1(nil, &m))
+	f.Add(unversionedFrame)
 	f.Add([]byte{FrameV2, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if dec, err := Decode(b); err == nil {

@@ -60,12 +60,15 @@ const (
 	// adopt the suspicion immediately, so one detection propagates
 	// cluster-wide within a message delay instead of a detection period.
 	KindPeerDown
-	// KindTraceReq asks a backend for its per-step execution-trace
-	// aggregate of one traversal (TravelID; 0 means all buffered spans).
-	KindTraceReq
-	// KindTraceResp answers a KindTraceReq; Blob carries JSON-encoded
-	// trace.StepStat rows for the responding server.
-	KindTraceResp
+	// KindIntrospectReq is the one introspection pull: Mode names the
+	// document wanted (IntrospectSpans / IntrospectEvents /
+	// IntrospectStatus) and TravelID scopes a span pull to one traversal
+	// (0 means all buffered spans).
+	KindIntrospectReq
+	// KindIntrospectResp answers a KindIntrospectReq (ReqID matches, Mode
+	// echoed): Blob carries the JSON-encoded document, or Err says why
+	// there is none — including an unknown Mode.
+	KindIntrospectResp
 	// KindWriteReq asks a partition's primary to apply the mutation batch
 	// in Blob durably (replicated to a quorum before the response).
 	KindWriteReq
@@ -97,21 +100,22 @@ const (
 	// subscription failed (wrong primary, cursor too old) and carries a
 	// piggybacked route table in Blob when the sender knows a newer one.
 	KindFeedBatch
-	// KindEventsReq asks a backend for its cluster event journal
+)
+
+// Introspection documents (wire.Message.Mode on KindIntrospectReq).
+const (
+	// IntrospectSpans asks for the backend's buffered execution spans of
+	// one traversal as a trace.SpanDump, with the ledger summary when the
+	// backend coordinated it.
+	IntrospectSpans = 1
+	// IntrospectEvents asks for the backend's cluster event journal
 	// (suspicions, promotions, epoch bumps, handoffs — see
-	// internal/events). ReqID ties the response back, PR 5 blob-pull
-	// style.
-	KindEventsReq
-	// KindEventsResp answers a KindEventsReq; Blob carries JSON-encoded
-	// events.Event entries, oldest first.
-	KindEventsResp
-	// KindStatusReq asks a backend for its replication/engine status
+	// internal/events), oldest first.
+	IntrospectEvents = 2
+	// IntrospectStatus asks for the backend's replication/engine status
 	// document (per-partition epoch, role, watermarks, lag — see
 	// internal/status).
-	KindStatusReq
-	// KindStatusResp answers a KindStatusReq; Blob carries one
-	// JSON-encoded status.Server document.
-	KindStatusResp
+	IntrospectStatus = 3
 )
 
 // String names the kind for logs.
@@ -145,10 +149,10 @@ func (k Kind) String() string {
 		return "Heartbeat"
 	case KindPeerDown:
 		return "PeerDown"
-	case KindTraceReq:
-		return "TraceReq"
-	case KindTraceResp:
-		return "TraceResp"
+	case KindIntrospectReq:
+		return "IntrospectReq"
+	case KindIntrospectResp:
+		return "IntrospectResp"
 	case KindWriteReq:
 		return "WriteReq"
 	case KindWriteResp:
@@ -165,14 +169,6 @@ func (k Kind) String() string {
 		return "FeedSub"
 	case KindFeedBatch:
 		return "FeedBatch"
-	case KindEventsReq:
-		return "EventsReq"
-	case KindEventsResp:
-		return "EventsResp"
-	case KindStatusReq:
-		return "StatusReq"
-	case KindStatusResp:
-		return "StatusResp"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -238,57 +234,10 @@ type Message struct {
 	// Part is the partition id a replication message concerns.
 	Part int32
 	Err  string
-	// Blob carries an opaque auxiliary payload; currently JSON-encoded
-	// trace.StepStat rows in KindTraceResp messages.
+	// Blob carries an opaque auxiliary payload: a mutation batch, name or
+	// id list, route table, feed records, or a JSON introspection document,
+	// as the Kind says.
 	Blob []byte
-}
-
-// AppendV1 serializes m in the legacy v1 row format, appending to b: a
-// fixed little-endian scalar header followed by per-entry interleaved
-// fields. Kept for the version-rejection tests and as the bench baseline
-// the v2 columnar codec (v2.go) is measured against; live transports frame
-// with Append/Decode.
-func AppendV1(b []byte, m *Message) []byte {
-	b = append(b, byte(m.Kind), m.Mode)
-	b = binary.LittleEndian.AppendUint64(b, m.TravelID)
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.Step))
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.Coord))
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.Peer))
-	b = binary.LittleEndian.AppendUint64(b, m.ExecID)
-	b = binary.LittleEndian.AppendUint64(b, m.ReqID)
-	b = binary.LittleEndian.AppendUint64(b, m.ParentExec)
-	b = binary.LittleEndian.AppendUint64(b, m.Epoch)
-	b = binary.LittleEndian.AppendUint64(b, m.Seq)
-	b = binary.LittleEndian.AppendUint64(b, m.Base)
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.Part))
-	b = binary.AppendUvarint(b, uint64(len(m.Plan)))
-	b = append(b, m.Plan...)
-	b = binary.AppendUvarint(b, uint64(len(m.Entries)))
-	for _, e := range m.Entries {
-		b = binary.AppendUvarint(b, uint64(e.Vertex))
-		b = binary.AppendUvarint(b, uint64(e.Anc))
-		b = binary.LittleEndian.AppendUint32(b, uint32(e.AncStep))
-		b = binary.LittleEndian.AppendUint32(b, uint32(e.Dest))
-	}
-	b = binary.AppendUvarint(b, uint64(len(m.Created)))
-	for _, c := range m.Created {
-		b = binary.AppendUvarint(b, c.ID)
-		b = binary.LittleEndian.AppendUint32(b, uint32(c.Server))
-		b = binary.LittleEndian.AppendUint32(b, uint32(c.Step))
-	}
-	b = binary.AppendUvarint(b, uint64(len(m.Ended)))
-	for _, id := range m.Ended {
-		b = binary.AppendUvarint(b, id)
-	}
-	b = binary.AppendUvarint(b, uint64(len(m.Verts)))
-	for _, v := range m.Verts {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	b = binary.AppendUvarint(b, uint64(len(m.Err)))
-	b = append(b, m.Err...)
-	b = binary.AppendUvarint(b, uint64(len(m.Blob)))
-	b = append(b, m.Blob...)
-	return b
 }
 
 type decoder struct {
@@ -306,32 +255,6 @@ func (d *decoder) uvarint() uint64 {
 		return 0
 	}
 	d.b = d.b[sz:]
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 4 {
-		d.err = fmt.Errorf("wire: truncated u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.err = fmt.Errorf("wire: truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
 	return v
 }
 
@@ -361,81 +284,4 @@ func (d *decoder) count(n uint64, minSize int) int {
 		return 0
 	}
 	return int(n)
-}
-
-// DecodeV1 parses a message serialized by AppendV1. The entire input must
-// be consumed. A v2 frame is rejected up front by its version byte.
-func DecodeV1(b []byte) (Message, error) {
-	if len(b) < 2 {
-		return Message{}, fmt.Errorf("wire: message too short")
-	}
-	if b[0] == FrameV2 {
-		return Message{}, fmt.Errorf("wire: v2 frame (version byte 0x%02x) passed to the v1 decoder; use Decode", FrameV2)
-	}
-	var m Message
-	m.Kind = Kind(b[0])
-	m.Mode = b[1]
-	d := &decoder{b: b[2:]}
-	m.TravelID = d.u64()
-	m.Step = int32(d.u32())
-	m.Coord = int32(d.u32())
-	m.Peer = int32(d.u32())
-	m.ExecID = d.u64()
-	m.ReqID = d.u64()
-	m.ParentExec = d.u64()
-	m.Epoch = d.u64()
-	m.Seq = d.u64()
-	m.Base = d.u64()
-	m.Part = int32(d.u32())
-	if n := d.uvarint(); n > 0 {
-		m.Plan = append([]byte(nil), d.bytes(n)...)
-	}
-	// An Entry encodes to at least 1+1+4+4 bytes, an ExecRef to 1+4+4,
-	// Ended ids and Verts to at least 1 byte each.
-	if n := d.count(d.uvarint(), 10); n > 0 && d.err == nil {
-		m.Entries = make([]Entry, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			e := Entry{
-				Vertex: model.VertexID(d.uvarint()),
-				Anc:    model.VertexID(d.uvarint()),
-			}
-			e.AncStep = int32(d.u32())
-			e.Dest = int32(d.u32())
-			m.Entries = append(m.Entries, e)
-		}
-	}
-	if n := d.count(d.uvarint(), 9); n > 0 && d.err == nil {
-		m.Created = make([]ExecRef, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			c := ExecRef{ID: d.uvarint()}
-			c.Server = int32(d.u32())
-			c.Step = int32(d.u32())
-			m.Created = append(m.Created, c)
-		}
-	}
-	if n := d.count(d.uvarint(), 1); n > 0 && d.err == nil {
-		m.Ended = make([]uint64, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			m.Ended = append(m.Ended, d.uvarint())
-		}
-	}
-	if n := d.count(d.uvarint(), 1); n > 0 && d.err == nil {
-		m.Verts = make([]model.VertexID, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			m.Verts = append(m.Verts, model.VertexID(d.uvarint()))
-		}
-	}
-	if n := d.uvarint(); d.err == nil {
-		m.Err = string(d.bytes(n))
-	}
-	if n := d.uvarint(); n > 0 && d.err == nil {
-		m.Blob = append([]byte(nil), d.bytes(n)...)
-	}
-	if d.err != nil {
-		return Message{}, d.err
-	}
-	if len(d.b) != 0 {
-		return Message{}, fmt.Errorf("wire: %d trailing bytes", len(d.b))
-	}
-	return m, nil
 }
