@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: all build vet test race stress fuzz-smoke check lint fmt fmtcheck bench benchfull bench-smoke bench-readpath bench-failover bench-readwrite clean
+.PHONY: all build vet test race stress fuzz-smoke check lint loc fmt fmtcheck bench benchfull bench-smoke bench-readpath bench-failover bench-readwrite clean
 
 all: build
 
@@ -71,6 +71,14 @@ lint:
 	else \
 		echo "lint: staticcheck unavailable (offline?); skipping"; \
 	fi
+
+# loc prints non-test Go lines (benchmark/ is a module of its own and not
+# counted), per package and in total — the number CHANGES.md tracks for
+# ROADMAP aim 2, so the trajectory comes from a tool and not from a hand.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | sort | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 fmt:
 	gofmt -l -w .

@@ -362,7 +362,7 @@ func (c *Client) submitOnce(plan *query.Plan, opts SubmitOptions) ([]model.Verte
 	if opts.Timeout <= 0 {
 		opts.Timeout = 120 * time.Second
 	}
-	if opts.Mode == ModeClientSide {
+	if opts.Mode.tuning().clientDriven {
 		if c.tr == nil {
 			return nil, errors.New("core: client not bound to a transport")
 		}
@@ -392,7 +392,7 @@ func (c *Client) SubmitPlanAsync(plan *query.Plan, opts SubmitOptions) (*Handle,
 	if c.tr == nil {
 		return nil, errors.New("core: client not bound to a transport")
 	}
-	if opts.Mode == ModeClientSide {
+	if opts.Mode.tuning().clientDriven {
 		return nil, errors.New("core: client-side traversal cannot run asynchronously")
 	}
 	travelID := uint64(c.tr.Self()+1)<<48 | c.seq.Add(1)
@@ -429,9 +429,13 @@ func (h *Handle) Wait(timeout time.Duration) ([]model.VertexID, error) {
 	if timeout <= 0 {
 		timeout = 120 * time.Second
 	}
+	// A stopped timer is released at once; time.After would strand one per
+	// completed traversal until the timeout fires.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case <-h.p.done:
-	case <-time.After(timeout):
+	case <-timer.C:
 		h.client.mu.Lock()
 		delete(h.client.pending, h.travelID)
 		h.client.mu.Unlock()

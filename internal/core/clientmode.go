@@ -31,6 +31,10 @@ func (a *visitAcc) ItemDone() bool { return a.pending.Add(-1) == 0 }
 
 func (a *visitAcc) span() *trace.Builder { return a.sp }
 
+func (a *visitAcc) process(s *Server, ts *travelState, vtx model.Vertex, found bool, it sched.Item) {
+	s.processVisitItem(ts, vtx, found, it)
+}
+
 func (a *visitAcc) execID() uint64 { return a.reqID }
 
 // fail records the first error on the response; the client treats a

@@ -89,8 +89,15 @@ type tuning struct {
 	priority bool // smallest-step-first scheduling (§V-B)
 	merge    bool // same-vertex execution merging (§V-B)
 	gated    bool // controller barrier between steps (Sync-GT)
+	// clientDriven: the client drives each step itself (Fig 2a); servers
+	// answer VisitReq batches and never coordinate, dispatch or forward.
+	clientDriven bool
 }
 
+// tuning expands a mode into its feature bits. It is the one place a Mode
+// constant is compared: everything else branches on the bits, so a new mode
+// is a new row here and nothing else. The Mode value itself survives on
+// travelState and ledger only to be forwarded on the wire and printed.
 func (m Mode) tuning() tuning {
 	switch m {
 	case ModeSync:
@@ -103,7 +110,9 @@ func (m Mode) tuning() tuning {
 		return tuning{useCache: true}
 	case ModeAsyncSchedOnly:
 		return tuning{priority: true, merge: true}
-	default: // ModeAsyncPlain, ModeClientSide
+	case ModeClientSide:
+		return tuning{clientDriven: true}
+	default: // ModeAsyncPlain
 		return tuning{}
 	}
 }

@@ -1,20 +1,21 @@
 package core
 
 import (
-	"errors"
 	"strings"
+
+	"graphtrek/internal/repl"
 )
 
-// Replication / routing error sentinels. They travel as message text, so
-// classification matches on their strings.
+// Replication / routing error sentinels, minted by the replication machine.
+// They travel as message text, so classification matches on their strings.
 var (
 	// ErrWrongEpoch fences a stale primary: a replica with a newer epoch
 	// for the partition rejected its write or append.
-	ErrWrongEpoch = errors.New("core: write fenced by a newer partition epoch (stale primary)")
+	ErrWrongEpoch = repl.ErrWrongEpoch
 	// ErrPartitionMoved rejects work routed with a stale table: the
 	// partition's primary is now another server. The sender refreshes its
 	// route view and retries.
-	ErrPartitionMoved = errors.New("core: partition moved to another server (stale route)")
+	ErrPartitionMoved = repl.ErrPartitionMoved
 )
 
 // terminalMarks are the substrings of errors no retry can fix: a malformed

@@ -18,6 +18,10 @@ import (
 // batches.
 type accumulator interface {
 	sched.Accumulator
+	// process evaluates one of the accumulator's items against the fetched
+	// vertex: a server-side execution filters, expands and dispatches, a
+	// client-mode batch collects survivors and expansions for its reply.
+	process(s *Server, ts *travelState, vtx model.Vertex, found bool, it sched.Item)
 	// fail records a processing failure on whatever error path the
 	// accumulator reports through. Called at most once per finishItems call.
 	fail(s *Server, ts *travelState, msg string)
@@ -54,6 +58,10 @@ type execAcc struct {
 func (a *execAcc) ItemDone() bool { return a.pending.Add(-1) == 0 }
 
 func (a *execAcc) span() *trace.Builder { return a.sp }
+
+func (a *execAcc) process(s *Server, ts *travelState, vtx model.Vertex, found bool, it sched.Item) {
+	s.processItem(ts, vtx, found, it)
+}
 
 func (a *execAcc) execID() uint64 { return a.id }
 

@@ -13,41 +13,7 @@ import (
 	"graphtrek/internal/partition"
 	"graphtrek/internal/property"
 	"graphtrek/internal/query"
-	"graphtrek/internal/route"
 )
-
-// TestFeedCommitFloor pins the commit high-watermark computation: the
-// need-th highest follower ack, capped at the primary's applied sequence,
-// with a 1-replica set committing at the applied sequence directly.
-func TestFeedCommitFloor(t *testing.T) {
-	st := &partRepl{appliedSeq: 10, ackedSeq: map[int32]uint64{1: 7, 2: 4}}
-	cases := []struct {
-		name      string
-		followers []int32
-		want      uint64
-	}{
-		// Quorum(3 replicas)=2: primary + 1 follower, floor = max follower ack.
-		{"two followers", []int32{1, 2}, 7},
-		// Quorum(2 replicas)=2: the single follower's ack bounds the floor.
-		{"one follower", []int32{1}, 7},
-		// Shrunk set: the primary alone is the quorum.
-		{"no followers", nil, 10},
-		// A follower that never acked holds the floor at zero.
-		{"silent follower", []int32{3}, 0},
-	}
-	for _, tc := range cases {
-		a := route.Assignment{Primary: 0, Followers: tc.followers}
-		if got := commitFloorLocked(st, a); got != tc.want {
-			t.Errorf("%s: commit floor = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-	// The follower ack can run ahead of the primary apply mid-handoff; the
-	// floor must never outrun what the primary itself holds.
-	ahead := &partRepl{appliedSeq: 5, ackedSeq: map[int32]uint64{1: 9}}
-	if got := commitFloorLocked(ahead, route.Assignment{Followers: []int32{1}}); got != 5 {
-		t.Errorf("floor with follower ahead = %d, want 5 (primary applied)", got)
-	}
-}
 
 // TestMutateNamedOps drives the name-addressed mutation API end to end on a
 // replicated cluster: adds intern their names and land on every replica,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"graphtrek/internal/gstore"
+	"graphtrek/internal/repl"
 	"graphtrek/internal/wire"
 )
 
@@ -142,7 +143,7 @@ func (f *Feed) Close() {
 	close(f.stop)
 	if target >= 0 {
 		f.unsubOnced.Do(func() {
-			f.c.tr.Send(target, wire.Message{Kind: wire.KindFeedSub, Mode: feedModeUnsub, Part: int32(f.part)})
+			f.c.tr.Send(target, wire.Message{Kind: wire.KindFeedSub, Mode: repl.FeedModeUnsub, Part: int32(f.part)})
 		})
 	}
 	<-f.pumpDone
@@ -208,7 +209,7 @@ func (f *Feed) subscribe() {
 	f.confirmed = false
 	f.mu.Unlock()
 	f.c.tr.Send(primary, wire.Message{
-		Kind: wire.KindFeedSub, Mode: feedModeSub, Part: int32(f.part), Seq: cursor,
+		Kind: wire.KindFeedSub, Mode: repl.FeedModeSub, Part: int32(f.part), Seq: cursor,
 	})
 }
 

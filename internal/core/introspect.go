@@ -49,16 +49,13 @@ func (s *Server) Status() status.Server {
 			AdjHits: st.AdjHits, AdjMisses: st.AdjMisses,
 		}
 	}
-	if s.cfg.Route != nil {
-		now := time.Now().UnixNano()
+	if s.repl != nil {
+		now := time.Now()
 		s.replMu.Lock()
-		parts := make([]int, 0, len(s.repl))
-		for p := range s.repl {
-			parts = append(parts, p)
-		}
-		sort.Ints(parts)
-		for _, p := range parts {
-			out.Partitions = append(out.Partitions, s.partitionStatusLocked(p, now))
+		for p, m := range s.repl {
+			if ps, ok := m.Status(now, s.cfg.Route.Assignment(p)); ok {
+				out.Partitions = append(out.Partitions, ps)
+			}
 		}
 		s.replMu.Unlock()
 	}
@@ -68,58 +65,6 @@ func (s *Server) Status() status.Server {
 	return out
 }
 
-// partitionStatusLocked builds one partition's status row. Caller holds
-// replMu.
-func (s *Server) partitionStatusLocked(p int, now int64) status.Partition {
-	st := s.repl[p]
-	a := s.cfg.Route.Assignment(p)
-	ps := status.Partition{
-		Part:       p,
-		Epoch:      st.epoch,
-		Primary:    int(a.Primary),
-		Role:       "follower",
-		AppliedSeq: st.appliedSeq,
-		Joining:    st.joining,
-	}
-	for _, f := range a.Followers {
-		ps.Followers = append(ps.Followers, int(f))
-	}
-	if !st.primary {
-		return ps
-	}
-	ps.Role = "primary"
-	ps.CommitSeq = st.commitSeq
-	// AckedSeq is the quorum floor: the lowest follower watermark, i.e. what
-	// every follower is known to hold. No followers means the primary alone
-	// is the replica set and its applied watermark is fully acknowledged.
-	ps.AckedSeq = st.appliedSeq
-	for _, f := range a.Followers {
-		if ack := st.ackedSeq[f]; ack < ps.AckedSeq {
-			ps.AckedSeq = ack
-		}
-	}
-	if st.appliedSeq > ps.AckedSeq {
-		ps.LagEntries = st.appliedSeq - ps.AckedSeq
-	}
-	ps.LagBytes = st.shipped - st.acked
-	// Age of the oldest uncommitted entry, when its timestamp is still
-	// ring-resident (it always is: the ring retains at least everything past
-	// the commit watermark or feed subscribers would already have been
-	// dropped).
-	if oldest := st.commitSeq + 1; oldest <= st.appliedSeq &&
-		oldest >= st.ringStart && oldest < st.ringStart+uint64(len(st.ringTimes)) {
-		ps.LagAgeNs = now - st.ringTimes[oldest-st.ringStart]
-	}
-	ps.HandoffsInFlight = len(st.joiners)
-	for sub, cursor := range st.feedSubs {
-		ps.FeedSubscribers = append(ps.FeedSubscribers, status.FeedSubscriber{Peer: int(sub), Cursor: cursor})
-	}
-	sort.Slice(ps.FeedSubscribers, func(i, j int) bool {
-		return ps.FeedSubscribers[i].Peer < ps.FeedSubscribers[j].Peer
-	})
-	return ps
-}
-
 // Ready reports whether this server can currently meet its durability
 // contract: every partition it primaries must reach write quorum with
 // unsuspected replicas, no snapshot replay may be in flight locally, and
@@ -127,38 +72,10 @@ func (s *Server) partitionStatusLocked(p int, now int64) status.Partition {
 // are always ready.
 func (s *Server) Ready() status.Readiness {
 	var reasons []string
-	if s.cfg.Route != nil {
+	if s.repl != nil {
 		s.replMu.Lock()
-		parts := make([]int, 0, len(s.repl))
-		for p := range s.repl {
-			parts = append(parts, p)
-		}
-		sort.Ints(parts)
-		for _, p := range parts {
-			st := s.repl[p]
-			if st.joining {
-				reasons = append(reasons, fmt.Sprintf("partition %d: snapshot replay in flight", p))
-				continue
-			}
-			if !st.primary {
-				continue
-			}
-			a := s.cfg.Route.Assignment(p)
-			if a.Primary != int32(s.cfg.ID) {
-				continue // stale local flag; reconcileRoles will demote
-			}
-			live := 1 // self
-			for _, f := range a.Followers {
-				if !s.isSuspect(int(f)) {
-					live++
-				}
-			}
-			if q := a.Quorum(); live < q {
-				reasons = append(reasons, fmt.Sprintf("partition %d: %d live replicas below quorum %d", p, live, q))
-			}
-			if n := len(st.joiners); n > 0 {
-				reasons = append(reasons, fmt.Sprintf("partition %d: %d handoff stream(s) in flight", p, n))
-			}
+		for p, m := range s.repl {
+			reasons = m.Unready(s.cfg.Route.Assignment(p), reasons)
 		}
 		s.replMu.Unlock()
 	}

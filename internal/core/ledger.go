@@ -23,7 +23,8 @@ import (
 type ledger struct {
 	mu      sync.Mutex
 	travel  uint64
-	mode    Mode
+	mode    Mode // forwarded on the wire and printed in the summary, never compared
+	gated   bool // tuning.gated: release steps one barrier at a time
 	client  int
 	plan    *query.Plan
 	servers int
@@ -65,6 +66,7 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 	led := &ledger{
 		travel:       travelID,
 		mode:         ts.mode,
+		gated:        ts.tun.gated,
 		client:       client,
 		plan:         ts.plan,
 		servers:      s.cfg.Part.N(),
@@ -303,7 +305,7 @@ func (s *Server) checkLedger(led *ledger) {
 		s.finishTravelLocked(led)
 		return
 	}
-	if led.mode == ModeSync {
+	if led.gated {
 		// Barrier: when nothing at or below the gate is live, release the
 		// next step that has registered executions.
 		minLive := int32(-1)

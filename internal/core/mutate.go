@@ -15,6 +15,29 @@ import (
 // into interned-id mutation batches on the quorum write path, and BulkLoad
 // saturates every partition primary concurrently for initial ingest.
 
+// lookup serves the read-only half of the name service — WriteModeResolve
+// (names to ids, 0 when unknown) and WriteModeNames (ids to names, "" when
+// unknown). The dictionary is replicated state, so any server holding the
+// partition answers, followers included, with or without replication.
+func lookup[K, V any](s *Server, blob []byte, what string, dec func([]byte) ([]K, error),
+	get func(gstore.Interner, K) (V, bool, error), enc func([]V) []byte) ([]byte, error) {
+	keys, err := dec(blob)
+	if err != nil {
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	in, ok := gstore.InternerOf(s.cfg.Store)
+	if !ok {
+		return nil, fmt.Errorf("core: server %d store does not support interning", s.cfg.ID)
+	}
+	vals := make([]V, len(keys))
+	for i, k := range keys {
+		if vals[i], _, err = get(in, k); err != nil {
+			return nil, fmt.Errorf("core: %s on server %d: %v", what, s.cfg.ID, err)
+		}
+	}
+	return enc(vals), nil
+}
+
 // NamedOp discriminates NamedMutation payloads.
 type NamedOp uint8
 

@@ -1,598 +1,165 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"graphtrek/internal/events"
 	"graphtrek/internal/gstore"
 	"graphtrek/internal/model"
+	"graphtrek/internal/repl"
 	"graphtrek/internal/route"
 	"graphtrek/internal/wire"
 )
 
-// This file implements per-partition replication, epoch-based failover and
-// online shard handoff. It is active only when Config.Route is set (the
-// cluster was built with ReplicationFactor >= 2); without a route view the
-// engine behaves exactly as before.
+// This file is the shell around internal/repl, which holds the replication
+// protocol — quorum writes, epoch fencing, ring repair, snapshot handoff,
+// promotion, the committed feed — as one pure state machine per partition
+// (DESIGN.md §12). The shell decodes and bounds-checks a message, steps the
+// partition's machine under replMu, and executes the effects the step
+// returned after releasing it. It is active only when Config.Route is set;
+// without a route view s.repl is nil and the engine behaves as before.
+
+// newRepl builds one machine per partition from the boot route table.
+func (s *Server) newRepl() {
+	if s.cfg.Route == nil {
+		return
+	}
+	wait := s.cfg.HeartbeatInterval
+	if wait <= 0 {
+		wait = 50 * time.Millisecond
+	}
+	s.repl = make([]*repl.Machine, s.cfg.Route.Parts())
+	for p := range s.repl {
+		s.repl[p] = repl.New(repl.Config{
+			Self: int32(s.cfg.ID), Part: int32(p),
+			WriteTimeout: s.cfg.WriteTimeout, PollWait: wait, Factor: s.cfg.ReplicationFactor,
+			Live: func(srv int32) bool { return !s.isSuspect(int(srv)) },
+		}, s.cfg.Route.Assignment(p))
+	}
+}
+
+// replStep is the one place replication state changes: under replMu it
+// steps partition p's machine with the assignment current at that moment,
+// then executes the effects outside the lock. write, when set, is the
+// primary's store apply: it must share the critical section with
+// sequencing. The transport invokes handlers concurrently, so applying
+// outside it would let two same-key writes reach the primary's store in one
+// order but carry sequence numbers in the other, and followers, which
+// replay in sequence order, would diverge from the primary on that key for
+// good. Intern allocation sits there for the same reason: the id a name
+// gets must be sequenced before a later allocation observes the counter.
 //
-// Protocol sketch (DESIGN.md §12 has the full invariants):
-//
-//   - Writes go to a partition's primary (KindWriteReq). The primary
-//     applies locally, ships the mutation batch to every follower
-//     (KindReplAppend, stamped with the partition epoch and a dense
-//     per-partition sequence number) and acknowledges the client once a
-//     quorum — majority of the replica set, primary included — holds it.
-//   - Followers apply appends in sequence order; a gap triggers a nak and
-//     the primary re-ships from a bounded ring, falling back to a full
-//     snapshot stream when the ring no longer covers the gap.
-//   - Every append and ack is epoch-checked against the receiver's route
-//     view: a message from a deposed primary carries a stale epoch and is
-//     rejected (EpochRejects), with the rejecter's route table attached so
-//     the straggler catches up.
-//   - When the failure detector condemns a primary, the first live
-//     follower drives promotion: under RF 2 it promotes itself outright;
-//     with more followers it first queries their applied sequences for one
-//     heartbeat interval and nominates the most caught-up. The new
-//     assignment (epoch + 1, dead server excluded) is installed in the
-//     local view and gossiped to every server and client (KindRouteUpdate,
-//     merged per partition, higher epoch wins).
-//   - A joining server streams a snapshot (KindSnapshot chunks) while the
-//     primary forwards the live append tail; mutations are idempotent, so
-//     the overlap is harmless. After the final chunk the joiner acks, and
-//     the primary publishes a new epoch with the joiner as follower — at
-//     which point it is promotable like any other follower.
-
-const (
-	ackModeAck      = 0 // follower applied through Seq
-	ackModeNak      = 1 // follower is missing records; Seq = its applied seq
-	ackModeEpochRej = 2 // receiver fenced the sender's stale epoch
-	ackModeSeqQuery = 3 // promotion candidate asks for applied seq
-	ackModeSeqInfo  = 4 // answer to a seq query; Seq = applied seq
-)
-
-const (
-	snapReq   = 0 // joiner/lagging follower asks the primary for a stream
-	snapChunk = 1 // one mutation batch
-	snapFinal = 2 // last chunk; Seq = append sequence the snapshot covers
-	snapDone  = 3 // receiver confirms the stream was applied
-	snapNudge = 4 // primary invites a recovered ex-replica to rejoin; Blob = route table
-)
-
-// replRingCap bounds the per-partition ring of recent appends kept for
-// re-shipping after a nak; gaps older than the ring fall back to a
-// snapshot stream.
-const replRingCap = 1024
-
-// partRepl is one partition's replication state on one server. All fields
-// are guarded by Server.replMu.
-type partRepl struct {
-	primary bool
-
-	// epoch is the fencing epoch this node's applied history was counted
-	// under. Sequence numbers are only comparable within one epoch: a
-	// follower observing a higher epoch on an append must reconcile its
-	// counter against the new primary's base before trusting comparisons.
-	epoch uint64
-
-	// Primary-side state. The ring is dual-role: primaries push every
-	// sequenced append for gap repair, and followers push every applied
-	// append so that, when promoted, they can serve change-feed backlog
-	// (and repair gaps) from the history they actually hold.
-	nextSeq   uint64           // sequence the next append will carry
-	baseSeq   uint64           // appliedSeq when the current epoch began
-	ringStart uint64           // sequence of ring[0]
-	ring      [][]byte         // recent append payloads for gap repair + feed backlog
-	ringTimes []int64          // per-ring-record apply stamps (unix nanos): feed lag + status age
-	ackedSeq  map[int32]uint64 // follower -> highest acked sequence
-	pending   map[uint64]*pendingWrite
-	shipped   int64          // bytes shipped to followers (lag numerator)
-	acked     int64          // bytes acknowledged by followers
-	joiners   map[int32]bool // servers mid-handoff: forward live appends
-
-	// Change-feed state (primary side). commitSeq is the partition's commit
-	// high-watermark: the highest sequence a quorum of the replica set
-	// (primary included) is known to hold. Feed subscribers only ever see
-	// records at or below it — an uncommitted append can vanish in a
-	// failover and its sequence be reassigned to a different mutation, which
-	// a committed-only feed makes unobservable. feedSubs maps a subscriber
-	// node to the highest sequence already delivered to it.
-	commitSeq uint64
-	feedSubs  map[int32]uint64
-
-	// Follower-side state.
-	appliedSeq uint64
-	joining    bool              // snapshot in flight; buffer the live tail
-	tail       map[uint64][]byte // buffered appends awaiting the snapshot
-}
-
-// pendingWrite is a client write awaiting its quorum.
-type pendingWrite struct {
-	from  int
-	reqID uint64
-	seq   uint64
-	need  int       // follower acks still required
-	start time.Time // when the quorum round began (latency histogram)
-	timer *time.Timer
-	// blob rides on the success response — the allocated id list of an
-	// intern request. Failure responses never carry it: the allocation is
-	// only observable once the quorum holds it.
-	blob []byte
-}
-
-// replState lazily creates partition p's state.
-func (s *Server) replState(p int) *partRepl {
-	st, ok := s.repl[p]
-	if !ok {
-		st = &partRepl{
-			ackedSeq: make(map[int32]uint64),
-			pending:  make(map[uint64]*pendingWrite),
-			joiners:  make(map[int32]bool),
-			tail:     make(map[uint64][]byte),
-			feedSubs: make(map[int32]uint64),
-		}
-		s.repl[p] = st
-	}
-	return st
-}
-
-// initRepl seeds the replica-role flags from the boot route table. Boot
-// roles are not promotions.
-func (s *Server) initRepl() {
-	if s.cfg.Route == nil {
-		return
-	}
+// err is write's refusal, and nothing was stepped. sent is the first send
+// failure among the effects: the step stands — a batch that could not reach
+// one follower is still sequenced, shipped to the others and pending — so
+// only a caller whose whole purpose was the send (JoinPartition) reads it.
+func (s *Server) replStep(p int, ev repl.Event, write func(route.Assignment) (blob, reply []byte, err error)) (sent, err error) {
+	buf := effectLists.Get().(*[]repl.Effect)
 	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	for p := 0; p < s.cfg.Route.Parts(); p++ {
-		a := s.cfg.Route.Assignment(p)
-		if a.HasReplica(int32(s.cfg.ID)) {
-			st := s.replState(p)
-			st.primary = a.Primary == int32(s.cfg.ID)
-			st.epoch = a.Epoch
-		}
-	}
-}
-
-// adoptPrimaryLocked aligns partition state with an assignment that names
-// this server primary. On the follower→primary transition all primary-side
-// state is reset — the ring, follower watermarks and byte counters
-// described an older primaryship (or nothing), and sequences are not
-// comparable across epochs. Whenever the epoch advances, the epoch base is
-// pinned to the current applied sequence so appends can advertise it and
-// followers can adjudicate divergence. Caller holds replMu.
-func (s *Server) adoptPrimaryLocked(p int, st *partRepl, a route.Assignment) {
-	promoted := false
-	if !st.primary {
-		promoted = true
-		st.primary = true
-		st.nextSeq = st.appliedSeq + 1
-		st.ackedSeq = make(map[int32]uint64)
-		st.shipped, st.acked = 0, 0
-		// The ring survives the transition: as a follower this node pushed
-		// every applied append, so the ring holds exactly the lineage history
-		// feed subscribers resume from (and gap repair can re-ship).
-		//
-		// Everything the promoted node holds is adopted as committed — the
-		// mirror of Raft's rule that a new leader commits its log by
-		// replicating under its own term. An append the old primary never
-		// got quorum for can thereby become committed here; what cannot
-		// happen is a committed-then-lost sequence, because promotion prefers
-		// the most caught-up live follower.
-		st.commitSeq = st.appliedSeq
-		s.met.AddPromotions(1)
-		s.journal.Record(events.Event{Type: events.Promotion, Part: p, Peer: -1, Epoch: a.Epoch,
-			Detail: fmt.Sprintf("follower -> primary at applied seq %d", st.appliedSeq)})
-	}
-	if st.epoch < a.Epoch {
-		if !promoted {
-			// A promotion entry already carries the new epoch; only
-			// role-preserving advances get their own entry.
-			s.journal.Record(events.Event{Type: events.EpochBump, Part: p, Peer: -1, Epoch: a.Epoch,
-				Detail: fmt.Sprintf("epoch %d -> %d", st.epoch, a.Epoch)})
-		}
-		st.epoch = a.Epoch
-		st.baseSeq = st.appliedSeq
-	}
-}
-
-// misroutedEntries scans a dispatch batch for a vertex whose partition
-// this server no longer primaries — evidence the sender routed with a
-// stale table — returning the offending partition.
-func (s *Server) misroutedEntries(entries []wire.Entry) (int, bool) {
-	self := int32(s.cfg.ID)
-	for _, e := range entries {
-		p := s.cfg.Route.Partition(e.Vertex)
-		if s.cfg.Route.Assignment(p).Primary != self {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
-// updateLagLocked publishes the shipped-minus-acked byte lag across all
-// partitions. Caller holds replMu.
-func (s *Server) updateLagLocked() {
-	var lag int64
-	for _, st := range s.repl {
-		if st.primary {
-			lag += st.shipped - st.acked
-		}
-	}
-	s.met.SetReplLagBytes(lag)
-}
-
-// handleWriteReq serves a client's mutation batch for one partition:
-// apply locally, ship to followers, ack at quorum.
-func (s *Server) handleWriteReq(from int, msg wire.Message) {
-	resp := wire.Message{Kind: wire.KindWriteResp, ReqID: msg.ReqID, Part: msg.Part}
-	switch msg.Mode {
-	case wire.WriteModeResolve:
-		// Read-only name→id lookup. Served even without replication (any
-		// node holding the partition can answer), and by followers — the
-		// dictionary is replicated state.
-		resp.Blob, resp.Err = s.resolveNames(msg.Blob)
-		s.send(from, resp)
-		return
-	case wire.WriteModeNames:
-		// Read-only id→name materialization (the client boundary).
-		resp.Blob, resp.Err = s.materializeNames(msg.Blob)
-		s.send(from, resp)
-		return
-	}
-	if s.cfg.Route == nil {
-		resp.Err = "core: replication is not enabled on this cluster"
-		s.send(from, resp)
-		return
-	}
-	p := int(msg.Part)
-	if p < 0 || p >= s.cfg.Route.Parts() {
-		resp.Err = fmt.Sprintf("core: no such partition %d", p)
-		s.send(from, resp)
-		return
-	}
 	a := s.cfg.Route.Assignment(p)
-	if a.Primary != int32(s.cfg.ID) {
-		// Stale client route: attach our table so the retry goes to the
-		// right server.
-		resp.Err = fmt.Sprintf("%v: partition %d is primaried by server %d", ErrPartitionMoved, p, a.Primary)
-		resp.Blob = s.cfg.Route.Table().Encode()
-		s.send(from, resp)
-		return
-	}
-	// Decode (and for intern requests, parse names) before the lock —
-	// malformed payloads are terminal and never touch replication state.
-	var muts []gstore.Mutation
-	var names []string
-	var err error
-	switch msg.Mode {
-	case wire.WriteModeIntern:
-		names, err = wire.DecodeNames(msg.Blob)
-	default:
-		muts, err = gstore.DecodeBatch(msg.Blob)
-	}
-	if err != nil {
-		resp.Err = "query: " + err.Error() // malformed batch: terminal
-		s.send(from, resp)
-		return
-	}
-
-	// Apply and sequence inside one critical section. The transport invokes
-	// handlers concurrently (the TCP transport requires it), so applying
-	// before taking the lock would let two same-key writes reach the
-	// primary's store in one order but carry sequence numbers in the other —
-	// and followers, which replay strictly in sequence order, would
-	// permanently diverge from the primary on that key. Intern allocation
-	// sits under the same lock for the same reason: the id a name gets must
-	// be sequenced before any later allocation observes the counter.
-	start := time.Now()
-	s.replMu.Lock()
-	st := s.replState(p)
-	s.adoptPrimaryLocked(p, st, a)
-	blob := msg.Blob
-	if msg.Mode == wire.WriteModeIntern {
-		// Allocate (or find) the interned ids, then replicate the result as
-		// an ordinary OpIntern batch: followers and joiners replay the same
-		// mutations a snapshot would carry, so every replica reconstructs
-		// the identical name↔id mapping.
-		ids := make([]model.VertexID, len(names))
-		muts = make([]gstore.Mutation, len(names))
-		in, ok := gstore.InternerOf(s.cfg.Store)
-		if !ok {
+	if write != nil {
+		if ev.Blob, ev.Reply, err = write(a); err != nil {
 			s.replMu.Unlock()
-			resp.Err = fmt.Sprintf("core: server %d store does not support interning", s.cfg.ID)
-			s.send(from, resp)
-			return
-		}
-		for i, name := range names {
-			id, err := in.Intern(name, p)
-			if err != nil {
-				s.replMu.Unlock()
-				resp.Err = fmt.Sprintf("core: intern on server %d: %v", s.cfg.ID, err)
-				s.send(from, resp)
-				return
-			}
-			ids[i] = id
-			muts[i] = gstore.Mutation{Op: gstore.OpIntern, ID: id, Name: name}
-		}
-		blob = gstore.EncodeBatch(muts)
-		resp.Blob = wire.EncodeIDs(ids)
-	} else {
-		for _, m := range muts {
-			if err := m.Apply(s.cfg.Store); err != nil {
-				s.replMu.Unlock()
-				resp.Err = fmt.Sprintf("core: apply write on server %d: %v", s.cfg.ID, err)
-				s.send(from, resp)
-				return
-			}
+			effectLists.Put(buf)
+			return nil, err
 		}
 	}
-	seq := st.nextSeq
-	if seq == 0 {
-		seq = st.appliedSeq + 1
-	}
-	st.nextSeq = seq + 1
-	st.appliedSeq = seq
-	st.pushRingLocked(seq, blob)
-	targets := s.shipTargetsLocked(st, a)
-	need := a.Quorum() - 1 // the local apply above is the primary's vote
-	if need > len(targets) {
-		need = len(targets) // replica set shrank below quorum; best effort
-	}
-	if need > 0 {
-		pw := &pendingWrite{from: from, reqID: msg.ReqID, seq: seq, need: need, start: start, blob: resp.Blob}
-		st.pending[seq] = pw
-		timeout := s.cfg.WriteTimeout
-		pw.timer = time.AfterFunc(timeout, func() { s.expireWrite(p, seq) })
-	}
-	app := wire.Message{
-		Kind: wire.KindReplAppend, Part: msg.Part,
-		// st.epoch (not the earlier assignment read) so Epoch and Base are
-		// the consistent pair followers adjudicate divergence with.
-		Epoch: st.epoch, Seq: seq, Base: st.baseSeq, Blob: blob,
-	}
-	st.shipped += int64(len(blob) * len(targets))
-	var feed []feedShip
-	if need <= 0 {
-		// The primary alone is a quorum: the write commits at apply time and
-		// feeds out immediately.
-		feed = s.advanceCommitLocked(p, st, a)
-	}
-	s.updateLagLocked()
+	out := s.repl[p].Step(time.Now(), a, ev, (*buf)[:0])
 	s.replMu.Unlock()
-
-	for _, f := range targets {
-		s.send(int(f), app)
-	}
-	if need <= 0 {
-		// The primary alone was the quorum: the round completed at apply time.
-		s.met.ObserveQuorumWrite(time.Since(start))
-		s.send(from, resp)
-	}
-	s.shipFeed(p, feed)
+	sent = s.runEffects(p, out)
+	clear(out) // a recycled list must not pin the payloads it carried
+	*buf = out
+	effectLists.Put(buf)
+	return sent, nil
 }
 
-// resolveNames serves a WriteModeResolve request: each name in the encoded
-// list resolves to its interned id, or 0 when unknown.
-func (s *Server) resolveNames(blob []byte) ([]byte, string) {
-	names, err := wire.DecodeNames(blob)
-	if err != nil {
-		return nil, "query: " + err.Error()
-	}
-	in, ok := gstore.InternerOf(s.cfg.Store)
-	if !ok {
-		return nil, fmt.Sprintf("core: server %d store does not support interning", s.cfg.ID)
-	}
-	ids := make([]model.VertexID, len(names))
-	for i, name := range names {
-		id, _, err := in.LookupID(name)
-		if err != nil {
-			return nil, fmt.Sprintf("core: resolve on server %d: %v", s.cfg.ID, err)
-		}
-		ids[i] = id
-	}
-	return wire.EncodeIDs(ids), ""
-}
+// effectLists recycles the lists steps return, so the effect list costs a
+// write no allocation.
+var effectLists = sync.Pool{New: func() any { return new([]repl.Effect) }}
 
-// materializeNames serves a WriteModeNames request: each id in the encoded
-// list materializes to its interned name, or "" when unknown.
-func (s *Server) materializeNames(blob []byte) ([]byte, string) {
-	ids, err := wire.DecodeIDs(blob)
-	if err != nil {
-		return nil, "query: " + err.Error()
-	}
-	in, ok := gstore.InternerOf(s.cfg.Store)
-	if !ok {
-		return nil, fmt.Sprintf("core: server %d store does not support interning", s.cfg.ID)
-	}
-	names := make([]string, len(ids))
-	for i, id := range ids {
-		name, _, err := in.LookupName(id)
-		if err != nil {
-			return nil, fmt.Sprintf("core: materialize on server %d: %v", s.cfg.ID, err)
-		}
-		names[i] = name
-	}
-	return wire.EncodeNames(names), ""
-}
-
-// shipTargetsLocked lists the servers a primary ships appends to: the
-// assignment's followers plus any joiners mid-handoff. Caller holds replMu.
-func (s *Server) shipTargetsLocked(st *partRepl, a route.Assignment) []int32 {
-	targets := append([]int32(nil), a.Followers...)
-	for j := range st.joiners {
-		if !a.HasReplica(j) {
-			targets = append(targets, j)
-		}
-	}
-	return targets
-}
-
-// pushRingLocked appends one shipped payload to the gap-repair ring.
-// Caller holds replMu.
-func (st *partRepl) pushRingLocked(seq uint64, blob []byte) {
-	if len(st.ring) == 0 {
-		st.ringStart = seq
-	}
-	st.ring = append(st.ring, blob)
-	// The parallel apply stamp feeds the change-feed delivery-lag histogram
-	// and the status document's commit-age gauge.
-	st.ringTimes = append(st.ringTimes, time.Now().UnixNano())
-	if len(st.ring) > replRingCap {
-		drop := len(st.ring) - replRingCap
-		st.ring = append([][]byte(nil), st.ring[drop:]...)
-		st.ringTimes = append([]int64(nil), st.ringTimes[drop:]...)
-		st.ringStart += uint64(drop)
+// replAll steps every partition's machine with one event.
+func (s *Server) replAll(ev repl.Event) {
+	for p := range s.repl {
+		s.replStep(p, ev, nil)
 	}
 }
 
-// expireWrite fails a write whose quorum never assembled — a retryable
-// condition (the client re-routes after failover finishes).
-func (s *Server) expireWrite(p int, seq uint64) {
-	s.replMu.Lock()
-	st, ok := s.repl[p]
-	if !ok {
-		s.replMu.Unlock()
-		return
-	}
-	pw, ok := st.pending[seq]
-	if !ok {
-		s.replMu.Unlock()
-		return
-	}
-	delete(st.pending, seq)
-	s.replMu.Unlock()
-	s.send(pw.from, wire.Message{
-		Kind: wire.KindWriteResp, ReqID: pw.reqID, Part: int32(p),
-		Err: fmt.Sprintf("core: server %d write quorum timed out, retry later", s.cfg.ID),
-	})
-}
-
-// failPendingLocked fails every pending write on a partition (demotion or
-// epoch fence). Caller holds replMu; sends happen after release via the
-// returned closure pattern — callers invoke the result outside the lock.
-func (st *partRepl) failPendingLocked(errMsg string, p int) []wire.Message {
-	var out []wire.Message
-	for seq, pw := range st.pending {
-		if pw.timer != nil {
-			pw.timer.Stop()
-		}
-		out = append(out, wire.Message{Kind: wire.KindWriteResp, ReqID: pw.reqID, Part: int32(p), Err: errMsg, Peer: int32(pw.from)})
-		delete(st.pending, seq)
-	}
-	return out
-}
-
-// handleReplAppend applies (or rejects) one shipped mutation batch on a
-// follower.
-func (s *Server) handleReplAppend(from int, msg wire.Message) {
-	if s.cfg.Route == nil {
-		return
-	}
-	p := int(msg.Part)
-	if p < 0 || p >= s.cfg.Route.Parts() {
-		return
-	}
-	a := s.cfg.Route.Assignment(p)
-	if msg.Epoch < a.Epoch {
-		// Fenced: the sender is a deposed primary. Attach our table so it
-		// learns the new assignment.
-		s.met.AddEpochRejects(1)
-		s.send(from, wire.Message{
-			Kind: wire.KindReplAck, Part: msg.Part, Epoch: a.Epoch, Seq: msg.Seq,
-			Mode: ackModeEpochRej, Blob: s.cfg.Route.Table().Encode(),
-		})
-		return
-	}
-
-	s.replMu.Lock()
-	st := s.replState(p)
-	if msg.Epoch > st.epoch {
-		// First append of a newer epoch: our sequence counter advanced under
-		// an older epoch, and cross-epoch sequences are only comparable up
-		// to the new primary's base (its applied sequence when its epoch
-		// began, advertised in Base). History past the base is old-epoch
-		// appends the new primary never saw — treating the new primary's
-		// records at those sequences as duplicates would ack, and count
-		// toward quorum, writes this replica does not hold. Discard the
-		// counter and resync through the snapshot path instead.
-		if st.appliedSeq > msg.Base && !st.joining {
-			st.epoch = msg.Epoch
-			st.appliedSeq = 0
-			// The retained ring described the divergent history; drop it so
-			// post-resync pushes restart a contiguous run.
-			st.ring, st.ringTimes, st.ringStart = nil, nil, 0
-			st.joining = true
-			st.tail = map[uint64][]byte{msg.Seq: msg.Blob}
-			s.replMu.Unlock()
-			s.send(from, wire.Message{Kind: wire.KindSnapshot, Mode: snapReq, Part: msg.Part})
-			return
-		}
-		st.epoch = msg.Epoch
-	}
-	// Acks carry the epoch the applied watermark belongs to, so a primary
-	// never credits an old-epoch watermark against new-epoch sequences.
-	ack := wire.Message{Kind: wire.KindReplAck, Part: msg.Part, Epoch: st.epoch, Seq: msg.Seq}
-	if st.joining {
-		// Snapshot in flight: buffer the live tail; it is replayed (or
-		// skipped as already-covered) once the final chunk lands.
-		st.tail[msg.Seq] = msg.Blob
-		s.replMu.Unlock()
-		return
-	}
-	switch {
-	case msg.Seq <= st.appliedSeq:
-		// Duplicate delivery; mutations are idempotent but skipping is
-		// cheaper. Ack so the primary's watermark advances.
-		ack.Seq = st.appliedSeq
-		s.replMu.Unlock()
-	case msg.Seq == st.appliedSeq+1:
-		epoch := st.epoch
-		s.replMu.Unlock()
-		if err := s.applyBatch(msg.Blob); err != nil {
-			return // local apply failure: no ack, primary times out / re-ships
-		}
-		s.replMu.Lock()
-		if st.epoch != epoch || st.joining {
-			// A newer epoch reset this replica while the batch was applying;
-			// the in-flight resync supersedes this record, so no ack.
-			s.replMu.Unlock()
-			return
-		}
-		st.appliedSeq = msg.Seq
-		// Retain the applied record: if this follower is later promoted, the
-		// ring is what lets resuming feed subscribers (and lagging peers)
-		// read back the history it holds.
-		st.pushRingLocked(msg.Seq, msg.Blob)
-		// A buffered out-of-order successor may now be applicable.
-		for {
-			blob, ok := st.tail[st.appliedSeq+1]
-			if !ok {
-				break
+// runEffects carries out what a step asked for, in order, and returns the
+// first send error.
+func (s *Server) runEffects(p int, out []repl.Effect) (first error) {
+	for _, e := range out {
+		switch e.Kind {
+		case repl.Send:
+			msg := wire.Message{Kind: e.Wire, Part: int32(p), Mode: e.Mode, ReqID: e.ReqID,
+				Epoch: e.Epoch, Seq: e.Seq, Base: e.Base, Err: e.Err, Blob: e.Blob}
+			if e.Table {
+				msg.Blob = s.cfg.Route.Table().Encode()
 			}
-			delete(st.tail, st.appliedSeq+1)
-			s.replMu.Unlock()
-			if err := s.applyBatch(blob); err != nil {
-				return
+			err := s.send(int(e.To), msg)
+			if err != nil && e.Wire == wire.KindFeedBatch {
+				// An unreachable subscriber re-presents its cursor when it
+				// returns; the watermark protocol makes the overlap harmless.
+				s.replStep(p, repl.Event{Kind: repl.FeedUnsub, From: e.To}, nil)
 			}
-			s.replMu.Lock()
-			if st.epoch != epoch || st.joining {
-				s.replMu.Unlock()
-				return
+			if first == nil {
+				first = err
 			}
-			st.appliedSeq++
-			st.pushRingLocked(st.appliedSeq, blob)
+		case repl.Apply:
+			// A failed apply sends no ack: the primary times out or re-ships.
+			if s.applyBatch(e.Blob) == nil && e.Seq != 0 {
+				s.replStep(p, repl.Event{Kind: repl.Applied, From: e.To, Epoch: e.Epoch, Seq: e.Seq, Blob: e.Blob, Snap: e.Snap}, nil)
+			}
+		case repl.Snapshot:
+			// Off the dispatch goroutine: scanning a large partition must not
+			// stall heartbeat and traversal handling.
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				s.streamSnapshot(p, e)
+			}()
+		case repl.Propose:
+			// nil: lost to a concurrent proposal of an equal or higher epoch.
+			if tbl := s.cfg.Route.Propose(p, e.Next); tbl != nil {
+				s.replStep(p, repl.Event{Kind: repl.Assign}, nil)
+				s.gossipRoute(tbl)
+			}
+		case repl.Timer:
+			time.AfterFunc(e.D, func() {
+				select {
+				case <-s.stop:
+				default:
+					s.replStep(p, repl.Event{Kind: repl.Tick}, nil)
+				}
+			})
+		case repl.Journal:
+			s.journal.Record(events.Event{Type: e.Event, Part: p, Peer: int(e.To), Epoch: e.Epoch, Detail: e.Detail})
+		case repl.Count:
+			s.replCount(e.Metric, e.N)
 		}
-		ack.Seq = st.appliedSeq
-		s.replMu.Unlock()
-	default:
-		// Gap: hold the record, report what we have; the primary re-ships.
-		st.tail[msg.Seq] = msg.Blob
-		ack.Mode = ackModeNak
-		ack.Seq = st.appliedSeq
-		s.replMu.Unlock()
 	}
-	s.send(from, ack)
+	return first
+}
+
+func (s *Server) replCount(m repl.Metric, n int64) {
+	switch m {
+	case repl.Promotions:
+		s.met.AddPromotions(int(n))
+	case repl.EpochRejects:
+		s.met.AddEpochRejects(int(n))
+	case repl.RejoinNudges:
+		s.met.AddRejoinNudges(n)
+	case repl.FeedRecords:
+		s.met.AddFeedRecords(n)
+	case repl.LagBytes:
+		s.met.AddReplLagBytes(n)
+	case repl.QuorumWrite:
+		s.met.ObserveQuorumWrite(time.Duration(n))
+	case repl.FeedLag:
+		s.met.ObserveFeedLag(time.Duration(n))
+	}
 }
 
 // applyBatch decodes and applies one shipped mutation batch to the local
@@ -610,336 +177,205 @@ func (s *Server) applyBatch(blob []byte) error {
 	return nil
 }
 
-// handleReplAck processes a follower's response on the primary (ack, nak,
-// fence) and promotion-time sequence queries on anyone.
-func (s *Server) handleReplAck(from int, msg wire.Message) {
-	if s.cfg.Route == nil {
-		return
+// streamSnapshot scans the local store for partition p and ships it as
+// snapshot chunks, closing with the sequence and epoch the machine captured
+// when it asked for the stream.
+func (s *Server) streamSnapshot(p int, e repl.Effect) {
+	view := s.cfg.Route
+	keep := func(id model.VertexID) bool { return view.Partition(id) == p }
+	err := gstore.SnapshotMutations(s.cfg.Store, keep, s.cfg.BatchSize, func(ms []gstore.Mutation) error {
+		blob := gstore.EncodeBatch(ms)
+		s.met.AddHandoffBytes(int64(len(blob)))
+		return s.send(int(e.To), wire.Message{Kind: wire.KindSnapshot, Mode: repl.SnapModeChunk, Part: int32(p), Blob: blob})
+	})
+	if err == nil { // else a stalled join; the joiner's operator retries
+		s.send(int(e.To), wire.Message{Kind: wire.KindSnapshot, Mode: repl.SnapModeFinal, Part: int32(p), Epoch: e.Epoch, Seq: e.Seq})
 	}
+}
+
+// --- Inbound messages -------------------------------------------------------
+
+// The events a replication message's Mode selects, in wire order.
+var (
+	appendEvents = []repl.EventKind{repl.Append}
+	ackEvents    = []repl.EventKind{repl.Ack, repl.Nak, repl.Fence, repl.SeqQuery, repl.SeqInfo}
+	snapEvents   = []repl.EventKind{repl.SnapReq, repl.SnapChunk, repl.SnapFinal, repl.SnapDone, repl.Join}
+	feedEvents   = []repl.EventKind{repl.FeedSub, repl.FeedUnsub}
+)
+
+// replPart bounds-checks a replication message's partition.
+func (s *Server) replPart(msg wire.Message) (int, bool) {
 	p := int(msg.Part)
-	if p < 0 || p >= s.cfg.Route.Parts() {
+	return p, p >= 0 && p < len(s.repl)
+}
+
+// handleRepl turns a replication message into its machine event. A fence
+// and a rejoin nudge carry the sender's route table, which is merged first:
+// the machine then acts on the assignment the table taught.
+func (s *Server) handleRepl(from int, msg wire.Message, kinds []repl.EventKind) {
+	p, ok := s.replPart(msg)
+	if !ok || int(msg.Mode) >= len(kinds) {
 		return
 	}
-	switch msg.Mode {
-	case ackModeSeqQuery:
-		s.replMu.Lock()
-		var seq uint64
-		if st, ok := s.repl[p]; ok {
-			seq = st.appliedSeq
-		}
-		s.replMu.Unlock()
-		s.send(from, wire.Message{Kind: wire.KindReplAck, Part: msg.Part, Mode: ackModeSeqInfo, Seq: seq})
-		return
-	case ackModeSeqInfo:
-		s.recordSeqVote(p, int32(from), msg.Seq)
-		return
-	case ackModeEpochRej:
-		// We are the deposed primary: adopt the rejecter's table and fail
-		// what we were still trying to replicate. (The rejecter counted the
-		// EpochRejects metric.)
+	kind := kinds[msg.Mode]
+	if kind == repl.Fence || kind == repl.Join {
 		if tbl, err := route.DecodeTable(msg.Blob); err == nil {
 			s.applyRouteTable(tbl)
 		}
-		s.replMu.Lock()
-		var fails []wire.Message
-		if st, ok := s.repl[p]; ok {
-			fails = st.failPendingLocked(ErrWrongEpoch.Error(), p)
-		}
-		s.replMu.Unlock()
-		for _, f := range fails {
-			s.send(int(f.Peer), wire.Message{Kind: f.Kind, ReqID: f.ReqID, Part: f.Part, Err: f.Err})
-		}
-		return
-	case ackModeNak:
-		s.repairFollower(p, int32(from), msg.Seq)
-		return
 	}
+	s.replStep(p, repl.Event{Kind: kind, From: int32(from), ReqID: msg.ReqID,
+		Epoch: msg.Epoch, Seq: msg.Seq, Base: msg.Base, Blob: msg.Blob}, nil)
+}
 
-	// Plain ack: advance the follower's watermark and complete satisfied
-	// quorum writes.
-	s.replMu.Lock()
-	st, ok := s.repl[p]
-	if !ok || !st.primary {
-		s.replMu.Unlock()
-		return
+// handleWriteReq serves a client's request for one partition: the read-only
+// name service, or a mutation batch the primary applies, ships and
+// acknowledges at quorum. Every failure leaves through the one reply below.
+func (s *Server) handleWriteReq(from int, msg wire.Message) {
+	resp := wire.Message{Kind: wire.KindWriteResp, ReqID: msg.ReqID, Part: msg.Part}
+	var err error
+	switch msg.Mode {
+	case wire.WriteModeResolve:
+		resp.Blob, err = lookup(s, msg.Blob, "resolve", wire.DecodeNames, gstore.Interner.LookupID, wire.EncodeIDs)
+	case wire.WriteModeNames:
+		resp.Blob, err = lookup(s, msg.Blob, "materialize", wire.DecodeIDs, gstore.Interner.LookupName, wire.EncodeNames)
+	default:
+		if err = s.replWrite(from, msg); err == nil {
+			return // the machine answers, now or at quorum
+		}
 	}
-	if msg.Epoch < st.epoch {
-		// The follower's watermark was measured under an older epoch;
-		// old-epoch sequences are not comparable to ours and must not vote
-		// on new-epoch quorums.
-		s.replMu.Unlock()
-		return
+	if err != nil {
+		resp.Blob, resp.Err = nil, err.Error()
+		if errors.Is(err, ErrPartitionMoved) {
+			// A stale client route: the table sends the retry to the right server.
+			resp.Blob = s.cfg.Route.Table().Encode()
+		}
 	}
-	f := int32(from)
-	if msg.Seq > st.ackedSeq[f] {
-		st.acked += int64(s.ringBytesLocked(st, st.ackedSeq[f]+1, msg.Seq))
-		st.ackedSeq[f] = msg.Seq
+	s.send(from, resp)
+}
+
+// replWrite decodes a mutation or intern request and steps it through the
+// partition's machine, applying it to the store inside the step's critical
+// section.
+func (s *Server) replWrite(from int, msg wire.Message) error {
+	if s.repl == nil {
+		return errors.New("core: replication is not enabled on this cluster")
 	}
-	a := s.cfg.Route.Assignment(p)
-	var done []*pendingWrite
-	for seq, pw := range st.pending {
-		votes := 0
-		for _, fol := range a.Followers {
-			if st.ackedSeq[fol] >= seq {
-				votes++
+	p, ok := s.replPart(msg)
+	if !ok {
+		return fmt.Errorf("core: no such partition %d", p)
+	}
+	// Decode before the lock: a malformed payload is terminal and never
+	// touches replication state.
+	var muts []gstore.Mutation
+	var names []string
+	var err error
+	if msg.Mode == wire.WriteModeIntern {
+		names, err = wire.DecodeNames(msg.Blob)
+	} else {
+		muts, err = gstore.DecodeBatch(msg.Blob)
+	}
+	if err != nil {
+		return fmt.Errorf("query: %w", err)
+	}
+	ev := repl.Event{Kind: repl.Write, From: int32(from), ReqID: msg.ReqID, Start: time.Now()}
+	_, err = s.replStep(p, ev, func(a route.Assignment) ([]byte, []byte, error) {
+		if a.Primary != int32(s.cfg.ID) {
+			return nil, nil, fmt.Errorf("%w: partition %d is primaried by server %d", ErrPartitionMoved, p, a.Primary)
+		}
+		if msg.Mode != wire.WriteModeIntern {
+			for _, m := range muts {
+				if err := m.Apply(s.cfg.Store); err != nil {
+					return nil, nil, fmt.Errorf("core: apply write on server %d: %v", s.cfg.ID, err)
+				}
 			}
+			return msg.Blob, nil, nil
 		}
-		if votes >= pw.need {
-			if pw.timer != nil {
-				pw.timer.Stop()
+		// Allocate (or find) the ids, then replicate the result as an
+		// ordinary OpIntern batch: followers and joiners replay the same
+		// mutations a snapshot would carry, so every replica reconstructs the
+		// identical name↔id mapping. The id list rides on the success
+		// response only — an allocation is observable once a quorum holds it.
+		in, ok := gstore.InternerOf(s.cfg.Store)
+		if !ok {
+			return nil, nil, fmt.Errorf("core: server %d store does not support interning", s.cfg.ID)
+		}
+		ids := make([]model.VertexID, len(names))
+		muts = make([]gstore.Mutation, len(names))
+		for i, name := range names {
+			id, err := in.Intern(name, p)
+			if err != nil {
+				return nil, nil, fmt.Errorf("core: intern on server %d: %v", s.cfg.ID, err)
 			}
-			delete(st.pending, seq)
-			done = append(done, pw)
+			ids[i] = id
+			muts[i] = gstore.Mutation{Op: gstore.OpIntern, ID: id, Name: name}
 		}
-	}
-	feed := s.advanceCommitLocked(p, st, a)
-	s.updateLagLocked()
-	s.replMu.Unlock()
-	for _, pw := range done {
-		s.met.ObserveQuorumWrite(time.Since(pw.start))
-		s.send(pw.from, wire.Message{Kind: wire.KindWriteResp, ReqID: pw.reqID, Part: msg.Part, Blob: pw.blob})
-	}
-	s.shipFeed(p, feed)
+		return gstore.EncodeBatch(muts), wire.EncodeIDs(ids), nil
+	})
+	return err
 }
 
-// ringBytesLocked sums the payload bytes of ring records in [lo, hi].
-// Records outside the ring count zero (their bytes were already charged
-// when the ring evicted them). Caller holds replMu.
-func (s *Server) ringBytesLocked(st *partRepl, lo, hi uint64) int {
-	var n int
-	for seq := lo; seq <= hi; seq++ {
-		if seq >= st.ringStart && seq < st.ringStart+uint64(len(st.ring)) {
-			n += len(st.ring[seq-st.ringStart])
-		}
-	}
-	return n
-}
-
-// repairFollower re-ships the records a nak reported missing, from the
-// ring when it covers the gap and via a snapshot stream otherwise.
-func (s *Server) repairFollower(p int, f int32, appliedSeq uint64) {
-	s.replMu.Lock()
-	st, ok := s.repl[p]
-	if !ok || !st.primary {
-		s.replMu.Unlock()
+// handleFeedSub serves a change-feed subscribe or unsubscribe (DESIGN.md
+// §14). Requests the shell can refuse are answered here; the machine
+// answers the rest at once and streams as the commit watermark advances.
+func (s *Server) handleFeedSub(from int, msg wire.Message) {
+	reply := wire.Message{Kind: wire.KindFeedBatch, ReqID: msg.ReqID, Part: msg.Part}
+	switch _, ok := s.replPart(msg); {
+	case s.repl == nil:
+		reply.Err = "core: replication is not enabled on this cluster"
+	case !ok:
+		reply.Err = fmt.Sprintf("query: no such partition %d", msg.Part)
+	default:
+		s.handleRepl(from, msg, feedEvents)
 		return
 	}
-	from := appliedSeq + 1
-	if from >= st.ringStart && len(st.ring) > 0 {
-		var resend []wire.Message
-		for seq := from; seq < st.nextSeq; seq++ {
-			if seq < st.ringStart || seq >= st.ringStart+uint64(len(st.ring)) {
-				break
-			}
-			resend = append(resend, wire.Message{
-				Kind: wire.KindReplAppend, Part: int32(p),
-				Epoch: st.epoch, Seq: seq, Base: st.baseSeq, Blob: st.ring[seq-st.ringStart],
-			})
-		}
-		s.replMu.Unlock()
-		for _, m := range resend {
-			s.send(int(f), m)
-		}
-		return
+	s.send(from, reply)
+}
+
+// JoinPartition asks partition p's primary to stream its state to this
+// server, making it a follower without downtime: snapshot chunks plus the
+// forwarded live append tail, then a fresh epoch that adds this server to
+// the replica set. A no-op on a server that is already a replica.
+func (s *Server) JoinPartition(p int) error {
+	if s.repl == nil {
+		return errors.New("core: replication is not enabled on this cluster")
 	}
-	s.replMu.Unlock()
-	// The ring no longer covers the gap: stream a full snapshot.
-	s.streamSnapshot(p, int(f))
+	if p < 0 || p >= len(s.repl) {
+		return fmt.Errorf("core: no such partition %d", p)
+	}
+	sent, _ := s.replStep(p, repl.Event{Kind: repl.Join}, nil)
+	return sent
 }
 
-// --- Failover -------------------------------------------------------------
+// --- Failure detector hooks ---------------------------------------------------
 
-// seqVote tracks one in-flight promotion poll.
-type seqVote struct {
-	epoch uint64
-	votes map[int32]uint64
-}
-
-// replOnPeerDown reacts to a condemned backend: promote (or nominate) a
-// new primary for partitions it led, and shrink the replica set of
-// partitions where it followed us — both under fresh epochs, gossiped
-// cluster-wide.
+// replOnPeerDown reacts to a condemned backend: every machine promotes,
+// nominates or shrinks as its role says, under fresh epochs.
 func (s *Server) replOnPeerDown(peer int) {
-	if s.cfg.Route == nil {
-		return
-	}
 	// Majority guard: a node that cannot see most of the backends is more
 	// likely the isolated one than a witness to everyone else's death. If it
-	// drove promotions or replica-set shrinks anyway, its higher epochs
-	// would hijack partitions when the partition healed — with data the
-	// real majority never acked. The standard consequence: automatic
-	// failover needs >= 3 backends; a 2-server cluster cannot distinguish
-	// peer death from its own isolation and stays read-available only.
-	n := s.cfg.Part.N()
-	visible := 1 // self
+	// drove promotions or shrinks anyway, its higher epochs would hijack
+	// partitions when the partition healed — with data the real majority
+	// never acked. So automatic failover needs >= 3 backends; a 2-server
+	// cluster cannot tell peer death from its own isolation and stays
+	// read-available only.
+	n, visible := s.cfg.Part.N(), 1
 	for p := 0; p < n; p++ {
 		if p != s.cfg.ID && !s.isSuspect(p) {
 			visible++
 		}
 	}
-	if visible*2 <= n {
-		return
-	}
-	self := int32(s.cfg.ID)
-	dead := int32(peer)
-	for p := 0; p < s.cfg.Route.Parts(); p++ {
-		a := s.cfg.Route.Assignment(p)
-		switch {
-		case a.Primary == dead && a.HasReplica(self):
-			live := s.liveFollowers(a, dead)
-			if len(live) == 0 || live[0] != self {
-				// Another follower outranks us for driving the promotion;
-				// dueling proposals would still converge (higher epoch
-				// wins), but one driver keeps epochs dense.
-				continue
-			}
-			if len(live) == 1 {
-				s.promote(p, a, self, live)
-				continue
-			}
-			// Poll the other live followers' applied sequences for one
-			// heartbeat interval, then promote the most caught-up.
-			s.replMu.Lock()
-			st := s.replState(p)
-			vote := &seqVote{epoch: a.Epoch, votes: map[int32]uint64{self: st.appliedSeq}}
-			s.promoPolls[p] = vote
-			s.replMu.Unlock()
-			for _, f := range live[1:] {
-				s.send(int(f), wire.Message{Kind: wire.KindReplAck, Part: int32(p), Mode: ackModeSeqQuery})
-			}
-			wait := s.cfg.HeartbeatInterval
-			if wait <= 0 {
-				wait = 50 * time.Millisecond
-			}
-			time.AfterFunc(wait, func() { s.finishPromotion(p, a, dead) })
-		case a.Primary == self && a.HasReplica(dead):
-			// A follower died: publish a shrunk replica set so quorum
-			// counting stops waiting for it.
-			next := route.Assignment{Epoch: a.Epoch + 1, Primary: self}
-			for _, f := range a.Followers {
-				if f != dead {
-					next.Followers = append(next.Followers, f)
-				}
-			}
-			if tbl := s.cfg.Route.Propose(p, next); tbl != nil {
-				s.reconcileRoles()
-				s.gossipRoute(tbl)
-				// Outstanding writes may now have quorum with the smaller
-				// set; re-evaluate by replaying a no-op ack pass.
-				s.reapQuorums(p)
-			}
-		}
+	if visible*2 > n {
+		s.replAll(repl.Event{Kind: repl.PeerDown, From: int32(peer)})
 	}
 }
 
-// liveFollowers lists an assignment's followers that are not suspected and
-// not the condemned server, preserving promotion-preference order.
-func (s *Server) liveFollowers(a route.Assignment, dead int32) []int32 {
-	var live []int32
-	for _, f := range a.Followers {
-		if f == dead || s.isSuspect(int(f)) {
-			continue
-		}
-		live = append(live, f)
-	}
-	return live
+// replOnPeerUp reacts to a peer's suspicion clearing: primaries below their
+// replication factor invite it back.
+func (s *Server) replOnPeerUp(peer int) {
+	s.replAll(repl.Event{Kind: repl.PeerUp, From: int32(peer)})
 }
 
-// recordSeqVote stores one follower's applied-sequence answer for an open
-// promotion poll.
-func (s *Server) recordSeqVote(p int, from int32, seq uint64) {
-	s.replMu.Lock()
-	if v, ok := s.promoPolls[p]; ok {
-		v.votes[from] = seq
-	}
-	s.replMu.Unlock()
-}
-
-// finishPromotion closes a promotion poll: the most caught-up live
-// follower becomes primary under a fresh epoch.
-func (s *Server) finishPromotion(p int, a route.Assignment, dead int32) {
-	select {
-	case <-s.stop:
-		return
-	default:
-	}
-	s.replMu.Lock()
-	vote, ok := s.promoPolls[p]
-	delete(s.promoPolls, p)
-	s.replMu.Unlock()
-	if !ok {
-		return
-	}
-	if cur := s.cfg.Route.Assignment(p); cur.Epoch != vote.epoch {
-		return // someone else already installed a newer assignment
-	}
-	best := int32(s.cfg.ID)
-	var bestSeq uint64
-	for f, seq := range vote.votes {
-		if seq > bestSeq || (seq == bestSeq && f == int32(s.cfg.ID)) {
-			best, bestSeq = f, seq
-		}
-	}
-	live := s.liveFollowers(a, dead)
-	s.promote(p, a, best, live)
-}
-
-// promote installs and gossips a new assignment for partition p: newPrim
-// leads, the remaining live followers stay, the dead primary is excluded —
-// its possibly diverged copy must never serve reads again until it rejoins
-// through the snapshot path.
-func (s *Server) promote(p int, a route.Assignment, newPrim int32, live []int32) {
-	next := route.Assignment{Epoch: a.Epoch + 1, Primary: newPrim}
-	for _, f := range live {
-		if f != newPrim {
-			next.Followers = append(next.Followers, f)
-		}
-	}
-	tbl := s.cfg.Route.Propose(p, next)
-	if tbl == nil {
-		return // lost to a concurrent higher-epoch proposal
-	}
-	s.reconcileRoles()
-	s.gossipRoute(tbl)
-}
-
-// reapQuorums re-checks pending writes on partition p against the current
-// (possibly shrunk) replica set.
-func (s *Server) reapQuorums(p int) {
-	s.replMu.Lock()
-	st, ok := s.repl[p]
-	if !ok || !st.primary {
-		s.replMu.Unlock()
-		return
-	}
-	a := s.cfg.Route.Assignment(p)
-	need := a.Quorum() - 1
-	var done []*pendingWrite
-	for seq, pw := range st.pending {
-		votes := 0
-		for _, fol := range a.Followers {
-			if st.ackedSeq[fol] >= seq {
-				votes++
-			}
-		}
-		if votes >= need {
-			if pw.timer != nil {
-				pw.timer.Stop()
-			}
-			delete(st.pending, seq)
-			done = append(done, pw)
-		}
-	}
-	feed := s.advanceCommitLocked(p, st, a)
-	s.replMu.Unlock()
-	for _, pw := range done {
-		s.met.ObserveQuorumWrite(time.Since(pw.start))
-		s.send(pw.from, wire.Message{Kind: wire.KindWriteResp, ReqID: pw.reqID, Part: int32(p), Blob: pw.blob})
-	}
-	s.shipFeed(p, feed)
-}
-
-// --- Route gossip ---------------------------------------------------------
+// --- Route gossip -------------------------------------------------------------
 
 // gossipRoute broadcasts a route table to every node on the transport —
 // servers and clients alike — so traversal dispatch and write routing
@@ -947,18 +383,16 @@ func (s *Server) reapQuorums(p int) {
 func (s *Server) gossipRoute(tbl *route.Table) {
 	blob := tbl.Encode()
 	for n := 0; n < s.tr.N(); n++ {
-		if n == s.cfg.ID {
-			continue
+		if n != s.cfg.ID {
+			s.send(n, wire.Message{Kind: wire.KindRouteUpdate, Blob: blob})
 		}
-		s.send(n, wire.Message{Kind: wire.KindRouteUpdate, Blob: blob})
 	}
 }
 
-// handleRouteUpdate merges a gossiped table and reconciles local replica
-// roles. Anti-entropy: when our table is strictly newer somewhere, reply
-// with it so the sender converges too.
+// handleRouteUpdate merges a gossiped table. Anti-entropy: when our table
+// is strictly newer somewhere, reply with it so the sender converges too.
 func (s *Server) handleRouteUpdate(from int, msg wire.Message) {
-	if s.cfg.Route == nil {
+	if s.repl == nil {
 		return
 	}
 	tbl, err := route.DecodeTable(msg.Blob)
@@ -985,284 +419,10 @@ func tableNewer(a, b *route.Table) bool {
 	return false
 }
 
-// applyRouteTable merges a table into the view and reconciles roles if
-// anything changed.
+// applyRouteTable merges a table into the view and, if anything changed,
+// tells every machine; each aligns its role with its new assignment.
 func (s *Server) applyRouteTable(tbl *route.Table) {
 	if s.cfg.Route.Update(tbl) {
-		s.reconcileRoles()
-	}
-}
-
-// reconcileRoles walks the current table and aligns local per-partition
-// replication state with it: adopt primaryship (a promotion when we held
-// the partition as follower), demote (failing pending writes with the
-// fencing error), or drop state for partitions we no longer replicate.
-func (s *Server) reconcileRoles() {
-	self := int32(s.cfg.ID)
-	var fails []wire.Message
-	var feedFails []feedShip
-	s.replMu.Lock()
-	for p := 0; p < s.cfg.Route.Parts(); p++ {
-		a := s.cfg.Route.Assignment(p)
-		st, have := s.repl[p]
-		switch {
-		case a.Primary == self:
-			st = s.replState(p)
-			s.adoptPrimaryLocked(p, st, a)
-		case a.HasReplica(self):
-			if have && st.primary {
-				// Demotion: drop primary-side state — follower watermarks and
-				// counters describe our deposed primaryship and must not leak
-				// into a later re-promotion. The ring stays: it holds the
-				// appends this node actually applied, which is exactly the
-				// retained history a follower keeps (and a divergence resync
-				// clears it if the new primary disowns any of it). st.epoch
-				// stays: our applied history was counted under it, and the new
-				// primary's first append adjudicates divergence against it.
-				st.primary = false
-				st.nextSeq = 0
-				st.ackedSeq = make(map[int32]uint64)
-				st.shipped, st.acked = 0, 0
-				fails = append(fails, st.failPendingLocked(ErrWrongEpoch.Error(), p)...)
-				feedFails = append(feedFails, st.failFeedSubsLocked(s, p)...)
-			}
-		default:
-			if have {
-				fails = append(fails, st.failPendingLocked(ErrPartitionMoved.Error(), p)...)
-				feedFails = append(feedFails, st.failFeedSubsLocked(s, p)...)
-				delete(s.repl, p)
-			}
-		}
-	}
-	s.updateLagLocked()
-	s.replMu.Unlock()
-	for _, f := range fails {
-		s.send(int(f.Peer), wire.Message{Kind: f.Kind, ReqID: f.ReqID, Part: f.Part, Err: f.Err})
-	}
-	for _, f := range feedFails {
-		s.send(f.to, f.msg)
-	}
-}
-
-// --- Snapshot / shard handoff --------------------------------------------
-
-// JoinPartition asks partition p's primary to stream its state to this
-// server, making it a follower without downtime: snapshot chunks plus the
-// forwarded live append tail, then a fresh epoch that adds this server to
-// the replica set.
-func (s *Server) JoinPartition(p int) error {
-	if s.cfg.Route == nil {
-		return fmt.Errorf("core: replication is not enabled on this cluster")
-	}
-	if p < 0 || p >= s.cfg.Route.Parts() {
-		return fmt.Errorf("core: no such partition %d", p)
-	}
-	a := s.cfg.Route.Assignment(p)
-	if a.HasReplica(int32(s.cfg.ID)) {
-		return nil // already a replica
-	}
-	s.replMu.Lock()
-	st := s.replState(p)
-	st.joining = true
-	s.replMu.Unlock()
-	return s.send(int(a.Primary), wire.Message{Kind: wire.KindSnapshot, Mode: snapReq, Part: int32(p)})
-}
-
-// handleSnapshot drives both sides of a snapshot stream.
-func (s *Server) handleSnapshot(from int, msg wire.Message) {
-	if s.cfg.Route == nil {
-		return
-	}
-	p := int(msg.Part)
-	if p < 0 || p >= s.cfg.Route.Parts() {
-		return
-	}
-	switch msg.Mode {
-	case snapReq:
-		a := s.cfg.Route.Assignment(p)
-		if a.Primary != int32(s.cfg.ID) {
-			return // stale request; the joiner will retry off a fresh table
-		}
-		s.replMu.Lock()
-		st := s.replState(p)
-		st.primary = true
-		st.joiners[int32(from)] = true
-		s.replMu.Unlock()
-		s.journal.Record(events.Event{Type: events.HandoffStart, Part: p, Peer: from,
-			Detail: "streaming snapshot to joiner"})
-		// Stream off the dispatch goroutine: a snapshot scan of a large
-		// partition must not stall heartbeat and traversal handling.
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.streamSnapshot(p, from)
-		}()
-	case snapChunk:
-		_ = s.applyBatch(msg.Blob) // idempotent; a failed chunk surfaces as a stalled join
-	case snapFinal:
-		if len(msg.Blob) > 0 {
-			_ = s.applyBatch(msg.Blob)
-		}
-		s.replMu.Lock()
-		st := s.replState(p)
-		if msg.Epoch > st.epoch {
-			// The snapshot hands us the streamer's history, so our applied
-			// counter is now measured in the streamer's epoch.
-			st.epoch = msg.Epoch
-		}
-		if msg.Seq > st.appliedSeq {
-			st.appliedSeq = msg.Seq
-			// The snapshot jumped the applied counter past the ring's run;
-			// whatever was retained is no longer contiguous with it.
-			st.ring, st.ringTimes, st.ringStart = nil, nil, 0
-		}
-		st.joining = false
-		epoch := st.epoch
-		// Replay the buffered live tail that extends past the snapshot.
-		for {
-			blob, ok := st.tail[st.appliedSeq+1]
-			if !ok {
-				break
-			}
-			delete(st.tail, st.appliedSeq+1)
-			s.replMu.Unlock()
-			if err := s.applyBatch(blob); err != nil {
-				return
-			}
-			s.replMu.Lock()
-			if st.epoch != epoch || st.joining {
-				// A newer epoch reset this replica mid-replay; the fresh
-				// resync supersedes this one.
-				s.replMu.Unlock()
-				return
-			}
-			st.appliedSeq++
-			st.pushRingLocked(st.appliedSeq, blob)
-		}
-		for seq := range st.tail { // anything at or below the snapshot is covered
-			if seq <= st.appliedSeq {
-				delete(st.tail, seq)
-			}
-		}
-		// Report the post-replay watermark: on a divergence resync the
-		// primary credits it as this follower's ack, which may complete the
-		// very write whose append triggered the resync.
-		done := wire.Message{Kind: wire.KindSnapshot, Mode: snapDone, Part: msg.Part, Seq: st.appliedSeq}
-		s.replMu.Unlock()
-		s.send(from, done)
-	case snapNudge:
-		// A primary noticed this server return from suspicion and is
-		// inviting it back into a replica set it was dropped from. The local
-		// table may be stale enough to still list this server as a replica —
-		// which would make JoinPartition a no-op — so merge the nudger's
-		// table first.
-		if tbl, err := route.DecodeTable(msg.Blob); err == nil {
-			s.applyRouteTable(tbl)
-		}
-		_ = s.JoinPartition(p)
-	case snapDone:
-		// The joiner is caught up: publish an epoch that makes it a
-		// follower (no-op if it already is one, e.g. after a nak repair or
-		// a divergence resync — those credit the reported watermark as an
-		// ack instead, which may complete pending quorum writes).
-		a := s.cfg.Route.Assignment(p)
-		if a.Primary != int32(s.cfg.ID) || a.HasReplica(int32(from)) {
-			s.replMu.Lock()
-			wasJoiner := false
-			if st, ok := s.repl[p]; ok {
-				wasJoiner = st.joiners[int32(from)]
-				delete(st.joiners, int32(from))
-				if st.primary && msg.Seq > st.ackedSeq[int32(from)] {
-					st.ackedSeq[int32(from)] = msg.Seq
-				}
-			}
-			s.replMu.Unlock()
-			if wasJoiner {
-				s.journal.Record(events.Event{Type: events.HandoffDone, Part: p, Peer: from, Epoch: a.Epoch,
-					Detail: fmt.Sprintf("joiner caught up at seq %d (already in replica set)", msg.Seq)})
-			}
-			s.reapQuorums(p)
-			return
-		}
-		next := route.Assignment{
-			Epoch: a.Epoch + 1, Primary: a.Primary,
-			Followers: append(append([]int32(nil), a.Followers...), int32(from)),
-		}
-		if tbl := s.cfg.Route.Propose(p, next); tbl != nil {
-			s.replMu.Lock()
-			st := s.replState(p)
-			delete(st.joiners, int32(from))
-			st.ackedSeq[int32(from)] = msg.Seq
-			s.replMu.Unlock()
-			s.journal.Record(events.Event{Type: events.HandoffDone, Part: p, Peer: from, Epoch: next.Epoch,
-				Detail: fmt.Sprintf("joiner caught up at seq %d, published as follower", msg.Seq)})
-			s.reconcileRoles()
-			s.gossipRoute(tbl)
-			// The replica set (and quorum size) changed; re-evaluate pending
-			// writes and the feed commit floor against it.
-			s.reapQuorums(p)
-		}
-	}
-}
-
-// streamSnapshot scans the local store for partition p and ships it to
-// node `to` as snapshot chunks, closing with the current append sequence.
-func (s *Server) streamSnapshot(p, to int) {
-	s.replMu.Lock()
-	st := s.replState(p)
-	// The snapshot covers everything applied before the scan starts; the
-	// live tail (forwarded because `to` is a joiner) covers the rest.
-	seq := st.appliedSeq
-	epoch := st.epoch
-	s.replMu.Unlock()
-	view := s.cfg.Route
-	keep := func(id model.VertexID) bool { return view.Partition(id) == p }
-	err := gstore.SnapshotMutations(s.cfg.Store, keep, s.cfg.BatchSize, func(ms []gstore.Mutation) error {
-		blob := gstore.EncodeBatch(ms)
-		s.met.AddHandoffBytes(int64(len(blob)))
-		return s.send(to, wire.Message{Kind: wire.KindSnapshot, Mode: snapChunk, Part: int32(p), Blob: blob})
-	})
-	if err != nil {
-		return // stalled join; the joiner's operator retries
-	}
-	s.send(to, wire.Message{Kind: wire.KindSnapshot, Mode: snapFinal, Part: int32(p), Epoch: epoch, Seq: seq})
-}
-
-// replOnPeerUp reacts to a peer's suspicion clearing: every partition this
-// server primaries below the configured replication factor — typically
-// because replOnPeerDown shrank the set while the peer was unreachable —
-// sends the recovered peer a rejoin invitation. Without it a transient
-// network blip silently and permanently erodes durability.
-func (s *Server) replOnPeerUp(peer int) {
-	if s.cfg.Route == nil {
-		return
-	}
-	self := int32(s.cfg.ID)
-	pr := int32(peer)
-	var nudge []int
-	s.replMu.Lock()
-	for p := 0; p < s.cfg.Route.Parts(); p++ {
-		a := s.cfg.Route.Assignment(p)
-		if a.Primary != self || a.HasReplica(pr) {
-			continue
-		}
-		if rf := s.cfg.ReplicationFactor; rf >= 2 && len(a.Followers)+1 >= rf {
-			continue // someone else already restored the factor
-		}
-		if st, ok := s.repl[p]; ok && st.joiners[pr] {
-			continue // handoff already in flight
-		}
-		nudge = append(nudge, p)
-	}
-	s.replMu.Unlock()
-	if len(nudge) == 0 {
-		return
-	}
-	s.met.AddRejoinNudges(int64(len(nudge)))
-	blob := s.cfg.Route.Table().Encode()
-	for _, p := range nudge {
-		s.journal.Record(events.Event{Type: events.RejoinNudge, Part: p, Peer: peer,
-			Detail: "inviting recovered peer back into the replica set"})
-		s.send(peer, wire.Message{Kind: wire.KindSnapshot, Mode: snapNudge, Part: int32(p), Blob: blob})
+		s.replAll(repl.Event{Kind: repl.Assign})
 	}
 }

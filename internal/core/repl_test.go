@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -403,12 +404,12 @@ func TestStressReplShardHandoff(t *testing.T) {
 }
 
 // replAppliedSeq reads a server's applied replication sequence for one
-// partition (test-only peek behind replMu).
+// partition from its status document.
 func replAppliedSeq(s *Server, p int) uint64 {
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	if st, ok := s.repl[p]; ok {
-		return st.appliedSeq
+	for _, ps := range s.Status().Partitions {
+		if ps.Part == p {
+			return ps.AppliedSeq
+		}
 	}
 	return 0
 }
@@ -591,4 +592,111 @@ func TestStressReplRejoinAfterFalseSuspicion(t *testing.T) {
 		_, ok, _ := c.stores[fol].GetVertex(newID)
 		return ok
 	})
+}
+
+// TestWriteSurvivesUnreachableFollower: an append that cannot be sent to one
+// follower (its endpoint is gone, as when a dead peer's TCP outbox fills
+// before the shrink epoch is published) is not a failed write. The batch is
+// sequenced and shipped to the others; the quorum comes from them, and the
+// client hears exactly one answer.
+func TestWriteSurvivesUnreachableFollower(t *testing.T) {
+	const n = 3
+	c, _, views := newReplCluster(t, n, 3, nil)
+	p := views[n].Partition(1) // Identity(3,3): primary p, followers p+1, p+2
+	if err := c.fabric.Endpoint((p + 1) % n).Close(); err != nil {
+		t.Fatal(err)
+	}
+	id := findFreeID(views[n], p, 1)
+	err := c.client.Write([]gstore.Mutation{
+		{Op: gstore.OpPutVertex, Vertex: model.Vertex{ID: id, Label: "Marker"}},
+	}, WriteOptions{Timeout: 5 * time.Second, Retries: -1})
+	if err != nil {
+		t.Fatalf("write with one of two followers unreachable: %v", err)
+	}
+	if _, ok, _ := c.stores[(p+2)%n].GetVertex(id); !ok {
+		t.Errorf("acked write %d missing on the reachable follower", id)
+	}
+	if got := replAppliedSeq(c.servers[p], p); got != 1 {
+		t.Errorf("primary applied seq = %d, want 1 (the write was sequenced once)", got)
+	}
+}
+
+// TestSnapshotDataOnlyFromPrimary: a snapshot chunk or final marker writes
+// a replica's store and sequence counter, so only the server the route
+// table names primary may send one. A deposed primary still streaming, or
+// any client id, is dropped and counted.
+func TestSnapshotDataOnlyFromPrimary(t *testing.T) {
+	const n = 3
+	c, _, views := newReplCluster(t, n, 2, nil)
+	p := 0 // Identity(3,2): primary 0, follower 1
+	fol, stranger := 1, 2
+	id := findFreeID(views[n], p, 1)
+	blob := gstore.EncodeBatch([]gstore.Mutation{{Op: gstore.OpPutVertex, Vertex: model.Vertex{ID: id, Label: "Forged"}}})
+	const chunk, final = 1, 2 // KindSnapshot sub-modes
+	for _, from := range []int{stranger, n} {
+		c.servers[fol].Handle(from, wire.Message{Kind: wire.KindSnapshot, Mode: chunk, Part: int32(p), Blob: blob})
+		c.servers[fol].Handle(from, wire.Message{Kind: wire.KindSnapshot, Mode: final, Part: int32(p), Epoch: 9, Seq: 99})
+	}
+	if _, ok, _ := c.stores[fol].GetVertex(id); ok {
+		t.Errorf("a snapshot chunk from a non-primary was applied to the follower's store")
+	}
+	if got := replAppliedSeq(c.servers[fol], p); got != 0 {
+		t.Errorf("a final marker from a non-primary moved the follower's applied seq to %d", got)
+	}
+	if got := c.servers[fol].Metrics().EpochRejects; got != 4 {
+		t.Errorf("EpochRejects = %d, want 4", got)
+	}
+	c.servers[fol].Handle(p, wire.Message{Kind: wire.KindSnapshot, Mode: chunk, Part: int32(p), Blob: blob})
+	if _, ok, _ := c.stores[fol].GetVertex(id); !ok {
+		t.Errorf("a snapshot chunk from the primary was not applied")
+	}
+}
+
+// gatedStore holds every full scan until the gate opens, and counts them.
+type gatedStore struct {
+	gstore.Graph
+	gate  chan struct{}
+	scans atomic.Int32
+}
+
+func (g *gatedStore) ScanVertices(fn func(model.Vertex) bool) error {
+	g.scans.Add(1)
+	<-g.gate
+	return g.Graph.ScanVertices(fn)
+}
+
+// TestNakBeyondRingStreamsOffHandler: a nak the ring cannot repair starts a
+// full partition scan. It must run where a join request's scan runs — off
+// the transport's dispatch goroutine — so the handler returns while the scan
+// is still held at the gate.
+func TestNakBeyondRingStreamsOffHandler(t *testing.T) {
+	gs := &gatedStore{gate: make(chan struct{})}
+	c, _, _ := newReplCluster(t, 3, 2, func(cfg *Config) {
+		if cfg.ID == 0 {
+			gs.Graph = cfg.Store
+			cfg.Store = gs
+		}
+	})
+	// Partition 0 (primary 0, follower 1) has sequenced nothing, so its ring
+	// is empty and any nak is beyond it.
+	returned := make(chan struct{})
+	go func() {
+		const nak = 1 // KindReplAck sub-mode
+		c.servers[0].Handle(1, wire.Message{Kind: wire.KindReplAck, Mode: nak, Part: 0})
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Error("the message handler ran the snapshot scan itself")
+	}
+	pollUntil(t, 5*time.Second, "the scan to start", func() bool { return gs.scans.Load() == 1 })
+	close(gs.gate)
+	<-returned
+	// A repair stream is not a handoff: the follower is in the replica set.
+	for _, ps := range c.servers[0].Status().Partitions {
+		if ps.Part == 0 && ps.HandoffsInFlight != 0 {
+			t.Errorf("a nak repair stream reported %d handoffs in flight", ps.HandoffsInFlight)
+		}
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"graphtrek/internal/metrics"
 	"graphtrek/internal/model"
 	"graphtrek/internal/query"
+	"graphtrek/internal/repl"
 	"graphtrek/internal/sched"
 	"graphtrek/internal/simio"
 	"graphtrek/internal/trace"
@@ -64,13 +65,11 @@ type Server struct {
 	suspected []atomic.Bool
 	stop      chan struct{}
 
-	// Replication state (repl.go): per-partition primary/follower machinery
-	// and in-flight promotion polls. One mutex guards both because the
-	// transport dispatch goroutine, the failure detector and write-timeout
-	// timers all touch them. Empty maps when Config.Route is nil.
-	replMu     sync.Mutex
-	repl       map[int]*partRepl
-	promoPolls map[int]*seqVote
+	// Replication state (repl.go): one protocol machine per partition, all
+	// stepped under one mutex because transport handlers, the failure
+	// detector and timers reach them. Nil when Config.Route is nil.
+	replMu sync.Mutex
+	repl   []*repl.Machine
 
 	execSeq atomic.Uint64
 	wg      sync.WaitGroup
@@ -125,10 +124,9 @@ func NewServer(cfg Config) *Server {
 		lastSeen:    make([]atomic.Int64, cfg.Part.N()),
 		suspected:   make([]atomic.Bool, cfg.Part.N()),
 		stop:        make(chan struct{}),
-		repl:        make(map[int]*partRepl),
-		promoPolls:  make(map[int]*seqVote),
 	}
 	s.calls.send, s.calls.stop = s.send, s.stop
+	s.newRepl()
 	return s
 }
 
@@ -139,7 +137,6 @@ func NewServer(cfg Config) *Server {
 // also starts the failure detector.
 func (s *Server) Bind(tr transport) {
 	s.tr = tr
-	s.initRepl()
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -434,11 +431,11 @@ func (s *Server) Handle(from int, msg wire.Message) {
 	case wire.KindWriteReq:
 		s.handleWriteReq(from, msg)
 	case wire.KindReplAppend:
-		s.handleReplAppend(from, msg)
+		s.handleRepl(from, msg, appendEvents)
 	case wire.KindReplAck:
-		s.handleReplAck(from, msg)
+		s.handleRepl(from, msg, ackEvents)
 	case wire.KindSnapshot:
-		s.handleSnapshot(from, msg)
+		s.handleRepl(from, msg, snapEvents)
 	case wire.KindRouteUpdate:
 		s.handleRouteUpdate(from, msg)
 	case wire.KindFeedSub:
@@ -478,13 +475,14 @@ func (s *Server) handleStartTravel(from int, msg wire.Message) {
 		return
 	}
 	mode := Mode(msg.Mode)
-	isCoordinatorRequest := from >= s.cfg.Part.N() && mode != ModeClientSide
+	tun := mode.tuning()
+	isCoordinatorRequest := from >= s.cfg.Part.N() && !tun.clientDriven
 
 	ts := &travelState{
 		id:     msg.TravelID,
 		plan:   plan,
 		mode:   mode,
-		tun:    mode.tuning(),
+		tun:    tun,
 		coord:  msg.Coord,
 		outbox: make(map[outKey]*outboxSet),
 		sigbox: make(map[int]*outboxSet),
@@ -564,6 +562,20 @@ func (s *Server) runSeedExec(ts *travelState, execID uint64) {
 		}
 		s.flushTravel(ts)
 	}
+}
+
+// misroutedEntries scans a dispatch batch for a vertex whose partition
+// this server no longer primaries — evidence the sender routed with a
+// stale table — returning the offending partition.
+func (s *Server) misroutedEntries(entries []wire.Entry) (int, bool) {
+	self := int32(s.cfg.ID)
+	for _, e := range entries {
+		p := s.cfg.Route.Partition(e.Vertex)
+		if s.cfg.Route.Assignment(p).Primary != self {
+			return p, true
+		}
+	}
+	return 0, false
 }
 
 // handleDispatch enqueues a frontier batch as one traversal execution.

@@ -85,11 +85,7 @@ func (s *Server) processGroup(ts *travelState, g sched.Group) {
 		return
 	}
 	for _, it := range live {
-		if ts.mode == ModeClientSide {
-			s.processVisitItem(ts, vtx, found, it)
-		} else {
-			s.processItem(ts, vtx, found, it)
-		}
+		it.Exec.(accumulator).process(s, ts, vtx, found, it)
 	}
 	s.finishItems(ts, live, nil)
 }

@@ -213,8 +213,8 @@ func (s *Server) AddPromotions(n int) { s.promotions.Add(int64(n)) }
 // AddEpochRejects records n stale-epoch rejections.
 func (s *Server) AddEpochRejects(n int) { s.epochRejects.Add(int64(n)) }
 
-// SetReplLagBytes publishes the current replication byte lag.
-func (s *Server) SetReplLagBytes(n int64) { s.replLag.Store(n) }
+// AddReplLagBytes moves the replication byte lag by a delta.
+func (s *Server) AddReplLagBytes(n int64) { s.replLag.Add(n) }
 
 // AddHandoffBytes records n snapshot bytes streamed for handoff.
 func (s *Server) AddHandoffBytes(n int64) { s.handoffBytes.Add(n) }
