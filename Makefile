@@ -1,6 +1,7 @@
 # GraphTrek build and verification targets. `make check` is the full gate
 # the CI and pre-commit runs use: vet, build, tests, the race detector, the
-# concurrency stress run and (when reachable) staticcheck.
+# concurrency stress run, one pass over every microbenchmark and (when
+# reachable) staticcheck.
 
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
@@ -57,7 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/gstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFeedRecords$$' -fuzztime $(FUZZTIME) ./internal/gstore
 
-check: vet build test race stress lint
+check: vet build test race stress bench lint
 
 # Staticcheck is pinned and fetched through the module proxy on demand, so
 # nothing is vendored. On an offline machine the probe fails and lint is
@@ -88,14 +89,15 @@ fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# bench runs every Go benchmark exactly once (-benchtime=1x): a compile-and-
-# run smoke pass, not a measurement. Use benchfull for real numbers.
+# bench runs every Go benchmark exactly once (-benchtime=1x), the root
+# package's paper benches included: a compile-and-run smoke pass (seconds),
+# not a measurement. It is part of check, so a microbenchmark that stops
+# compiling or panics fails the push. Use benchfull for real numbers.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./internal/...
+	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# benchfull lets the benchmark framework pick iteration counts, over every
-# package including the root one (the paper benches in bench_test.go);
-# expect it to take minutes where bench takes seconds.
+# benchfull lets the benchmark framework pick iteration counts over the same
+# packages; expect it to take minutes where bench takes seconds.
 benchfull:
 	$(GO) test -bench=. -run=^$$ ./...
 

@@ -160,3 +160,30 @@ func TestNeverFalsePositiveQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+var hitSink bool
+
+// BenchmarkCheckAndInsert is the shape of the repository benchmark's cache
+// probe: one traversal's keys over four steps, three in ten repeating an
+// earlier one, into a cache that never evicts. One op is one key; the cache
+// is rebuilt every 32 Ki keys, as a traversal's would be.
+func BenchmarkCheckAndInsert(b *testing.B) {
+	const n = 1 << 15
+	r := rand.New(rand.NewSource(2))
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = Key{Travel: 1, Step: int32(r.Intn(4)), Vertex: id(r.Intn(n))}
+		if i > 0 && r.Intn(10) < 3 {
+			keys[i] = keys[r.Intn(i)]
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var c *Cache
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 {
+			c = New(1 << 20)
+		}
+		hitSink = c.CheckAndInsert(keys[i%n])
+	}
+}

@@ -31,7 +31,7 @@ func (a *visitAcc) ItemDone() bool { return a.pending.Add(-1) == 0 }
 
 func (a *visitAcc) span() *trace.Builder { return a.sp }
 
-func (a *visitAcc) process(s *Server, ts *travelState, vtx model.Vertex, found bool, it sched.Item) {
+func (a *visitAcc) process(s *Server, ts *travelState, _ *expansion, vtx model.Vertex, found bool, it sched.Item) {
 	s.processVisitItem(ts, vtx, found, it)
 }
 

@@ -36,6 +36,13 @@ type cluster struct {
 
 func newCluster(t testing.TB, n int, tweak func(*Config)) *cluster {
 	t.Helper()
+	return newWrappedCluster(t, n, tweak, nil)
+}
+
+// newWrappedCluster is newCluster with each server's outgoing transport passed
+// through wrap (nil: as is), for tests that observe what a server sends.
+func newWrappedCluster(t testing.TB, n int, tweak func(*Config), wrap func(id int, tr rpc.Transport) rpc.Transport) *cluster {
+	t.Helper()
 	c := &cluster{
 		part:   partition.NewHash(n),
 		fabric: rpc.NewFabric(n+1, 0),
@@ -49,7 +56,11 @@ func newCluster(t testing.TB, n int, tweak func(*Config)) *cluster {
 			tweak(&cfg)
 		}
 		srv := NewServer(cfg)
-		srv.Bind(c.fabric.Endpoint(i))
+		var tr rpc.Transport = c.fabric.Endpoint(i)
+		if wrap != nil {
+			tr = wrap(i, tr)
+		}
+		srv.Bind(tr)
 		if err := c.fabric.Endpoint(i).Start(srv.Handle); err != nil {
 			t.Fatal(err)
 		}

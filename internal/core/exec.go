@@ -21,7 +21,8 @@ type accumulator interface {
 	// process evaluates one of the accumulator's items against the fetched
 	// vertex: a server-side execution filters, expands and dispatches, a
 	// client-mode batch collects survivors and expansions for its reply.
-	process(s *Server, ts *travelState, vtx model.Vertex, found bool, it sched.Item)
+	// ex is the calling worker's expansion scratch.
+	process(s *Server, ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item)
 	// fail records a processing failure on whatever error path the
 	// accumulator reports through. Called at most once per finishItems call.
 	fail(s *Server, ts *travelState, msg string)
@@ -59,8 +60,8 @@ func (a *execAcc) ItemDone() bool { return a.pending.Add(-1) == 0 }
 
 func (a *execAcc) span() *trace.Builder { return a.sp }
 
-func (a *execAcc) process(s *Server, ts *travelState, vtx model.Vertex, found bool, it sched.Item) {
-	s.processItem(ts, vtx, found, it)
+func (a *execAcc) process(s *Server, ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item) {
+	s.processItem(ts, ex, vtx, found, it)
 }
 
 func (a *execAcc) execID() uint64 { return a.id }
@@ -158,27 +159,70 @@ func (o *outboxSet) take() ([]wire.Entry, uint64) {
 	return list, parent
 }
 
-// bufferDispatch adds a next-step entry to the target server's outbox,
-// flushing that outbox early if it reached the batch threshold. parent is
-// the exec id of the execution producing the entry, carried onto the wire
-// as the child's ParentExec.
-func (s *Server) bufferDispatch(ts *travelState, parent uint64, target int, step int32, e wire.Entry) {
-	k := outKey{target, step}
-	var full []wire.Entry
-	var fullParent uint64
-	ts.flushMu.Lock()
-	box := ts.outbox[k]
-	if box == nil {
-		box = &outboxSet{}
-		ts.outbox[k] = box
+// expansion is one worker goroutine's scratch for turning an item's edge scan
+// into outbox entries: plain memory the goroutine owns and reuses (a sync.Pool's
+// victim cache would tie the live heap to when the last collection ran).
+type expansion struct {
+	dsts    []model.VertexID // destinations of the scan in progress
+	collect func(model.VertexID) bool
+	boxes   []*outboxSet // the step's outbox per target, resolved once per scan
+	full    []fullBatch  // outboxes that reached BatchSize, sent after unlocking
+}
+
+type fullBatch struct {
+	target  int
+	parent  uint64
+	entries []wire.Entry
+}
+
+func newExpansion() *expansion {
+	ex := &expansion{}
+	ex.collect = func(dst model.VertexID) bool {
+		ex.dsts = append(ex.dsts, dst)
+		return true
 	}
-	if box.add(e, parent) && len(box.list) >= s.cfg.BatchSize {
-		full, fullParent = box.take()
+	return ex
+}
+
+// bufferDispatch adds one scan's destinations (ex.dsts), each carrying tag's
+// rtn() provenance, to their owners' step outboxes under a single hold of
+// flushMu. An outbox is taken the moment an entry brings it to the batch
+// threshold, and the batches taken are sent after unlocking. parent is the
+// exec id of the execution producing the entries, carried onto the wire as
+// the child's ParentExec.
+func (s *Server) bufferDispatch(ts *travelState, ex *expansion, parent uint64, step int32, tag wire.Entry) {
+	if len(ex.dsts) == 0 {
+		return
+	}
+	ts.flushMu.Lock()
+	for _, dst := range ex.dsts {
+		target := s.cfg.Part.Owner(dst)
+		for target >= len(ex.boxes) {
+			ex.boxes = append(ex.boxes, nil)
+		}
+		box := ex.boxes[target]
+		if box == nil {
+			k := outKey{target, step}
+			if box = ts.outbox[k]; box == nil {
+				box = &outboxSet{}
+				ts.outbox[k] = box
+			}
+			ex.boxes[target] = box
+		}
+		tag.Vertex = dst
+		if box.add(tag, parent) && len(box.list) >= s.cfg.BatchSize {
+			entries, first := box.take()
+			ex.full = append(ex.full, fullBatch{target, first, entries})
+		}
 	}
 	ts.flushMu.Unlock()
-	if full != nil {
-		s.sendDispatch(ts, fullParent, target, step, full)
+	// The scratch outlives the traversal: leave no outbox or batch pinned.
+	clear(ex.boxes)
+	for i, b := range ex.full {
+		s.sendDispatch(ts, b.parent, b.target, step, b.entries)
+		ex.full[i] = fullBatch{}
 	}
+	ex.full = ex.full[:0]
 }
 
 // bufferSig adds an end-of-chain signal for an rtn()-marked ancestor,

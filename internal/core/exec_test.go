@@ -2,10 +2,14 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"graphtrek/internal/model"
 	"graphtrek/internal/query"
+	"graphtrek/internal/rpc"
 	"graphtrek/internal/sched"
 	"graphtrek/internal/wire"
 )
@@ -151,4 +155,146 @@ func TestBatchSizeTriggersEarlyFlush(t *testing.T) {
 	c := newCluster(t, 2, func(cfg *Config) { cfg.BatchSize = 4 })
 	loadAuditGraph(t, c)
 	c.runAllModes(t, mustPlan(t, query.V().E("run").E("read")))
+}
+
+// sendLog records, in one total order, every message the servers of a
+// cluster send.
+type sendLog struct {
+	mu   sync.Mutex
+	sent []loggedSend
+}
+
+type loggedSend struct {
+	from, to int
+	msg      wire.Message
+}
+
+type loggingTransport struct {
+	rpc.Transport
+	log *sendLog
+}
+
+func (l loggingTransport) Send(to int, msg wire.Message) error {
+	l.log.mu.Lock()
+	l.log.sent = append(l.log.sent, loggedSend{l.Self(), to, msg})
+	l.log.mu.Unlock()
+	return l.Transport.Send(to, msg)
+}
+
+// TestDispatchOnePassPerExpansion pins what one expansion's outbox pass puts
+// on the wire. Two step-0 vertices on server 0 fan out past BatchSize: the
+// hub to 11 vertices of server 1 and 5 of server 0, the second source to 3 of
+// the hub's destinations again plus 2 new ones on server 1. With one worker
+// the sends are sequential, so each target must see batches of exactly
+// BatchSize in the middle of a scan and the remainder at the flush; nothing
+// is sent to a (target, step) twice; every child is registered at the
+// coordinator no later than its parent's termination is reported (§IV-C);
+// and each span's dispatch phase sits inside its scan phase.
+func TestDispatchOnePassPerExpansion(t *testing.T) {
+	const batchSize = 4
+	log := &sendLog{}
+	c := newWrappedCluster(t, 2,
+		func(cfg *Config) { cfg.BatchSize, cfg.Workers = batchSize, 1 },
+		func(_ int, tr rpc.Transport) rpc.Transport { return loggingTransport{tr, log} })
+	// ownedBy draws the next n unused vertex ids that hash to the server.
+	nextID := 1
+	ownedBy := func(server, n int) []model.VertexID {
+		var ids []model.VertexID
+		for ; len(ids) < n; nextID++ {
+			if id := model.VertexID(nextID); c.part.Owner(id) == server {
+				ids = append(ids, id)
+			}
+		}
+		return ids
+	}
+	sources := ownedBy(0, 2)
+	far, near, extra := ownedBy(1, 11), ownedBy(0, 5), ownedBy(1, 2)
+	for _, ids := range [][]model.VertexID{sources, far, near, extra} {
+		for _, id := range ids {
+			c.addVertex(t, model.Vertex{ID: id, Label: "V"})
+		}
+	}
+	link := func(src model.VertexID, dsts []model.VertexID) {
+		for _, dst := range dsts {
+			c.addEdge(t, model.Edge{Src: src, Dst: dst, Label: "run"})
+		}
+	}
+	link(sources[0], far)
+	link(sources[0], near)
+	link(sources[1], far[:3])
+	link(sources[1], extra)
+
+	plan := mustPlan(t, query.V(sources...).E("run"))
+	got, err := c.client.SubmitPlan(plan, SubmitOptions{Mode: ModeGraphTrek, Coordinator: 0, Timeout: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(far) + len(near) + len(extra); len(got) != want {
+		t.Fatalf("%d results, want %d", len(got), want)
+	}
+
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	type sentKey struct {
+		to   int
+		step int32
+		e    wire.Entry
+	}
+	once := make(map[sentKey]bool)
+	sizes := make(map[int][]int)                            // target -> step-1 batch sizes in send order
+	registered, ended := map[uint64]int{}, map[uint64]int{} // exec id -> index of the send reporting it
+	for i, ls := range log.sent {
+		switch ls.msg.Kind {
+		case wire.KindExecEvents:
+			for _, ref := range ls.msg.Created {
+				registered[ref.ID] = i
+			}
+			for _, id := range ls.msg.Ended {
+				ended[id] = i
+			}
+		case wire.KindDispatch:
+			for _, e := range ls.msg.Entries {
+				k := sentKey{ls.to, ls.msg.Step, e}
+				if once[k] {
+					t.Errorf("entry %+v sent to server %d for step %d twice", e, ls.to, ls.msg.Step)
+				}
+				once[k] = true
+			}
+			if ls.msg.Step == 1 {
+				sizes[ls.to] = append(sizes[ls.to], len(ls.msg.Entries))
+			}
+		}
+	}
+	want := map[int][]int{1: {batchSize, batchSize, batchSize, 1}, 0: {batchSize, 1}}
+	if !reflect.DeepEqual(sizes, want) {
+		t.Errorf("step-1 batch sizes per target = %v, want %v", sizes, want)
+	}
+	for _, ls := range log.sent {
+		if ls.msg.Kind != wire.KindDispatch || ls.msg.ParentExec == 0 {
+			continue // root executions are registered by the coordinator itself
+		}
+		reg, ok := registered[ls.msg.ExecID]
+		if !ok {
+			t.Errorf("child execution %d was never registered", ls.msg.ExecID)
+			continue
+		}
+		if end, ok := ended[ls.msg.ParentExec]; !ok || reg > end {
+			t.Errorf("child %d registered by send %d, after its parent %d's termination (send %d, reported %v)",
+				ls.msg.ExecID, reg, ls.msg.ParentExec, end, ok)
+		}
+	}
+	expanded := 0
+	for _, s := range c.servers {
+		for _, sp := range s.TraceSpans(0) {
+			if sp.DispatchNs > sp.ScanNs {
+				t.Errorf("span %d: DispatchNs %d exceeds ScanNs %d", sp.Exec, sp.DispatchNs, sp.ScanNs)
+			}
+			if sp.DispatchNs > 0 {
+				expanded++
+			}
+		}
+	}
+	if expanded == 0 {
+		t.Error("no span recorded a dispatch phase")
+	}
 }

@@ -159,6 +159,7 @@ func (s *Server) Bind(tr transport) {
 // queue, serving whichever traversal the fair-share policy selects.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	ex := newExpansion()
 	for {
 		g, ok := s.exec.Pop()
 		if !ok {
@@ -174,7 +175,7 @@ func (s *Server) worker() {
 		// Popped is stamped by the scheduler's pop, so the metric and the
 		// span-level wait attribution downstream share one clock read.
 		s.met.AddQueueWait(g.Popped.Sub(g.Enqueued))
-		s.processGroup(ts, g)
+		s.processGroup(ts, g, ex)
 		// One compute sample per popped group, so the step-compute
 		// histogram's _count stays pinned to queue_groups_total.
 		s.met.ObserveStepCompute(time.Since(g.Popped))
@@ -187,7 +188,7 @@ func (s *Server) worker() {
 // is deferred on a timer (never on a shared worker: a sleeping worker would
 // stall other traversals) so waves of in-flight batches consolidate.
 func (s *Server) maybeFlush(ts *travelState) {
-	if s.exec.EligibleLen(ts.id) != 0 || ts.inProcess.Load() != 0 {
+	if !s.quiescent(ts) {
 		return
 	}
 	if s.cfg.FlushLinger <= 0 {
@@ -208,10 +209,24 @@ func (s *Server) maybeFlush(ts *travelState) {
 			return
 		default:
 		}
-		if s.exec.EligibleLen(ts.id) == 0 && ts.inProcess.Load() == 0 {
+		if s.quiescent(ts) {
 			s.flushTravel(ts)
 		}
 	})
+}
+
+// quiescent reports local quiescence: eligible queue empty, then nothing in
+// process. The first read of the count only spares the executor's lock while
+// another worker is inside one of the traversal's groups; the answer rests on
+// the read after EligibleLen. A worker counts a group some time after popping
+// it, and a count read before the queue was seen empty turns that gap into
+// flushes beside a running execution: more batches, and a termination that
+// can overtake the outputs such a flush carries.
+func (s *Server) quiescent(ts *travelState) bool {
+	if ts.inProcess.Load() != 0 {
+		return false
+	}
+	return s.exec.EligibleLen(ts.id) == 0 && ts.inProcess.Load() == 0
 }
 
 // enqueue admits a request batch into the shared executor, enforcing

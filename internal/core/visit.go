@@ -25,16 +25,17 @@ func spanOf(it sched.Item) *trace.Builder { return it.Exec.(accumulator).span() 
 //     ancestor} was already served is dropped as redundant;
 //   - execution merging: all surviving requests in the group share one
 //     disk access.
-func (s *Server) processGroup(ts *travelState, g sched.Group) {
+func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) {
 	// The scheduler stamped the pop time; reusing it keeps span-level wait
 	// attribution consistent with the server's queue-wait metric.
 	now := g.Popped
 	if now.IsZero() {
 		now = time.Now()
 	}
-	live := g.Items[:0:0]
-	var dropped []sched.Item
-	for _, it := range g.Items {
+	// The popped group's items are this worker's alone: the survivors are
+	// compacted in place, each redundant one finished where it stands.
+	live := g.Items[:0]
+	for i, it := range g.Items {
 		if !it.Enqueued.IsZero() {
 			spanOf(it).ObserveWait(now.Sub(it.Enqueued))
 		}
@@ -46,13 +47,12 @@ func (s *Server) processGroup(ts *travelState, g sched.Group) {
 			if s.cache.CheckAndInsert(k) {
 				s.met.AddRedundant(1)
 				spanOf(it).AddRedundant(1)
-				dropped = append(dropped, it)
+				s.finishItems(ts, g.Items[i:i+1], nil)
 				continue
 			}
 		}
 		live = append(live, it)
 	}
-	s.finishItems(ts, dropped, nil)
 	if len(live) == 0 {
 		return
 	}
@@ -85,7 +85,7 @@ func (s *Server) processGroup(ts *travelState, g sched.Group) {
 		return
 	}
 	for _, it := range live {
-		it.Exec.(accumulator).process(s, ts, vtx, found, it)
+		it.Exec.(accumulator).process(s, ts, ex, vtx, found, it)
 	}
 	s.finishItems(ts, live, nil)
 }
@@ -101,7 +101,7 @@ func stepMatches(plan *query.Plan, step int32, vtx model.Vertex) bool {
 }
 
 // processItem evaluates one request against the (already fetched) vertex.
-func (s *Server) processItem(ts *travelState, vtx model.Vertex, found bool, it sched.Item) {
+func (s *Server) processItem(ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item) {
 	plan := ts.plan
 	last := int32(plan.NumSteps() - 1)
 	exec := it.Exec.(accumulator).execID()
@@ -141,44 +141,38 @@ func (s *Server) processItem(ts *travelState, vtx model.Vertex, found bool, it s
 		return
 	}
 
-	// Expand the next step's typed edges; destinations go to their owners.
-	// Dispatch time (outbox buffering, possibly an early batch flush) is
-	// carved out of the scan interval so the two phases report separably.
+	// Expand the next step's typed edges: the scan collects the destinations,
+	// then one outbox pass hands them to their owners. Dispatch time (that
+	// pass, possibly with early batch sends) is the tail of the scan interval
+	// and ends on the same clock read, so the two phases report separably.
 	next := plan.Steps[it.Step+1]
-	var scanStart time.Time
-	var dispatchNs int64
+	var scanStart, dispatchStart time.Time
 	if sp != nil {
 		scanStart = time.Now()
 	}
-	dispatch := func(dst model.VertexID) bool {
-		owner := s.cfg.Part.Owner(dst)
-		entry := wire.Entry{Vertex: dst, Anc: anc, AncStep: ancStep, Dest: dest}
-		if sp != nil {
-			d0 := time.Now()
-			s.bufferDispatch(ts, exec, owner, it.Step+1, entry)
-			dispatchNs += int64(time.Since(d0))
-		} else {
-			s.bufferDispatch(ts, exec, owner, it.Step+1, entry)
-		}
-		return true
-	}
+	ex.dsts = ex.dsts[:0]
 	var err error
 	if len(next.EdgeFilters) == 0 {
 		// No edge-property predicate: expand over the packed adjacency run —
 		// destination ids straight from the key bytes (and the packed read
 		// cache), no edge value fetch, no property-map decode.
-		err = s.cfg.Store.ScanEdgeIDs(it.Vertex, next.EdgeLabel, dispatch)
+		err = s.cfg.Store.ScanEdgeIDs(it.Vertex, next.EdgeLabel, ex.collect)
 	} else {
 		err = s.cfg.Store.ScanEdges(it.Vertex, next.EdgeLabel, func(e model.Edge) bool {
 			if !next.EdgeFilters.MatchAll(e.Props) {
 				return true
 			}
-			return dispatch(e.Dst)
+			return ex.collect(e.Dst)
 		})
 	}
 	if sp != nil {
-		sp.AddScan(time.Since(scanStart))
-		sp.AddDispatch(time.Duration(dispatchNs))
+		dispatchStart = time.Now()
+	}
+	s.bufferDispatch(ts, ex, exec, it.Step+1, wire.Entry{Anc: anc, AncStep: ancStep, Dest: dest})
+	if sp != nil {
+		end := time.Now()
+		sp.AddScan(end.Sub(scanStart))
+		sp.AddDispatch(end.Sub(dispatchStart))
 	}
 	if err != nil {
 		ts.addErr(err.Error())

@@ -105,6 +105,18 @@ type group struct {
 	taken   bool
 }
 
+// stepBucket holds the groups whose smallest step is step, in arrival
+// order. A merge that lowers a group's step appends it to the lower bucket
+// and leaves a stale slot here (minStep != step, and taken once it is popped
+// from there), which peek trims lazily. items counts the buffered items of
+// the groups that currently sit here, stale slots excluded, so eligibility
+// is a sum over buckets rather than a walk over groups.
+type stepBucket struct {
+	step   int32
+	groups []*group
+	items  int
+}
+
 // travelQueue is one traversal's sub-queue. All fields are guarded by the
 // owning Multi's mutex.
 type travelQueue struct {
@@ -115,8 +127,7 @@ type travelQueue struct {
 	served  int    // items handed to workers so far — the fair-share key
 	seq     uint64
 	byKey   map[groupKey]*group // only when merging
-	bucket  map[int32][]*group  // step -> groups in arrival order
-	steps   []int32             // sorted distinct step ids with buckets
+	buckets []stepBucket        // sorted by step; a plan has few steps
 	size    int                 // buffered items
 }
 
@@ -159,7 +170,6 @@ func (m *Multi) Register(travel uint64, opts Options) {
 		opts:    opts,
 		arrival: m.arrival,
 		byKey:   make(map[groupKey]*group),
-		bucket:  make(map[int32][]*group),
 	}
 	m.arrival++
 	if !opts.Gated {
@@ -207,30 +217,51 @@ func (m *Multi) Push(items []Item) (int, error) {
 	if m.maxDepth > 0 && m.size+len(items) > m.maxDepth {
 		return m.size, ErrBackpressure
 	}
+	// The batch's groups and their first items come out of two slabs, not two
+	// heap objects per group, sized to the groups the batch creates: every
+	// item without merging, else those that find no buffered group to join (a
+	// vertex repeated within the batch counts twice and leaves a slot spare).
+	fresh := len(items)
+	if t.opts.Merge {
+		fresh = 0
+		for i := range items {
+			if g, ok := t.byKey[groupKey{items[i].Travel, items[i].Vertex}]; !ok || g.taken {
+				fresh++
+			}
+		}
+	}
+	groups, slots := make([]group, fresh), make([]Item, fresh)
+	next := 0
 	for i := range items {
 		it := items[i]
 		it.Enqueued = now
-		m.size++
-		t.size++
+		k := groupKey{it.Travel, it.Vertex}
 		if t.opts.Merge {
-			k := groupKey{it.Travel, it.Vertex}
 			if g, ok := t.byKey[k]; ok && !g.taken {
-				g.Items = append(g.Items, it)
-				if it.Step < g.minStep {
-					// Move the group down to the new step's bucket; the
-					// stale slot in the old bucket is skipped lazily.
-					g.minStep = it.Step
-					t.addToBucket(g)
-				}
+				t.merge(g, it)
 				continue
 			}
-			g := t.newGroup(it, now)
-			t.byKey[k] = g
-			t.addToBucket(g)
-			continue
 		}
-		t.addToBucket(t.newGroup(it, now))
+		// The Items capacity stops at the group's own slot, so a later merge
+		// append reallocates instead of writing into the next group's item.
+		g := &groups[next]
+		slots[next] = it
+		*g = group{
+			Group:   Group{Travel: it.Travel, Vertex: it.Vertex, Items: slots[next : next+1 : next+1], Enqueued: now},
+			minStep: it.Step,
+			seq:     t.seq,
+		}
+		next++
+		t.seq++
+		if t.opts.Merge {
+			t.byKey[k] = g
+		}
+		b := t.bucketFor(it.Step)
+		b.groups = append(b.groups, g)
+		b.items++
 	}
+	m.size += len(items)
+	t.size += len(items)
 	if m.size > m.highWater {
 		m.highWater = m.size
 	}
@@ -238,35 +269,35 @@ func (m *Multi) Push(items []Item) (int, error) {
 	return m.size, nil
 }
 
-func (t *travelQueue) newGroup(it Item, now time.Time) *group {
-	g := &group{
-		Group:   Group{Travel: it.Travel, Vertex: it.Vertex, Items: []Item{it}, Enqueued: now},
-		minStep: it.Step,
-		seq:     t.seq,
+// merge appends it to a buffered group, moving the group (and its item
+// count) down to the item's step's bucket when that is lower; the stale slot
+// in the old bucket is skipped lazily.
+func (t *travelQueue) merge(g *group, it Item) {
+	b := t.bucketFor(g.minStep)
+	if it.Step < g.minStep {
+		b.items -= len(g.Items)
+		g.minStep = it.Step
+		b = t.bucketFor(it.Step)
+		b.groups = append(b.groups, g)
+		b.items += len(g.Items)
 	}
-	t.seq++
-	return g
+	g.Items = append(g.Items, it)
+	b.items++
 }
 
-func (t *travelQueue) addToBucket(g *group) {
-	step := g.minStep
-	if _, ok := t.bucket[step]; !ok {
-		t.insertStep(step)
-	}
-	t.bucket[step] = append(t.bucket[step], g)
-}
-
-func (t *travelQueue) insertStep(step int32) {
+// bucketFor returns step's bucket, inserting it in step order if absent.
+// The pointer is valid until the next insertion.
+func (t *travelQueue) bucketFor(step int32) *stepBucket {
 	i := 0
-	for i < len(t.steps) && t.steps[i] < step {
+	for i < len(t.buckets) && t.buckets[i].step < step {
 		i++
 	}
-	t.steps = append(t.steps, 0)
-	copy(t.steps[i+1:], t.steps[i:])
-	t.steps[i] = step
-	if _, ok := t.bucket[step]; !ok {
-		t.bucket[step] = nil
+	if i == len(t.buckets) || t.buckets[i].step != step {
+		t.buckets = append(t.buckets, stepBucket{})
+		copy(t.buckets[i+1:], t.buckets[i:])
+		t.buckets[i] = stepBucket{step: step}
 	}
+	return &t.buckets[i]
 }
 
 // Pop blocks until some traversal has an eligible group (its smallest step
@@ -318,24 +349,21 @@ func (m *Multi) popLocked() *group {
 // returned group is the head of its minStep bucket.
 func (t *travelQueue) peek() *group {
 	var best *group
-	for _, step := range t.steps {
-		if step > t.gate {
+	for bi := range t.buckets {
+		b := &t.buckets[bi]
+		if b.step > t.gate {
 			break
 		}
-		list := t.bucket[step]
 		// Trim stale heads (taken, or relocated to another bucket).
 		i := 0
-		for i < len(list) && (list[i].taken || list[i].minStep != step) {
+		for i < len(b.groups) && (b.groups[i].taken || b.groups[i].minStep != b.step) {
 			i++
 		}
-		if i > 0 {
-			list = list[i:]
-			t.bucket[step] = list
-		}
-		if len(list) == 0 {
+		b.groups = b.groups[i:]
+		if len(b.groups) == 0 {
 			continue
 		}
-		head := list[0]
+		head := b.groups[0]
 		if t.opts.Priority {
 			return head // smallest eligible step wins
 		}
@@ -348,7 +376,9 @@ func (t *travelQueue) peek() *group {
 
 // take removes a group returned by peek from its bucket.
 func (t *travelQueue) take(g *group) {
-	t.bucket[g.minStep] = t.bucket[g.minStep][1:]
+	b := t.bucketFor(g.minStep)
+	b.groups = b.groups[1:]
+	b.items -= len(g.Items)
 	g.taken = true
 	if t.opts.Merge {
 		delete(t.byKey, groupKey{g.Travel, g.Vertex})
@@ -408,15 +438,11 @@ func (m *Multi) EligibleLen(travel uint64) int {
 		return 0
 	}
 	n := 0
-	for _, step := range t.steps {
-		if step > t.gate {
+	for i := range t.buckets {
+		if t.buckets[i].step > t.gate {
 			break
 		}
-		for _, g := range t.bucket[step] {
-			if !g.taken && g.minStep == step {
-				n += len(g.Items)
-			}
-		}
+		n += t.buckets[i].items
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -467,4 +468,198 @@ func TestEnqueuedTimestampSet(t *testing.T) {
 		t.Errorf("Enqueued = %v outside push window", g.Enqueued)
 	}
 	q.Close()
+}
+
+// eligibleWalk is the O(groups) EligibleLen the per-bucket counters replaced,
+// kept as their oracle: every live group at or below the gate, counted where
+// it currently sits.
+func eligibleWalk(m *Multi, travel uint64) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t, ok := m.travels[travel]
+	if !ok {
+		return 0
+	}
+	n := 0
+	for _, b := range t.buckets {
+		if b.step > t.gate {
+			break
+		}
+		for _, g := range b.groups {
+			if !g.taken && g.minStep == b.step {
+				n += len(g.Items)
+			}
+		}
+	}
+	return n
+}
+
+// TestEligibleLenMatchesWalk drives a seeded random schedule of Push (batches
+// that repeat vertices at lower and higher steps, so merges both append and
+// relocate), Pop, Release and Drop under every policy combination, and checks
+// the counters against the walk after every operation.
+func TestEligibleLenMatchesWalk(t *testing.T) {
+	const travels, steps, verts = 3, 6, 24
+	for mask := 0; mask < 8; mask++ {
+		opts := Options{Merge: mask&1 != 0, Priority: mask&2 != 0, Gated: mask&4 != 0}
+		r := rand.New(rand.NewSource(int64(100 + mask)))
+		q := NewMulti(0)
+		for tr := uint64(0); tr < travels; tr++ {
+			q.Register(tr, opts)
+		}
+		check := func(op string, i int) {
+			t.Helper()
+			for tr := uint64(0); tr < travels; tr++ {
+				if got, want := q.EligibleLen(tr), eligibleWalk(q, tr); got != want {
+					t.Fatalf("%+v op %d (%s): EligibleLen(%d) = %d, walk = %d", opts, i, op, tr, got, want)
+				}
+			}
+		}
+		eligible := func() int {
+			n := 0
+			for tr := uint64(0); tr < travels; tr++ {
+				n += q.EligibleLen(tr)
+			}
+			return n
+		}
+		for i := 0; i < 3000; i++ {
+			switch p := r.Intn(100); {
+			case p < 45:
+				tr := uint64(r.Intn(travels))
+				batch := make([]Item, 1+r.Intn(12))
+				for j := range batch {
+					batch[j] = item(tr, int32(r.Intn(steps)), r.Intn(verts))
+				}
+				push(t, q, batch...)
+				check("push", i)
+			case p < 90:
+				if eligible() == 0 {
+					continue // Pop would block
+				}
+				if _, ok := q.Pop(); !ok {
+					t.Fatalf("%+v op %d: pop failed with eligible work", opts, i)
+				}
+				check("pop", i)
+			case p < 98:
+				q.Release(uint64(r.Intn(travels)), int32(r.Intn(steps)))
+				check("release", i)
+			default:
+				tr := uint64(r.Intn(travels))
+				q.Drop(tr)
+				check("drop", i)
+				q.Register(tr, opts)
+			}
+		}
+		// Drained, every counter is back at zero.
+		for tr := uint64(0); tr < travels; tr++ {
+			q.Release(tr, steps)
+		}
+		for eligible() > 0 {
+			q.Pop()
+			check("drain", -1)
+		}
+		if q.Len() != 0 {
+			t.Fatalf("%+v: %d items left after draining every eligible one", opts, q.Len())
+		}
+		q.Close()
+	}
+}
+
+// TestMergeAppendDoesNotAliasSlabNeighbour: the groups of one batch take their
+// first items from adjacent slab slots, so a merge onto the first must grow
+// into fresh memory, not into the second group's slot.
+func TestMergeAppendDoesNotAliasSlabNeighbour(t *testing.T) {
+	q := newQueue(1, Options{Merge: true})
+	push(t, q, item(1, 0, 10), item(1, 0, 11), item(1, 0, 12))
+	push(t, q, item(1, 3, 10))
+	got := popAll(q)
+	if len(got) != 3 {
+		t.Fatalf("groups = %d, want 3", len(got))
+	}
+	if len(got[0].Items) != 2 || got[0].Items[0].Step != 0 || got[0].Items[1].Step != 3 {
+		t.Errorf("group 0 = %+v, want vertex 10 at steps 0 and 3", got[0].Items)
+	}
+	for i, want := range []model.VertexID{11, 12} {
+		g := got[i+1]
+		if len(g.Items) != 1 || g.Items[0].Vertex != want || g.Items[0].Step != 0 {
+			t.Errorf("group %d = %+v, want the untouched step-0 item of vertex %d", i+1, g.Items, want)
+		}
+	}
+}
+
+// TestPushAllocsPerBatch: a batch's groups come out of slabs, so admitting
+// 256 distinct vertices costs a handful of allocations (the slabs and the
+// bucket list's growth), not two per item.
+func TestPushAllocsPerBatch(t *testing.T) {
+	for _, opts := range []Options{{}, {Priority: true, Merge: true}} {
+		batch := make([]Item, 256)
+		for i := range batch {
+			batch[i] = item(1, 0, i)
+		}
+		// Each run pushes into a warm queue (map and bucket list already
+		// grown) and pops the batch back out.
+		q := newQueue(1, opts)
+		run := func() {
+			push(t, q, batch...)
+			for q.Len() > 0 {
+				q.Pop()
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs > 8 {
+			t.Errorf("%+v: %.0f allocations per 256-item batch, want a constant handful", opts, allocs)
+		}
+		q.Close()
+	}
+}
+
+// BenchmarkPushPop is the shape of the repository benchmark's scheduler probe:
+// one traversal's 32 Ki items over four steps, three in ten repeating an
+// earlier vertex, pushed in dispatch-sized batches and popped dry, with
+// priority and merging on as in the GraphTrek engine. One op is one item.
+func BenchmarkPushPop(b *testing.B) {
+	const n, batch = 1 << 15, 256
+	r := rand.New(rand.NewSource(1))
+	items := make([]Item, n)
+	for i := range items {
+		v := r.Intn(n)
+		if i > 0 && r.Intn(10) < 3 {
+			v = int(items[r.Intn(i)].Vertex)
+		}
+		items[i] = item(1, int32(r.Intn(4)), v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += n {
+		q := newQueue(1, Options{Priority: true, Merge: true})
+		for lo := 0; lo < n; lo += batch {
+			push(b, q, items[lo:lo+batch]...)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+		q.Close()
+	}
+}
+
+var eligibleSink int
+
+// BenchmarkEligibleLen asks a traversal with depth buffered groups how much a
+// worker could pop — the question maybeFlush puts after every group. The cost
+// must not depend on depth.
+func BenchmarkEligibleLen(b *testing.B) {
+	for _, depth := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			q := newQueue(1, Options{Priority: true, Merge: true})
+			batch := make([]Item, depth)
+			for i := range batch {
+				batch[i] = item(1, int32(i%4), i)
+			}
+			push(b, q, batch...)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eligibleSink += q.EligibleLen(1)
+			}
+		})
+	}
 }

@@ -27,6 +27,11 @@ func (r *Ring[T]) Record(v T) {
 	defer r.mu.Unlock()
 	if len(r.buf) < r.cap {
 		r.buf = append(r.buf, v)
+		if cap(r.buf) > r.cap {
+			// append's last growth step overshot: settle on the configured
+			// capacity, after which the buffer never reallocates again.
+			r.buf = append(make([]T, 0, r.cap), r.buf...)
+		}
 	} else {
 		r.buf[r.next] = v
 	}

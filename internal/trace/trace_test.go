@@ -118,6 +118,26 @@ func TestRingDegenerateCapacity(t *testing.T) {
 	}
 }
 
+// TestRingNeverOutgrowsCapacity: the buffer grows lazily, but its backing
+// array must stop at the configured capacity — append's own growth steps
+// overshoot it (a full 8192-span ring sat in an array of 10 300).
+func TestRingNeverOutgrowsCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 7, 512, 8192} {
+		r := NewRing[Span](capacity)
+		for i := 0; i < 2*capacity+3; i++ {
+			r.Record(Span{Exec: uint64(i)})
+			if cap(r.buf) > capacity {
+				t.Fatalf("capacity %d: cap(buf) = %d after %d records", capacity, cap(r.buf), i+1)
+			}
+		}
+		got := r.Snapshot()
+		if len(got) != capacity || got[0].Exec != uint64(capacity+3) || got[capacity-1].Exec != uint64(2*capacity+2) {
+			t.Fatalf("capacity %d: snapshot of %d spans from exec %d, want the newest %d in order",
+				capacity, len(got), got[0].Exec, capacity)
+		}
+	}
+}
+
 func TestRingFilter(t *testing.T) {
 	r := NewRing[int](8)
 	for i := 0; i < 8; i++ {
@@ -223,5 +243,19 @@ func TestRecorderFiltersByTravel(t *testing.T) {
 	st := r.Stats()
 	if st.SpansRecorded != 3 || st.SpansBuffered != 3 || st.SpansEvicted != 0 || st.Summaries != 2 {
 		t.Errorf("Stats = %+v", st)
+	}
+}
+
+// BenchmarkRingRecord records spans into a full default-sized ring: the cost
+// every terminated execution pays with tracing on.
+func BenchmarkRingRecord(b *testing.B) {
+	r := NewRing[Span](8192)
+	for i := 0; i < 8192; i++ {
+		r.Record(Span{})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Record(Span{Exec: uint64(i)})
 	}
 }
