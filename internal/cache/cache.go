@@ -19,6 +19,7 @@ package cache
 import (
 	"sync"
 
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/model"
 )
 
@@ -40,10 +41,10 @@ type Cache struct {
 	travels map[uint64]*travelSet
 }
 
-// travelSet holds one traversal's served keys bucketed by step, so
-// smallest-step eviction is O(bucket).
+// travelSet holds one traversal's served keys bucketed by step, the rest of
+// the key in the step's frontier.Set, so smallest-step eviction drops a set.
 type travelSet struct {
-	steps   map[int32]map[Key]struct{}
+	steps   map[int32]*frontier.Set
 	minStep int32
 	maxStep int32
 	size    int
@@ -64,23 +65,27 @@ func (c *Cache) CheckAndInsert(k Key) bool {
 	defer c.mu.Unlock()
 	ts, ok := c.travels[k.Travel]
 	if !ok {
-		ts = &travelSet{steps: make(map[int32]map[Key]struct{}), minStep: k.Step, maxStep: k.Step}
+		ts = &travelSet{steps: make(map[int32]*frontier.Set), minStep: k.Step, maxStep: k.Step}
 		c.travels[k.Travel] = ts
 	}
-	if bucket, ok := ts.steps[k.Step]; ok {
-		if _, hit := bucket[k]; hit {
+	fk := frontier.Key{Vertex: k.Vertex, Anc: k.Anc, AncStep: k.AncStep}
+	bucket := ts.steps[k.Step]
+	if c.cap > 0 && c.size >= c.cap {
+		// Full: a miss evicts (perhaps this bucket) before it inserts, so
+		// the check cannot be the insert's probe.
+		if bucket != nil && bucket.Has(fk) {
 			return true
 		}
-	}
-	if c.cap > 0 && c.size >= c.cap {
 		c.evictLocked(ts, k.Step)
+		bucket = ts.steps[k.Step]
 	}
-	bucket, ok := ts.steps[k.Step]
-	if !ok {
-		bucket = make(map[Key]struct{})
+	if bucket == nil {
+		bucket = new(frontier.Set)
 		ts.steps[k.Step] = bucket
 	}
-	bucket[k] = struct{}{}
+	if !bucket.Add(fk) {
+		return true
+	}
 	ts.size++
 	c.size++
 	if k.Step < ts.minStep {
@@ -101,14 +106,15 @@ func (c *Cache) evictLocked(ts *travelSet, incoming int32) {
 		victim := ts
 		if victim.size == 0 || (victim.minStep >= incoming && len(victim.steps) <= 1) {
 			// Nothing older within this traversal: evict from the largest
-			// other traversal instead.
+			// other one instead (of equals the smallest id, not map order).
 			victim = nil
-			for _, other := range c.travels {
+			var victimID uint64
+			for id, other := range c.travels {
 				if other.size == 0 {
 					continue
 				}
-				if victim == nil || other.size > victim.size {
-					victim = other
+				if victim == nil || other.size > victim.size || (other.size == victim.size && id < victimID) {
+					victim, victimID = other, id
 				}
 			}
 			if victim == nil {
@@ -118,9 +124,9 @@ func (c *Cache) evictLocked(ts *travelSet, incoming int32) {
 		// Drop the whole smallest-step bucket.
 		step := victim.minStep
 		for {
-			if b, ok := victim.steps[step]; ok && len(b) > 0 {
-				victim.size -= len(b)
-				c.size -= len(b)
+			if b := victim.steps[step]; b != nil && b.Len() > 0 {
+				victim.size -= b.Len()
+				c.size -= b.Len()
 				delete(victim.steps, step)
 				break
 			}
@@ -132,7 +138,7 @@ func (c *Cache) evictLocked(ts *travelSet, incoming int32) {
 		// Recompute minStep lazily.
 		victim.minStep = victim.maxStep
 		for s, b := range victim.steps {
-			if len(b) > 0 && s < victim.minStep {
+			if b.Len() > 0 && s < victim.minStep {
 				victim.minStep = s
 			}
 		}

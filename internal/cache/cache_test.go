@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/model"
 )
 
@@ -158,6 +159,162 @@ func TestNeverFalsePositiveQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// mapCache is the cache as it was before its buckets became frontier.Sets —
+// a Go map of whole keys per step — kept as the oracle the new buckets are
+// held equal to. Like the cache it breaks a tie between equally large
+// traversals toward the smaller id, which the original left to map order.
+type mapCache struct {
+	cap, size int
+	travels   map[uint64]*mapTravel
+}
+
+type mapTravel struct {
+	steps            map[int32]map[Key]struct{}
+	minStep, maxStep int32
+	size             int
+}
+
+func (c *mapCache) checkAndInsert(k Key) bool {
+	ts, ok := c.travels[k.Travel]
+	if !ok {
+		ts = &mapTravel{steps: make(map[int32]map[Key]struct{}), minStep: k.Step, maxStep: k.Step}
+		c.travels[k.Travel] = ts
+	}
+	if _, hit := ts.steps[k.Step][k]; hit {
+		return true
+	}
+	if c.cap > 0 && c.size >= c.cap {
+		c.evict(ts, k.Step)
+	}
+	bucket, ok := ts.steps[k.Step]
+	if !ok {
+		bucket = make(map[Key]struct{})
+		ts.steps[k.Step] = bucket
+	}
+	bucket[k] = struct{}{}
+	ts.size++
+	c.size++
+	ts.minStep, ts.maxStep = min(ts.minStep, k.Step), max(ts.maxStep, k.Step)
+	return false
+}
+
+func (c *mapCache) evict(ts *mapTravel, incoming int32) {
+	for c.size >= c.cap {
+		victim := ts
+		if victim.size == 0 || (victim.minStep >= incoming && len(victim.steps) <= 1) {
+			victim = nil
+			var victimID uint64
+			for id, other := range c.travels {
+				if other.size == 0 {
+					continue
+				}
+				if victim == nil || other.size > victim.size || (other.size == victim.size && id < victimID) {
+					victim, victimID = other, id
+				}
+			}
+			if victim == nil {
+				return
+			}
+		}
+		step := victim.minStep
+		for {
+			if b, ok := victim.steps[step]; ok && len(b) > 0 {
+				victim.size -= len(b)
+				c.size -= len(b)
+				delete(victim.steps, step)
+				break
+			}
+			if step >= victim.maxStep {
+				return
+			}
+			step++
+		}
+		victim.minStep = victim.maxStep
+		for s, b := range victim.steps {
+			if len(b) > 0 && s < victim.minStep {
+				victim.minStep = s
+			}
+		}
+	}
+}
+
+func (c *mapCache) dropTravel(travel uint64) {
+	if ts, ok := c.travels[travel]; ok {
+		c.size -= ts.size
+		delete(c.travels, travel)
+	}
+}
+
+// TestMatchesMapCache fills a small cache from several traversals at once —
+// steps arriving out of order, rtn() tags, finished traversals dropped and
+// their ids reused — and after every operation holds it to the map-based
+// cache: the same answer, the same Len, and (so the same eviction victims)
+// the same keys in every bucket.
+func TestMatchesMapCache(t *testing.T) {
+	for _, capacity := range []int{0, 1, 7, 48} {
+		r := rand.New(rand.NewSource(int64(18 + capacity)))
+		c, ref := New(capacity), &mapCache{cap: capacity, travels: map[uint64]*mapTravel{}}
+		evictions := 0
+		for i := 0; i < 20_000; i++ {
+			if r.Intn(400) == 0 {
+				tr := uint64(r.Intn(4))
+				c.DropTravel(tr)
+				ref.dropTravel(tr)
+			}
+			// Each traversal drifts up the steps at its own pace, so the
+			// fallback to another traversal's bucket is taken as well.
+			tr := uint64(r.Intn(4))
+			k := Key{Travel: tr, Step: int32(i/(500*(int(tr)+1)))%6 + int32(r.Intn(3)), Vertex: id(r.Intn(60))}
+			if r.Intn(5) == 0 {
+				k.Anc, k.AncStep = id(r.Intn(3)), int32(r.Intn(2))
+			}
+			before := ref.size
+			got, want := c.CheckAndInsert(k), ref.checkAndInsert(k)
+			if got != want {
+				t.Fatalf("cap %d op %d: CheckAndInsert(%+v) = %v, the map cache says %v", capacity, i, k, got, want)
+			}
+			if ref.size <= before && !want {
+				evictions++
+			}
+			if c.Len() != ref.size || len(c.travels) != len(ref.travels) {
+				t.Fatalf("cap %d op %d: %d keys of %d traversals, the map cache holds %d of %d",
+					capacity, i, c.Len(), len(c.travels), ref.size, len(ref.travels))
+			}
+			for tr, rt := range ref.travels {
+				ts := c.travels[tr]
+				if ts == nil || ts.size != rt.size || len(ts.steps) != len(rt.steps) {
+					t.Fatalf("cap %d op %d: traversal %d differs from the map cache's", capacity, i, tr)
+				}
+				for step, rb := range rt.steps {
+					b := ts.steps[step]
+					if b == nil || b.Len() != len(rb) {
+						t.Fatalf("cap %d op %d: traversal %d step %d differs from the map cache's", capacity, i, tr, step)
+					}
+					for rk := range rb {
+						if !b.Has(frontier.Key{Vertex: rk.Vertex, Anc: rk.Anc, AncStep: rk.AncStep}) {
+							t.Fatalf("cap %d op %d: %+v is in the map cache only", capacity, i, rk)
+						}
+					}
+				}
+			}
+		}
+		if capacity > 0 && evictions < 100 {
+			t.Errorf("cap %d: only %d evicting inserts in the schedule", capacity, evictions)
+		}
+	}
+}
+
+// TestHitAllocatesNothing: the redundant entries the cache exists to drop
+// cost no allocation.
+func TestHitAllocatesNothing(t *testing.T) {
+	c := New(0)
+	k := Key{Travel: 1, Step: 2, Vertex: 3, Anc: 4, AncStep: 1}
+	c.CheckAndInsert(k)
+	if got := testing.AllocsPerRun(100, func() { hitSink = c.CheckAndInsert(k) }); got != 0 {
+		t.Errorf("CheckAndInsert of a present key allocates %.0f", got)
 	}
 }
 

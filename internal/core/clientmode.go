@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"graphtrek/internal/model"
 	"graphtrek/internal/sched"
@@ -31,8 +32,9 @@ func (a *visitAcc) ItemDone() bool { return a.pending.Add(-1) == 0 }
 
 func (a *visitAcc) span() *trace.Builder { return a.sp }
 
-func (a *visitAcc) process(s *Server, ts *travelState, _ *expansion, vtx model.Vertex, found bool, it sched.Item) {
+func (a *visitAcc) process(s *Server, ts *travelState, _ *expansion, vtx model.Vertex, found bool, it sched.Item, now time.Duration) time.Duration {
 	s.processVisitItem(ts, vtx, found, it)
+	return now
 }
 
 func (a *visitAcc) execID() uint64 { return a.reqID }

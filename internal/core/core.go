@@ -240,9 +240,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// noopDisk is used when Config.Disk is nil.
-var noopDisk = simio.NewDisk(0, 1)
-
 // Metrics re-exports the per-server counter snapshot type.
 type Metrics = metrics.Snapshot
 

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+	"time"
 
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/model"
 	"graphtrek/internal/sched"
 	"graphtrek/internal/trace"
@@ -21,8 +23,10 @@ type accumulator interface {
 	// process evaluates one of the accumulator's items against the fetched
 	// vertex: a server-side execution filters, expands and dispatches, a
 	// client-mode batch collects survivors and expansions for its reply.
-	// ex is the calling worker's expansion scratch.
-	process(s *Server, ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item)
+	// ex is the calling worker's expansion scratch. now is the worker's last
+	// reading of the executor clock (sched.Now), where this item's first
+	// phase starts; process returns the last reading it took itself, or now.
+	process(s *Server, ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item, now time.Duration) time.Duration
 	// fail records a processing failure on whatever error path the
 	// accumulator reports through. Called at most once per finishItems call.
 	fail(s *Server, ts *travelState, msg string)
@@ -60,8 +64,8 @@ func (a *execAcc) ItemDone() bool { return a.pending.Add(-1) == 0 }
 
 func (a *execAcc) span() *trace.Builder { return a.sp }
 
-func (a *execAcc) process(s *Server, ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item) {
-	s.processItem(ts, ex, vtx, found, it)
+func (a *execAcc) process(s *Server, ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item, now time.Duration) time.Duration {
+	return s.processItem(ts, ex, vtx, found, it, now)
 }
 
 func (a *execAcc) execID() uint64 { return a.id }
@@ -126,7 +130,7 @@ type outKey struct {
 // vertex arriving from several different sender servers — is exactly what
 // the traversal-affiliate cache then removes at the receiver (§V-A).
 type outboxSet struct {
-	seen map[wire.Entry]struct{}
+	seen frontier.Set
 	list []wire.Entry
 	// parent is the causal attribution of the current batch: the exec id of
 	// the first execution that contributed to it since the last take. Batches
@@ -136,16 +140,12 @@ type outboxSet struct {
 }
 
 func (o *outboxSet) add(e wire.Entry, parent uint64) bool {
-	if o.seen == nil {
-		o.seen = make(map[wire.Entry]struct{})
-	}
-	if _, dup := o.seen[e]; dup {
+	if !o.seen.Add(frontier.Key(e)) {
 		return false
 	}
 	if len(o.list) == 0 {
 		o.parent = parent
 	}
-	o.seen[e] = struct{}{}
 	o.list = append(o.list, e)
 	return true
 }

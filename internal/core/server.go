@@ -25,7 +25,7 @@ import (
 type Server struct {
 	cfg   Config
 	tr    transport
-	disk  *simio.Disk
+	disk  *simio.Disk // nil without Config.Disk: accesses are free
 	met   metrics.Server
 	cache *cache.Cache
 	// exec is the shared executor queue: one two-level scheduler multiplexing
@@ -87,10 +87,6 @@ const doneHistory = 4096
 // any message can be sent or received.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	disk := cfg.Disk
-	if disk == nil {
-		disk = noopDisk
-	}
 	var trc *trace.Recorder
 	if cfg.TraceCap > 0 {
 		trc = trace.NewRecorder(cfg.TraceCap)
@@ -112,7 +108,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:         cfg,
-		disk:        disk,
+		disk:        cfg.Disk,
 		cache:       cache.New(cfg.CacheCap),
 		journal:     journal,
 		exec:        sched.NewMulti(cfg.MaxQueueDepth),
@@ -174,11 +170,14 @@ func (s *Server) worker() {
 		ts.inProcess.Add(int64(len(g.Items)))
 		// Popped is stamped by the scheduler's pop, so the metric and the
 		// span-level wait attribution downstream share one clock read.
-		s.met.AddQueueWait(g.Popped.Sub(g.Enqueued))
-		s.processGroup(ts, g, ex)
+		s.met.AddQueueWait(g.Popped - g.Enqueued)
+		end := s.processGroup(ts, g, ex)
+		if end == g.Popped {
+			end = sched.Now() // no phase was timed: tracing off, or nothing live
+		}
 		// One compute sample per popped group, so the step-compute
 		// histogram's _count stays pinned to queue_groups_total.
-		s.met.ObserveStepCompute(time.Since(g.Popped))
+		s.met.ObserveStepCompute(end - g.Popped)
 		s.maybeFlush(ts)
 	}
 }

@@ -226,3 +226,77 @@ func TestTraceQueueWaitObserved(t *testing.T) {
 		t.Error("no span observed a positive queue wait")
 	}
 }
+
+// stepComputeNs is the sum of a server's step-compute histogram: the pop to
+// last-phase-boundary time of every group its workers served.
+func stepComputeNs(t *testing.T, s *Server) int64 {
+	t.Helper()
+	for _, h := range s.Histograms() {
+		if h.Name == "step_compute_seconds" {
+			return h.Hist.Sum
+		}
+	}
+	t.Fatal("no step_compute_seconds histogram")
+	return 0
+}
+
+// TestSpanPhasesTileStepCompute: a span's fetch, filter and scan phases are
+// consecutive intervals between readings of one clock, inside the
+// step-compute interval of the group they ran in, so they can never add up
+// to more than it — exactly for a traversal of one group, and in sum per
+// server over every engine.
+func TestSpanPhasesTileStepCompute(t *testing.T) {
+	phases := func(sp trace.Span) int64 {
+		if sp.DispatchNs > sp.ScanNs {
+			t.Errorf("span %d: DispatchNs %d exceeds ScanNs %d", sp.Exec, sp.DispatchNs, sp.ScanNs)
+		}
+		return sp.FetchNs + sp.FilterNs + sp.ScanNs
+	}
+
+	one := newCluster(t, 1, nil)
+	loadAuditGraph(t, one)
+	if _, err := one.client.SubmitPlan(mustPlan(t, query.V(1)), SubmitOptions{Mode: ModeGraphTrek, Timeout: 20 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	spans := one.servers[0].TraceSpans(0)
+	if len(spans) != 1 || spans[0].Real != 1 {
+		t.Fatalf("spans of a one-vertex traversal = %+v, want one span of one real access", spans)
+	}
+	if got, whole := phases(spans[0]), stepComputeNs(t, one.servers[0]); got == 0 || got > whole || whole > spans[0].WallNs {
+		t.Errorf("one group: phases sum to %d ns, its step-compute time is %d, the span's wall time %d",
+			got, whole, spans[0].WallNs)
+	}
+
+	c := newCluster(t, 3, nil)
+	loadAuditGraph(t, c)
+	c.runAllModes(t, mustPlan(t, query.V(1, 2).E("run").E("read")))
+	c.runAllModes(t, mustPlan(t, query.VLabel("User").E("run").E("hasExecutions").E("read")))
+	var total int64
+	for _, s := range c.servers {
+		var sum int64
+		for _, sp := range s.TraceSpans(0) {
+			sum += phases(sp)
+		}
+		if whole := stepComputeNs(t, s); sum > whole {
+			t.Errorf("server %d: span phases sum to %d ns, step-compute time to %d", s.ID(), sum, whole)
+		}
+		total += sum
+	}
+	if total == 0 {
+		t.Error("no span timed a phase")
+	}
+}
+
+// TestNoDiskNoSharedState: servers built without a simulated disk have none
+// at all — not one process-wide device whose mutex and touched-block set
+// every worker of every server would share.
+func TestNoDiskNoSharedState(t *testing.T) {
+	c := newCluster(t, 2, nil)
+	for _, s := range c.servers {
+		if s.disk != nil {
+			t.Errorf("server %d was given a disk nobody configured", s.ID())
+		}
+	}
+	loadAuditGraph(t, c)
+	c.runAllModes(t, mustPlan(t, query.VLabel("User").E("run").E("read")))
+}

@@ -25,20 +25,20 @@ func spanOf(it sched.Item) *trace.Builder { return it.Exec.(accumulator).span() 
 //     ancestor} was already served is dropped as redundant;
 //   - execution merging: all surviving requests in the group share one
 //     disk access.
-func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) {
+//
+// Every phase boundary is one reading of the executor clock, shared by the
+// phases on either side: fetch end is filter start, filter end is scan start,
+// an item's end is the next item's start. The last reading is returned
+// (g.Popped when none was taken) and closes the group's step-compute interval.
+func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) time.Duration {
 	// The scheduler stamped the pop time; reusing it keeps span-level wait
 	// attribution consistent with the server's queue-wait metric.
 	now := g.Popped
-	if now.IsZero() {
-		now = time.Now()
-	}
 	// The popped group's items are this worker's alone: the survivors are
 	// compacted in place, each redundant one finished where it stands.
 	live := g.Items[:0]
 	for i, it := range g.Items {
-		if !it.Enqueued.IsZero() {
-			spanOf(it).ObserveWait(now.Sub(it.Enqueued))
-		}
+		spanOf(it).ObserveWait(now - it.Enqueued)
 		if ts.tun.useCache {
 			k := cache.Key{
 				Travel: ts.id, Step: it.Step, Vertex: it.Vertex,
@@ -54,7 +54,7 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) {
 		live = append(live, it)
 	}
 	if len(live) == 0 {
-		return
+		return now
 	}
 	s.met.AddRealIO(1)
 	s.met.AddCombined(len(live) - 1)
@@ -71,23 +71,25 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) {
 	// contiguous, so this is a single sequential read. The fetch phase is
 	// attributed to the span paying the access, like the real-IO counter.
 	headSp := spanOf(live[0])
-	var fetchStart time.Time
 	if headSp != nil {
-		fetchStart = time.Now()
+		now = sched.Now()
 	}
 	s.disk.Access(int(live[0].Step), uint64(g.Vertex))
 	vtx, found, err := s.cfg.Store.GetVertex(g.Vertex)
 	if headSp != nil {
-		headSp.AddFetch(time.Since(fetchStart))
+		fetched := sched.Now()
+		headSp.AddFetch(fetched - now)
+		now = fetched
 	}
 	if err != nil {
 		s.finishItems(ts, live, err)
-		return
+		return now
 	}
 	for _, it := range live {
-		it.Exec.(accumulator).process(s, ts, ex, vtx, found, it)
+		now = it.Exec.(accumulator).process(s, ts, ex, vtx, found, it, now)
 	}
 	s.finishItems(ts, live, nil)
+	return now
 }
 
 // stepMatches applies one step's vertex predicate. Step 0 uses the full
@@ -101,21 +103,21 @@ func stepMatches(plan *query.Plan, step int32, vtx model.Vertex) bool {
 }
 
 // processItem evaluates one request against the (already fetched) vertex.
-func (s *Server) processItem(ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item) {
+// Its filter phase starts at now, the caller's last clock reading; it returns
+// its own last reading (now itself with tracing off).
+func (s *Server) processItem(ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item, now time.Duration) time.Duration {
 	plan := ts.plan
 	last := int32(plan.NumSteps() - 1)
 	exec := it.Exec.(accumulator).execID()
 	sp := spanOf(it)
-	var phaseStart time.Time
-	if sp != nil {
-		phaseStart = time.Now()
-	}
 	match := found && stepMatches(plan, it.Step, vtx)
 	if sp != nil {
-		sp.AddFilter(time.Since(phaseStart))
+		filtered := sched.Now()
+		sp.AddFilter(filtered - now)
+		now = filtered
 	}
 	if !match {
-		return // the path dies here
+		return now // the path dies here
 	}
 
 	anc, ancStep, dest := it.Anc, it.AncStep, it.Dest
@@ -138,18 +140,16 @@ func (s *Server) processItem(ts *travelState, ex *expansion, vtx model.Vertex, f
 			// Signal the previous rtn level that a path survived.
 			s.bufferSig(ts, exec, int(it.Dest), wire.Entry{Vertex: it.Anc, AncStep: it.AncStep})
 		}
-		return
+		return now
 	}
 
 	// Expand the next step's typed edges: the scan collects the destinations,
-	// then one outbox pass hands them to their owners. Dispatch time (that
-	// pass, possibly with early batch sends) is the tail of the scan interval
-	// and ends on the same clock read, so the two phases report separably.
+	// then one outbox pass hands them to their owners. The scan interval opens
+	// where the filter closed; dispatch time (that pass, possibly with early
+	// batch sends) is its tail and ends on the same clock read, so the two
+	// phases report separably.
 	next := plan.Steps[it.Step+1]
-	var scanStart, dispatchStart time.Time
-	if sp != nil {
-		scanStart = time.Now()
-	}
+	var dispatchStart time.Duration
 	ex.dsts = ex.dsts[:0]
 	var err error
 	if len(next.EdgeFilters) == 0 {
@@ -166,17 +166,19 @@ func (s *Server) processItem(ts *travelState, ex *expansion, vtx model.Vertex, f
 		})
 	}
 	if sp != nil {
-		dispatchStart = time.Now()
+		dispatchStart = sched.Now()
 	}
 	s.bufferDispatch(ts, ex, exec, it.Step+1, wire.Entry{Anc: anc, AncStep: ancStep, Dest: dest})
 	if sp != nil {
-		end := time.Now()
-		sp.AddScan(end.Sub(scanStart))
-		sp.AddDispatch(end.Sub(dispatchStart))
+		end := sched.Now()
+		sp.AddScan(end - now)
+		sp.AddDispatch(end - dispatchStart)
+		now = end
 	}
 	if err != nil {
 		ts.addErr(err.Error())
 	}
+	return now
 }
 
 // recordRtn notes that vertex (marked at step) is awaiting an end-of-chain

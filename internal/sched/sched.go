@@ -28,6 +28,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,6 +39,13 @@ import (
 // the queue's depth limit. The engine surfaces it as a traversal-level
 // error the client can retry once load subsides.
 var ErrBackpressure = errors.New("sched: server queue depth limit exceeded (backpressure)")
+
+var base = time.Now()
+
+// Now reads the executor's one clock: the monotonic offset from base, a
+// single clock read where time.Now also pays for the wall clock. Enqueue and
+// pop stamps and the engine's phase boundaries are all readings of it.
+func Now() time.Duration { return time.Since(base) }
 
 // Accumulator tracks the unprocessed items of one traversal execution. The
 // scheduler never inspects it beyond carrying it with each item; the engine
@@ -59,11 +67,11 @@ type Item struct {
 	AncStep int32
 	Dest    int32
 	Exec    Accumulator
-	// Enqueued is stamped by Push on admission. It attributes queue wait to
-	// the individual request: merging can fold late arrivals into a group
-	// whose head enqueued much earlier, so the group-level timestamp alone
-	// would overstate their wait.
-	Enqueued time.Time
+	// Enqueued is stamped by Push on admission (a reading of Now). It
+	// attributes queue wait to the individual request: merging can fold late
+	// arrivals into a group whose head enqueued much earlier, so the
+	// group-level timestamp alone would overstate their wait.
+	Enqueued time.Duration
 }
 
 // Group is the unit a worker processes: one vertex of one traversal, with
@@ -75,11 +83,11 @@ type Group struct {
 	Items  []Item
 	// Enqueued is when the group's first item arrived; the executor derives
 	// its enqueue→pop wait metric from it.
-	Enqueued time.Time
+	Enqueued time.Duration
 	// Popped is when a worker took the group — stamped by Pop, so wait and
 	// per-phase span attribution downstream share one clock read instead of
 	// each call site sampling its own.
-	Popped time.Time
+	Popped time.Duration
 }
 
 // Options selects a traversal's level-2 policies.
@@ -91,11 +99,6 @@ type Options struct {
 	// Gated holds back items whose step exceeds the released gate — the
 	// synchronous engine's barrier. Ungated traversals admit every step.
 	Gated bool
-}
-
-type groupKey struct {
-	travel uint64
-	vertex model.VertexID
 }
 
 type group struct {
@@ -126,9 +129,9 @@ type travelQueue struct {
 	arrival uint64 // registration order — the fair-share tie-break
 	served  int    // items handed to workers so far — the fair-share key
 	seq     uint64
-	byKey   map[groupKey]*group // only when merging
-	buckets []stepBucket        // sorted by step; a plan has few steps
-	size    int                 // buffered items
+	byKey   map[model.VertexID]*group // only when merging
+	buckets []stepBucket              // sorted by step; a plan has few steps
+	size    int                       // buffered items
 }
 
 // Multi is the server-wide two-level queue. All methods are safe for
@@ -138,6 +141,7 @@ type Multi struct {
 	cond      *sync.Cond
 	maxDepth  int // admission bound on buffered items; 0 = unbounded
 	travels   map[uint64]*travelQueue
+	order     []*travelQueue // the values of travels, for Pop to walk
 	arrival   uint64
 	size      int // buffered items across all traversals
 	highWater int
@@ -169,13 +173,14 @@ func (m *Multi) Register(travel uint64, opts Options) {
 		travel:  travel,
 		opts:    opts,
 		arrival: m.arrival,
-		byKey:   make(map[groupKey]*group),
+		byKey:   make(map[model.VertexID]*group),
 	}
 	m.arrival++
 	if !opts.Gated {
 		t.gate = math.MaxInt32
 	}
 	m.travels[travel] = t
+	m.order = append(m.order, t)
 }
 
 // Drop evicts a traversal: its pending groups are discarded unprocessed —
@@ -189,6 +194,9 @@ func (m *Multi) Drop(travel uint64) int {
 		return 0
 	}
 	delete(m.travels, travel)
+	i, last := slices.Index(m.order, t), len(m.order)-1
+	m.order[i], m.order[last] = m.order[last], nil
+	m.order = m.order[:last]
 	m.size -= t.size
 	return t.size
 }
@@ -204,7 +212,7 @@ func (m *Multi) Push(items []Item) (int, error) {
 		defer m.mu.Unlock()
 		return m.size, nil
 	}
-	now := time.Now()
+	now := Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -225,7 +233,7 @@ func (m *Multi) Push(items []Item) (int, error) {
 	if t.opts.Merge {
 		fresh = 0
 		for i := range items {
-			if g, ok := t.byKey[groupKey{items[i].Travel, items[i].Vertex}]; !ok || g.taken {
+			if g, ok := t.byKey[items[i].Vertex]; !ok || g.taken {
 				fresh++
 			}
 		}
@@ -235,9 +243,8 @@ func (m *Multi) Push(items []Item) (int, error) {
 	for i := range items {
 		it := items[i]
 		it.Enqueued = now
-		k := groupKey{it.Travel, it.Vertex}
 		if t.opts.Merge {
-			if g, ok := t.byKey[k]; ok && !g.taken {
+			if g, ok := t.byKey[it.Vertex]; ok && !g.taken {
 				t.merge(g, it)
 				continue
 			}
@@ -254,7 +261,7 @@ func (m *Multi) Push(items []Item) (int, error) {
 		next++
 		t.seq++
 		if t.opts.Merge {
-			t.byKey[k] = g
+			t.byKey[it.Vertex] = g
 		}
 		b := t.bucketFor(it.Step)
 		b.groups = append(b.groups, g)
@@ -306,16 +313,18 @@ func (t *travelQueue) bucketFor(step int32) *stepBucket {
 // of eligible work.
 func (m *Multi) Pop() (Group, bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if g := m.popLocked(); g != nil {
-			return g.Group, true
-		}
-		if m.closed {
-			return Group{}, false
-		}
+	g := m.popLocked()
+	for g == nil && !m.closed {
 		m.cond.Wait()
+		g = m.popLocked()
 	}
+	m.mu.Unlock()
+	if g == nil {
+		return Group{}, false
+	}
+	// A taken group is the popper's alone, so the stamp needs no lock.
+	g.Popped = Now()
+	return g.Group, true
 }
 
 // popLocked runs the two-level selection: level 1 picks the least-served
@@ -324,7 +333,7 @@ func (m *Multi) Pop() (Group, bool) {
 func (m *Multi) popLocked() *group {
 	var best *travelQueue
 	var bestG *group
-	for _, t := range m.travels {
+	for _, t := range m.order {
 		g := t.peek()
 		if g == nil {
 			continue
@@ -340,7 +349,6 @@ func (m *Multi) popLocked() *group {
 	best.take(bestG)
 	best.served += len(bestG.Items)
 	m.size -= len(bestG.Items)
-	bestG.Popped = time.Now()
 	return bestG
 }
 
@@ -381,7 +389,7 @@ func (t *travelQueue) take(g *group) {
 	b.items -= len(g.Items)
 	g.taken = true
 	if t.opts.Merge {
-		delete(t.byKey, groupKey{g.Travel, g.Vertex})
+		delete(t.byKey, g.Vertex)
 	}
 	t.size -= len(g.Items)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"graphtrek/internal/model"
 )
@@ -458,14 +459,93 @@ func TestEligibleLenRespectsGate(t *testing.T) {
 
 func TestEnqueuedTimestampSet(t *testing.T) {
 	q := newQueue(1, Options{})
-	before := time.Now()
+	before := Now()
 	push(t, q, item(1, 0, 1))
 	g, ok := q.Pop()
 	if !ok {
 		t.Fatal("pop failed")
 	}
-	if g.Enqueued.Before(before) || g.Enqueued.After(time.Now()) {
-		t.Errorf("Enqueued = %v outside push window", g.Enqueued)
+	if g.Enqueued < before || g.Items[0].Enqueued != g.Enqueued || g.Popped < g.Enqueued || g.Popped > Now() {
+		t.Errorf("Enqueued = %v, Popped = %v: want push start %v <= Enqueued <= Popped <= now", g.Enqueued, g.Popped, before)
+	}
+	q.Close()
+}
+
+// TestItemAndGroupSizes: the stamps are offsets on the executor clock, not
+// time.Time values, which keeps an item at one cache line.
+func TestItemAndGroupSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Item{}); n > 64 {
+		t.Errorf("Item is %d bytes, want <= 64", n)
+	}
+	if n := unsafe.Sizeof(Group{}); n > 56 {
+		t.Errorf("Group is %d bytes, want <= 56", n)
+	}
+}
+
+// pickWalk is Pop's level-1 choice the way it was made before the order slice
+// existed — a range over the travels map — kept as the slice's oracle.
+func pickWalk(m *Multi) (travel uint64, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var best *travelQueue
+	for _, t := range m.travels {
+		if t.peek() == nil {
+			continue
+		}
+		if best == nil || t.served < best.served || (t.served == best.served && t.arrival < best.arrival) {
+			best = t
+		}
+	}
+	if best == nil {
+		return 0, false
+	}
+	return best.travel, true
+}
+
+// TestFairShareOrderAcrossThreeTravels: over a seeded schedule of pushes,
+// pops, and drops followed by re-registration, every Pop serves the traversal
+// the map walk would have picked.
+func TestFairShareOrderAcrossThreeTravels(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	q := NewMulti(0)
+	opts := []Options{{}, {Merge: true}, {Priority: true, Merge: true}}
+	for tr, o := range opts {
+		q.Register(uint64(tr), o)
+	}
+	pops := 0
+	for i := 0; i < 4000; i++ {
+		tr := uint64(r.Intn(len(opts)))
+		switch p := r.Intn(100); {
+		case p < 40:
+			batch := make([]Item, 1+r.Intn(6))
+			for j := range batch {
+				batch[j] = item(tr, int32(r.Intn(4)), r.Intn(16))
+			}
+			push(t, q, batch...)
+		case p < 97:
+			want, ok := pickWalk(q)
+			if !ok {
+				continue // Pop would block
+			}
+			if g, _ := q.Pop(); g.Travel != want {
+				t.Fatalf("op %d: popped travel %d, the walk picks %d", i, g.Travel, want)
+			}
+			pops++
+		default:
+			q.Drop(tr)
+			q.Register(tr, opts[tr])
+		}
+		if len(q.order) != len(q.travels) {
+			t.Fatalf("op %d: order holds %d queues, travels %d", i, len(q.order), len(q.travels))
+		}
+		for _, o := range q.order {
+			if q.travels[o.travel] != o {
+				t.Fatalf("op %d: order holds a queue of travel %d that travels does not", i, o.travel)
+			}
+		}
+	}
+	if pops < 1000 {
+		t.Fatalf("only %d pops compared", pops)
 	}
 	q.Close()
 }

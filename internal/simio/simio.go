@@ -94,8 +94,11 @@ func (d *Disk) AttachTracer(fn func(server, step int, block uint64)) {
 // it acquires an I/O slot, waits the service time — full for a cold block,
 // warmFraction of it for a previously touched block — plus any injected
 // straggler delay, and releases the slot. With a zero service time and no
-// straggler hit it returns immediately without blocking.
+// straggler hit it returns immediately without blocking; so does a nil Disk.
 func (d *Disk) Access(step int, block uint64) {
+	if d == nil {
+		return
+	}
 	var extra time.Duration
 	d.mu.Lock()
 	d.accesses++
