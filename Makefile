@@ -48,9 +48,9 @@ stress:
 # fuzz-smoke gives each wire/storage codec fuzzer a short randomized budget
 # on top of its checked-in seed corpus: frame decoding (v2 columnar), the
 # gossiped route-table blob, the edge-key parser, the mutation-batch codec,
-# and the change-feed record codec — and one differential fuzzer, the
-# frontier set against a Go map. Go allows one -fuzz target per invocation,
-# hence the sequence.
+# the change-feed record codec and the kv table's record parser — and one
+# differential fuzzer, the frontier set against a Go map. Go allows one
+# -fuzz target per invocation, hence the sequence.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/wire
@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseEdgeKey$$' -fuzztime $(FUZZTIME) ./internal/gstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/gstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFeedRecords$$' -fuzztime $(FUZZTIME) ./internal/gstore
+	$(GO) test -run '^$$' -fuzz '^FuzzSSTableRecords$$' -fuzztime $(FUZZTIME) ./internal/kv
 	$(GO) test -run '^$$' -fuzz '^FuzzSetMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/frontier
 
 check: vet build test race stress bench lint

@@ -173,6 +173,9 @@ func (s *Store) LookupVerticesRange(key string, lo, hi property.Value) ([]model.
 		k := it.Key()
 		ids = append(ids, model.VertexID(binary.BigEndian.Uint64(k[len(k)-8:])))
 	}
+	if err := it.Err(); err != nil {
+		return nil, err
+	}
 	// Rows sort by value first, id second; a multi-value range needs an
 	// id-order result like LookupVertices. A vertex carries one value per
 	// key, so there are no duplicates to drop.

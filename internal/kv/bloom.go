@@ -1,9 +1,6 @@
 package kv
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-)
+import "encoding/binary"
 
 // bloomFilter is a classic split Bloom filter over the keys of one SSTable,
 // sized at build time for ~1% false positives (10 bits per key, 6 probes).
@@ -32,11 +29,13 @@ func newBloomFilter(n int) *bloomFilter {
 	return &bloomFilter{bits: make([]byte, (nBits+7)/8), k: bloomProbes}
 }
 
-// bloomHash derives the two base hashes for double hashing.
+// bloomHash derives the two base hashes for double hashing: FNV-1a, inline
+// so that a probe allocates no hasher, and a mix of it.
 func bloomHash(key []byte) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write(key)
-	h1 := h.Sum64()
+	h1 := uint64(14695981039346656037)
+	for _, c := range key {
+		h1 = (h1 ^ uint64(c)) * 1099511628211
+	}
 	// A second, independent-enough hash via multiplicative mixing.
 	h2 := h1 * 0xc6a4a7935bd1e995
 	h2 ^= h2 >> 29

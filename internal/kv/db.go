@@ -257,17 +257,18 @@ func (db *DB) compactLocked() error {
 		srcs[i] = t.iterate(nil)
 	}
 	var ents []entry
-	for it := newMergeIterator(srcs); it.valid(); it.next() {
+	var it mergeIterator
+	for it.init(srcs); it.valid(); it.next() {
 		e := it.entry()
 		if e.tombstone {
 			continue // full compaction: nothing older can exist
 		}
-		ents = append(ents, e)
+		// The entry lives in its table's read window until the next step.
+		ents = append(ents, entry{key: bytes.Clone(e.key), value: bytes.Clone(e.value)})
 	}
-	for _, s := range srcs {
-		if si, ok := s.(*sstIterator); ok && si.err != nil {
-			return si.err
-		}
+	it.close()
+	if it.err != nil {
+		return it.err
 	}
 	num := db.nextNum
 	db.nextNum++

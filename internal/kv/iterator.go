@@ -7,7 +7,7 @@ import "bytes"
 // goroutine must not write to the DB while an iterator is open.
 type Iterator struct {
 	db    *DB
-	merge *mergeIterator
+	merge mergeIterator
 	end   []byte // exclusive bound, nil = none
 	ok    bool
 	key   []byte
@@ -41,50 +41,69 @@ func (db *DB) NewIterator(opts IterOptions) (*Iterator, error) {
 		db.mu.RUnlock()
 		return nil, ErrClosed
 	}
+	// Only sources that can hold a key in [start, end): an empty memtable
+	// and a table whose key range misses the bounds cost nothing.
 	srcs := make([]source, 0, len(db.tables)+1)
-	srcs = append(srcs, db.mem.iterate(start))
-	for _, t := range db.tables {
-		srcs = append(srcs, t.iterate(start))
+	if db.mem.count > 0 {
+		srcs = append(srcs, db.mem.iterate(start))
 	}
-	it := &Iterator{db: db, merge: newMergeIterator(srcs), end: end}
-	it.advance()
+	for _, t := range db.tables {
+		if t.overlaps(start, end) {
+			srcs = append(srcs, t.iterate(start))
+		}
+	}
+	it := &Iterator{db: db, end: end}
+	it.merge.init(srcs)
+	it.settle()
 	return it, nil
 }
 
-// advance steps to the next live (non-tombstone) entry within bounds.
-func (it *Iterator) advance() {
-	it.ok = false
-	for it.merge.valid() {
+// settle stops on the merge's current entry if it is live and in bounds,
+// stepping past tombstones. It reads the entry in place — the merge is not
+// advanced past it until Next — so Key and Value stay valid until then.
+func (it *Iterator) settle() {
+	for it.ok = false; it.merge.valid(); it.merge.next() {
 		e := it.merge.entry()
 		if it.end != nil && bytes.Compare(e.key, it.end) >= 0 {
 			return
 		}
-		it.merge.next()
-		if e.tombstone {
-			continue
+		if !e.tombstone {
+			it.key, it.value, it.ok = e.key, e.value, true
+			return
 		}
-		it.key, it.value = e.key, e.value
-		it.ok = true
-		return
 	}
 }
 
-// Valid reports whether the iterator is positioned at an entry.
+// Valid reports whether the iterator is positioned at an entry. When it
+// turns false, Err tells the end of the range from a failed read.
 func (it *Iterator) Valid() bool { return it.ok }
 
-// Key returns the current key. The slice is only valid until Next.
+// Key returns the current key. The slice is only valid until Next or Close.
 func (it *Iterator) Key() []byte { return it.key }
 
-// Value returns the current value. The slice is only valid until Next.
+// Value returns the current value. The slice is only valid until Next or
+// Close.
 func (it *Iterator) Value() []byte { return it.value }
 
 // Next advances to the following entry.
-func (it *Iterator) Next() { it.advance() }
+func (it *Iterator) Next() {
+	if it.ok {
+		it.merge.next()
+		it.settle()
+	}
+}
 
-// Close releases the iterator's read lock. It is safe to call twice.
+// Err returns the read error that ended the iteration early, if any: an
+// iterator that stopped on one has not seen every key in its range.
+func (it *Iterator) Err() error { return it.merge.err }
+
+// Close releases the iterator's read buffers and read lock. It is safe to
+// call twice.
 func (it *Iterator) Close() {
 	if !it.done {
 		it.done = true
+		it.ok = false
+		it.merge.close()
 		it.db.mu.RUnlock()
 	}
 }
@@ -104,5 +123,5 @@ func (db *DB) Scan(prefix []byte, fn func(key, value []byte) bool) error {
 		}
 		it.Next()
 	}
-	return nil
+	return it.Err()
 }

@@ -105,4 +105,6 @@ func (it *memIterator) valid() bool { return it.n != nil }
 func (it *memIterator) entry() entry {
 	return it.n.ent
 }
-func (it *memIterator) next() { it.n = it.n.next[0] }
+func (it *memIterator) next()        { it.n = it.n.next[0] }
+func (it *memIterator) error() error { return nil }
+func (it *memIterator) close()       {}

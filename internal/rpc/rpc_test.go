@@ -347,3 +347,22 @@ func BenchmarkTCPSend(b *testing.B) {
 }
 
 var _ = fmt.Sprintf // keep fmt for future debug use
+
+// TestFramePoolCycleDoesNotAllocate: the pool's own *[]byte goes out through
+// the outbox and comes back, so a send's frame costs no allocation once the
+// pool is warm — not even the slice header a Put(&b) would box.
+func TestFramePoolCycleDoesNotAllocate(t *testing.T) {
+	msg := wire.Message{Kind: wire.KindHeartbeat}
+	out := make(chan *[]byte, 1)
+	cycle := func() {
+		f := getFrame()
+		*f = wire.Append(*f, &msg)
+		out <- f
+		putFrame(<-out)
+	}
+	cycle()
+	// A collection may empty the pool mid-run; one refill is not a leak.
+	if n := testing.AllocsPerRun(200, cycle); n >= 1 {
+		t.Errorf("frame get/append/put cycle allocates %.2f objects, want 0", n)
+	}
+}

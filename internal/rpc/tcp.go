@@ -21,7 +21,9 @@ var ErrBackpressure = errors.New("rpc: peer outbox full (backpressure)")
 // framePool recycles encode buffers between Send and the writer goroutines:
 // a frame is taken here, filled, handed through the outbox, and returned
 // once written (or lost). High-rate dispatch traffic would otherwise
-// allocate every frame and feed it straight to the GC.
+// allocate every frame and feed it straight to the GC. The *[]byte the pool
+// holds is what travels: boxing a slice anew on every put would allocate
+// its header, and a pointer is a third of a slice in every outbox slot.
 var framePool sync.Pool // holds *[]byte
 
 // maxPooledFrame caps the buffers the pool retains: an occasional huge
@@ -29,20 +31,20 @@ var framePool sync.Pool // holds *[]byte
 const maxPooledFrame = 1 << 20
 
 // getFrame returns a frame buffer with the 4-byte length header reserved.
-func getFrame() []byte {
+func getFrame() *[]byte {
 	if p, ok := framePool.Get().(*[]byte); ok {
-		return (*p)[:4]
+		*p = (*p)[:4]
+		return p
 	}
-	return make([]byte, 4, 4+512)
+	b := make([]byte, 4, 4+512)
+	return &b
 }
 
 // putFrame recycles a frame buffer once no goroutine references it.
-func putFrame(b []byte) {
-	if cap(b) > maxPooledFrame {
-		return
+func putFrame(p *[]byte) {
+	if cap(*p) <= maxPooledFrame {
+		framePool.Put(p)
 	}
-	b = b[:0]
-	framePool.Put(&b)
 }
 
 // TCP is the network transport for standalone deployments: every node
@@ -134,7 +136,7 @@ type TCPStats struct {
 
 type tcpPeer struct {
 	id   int
-	out  chan []byte
+	out  chan *[]byte
 	done chan struct{}
 	// connDead is set by the connection monitor when the peer closes or
 	// resets the outbound connection. Outbound connections are write-only,
@@ -280,8 +282,8 @@ func (t *TCP) Send(to int, msg wire.Message) error {
 		return err
 	}
 	frame := getFrame()
-	frame = wire.Append(frame, &msg)
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	*frame = wire.Append(*frame, &msg)
+	binary.LittleEndian.PutUint32((*frame)[:4], uint32(len(*frame)-4))
 	select {
 	case p.out <- frame:
 		return nil
@@ -327,7 +329,7 @@ func (t *TCP) peer(to int) (*tcpPeer, error) {
 	if p, ok := t.peers[to]; ok {
 		return p, nil
 	}
-	p := &tcpPeer{id: to, out: make(chan []byte, t.opts.OutboxSize), done: make(chan struct{})}
+	p := &tcpPeer{id: to, out: make(chan *[]byte, t.opts.OutboxSize), done: make(chan struct{})}
 	t.peers[to] = p
 	t.wg.Add(1)
 	go t.writeLoop(p)
@@ -426,7 +428,7 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 	for {
 		select {
 		case frame := <-p.out:
-			write(frame)
+			write(*frame)
 			putFrame(frame)
 		case <-p.done:
 			// Flush anything already queued (best effort), then stop.
@@ -434,7 +436,7 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 				select {
 				case frame := <-p.out:
 					if conn != nil {
-						if _, err := conn.Write(frame); err != nil {
+						if _, err := conn.Write(*frame); err != nil {
 							conn.Close()
 							conn = nil
 						}

@@ -1,5 +1,7 @@
 package trace
 
+import "sync"
+
 // summaryCap bounds the per-server history of coordinator travel
 // summaries. Summaries are tiny and one-per-traversal, so a short history
 // suffices for the observability endpoints.
@@ -20,22 +22,73 @@ type RingStats struct {
 // ring (populated only on servers that coordinate traversals). A nil
 // Recorder is valid and discards everything — the disabled state.
 type Recorder struct {
-	spans     *Ring[Span]
+	spans     *Ring[packedSpan]
 	summaries *Ring[TravelSummary]
+
+	// errs holds the failure messages of buffered spans by execution id
+	// (unique cluster-wide), beside the ring and not in it: almost no span
+	// has one, and without the string the ring's elements carry no pointer.
+	// mu orders a span's entry with its recording and its eviction.
+	mu   sync.Mutex
+	errs map[uint64]string
 }
 
 // NewRecorder creates a recorder buffering up to spanCap spans.
 func NewRecorder(spanCap int) *Recorder {
 	return &Recorder{
-		spans:     NewRing[Span](spanCap),
+		spans:     NewRing[packedSpan](spanCap),
 		summaries: NewRing[TravelSummary](summaryCap),
+		errs:      make(map[uint64]string),
+	}
+}
+
+// packedSpan is a Span as the ring stores it: the same fields without Err,
+// counts as uint32 (an execution carries nowhere near 2^32 entries), 104
+// bytes for Span's 136 and nothing for the collector to scan.
+type packedSpan struct {
+	travel, exec, parent                  uint64
+	queueWaitNs, wallNs, startNs          int64
+	fetchNs, filterNs, scanNs, dispatchNs int64
+	frontier, redundant, combined, real   uint32
+	server, step                          int32
+}
+
+func pack(s Span) packedSpan {
+	return packedSpan{
+		travel: s.Travel, exec: s.Exec, parent: s.Parent,
+		queueWaitNs: s.QueueWaitNs, wallNs: s.WallNs, startNs: s.StartNs,
+		fetchNs: s.FetchNs, filterNs: s.FilterNs, scanNs: s.ScanNs, dispatchNs: s.DispatchNs,
+		frontier: uint32(s.Frontier), redundant: uint32(s.Redundant),
+		combined: uint32(s.Combined), real: uint32(s.Real),
+		server: s.Server, step: s.Step,
+	}
+}
+
+// span unpacks p; err is its failure message, kept outside the ring.
+func (p packedSpan) span(err string) Span {
+	return Span{
+		Travel: p.travel, Exec: p.exec, Parent: p.parent,
+		Server: p.server, Step: p.step,
+		Frontier: int(p.frontier), Redundant: int(p.redundant),
+		Combined: int(p.combined), Real: int(p.real),
+		QueueWaitNs: p.queueWaitNs, WallNs: p.wallNs, StartNs: p.startNs,
+		FetchNs: p.fetchNs, FilterNs: p.filterNs, ScanNs: p.scanNs, DispatchNs: p.dispatchNs,
+		Err: err,
 	}
 }
 
 // RecordSpan buffers one completed execution's span.
 func (r *Recorder) RecordSpan(s Span) {
-	if r != nil {
-		r.spans.Record(s)
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s.Err != "" {
+		r.errs[s.Exec] = s.Err
+	}
+	if old, evicted := r.spans.Record(pack(s)); evicted {
+		delete(r.errs, old.exec)
 	}
 }
 
@@ -52,10 +105,14 @@ func (r *Recorder) Spans(travel uint64) []Span {
 	if r == nil {
 		return nil
 	}
-	if travel == 0 {
-		return r.spans.Snapshot()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	packed := r.spans.Filter(func(p packedSpan) bool { return travel == 0 || p.travel == travel })
+	out := make([]Span, len(packed))
+	for i, p := range packed {
+		out[i] = p.span(r.errs[p.exec])
 	}
-	return r.spans.Filter(func(s Span) bool { return s.Travel == travel })
+	return out
 }
 
 // Summaries returns the buffered travel summaries, oldest first.

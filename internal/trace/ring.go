@@ -21,8 +21,9 @@ func NewRing[T any](capacity int) *Ring[T] {
 	return &Ring[T]{cap: capacity}
 }
 
-// Record appends v, evicting the oldest element when full.
-func (r *Ring[T]) Record(v T) {
+// Record appends v. When the ring is full the oldest element makes room:
+// it is returned, with evicted set.
+func (r *Ring[T]) Record(v T) (old T, evicted bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.buf) < r.cap {
@@ -33,10 +34,12 @@ func (r *Ring[T]) Record(v T) {
 			r.buf = append(make([]T, 0, r.cap), r.buf...)
 		}
 	} else {
+		old, evicted = r.buf[r.next], true
 		r.buf[r.next] = v
 	}
 	r.next = (r.next + 1) % r.cap
 	r.total++
+	return old, evicted
 }
 
 // Snapshot copies the buffered elements, oldest first.

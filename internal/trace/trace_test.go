@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestBuilderLifecycle(t *testing.T) {
@@ -243,6 +244,59 @@ func TestRecorderFiltersByTravel(t *testing.T) {
 	st := r.Stats()
 	if st.SpansRecorded != 3 || st.SpansBuffered != 3 || st.SpansEvicted != 0 || st.Summaries != 2 {
 		t.Errorf("Stats = %+v", st)
+	}
+}
+
+// TestPackedSpanRoundTrip: what the ring stores gives back every field of
+// the Span that went in, the failure message included, in 104 pointer-free
+// bytes.
+func TestPackedSpanRoundTrip(t *testing.T) {
+	if n := unsafe.Sizeof(packedSpan{}); n > 104 {
+		t.Errorf("packedSpan is %d bytes, want <= 104", n)
+	}
+	want := Span{
+		Travel: 1 << 60, Exec: 2<<48 | 77, Parent: 3<<48 | 5, Server: 2, Step: -1,
+		Frontier: 1 << 20, Redundant: 11, Combined: 12, Real: 13,
+		QueueWaitNs: 14, WallNs: 15, StartNs: time.Now().UnixNano(),
+		FetchNs: 16, FilterNs: 17, ScanNs: 18, DispatchNs: 19, Err: "disk on fire",
+	}
+	v := reflect.ValueOf(want)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("test span leaves %s zero", v.Type().Field(i).Name)
+		}
+	}
+	if got := pack(want).span(want.Err); got != want {
+		t.Errorf("pack/span:\n got %+v\nwant %+v", got, want)
+	}
+	r := NewRecorder(4)
+	r.RecordSpan(want)
+	r.RecordSpan(Span{Travel: 1 << 60, Exec: 9})
+	if got := r.Spans(1 << 60); len(got) != 2 || got[0] != want || got[1].Err != "" {
+		t.Errorf("Spans = %+v", got)
+	}
+}
+
+// TestRecorderEvictsErrWithSpan: a failure message lives beside the ring,
+// and must leave with the span it belongs to.
+func TestRecorderEvictsErrWithSpan(t *testing.T) {
+	r := NewRecorder(2)
+	r.RecordSpan(Span{Exec: 1, Err: "first"})
+	r.RecordSpan(Span{Exec: 2})
+	if got := r.Spans(0); got[0].Err != "first" || got[1].Err != "" {
+		t.Fatalf("Spans = %+v", got)
+	}
+	r.RecordSpan(Span{Exec: 3, Err: "third"}) // evicts exec 1
+	if len(r.errs) != 1 || r.errs[3] != "third" {
+		t.Errorf("errs = %v, want only exec 3's message", r.errs)
+	}
+	r.RecordSpan(Span{Exec: 4})
+	r.RecordSpan(Span{Exec: 5}) // evicts exec 3
+	if len(r.errs) != 0 {
+		t.Errorf("errs = %v, want empty once every failed span is evicted", r.errs)
+	}
+	if got := r.Spans(0); len(got) != 2 || got[0].Err != "" || got[1].Err != "" {
+		t.Errorf("Spans = %+v", got)
 	}
 }
 
