@@ -49,8 +49,8 @@ stress:
 # on top of its checked-in seed corpus: frame decoding (v2 columnar), the
 # gossiped route-table blob, the edge-key parser, the mutation-batch codec,
 # the change-feed record codec and the kv table's record parser — and one
-# differential fuzzer, the frontier set against a Go map. Go allows one
-# -fuzz target per invocation, hence the sequence.
+# differential fuzzer, the frontier set (adds, checks and reserves) against a
+# Go map. Go allows one -fuzz target per invocation, hence the sequence.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/wire
@@ -95,14 +95,15 @@ fmtcheck:
 # bench runs every Go benchmark exactly once (-benchtime=1x), the root
 # package's paper benches included: a compile-and-run smoke pass (seconds),
 # not a measurement. It is part of check, so a microbenchmark that stops
-# compiling or panics fails the push. Use benchfull for real numbers.
+# compiling or panics fails the push. Use benchfull for real numbers. Both
+# pass -benchmem, so B/op and allocs/op print beside every ns/op.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./...
 
 # benchfull lets the benchmark framework pick iteration counts over the same
 # packages; expect it to take minutes where bench takes seconds.
 benchfull:
-	$(GO) test -bench=. -run=^$$ ./...
+	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # bench-smoke is the CI benchmark gate: every engine on one tiny workload,
 # with engine-equivalence, §VII-A invariant, trace-completeness and

@@ -93,14 +93,8 @@ func (s *Server) handleVisitReq(from int, msg wire.Message, ts *travelState) {
 	acc := &visitAcc{from: from, reqID: msg.ReqID, resp: resp,
 		sp: s.beginSpan(ts.id, msg.ReqID, msg.ParentExec, msg.Step, len(msg.Entries))}
 	acc.pending.Store(int32(len(msg.Entries)))
-	items := make([]sched.Item, len(msg.Entries))
-	for i, e := range msg.Entries {
-		items[i] = sched.Item{
-			Travel: ts.id, Step: msg.Step, Vertex: e.Vertex,
-			AncStep: -1, Dest: -1, Exec: acc,
-		}
-	}
-	if err := s.enqueue(items); err != nil {
+	// Only Vertex is read of a client-mode entry: no cache, no merging, no rtn.
+	if err := s.enqueue(ts, msg.Step, acc, msg.Entries); err != nil {
 		resp.Err = s.admissionError(err)
 		s.send(from, resp)
 	}

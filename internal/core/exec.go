@@ -112,13 +112,6 @@ func (s *Server) finishItems(ts *travelState, items []sched.Item, failure error)
 	}
 }
 
-// outKey addresses one dispatch outbox: entries bound for one target
-// server at one traversal step.
-type outKey struct {
-	target int
-	step   int32
-}
-
 // outboxSet accumulates one outbox's entries as a set: a traversal
 // execution produces a *set* of next-step vertices (§IV-B), so each entry
 // is sent to a given target for a given step at most once per traversal —
@@ -131,7 +124,7 @@ type outKey struct {
 // the traversal-affiliate cache then removes at the receiver (§V-A).
 type outboxSet struct {
 	seen frontier.Set
-	list []wire.Entry
+	sent int // seen.Keys()[sent:] are the entries pending
 	// parent is the causal attribution of the current batch: the exec id of
 	// the first execution that contributed to it since the last take. Batches
 	// merge the outputs of many executions, so one parent per message is an
@@ -140,22 +133,25 @@ type outboxSet struct {
 }
 
 func (o *outboxSet) add(e wire.Entry, parent uint64) bool {
-	if !o.seen.Add(frontier.Key(e)) {
+	if !o.seen.Add(e) {
 		return false
 	}
-	if len(o.list) == 0 {
+	if o.pending() == 1 {
 		o.parent = parent
 	}
-	o.list = append(o.list, e)
 	return true
 }
 
-// take drains the pending entries and the batch's parent attribution,
-// keeping the seen set so repeats are suppressed for the traversal's
-// lifetime.
+func (o *outboxSet) pending() int { return o.seen.Len() - o.sent }
+
+// take drains the pending entries and the batch's parent attribution. The
+// batch is a stretch of the seen set's own key slice — the set keeps its
+// keys in arrival order and never rewrites one — so repeats stay suppressed
+// for the traversal's lifetime and nothing is copied to send.
 func (o *outboxSet) take() ([]wire.Entry, uint64) {
-	list, parent := o.list, o.parent
-	o.list, o.parent = nil, 0
+	keys, parent := o.seen.Keys(), o.parent
+	list := keys[o.sent:len(keys):len(keys)]
+	o.sent, o.parent = len(keys), 0
 	return list, parent
 }
 
@@ -163,10 +159,10 @@ func (o *outboxSet) take() ([]wire.Entry, uint64) {
 // into outbox entries: plain memory the goroutine owns and reuses (a sync.Pool's
 // victim cache would tie the live heap to when the last collection ran).
 type expansion struct {
+	items   []sched.Item     // the group being processed
 	dsts    []model.VertexID // destinations of the scan in progress
 	collect func(model.VertexID) bool
-	boxes   []*outboxSet // the step's outbox per target, resolved once per scan
-	full    []fullBatch  // outboxes that reached BatchSize, sent after unlocking
+	full    []fullBatch // outboxes that reached BatchSize, sent after unlocking
 }
 
 type fullBatch struct {
@@ -197,27 +193,15 @@ func (s *Server) bufferDispatch(ts *travelState, ex *expansion, parent uint64, s
 	ts.flushMu.Lock()
 	for _, dst := range ex.dsts {
 		target := s.cfg.Part.Owner(dst)
-		for target >= len(ex.boxes) {
-			ex.boxes = append(ex.boxes, nil)
-		}
-		box := ex.boxes[target]
-		if box == nil {
-			k := outKey{target, step}
-			if box = ts.outbox[k]; box == nil {
-				box = &outboxSet{}
-				ts.outbox[k] = box
-			}
-			ex.boxes[target] = box
-		}
+		box := s.outboxLocked(ts, step, target)
 		tag.Vertex = dst
-		if box.add(tag, parent) && len(box.list) >= s.cfg.BatchSize {
+		if box.add(tag, parent) && box.pending() >= s.cfg.BatchSize {
 			entries, first := box.take()
 			ex.full = append(ex.full, fullBatch{target, first, entries})
 		}
 	}
 	ts.flushMu.Unlock()
-	// The scratch outlives the traversal: leave no outbox or batch pinned.
-	clear(ex.boxes)
+	// The scratch outlives the traversal: leave no batch pinned.
 	for i, b := range ex.full {
 		s.sendDispatch(ts, b.parent, b.target, step, b.entries)
 		ex.full[i] = fullBatch{}
@@ -225,16 +209,32 @@ func (s *Server) bufferDispatch(ts *travelState, ex *expansion, parent uint64, s
 	ex.full = ex.full[:0]
 }
 
+// outboxLocked returns the traversal's outbox for target at step, made on
+// first use; the row after the plan's last step holds the rtn() end-of-chain
+// signals. A step's frontier is rarely smaller than the one before it, so a
+// new outbox starts at the size the previous step's for this target reached.
+// Caller holds flushMu.
+func (s *Server) outboxLocked(ts *travelState, step int32, target int) *outboxSet {
+	if ts.outbox[step] == nil {
+		ts.outbox[step] = make([]*outboxSet, s.cfg.Part.N())
+	}
+	box := ts.outbox[step][target]
+	if box == nil {
+		box = &outboxSet{}
+		if prev := ts.outbox[step-1]; prev != nil && prev[target] != nil {
+			box.seen.Reserve(prev[target].seen.Len())
+		}
+		ts.outbox[step][target] = box
+	}
+	return box
+}
+
 // bufferSig adds an end-of-chain signal for an rtn()-marked ancestor,
 // deduplicated per batch. parent attributes the resulting return-signal
 // execution to the execution that reached the chain's end.
 func (s *Server) bufferSig(ts *travelState, parent uint64, target int, e wire.Entry) {
 	ts.flushMu.Lock()
-	box := ts.sigbox[target]
-	if box == nil {
-		box = &outboxSet{}
-		ts.sigbox[target] = box
-	}
+	box := s.outboxLocked(ts, int32(ts.plan.NumSteps()), target)
 	box.add(e, parent)
 	ts.flushMu.Unlock()
 }
@@ -282,29 +282,22 @@ func (s *Server) flushTravel(ts *travelState) {
 	var msgs []outMsg
 
 	ts.flushMu.Lock()
-	for k, box := range ts.outbox {
-		entries, parent := box.take()
-		if len(entries) == 0 {
-			continue
+	for step, row := range ts.outbox {
+		kind := wire.KindDispatch
+		if step == int(numSteps) {
+			kind = wire.KindReturnSig
 		}
-		id := s.newExecID()
-		created = append(created, wire.ExecRef{ID: id, Server: int32(k.target), Step: k.step})
-		msgs = append(msgs, outMsg{k.target, wire.Message{
-			Kind: wire.KindDispatch, TravelID: ts.id,
-			Step: k.step, ExecID: id, ParentExec: parent, Entries: entries,
-		}})
-	}
-	for target, box := range ts.sigbox {
-		entries, parent := box.take()
-		if len(entries) == 0 {
-			continue
+		for target, box := range row {
+			if box == nil || box.pending() == 0 {
+				continue
+			}
+			entries, parent := box.take()
+			id := s.newExecID()
+			created = append(created, wire.ExecRef{ID: id, Server: int32(target), Step: int32(step)})
+			msgs = append(msgs, outMsg{target, wire.Message{
+				Kind: kind, TravelID: ts.id, Step: int32(step), ExecID: id, ParentExec: parent, Entries: entries,
+			}})
 		}
-		id := s.newExecID()
-		created = append(created, wire.ExecRef{ID: id, Server: int32(target), Step: numSteps})
-		msgs = append(msgs, outMsg{target, wire.Message{
-			Kind: wire.KindReturnSig, TravelID: ts.id,
-			Step: numSteps, ExecID: id, ParentExec: parent, Entries: entries,
-		}})
 	}
 	results := ts.results
 	ended := ts.ended

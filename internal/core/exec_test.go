@@ -25,8 +25,8 @@ func TestOutboxSetDedupsWithinBatch(t *testing.T) {
 	if box.add(e, 2) {
 		t.Fatal("second add of identical entry should be suppressed")
 	}
-	if len(box.list) != 1 {
-		t.Fatalf("list = %d entries", len(box.list))
+	if box.pending() != 1 {
+		t.Fatalf("pending = %d entries", box.pending())
 	}
 }
 
@@ -78,10 +78,8 @@ func TestOutboxSetSeenSurvivesTake(t *testing.T) {
 func TestExecAccCountdown(t *testing.T) {
 	c := newCluster(t, 1, nil)
 	ts := &travelState{
-		id:     1,
-		outbox: make(map[outKey]*outboxSet),
-		sigbox: make(map[int]*outboxSet),
-		rtn:    make(map[rtnKey]*rtnRec),
+		id:  1,
+		rtn: make(map[rtnKey]*rtnRec),
 	}
 	acc := &execAcc{id: 99}
 	acc.pending.Store(3)
@@ -111,10 +109,8 @@ func TestExecAccCountdown(t *testing.T) {
 func TestFinishItemsRecordsFailureOncePerExec(t *testing.T) {
 	c := newCluster(t, 1, nil)
 	ts := &travelState{
-		id:     1,
-		outbox: make(map[outKey]*outboxSet),
-		sigbox: make(map[int]*outboxSet),
-		rtn:    make(map[rtnKey]*rtnRec),
+		id:  1,
+		rtn: make(map[rtnKey]*rtnRec),
 	}
 	acc := &execAcc{id: 7}
 	acc.pending.Store(2)

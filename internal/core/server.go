@@ -167,11 +167,13 @@ func (s *Server) worker() {
 		if ts == nil {
 			continue // traversal torn down between pop and lookup
 		}
-		ts.inProcess.Add(int64(len(g.Items)))
+		ts.inProcess.Add(int64(g.Len()))
 		// Popped is stamped by the scheduler's pop, so the metric and the
 		// span-level wait attribution downstream share one clock read.
 		s.met.AddQueueWait(g.Popped - g.Enqueued)
+		ex.items = g.Items(ex.items[:0])
 		end := s.processGroup(ts, g, ex)
+		clear(ex.items) // the scratch outlives the traversal: pin no execution
 		if end == g.Popped {
 			end = sched.Now() // no phase was timed: tracing off, or nothing live
 		}
@@ -228,20 +230,22 @@ func (s *Server) quiescent(ts *travelState) bool {
 	return s.exec.EligibleLen(ts.id) == 0 && ts.inProcess.Load() == 0
 }
 
-// enqueue admits a request batch into the shared executor, enforcing
-// MaxQueueDepth. On ErrBackpressure the whole batch was refused and the
-// caller must surface it on the traversal's error path so the client can
-// retry; admitted batches update the received counter and depth gauge.
-func (s *Server) enqueue(items []sched.Item) error {
-	depth, err := s.exec.Push(items)
+// enqueue admits a request batch — entries, all at step, on behalf of acc —
+// into the shared executor, enforcing MaxQueueDepth. The executor keeps
+// entries as they are, without copying and without writing to them. On
+// ErrBackpressure the whole batch was refused and the caller must surface it
+// on the traversal's error path so the client can retry; admitted batches
+// update the received counter and depth gauge.
+func (s *Server) enqueue(ts *travelState, step int32, acc accumulator, entries []wire.Entry) error {
+	depth, err := s.exec.PushBatch(ts.id, step, acc, entries)
 	if err != nil {
 		s.met.AddRejected(1)
 		// Bursts coalesce into one journal entry with a growing count.
 		s.journal.Record(events.Event{Type: events.Backpressure, Part: -1, Peer: -1,
-			Detail: fmt.Sprintf("executor queue full, batch of %d refused", len(items))})
+			Detail: fmt.Sprintf("executor queue full, batch of %d refused", len(entries))})
 		return err
 	}
-	s.met.AddReceived(len(items))
+	s.met.AddReceived(len(entries))
 	s.met.ObserveQueueDepth(int64(depth))
 	return nil
 }
@@ -363,8 +367,7 @@ type travelState struct {
 
 	// flushMu guards the outboxes, buffered results and ended executions.
 	flushMu sync.Mutex
-	outbox  map[outKey]*outboxSet // dispatch entry sets per (target, step)
-	sigbox  map[int]*outboxSet    // rtn() end-of-chain signals per target
+	outbox  [][]*outboxSet // dispatch entry sets, [step][target]; see outboxLocked
 	results []model.VertexID
 	errs    []string
 	ended   []uint64
@@ -498,8 +501,7 @@ func (s *Server) handleStartTravel(from int, msg wire.Message) {
 		mode:   mode,
 		tun:    tun,
 		coord:  msg.Coord,
-		outbox: make(map[outKey]*outboxSet),
-		sigbox: make(map[int]*outboxSet),
+		outbox: make([][]*outboxSet, plan.NumSteps()+1),
 		rtn:    make(map[rtnKey]*rtnRec),
 	}
 	if isCoordinatorRequest {
@@ -556,22 +558,27 @@ func (s *Server) runSeedExec(ts *travelState, execID uint64) {
 		s.flushTravel(ts)
 		return
 	}
-	// Seed executions are DAG roots: no dispatching execution created them.
-	acc := &execAcc{id: execID, sp: s.beginSpan(ts.id, execID, 0, 0, len(ids))}
-	acc.pending.Store(int32(len(ids)))
-	items := make([]sched.Item, len(ids))
+	entries := make([]wire.Entry, len(ids))
 	for i, id := range ids {
-		items[i] = sched.Item{
-			Travel: ts.id, Step: 0, Vertex: id,
-			Anc: 0, AncStep: -1, Dest: -1, Exec: acc,
-		}
+		entries[i] = wire.Entry{Vertex: id, AncStep: -1, Dest: -1}
 	}
-	if err := s.enqueue(items); err != nil {
-		msg := s.admissionError(err)
-		ts.addErr(msg)
-		ts.addEnded(execID)
+	// Seed executions are DAG roots: no dispatching execution created them.
+	s.startExec(ts, execID, 0, 0, entries)
+}
+
+// startExec enqueues entries as the traversal execution id at step, created
+// by execution parent. A batch the executor refuses (it refuses whole) ends
+// the execution at once with a retryable error, so the ledger fails the
+// traversal promptly.
+func (s *Server) startExec(ts *travelState, id, parent uint64, step int32, entries []wire.Entry) {
+	acc := &execAcc{id: id, sp: s.beginSpan(ts.id, id, parent, step, len(entries))}
+	acc.pending.Store(int32(len(entries)))
+	if err := s.enqueue(ts, step, acc, entries); err != nil {
+		errMsg := s.admissionError(err)
+		ts.addErr(errMsg)
+		ts.addEnded(id)
 		if acc.sp != nil {
-			acc.sp.Fail(msg)
+			acc.sp.Fail(errMsg)
 			s.trc.RecordSpan(acc.sp.Finish())
 		}
 		s.flushTravel(ts)
@@ -614,27 +621,7 @@ func (s *Server) handleDispatch(_ int, msg wire.Message, ts *travelState) {
 			return
 		}
 	}
-	acc := &execAcc{id: msg.ExecID, sp: s.beginSpan(ts.id, msg.ExecID, msg.ParentExec, msg.Step, len(msg.Entries))}
-	acc.pending.Store(int32(len(msg.Entries)))
-	items := make([]sched.Item, len(msg.Entries))
-	for i, e := range msg.Entries {
-		items[i] = sched.Item{
-			Travel: ts.id, Step: msg.Step, Vertex: e.Vertex,
-			Anc: e.Anc, AncStep: e.AncStep, Dest: e.Dest, Exec: acc,
-		}
-	}
-	if err := s.enqueue(items); err != nil {
-		// The batch was refused whole; report the execution terminated with
-		// a retryable error so the ledger fails the traversal promptly.
-		errMsg := s.admissionError(err)
-		ts.addErr(errMsg)
-		ts.addEnded(msg.ExecID)
-		if acc.sp != nil {
-			acc.sp.Fail(errMsg)
-			s.trc.RecordSpan(acc.sp.Finish())
-		}
-		s.flushTravel(ts)
-	}
+	s.startExec(ts, msg.ExecID, msg.ParentExec, msg.Step, msg.Entries)
 }
 
 // handleTravelDone releases a finished traversal's state.

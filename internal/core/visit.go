@@ -34,10 +34,11 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) tim
 	// The scheduler stamped the pop time; reusing it keeps span-level wait
 	// attribution consistent with the server's queue-wait metric.
 	now := g.Popped
-	// The popped group's items are this worker's alone: the survivors are
-	// compacted in place, each redundant one finished where it stands.
-	live := g.Items[:0]
-	for i, it := range g.Items {
+	// The worker's copies of the group's items (ex.items) are its alone: the
+	// survivors are compacted in place, each redundant one finished where it
+	// stands. The entries behind them may be shared and are not touched.
+	live := ex.items[:0]
+	for i, it := range ex.items {
 		spanOf(it).ObserveWait(now - it.Enqueued)
 		if ts.tun.useCache {
 			k := cache.Key{
@@ -47,7 +48,7 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) tim
 			if s.cache.CheckAndInsert(k) {
 				s.met.AddRedundant(1)
 				spanOf(it).AddRedundant(1)
-				s.finishItems(ts, g.Items[i:i+1], nil)
+				s.finishItems(ts, ex.items[i:i+1], nil)
 				continue
 			}
 		}

@@ -1,6 +1,7 @@
 package gstore
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -103,7 +104,10 @@ func (m *MemStore) DeleteVertex(id model.VertexID) error {
 	return nil
 }
 
-// PutEdge implements Graph.
+// PutEdge implements Graph. Edge lists are copy-on-write: a scan iterates the
+// list it read under the lock after releasing it, so what a published list
+// holds never changes — a writer edits a copy and publishes that. (Appending
+// is no exception: it writes past every reader's length, or to a new array.)
 func (m *MemStore) PutEdge(e model.Edge) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -114,13 +118,13 @@ func (m *MemStore) PutEdge(e model.Edge) error {
 	}
 	list := byLabel[e.Label]
 	i := sort.Search(len(list), func(i int) bool { return list[i].Dst >= e.Dst })
-	if i < len(list) && list[i].Dst == e.Dst {
+	if i == len(list) {
+		list = append(list, e)
+	} else if list = slices.Clone(list); list[i].Dst == e.Dst {
 		list[i] = e
-		return nil
+	} else {
+		list = slices.Insert(list, i, e)
 	}
-	list = append(list, model.Edge{})
-	copy(list[i+1:], list[i:])
-	list[i] = e
 	byLabel[e.Label] = list
 	return nil
 }
@@ -136,7 +140,7 @@ func (m *MemStore) DeleteEdge(src model.VertexID, label string, dst model.Vertex
 	list := byLabel[label]
 	i := sort.Search(len(list), func(i int) bool { return list[i].Dst >= dst })
 	if i < len(list) && list[i].Dst == dst {
-		byLabel[label] = append(list[:i], list[i+1:]...)
+		byLabel[label] = slices.Delete(slices.Clone(list), i, i+1)
 	}
 	return nil
 }

@@ -68,10 +68,12 @@ type cacheShard struct {
 	bytes int64
 }
 
-// cacheEntry is one LRU node: either a vertex or one (src,label) packed
-// adjacency run, tagged by isVtx.
+// cacheEntry is one list node: either a vertex or one (src,label) packed
+// adjacency run, tagged by isVtx. A hit only sets ref, leaving the list as it
+// is; eviction gives a referenced entry a second chance.
 type cacheEntry struct {
 	isVtx  bool
+	ref    bool
 	id     model.VertexID // vertex id, or adjacency source id
 	label  string         // adjacency edge label (unused for vertices)
 	vertex model.Vertex
@@ -171,12 +173,19 @@ func (sh *cacheShard) removeLocked(el *list.Element) {
 	}
 }
 
-// evictLocked trims the shard back under budget. Caller holds sh.mu.
+// evictLocked trims the shard back under budget from the list's tail, where
+// an entry hit since it was put there goes to the front once more, its
+// reference spent. Caller holds sh.mu.
 func (sh *cacheShard) evictLocked(budget int64) {
 	for sh.bytes > budget {
 		back := sh.lru.Back()
 		if back == nil {
 			return
+		}
+		if ent := back.Value.(*cacheEntry); ent.ref {
+			ent.ref = false
+			sh.lru.MoveToFront(back)
+			continue
 		}
 		sh.removeLocked(back)
 	}
@@ -258,8 +267,9 @@ func (c *CachedGraph) GetVertex(id model.VertexID) (model.Vertex, bool, error) {
 	sh := c.shard(id)
 	sh.mu.Lock()
 	if el, ok := sh.vtx[id]; ok {
-		sh.lru.MoveToFront(el)
-		v := el.Value.(*cacheEntry).vertex
+		ent := el.Value.(*cacheEntry)
+		ent.ref = true
+		v := ent.vertex
 		sh.mu.Unlock()
 		c.vtxHits.Add(1)
 		return v, true, nil
@@ -293,8 +303,9 @@ func (c *CachedGraph) ScanEdgeIDs(src model.VertexID, label string, fn func(mode
 	sh := c.shard(src)
 	sh.mu.Lock()
 	if el, ok := sh.adj[src][label]; ok {
-		sh.lru.MoveToFront(el)
-		adj := el.Value.(*cacheEntry).adj
+		ent := el.Value.(*cacheEntry)
+		ent.ref = true
+		adj := ent.adj
 		sh.mu.Unlock()
 		c.adjHits.Add(1)
 		for _, dst := range adj {

@@ -1,6 +1,8 @@
 package gstore
 
 import (
+	"container/list"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -293,5 +295,159 @@ func TestCacheOversizeEntryNotCached(t *testing.T) {
 	}
 	if st.Bytes != 0 {
 		t.Errorf("oversize entry charged %d bytes", st.Bytes)
+	}
+}
+
+// lruRef is the replacement policy the cache had before second chance — every
+// hit moves the entry to the front of its shard's list, eviction takes the
+// tail — as a model over entry names and sizes, kept as the oracle for what
+// the reference bit may and may not change.
+type lruRef struct {
+	budget int64
+	shards [cacheShards]struct {
+		order *list.List // front = most recent; values are refEntry
+		at    map[refEntry]*list.Element
+		bytes int64
+	}
+}
+
+type refEntry struct {
+	id    model.VertexID
+	label string // "" for the vertex itself
+	size  int64
+}
+
+// read reports whether the entry was resident, and makes it the most recent.
+func (l *lruRef) read(shard int, e refEntry) bool {
+	sh := &l.shards[shard]
+	if sh.at == nil {
+		sh.order, sh.at = list.New(), map[refEntry]*list.Element{}
+	}
+	if el, ok := sh.at[e]; ok {
+		sh.order.MoveToFront(el)
+		return true
+	}
+	if e.size > l.budget {
+		return false
+	}
+	sh.at[e] = sh.order.PushFront(e)
+	for sh.bytes += e.size; sh.bytes > l.budget; {
+		victim := sh.order.Remove(sh.order.Back()).(refEntry)
+		delete(sh.at, victim)
+		sh.bytes -= victim.size
+	}
+	return false
+}
+
+// TestSecondChanceAgainstLRU reads a seeded, skewed sequence of vertices and
+// adjacency runs through the cache and through the LRU model. With room for
+// everything the two give the same hit or miss on every read; with a working
+// set four times the budget the hit fractions stay within 0.02 of each other,
+// and no shard is ever over its budget after a read returns.
+func TestSecondChanceAgainstLRU(t *testing.T) {
+	const nIDs = 2000
+	mem := NewMemStore()
+	var total int64
+	for i := 0; i < nIDs; i++ {
+		v := model.Vertex{ID: model.VertexID(i), Label: "File", Props: property.Map{"n": property.Int(int64(i))}}
+		mem.PutVertex(v)
+		total += vertexSize(v)
+		adj := make([]model.VertexID, 0, 1+i%13)
+		for j := 0; j < cap(adj); j++ {
+			mem.PutEdge(model.Edge{Src: v.ID, Label: "read", Dst: model.VertexID(j)})
+			adj = append(adj, model.VertexID(j))
+		}
+		total += adjSize("read", adj)
+	}
+	for _, tc := range []struct {
+		name   string
+		budget int64
+		within float64
+	}{{"ample", 4 * total, 0}, {"quarter", total / 4, 0.02}} {
+		c := NewCachedGraph(mem, tc.budget)
+		ref := &lruRef{budget: c.budget}
+		r := rand.New(rand.NewSource(21))
+		zipf := rand.NewZipf(r, 1.1, 8, nIDs-1)
+		hits, refHits, evicting := 0, 0, false
+		const reads = 60_000
+		for i := 0; i < reads; i++ {
+			id := model.VertexID(zipf.Uint64())
+			before := c.CacheStats()
+			var e refEntry
+			if r.Intn(2) == 0 {
+				v, _, _ := c.GetVertex(id)
+				e = refEntry{id: id, size: vertexSize(v)}
+			} else {
+				e = refEntry{id: id, label: "read", size: adjSize("read", collectEdgeIDs(t, c, id, "read"))}
+			}
+			after := c.CacheStats()
+			hit := after.VtxHits+after.AdjHits > before.VtxHits+before.AdjHits
+			shard := int(uint64(id) * 0x9e3779b97f4a7c15 >> (64 - 4))
+			if c.shard(id) != &c.shards[shard] {
+				t.Fatal("the model shards differently from the cache")
+			}
+			refHit := ref.read(shard, e)
+			if sh := &c.shards[shard]; sh.bytes > c.budget {
+				t.Fatalf("%s read %d: shard holds %d bytes, budget %d", tc.name, i, sh.bytes, c.budget)
+			} else if sh.bytes != ref.shards[shard].bytes {
+				evicting = true // different residents from here on
+			}
+			if !evicting && hit != refHit {
+				t.Fatalf("%s read %d of %+v: hit = %v, LRU says %v, and nothing was evicted yet", tc.name, i, e, hit, refHit)
+			}
+			if hit {
+				hits++
+			}
+			if refHit {
+				refHits++
+			}
+		}
+		got, want := float64(hits)/reads, float64(refHits)/reads
+		t.Logf("%s: hit fraction %.4f, LRU %.4f", tc.name, got, want)
+		if math.Abs(got-want) > tc.within {
+			t.Errorf("%s: hit fraction %.4f, LRU %.4f: more than %.2f apart", tc.name, got, want, tc.within)
+		}
+		if tc.within == 0 && evicting {
+			t.Errorf("%s: the budget was meant to hold everything", tc.name)
+		}
+	}
+}
+
+// BenchmarkCachedHit reads resident entries from four goroutines: the warm
+// traversal's two store calls, where the replacement policy's bookkeeping is
+// all there is besides the map lookup.
+func BenchmarkCachedHit(b *testing.B) {
+	const nIDs = 4096
+	mem := NewMemStore()
+	for i := 0; i < nIDs; i++ {
+		mem.PutVertex(model.Vertex{ID: model.VertexID(i), Label: "File"})
+		for j := 0; j < 8; j++ {
+			mem.PutEdge(model.Edge{Src: model.VertexID(i), Label: "read", Dst: model.VertexID(j)})
+		}
+	}
+	c := NewCachedGraph(mem, 1<<30)
+	sink := func(model.VertexID) bool { return true }
+	for i := 0; i < nIDs; i++ {
+		c.GetVertex(model.VertexID(i))
+		c.ScanEdgeIDs(model.VertexID(i), "read", sink)
+	}
+	for _, bc := range []struct {
+		name string
+		read func(id model.VertexID)
+	}{
+		{"vertex", func(id model.VertexID) { c.GetVertex(id) }},
+		{"adj", func(id model.VertexID) { c.ScanEdgeIDs(id, "read", sink) }},
+	} {
+		read := bc.read
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetParallelism(2) // 4 goroutines at GOMAXPROCS 2
+			b.RunParallel(func(pb *testing.PB) {
+				id := model.VertexID(rand.Intn(nIDs))
+				for pb.Next() {
+					read(id)
+					id = (id*31 + 7) % nIDs
+				}
+			})
+		})
 	}
 }

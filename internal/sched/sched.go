@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/model"
 )
 
@@ -48,17 +49,19 @@ var base = time.Now()
 func Now() time.Duration { return time.Since(base) }
 
 // Accumulator tracks the unprocessed items of one traversal execution. The
-// scheduler never inspects it beyond carrying it with each item; the engine
-// implements it with per-mode completion behaviour.
+// scheduler never inspects it beyond carrying it with each item (and telling
+// one from another: implementations must be comparable, as a pointer is);
+// the engine implements it with per-mode completion behaviour.
 type Accumulator interface {
 	// ItemDone marks one of the accumulator's items processed and reports
 	// whether it was the last one.
 	ItemDone() bool
 }
 
-// Item is one buffered traversal request: visit Vertex on behalf of Step,
-// carrying the rtn() provenance tag (Anc, AncStep, Dest) and the
-// accumulator of the execution that owns it.
+// Item is one traversal request: visit Vertex on behalf of Step, carrying
+// the rtn() provenance tag (Anc, AncStep, Dest) and the accumulator of the
+// execution that owns it. The queue stores none: a buffered request is its
+// key in the pushed slice plus what its batch shares (Group.Items joins them).
 type Item struct {
 	Travel  uint64
 	Step    int32
@@ -67,7 +70,7 @@ type Item struct {
 	AncStep int32
 	Dest    int32
 	Exec    Accumulator
-	// Enqueued is stamped by Push on admission (a reading of Now). It
+	// Enqueued is when the request's batch was admitted (a reading of Now). It
 	// attributes queue wait to the individual request: merging can fold late
 	// arrivals into a group whose head enqueued much earlier, so the
 	// group-level timestamp alone would overstate their wait.
@@ -76,11 +79,10 @@ type Item struct {
 
 // Group is the unit a worker processes: one vertex of one traversal, with
 // every request currently merged onto it. Without merging a group holds
-// exactly one item.
+// exactly one request.
 type Group struct {
 	Travel uint64
 	Vertex model.VertexID
-	Items  []Item
 	// Enqueued is when the group's first item arrived; the executor derives
 	// its enqueue→pop wait metric from it.
 	Enqueued time.Duration
@@ -88,6 +90,26 @@ type Group struct {
 	// per-phase span attribution downstream share one clock read instead of
 	// each call site sampling its own.
 	Popped time.Duration
+	head   *node
+	n      int
+}
+
+// Len reports the number of requests in the group.
+func (g Group) Len() int { return g.n }
+
+// Items appends the group's requests to buf in arrival order and returns it.
+// The copies are the caller's; the pushed keys behind them stay untouched.
+func (g Group) Items(buf []Item) []Item {
+	first := len(buf)
+	for nd := g.head; nd != nil; nd = nd.next {
+		k := &nd.batch.keys[nd.idx]
+		buf = append(buf, Item{
+			Travel: g.Travel, Step: nd.step, Vertex: k.Vertex, Anc: k.Anc, AncStep: k.AncStep, Dest: k.Dest,
+			Exec: nd.batch.exec, Enqueued: nd.batch.enqueued,
+		})
+	}
+	slices.Reverse(buf[first+1:]) // merges are linked newest first
+	return buf
 }
 
 // Options selects a traversal's level-2 policies.
@@ -101,12 +123,28 @@ type Options struct {
 	Gated bool
 }
 
-type group struct {
-	Group
-	minStep int32
-	seq     uint64
-	taken   bool
+// batch is what one execution's requests pushed together share. keys is the
+// pushed slice itself, read-only here.
+type batch struct {
+	exec     Accumulator
+	enqueued time.Duration
+	keys     []frontier.Key
 }
+
+// node is one buffered request, keys[idx] of its batch at step; a batch's
+// nodes are one slab. A request that found no group to join is its group's
+// first node and carries the group's state; merged ones chain off it by next.
+type node struct {
+	batch   *batch
+	next    *node
+	idx     int32
+	step    int32
+	minStep int32
+	n       int32 // requests in the group; 0 once a worker took it
+	seq     uint64
+}
+
+func (g *node) vertex() model.VertexID { return g.batch.keys[g.idx].Vertex }
 
 // stepBucket holds the groups whose smallest step is step, in arrival
 // order. A merge that lowers a group's step appends it to the lower bucket
@@ -116,7 +154,7 @@ type group struct {
 // is a sum over buckets rather than a walk over groups.
 type stepBucket struct {
 	step   int32
-	groups []*group
+	groups []*node
 	items  int
 }
 
@@ -129,9 +167,9 @@ type travelQueue struct {
 	arrival uint64 // registration order — the fair-share tie-break
 	served  int    // items handed to workers so far — the fair-share key
 	seq     uint64
-	byKey   map[model.VertexID]*group // only when merging
-	buckets []stepBucket              // sorted by step; a plan has few steps
-	size    int                       // buffered items
+	index   frontier.Index[node] // vertex → buffered group; only when merging
+	buckets []stepBucket         // sorted by step; a plan has few steps
+	size    int                  // buffered items
 }
 
 // Multi is the server-wide two-level queue. All methods are safe for
@@ -169,12 +207,7 @@ func (m *Multi) Register(travel uint64, opts Options) {
 	if m.closed || m.travels[travel] != nil {
 		return
 	}
-	t := &travelQueue{
-		travel:  travel,
-		opts:    opts,
-		arrival: m.arrival,
-		byKey:   make(map[model.VertexID]*group),
-	}
+	t := &travelQueue{travel: travel, opts: opts, arrival: m.arrival}
 	m.arrival++
 	if !opts.Gated {
 		t.gate = math.MaxInt32
@@ -201,74 +234,61 @@ func (m *Multi) Drop(travel uint64) int {
 	return t.size
 }
 
-// Push buffers items for their traversal, enforcing the depth limit as
-// all-or-nothing admission per batch. It returns the resulting total queue
-// depth. Pushing to a closed queue or an unregistered (dropped) traversal
-// silently discards the items, mirroring message delivery to a finished
-// traversal.
+// PushBatch buffers keys as requests of travel at step on behalf of exec,
+// enforcing the depth limit as all-or-nothing admission per batch, and
+// returns the resulting total queue depth. It takes ownership of keys: the
+// slice is the queue's record of the requests until they are popped — no
+// copy is made, and nothing writes to it, so it may be memory other readers
+// share (a decoded frame). Pushing to a closed queue or an unregistered
+// (dropped) traversal silently discards the batch, mirroring message
+// delivery to a finished traversal.
+func (m *Multi) PushBatch(travel uint64, step int32, exec Accumulator, keys []frontier.Key) (int, error) {
+	return m.push(travel, step, exec, keys, nil)
+}
+
+// Push is PushBatch for requests spelled out one by one, which may differ in
+// step and execution (Travel is the first item's). The items are only read.
 func (m *Multi) Push(items []Item) (int, error) {
 	if len(items) == 0 {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.size, nil
+		return m.Len(), nil
 	}
-	now := Now()
+	keys := make([]frontier.Key, len(items))
+	for i := range items {
+		keys[i] = frontier.Key{Vertex: items[i].Vertex, Anc: items[i].Anc, AncStep: items[i].AncStep, Dest: items[i].Dest}
+	}
+	return m.push(items[0].Travel, items[0].Step, items[0].Exec, keys, items)
+}
+
+// push is both: items, when given, name each key's own step and execution.
+func (m *Multi) push(travel uint64, step int32, exec Accumulator, keys []frontier.Key, items []Item) (int, error) {
+	// One slab holds the batch's nodes; one clock read stamps them all.
+	b := &batch{exec: exec, enqueued: Now(), keys: keys}
+	nodes := make([]node, len(keys))
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
+	t, ok := m.travels[travel]
+	if m.closed || !ok {
 		return m.size, nil
 	}
-	t, ok := m.travels[items[0].Travel]
-	if !ok {
-		return m.size, nil
-	}
-	if m.maxDepth > 0 && m.size+len(items) > m.maxDepth {
+	if m.maxDepth > 0 && m.size+len(keys) > m.maxDepth {
 		return m.size, ErrBackpressure
 	}
-	// The batch's groups and their first items come out of two slabs, not two
-	// heap objects per group, sized to the groups the batch creates: every
-	// item without merging, else those that find no buffered group to join (a
-	// vertex repeated within the batch counts twice and leaves a slot spare).
-	fresh := len(items)
+	// Every table the batch can grow is sized for it once, up front.
 	if t.opts.Merge {
-		fresh = 0
-		for i := range items {
-			if g, ok := t.byKey[items[i].Vertex]; !ok || g.taken {
-				fresh++
+		t.index.Reserve(len(keys))
+	}
+	bk := t.bucketFor(step)
+	bk.groups = slices.Grow(bk.groups, len(keys))
+	for i := range keys {
+		if items != nil {
+			if step = items[i].Step; items[i].Exec != b.exec {
+				b = &batch{exec: items[i].Exec, enqueued: b.enqueued, keys: keys}
 			}
 		}
+		t.add(&nodes[i], b, int32(i), step)
 	}
-	groups, slots := make([]group, fresh), make([]Item, fresh)
-	next := 0
-	for i := range items {
-		it := items[i]
-		it.Enqueued = now
-		if t.opts.Merge {
-			if g, ok := t.byKey[it.Vertex]; ok && !g.taken {
-				t.merge(g, it)
-				continue
-			}
-		}
-		// The Items capacity stops at the group's own slot, so a later merge
-		// append reallocates instead of writing into the next group's item.
-		g := &groups[next]
-		slots[next] = it
-		*g = group{
-			Group:   Group{Travel: it.Travel, Vertex: it.Vertex, Items: slots[next : next+1 : next+1], Enqueued: now},
-			minStep: it.Step,
-			seq:     t.seq,
-		}
-		next++
-		t.seq++
-		if t.opts.Merge {
-			t.byKey[it.Vertex] = g
-		}
-		b := t.bucketFor(it.Step)
-		b.groups = append(b.groups, g)
-		b.items++
-	}
-	m.size += len(items)
-	t.size += len(items)
+	m.size += len(keys)
+	t.size += len(keys)
 	if m.size > m.highWater {
 		m.highWater = m.size
 	}
@@ -276,19 +296,38 @@ func (m *Multi) Push(items []Item) (int, error) {
 	return m.size, nil
 }
 
-// merge appends it to a buffered group, moving the group (and its item
-// count) down to the item's step's bucket when that is lower; the stale slot
-// in the old bucket is skipped lazily.
-func (t *travelQueue) merge(g *group, it Item) {
-	b := t.bucketFor(g.minStep)
-	if it.Step < g.minStep {
-		b.items -= len(g.Items)
-		g.minStep = it.Step
-		b = t.bucketFor(it.Step)
-		b.groups = append(b.groups, g)
-		b.items += len(g.Items)
+// add buffers keys[idx] of b at step as nd: merged onto the vertex's buffered
+// group, or else as a group of its own. The index probe that looks for the
+// group is the one that registers the new one.
+func (t *travelQueue) add(nd *node, b *batch, idx, step int32) {
+	*nd = node{batch: b, idx: idx, step: step}
+	if t.opts.Merge {
+		if g := t.index.Insert(nd.vertex(), nd); g != nil {
+			t.merge(g, nd)
+			return
+		}
 	}
-	g.Items = append(g.Items, it)
+	nd.minStep, nd.n, nd.seq = step, 1, t.seq
+	t.seq++
+	bk := t.bucketFor(step)
+	bk.groups = append(bk.groups, nd)
+	bk.items++
+}
+
+// merge links nd into a buffered group's chain, moving the group (and its
+// item count) down to nd's step's bucket when that is lower; the stale slot
+// in the old bucket is skipped lazily.
+func (t *travelQueue) merge(g, nd *node) {
+	b := t.bucketFor(g.minStep)
+	if nd.step < g.minStep {
+		b.items -= int(g.n)
+		g.minStep = nd.step
+		b = t.bucketFor(nd.step)
+		b.groups = append(b.groups, g)
+		b.items += int(g.n)
+	}
+	nd.next, g.next = g.next, nd
+	g.n++
 	b.items++
 }
 
@@ -313,26 +352,24 @@ func (t *travelQueue) bucketFor(step int32) *stepBucket {
 // of eligible work.
 func (m *Multi) Pop() (Group, bool) {
 	m.mu.Lock()
-	g := m.popLocked()
-	for g == nil && !m.closed {
+	g, ok := m.popLocked()
+	for !ok && !m.closed {
 		m.cond.Wait()
-		g = m.popLocked()
+		g, ok = m.popLocked()
 	}
 	m.mu.Unlock()
-	if g == nil {
-		return Group{}, false
+	if ok {
+		g.Popped = Now()
 	}
-	// A taken group is the popper's alone, so the stamp needs no lock.
-	g.Popped = Now()
-	return g.Group, true
+	return g, ok
 }
 
 // popLocked runs the two-level selection: level 1 picks the least-served
 // traversal with eligible work (ties to the oldest), level 2 picks that
 // traversal's group under its own policy.
-func (m *Multi) popLocked() *group {
+func (m *Multi) popLocked() (Group, bool) {
 	var best *travelQueue
-	var bestG *group
+	var bestG *node
 	for _, t := range m.order {
 		g := t.peek()
 		if g == nil {
@@ -344,19 +381,20 @@ func (m *Multi) popLocked() *group {
 		}
 	}
 	if best == nil {
-		return nil
+		return Group{}, false
 	}
+	n := int(bestG.n)
 	best.take(bestG)
-	best.served += len(bestG.Items)
-	m.size -= len(bestG.Items)
-	return bestG
+	best.served += n
+	m.size -= n
+	return Group{Travel: best.travel, Vertex: bestG.vertex(), Enqueued: bestG.batch.enqueued, head: bestG, n: n}, true
 }
 
 // peek selects the traversal's next group under its policy without removing
 // it, trimming stale bucket slots left by merges that moved a group. The
 // returned group is the head of its minStep bucket.
-func (t *travelQueue) peek() *group {
-	var best *group
+func (t *travelQueue) peek() *node {
+	var best *node
 	for bi := range t.buckets {
 		b := &t.buckets[bi]
 		if b.step > t.gate {
@@ -364,7 +402,7 @@ func (t *travelQueue) peek() *group {
 		}
 		// Trim stale heads (taken, or relocated to another bucket).
 		i := 0
-		for i < len(b.groups) && (b.groups[i].taken || b.groups[i].minStep != b.step) {
+		for i < len(b.groups) && (b.groups[i].n == 0 || b.groups[i].minStep != b.step) {
 			i++
 		}
 		b.groups = b.groups[i:]
@@ -382,16 +420,16 @@ func (t *travelQueue) peek() *group {
 	return best
 }
 
-// take removes a group returned by peek from its bucket.
-func (t *travelQueue) take(g *group) {
+// take removes a group returned by peek from its bucket and the index.
+func (t *travelQueue) take(g *node) {
 	b := t.bucketFor(g.minStep)
 	b.groups = b.groups[1:]
-	b.items -= len(g.Items)
-	g.taken = true
+	b.items -= int(g.n)
+	t.size -= int(g.n)
+	g.n = 0
 	if t.opts.Merge {
-		delete(t.byKey, g.Vertex)
+		t.index.Delete(g.vertex())
 	}
-	t.size -= len(g.Items)
 }
 
 // Release raises a traversal's gate so items up to and including step

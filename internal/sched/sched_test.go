@@ -2,12 +2,15 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/model"
 )
 
@@ -52,7 +55,7 @@ func TestFIFOOrder(t *testing.T) {
 	got := popAll(q)
 	want := []model.VertexID{10, 11, 12}
 	for i, g := range got {
-		if g.Vertex != want[i] || len(g.Items) != 1 {
+		if g.Vertex != want[i] || g.Len() != 1 {
 			t.Errorf("pop %d = %+v, want vertex %d", i, g, want[i])
 		}
 	}
@@ -65,9 +68,9 @@ func TestPriorityOrdersBySmallestStep(t *testing.T) {
 	wantSteps := []int32{1, 1, 3, 5}
 	wantVerts := []model.VertexID{11, 13, 12, 10} // FIFO within a step
 	for i, g := range got {
-		if g.Items[0].Step != wantSteps[i] || g.Vertex != wantVerts[i] {
+		if g.Items(nil)[0].Step != wantSteps[i] || g.Vertex != wantVerts[i] {
 			t.Errorf("pop %d = step %d vertex %d, want step %d vertex %d",
-				i, g.Items[0].Step, g.Vertex, wantSteps[i], wantVerts[i])
+				i, g.Items(nil)[0].Step, g.Vertex, wantSteps[i], wantVerts[i])
 		}
 	}
 }
@@ -79,10 +82,10 @@ func TestMergeCoalescesSameVertex(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("groups = %d, want 2", len(got))
 	}
-	if got[0].Vertex != 10 || len(got[0].Items) != 2 {
+	if got[0].Vertex != 10 || got[0].Len() != 2 {
 		t.Errorf("group 0 = %+v, want merged vertex 10 with 2 items", got[0])
 	}
-	if got[1].Vertex != 11 || len(got[1].Items) != 1 {
+	if got[1].Vertex != 11 || got[1].Len() != 1 {
 		t.Errorf("group 1 = %+v", got[1])
 	}
 }
@@ -105,7 +108,7 @@ func TestMergeMovesGroupToLowerStep(t *testing.T) {
 	push(t, q, item(1, 2, 11))
 	push(t, q, item(1, 1, 10)) // merges; group 10 now has min step 1
 	got := popAll(q)
-	if got[0].Vertex != 10 || len(got[0].Items) != 2 {
+	if got[0].Vertex != 10 || got[0].Len() != 2 {
 		t.Fatalf("pop 0 = %+v, want vertex 10 popped first after move-down", got[0])
 	}
 	if got[1].Vertex != 11 {
@@ -117,13 +120,13 @@ func TestNoMergeAfterPop(t *testing.T) {
 	q := newQueue(1, Options{Merge: true})
 	push(t, q, item(1, 1, 10))
 	g, ok := q.Pop()
-	if !ok || len(g.Items) != 1 {
+	if !ok || g.Len() != 1 {
 		t.Fatal("first pop failed")
 	}
 	// The group was taken; a new arrival must form a fresh group.
 	push(t, q, item(1, 2, 10))
 	got := popAll(q)
-	if len(got) != 1 || len(got[0].Items) != 1 || got[0].Items[0].Step != 2 {
+	if len(got) != 1 || got[0].Len() != 1 || got[0].Items(nil)[0].Step != 2 {
 		t.Errorf("post-pop arrival = %+v", got)
 	}
 }
@@ -342,7 +345,7 @@ func TestFairShareWeighsMergedItems(t *testing.T) {
 	push(t, q, item(1, 0, 10), item(1, 1, 10), item(1, 2, 10), item(1, 0, 11))
 	push(t, q, item(2, 0, 20), item(2, 0, 21), item(2, 0, 22))
 	first, _ := q.Pop() // tie at 0 served: oldest (1) wins, serves 3 items
-	if first.Travel != 1 || len(first.Items) != 3 {
+	if first.Travel != 1 || first.Len() != 3 {
 		t.Fatalf("first pop = %+v, want travel 1's merged group", first)
 	}
 	// Travel 1 now has 3 served vs travel 2's 0: the next three pops must
@@ -385,7 +388,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 					return
 				}
 				mu.Lock()
-				total += len(g.Items)
+				total += g.Len()
 				mu.Unlock()
 			}
 		}()
@@ -408,8 +411,8 @@ func TestExecPointerPreserved(t *testing.T) {
 	push(t, q, Item{Travel: 1, Step: 0, Vertex: 9, Exec: a1})
 	push(t, q, Item{Travel: 1, Step: 1, Vertex: 9, Exec: a2})
 	g, _ := q.Pop()
-	if len(g.Items) != 2 || g.Items[0].Exec.(*testAcc) != a1 || g.Items[1].Exec.(*testAcc) != a2 {
-		t.Errorf("exec accumulators lost: %+v", g.Items)
+	if g.Len() != 2 || g.Items(nil)[0].Exec.(*testAcc) != a1 || g.Items(nil)[1].Exec.(*testAcc) != a2 {
+		t.Errorf("exec accumulators lost: %+v", g.Items(nil))
 	}
 	q.Close()
 }
@@ -432,7 +435,7 @@ func TestPriorityInvariantQuick(t *testing.T) {
 			if !ok {
 				t.Fatal("queue drained early")
 			}
-			got := g.Items[0].Step
+			got := g.Items(nil)[0].Step
 			for s := int32(0); s < got; s++ {
 				if pending[s] > 0 {
 					t.Fatalf("popped step %d while %d items at step %d were eligible", got, pending[s], s)
@@ -465,7 +468,7 @@ func TestEnqueuedTimestampSet(t *testing.T) {
 	if !ok {
 		t.Fatal("pop failed")
 	}
-	if g.Enqueued < before || g.Items[0].Enqueued != g.Enqueued || g.Popped < g.Enqueued || g.Popped > Now() {
+	if g.Enqueued < before || g.Items(nil)[0].Enqueued != g.Enqueued || g.Popped < g.Enqueued || g.Popped > Now() {
 		t.Errorf("Enqueued = %v, Popped = %v: want push start %v <= Enqueued <= Popped <= now", g.Enqueued, g.Popped, before)
 	}
 	q.Close()
@@ -566,26 +569,124 @@ func eligibleWalk(m *Multi, travel uint64) int {
 			break
 		}
 		for _, g := range b.groups {
-			if !g.taken && g.minStep == b.step {
-				n += len(g.Items)
+			if g.minStep == b.step { // a taken group counts n == 0
+				n += int(g.n)
 			}
 		}
 	}
 	return n
 }
 
+// mapIndex is the merge index as it was before frontier.Index: a Go map from
+// vertex to buffered group. refTravel is one traversal's sub-queue built on
+// it the way travelQueue was — groups that own a []Item, merges that append —
+// kept as the oracle for what Pop returns, and in what order.
+type mapIndex map[model.VertexID]*refGroup
+
+type refGroup struct {
+	items   []Item
+	minStep int32
+	seq     uint64
+	taken   bool
+}
+
+type refBucket struct {
+	step   int32
+	groups []*refGroup
+}
+
+type refTravel struct {
+	opts    Options
+	gate    int32
+	seq     uint64
+	byKey   mapIndex
+	buckets []refBucket
+}
+
+func newRefTravel(opts Options) *refTravel {
+	t := &refTravel{opts: opts, byKey: mapIndex{}, gate: math.MaxInt32}
+	if opts.Gated {
+		t.gate = 0
+	}
+	return t
+}
+
+func (t *refTravel) bucketFor(step int32) *refBucket {
+	i := 0
+	for i < len(t.buckets) && t.buckets[i].step < step {
+		i++
+	}
+	if i == len(t.buckets) || t.buckets[i].step != step {
+		t.buckets = slices.Insert(t.buckets, i, refBucket{step: step})
+	}
+	return &t.buckets[i]
+}
+
+func (t *refTravel) push(items []Item) {
+	for _, it := range items {
+		if g, ok := t.byKey[it.Vertex]; ok && t.opts.Merge {
+			if it.Step < g.minStep {
+				g.minStep = it.Step
+				b := t.bucketFor(it.Step)
+				b.groups = append(b.groups, g)
+			}
+			g.items = append(g.items, it)
+			continue
+		}
+		g := &refGroup{items: []Item{it}, minStep: it.Step, seq: t.seq}
+		t.seq++
+		if t.opts.Merge {
+			t.byKey[it.Vertex] = g
+		}
+		b := t.bucketFor(it.Step)
+		b.groups = append(b.groups, g)
+	}
+}
+
+func (t *refTravel) pop() *refGroup {
+	var best *refGroup
+	for bi := range t.buckets {
+		b := &t.buckets[bi]
+		if b.step > t.gate {
+			break
+		}
+		for len(b.groups) > 0 && (b.groups[0].taken || b.groups[0].minStep != b.step) {
+			b.groups = b.groups[1:]
+		}
+		if len(b.groups) == 0 {
+			continue
+		}
+		if head := b.groups[0]; best == nil || head.seq < best.seq {
+			best = head
+		}
+		if t.opts.Priority {
+			break
+		}
+	}
+	if best != nil {
+		best.taken = true
+		delete(t.byKey, best.items[0].Vertex)
+	}
+	return best
+}
+
 // TestEligibleLenMatchesWalk drives a seeded random schedule of Push (batches
 // that repeat vertices at lower and higher steps, so merges both append and
-// relocate), Pop, Release and Drop under every policy combination, and checks
-// the counters against the walk after every operation.
+// relocate, on behalf of several executions), Pop, Release and Drop followed
+// by re-registration under every policy combination. After every operation
+// the counters must agree with the walk, and every Pop must return the group
+// — vertex and items, in order — that the map-indexed reference returns.
 func TestEligibleLenMatchesWalk(t *testing.T) {
 	const travels, steps, verts = 3, 6, 24
+	accs := []*testAcc{{1}, {2}, {3}}
 	for mask := 0; mask < 8; mask++ {
 		opts := Options{Merge: mask&1 != 0, Priority: mask&2 != 0, Gated: mask&4 != 0}
 		r := rand.New(rand.NewSource(int64(100 + mask)))
 		q := NewMulti(0)
+		ref := make([]*refTravel, travels)
 		for tr := uint64(0); tr < travels; tr++ {
 			q.Register(tr, opts)
+			ref[tr] = newRefTravel(opts)
 		}
 		check := func(op string, i int) {
 			t.Helper()
@@ -602,41 +703,72 @@ func TestEligibleLenMatchesWalk(t *testing.T) {
 			}
 			return n
 		}
+		pop := func(op string, i int) {
+			t.Helper()
+			g, ok := q.Pop()
+			if !ok {
+				t.Fatalf("%+v op %d (%s): pop failed with eligible work", opts, i, op)
+			}
+			want := ref[g.Travel].pop()
+			got := g.Items(nil)
+			for j := range got {
+				got[j].Enqueued = 0
+			}
+			if want == nil || g.Vertex != want.items[0].Vertex || g.Len() != len(got) || !slices.Equal(got, want.items) {
+				t.Fatalf("%+v op %d (%s): popped vertex %d items %+v, the reference pops %+v", opts, i, op, g.Vertex, got, want)
+			}
+			check(op, i)
+		}
+		tag := model.VertexID(0)
+		pops := 0
 		for i := 0; i < 3000; i++ {
 			switch p := r.Intn(100); {
 			case p < 45:
 				tr := uint64(r.Intn(travels))
 				batch := make([]Item, 1+r.Intn(12))
+				acc := accs[r.Intn(len(accs))]
 				for j := range batch {
-					batch[j] = item(tr, int32(r.Intn(steps)), r.Intn(verts))
+					if r.Intn(4) == 0 {
+						acc = accs[r.Intn(len(accs))]
+					}
+					tag++ // every item distinct, so order inside a group shows
+					batch[j] = Item{Travel: tr, Step: int32(r.Intn(steps)), Vertex: model.VertexID(r.Intn(verts)),
+						Anc: tag, AncStep: int32(j), Dest: -1, Exec: acc}
 				}
 				push(t, q, batch...)
+				ref[tr].push(batch)
 				check("push", i)
 			case p < 90:
 				if eligible() == 0 {
 					continue // Pop would block
 				}
-				if _, ok := q.Pop(); !ok {
-					t.Fatalf("%+v op %d: pop failed with eligible work", opts, i)
-				}
-				check("pop", i)
+				pop("pop", i)
+				pops++
 			case p < 98:
-				q.Release(uint64(r.Intn(travels)), int32(r.Intn(steps)))
+				tr, step := r.Intn(travels), int32(r.Intn(steps))
+				q.Release(uint64(tr), step)
+				if opts.Gated && step > ref[tr].gate {
+					ref[tr].gate = step
+				}
 				check("release", i)
 			default:
 				tr := uint64(r.Intn(travels))
 				q.Drop(tr)
 				check("drop", i)
 				q.Register(tr, opts)
+				ref[tr] = newRefTravel(opts)
 			}
+		}
+		if pops < 500 {
+			t.Fatalf("%+v: only %d pops compared", opts, pops)
 		}
 		// Drained, every counter is back at zero.
 		for tr := uint64(0); tr < travels; tr++ {
 			q.Release(tr, steps)
+			ref[tr].gate = steps
 		}
 		for eligible() > 0 {
-			q.Pop()
-			check("drain", -1)
+			pop("drain", -1)
 		}
 		if q.Len() != 0 {
 			t.Fatalf("%+v: %d items left after draining every eligible one", opts, q.Len())
@@ -645,80 +777,164 @@ func TestEligibleLenMatchesWalk(t *testing.T) {
 	}
 }
 
-// TestMergeAppendDoesNotAliasSlabNeighbour: the groups of one batch take their
-// first items from adjacent slab slots, so a merge onto the first must grow
-// into fresh memory, not into the second group's slot.
-func TestMergeAppendDoesNotAliasSlabNeighbour(t *testing.T) {
+func vkeys(vs ...int) []frontier.Key {
+	keys := make([]frontier.Key, len(vs))
+	for i, v := range vs {
+		keys[i] = frontier.Key{Vertex: model.VertexID(v), Anc: model.VertexID(100 + i), AncStep: -1, Dest: -1}
+	}
+	return keys
+}
+
+// TestPushOwnsItsSlab: PushBatch keeps the slice it is handed as its record of
+// the requests — a popped item is read out of the pushed array, not out of a
+// copy — and writes nothing into it, neither on admission nor when a later
+// merge chains onto one of the batch's groups: the neighbours' slots, which
+// another reader of a shared frame may be looking at, stay as they were.
+func TestPushOwnsItsSlab(t *testing.T) {
 	q := newQueue(1, Options{Merge: true})
-	push(t, q, item(1, 0, 10), item(1, 0, 11), item(1, 0, 12))
-	push(t, q, item(1, 3, 10))
+	acc := &testAcc{4}
+	keys := vkeys(10, 11, 12)
+	if _, err := q.PushBatch(1, 0, acc, keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.PushBatch(1, 3, acc, vkeys(10)); err != nil {
+		t.Fatal(err)
+	}
+	if want := vkeys(10, 11, 12); !slices.Equal(keys, want) {
+		t.Fatalf("pushed keys are now %+v, pushed as %+v", keys, want)
+	}
+	keys[1].Anc = 777 // the test still owns the memory: visible only if the queue aliases it
 	got := popAll(q)
 	if len(got) != 3 {
 		t.Fatalf("groups = %d, want 3", len(got))
 	}
-	if len(got[0].Items) != 2 || got[0].Items[0].Step != 0 || got[0].Items[1].Step != 3 {
-		t.Errorf("group 0 = %+v, want vertex 10 at steps 0 and 3", got[0].Items)
+	if it := got[0].Items(nil); got[0].Len() != 2 || it[0].Step != 0 || it[1].Step != 3 || it[0].Anc != 100 || it[1].Anc != 100 {
+		t.Errorf("group 0 = %+v, want vertex 10 at steps 0 and 3", it)
 	}
-	for i, want := range []model.VertexID{11, 12} {
-		g := got[i+1]
-		if len(g.Items) != 1 || g.Items[0].Vertex != want || g.Items[0].Step != 0 {
-			t.Errorf("group %d = %+v, want the untouched step-0 item of vertex %d", i+1, g.Items, want)
+	for i, want := range []Item{
+		{Travel: 1, Vertex: 11, Anc: 777, AncStep: -1, Dest: -1, Exec: acc},
+		{Travel: 1, Vertex: 12, Anc: 102, AncStep: -1, Dest: -1, Exec: acc},
+	} {
+		it := got[i+1].Items(nil)
+		want.Enqueued = got[i+1].Enqueued
+		if len(it) != 1 || it[0] != want {
+			t.Errorf("group %d = %+v, want the untouched step-0 request %+v", i+1, it, want)
 		}
 	}
 }
 
-// TestPushAllocsPerBatch: a batch's groups come out of slabs, so admitting
-// 256 distinct vertices costs a handful of allocations (the slabs and the
-// bucket list's growth), not two per item.
-func TestPushAllocsPerBatch(t *testing.T) {
-	for _, opts := range []Options{{}, {Priority: true, Merge: true}} {
-		batch := make([]Item, 256)
-		for i := range batch {
-			batch[i] = item(1, 0, i)
-		}
-		// Each run pushes into a warm queue (map and bucket list already
-		// grown) and pops the batch back out.
-		q := newQueue(1, opts)
-		run := func() {
-			push(t, q, batch...)
-			for q.Len() > 0 {
-				q.Pop()
+// TestPushTwiceSameBackingSlice is the repository benchmark's probe in small:
+// one []Item pushed, in sub-slices, into one fresh queue after another. Push
+// only reads it, so every queue pops the same groups and the items end as
+// they began.
+func TestPushTwiceSameBackingSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	items := make([]Item, 512)
+	for i := range items {
+		items[i] = Item{Travel: 1, Step: int32(r.Intn(4)), Vertex: model.VertexID(r.Intn(200)), Anc: model.VertexID(i), Exec: &testAcc{i}}
+	}
+	before := slices.Clone(items)
+	var rounds [2][]Item
+	for round := range rounds {
+		q := newQueue(1, Options{Priority: true, Merge: true})
+		for lo := 0; lo < len(items); lo += 128 {
+			if _, err := q.Push(items[lo : lo+128]); err != nil {
+				t.Fatal(err)
 			}
 		}
-		run()
-		if allocs := testing.AllocsPerRun(20, run); allocs > 8 {
-			t.Errorf("%+v: %.0f allocations per 256-item batch, want a constant handful", opts, allocs)
+		for _, g := range popAll(q) {
+			rounds[round] = g.Items(rounds[round])
 		}
-		q.Close()
+		for i := range rounds[round] {
+			rounds[round][i].Enqueued = 0
+		}
+	}
+	if len(rounds[0]) != len(items) || !slices.Equal(rounds[0], rounds[1]) {
+		t.Errorf("the second queue popped %d items differently from the first (%d)", len(rounds[1]), len(rounds[0]))
+	}
+	if !slices.Equal(items, before) {
+		t.Error("Push wrote into the items it was handed")
 	}
 }
 
+// TestPushAllocsPerBatch: admitting a 256-entry batch into a warm queue (merge
+// index and bucket table at size) costs its header, its node slab and the
+// bucket list's one growth — and one more, the key slice, through the Push
+// adapter — whether or not three in ten entries merge onto a buffered group.
+func TestPushAllocsPerBatch(t *testing.T) {
+	// One allocation, except under the race detector, which keeps Grow's
+	// temporary slice.
+	grow := testing.AllocsPerRun(1, func() { growSink = slices.Grow([]*node(nil), 256) })
+	for _, repeats := range []bool{false, true} {
+		for _, opts := range []Options{{}, {Priority: true, Merge: true}} {
+			r := rand.New(rand.NewSource(5))
+			batch := make([]Item, 256)
+			for i := range batch {
+				batch[i] = item(1, 0, i)
+				if repeats && i > 0 && r.Intn(10) < 3 {
+					batch[i].Vertex = batch[r.Intn(i)].Vertex
+				}
+			}
+			keys := make([]frontier.Key, len(batch))
+			for i := range batch {
+				keys[i].Vertex = batch[i].Vertex
+			}
+			q := newQueue(1, opts)
+			drain := func() {
+				for q.Len() > 0 {
+					q.Pop()
+				}
+			}
+			run := func() { q.PushBatch(1, 0, nil, keys); drain() }
+			run()
+			if allocs := testing.AllocsPerRun(20, run); allocs > 2+grow {
+				t.Errorf("%+v repeats=%v: PushBatch of 256 entries allocates %.0f times, want <= 3", opts, repeats, allocs)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { push(t, q, batch...); drain() }); allocs > 3+grow {
+				t.Errorf("%+v repeats=%v: Push of 256 items allocates %.0f times, want <= 4", opts, repeats, allocs)
+			}
+			q.Close()
+		}
+	}
+}
+
+var growSink []*node
+
 // BenchmarkPushPop is the shape of the repository benchmark's scheduler probe:
-// one traversal's 32 Ki items over four steps, three in ten repeating an
-// earlier vertex, pushed in dispatch-sized batches and popped dry, with
-// priority and merging on as in the GraphTrek engine. One op is one item.
+// one traversal's 32 Ki items over four steps, pushed in dispatch-sized
+// batches and popped dry, with priority and merging on as in the GraphTrek
+// engine. merge=30%: three items in ten repeat an earlier vertex (the probe's
+// mix); merge=0%: every vertex is new, so every index probe inserts. One op
+// is one item.
 func BenchmarkPushPop(b *testing.B) {
 	const n, batch = 1 << 15, 256
-	r := rand.New(rand.NewSource(1))
-	items := make([]Item, n)
-	for i := range items {
-		v := r.Intn(n)
-		if i > 0 && r.Intn(10) < 3 {
-			v = int(items[r.Intn(i)].Vertex)
-		}
-		items[i] = item(1, int32(r.Intn(4)), v)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; done += n {
-		q := newQueue(1, Options{Priority: true, Merge: true})
-		for lo := 0; lo < n; lo += batch {
-			push(b, q, items[lo:lo+batch]...)
-		}
-		for q.Len() > 0 {
-			q.Pop()
-		}
-		q.Close()
+	for _, repeats := range []int{3, 0} {
+		b.Run(fmt.Sprintf("merge=%d%%", repeats*10), func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			items := make([]Item, n)
+			for i := range items {
+				v := r.Intn(n)
+				if i > 0 && r.Intn(10) < repeats {
+					v = int(items[r.Intn(i)].Vertex)
+				}
+				items[i] = item(1, int32(r.Intn(4)), v)
+				if repeats == 0 {
+					items[i].Vertex = model.VertexID(i)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += n {
+				q := newQueue(1, Options{Priority: true, Merge: true})
+				for lo := 0; lo < n; lo += batch {
+					push(b, q, items[lo:lo+batch]...)
+				}
+				for q.Len() > 0 {
+					q.Pop()
+				}
+				q.Close()
+			}
+		})
 	}
 }
 

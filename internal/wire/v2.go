@@ -116,11 +116,11 @@ func Append(b []byte, m *Message) []byte {
 }
 
 // deltaColumn reads n delta-coded values into out (pre-sized by the caller).
-func (d *decoder) deltaColumn(out []uint64) {
+func deltaColumn[T ~uint64](d *decoder, out []T) {
 	prev := uint64(0)
 	for i := range out {
 		prev += uint64(unzigzag(d.uvarint()))
-		out[i] = prev
+		out[i] = T(prev)
 	}
 }
 
@@ -158,15 +158,17 @@ func Decode(b []byte) (Message, error) {
 	// spans four columns of >= 1 byte each, a created ref three, ended and
 	// vert ids one.
 	if n := d.count(d.uvarint(), 4); n > 0 && d.err == nil {
+		// Straight into the slice the executor will keep: no column scratch.
 		m.Entries = make([]Entry, n)
-		col := make([]uint64, n)
-		d.deltaColumn(col)
-		for i, v := range col {
-			m.Entries[i].Vertex = model.VertexID(v)
+		prev := uint64(0)
+		for i := range m.Entries {
+			prev += uint64(unzigzag(d.uvarint()))
+			m.Entries[i].Vertex = model.VertexID(prev)
 		}
-		d.deltaColumn(col)
-		for i, v := range col {
-			m.Entries[i].Anc = model.VertexID(v)
+		prev = 0
+		for i := range m.Entries {
+			prev += uint64(unzigzag(d.uvarint()))
+			m.Entries[i].Anc = model.VertexID(prev)
 		}
 		for i := range m.Entries {
 			m.Entries[i].AncStep = int32(unzigzag(d.uvarint()))
@@ -177,10 +179,10 @@ func Decode(b []byte) (Message, error) {
 	}
 	if n := d.count(d.uvarint(), 3); n > 0 && d.err == nil {
 		m.Created = make([]ExecRef, n)
-		col := make([]uint64, n)
-		d.deltaColumn(col)
-		for i, v := range col {
-			m.Created[i].ID = v
+		prev := uint64(0)
+		for i := range m.Created {
+			prev += uint64(unzigzag(d.uvarint()))
+			m.Created[i].ID = prev
 		}
 		for i := range m.Created {
 			m.Created[i].Server = int32(unzigzag(d.uvarint()))
@@ -191,15 +193,11 @@ func Decode(b []byte) (Message, error) {
 	}
 	if n := d.count(d.uvarint(), 1); n > 0 && d.err == nil {
 		m.Ended = make([]uint64, n)
-		d.deltaColumn(m.Ended)
+		deltaColumn(d, m.Ended)
 	}
 	if n := d.count(d.uvarint(), 1); n > 0 && d.err == nil {
-		col := make([]uint64, n)
-		d.deltaColumn(col)
 		m.Verts = make([]model.VertexID, n)
-		for i, v := range col {
-			m.Verts[i] = model.VertexID(v)
-		}
+		deltaColumn(d, m.Verts)
 	}
 	if n := d.uvarint(); d.err == nil {
 		m.Err = string(d.bytes(n))

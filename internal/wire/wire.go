@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/model"
 )
 
@@ -179,13 +180,11 @@ func (k Kind) String() string {
 // marked) and the server that must receive the end-of-chain signal for that
 // ancestor (the "reporting destination" of Fig. 4). Dest < 0 means no rtn
 // level is open. In KindReturnSig messages, Vertex and AncStep identify the
-// marked vertex being signalled.
-type Entry struct {
-	Vertex  model.VertexID
-	Anc     model.VertexID
-	AncStep int32
-	Dest    int32
-}
+// marked vertex being signalled. It is the engine's frontier key itself: a
+// decoded batch goes to the scheduler, the cache and the outboxes as it is.
+// A receiver must treat Entries as read-only — the in-process fabric hands
+// over the sender's slice, and a duplicated delivery shares one.
+type Entry = frontier.Key
 
 // ExecRef identifies one traversal execution in the coordinator ledger.
 type ExecRef struct {
