@@ -7,12 +7,19 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: all build vet test race stress fuzz-smoke check lint loc fmt fmtcheck bench benchfull bench-smoke bench-readpath bench-failover bench-readwrite clean
+.PHONY: all build crossbuild vet test race stress fuzz-smoke check lint loc fmt fmtcheck bench benchfull bench-smoke bench-readpath bench-failover bench-readwrite clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# crossbuild compiles for a unix other than linux and for windows: kv maps
+# its tables with mmap on unix and reads them whole elsewhere
+# (internal/kv/mmap_*.go), and both sides must keep building.
+crossbuild:
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 vet:
 	$(GO) vet ./...

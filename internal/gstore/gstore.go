@@ -67,10 +67,10 @@ const (
 	tagEdge   = 'E'
 )
 
-func vertexKey(id model.VertexID) []byte {
-	b := make([]byte, 0, 9)
-	b = append(b, tagVertex)
-	return binary.BigEndian.AppendUint64(b, uint64(id))
+// vertexKey and edgeLabelPrefix append to dst, so that a read builds its key
+// in an array of its own frame.
+func vertexKey(dst []byte, id model.VertexID) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, tagVertex), uint64(id))
 }
 
 func labelKey(label string, id model.VertexID) []byte {
@@ -89,21 +89,17 @@ func labelPrefix(label string) []byte {
 }
 
 func edgeKey(src model.VertexID, label string, dst model.VertexID) []byte {
-	b := make([]byte, 0, 1+8+2+len(label)+8)
-	b = append(b, tagEdge)
-	b = binary.BigEndian.AppendUint64(b, uint64(src))
-	b = binary.AppendUvarint(b, uint64(len(label)))
-	b = append(b, label...)
+	b := edgeLabelPrefix(make([]byte, 0, 1+8+2+len(label)+8), src, label)
 	return binary.BigEndian.AppendUint64(b, uint64(dst))
 }
 
-func edgeLabelPrefix(src model.VertexID, label string) []byte {
-	b := make([]byte, 0, 1+8+2+len(label))
-	b = append(b, tagEdge)
-	b = binary.BigEndian.AppendUint64(b, uint64(src))
-	b = binary.AppendUvarint(b, uint64(len(label)))
-	return append(b, label...)
+func edgeLabelPrefix(dst []byte, src model.VertexID, label string) []byte {
+	dst = binary.BigEndian.AppendUint64(append(dst, tagEdge), uint64(src))
+	dst = binary.AppendUvarint(dst, uint64(len(label)))
+	return append(dst, label...)
 }
+
+type prefixBuf [32]byte // an edge-label prefix on the stack; labels over 21 bytes spill
 
 func edgePrefix(src model.VertexID) []byte {
 	b := make([]byte, 0, 9)
@@ -195,7 +191,7 @@ func (s *Store) PutVertex(v model.Vertex) error {
 			return err
 		}
 	}
-	if err := s.db.Put(vertexKey(v.ID), model.AppendVertexValue(nil, v)); err != nil {
+	if err := s.db.Put(vertexKey(nil, v.ID), model.AppendVertexValue(nil, v)); err != nil {
 		return err
 	}
 	if err := s.db.Put(labelKey(v.Label, v.ID), nil); err != nil {
@@ -204,14 +200,15 @@ func (s *Store) PutVertex(v model.Vertex) error {
 	return s.updatePropIndexes(old, hadOld, v)
 }
 
-// GetVertex implements Graph.
-func (s *Store) GetVertex(id model.VertexID) (model.Vertex, bool, error) {
-	val, ok, err := s.db.Get(vertexKey(id))
-	if err != nil || !ok {
-		return model.Vertex{}, false, err
-	}
-	v, err := model.DecodeVertexValue(id, val)
-	if err != nil {
+// GetVertex implements Graph. The value is decoded where it lies in kv —
+// DecodeVertexValue copies every string it keeps — so it is never copied.
+func (s *Store) GetVertex(id model.VertexID) (v model.Vertex, found bool, err error) {
+	var key [1 + 8]byte
+	found, err = s.db.View(vertexKey(key[:0], id), func(val []byte) (err error) {
+		v, err = model.DecodeVertexValue(id, val)
+		return err
+	})
+	if err != nil || !found {
 		return model.Vertex{}, false, err
 	}
 	return v, true, nil
@@ -246,7 +243,7 @@ func (s *Store) DeleteVertex(id model.VertexID) error {
 	if err := s.db.Delete(labelKey(v.Label, id)); err != nil {
 		return err
 	}
-	if err := s.db.Delete(vertexKey(id)); err != nil {
+	if err := s.db.Delete(vertexKey(nil, id)); err != nil {
 		return err
 	}
 	return s.dropPropIndexes(v)
@@ -264,8 +261,9 @@ func (s *Store) DeleteEdge(src model.VertexID, label string, dst model.VertexID)
 
 // ScanEdges implements Graph.
 func (s *Store) ScanEdges(src model.VertexID, label string, fn func(model.Edge) bool) error {
+	var prefix prefixBuf
 	var scanErr error
-	err := s.db.Scan(edgeLabelPrefix(src, label), func(k, v []byte) bool {
+	err := s.db.Scan(edgeLabelPrefix(prefix[:0], src, label), func(k, v []byte) bool {
 		ksrc, klabel, kdst, err := parseEdgeKey(k)
 		if err != nil {
 			scanErr = err
@@ -288,8 +286,9 @@ func (s *Store) ScanEdges(src model.VertexID, label string, fn func(model.Edge) 
 // edge key, so the scan never touches edge values — a key-only pass over
 // one (src,label) run, which is what makes large fan-out expansion cheap.
 func (s *Store) ScanEdgeIDs(src model.VertexID, label string, fn func(model.VertexID) bool) error {
+	var prefix prefixBuf
 	var scanErr error
-	err := s.db.Scan(edgeLabelPrefix(src, label), func(k, _ []byte) bool {
+	err := s.db.Scan(edgeLabelPrefix(prefix[:0], src, label), func(k, _ []byte) bool {
 		if len(k) < 8 {
 			scanErr = fmt.Errorf("gstore: malformed edge key (%d bytes)", len(k))
 			return false
@@ -300,6 +299,23 @@ func (s *Store) ScanEdgeIDs(src model.VertexID, label string, fn func(model.Vert
 		return err
 	}
 	return scanErr
+}
+
+// edgeIDs returns the whole run ScanEdgeIDs visits, for the read cache: the
+// ids gather in an array on the stack and are copied out once, at their
+// number, with no append ladder.
+func (s *Store) edgeIDs(src model.VertexID, label string) ([]model.VertexID, error) {
+	var buf [128]model.VertexID
+	ids := buf[:0]
+	if err := s.ScanEdgeIDs(src, label, func(dst model.VertexID) bool {
+		ids = append(ids, dst)
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	run := make([]model.VertexID, len(ids))
+	copy(run, ids)
+	return run, nil
 }
 
 // ScanAllEdges implements Graph.

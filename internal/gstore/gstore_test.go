@@ -213,8 +213,8 @@ func TestParseEdgeKeyErrors(t *testing.T) {
 func TestLabelPrefixNoCollision(t *testing.T) {
 	// "read" must not be a key-prefix of "readBy" thanks to the length
 	// prefix in the encoding.
-	p1 := string(edgeLabelPrefix(1, "read"))
-	p2 := string(edgeLabelPrefix(1, "readBy"))
+	p1 := string(edgeLabelPrefix(nil, 1, "read"))
+	p2 := string(edgeLabelPrefix(nil, 1, "readBy"))
 	if len(p2) >= len(p1) && p2[:len(p1)] == p1 {
 		t.Error("edge label prefixes collide")
 	}

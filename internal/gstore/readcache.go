@@ -318,11 +318,8 @@ func (c *CachedGraph) ScanEdgeIDs(src model.VertexID, label string, fn func(mode
 	gen := sh.gen
 	sh.mu.Unlock()
 	c.adjMisses.Add(1)
-	var adj []model.VertexID
-	if err := c.g.ScanEdgeIDs(src, label, func(dst model.VertexID) bool {
-		adj = append(adj, dst)
-		return true
-	}); err != nil {
+	adj, err := c.loadEdgeIDs(src, label)
+	if err != nil {
 		return err
 	}
 	sh.insert(gen, c.budget, &cacheEntry{id: src, label: label, adj: adj, size: adjSize(label, adj)})
@@ -332,6 +329,22 @@ func (c *CachedGraph) ScanEdgeIDs(src model.VertexID, label string, fn func(mode
 		}
 	}
 	return nil
+}
+
+// loadEdgeIDs reads a whole (src,label) run for the cache. The persistent
+// store hands it back allocated once, at its length; any other Graph — a
+// MemStore, or a decorator that must see the call — is gathered through its
+// scan.
+func (c *CachedGraph) loadEdgeIDs(src model.VertexID, label string) ([]model.VertexID, error) {
+	if s, ok := c.g.(*Store); ok {
+		return s.edgeIDs(src, label)
+	}
+	var adj []model.VertexID
+	err := c.g.ScanEdgeIDs(src, label, func(dst model.VertexID) bool {
+		adj = append(adj, dst)
+		return true
+	})
+	return adj, err
 }
 
 // PutVertex implements Graph.

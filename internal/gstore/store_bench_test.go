@@ -24,7 +24,7 @@ const (
 // benchStore writes the graph in `tables` rounds, flushing after each, so
 // every table's key range covers the whole graph: round r holds the vertices
 // (and their edges and index rows) whose id is r modulo the table count.
-func benchStore(b *testing.B, tables int) *Store {
+func benchStore(b testing.TB, tables int) *Store {
 	b.Helper()
 	s, err := Open(b.TempDir(), kv.Options{CompactAt: 1 << 20})
 	if err != nil {
@@ -58,6 +58,50 @@ func benchStore(b *testing.B, tables int) *Store {
 		b.Fatalf("store has %d tables, want %d", got, tables)
 	}
 	return s
+}
+
+// TestColdHopAllocs pins what a cold hop costs in objects over the graph the
+// benchmarks below read: a vertex decoded where it lies in kv, so that
+// GetVertex allocates what decoding the value does and nothing else (no key,
+// no value copy); a typed scan that is one kv iterator whatever the number
+// of tables; and a read-cache adjacency miss that allocates its run once, at
+// its length, beside the iterator and the cache entry. (A miss the cache
+// keeps also pays the entry's list element.)
+func TestColdHopAllocs(t *testing.T) {
+	const id = model.VertexID(77)
+	var scans []float64
+	for _, tables := range []int{1, 2, 4, 8} {
+		s := benchStore(t, tables)
+		v, _, _ := s.GetVertex(id)
+		val := model.AppendVertexValue(nil, v)
+		decode := testing.AllocsPerRun(50, func() { model.DecodeVertexValue(id, val) })
+		if n := testing.AllocsPerRun(50, func() { s.GetVertex(id) }); n > decode {
+			t.Errorf("%d tables: GetVertex makes %.0f allocations, decoding its value %.0f", tables, n, decode)
+		}
+		n := 0
+		scan := testing.AllocsPerRun(50, func() {
+			n = 0
+			s.ScanEdgeIDs(id, "read", func(model.VertexID) bool { n++; return true })
+		})
+		if scan > 2 || n != benchFanout {
+			t.Errorf("%d tables: ScanEdgeIDs makes %.0f allocations for %d ids, want <= 2 for %d", tables, scan, n, benchFanout)
+		}
+		scans = append(scans, scan)
+		c := NewCachedGraph(s, 0) // keeps nothing: every read is a miss
+		miss := testing.AllocsPerRun(50, func() {
+			n = 0
+			c.ScanEdgeIDs(id, "read", func(model.VertexID) bool { n++; return true })
+		})
+		if miss > 3 || n != benchFanout {
+			t.Errorf("%d tables: a cache miss makes %.0f allocations for %d ids, want <= 3 for %d", tables, miss, n, benchFanout)
+		}
+	}
+	for _, n := range scans[1:] {
+		if n != scans[0] {
+			t.Errorf("ScanEdgeIDs allocations at 1, 2, 4, 8 tables: %v, want them equal", scans)
+			break
+		}
+	}
 }
 
 func benchOverTables(b *testing.B, op func(b *testing.B, s *Store, i int)) {

@@ -2,18 +2,23 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // DB is an embedded ordered key-value store. It is safe for concurrent use;
 // point operations take a short lock and iterators hold a read lock for
-// their lifetime (see NewIterator).
+// their lifetime (see NewIterator). Reads hand out bytes of the tables'
+// mappings only while they hold the read lock, and a table is unmapped only
+// under the write lock (compaction, Close).
 type DB struct {
 	dir  string
 	opts Options
@@ -122,71 +127,72 @@ func (db *DB) Close() error {
 
 // Put stores value under key, replacing any existing value.
 func (db *DB) Put(key, value []byte) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	return db.write(entry{key: bytes.Clone(key), value: bytes.Clone(value)})
+	return db.Apply(&Batch{ents: []entry{{key: bytes.Clone(key), value: bytes.Clone(value)}}})
 }
 
 // Delete removes key. Deleting an absent key is not an error.
 func (db *DB) Delete(key []byte) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	return db.write(entry{key: bytes.Clone(key), tombstone: true})
+	return db.Apply(&Batch{ents: []entry{{key: bytes.Clone(key), tombstone: true}}})
 }
 
-func (db *DB) write(e entry) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if err := db.log.append(e); err != nil {
-		return err
-	}
-	db.mem.set(e)
-	if e.tombstone {
-		db.stats.Deletes++
-	} else {
-		db.stats.Puts++
-	}
-	if db.mem.bytes >= db.opts.MemtableBytes {
-		return db.flushLocked()
-	}
-	return nil
+// Get returns a copy of the value stored under key.
+func (db *DB) Get(key []byte) (value []byte, found bool, err error) {
+	found, err = db.View(key, func(v []byte) error {
+		value = bytes.Clone(v)
+		return nil
+	})
+	return value, found, err
 }
 
-// Get returns the value stored under key.
-func (db *DB) Get(key []byte) ([]byte, bool, error) {
+// View calls fn with the value stored under key, in place — in a table's
+// mapping or the memtable — and reports whether the key was found; fn is not
+// called when it was not. The value is valid only until fn returns, and fn
+// runs under the read lock, so it must not write to the DB. An error from fn
+// is View's.
+func (db *DB) View(key []byte, fn func(value []byte) error) (found bool, err error) {
 	if err := validateKey(key); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
-		return nil, false, ErrClosed
+		return false, ErrClosed
 	}
 	db.gets.Add(1)
-	if e, ok := db.mem.get(key); ok {
-		if e.tombstone {
-			return nil, false, nil
+	defer db.catchFault(debug.SetPanicOnFault(true), &err)
+	e, ok := db.mem.get(key)
+	for i := 0; !ok && i < len(db.tables); i++ {
+		if e, ok, err = db.tables[i].get(key); err != nil {
+			return false, err
 		}
-		return bytes.Clone(e.value), true, nil
 	}
-	for _, t := range db.tables {
-		e, ok, err := t.get(key)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			if e.tombstone {
-				return nil, false, nil
+	if !ok || e.tombstone {
+		return false, nil
+	}
+	return true, fn(e.value)
+}
+
+var errFault = errors.New("fault reading the mapped file") // it was cut short under the map
+
+// catchFault is deferred, with debug.SetPanicOnFault(true)'s result, by every
+// read of a mapping (callbacks that see its bytes included), under db.mu. It
+// restores the setting, turns a fault inside a table's mapping into that
+// table's error in *err, and re-panics anything else unchanged.
+func (db *DB) catchFault(old bool, err *error) {
+	debug.SetPanicOnFault(old)
+	r := recover()
+	if r == nil {
+		return
+	}
+	if f, ok := r.(interface{ Addr() uintptr }); ok {
+		for _, t := range db.tables {
+			if off := f.Addr() - uintptr(unsafe.Pointer(unsafe.SliceData(t.mapped))); off < uintptr(len(t.mapped)) {
+				*err = t.badRecord(int64(off), errFault)
+				return
 			}
-			return e.value, true, nil
 		}
 	}
-	return nil, false, nil
+	panic(r)
 }
 
 // Flush persists the memtable to a new SSTable and truncates the WAL.
@@ -248,25 +254,25 @@ func (db *DB) Compact() error {
 	return db.compactLocked()
 }
 
-func (db *DB) compactLocked() error {
+func (db *DB) compactLocked() (err error) {
 	if len(db.tables) <= 1 {
 		return nil
 	}
-	srcs := make([]source, len(db.tables))
+	defer db.catchFault(debug.SetPanicOnFault(true), &err)
+	it := mergeIterator{tabs: make([]sstIterator, len(db.tables))}
 	for i, t := range db.tables {
-		srcs[i] = t.iterate(nil)
+		it.tabs[i].seek(t, nil)
 	}
 	var ents []entry
-	var it mergeIterator
-	for it.init(srcs); it.valid(); it.next() {
+	for it.pick(); it.valid(); it.next() {
 		e := it.entry()
 		if e.tombstone {
 			continue // full compaction: nothing older can exist
 		}
-		// The entry lives in its table's read window until the next step.
+		// The entry lives in its table's mapping and key buffer until the
+		// next step, and the mapping only until the close below.
 		ents = append(ents, entry{key: bytes.Clone(e.key), value: bytes.Clone(e.value)})
 	}
-	it.close()
 	if it.err != nil {
 		return it.err
 	}
@@ -311,18 +317,19 @@ func (db *DB) Stats() Stats {
 	s.Gets = db.gets.Load()
 	s.NumTables = len(db.tables)
 	for _, t := range db.tables {
-		s.TableBytes += t.numBytes
+		s.TableBytes += int64(len(t.mapped))
 	}
 	return s
 }
 
 // CheckIntegrity verifies the checksums of every live SSTable.
-func (db *DB) CheckIntegrity() error {
+func (db *DB) CheckIntegrity() (err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
 		return ErrClosed
 	}
+	defer db.catchFault(debug.SetPanicOnFault(true), &err)
 	for _, t := range db.tables {
 		if err := t.verifyChecksum(); err != nil {
 			return err

@@ -220,7 +220,7 @@ func TestPrefixEnd(t *testing.T) {
 		{[]byte{0xff, 0xff}, nil},
 	}
 	for _, c := range cases {
-		if got := prefixEnd(c.in); !bytes.Equal(got, c.want) {
+		if got := prefixEnd(nil, c.in); !bytes.Equal(got, c.want) {
 			t.Errorf("prefixEnd(%x) = %x, want %x", c.in, got, c.want)
 		}
 	}

@@ -1,18 +1,20 @@
 package kv
 
-import "bytes"
+import (
+	"bytes"
+	"runtime/debug"
+)
 
 // Iterator walks live keys in ascending order. It holds the database's read
 // lock from creation until Close, so the view is consistent; the calling
 // goroutine must not write to the DB while an iterator is open.
 type Iterator struct {
-	db    *DB
-	merge mergeIterator
-	end   []byte // exclusive bound, nil = none
-	ok    bool
-	key   []byte
-	value []byte
-	done  bool
+	db     *DB
+	merge  mergeIterator
+	end    []byte // exclusive bound, nil = none; in endBuf unless long
+	ok     bool   // the merge stands on a live entry in bounds
+	done   bool
+	endBuf [32]byte
 }
 
 // IterOptions bounds an iteration. Prefix is a convenience that sets
@@ -25,37 +27,71 @@ type IterOptions struct {
 }
 
 // NewIterator opens an iterator over the current contents of the database.
-// Close must be called to release the read lock.
-func (db *DB) NewIterator(opts IterOptions) (*Iterator, error) {
-	start, end := opts.Start, opts.End
-	if opts.Prefix != nil {
-		if start == nil {
-			start = opts.Prefix
-		}
-		if end == nil {
-			end = prefixEnd(opts.Prefix)
-		}
-	}
+// Close must be called to release the read lock. The iterator is one
+// allocation: it copies End (or the prefix's end) and holds its table
+// cursors itself, so it keeps none of opts. A table that fails the seek
+// shows in Err, as it would on Next.
+func (db *DB) NewIterator(opts IterOptions) (it *Iterator, err error) {
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
 		return nil, ErrClosed
 	}
+	it = newIterator(len(db.tables))
+	it.db = db
+	start := opts.Start
+	if start == nil {
+		start = opts.Prefix
+	}
+	if opts.End != nil {
+		it.end = append(it.endBuf[:0], opts.End...)
+	} else if opts.Prefix != nil {
+		it.end = prefixEnd(it.endBuf[:0], opts.Prefix)
+	}
+	defer db.catchFault(debug.SetPanicOnFault(true), &it.merge.err)
 	// Only sources that can hold a key in [start, end): an empty memtable
 	// and a table whose key range misses the bounds cost nothing.
-	srcs := make([]source, 0, len(db.tables)+1)
 	if db.mem.count > 0 {
-		srcs = append(srcs, db.mem.iterate(start))
+		it.merge.mem = db.mem.iterate(start)
 	}
 	for _, t := range db.tables {
-		if t.overlaps(start, end) {
-			srcs = append(srcs, t.iterate(start))
+		if t.overlaps(start, it.end) {
+			n := len(it.merge.tabs)
+			it.merge.tabs = it.merge.tabs[:n+1]
+			it.merge.tabs[n].seek(t, start)
 		}
 	}
-	it := &Iterator{db: db, end: end}
-	it.merge.init(srcs)
+	it.merge.pick()
 	it.settle()
 	return it, nil
+}
+
+// newIterator allocates an Iterator and room for its table cursors as one
+// object, the room rounded up to 1, 2, 3, 4 or 8 cursors; only more tables
+// than that (CompactAt above its default) take a second allocation.
+func newIterator(tables int) *Iterator {
+	switch {
+	case tables <= 1:
+		return withCursors(func(c *[1]sstIterator) []sstIterator { return c[:0] })
+	case tables <= 2:
+		return withCursors(func(c *[2]sstIterator) []sstIterator { return c[:0] })
+	case tables <= 3:
+		return withCursors(func(c *[3]sstIterator) []sstIterator { return c[:0] })
+	case tables <= 4:
+		return withCursors(func(c *[4]sstIterator) []sstIterator { return c[:0] })
+	case tables <= 8:
+		return withCursors(func(c *[8]sstIterator) []sstIterator { return c[:0] })
+	}
+	return &Iterator{merge: mergeIterator{tabs: make([]sstIterator, 0, tables)}}
+}
+
+func withCursors[A any](slice func(*A) []sstIterator) *Iterator {
+	x := new(struct {
+		Iterator
+		cursors A
+	})
+	x.merge.tabs = slice(&x.cursors)
+	return &x.Iterator
 }
 
 // settle stops on the merge's current entry if it is live and in bounds,
@@ -68,7 +104,7 @@ func (it *Iterator) settle() {
 			return
 		}
 		if !e.tombstone {
-			it.key, it.value, it.ok = e.key, e.value, true
+			it.ok = true
 			return
 		}
 	}
@@ -79,49 +115,55 @@ func (it *Iterator) settle() {
 func (it *Iterator) Valid() bool { return it.ok }
 
 // Key returns the current key. The slice is only valid until Next or Close.
-func (it *Iterator) Key() []byte { return it.key }
+func (it *Iterator) Key() []byte { return it.merge.entry().key }
 
 // Value returns the current value. The slice is only valid until Next or
 // Close.
-func (it *Iterator) Value() []byte { return it.value }
+func (it *Iterator) Value() []byte { return it.merge.entry().value }
 
 // Next advances to the following entry.
 func (it *Iterator) Next() {
 	if it.ok {
-		it.merge.next()
-		it.settle()
+		defer it.db.catchFault(debug.SetPanicOnFault(true), &it.merge.err)
+		it.step()
 	}
+}
+
+// step is Next without the fault guard, for callers that hold one.
+func (it *Iterator) step() {
+	it.ok = false
+	it.merge.next()
+	it.settle()
 }
 
 // Err returns the read error that ended the iteration early, if any: an
 // iterator that stopped on one has not seen every key in its range.
 func (it *Iterator) Err() error { return it.merge.err }
 
-// Close releases the iterator's read buffers and read lock. It is safe to
-// call twice.
+// Close releases the iterator's read lock. It is safe to call twice.
 func (it *Iterator) Close() {
 	if !it.done {
 		it.done = true
 		it.ok = false
-		it.merge.close()
 		it.db.mu.RUnlock()
 	}
 }
 
 // Scan invokes fn for every live key with the given prefix, in key order,
 // stopping early if fn returns false. It is the common fast path for typed
-// edge scans.
-func (db *DB) Scan(prefix []byte, fn func(key, value []byte) bool) error {
+// edge scans. The key and value passed to fn are valid only until fn
+// returns.
+func (db *DB) Scan(prefix []byte, fn func(key, value []byte) bool) (err error) {
 	it, err := db.NewIterator(IterOptions{Prefix: prefix})
 	if err != nil {
 		return err
 	}
 	defer it.Close()
-	for it.Valid() {
-		if !fn(it.Key(), it.Value()) {
+	defer db.catchFault(debug.SetPanicOnFault(true), &err)
+	for ; it.ok; it.step() {
+		if e := it.merge.entry(); !fn(e.key, e.value) {
 			return nil
 		}
-		it.Next()
 	}
 	return it.Err()
 }

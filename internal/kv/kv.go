@@ -73,11 +73,11 @@ type entry struct {
 // compareKeys orders keys lexicographically, the only order the store uses.
 func compareKeys(a, b []byte) int { return bytes.Compare(a, b) }
 
-// prefixEnd returns the smallest key greater than every key with the given
-// prefix, or nil if no such key exists (prefix is all 0xff).
-func prefixEnd(prefix []byte) []byte {
-	end := bytes.Clone(prefix)
-	for i := len(end) - 1; i >= 0; i-- {
+// prefixEnd appends to dst the smallest key greater than every key with the
+// given prefix, or returns nil if no such key exists (prefix is all 0xff).
+func prefixEnd(dst, prefix []byte) []byte {
+	end := append(dst, prefix...)
+	for i := len(end) - 1; i >= len(dst); i-- {
 		if end[i] != 0xff {
 			end[i]++
 			return end[:i+1]

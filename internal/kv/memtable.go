@@ -94,17 +94,13 @@ type memIterator struct {
 
 // iterate returns an iterator positioned at the first key >= start (or the
 // first key overall when start is nil).
-func (m *memtable) iterate(start []byte) *memIterator {
+func (m *memtable) iterate(start []byte) memIterator {
 	if start == nil {
-		return &memIterator{n: m.head.next[0]}
+		return memIterator{n: m.head.next[0]}
 	}
-	return &memIterator{n: m.findGreaterOrEqual(start, nil)}
+	return memIterator{n: m.findGreaterOrEqual(start, nil)}
 }
 
-func (it *memIterator) valid() bool { return it.n != nil }
-func (it *memIterator) entry() entry {
-	return it.n.ent
-}
+func (it *memIterator) valid() bool  { return it.n != nil }
+func (it *memIterator) entry() entry { return it.n.ent }
 func (it *memIterator) next()        { it.n = it.n.next[0] }
-func (it *memIterator) error() error { return nil }
-func (it *memIterator) close()       {}

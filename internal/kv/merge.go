@@ -1,49 +1,38 @@
 package kv
 
-// source is the common shape of memtable and sstable iterators. An entry may
-// alias the source's read buffer: it is valid until the source's next call
-// to next or close, and no longer.
-type source interface {
-	valid() bool
-	entry() entry
-	next()
-	error() error // why the source stopped early, if it did
-	close()
-}
-
-// mergeIterator merges several key-ordered sources into one key-ordered
-// stream with newest-wins semantics: sources earlier in the slice shadow
-// later ones on equal keys. Tombstones are surfaced (not suppressed) so the
-// caller decides whether they are visible (reads) or retained (compaction).
+// mergeIterator merges the memtable and the tables into one key-ordered
+// stream with newest-wins semantics: the memtable shadows every table, and
+// tabs[i] shadows tabs[j] for j > i, on equal keys. Tombstones are surfaced
+// (not suppressed) so the caller decides whether they are visible (reads) or
+// retained (compaction). The sources are concrete values, not an interface:
+// the table cursors live in their Iterator's own allocation (iterator.go).
 //
 // It advances lazily. The current entry is the best source's own, still in
 // that source's buffer, so no source is stepped until the caller asks for
-// the next entry; a source that fails ends the whole merge, since the
+// the next entry; a table that fails ends the whole merge, since the
 // sources left could only give a partial answer.
 type mergeIterator struct {
-	srcs []source
-	best int // the source standing on the current entry; -1 when done
+	mem  memIterator   // a nil node: exhausted, or no memtable in the merge
+	tabs []sstIterator // newest first
+	best int           // 0 for the memtable, i+1 for tabs[i]; -1 when done
 	err  error
 }
 
-// init positions the merge on the first entry of srcs, newest source first.
-func (m *mergeIterator) init(srcs []source) {
-	m.srcs = srcs
-	m.pick()
-}
-
 // pick selects the smallest current key; among sources tied on that key
-// the lowest index (newest) wins.
+// the newest wins.
 func (m *mergeIterator) pick() {
 	m.best = -1
 	var bestKey []byte
-	for i, s := range m.srcs {
-		if s.valid() {
-			if k := s.entry().key; m.best < 0 || compareKeys(k, bestKey) < 0 {
-				m.best, bestKey = i, k
+	if m.mem.valid() {
+		m.best, bestKey = 0, m.mem.entry().key
+	}
+	for i := range m.tabs {
+		if s := &m.tabs[i]; s.ok {
+			if m.best < 0 || compareKeys(s.cur.key, bestKey) < 0 {
+				m.best, bestKey = i+1, s.cur.key
 			}
-		} else if m.err = s.error(); m.err != nil {
-			m.best = -1
+		} else if s.err != nil {
+			m.best, m.err = -1, s.err
 			return
 		}
 	}
@@ -52,23 +41,31 @@ func (m *mergeIterator) pick() {
 // next steps every source standing on the current key — the best one last,
 // because the key being compared lives in its buffer — and re-picks.
 func (m *mergeIterator) next() {
-	best := m.srcs[m.best]
-	key := best.entry().key
-	for i, s := range m.srcs {
-		if i != m.best && s.valid() && compareKeys(s.entry().key, key) == 0 {
+	key := m.entry().key
+	if m.best != 0 && m.mem.valid() && compareKeys(m.mem.entry().key, key) == 0 {
+		m.mem.next()
+	}
+	for i := range m.tabs {
+		if s := &m.tabs[i]; i+1 != m.best && s.ok && compareKeys(s.cur.key, key) == 0 {
 			s.next()
 		}
 	}
-	best.next()
+	if m.best == 0 {
+		m.mem.next()
+	} else {
+		m.tabs[m.best-1].next()
+	}
 	m.pick()
 }
 
-func (m *mergeIterator) valid() bool  { return m.best >= 0 }
-func (m *mergeIterator) entry() entry { return m.srcs[m.best].entry() }
+func (m *mergeIterator) valid() bool { return m.best >= 0 }
 
-// close releases every source's buffer; the current entry dies with them.
-func (m *mergeIterator) close() {
-	for _, s := range m.srcs {
-		s.close()
+func (m *mergeIterator) entry() entry {
+	switch {
+	case m.best > 0:
+		return m.tabs[m.best-1].cur
+	case m.best == 0:
+		return m.mem.entry()
 	}
+	return entry{}
 }

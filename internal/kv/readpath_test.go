@@ -82,10 +82,10 @@ func TestReadPathModel(t *testing.T) {
 					}
 				default:
 					// Mostly small values; now and then one that straddles
-					// or outgrows a read window.
+					// or outgrows a 4 KiB page.
 					n := r.Intn(40)
 					if r.Intn(25) == 0 {
-						n = windowSize/2 + r.Intn(2*windowSize)
+						n = page/2 + r.Intn(2*page)
 					}
 					val := fmt.Sprintf("%d:%s", step, strings.Repeat("v", n))
 					if err := db.Put([]byte(key), []byte(val)); err != nil {
@@ -266,34 +266,37 @@ func buildTable(t testing.TB, name string, ents []entry, interval int) *sstable 
 // a seek to every key, and a get of every key.
 func checkTable(t *testing.T, tbl *sstable, ents []entry) {
 	t.Helper()
-	it := tbl.iterate(nil)
+	var it sstIterator
+	it.seek(tbl, nil)
 	for i, want := range ents {
-		if !it.valid() || !bytes.Equal(it.entry().key, want.key) || !bytes.Equal(it.entry().value, want.value) {
-			t.Fatalf("iterate: entry %d (%q) wrong or missing: valid=%v err=%v", i, want.key, it.valid(), it.err)
+		if !it.ok || !bytes.Equal(it.cur.key, want.key) || !bytes.Equal(it.cur.value, want.value) {
+			t.Fatalf("iterate: entry %d (%q) wrong or missing: valid=%v err=%v", i, want.key, it.ok, it.err)
 		}
 		it.next()
 	}
-	if it.valid() || it.err != nil {
-		t.Fatalf("iterate: want a clean end, valid=%v err=%v", it.valid(), it.err)
+	if it.ok || it.err != nil {
+		t.Fatalf("iterate: want a clean end, valid=%v err=%v", it.ok, it.err)
 	}
-	it.close()
 	for i, want := range ents {
-		it := tbl.iterate(want.key)
-		if !it.valid() || !bytes.Equal(it.entry().key, want.key) || !bytes.Equal(it.entry().value, want.value) {
+		it.seek(tbl, want.key)
+		if !it.ok || !bytes.Equal(it.cur.key, want.key) || !bytes.Equal(it.cur.value, want.value) {
 			t.Fatalf("seek: entry %d (%q) wrong or missing: err=%v", i, want.key, it.err)
 		}
-		it.close()
 		e, ok, err := tbl.get(want.key)
 		if err != nil || !ok || !bytes.Equal(e.value, want.value) {
 			t.Fatalf("get: entry %d (%q) = %d bytes, %v, %v", i, want.key, len(e.value), ok, err)
 		}
 	}
-	if tbl.dataLen > 0 && !bytes.Equal(tbl.maxKey, ents[len(ents)-1].key) {
+	if len(tbl.data) > 0 && !bytes.Equal(tbl.maxKey, ents[len(ents)-1].key) {
 		t.Fatalf("maxKey = %q, want %q", tbl.maxKey, ents[len(ents)-1].key)
 	}
 }
 
-// TestWindowBoundaries puts records where the 4 KiB read window ends:
+// page is the unit TestWindowBoundaries lays records against: the read
+// window's size before PR 26, a memory page's now.
+const page = 4 << 10
+
+// TestWindowBoundaries puts records where a 4 KiB page of the mapping ends:
 // straddling it, far larger than it, in a table smaller than it, and with
 // the last record ending exactly at the data section's end.
 func TestWindowBoundaries(t *testing.T) {
@@ -314,19 +317,19 @@ func TestWindowBoundaries(t *testing.T) {
 			{key: []byte("k1"), value: val(10, 'x')},
 			{key: []byte("k2"), value: val(64<<10, 'y')},
 			{key: []byte("k3"), value: val(10, 'z')},
-			{key: []byte("k4"), value: val(windowSize, 'w')},
+			{key: []byte("k4"), value: val(page, 'w')},
 			{key: []byte("k5"), value: nil, tombstone: true},
 		},
 	}
-	// A table whose data section is exactly one window, and one of exactly
-	// two: the last record ends where the window does.
+	// A table whose data section is exactly one page, and one of exactly
+	// two: the last record ends where the page does.
 	for _, windows := range []int{1, 2} {
 		var ents []entry
 		size := 0
-		for i := 0; size < windows*windowSize; i++ {
+		for i := 0; size < windows*page; i++ {
 			e := entry{key: []byte(fmt.Sprintf("%04d", i)), value: val(50, 'v')}
 			rec := 1 + 3 + len(e.key) + len(e.value) // op, three 1-byte lengths, interval 1 shares nothing
-			if rest := windows*windowSize - size; rest < 2*rec {
+			if rest := windows*page - size; rest < 2*rec {
 				e.value = val(rest-1-3-len(e.key), 'e')
 				if len(e.value) > 127 {
 					t.Fatalf("test arithmetic: last value %d needs a 2-byte length", len(e.value))
@@ -342,8 +345,8 @@ func TestWindowBoundaries(t *testing.T) {
 		for _, interval := range []int{1, 3, 16} {
 			t.Run(fmt.Sprintf("%s/interval=%d", name, interval), func(t *testing.T) {
 				tbl := buildTable(t, "w.sst", ents, interval)
-				if strings.HasPrefix(name, "data section of exactly") && interval == 1 && tbl.dataLen%windowSize != 0 {
-					t.Fatalf("dataLen = %d, want a multiple of %d", tbl.dataLen, windowSize)
+				if strings.HasPrefix(name, "data section of exactly") && interval == 1 && len(tbl.data)%page != 0 {
+					t.Fatalf("data section of %d bytes, want a multiple of %d", len(tbl.data), page)
 				}
 				checkTable(t, tbl, ents)
 			})
@@ -450,7 +453,7 @@ func TestReadErrorIsNotAShortAnswer(t *testing.T) {
 	damage := map[string]func(t *testing.T, tbl *sstable){
 		// The file loses its second half under the open table.
 		"truncated": func(t *testing.T, tbl *sstable) {
-			if err := os.Truncate(tbl.path, tbl.dataLen/2); err != nil {
+			if err := os.Truncate(tbl.path, int64(len(tbl.data)/2)); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -512,13 +515,62 @@ func TestReadErrorIsNotAShortAnswer(t *testing.T) {
 	}
 }
 
-// TestReadPathAllocs pins what a read costs in objects: a point hit copies
-// its value and nothing else, a miss the Bloom filter catches is free, and
-// a scan pays per overlapping table — not per table, and not per record.
-func TestReadPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the window pool drops buffers at random under -race")
+// TestZeroedIntervalIsAnError: a stretch of a table zeroed on disk — what a
+// crash or a hole can leave — fails the reads that cross it. Zeros parse as
+// puts of the empty key (op 0, all lengths 0), so without the empty-key rule
+// a Get there reports its key absent and a scan returns rows nobody wrote,
+// with a nil error.
+func TestZeroedIntervalIsAnError(t *testing.T) {
+	const n = 2000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("e/%06d", i)) }
+	db := openTemp(t, Options{})
+	for i := 0; i < n; i++ {
+		db.Put(key(i), []byte("edge-value"))
 	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// One whole index interval whose length is a multiple of 4, so that
+	// every byte of it would belong to some empty put.
+	tbl := db.tables[0]
+	var lo, hi int64
+	for i := 1; i+1 < len(tbl.index) && (hi == 0 || (hi-lo)%4 != 0); i++ {
+		lo, hi = tbl.index[i].offset, tbl.index[i+1].offset
+	}
+	if (hi-lo)%4 != 0 {
+		t.Fatal("no index interval of a length divisible by 4")
+	}
+	f, err := os.OpenFile(tbl.path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, hi-lo), lo); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	rows := 0
+	if err := db.Scan([]byte("e/"), func(_, _ []byte) bool { rows++; return true }); err == nil {
+		t.Errorf("Scan returned %d rows of %d and no error", rows, n)
+	}
+	errs := 0
+	for i := 0; i < n; i++ {
+		if _, ok, err := db.Get(key(i)); err != nil {
+			errs++
+		} else if !ok {
+			t.Fatalf("Get(%q) reported absent", key(i))
+		}
+	}
+	if errs == 0 {
+		t.Error("no Get failed")
+	}
+}
+
+// TestReadPathAllocs pins what a read costs in objects: a point hit copies
+// its value and nothing else, a View of it nothing at all, a miss the Bloom
+// filter catches is free, and a scan is one object — the Iterator with its
+// table cursors — whatever the number of tables.
+func TestReadPathAllocs(t *testing.T) {
 	db := openTemp(t, Options{})
 	edge := func(v, d int) []byte { return []byte(fmt.Sprintf("e/%06d/follows/%06d", v, d)) }
 	// Two tables that both hold half of every vertex's 32 edges.
@@ -535,6 +587,10 @@ func TestReadPathAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sink, _, _ = db.Get(hit) }); n > 1 || string(sink) != "edge-value" {
 		t.Errorf("Get hit: %.0f allocs (value %q), want 1, the value's copy", n, sink)
 	}
+	view := func(v []byte) error { sink = v; return nil }
+	if n := testing.AllocsPerRun(100, func() { db.View(hit, view) }); n != 0 || string(sink) != "edge-value" {
+		t.Errorf("View hit: %.0f allocs (value %q), want 0", n, sink)
+	}
 	if n := testing.AllocsPerRun(100, func() { sink, _, _ = db.Get(miss) }); n != 0 || sink != nil {
 		t.Errorf("Get miss: %.0f allocs, want 0", n)
 	}
@@ -544,16 +600,21 @@ func TestReadPathAllocs(t *testing.T) {
 		db.Scan(prefix, func(_, _ []byte) bool { rows++; return true })
 	}
 	two := testing.AllocsPerRun(100, scan)
-	if two > 10 || rows != 32 {
-		t.Errorf("32-edge scan over two tables: %.0f allocs, %d rows; want <= 10, 32", two, rows)
+	if two > 1 || rows != 32 {
+		t.Errorf("32-edge scan over two tables: %.0f allocs, %d rows; want 1, 32", two, rows)
 	}
-	// A third table whose key range misses the prefix costs nothing.
+	// A third table whose key range spans the prefix with nothing under it
+	// is one more cursor in the same object; a fourth whose range misses the
+	// prefix is not opened at all.
+	db.Put(edge(0, 99), []byte("edge-value"))
+	db.Put(edge(199, 99), []byte("edge-value"))
+	db.Flush()
 	for v := 300; v < 400; v++ {
 		db.Put(edge(v, 0), []byte("edge-value"))
 	}
 	db.Flush()
-	if three := testing.AllocsPerRun(100, scan); three != two || rows != 32 || db.Stats().NumTables != 3 {
-		t.Errorf("same scan with a third, non-overlapping table: %.0f allocs (was %.0f), %d rows", three, two, rows)
+	if four := testing.AllocsPerRun(100, scan); four != two || rows != 32 || db.Stats().NumTables != 4 {
+		t.Errorf("same scan with an overlapping third and a non-overlapping fourth table: %.0f allocs (was %.0f), %d rows", four, two, rows)
 	}
 }
 
@@ -569,18 +630,19 @@ func FuzzSSTableRecords(f *testing.F) {
 	f.Add([]byte{walOpPut, 0, 1, 0xff, 0xff, 0xff, 0x7f, 'a'}) // value far past the end
 	f.Add([]byte{7, 0, 1, 0, 'a'})                             // no such op
 	f.Add([]byte{walOpPut, 0x80})                              // header cut inside a varint
+	f.Add(make([]byte, 16))                                    // zeroed: four empty puts, were it not for the key rule
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The parser alone, walked the way the iterator walks it.
 		var key []byte
 		for b := data; len(b) > 0; {
-			e, n, err := parseRecord(b, key)
-			if err != nil || n == 0 || n > int64(len(b)) {
+			k, v, n, err := parseRecord(b, key)
+			if err != nil {
 				break
 			}
-			if len(e.key) > len(key)+int(n) || int64(len(e.key)-len(key)+len(e.value)) >= n {
-				t.Fatalf("record of %d bytes after a %d-byte key yields a %d-byte key and a %d-byte value", n, len(key), len(e.key), len(e.value))
+			if len(k) == 0 || n > int64(len(b)) || len(k) > len(key)+int(n) || int64(len(k)-len(key)+len(v)) >= n {
+				t.Fatalf("record of %d bytes after a %d-byte key yields a %d-byte key and a %d-byte value", n, len(key), len(k), len(v))
 			}
-			key, b = e.key, b[n:]
+			key, b = k, b[n:]
 		}
 
 		// The same bytes as a table's data section, one index sample at 0.
@@ -605,16 +667,14 @@ func FuzzSSTableRecords(f *testing.F) {
 			return
 		}
 		defer tbl.close()
-		it := tbl.iterate(nil)
-		defer it.close()
-		for it.valid() {
-			if int64(len(it.entry().key)+len(it.entry().value)) > tbl.dataLen {
+		var it sstIterator
+		for it.seek(tbl, nil); it.ok; it.next() {
+			if len(it.cur.key)+len(it.cur.value) > len(tbl.data) {
 				t.Fatalf("entry larger than the data section")
 			}
-			it.next()
 		}
-		if it.err == nil && it.off != tbl.dataLen {
-			t.Fatalf("walk ended cleanly at %d of %d", it.off, tbl.dataLen)
+		if it.err == nil && it.off != int64(len(tbl.data)) {
+			t.Fatalf("walk ended cleanly at %d of %d", it.off, len(tbl.data))
 		}
 		tbl.get([]byte("a"))
 	})

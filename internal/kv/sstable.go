@@ -2,7 +2,6 @@ package kv
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"sync"
 )
 
 // SSTable file format (gtss3):
@@ -27,15 +25,16 @@ import (
 //	footer (33 B):  [data len: 8][index count: 8][filter len: 8]
 //	                [data crc: 4][magic: 5]
 //
-// The sparse index and Bloom filter are loaded into memory at open. A point
-// lookup consults the key range and the filter, binary searches the index and
-// ReadAts the one index interval that can hold the key into a pooled 4 KiB
-// window, parses it in place and copies only the matching value. An iterator
-// seeks the same way and then refills its window sequentially — the access
-// pattern typed edge scans produce — growing it only for a record that does
-// not fit. Nothing is copied out of the window: an iterator's entry is
-// valid until its next call to next (see sstIterator), which is why the
-// merge above it advances lazily (merge.go).
+// A table is mapped read-only at open (mmap_unix.go; elsewhere the file is
+// read whole, mmap_other.go) and every read parses the mapping in place: the
+// sparse index keys and the Bloom filter alias it, a point lookup walks the
+// one index interval that can hold the key, and an iterator walks forward
+// from its seek — the access pattern typed edge scans produce. Nothing is
+// copied: an entry's key is rebuilt in its reader's own buffer and its value
+// aliases the mapping, so an iterator's entry is valid until its next call
+// to next (see sstIterator), which is why the merge above it advances lazily
+// (merge.go). The mapping lives until close, which runs only under the DB's
+// write lock.
 //
 // There is one reader. A file of an earlier format is refused at open.
 
@@ -45,15 +44,14 @@ const footerSize = 8 + 8 + 8 + 4 + 5
 
 // sstable is an open, immutable sorted table.
 type sstable struct {
-	path     string
-	f        *os.File
-	fileNum  uint64 // larger = newer
-	dataLen  int64
-	index    []indexEntry
-	filter   *bloomFilter
-	minKey   []byte
-	maxKey   []byte
-	numBytes int64
+	path    string
+	mapped  []byte // the whole file, read-only
+	data    []byte // mapped[:data section length]
+	fileNum uint64 // larger = newer
+	index   []indexEntry
+	filter  *bloomFilter
+	minKey  []byte
+	maxKey  []byte
 }
 
 type indexEntry struct {
@@ -154,104 +152,87 @@ func buildSSTable(path string, fileNum uint64, ents []entry, indexInterval int) 
 	return openSSTable(path, fileNum)
 }
 
-// openSSTable opens an existing table and loads its sparse index.
+// openSSTable maps an existing table and parses its sparse index.
 func openSSTable(path string, fileNum uint64) (*sstable, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("kv: open sstable: %w", err)
 	}
-	st, err := os.Stat(path)
+	defer f.Close() // the mapping outlives the descriptor
+	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	if st.Size() < footerSize {
-		f.Close()
 		return nil, fmt.Errorf("kv: sstable %s too small", path)
 	}
-	var footer [footerSize]byte
-	if _, err := f.ReadAt(footer[:], st.Size()-footerSize); err != nil {
-		f.Close()
+	mapped, err := mapFile(f, int(st.Size()))
+	if err != nil {
+		return nil, fmt.Errorf("kv: map sstable %s: %w", path, err)
+	}
+	t := &sstable{path: path, mapped: mapped, fileNum: fileNum}
+	if err := t.load(); err != nil {
+		t.close()
 		return nil, err
-	}
-	if got := [5]byte(footer[28:33]); got != sstMagic {
-		f.Close()
-		return nil, fmt.Errorf("kv: sstable %s has format %q, this build reads only %q", path, got[:], sstMagic[:])
-	}
-	dataLen := int64(binary.LittleEndian.Uint64(footer[0:8]))
-	count := binary.LittleEndian.Uint64(footer[8:16])
-	filterLen := int64(binary.LittleEndian.Uint64(footer[16:24]))
-	indexLen := st.Size() - footerSize - dataLen - filterLen
-	if dataLen < 0 || indexLen < 0 || filterLen < 0 {
-		f.Close()
-		return nil, fmt.Errorf("kv: sstable %s corrupt footer", path)
-	}
-	raw := make([]byte, indexLen)
-	if _, err := f.ReadAt(raw, dataLen); err != nil {
-		f.Close()
-		return nil, err
-	}
-	filterRaw := make([]byte, filterLen)
-	if _, err := f.ReadAt(filterRaw, dataLen+indexLen); err != nil {
-		f.Close()
-		return nil, err
-	}
-	t := &sstable{
-		path: path, f: f, fileNum: fileNum, dataLen: dataLen,
-		filter: decodeBloomFilter(filterRaw), numBytes: st.Size(),
-	}
-	t.index = make([]indexEntry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		kn, sz := binary.Uvarint(raw)
-		if sz <= 0 || uint64(len(raw)-sz) < kn {
-			f.Close()
-			return nil, fmt.Errorf("kv: sstable %s corrupt index", path)
-		}
-		key := append([]byte(nil), raw[sz:sz+int(kn)]...)
-		raw = raw[sz+int(kn):]
-		off, sz := binary.Uvarint(raw)
-		if sz <= 0 {
-			f.Close()
-			return nil, fmt.Errorf("kv: sstable %s corrupt index offset", path)
-		}
-		raw = raw[sz:]
-		t.index = append(t.index, indexEntry{key: key, offset: int64(off)})
-	}
-	if len(t.index) > 0 {
-		t.minKey = t.index[0].key
-		// The true max key requires a scan of the last block; do it once.
-		it := t.iterate(t.index[len(t.index)-1].key)
-		for ; it.ok; it.next() {
-			t.maxKey = append(t.maxKey[:0], it.cur.key...)
-		}
-		it.close()
-		if err := it.err; err != nil {
-			f.Close()
-			return nil, err
-		}
 	}
 	return t, nil
 }
 
-func (t *sstable) close() error { return t.f.Close() }
+// load parses the footer, the sparse index and the filter out of the
+// mapping, and finds the max key.
+func (t *sstable) load() error {
+	footer := t.mapped[len(t.mapped)-footerSize:]
+	if got := [5]byte(footer[28:33]); got != sstMagic {
+		return fmt.Errorf("kv: sstable %s has format %q, this build reads only %q", t.path, got[:], sstMagic[:])
+	}
+	dataLen := binary.LittleEndian.Uint64(footer[0:8])
+	count := binary.LittleEndian.Uint64(footer[8:16])
+	filterLen := binary.LittleEndian.Uint64(footer[16:24])
+	body := uint64(len(t.mapped) - footerSize)
+	if dataLen > body || filterLen > body-dataLen {
+		return fmt.Errorf("kv: sstable %s corrupt footer", t.path)
+	}
+	t.data = t.mapped[:dataLen]
+	raw := t.mapped[dataLen : body-filterLen]
+	t.filter = decodeBloomFilter(t.mapped[body-filterLen : body])
+	// A sample takes at least two bytes, which bounds what a corrupt count
+	// can make this allocate.
+	t.index = make([]indexEntry, 0, min(count, uint64(len(raw))/2))
+	for i := uint64(0); i < count; i++ {
+		kn, sz := binary.Uvarint(raw)
+		if sz <= 0 || uint64(len(raw)-sz) < kn {
+			return fmt.Errorf("kv: sstable %s corrupt index", t.path)
+		}
+		end := sz + int(kn)
+		key := raw[sz:end:end] // capped: the mapping is read-only
+		raw = raw[end:]
+		off, sz := binary.Uvarint(raw)
+		if sz <= 0 || off > dataLen || (i > 0 && int64(off) < t.index[i-1].offset) {
+			return fmt.Errorf("kv: sstable %s corrupt index offset", t.path)
+		}
+		raw = raw[sz:]
+		t.index = append(t.index, indexEntry{key: key, offset: int64(off)})
+	}
+	if len(t.index) == 0 {
+		return nil
+	}
+	t.minKey = t.index[0].key
+	// The true max key requires a walk of the last interval; do it once.
+	var it sstIterator
+	for it.seek(t, t.index[len(t.index)-1].key); it.ok; it.next() {
+		t.maxKey = append(t.maxKey[:0], it.cur.key...)
+	}
+	return it.err
+}
 
-// verifyChecksum re-reads the data section and compares its CRC against the
+// close unmaps the table. The DB calls it only under its write lock, when
+// no reader can hold an entry of the table.
+func (t *sstable) close() error { return unmapFile(t.mapped) }
+
+// verifyChecksum hashes the data section and compares the CRC against the
 // footer. Used by DB.CheckIntegrity.
 func (t *sstable) verifyChecksum() error {
-	var footer [footerSize]byte
-	st, err := t.f.Stat()
-	if err != nil {
-		return err
-	}
-	if _, err := t.f.ReadAt(footer[:], st.Size()-footerSize); err != nil {
-		return err
-	}
-	want := binary.LittleEndian.Uint32(footer[24:28])
-	crc := crc32.NewIEEE()
-	if _, err := io.Copy(crc, io.NewSectionReader(t.f, 0, t.dataLen)); err != nil {
-		return err
-	}
-	if crc.Sum32() != want {
+	if crc32.ChecksumIEEE(t.data) != binary.LittleEndian.Uint32(t.mapped[len(t.mapped)-footerSize+24:]) {
 		return fmt.Errorf("kv: sstable %s data checksum mismatch", t.path)
 	}
 	return nil
@@ -264,7 +245,7 @@ func (t *sstable) interval(key []byte) (lo, hi int64) {
 	i := sort.Search(len(t.index), func(i int) bool {
 		return compareKeys(t.index[i].key, key) > 0
 	})
-	hi = t.dataLen
+	hi = int64(len(t.data))
 	if i < len(t.index) {
 		hi = t.index[i].offset
 	}
@@ -286,19 +267,9 @@ func (t *sstable) overlaps(start, end []byte) bool {
 	return start == nil || compareKeys(t.maxKey, start) >= 0
 }
 
-// windowSize is the unit of data-section reads. Only windows of this size
-// are pooled: a pooled buffer survives a collection, so a pooled large one
-// would be live heap for good.
-const windowSize = 4 << 10
-
-var windowPool = sync.Pool{New: func() any {
-	b := make([]byte, windowSize)
-	return &b
-}}
-
-// get performs a point lookup: key range and Bloom filter first, then one
-// read of the index interval that can hold the key, parsed in place. The
-// returned value is a copy, the only allocation; a miss makes none.
+// get performs a point lookup: key range and Bloom filter first, then a walk
+// of the index interval that can hold the key. It allocates nothing; the
+// entry's value aliases the mapping, and its key is left nil.
 func (t *sstable) get(key []byte) (entry, bool, error) {
 	if len(t.index) == 0 || compareKeys(key, t.minKey) < 0 || compareKeys(key, t.maxKey) > 0 {
 		return entry{}, false, nil
@@ -307,32 +278,19 @@ func (t *sstable) get(key []byte) (entry, bool, error) {
 		return entry{}, false, nil
 	}
 	lo, hi := t.interval(key)
-	pooled := windowPool.Get().(*[]byte)
-	defer windowPool.Put(pooled)
-	b := *pooled
-	if hi-lo > windowSize {
-		b = make([]byte, hi-lo) // an interval with a large value in it
-	}
-	b = b[:hi-lo]
-	if _, err := t.f.ReadAt(b, lo); err != nil {
-		return entry{}, false, t.badRecord(lo, err)
-	}
 	var keyBuf [64]byte
-	for cur, off := keyBuf[:0], lo; len(b) > 0; {
-		e, n, err := parseRecord(b, cur)
-		if err == nil && (n == 0 || n > int64(len(b))) {
-			err = errPastRange
-		}
+	for b, cur, off := t.data[lo:hi], keyBuf[:0], lo; len(b) > 0; {
+		k, v, n, err := parseRecord(b, cur)
 		if err != nil {
 			return entry{}, false, t.badRecord(off, err)
 		}
-		switch c := compareKeys(e.key, key); {
+		switch c := compareKeys(k, key); {
 		case c == 0:
-			return entry{key: key, value: bytes.Clone(e.value), tombstone: e.tombstone}, true, nil
+			return entry{value: v, tombstone: b[0] == walOpDelete}, true, nil
 		case c > 0:
 			return entry{}, false, nil
 		}
-		cur, b, off = e.key, b[n:], off+n
+		cur, b, off = k, b[n:], off+n
 	}
 	return entry{}, false, nil
 }
@@ -341,64 +299,73 @@ func (t *sstable) badRecord(off int64, err error) error {
 	return fmt.Errorf("kv: sstable %s: record at %d: %w", t.path, off, err)
 }
 
-var errPastRange = errors.New("runs past the end of its range")
+var (
+	errPastRange = errors.New("runs past the end of its range")
+	errEmptyKey  = errors.New("has an empty key")
+)
 
 // maxRecordField bounds one key or value length read from a record header,
 // so a record's length is computed without overflow.
 const maxRecordField = 1 << 30
 
-// parseRecord decodes the record at the front of b without copying. n is
-// the record's full length, or 0 when b ends inside the header. The entry is
-// set only when b holds all n bytes: its value aliases b, and its key is the
-// first shared bytes of prev — the previous record's key — with the suffix
-// appended in place. An error means no further bytes make this a record.
-func parseRecord(b, prev []byte) (e entry, n int64, err error) {
+// parseRecord decodes the whole record at the front of b without copying and
+// returns its length n; b[0] tells a put from a tombstone. The value aliases
+// b; the key is the first shared bytes of prev — the previous record's key —
+// with the suffix appended in place. (Key and value are separate results so
+// that a caller keeping only the value does not make prev's buffer escape.)
+// A record with an empty key is an error, not a record: no key the store
+// admits is empty, and zeroed bytes (a hole, a page past a file's end)
+// would otherwise read as empty puts.
+func parseRecord(b, prev []byte) (key, value []byte, n int64, err error) {
 	if len(b) == 0 {
-		return entry{}, 0, nil
+		return nil, nil, 0, errPastRange
 	}
 	if b[0] != walOpPut && b[0] != walOpDelete {
-		return entry{}, 0, fmt.Errorf("unknown op %#x", b[0])
+		return nil, nil, 0, fmt.Errorf("unknown op %#x", b[0])
 	}
 	var lens [3]uint64 // shared, unshared, value
 	pos := 1
 	for i := range lens {
 		v, sz := binary.Uvarint(b[pos:])
 		if sz == 0 {
-			return entry{}, 0, nil
+			return nil, nil, 0, errPastRange
 		}
 		if sz < 0 || v > maxRecordField {
-			return entry{}, 0, fmt.Errorf("bad length field %d", i)
+			return nil, nil, 0, fmt.Errorf("bad length field %d", i)
 		}
 		lens[i] = v
 		pos += sz
 	}
+	if lens[0]+lens[1] == 0 {
+		return nil, nil, 0, errEmptyKey
+	}
 	if lens[0] > uint64(len(prev)) {
-		return entry{}, 0, fmt.Errorf("shares %d bytes with a %d-byte key", lens[0], len(prev))
+		return nil, nil, 0, fmt.Errorf("shares %d bytes with a %d-byte key", lens[0], len(prev))
 	}
 	if n = int64(pos) + int64(lens[1]) + int64(lens[2]); n > int64(len(b)) {
-		return entry{}, n, nil
+		return nil, nil, 0, errPastRange
 	}
 	mid := pos + int(lens[1])
-	return entry{key: append(prev[:lens[0]], b[pos:mid]...), value: b[mid:n], tombstone: b[0] == walOpDelete}, n, nil
+	return append(prev[:lens[0]], b[pos:mid]...), b[mid:n], n, nil
 }
 
-// sstIterator reads records in order from a seek position, through a window
-// filled by ReadAt. Its entry aliases the window (value) and the iterator's
-// own key buffer (key), so it is valid only until next or close.
+// sstIterator reads records in order from a seek position. Its entry's key
+// is rebuilt in the iterator's own buffer and its value aliases the mapping,
+// so the entry is valid only until next. It needs no closing: iterators live
+// by value in their Iterator's slab (iterator.go).
 type sstIterator struct {
 	t      *sstable
-	off    int64   // data offset of the next record
-	win    []byte  // unparsed bytes, starting at off
-	pooled *[]byte // the pool's buffer behind win; nil once a record outgrew it
-	keyBuf [64]byte
+	off    int64    // data offset of the next record
+	keyBuf [56]byte // longer keys move to the heap; 56 fits 4 cursors and an Iterator in 768 B
 	cur    entry
 	ok     bool
 	err    error
 }
 
-// iterate returns an iterator positioned at the first key >= start.
-func (t *sstable) iterate(start []byte) *sstIterator {
-	it := &sstIterator{t: t}
+// seek positions it at the first key >= start in t (the first key when
+// start is nil).
+func (it *sstIterator) seek(t *sstable, start []byte) {
+	*it = sstIterator{t: t}
 	it.cur.key = it.keyBuf[:0]
 	if start != nil {
 		it.off, _ = t.interval(start)
@@ -406,63 +373,19 @@ func (t *sstable) iterate(start []byte) *sstIterator {
 	for it.next(); it.ok && start != nil && compareKeys(it.cur.key, start) < 0; {
 		it.next()
 	}
-	return it
-}
-
-// fill makes win the want bytes at off, in the pooled window when they fit.
-func (it *sstIterator) fill(want int64) error {
-	if want > windowSize {
-		it.close()
-		it.win = make([]byte, want)
-	} else {
-		if it.pooled == nil {
-			it.pooled = windowPool.Get().(*[]byte)
-		}
-		it.win = (*it.pooled)[:want]
-	}
-	_, err := it.t.f.ReadAt(it.win, it.off)
-	return err
-}
-
-// close hands the pooled window back; the current entry dies with it.
-func (it *sstIterator) close() {
-	if it.pooled != nil {
-		windowPool.Put(it.pooled)
-		it.pooled = nil
-	}
-	it.win = nil
 }
 
 func (it *sstIterator) next() {
 	it.ok = false
-	if it.err != nil || it.off >= it.t.dataLen {
+	if it.err != nil || it.off >= int64(len(it.t.data)) {
 		return
 	}
-	for {
-		e, n, err := parseRecord(it.win, it.cur.key)
-		if err == nil && n > 0 && n <= int64(len(it.win)) {
-			it.cur, it.ok = e, true
-			it.win = it.win[n:]
-			it.off += n
-			return
-		}
-		if err == nil {
-			// The record is not wholly in the window: read a full window
-			// from its start, or as much as it is now known to need.
-			want := min(max(n, windowSize), it.t.dataLen-it.off)
-			if want <= int64(len(it.win)) {
-				err = errPastRange
-			} else {
-				err = it.fill(want)
-			}
-		}
-		if err != nil {
-			it.err = it.t.badRecord(it.off, err)
-			return
-		}
+	b := it.t.data[it.off:]
+	k, v, n, err := parseRecord(b, it.cur.key)
+	if err != nil {
+		it.err = it.t.badRecord(it.off, err)
+		return
 	}
+	it.cur, it.ok = entry{key: k, value: v, tombstone: b[0] == walOpDelete}, true
+	it.off += n
 }
-
-func (it *sstIterator) valid() bool  { return it.ok }
-func (it *sstIterator) entry() entry { return it.cur }
-func (it *sstIterator) error() error { return it.err }
