@@ -55,9 +55,11 @@ stress:
 # fuzz-smoke gives each wire/storage codec fuzzer a short randomized budget
 # on top of its checked-in seed corpus: frame decoding (v2 columnar), the
 # gossiped route-table blob, the edge-key parser, the mutation-batch codec,
-# the change-feed record codec and the kv table's record parser — and one
-# differential fuzzer, the frontier set (adds, checks and reserves) against a
-# Go map. Go allows one -fuzz target per invocation, hence the sequence.
+# the change-feed record codec and the kv table's record parser — and three
+# differential fuzzers: the frontier set (adds, checks and reserves) against
+# a Go map, and the vertex and edge predicates compiled over encoded values
+# against decode-then-match. Go allows one -fuzz target per invocation, hence
+# the sequence.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/wire
@@ -67,6 +69,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFeedRecords$$' -fuzztime $(FUZZTIME) ./internal/gstore
 	$(GO) test -run '^$$' -fuzz '^FuzzSSTableRecords$$' -fuzztime $(FUZZTIME) ./internal/kv
 	$(GO) test -run '^$$' -fuzz '^FuzzSetMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/frontier
+	$(GO) test -run '^$$' -fuzz '^FuzzVertexMatcher$$' -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzEdgeMatcher$$' -fuzztime $(FUZZTIME) ./internal/query
 
 check: vet build test race stress bench lint
 

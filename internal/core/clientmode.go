@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graphtrek/internal/model"
 	"graphtrek/internal/sched"
 	"graphtrek/internal/trace"
 	"graphtrek/internal/wire"
@@ -32,8 +31,8 @@ func (a *visitAcc) ItemDone() bool { return a.pending.Add(-1) == 0 }
 
 func (a *visitAcc) span() *trace.Builder { return a.sp }
 
-func (a *visitAcc) process(s *Server, ts *travelState, _ *expansion, vtx model.Vertex, found bool, it sched.Item, now time.Duration) time.Duration {
-	s.processVisitItem(ts, vtx, found, it)
+func (a *visitAcc) process(s *Server, ts *travelState, ex *expansion, match bool, it sched.Item, now time.Duration) time.Duration {
+	s.processVisitItem(ts, ex, match, it)
 	return now
 }
 
@@ -100,14 +99,14 @@ func (s *Server) handleVisitReq(from int, msg wire.Message, ts *travelState) {
 	}
 }
 
-// processVisitItem evaluates one client-mode entry against the (already
-// fetched) vertex, accumulating the surviving vertex and its next-step
-// expansions into the batch response.
-func (s *Server) processVisitItem(ts *travelState, vtx model.Vertex, found bool, it sched.Item) {
+// processVisitItem carries one client-mode entry on from the vertex's
+// verdict, accumulating the surviving vertex and its next-step expansions
+// into the batch response.
+func (s *Server) processVisitItem(ts *travelState, ex *expansion, match bool, it sched.Item) {
 	acc := it.Exec.(*visitAcc)
 	plan := ts.plan
 	last := int32(plan.NumSteps() - 1)
-	if !found || !stepMatches(plan, it.Step, vtx) {
+	if !match {
 		return
 	}
 	acc.mu.Lock()
@@ -116,27 +115,14 @@ func (s *Server) processVisitItem(ts *travelState, vtx model.Vertex, found bool,
 	if it.Step == last {
 		return
 	}
-	next := plan.Steps[it.Step+1]
-	expand := func(dst model.VertexID) bool {
+	err := s.expand(ex, plan, it.Step+1, it.Vertex)
+	acc.mu.Lock()
+	for _, dst := range ex.dsts {
 		// Anc carries the surviving source so the client can reconstruct
 		// the hop graph for rtn() liveness.
-		acc.mu.Lock()
 		acc.resp.Entries = append(acc.resp.Entries, wire.Entry{Vertex: dst, Anc: it.Vertex})
-		acc.mu.Unlock()
-		return true
 	}
-	var err error
-	if len(next.EdgeFilters) == 0 {
-		// Same packed-adjacency fast path as the server-side engines.
-		err = s.cfg.Store.ScanEdgeIDs(it.Vertex, next.EdgeLabel, expand)
-	} else {
-		err = s.cfg.Store.ScanEdges(it.Vertex, next.EdgeLabel, func(edge model.Edge) bool {
-			if next.EdgeFilters.MatchAll(edge.Props) {
-				return expand(edge.Dst)
-			}
-			return true
-		})
-	}
+	acc.mu.Unlock()
 	if err != nil {
 		acc.fail(s, ts, err.Error())
 	}

@@ -8,6 +8,8 @@ import (
 
 	"graphtrek/internal/frontier"
 	"graphtrek/internal/model"
+	"graphtrek/internal/property"
+	"graphtrek/internal/query"
 	"graphtrek/internal/sched"
 	"graphtrek/internal/trace"
 	"graphtrek/internal/wire"
@@ -20,13 +22,14 @@ import (
 // batches.
 type accumulator interface {
 	sched.Accumulator
-	// process evaluates one of the accumulator's items against the fetched
-	// vertex: a server-side execution filters, expands and dispatches, a
-	// client-mode batch collects survivors and expansions for its reply.
-	// ex is the calling worker's expansion scratch. now is the worker's last
-	// reading of the executor clock (sched.Now), where this item's first
-	// phase starts; process returns the last reading it took itself, or now.
-	process(s *Server, ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item, now time.Duration) time.Duration
+	// process carries one of the accumulator's items on from match, whether
+	// the vertex exists and passed the item's step predicate: a server-side
+	// execution expands and dispatches, a client-mode batch collects
+	// survivors and expansions for its reply. ex is the calling worker's
+	// expansion scratch. now is the worker's last reading of the executor
+	// clock (sched.Now), where this item's first phase starts; process
+	// returns the last reading it took itself, or now.
+	process(s *Server, ts *travelState, ex *expansion, match bool, it sched.Item, now time.Duration) time.Duration
 	// fail records a processing failure on whatever error path the
 	// accumulator reports through. Called at most once per finishItems call.
 	fail(s *Server, ts *travelState, msg string)
@@ -64,8 +67,8 @@ func (a *execAcc) ItemDone() bool { return a.pending.Add(-1) == 0 }
 
 func (a *execAcc) span() *trace.Builder { return a.sp }
 
-func (a *execAcc) process(s *Server, ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item, now time.Duration) time.Duration {
-	return s.processItem(ts, ex, vtx, found, it, now)
+func (a *execAcc) process(s *Server, ts *travelState, ex *expansion, match bool, it sched.Item, now time.Duration) time.Duration {
+	return s.processItem(ts, ex, match, it, now)
 }
 
 func (a *execAcc) execID() uint64 { return a.id }
@@ -163,7 +166,28 @@ type expansion struct {
 	dsts    []model.VertexID // destinations of the scan in progress
 	collect func(model.VertexID) bool
 	full    []fullBatch // outboxes that reached BatchSize, sent after unlocking
+
+	// An edge-filtered scan's state: collectIf collects the destinations
+	// whose edge value edge accepts, and keeps the first error in scanErr.
+	edge      property.Matcher
+	scanErr   error
+	collectIf func(dst model.VertexID, val []byte) bool
+
+	// The vertex view's state: judge evaluates, on the fetched vertex's
+	// bytes, the predicate of each distinct step among live (plan's steps)
+	// into verdict, indexed by step.
+	plan    *query.Plan
+	live    []sched.Item
+	verdict []uint8
+	judge   func(val []byte) error
 }
+
+// Verdicts on a step's predicate.
+const (
+	unjudged uint8 = iota
+	matched
+	rejected
+)
 
 type fullBatch struct {
 	target  int
@@ -176,6 +200,31 @@ func newExpansion() *expansion {
 	ex.collect = func(dst model.VertexID) bool {
 		ex.dsts = append(ex.dsts, dst)
 		return true
+	}
+	ex.collectIf = func(dst model.VertexID, val []byte) bool {
+		ok, err := ex.edge.Match(val)
+		if err != nil {
+			ex.scanErr = err
+			return false
+		}
+		return !ok || ex.collect(dst)
+	}
+	ex.judge = func(val []byte) error {
+		ex.verdict = append(ex.verdict[:0], make([]uint8, ex.plan.NumSteps())...)
+		for _, it := range ex.live {
+			if ex.verdict[it.Step] != unjudged {
+				continue
+			}
+			ok, err := ex.plan.VertexMatcher(int(it.Step)).Match(val)
+			if err != nil {
+				return err
+			}
+			ex.verdict[it.Step] = rejected
+			if ok {
+				ex.verdict[it.Step] = matched
+			}
+		}
+		return nil
 	}
 	return ex
 }

@@ -5,6 +5,7 @@ import (
 
 	"graphtrek/internal/cache"
 	"graphtrek/internal/model"
+	"graphtrek/internal/property"
 	"graphtrek/internal/query"
 	"graphtrek/internal/sched"
 	"graphtrek/internal/trace"
@@ -76,7 +77,11 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) tim
 		now = sched.Now()
 	}
 	s.disk.Access(int(live[0].Step), uint64(g.Vertex))
-	vtx, found, err := s.cfg.Store.GetVertex(g.Vertex)
+	// The fetch is a view of the vertex's bytes, and each distinct step among
+	// the live items has its predicate judged on them there (ex.judge).
+	ex.plan, ex.live = ts.plan, live
+	found, err := s.cfg.Store.ViewVertex(g.Vertex, ex.judge)
+	ex.plan = nil // the scratch outlives the traversal
 	if headSp != nil {
 		fetched := sched.Now()
 		headSp.AddFetch(fetched - now)
@@ -87,31 +92,21 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) tim
 		return now
 	}
 	for _, it := range live {
-		now = it.Exec.(accumulator).process(s, ts, ex, vtx, found, it, now)
+		match := found && ex.verdict[it.Step] == matched
+		now = it.Exec.(accumulator).process(s, ts, ex, match, it, now)
 	}
 	s.finishItems(ts, live, nil)
 	return now
 }
 
-// stepMatches applies one step's vertex predicate. Step 0 uses the full
-// source predicate (label restriction + filters): index-pushed seed
-// candidates are label-agnostic, unlike the label scan they replace.
-func stepMatches(plan *query.Plan, step int32, vtx model.Vertex) bool {
-	if step == 0 {
-		return query.SourceMatches(vtx, plan.Steps[0])
-	}
-	return query.VertexMatches(vtx, plan.Steps[step].VertexFilters)
-}
-
-// processItem evaluates one request against the (already fetched) vertex.
-// Its filter phase starts at now, the caller's last clock reading; it returns
-// its own last reading (now itself with tracing off).
-func (s *Server) processItem(ts *travelState, ex *expansion, vtx model.Vertex, found bool, it sched.Item, now time.Duration) time.Duration {
+// processItem carries one request on from the vertex's verdict on its
+// step's predicate. Its filter phase starts at now, the caller's last clock
+// reading; it returns its own last reading (now itself with tracing off).
+func (s *Server) processItem(ts *travelState, ex *expansion, match bool, it sched.Item, now time.Duration) time.Duration {
 	plan := ts.plan
 	last := int32(plan.NumSteps() - 1)
 	exec := it.Exec.(accumulator).execID()
 	sp := spanOf(it)
-	match := found && stepMatches(plan, it.Step, vtx)
 	if sp != nil {
 		filtered := sched.Now()
 		sp.AddFilter(filtered - now)
@@ -149,23 +144,8 @@ func (s *Server) processItem(ts *travelState, ex *expansion, vtx model.Vertex, f
 	// where the filter closed; dispatch time (that pass, possibly with early
 	// batch sends) is its tail and ends on the same clock read, so the two
 	// phases report separably.
-	next := plan.Steps[it.Step+1]
 	var dispatchStart time.Duration
-	ex.dsts = ex.dsts[:0]
-	var err error
-	if len(next.EdgeFilters) == 0 {
-		// No edge-property predicate: expand over the packed adjacency run —
-		// destination ids straight from the key bytes (and the packed read
-		// cache), no edge value fetch, no property-map decode.
-		err = s.cfg.Store.ScanEdgeIDs(it.Vertex, next.EdgeLabel, ex.collect)
-	} else {
-		err = s.cfg.Store.ScanEdges(it.Vertex, next.EdgeLabel, func(e model.Edge) bool {
-			if !next.EdgeFilters.MatchAll(e.Props) {
-				return true
-			}
-			return ex.collect(e.Dst)
-		})
-	}
+	err := s.expand(ex, plan, it.Step+1, it.Vertex)
 	if sp != nil {
 		dispatchStart = sched.Now()
 	}
@@ -180,6 +160,25 @@ func (s *Server) processItem(ts *travelState, ex *expansion, vtx model.Vertex, f
 		ts.addErr(err.Error())
 	}
 	return now
+}
+
+// expand collects into ex.dsts the destinations step's edges lead to from
+// src. With no edge predicate that is the packed adjacency run — ids straight
+// from the key bytes, or the read cache — and otherwise the edge values,
+// filtered where they lie by the step's compiled matcher.
+func (s *Server) expand(ex *expansion, plan *query.Plan, step int32, src model.VertexID) error {
+	ex.dsts = ex.dsts[:0]
+	next := plan.Steps[step]
+	if len(next.EdgeFilters) == 0 {
+		return s.cfg.Store.ScanEdgeIDs(src, next.EdgeLabel, ex.collect)
+	}
+	ex.edge, ex.scanErr = plan.EdgeMatcher(int(step)), nil
+	err := s.cfg.Store.ScanEdgeValues(src, next.EdgeLabel, ex.collectIf)
+	ex.edge = property.Matcher{} // the scratch outlives the traversal
+	if err != nil {
+		return err
+	}
+	return ex.scanErr
 }
 
 // recordRtn notes that vertex (marked at step) is awaiting an end-of-chain

@@ -276,7 +276,7 @@ func (m *MemStore) ScanInterned(fn func(name string, id model.VertexID) bool) er
 
 // Intern implements Interner.
 func (c *CachedGraph) Intern(name string, part int) (model.VertexID, error) {
-	in, ok := InternerOf(c.g)
+	in, ok := InternerOf(c.Graph)
 	if !ok {
 		return 0, fmt.Errorf("gstore: underlying store has no interner")
 	}
@@ -285,7 +285,7 @@ func (c *CachedGraph) Intern(name string, part int) (model.VertexID, error) {
 
 // ApplyIntern implements Interner.
 func (c *CachedGraph) ApplyIntern(name string, id model.VertexID) error {
-	in, ok := InternerOf(c.g)
+	in, ok := InternerOf(c.Graph)
 	if !ok {
 		return fmt.Errorf("gstore: underlying store has no interner")
 	}
@@ -294,7 +294,7 @@ func (c *CachedGraph) ApplyIntern(name string, id model.VertexID) error {
 
 // LookupID implements Interner.
 func (c *CachedGraph) LookupID(name string) (model.VertexID, bool, error) {
-	in, ok := InternerOf(c.g)
+	in, ok := InternerOf(c.Graph)
 	if !ok {
 		return 0, false, fmt.Errorf("gstore: underlying store has no interner")
 	}
@@ -303,7 +303,7 @@ func (c *CachedGraph) LookupID(name string) (model.VertexID, bool, error) {
 
 // LookupName implements Interner.
 func (c *CachedGraph) LookupName(id model.VertexID) (string, bool, error) {
-	in, ok := InternerOf(c.g)
+	in, ok := InternerOf(c.Graph)
 	if !ok {
 		return "", false, fmt.Errorf("gstore: underlying store has no interner")
 	}
@@ -312,7 +312,7 @@ func (c *CachedGraph) LookupName(id model.VertexID) (string, bool, error) {
 
 // ScanInterned implements Interner.
 func (c *CachedGraph) ScanInterned(fn func(name string, id model.VertexID) bool) error {
-	in, ok := InternerOf(c.g)
+	in, ok := InternerOf(c.Graph)
 	if !ok {
 		return fmt.Errorf("gstore: underlying store has no interner")
 	}

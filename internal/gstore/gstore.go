@@ -27,8 +27,14 @@ import (
 type Graph interface {
 	// PutVertex inserts or replaces a vertex and its by-label index entry.
 	PutVertex(v model.Vertex) error
-	// GetVertex fetches one vertex by id.
+	// GetVertex fetches one vertex by id, decoded.
 	GetVertex(id model.VertexID) (model.Vertex, bool, error)
+	// ViewVertex calls fn with vertex id's encoded value (AppendVertexValue's
+	// bytes) where it lies, and reports whether the vertex exists; fn is not
+	// called when it does not. The bytes are valid only until fn returns, and
+	// an error from fn is ViewVertex's. This is the traversal's read: a step's
+	// predicate runs on the bytes (model.VertexMatcher), nothing is decoded.
+	ViewVertex(id model.VertexID, fn func(val []byte) error) (found bool, err error)
 	// DeleteVertex removes a vertex, its index entry and its out-edges.
 	DeleteVertex(id model.VertexID) error
 	// PutEdge inserts or replaces one directed edge.
@@ -42,8 +48,13 @@ type Graph interface {
 	// the given label, in destination order. It is the packed-adjacency fast
 	// path: destinations come straight from the key bytes, so no edge value
 	// is fetched and no property map is decoded. Filters that need edge
-	// properties must use ScanEdges instead.
+	// properties must use ScanEdgeValues instead.
 	ScanEdgeIDs(src model.VertexID, label string, fn func(model.VertexID) bool) error
+	// ScanEdgeValues is ScanEdges without the decode: fn gets each
+	// destination and the edge's encoded value (AppendEdgeValue's bytes),
+	// valid only until fn returns — what an edge predicate
+	// (property.Matcher) reads in place.
+	ScanEdgeValues(src model.VertexID, label string, fn func(dst model.VertexID, val []byte) bool) error
 	// ScanAllEdges visits every out-edge of src grouped by label.
 	ScanAllEdges(src model.VertexID, fn func(model.Edge) bool) error
 	// ScanVerticesByLabel visits the ids of all vertices with a label.
@@ -203,8 +214,7 @@ func (s *Store) PutVertex(v model.Vertex) error {
 // GetVertex implements Graph. The value is decoded where it lies in kv —
 // DecodeVertexValue copies every string it keeps — so it is never copied.
 func (s *Store) GetVertex(id model.VertexID) (v model.Vertex, found bool, err error) {
-	var key [1 + 8]byte
-	found, err = s.db.View(vertexKey(key[:0], id), func(val []byte) (err error) {
+	found, err = s.ViewVertex(id, func(val []byte) (err error) {
 		v, err = model.DecodeVertexValue(id, val)
 		return err
 	})
@@ -212,6 +222,13 @@ func (s *Store) GetVertex(id model.VertexID) (v model.Vertex, found bool, err er
 		return model.Vertex{}, false, err
 	}
 	return v, true, nil
+}
+
+// ViewVertex implements Graph: the value is the one in the memtable or a
+// table's mapping, and nothing is allocated.
+func (s *Store) ViewVertex(id model.VertexID, fn func(val []byte) error) (bool, error) {
+	var key [1 + 8]byte
+	return s.db.View(vertexKey(key[:0], id), fn)
 }
 
 // DeleteVertex implements Graph.
@@ -286,14 +303,19 @@ func (s *Store) ScanEdges(src model.VertexID, label string, fn func(model.Edge) 
 // edge key, so the scan never touches edge values — a key-only pass over
 // one (src,label) run, which is what makes large fan-out expansion cheap.
 func (s *Store) ScanEdgeIDs(src model.VertexID, label string, fn func(model.VertexID) bool) error {
+	return s.ScanEdgeValues(src, label, func(dst model.VertexID, _ []byte) bool { return fn(dst) })
+}
+
+// ScanEdgeValues implements Graph: the values are kv.Scan's, in place.
+func (s *Store) ScanEdgeValues(src model.VertexID, label string, fn func(dst model.VertexID, val []byte) bool) error {
 	var prefix prefixBuf
 	var scanErr error
-	err := s.db.Scan(edgeLabelPrefix(prefix[:0], src, label), func(k, _ []byte) bool {
+	err := s.db.Scan(edgeLabelPrefix(prefix[:0], src, label), func(k, v []byte) bool {
 		if len(k) < 8 {
 			scanErr = fmt.Errorf("gstore: malformed edge key (%d bytes)", len(k))
 			return false
 		}
-		return fn(model.VertexID(binary.BigEndian.Uint64(k[len(k)-8:])))
+		return fn(model.VertexID(binary.BigEndian.Uint64(k[len(k)-8:])), v)
 	})
 	if err != nil {
 		return err

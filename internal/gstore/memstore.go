@@ -88,6 +88,15 @@ func (m *MemStore) GetVertex(id model.VertexID) (model.Vertex, bool, error) {
 	return v, ok, nil
 }
 
+// ViewVertex implements Graph, encoding the vertex on each call.
+func (m *MemStore) ViewVertex(id model.VertexID, fn func(val []byte) error) (bool, error) {
+	v, ok, _ := m.GetVertex(id)
+	if !ok {
+		return false, nil
+	}
+	return true, fn(model.AppendVertexValue(nil, v))
+}
+
 // DeleteVertex implements Graph. Index maintenance stays inside the store
 // lock for the same write-write ordering reason as PutVertex.
 func (m *MemStore) DeleteVertex(id model.VertexID) error {
@@ -169,6 +178,15 @@ func (m *MemStore) ScanEdgeIDs(src model.VertexID, label string, fn func(model.V
 		}
 	}
 	return nil
+}
+
+// ScanEdgeValues implements Graph, encoding each edge's value as it goes.
+func (m *MemStore) ScanEdgeValues(src model.VertexID, label string, fn func(dst model.VertexID, val []byte) bool) error {
+	var val []byte
+	return m.ScanEdges(src, label, func(e model.Edge) bool {
+		val = model.AppendEdgeValue(val[:0], e)
+		return fn(e.Dst, val)
+	})
 }
 
 // ScanAllEdges implements Graph. Labels are visited in sorted order to

@@ -1,8 +1,8 @@
 package gstore
 
 import (
-	"container/list"
-	"fmt"
+	"bytes"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -11,27 +11,33 @@ import (
 )
 
 // CachedGraph wraps a Graph with a memory-bounded, sharded read cache over
-// the two hot read shapes of the traversal engine: decoded vertices
-// (GetVertex, one per merged execution group) and CSR-style packed per-
-// (src,label) adjacency runs (ScanEdgeIDs, one per expansion) — a plain
-// []VertexID, 8 bytes per edge, no Edge structs, no property maps. A hit
-// skips the LSM lookup and all decoding — the stand-in for the RocksDB
-// block cache §VI leans on, but holding the compact secondary structure a
-// traversal actually consumes. ScanEdges (edge properties needed) passes
-// through uncached; the engines only take it when a step carries edge
-// filters.
+// the two hot read shapes of the traversal engine: a vertex's encoded value
+// (ViewVertex, one per merged execution group; the step's predicate runs on
+// the cached bytes as on the table's) and CSR-style packed (src,label)
+// adjacency runs (ScanEdgeIDs, one per expansion) — a plain []VertexID, 8
+// bytes per edge. A hit skips the LSM lookup — the stand-in for the RocksDB
+// block cache §VI leans on, holding what a traversal consumes. Every other
+// Graph method, the property-bearing scans among them, and the property
+// index pass through to the embedded store uncached (index rows derive from
+// the same writes that invalidate the cache).
+//
+// Each shard is one flat table: a dense slice of entries that a CLOCK hand
+// sweeps, indexed by open addressing over 4-byte positions. A vertex is keyed
+// by its id, a run by its source id and its label's number in the cache's
+// label table. A hit sets the entry's reference bit and reads the bytes
+// outside the lock: cached bytes are never written.
 //
 // Consistency: writes go to the underlying store first, then invalidate the
-// affected entries before returning, so a reader that starts after a write
-// returns never sees the overwritten version. Concurrent read/write races
-// are handled with a per-shard generation counter: a reader snapshots the
-// generation before fetching from the underlying store and only inserts if
-// no invalidation happened in between, so a stale fetch can never be
-// published over a newer write.
+// affected entries before returning, so a read that starts after a write
+// returns sees the new version. A miss snapshots its shard's generation
+// before fetching and inserts only if no invalidation happened in between,
+// so a stale fetch can never be published over a newer write.
 type CachedGraph struct {
-	g      Graph
-	budget int64 // per-shard byte budget
-	shards [cacheShards]cacheShard
+	Graph
+	PropertyIndex       // the store's, or noIndex
+	budget        int64 // per-shard byte budget
+	labels        atomic.Pointer[[]string]
+	shards        [cacheShards]cacheShard
 
 	vtxHits   atomic.Int64
 	vtxMisses atomic.Int64
@@ -60,25 +66,58 @@ type CacheStatter interface {
 const cacheShards = 16
 
 type cacheShard struct {
-	mu    sync.Mutex
-	gen   uint64 // bumped on every invalidation; guards miss-path inserts
-	lru   *list.List
-	vtx   map[model.VertexID]*list.Element
-	adj   map[model.VertexID]map[string]*list.Element // src -> label -> entry
-	bytes int64
+	mu      sync.Mutex
+	gen     uint64       // bumped on every invalidation; guards miss-path inserts
+	entries []cacheEntry // dense; the CLOCK hand sweeps it
+	slots   []uint32     // open-addressed positions into entries, plus one; 0 is empty
+	hand    int
+	bytes   int64
 }
 
-// cacheEntry is one list node: either a vertex or one (src,label) packed
-// adjacency run, tagged by isVtx. A hit only sets ref, leaving the list as it
-// is; eviction gives a referenced entry a second chance.
+// cacheEntry is a vertex's encoded value (label number 0) or the packed run
+// of its out-edges under label number lbl; slot is its place in the table.
 type cacheEntry struct {
-	isVtx  bool
-	ref    bool
-	id     model.VertexID // vertex id, or adjacency source id
-	label  string         // adjacency edge label (unused for vertices)
-	vertex model.Vertex
-	adj    []model.VertexID // packed destination ids, in dst order
-	size   int64
+	id   model.VertexID
+	lbl  uint16
+	ref  bool
+	slot uint32
+	val  []byte
+	run  []model.VertexID
+}
+
+// entryCost is what an entry costs besides its bytes: its 64 bytes in the
+// dense slice and its 4-byte slot, each with growth headroom, and the
+// allocator's rounding of the bytes. TestCacheChargeMatchesHeap measures
+// 85.5 at 20 000 entries, so a budget of N bytes holds about N of heap.
+const entryCost = 88
+
+func (e *cacheEntry) size() int64 {
+	return entryCost + int64(cap(e.val)) + 8*int64(cap(e.run))
+}
+
+// maxLabels bounds the label table: a plan names a handful of edge labels, so
+// a lookup scans a short slice; runs of labels past it pass through uncached.
+const maxLabels = 64
+
+// label returns label's number from 1, numbering it if add is set and there
+// is room; 0 means none.
+func (c *CachedGraph) label(label string, add bool) uint16 {
+	for {
+		p := c.labels.Load()
+		names := *p
+		for i, name := range names {
+			if name == label {
+				return uint16(i + 1)
+			}
+		}
+		if !add || len(names) == maxLabels {
+			return 0
+		}
+		grown := append(names[:len(names):len(names)], label)
+		if c.labels.CompareAndSwap(p, &grown) {
+			return uint16(len(grown))
+		}
+	}
 }
 
 var (
@@ -88,22 +127,21 @@ var (
 )
 
 // NewCachedGraph wraps g with a read cache bounded to roughly maxBytes of
-// cached value memory. The budget divides evenly across shards; an entry
-// larger than one shard's budget is never cached. maxBytes <= 0 yields a
-// cache that stores nothing but still counts hits and misses.
+// heap. The budget divides evenly across shards; an entry larger than one
+// shard's budget is never cached. maxBytes <= 0 yields a cache that stores
+// nothing but still counts hits and misses.
 func NewCachedGraph(g Graph, maxBytes int64) *CachedGraph {
-	c := &CachedGraph{g: g, budget: maxBytes / cacheShards}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.lru = list.New()
-		sh.vtx = make(map[model.VertexID]*list.Element)
-		sh.adj = make(map[model.VertexID]map[string]*list.Element)
+	ix, ok := g.(PropertyIndex)
+	if !ok {
+		ix = noIndex{}
 	}
+	c := &CachedGraph{Graph: g, PropertyIndex: ix, budget: maxBytes / cacheShards}
+	c.labels.Store(new([]string))
 	return c
 }
 
 // Unwrap returns the underlying store.
-func (c *CachedGraph) Unwrap() Graph { return c.g }
+func (c *CachedGraph) Unwrap() Graph { return c.Graph }
 
 // CacheStats implements CacheStatter.
 func (c *CachedGraph) CacheStats() CacheStats {
@@ -128,74 +166,76 @@ func (c *CachedGraph) shard(id model.VertexID) *cacheShard {
 	return &c.shards[(uint64(id)*0x9e3779b97f4a7c15)>>(64-4)]
 }
 
-// Size accounting. The estimates charge Go object overhead per entry so a
-// budget of N bytes holds roughly N bytes of live heap, not just payload.
-const (
-	vertexOverhead = 64 // list element + map entry + struct headers
-	adjOverhead    = 64
-	perPropCost    = 32 // map bucket share + Value struct
-)
+func (sh *cacheShard) home(id model.VertexID, lbl uint16) int {
+	h := (uint64(id) ^ uint64(lbl)<<52) * 0xbf58476d1ce4e5b9
+	return int(h>>32) & (len(sh.slots) - 1)
+}
 
-func propsSize(m property.Map) int64 {
-	n := int64(0)
-	for k, v := range m {
-		n += perPropCost + int64(len(k))
-		if v.Kind() == property.KindString {
-			n += int64(len(v.Str()))
+// find returns the position of (id, lbl) in entries, or -1; sh.mu is held.
+func (sh *cacheShard) find(id model.VertexID, lbl uint16) int {
+	if len(sh.slots) == 0 {
+		return -1
+	}
+	mask := len(sh.slots) - 1
+	for i := sh.home(id, lbl); sh.slots[i] != 0; i = (i + 1) & mask {
+		if pos := int(sh.slots[i] - 1); sh.entries[pos].id == id && sh.entries[pos].lbl == lbl {
+			return pos
 		}
 	}
-	return n
+	return -1
 }
 
-func vertexSize(v model.Vertex) int64 {
-	return vertexOverhead + int64(len(v.Label)) + propsSize(v.Props)
+// place points a free slot at the entry in position pos.
+func (sh *cacheShard) place(pos int) {
+	e := &sh.entries[pos]
+	mask := len(sh.slots) - 1
+	i := sh.home(e.id, e.lbl)
+	for sh.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	sh.slots[i], e.slot = uint32(pos+1), uint32(i)
 }
 
-func adjSize(label string, adj []model.VertexID) int64 {
-	// Charge the slice's backing array by capacity, not length: the array
-	// is what the entry pins on the heap, and append growth can leave
-	// cap > len. 8 bytes per slot (VertexID is uint64).
-	return adjOverhead + int64(len(label)) + 8*int64(cap(adj))
-}
-
-// removeLocked unlinks one entry. Caller holds sh.mu.
-func (sh *cacheShard) removeLocked(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
-	sh.lru.Remove(el)
-	sh.bytes -= ent.size
-	if ent.isVtx {
-		delete(sh.vtx, ent.id)
-	} else if byLabel := sh.adj[ent.id]; byLabel != nil {
-		delete(byLabel, ent.label)
-		if len(byLabel) == 0 {
-			delete(sh.adj, ent.id)
+// remove drops the entry in position pos. The table closes the gap by
+// shifting the run behind its slot back, so no tombstones build up, and the
+// last entry moves into the dropped one's position.
+func (sh *cacheShard) remove(pos int) {
+	sh.bytes -= sh.entries[pos].size()
+	mask := len(sh.slots) - 1
+	i := int(sh.entries[pos].slot)
+	for j := (i + 1) & mask; sh.slots[j] != 0; j = (j + 1) & mask {
+		e := &sh.entries[sh.slots[j]-1]
+		if (j-sh.home(e.id, e.lbl))&mask >= (j-i)&mask {
+			sh.slots[i], e.slot, i = sh.slots[j], uint32(i), j
 		}
 	}
+	sh.slots[i] = 0
+	last := len(sh.entries) - 1
+	if pos != last {
+		sh.entries[pos] = sh.entries[last]
+		sh.slots[sh.entries[pos].slot] = uint32(pos + 1)
+	}
+	sh.entries[last] = cacheEntry{}
+	sh.entries = sh.entries[:last]
 }
 
-// evictLocked trims the shard back under budget from the list's tail, where
-// an entry hit since it was put there goes to the front once more, its
-// reference spent. Caller holds sh.mu.
-func (sh *cacheShard) evictLocked(budget int64) {
-	for sh.bytes > budget {
-		back := sh.lru.Back()
-		if back == nil {
-			return
-		}
-		if ent := back.Value.(*cacheEntry); ent.ref {
-			ent.ref = false
-			sh.lru.MoveToFront(back)
-			continue
-		}
-		sh.removeLocked(back)
+// hit returns (id, lbl)'s entry, setting its bit, or a miss's generation.
+func (sh *cacheShard) hit(id model.VertexID, lbl uint16) (e cacheEntry, gen uint64, ok bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if pos := sh.find(id, lbl); pos >= 0 {
+		sh.entries[pos].ref = true
+		return sh.entries[pos], 0, true
 	}
+	return cacheEntry{}, sh.gen, false
 }
 
 // insert publishes a miss-path fetch unless the shard was invalidated since
 // gen was snapshotted (the fetch may predate a concurrent write) or the
-// entry cannot fit.
-func (sh *cacheShard) insert(gen uint64, budget int64, ent *cacheEntry) {
-	if ent.size > budget {
+// entry cannot fit. Over budget, the CLOCK hand clears the reference bit of
+// each entry hit since it last passed and drops the first one it finds clear.
+func (sh *cacheShard) insert(gen uint64, budget int64, e cacheEntry) {
+	if e.size() > budget {
 		return
 	}
 	sh.mu.Lock()
@@ -205,94 +245,94 @@ func (sh *cacheShard) insert(gen uint64, budget int64, ent *cacheEntry) {
 	}
 	// A racing reader may have inserted the same entry already; replace it
 	// so the books stay balanced.
-	if ent.isVtx {
-		if el, ok := sh.vtx[ent.id]; ok {
-			sh.removeLocked(el)
+	if pos := sh.find(e.id, e.lbl); pos >= 0 {
+		sh.remove(pos)
+	}
+	if 4*(len(sh.entries)+1) > 3*len(sh.slots) {
+		sh.slots = make([]uint32, max(8, 2*len(sh.slots)))
+		for pos := range sh.entries {
+			sh.place(pos)
 		}
-		sh.vtx[ent.id] = sh.lru.PushFront(ent)
-	} else {
-		byLabel := sh.adj[ent.id]
-		if byLabel == nil {
-			byLabel = make(map[string]*list.Element)
-			sh.adj[ent.id] = byLabel
-		} else if el, ok := byLabel[ent.label]; ok {
-			sh.removeLocked(el)
-			if sh.adj[ent.id] == nil { // removeLocked dropped the empty map
-				byLabel = make(map[string]*list.Element)
-				sh.adj[ent.id] = byLabel
-			}
+	}
+	sh.entries = append(sh.entries, e)
+	sh.place(len(sh.entries) - 1)
+	// The hand passes the entry that fills a hole, too: it is the one
+	// inserted last, and goes round as if it had been put behind the hand.
+	for sh.bytes += e.size(); sh.bytes > budget; sh.hand++ {
+		if sh.hand >= len(sh.entries) {
+			sh.hand = 0
 		}
-		byLabel[ent.label] = sh.lru.PushFront(ent)
+		if victim := &sh.entries[sh.hand]; victim.ref {
+			victim.ref = false
+		} else {
+			sh.remove(sh.hand)
+		}
 	}
-	sh.bytes += ent.size
-	sh.evictLocked(budget)
 }
 
-// invalidateVertex drops the cached copy of one vertex.
-func (sh *cacheShard) invalidateVertex(id model.VertexID) {
+// invalidate drops id's entries with label numbers lo through hi (0 is the
+// vertex itself).
+func (sh *cacheShard) invalidate(id model.VertexID, lo, hi uint16) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.gen++
-	if el, ok := sh.vtx[id]; ok {
-		sh.removeLocked(el)
+	for lbl := lo; lbl <= hi; lbl++ {
+		if pos := sh.find(id, lbl); pos >= 0 {
+			sh.remove(pos)
+		}
 	}
 }
 
-// invalidateAdj drops one (src,label) adjacency slice.
-func (sh *cacheShard) invalidateAdj(src model.VertexID, label string) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.gen++
-	if el, ok := sh.adj[src][label]; ok {
-		sh.removeLocked(el)
-	}
-}
-
-// invalidateSrc drops a vertex and every adjacency slice rooted at it —
-// DeleteVertex removes the out-edges too, so both shapes go stale at once.
-func (sh *cacheShard) invalidateSrc(id model.VertexID) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.gen++
-	if el, ok := sh.vtx[id]; ok {
-		sh.removeLocked(el)
-	}
-	for _, el := range sh.adj[id] {
-		sh.removeLocked(el)
-	}
-}
-
-// GetVertex implements Graph.
-func (c *CachedGraph) GetVertex(id model.VertexID) (model.Vertex, bool, error) {
+// ViewVertex implements Graph. A hit hands fn the cached bytes; a miss
+// fetches a copy of the value, which the cache keeps only if fn accepted it.
+// Every reader walks the whole value (a step's matcher, GetVertex's decode),
+// and a value that does not parse makes fn fail, so what is cached parses.
+func (c *CachedGraph) ViewVertex(id model.VertexID, fn func(val []byte) error) (bool, error) {
 	sh := c.shard(id)
-	sh.mu.Lock()
-	if el, ok := sh.vtx[id]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.ref = true
-		v := ent.vertex
-		sh.mu.Unlock()
+	e, gen, ok := sh.hit(id, 0)
+	if ok {
 		c.vtxHits.Add(1)
-		return v, true, nil
+		return true, fn(e.val)
 	}
-	gen := sh.gen
-	sh.mu.Unlock()
 	c.vtxMisses.Add(1)
-	v, ok, err := c.g.GetVertex(id)
-	if err != nil || !ok {
+	val, found, err := c.loadVertex(id)
+	if err != nil || !found {
 		// Negative results are not cached: missing-vertex reads are not a
 		// hot traversal shape, and skipping them keeps invalidation simple.
-		return v, ok, err
+		return found, err
 	}
-	sh.insert(gen, c.budget, &cacheEntry{isVtx: true, id: id, vertex: v, size: vertexSize(v)})
-	return v, true, nil
+	if err := fn(val); err != nil {
+		return true, err
+	}
+	sh.insert(gen, c.budget, cacheEntry{id: id, val: val})
+	return true, nil
 }
 
-// ScanEdges implements Graph. Property-bearing edge scans pass through
-// uncached: the engines only take this path when a step filters on edge
-// properties, and caching decoded Edge structs is exactly the bloat the
-// packed ScanEdgeIDs cache exists to avoid.
-func (c *CachedGraph) ScanEdges(src model.VertexID, label string, fn func(model.Edge) bool) error {
-	return c.g.ScanEdges(src, label, fn)
+// loadVertex reads a copy of a vertex's value for the cache: one allocation
+// from the persistent store, a clone through any other Graph's view.
+func (c *CachedGraph) loadVertex(id model.VertexID) ([]byte, bool, error) {
+	if s, ok := c.Graph.(*Store); ok {
+		var key [1 + 8]byte
+		return s.db.Get(vertexKey(key[:0], id))
+	}
+	var val []byte
+	found, err := c.Graph.ViewVertex(id, func(v []byte) error {
+		val = bytes.Clone(v)
+		return nil
+	})
+	return val, found, err
+}
+
+// GetVertex implements Graph, decoding the cached bytes on a hit.
+func (c *CachedGraph) GetVertex(id model.VertexID) (v model.Vertex, found bool, err error) {
+	found, err = c.ViewVertex(id, func(val []byte) (err error) {
+		v, err = model.DecodeVertexValue(id, val)
+		return err
+	})
+	if err != nil || !found {
+		return model.Vertex{}, false, err
+	}
+	return v, true, nil
 }
 
 // ScanEdgeIDs implements Graph. The full (src,label) packed run is
@@ -300,30 +340,24 @@ func (c *CachedGraph) ScanEdges(src model.VertexID, label string, fn func(model.
 // consumes whole scans, and a complete run is the only version safe to
 // replay for later calls.
 func (c *CachedGraph) ScanEdgeIDs(src model.VertexID, label string, fn func(model.VertexID) bool) error {
+	lbl := c.label(label, true)
+	if lbl == 0 {
+		c.adjMisses.Add(1)
+		return c.Graph.ScanEdgeIDs(src, label, fn)
+	}
 	sh := c.shard(src)
-	sh.mu.Lock()
-	if el, ok := sh.adj[src][label]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.ref = true
-		adj := ent.adj
-		sh.mu.Unlock()
+	e, gen, ok := sh.hit(src, lbl)
+	if ok {
 		c.adjHits.Add(1)
-		for _, dst := range adj {
-			if !fn(dst) {
-				break
-			}
+	} else {
+		c.adjMisses.Add(1)
+		var err error
+		if e.run, err = c.loadEdgeIDs(src, label); err != nil {
+			return err
 		}
-		return nil
+		sh.insert(gen, c.budget, cacheEntry{id: src, lbl: lbl, run: e.run})
 	}
-	gen := sh.gen
-	sh.mu.Unlock()
-	c.adjMisses.Add(1)
-	adj, err := c.loadEdgeIDs(src, label)
-	if err != nil {
-		return err
-	}
-	sh.insert(gen, c.budget, &cacheEntry{id: src, label: label, adj: adj, size: adjSize(label, adj)})
-	for _, dst := range adj {
+	for _, dst := range e.run {
 		if !fn(dst) {
 			break
 		}
@@ -336,11 +370,11 @@ func (c *CachedGraph) ScanEdgeIDs(src model.VertexID, label string, fn func(mode
 // MemStore, or a decorator that must see the call — is gathered through its
 // scan.
 func (c *CachedGraph) loadEdgeIDs(src model.VertexID, label string) ([]model.VertexID, error) {
-	if s, ok := c.g.(*Store); ok {
+	if s, ok := c.Graph.(*Store); ok {
 		return s.edgeIDs(src, label)
 	}
 	var adj []model.VertexID
-	err := c.g.ScanEdgeIDs(src, label, func(dst model.VertexID) bool {
+	err := c.Graph.ScanEdgeIDs(src, label, func(dst model.VertexID) bool {
 		adj = append(adj, dst)
 		return true
 	})
@@ -349,92 +383,57 @@ func (c *CachedGraph) loadEdgeIDs(src model.VertexID, label string) ([]model.Ver
 
 // PutVertex implements Graph.
 func (c *CachedGraph) PutVertex(v model.Vertex) error {
-	if err := c.g.PutVertex(v); err != nil {
+	if err := c.Graph.PutVertex(v); err != nil {
 		return err
 	}
-	c.shard(v.ID).invalidateVertex(v.ID)
+	c.shard(v.ID).invalidate(v.ID, 0, 0)
 	return nil
 }
 
-// DeleteVertex implements Graph.
+// DeleteVertex implements Graph. The vertex goes together with every run
+// from it: DeleteVertex removes the out-edges too.
 func (c *CachedGraph) DeleteVertex(id model.VertexID) error {
-	if err := c.g.DeleteVertex(id); err != nil {
+	if err := c.Graph.DeleteVertex(id); err != nil {
 		return err
 	}
-	c.shard(id).invalidateSrc(id)
+	c.shard(id).invalidate(id, 0, uint16(len(*c.labels.Load())))
 	return nil
 }
 
 // PutEdge implements Graph.
 func (c *CachedGraph) PutEdge(e model.Edge) error {
-	if err := c.g.PutEdge(e); err != nil {
+	if err := c.Graph.PutEdge(e); err != nil {
 		return err
 	}
-	c.shard(e.Src).invalidateAdj(e.Src, e.Label)
+	c.invalidateRun(e.Src, e.Label)
 	return nil
 }
 
 // DeleteEdge implements Graph.
 func (c *CachedGraph) DeleteEdge(src model.VertexID, label string, dst model.VertexID) error {
-	if err := c.g.DeleteEdge(src, label, dst); err != nil {
+	if err := c.Graph.DeleteEdge(src, label, dst); err != nil {
 		return err
 	}
-	c.shard(src).invalidateAdj(src, label)
+	c.invalidateRun(src, label)
 	return nil
 }
 
-// ScanAllEdges implements Graph; all-label scans are a bulk/maintenance
-// shape, so they pass through uncached.
-func (c *CachedGraph) ScanAllEdges(src model.VertexID, fn func(model.Edge) bool) error {
-	return c.g.ScanAllEdges(src, fn)
+// invalidateRun drops one (src,label) run.
+func (c *CachedGraph) invalidateRun(src model.VertexID, label string) {
+	n := c.label(label, false) // 0: no run of it was ever cached
+	c.shard(src).invalidate(src, max(n, 1), n)
 }
 
-// ScanVerticesByLabel implements Graph (uncached pass-through).
-func (c *CachedGraph) ScanVerticesByLabel(label string, fn func(model.VertexID) bool) error {
-	return c.g.ScanVerticesByLabel(label, fn)
+// noIndex is the PropertyIndex of a store that has none.
+type noIndex struct{}
+
+var errNoIndex = errors.New("gstore: underlying store has no property index")
+
+func (noIndex) EnableIndex(string) error { return errNoIndex }
+func (noIndex) HasIndex(string) bool     { return false }
+func (noIndex) LookupVertices(string, property.Value) ([]model.VertexID, error) {
+	return nil, errNoIndex
 }
-
-// ScanVertices implements Graph (uncached pass-through).
-func (c *CachedGraph) ScanVertices(fn func(model.Vertex) bool) error {
-	return c.g.ScanVertices(fn)
-}
-
-// Close implements Graph.
-func (c *CachedGraph) Close() error { return c.g.Close() }
-
-// The index capability passes through to the underlying store; index rows
-// are derived from the same writes that invalidate the cache, so no extra
-// coordination is needed.
-
-// EnableIndex implements PropertyIndex.
-func (c *CachedGraph) EnableIndex(key string) error {
-	ix, ok := c.g.(PropertyIndex)
-	if !ok {
-		return fmt.Errorf("gstore: underlying store has no property index")
-	}
-	return ix.EnableIndex(key)
-}
-
-// HasIndex implements PropertyIndex.
-func (c *CachedGraph) HasIndex(key string) bool {
-	ix, ok := c.g.(PropertyIndex)
-	return ok && ix.HasIndex(key)
-}
-
-// LookupVertices implements PropertyIndex.
-func (c *CachedGraph) LookupVertices(key string, v property.Value) ([]model.VertexID, error) {
-	ix, ok := c.g.(PropertyIndex)
-	if !ok {
-		return nil, fmt.Errorf("gstore: underlying store has no property index")
-	}
-	return ix.LookupVertices(key, v)
-}
-
-// LookupVerticesRange implements PropertyIndex.
-func (c *CachedGraph) LookupVerticesRange(key string, lo, hi property.Value) ([]model.VertexID, error) {
-	ix, ok := c.g.(PropertyIndex)
-	if !ok {
-		return nil, fmt.Errorf("gstore: underlying store has no property index")
-	}
-	return ix.LookupVerticesRange(key, lo, hi)
+func (noIndex) LookupVerticesRange(string, property.Value, property.Value) ([]model.VertexID, error) {
+	return nil, errNoIndex
 }

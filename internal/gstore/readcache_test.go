@@ -1,10 +1,14 @@
 package gstore
 
 import (
+	"cmp"
 	"container/list"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -34,6 +38,20 @@ func collectEdgeIDs(t *testing.T, g Graph, src model.VertexID, label string) []m
 		t.Fatal(err)
 	}
 	return ids
+}
+
+// viewed returns a copy of what ViewVertex hands its function.
+func viewed(t testing.TB, g Graph, id model.VertexID) ([]byte, bool) {
+	t.Helper()
+	var val []byte
+	found, err := g.ViewVertex(id, func(v []byte) error {
+		val = slices.Clone(v)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return val, found
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
@@ -109,13 +127,13 @@ func TestCacheInvalidation(t *testing.T) {
 
 	// Delete the vertex: both the vertex and its adjacency must go.
 	c.GetVertex(1)
-	collectEdges(t, c, 1, "run")
+	collectEdgeIDs(t, c, 1, "run")
 	c.DeleteVertex(1)
 	if _, ok, _ := c.GetVertex(1); ok {
 		t.Error("after DeleteVertex: vertex still readable")
 	}
-	if edges := collectEdges(t, c, 1, "run"); len(edges) != 0 {
-		t.Errorf("after DeleteVertex: edges %v", edges)
+	if ids := collectEdgeIDs(t, c, 1, "run"); len(ids) != 0 {
+		t.Errorf("after DeleteVertex: edges %v", ids)
 	}
 }
 
@@ -134,7 +152,7 @@ func TestCacheDifferentialQuick(t *testing.T) {
 		for op := 0; op < 2000; op++ {
 			id := model.VertexID(r.Intn(nIDs))
 			label := labels[r.Intn(len(labels))]
-			switch r.Intn(8) {
+			switch r.Intn(9) {
 			case 0:
 				v := model.Vertex{ID: id, Label: "User",
 					Props: property.Map{"n": property.Int(int64(op))}}
@@ -154,11 +172,18 @@ func TestCacheDifferentialQuick(t *testing.T) {
 					c.DeleteVertex(id)
 					oracle.DeleteVertex(id)
 				}
-			case 4, 5:
+			case 4:
 				got, okGot, _ := c.GetVertex(id)
 				want, okWant, _ := oracle.GetVertex(id)
 				if okGot != okWant || !reflect.DeepEqual(got, want) {
 					t.Fatalf("cap %d op %d: GetVertex(%d) = %+v/%v, want %+v/%v",
+						maxBytes, op, id, got, okGot, want, okWant)
+				}
+			case 5:
+				got, okGot := viewed(t, c, id)
+				want, okWant := viewed(t, oracle, id)
+				if okGot != okWant || !slices.Equal(got, want) {
+					t.Fatalf("cap %d op %d: ViewVertex(%d) = %x/%v, want %x/%v",
 						maxBytes, op, id, got, okGot, want, okWant)
 				}
 			case 6:
@@ -238,6 +263,77 @@ func TestCacheConcurrentReadsAndWrites(t *testing.T) {
 	}
 }
 
+// TestCacheRaceWithDeletes races readers against writers that also delete
+// vertices (dropping a vertex and every run from it) and edges, in a budget
+// that keeps the CLOCK hand moving. Every value a reader is handed must
+// decode; once quiesced, every read through the cache equals the MemStore
+// underneath it, the model.
+func TestCacheRaceWithDeletes(t *testing.T) {
+	mem := NewMemStore()
+	c := NewCachedGraph(mem, 16*1024)
+	const (
+		nIDs   = 24
+		rounds = 400
+	)
+	labels := []string{"a", "b", "c"}
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < rounds; i++ {
+				id := model.VertexID(r.Intn(nIDs))
+				label := labels[r.Intn(len(labels))]
+				switch r.Intn(6) {
+				case 0, 1:
+					c.PutVertex(model.Vertex{ID: id, Label: "N", Props: property.Map{"n": property.Int(int64(i))}})
+				case 2, 3:
+					c.PutEdge(model.Edge{Src: id, Dst: model.VertexID(r.Intn(nIDs)), Label: label})
+				case 4:
+					c.DeleteEdge(id, label, model.VertexID(r.Intn(nIDs)))
+				default:
+					c.DeleteVertex(id)
+				}
+			}
+		}(w)
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(100 + g)))
+			for i := 0; i < 2*rounds; i++ {
+				id := model.VertexID(r.Intn(nIDs))
+				if _, err := c.ViewVertex(id, func(val []byte) error {
+					_, err := model.DecodeVertexValue(id, val)
+					return err
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				c.ScanEdgeIDs(id, labels[r.Intn(len(labels))], func(model.VertexID) bool { return true })
+			}
+		}(g)
+	}
+	wg.Wait()
+	for id := model.VertexID(0); id < nIDs; id++ {
+		got, okGot := viewed(t, c, id)
+		want, okWant := viewed(t, mem, id)
+		if okGot != okWant || !slices.Equal(got, want) {
+			t.Errorf("quiesced ViewVertex(%d) = %x/%v, model %x/%v", id, got, okGot, want, okWant)
+		}
+		for _, l := range labels {
+			if got, want := collectEdgeIDs(t, c, id, l), collectEdgeIDs(t, mem, id, l); !slices.Equal(got, want) {
+				t.Errorf("quiesced ScanEdgeIDs(%d,%s) = %v, model %v", id, l, got, want)
+			}
+		}
+	}
+	if st := c.CacheStats(); st.Bytes > 16*1024 {
+		t.Errorf("cache holds %d bytes, budget %d", st.Bytes, 16*1024)
+	}
+}
+
 // TestCachePackedAdjBudgetEviction pins the byte accounting of packed
 // adjacency entries under a tiny budget: each run is charged for its slice
 // backing array (8 bytes per slot of capacity, not just the header), so two
@@ -252,12 +348,12 @@ func TestCachePackedAdjBudgetEviction(t *testing.T) {
 			c.PutEdge(model.Edge{Src: src, Dst: model.VertexID(1000 + d), Label: label})
 		}
 	}
-	// One packed run costs 64 + 2 + 8*cap bytes; with append growth to 128
-	// slots that is ~1090 — over half the shard budget — so caching "bb"
-	// must evict "aa".
+	// One packed run costs entryCost + 8*cap bytes; with append growth to 128
+	// slots that is over half the shard budget, so caching "bb" must evict
+	// "aa".
 	collectEdgeIDs(t, c, src, "aa")
 	st := c.CacheStats()
-	if min := int64(adjOverhead + 2 + 8*fanout); st.Bytes < min {
+	if min := int64(entryCost + 8*fanout); st.Bytes < min {
 		t.Errorf("one run charged %d bytes, want >= %d (backing array, not header)", st.Bytes, min)
 	}
 	collectEdgeIDs(t, c, src, "bb")
@@ -339,6 +435,25 @@ func (l *lruRef) read(shard int, e refEntry) bool {
 	return false
 }
 
+// cachedSize is what the cache charges for a vertex's value or a run: a
+// clone's capacity (the allocator's size class), or 8 bytes an id.
+func cachedSize(val []byte, run []model.VertexID) int64 {
+	e := cacheEntry{val: slices.Clone(val), run: run}
+	return e.size()
+}
+
+// skewedGraph is nIDs File vertices, each with 1 + i%13 "read" edges.
+func skewedGraph(nIDs int) *MemStore {
+	mem := NewMemStore()
+	for i := 0; i < nIDs; i++ {
+		mem.PutVertex(model.Vertex{ID: model.VertexID(i), Label: "File", Props: property.Map{"n": property.Int(int64(i))}})
+		for j := 0; j < 1+i%13; j++ {
+			mem.PutEdge(model.Edge{Src: model.VertexID(i), Label: "read", Dst: model.VertexID(j)})
+		}
+	}
+	return mem
+}
+
 // TestSecondChanceAgainstLRU reads a seeded, skewed sequence of vertices and
 // adjacency runs through the cache and through the LRU model. With room for
 // everything the two give the same hit or miss on every read; with a working
@@ -346,18 +461,11 @@ func (l *lruRef) read(shard int, e refEntry) bool {
 // and no shard is ever over its budget after a read returns.
 func TestSecondChanceAgainstLRU(t *testing.T) {
 	const nIDs = 2000
-	mem := NewMemStore()
+	mem := skewedGraph(nIDs)
 	var total int64
 	for i := 0; i < nIDs; i++ {
-		v := model.Vertex{ID: model.VertexID(i), Label: "File", Props: property.Map{"n": property.Int(int64(i))}}
-		mem.PutVertex(v)
-		total += vertexSize(v)
-		adj := make([]model.VertexID, 0, 1+i%13)
-		for j := 0; j < cap(adj); j++ {
-			mem.PutEdge(model.Edge{Src: v.ID, Label: "read", Dst: model.VertexID(j)})
-			adj = append(adj, model.VertexID(j))
-		}
-		total += adjSize("read", adj)
+		val, _ := viewed(t, mem, model.VertexID(i))
+		total += cachedSize(val, nil) + cachedSize(nil, collectEdgeIDs(t, mem, model.VertexID(i), "read"))
 	}
 	for _, tc := range []struct {
 		name   string
@@ -375,10 +483,10 @@ func TestSecondChanceAgainstLRU(t *testing.T) {
 			before := c.CacheStats()
 			var e refEntry
 			if r.Intn(2) == 0 {
-				v, _, _ := c.GetVertex(id)
-				e = refEntry{id: id, size: vertexSize(v)}
+				val, _ := viewed(t, c, id)
+				e = refEntry{id: id, size: cachedSize(val, nil)}
 			} else {
-				e = refEntry{id: id, label: "read", size: adjSize("read", collectEdgeIDs(t, c, id, "read"))}
+				e = refEntry{id: id, label: "read", size: cachedSize(nil, collectEdgeIDs(t, c, id, "read"))}
 			}
 			after := c.CacheStats()
 			hit := after.VtxHits+after.AdjHits > before.VtxHits+before.AdjHits
@@ -413,9 +521,309 @@ func TestSecondChanceAgainstLRU(t *testing.T) {
 	}
 }
 
+// listCache is the read cache the flat table replaced: decoded vertices and
+// packed runs as list elements, indexed per shard by a vertex map and a
+// source → label → element map, evicted second chance from the list's tail.
+// It is single-threaded here (no lock, no generation) and kept as the
+// reference the flat CLOCK table is held to.
+type listCache struct {
+	g      Graph
+	budget int64
+	shards [cacheShards]listShard
+}
+
+type listShard struct {
+	lru   *list.List
+	vtx   map[model.VertexID]*list.Element
+	adj   map[model.VertexID]map[string]*list.Element
+	bytes int64
+}
+
+type listEntry struct {
+	isVtx  bool
+	ref    bool
+	id     model.VertexID
+	label  string
+	vertex model.Vertex
+	adj    []model.VertexID
+	size   int64
+}
+
+// The list cache's size estimates: Go object overhead per entry, per
+// property and per byte of string.
+func listVertexSize(v model.Vertex) int64 {
+	n := 64 + int64(len(v.Label))
+	for k, p := range v.Props {
+		n += 32 + int64(len(k)) + int64(len(p.Str()))
+	}
+	return n
+}
+
+func listAdjSize(label string, adj []model.VertexID) int64 {
+	return 64 + int64(len(label)) + 8*int64(cap(adj))
+}
+
+func newListCache(g Graph, maxBytes int64) *listCache {
+	c := &listCache{g: g, budget: maxBytes / cacheShards}
+	for i := range c.shards {
+		c.shards[i] = listShard{lru: list.New(), vtx: map[model.VertexID]*list.Element{},
+			adj: map[model.VertexID]map[string]*list.Element{}}
+	}
+	return c
+}
+
+func (c *listCache) shard(id model.VertexID) *listShard {
+	return &c.shards[(uint64(id)*0x9e3779b97f4a7c15)>>(64-4)]
+}
+
+func (sh *listShard) remove(el *list.Element) {
+	ent := el.Value.(*listEntry)
+	sh.lru.Remove(el)
+	sh.bytes -= ent.size
+	if ent.isVtx {
+		delete(sh.vtx, ent.id)
+	} else if byLabel := sh.adj[ent.id]; byLabel != nil {
+		delete(byLabel, ent.label)
+		if len(byLabel) == 0 {
+			delete(sh.adj, ent.id)
+		}
+	}
+}
+
+func (sh *listShard) insert(budget int64, ent *listEntry) {
+	if ent.size > budget {
+		return
+	}
+	if ent.isVtx {
+		sh.vtx[ent.id] = sh.lru.PushFront(ent)
+	} else {
+		if sh.adj[ent.id] == nil {
+			sh.adj[ent.id] = map[string]*list.Element{}
+		}
+		sh.adj[ent.id][ent.label] = sh.lru.PushFront(ent)
+	}
+	for sh.bytes += ent.size; sh.bytes > budget; {
+		back := sh.lru.Back()
+		if ent := back.Value.(*listEntry); ent.ref {
+			ent.ref = false
+			sh.lru.MoveToFront(back)
+			continue
+		}
+		sh.remove(back)
+	}
+}
+
+func (c *listCache) getVertex(id model.VertexID) (v model.Vertex, found, hit bool) {
+	sh := c.shard(id)
+	if el, ok := sh.vtx[id]; ok {
+		ent := el.Value.(*listEntry)
+		ent.ref = true
+		return ent.vertex, true, true
+	}
+	v, found, _ = c.g.GetVertex(id)
+	if found {
+		sh.insert(c.budget, &listEntry{isVtx: true, id: id, vertex: v, size: listVertexSize(v)})
+	}
+	return v, found, false
+}
+
+func (c *listCache) scanEdgeIDs(src model.VertexID, label string) (adj []model.VertexID, hit bool) {
+	sh := c.shard(src)
+	if el, ok := sh.adj[src][label]; ok {
+		ent := el.Value.(*listEntry)
+		ent.ref = true
+		return ent.adj, true
+	}
+	c.g.ScanEdgeIDs(src, label, func(dst model.VertexID) bool {
+		adj = append(adj, dst)
+		return true
+	})
+	sh.insert(c.budget, &listEntry{id: src, label: label, adj: adj, size: listAdjSize(label, adj)})
+	return adj, false
+}
+
+// invalidate drops the vertex (all), or the one run (label), of id.
+func (c *listCache) invalidate(id model.VertexID, label string, all bool) {
+	sh := c.shard(id)
+	if el, ok := sh.vtx[id]; ok && (all || label == "") {
+		sh.remove(el)
+	}
+	for l, el := range sh.adj[id] {
+		if all || l == label {
+			sh.remove(el)
+		}
+	}
+}
+
+// cacheKey names a resident entry: a vertex (label "") or a run.
+type cacheKey struct {
+	id    model.VertexID
+	label string
+}
+
+func (c *listCache) resident() []cacheKey {
+	var keys []cacheKey
+	for i := range c.shards {
+		for el := c.shards[i].lru.Front(); el != nil; el = el.Next() {
+			ent := el.Value.(*listEntry)
+			keys = append(keys, cacheKey{ent.id, ent.label})
+		}
+	}
+	return sortKeys(keys)
+}
+
+func (c *CachedGraph) resident() []cacheKey {
+	var keys []cacheKey
+	names := *c.labels.Load()
+	for i := range c.shards {
+		for _, e := range c.shards[i].entries {
+			k := cacheKey{id: e.id}
+			if e.lbl != 0 {
+				k.label = names[e.lbl-1]
+			}
+			keys = append(keys, k)
+		}
+	}
+	return sortKeys(keys)
+}
+
+func sortKeys(keys []cacheKey) []cacheKey {
+	slices.SortFunc(keys, func(a, b cacheKey) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), strings.Compare(a.label, b.label))
+	})
+	return keys
+}
+
+// TestFlatCacheAgainstListCache runs one seeded, skewed mix of reads and
+// writes through the flat CLOCK cache and through the list-and-map cache it
+// replaced, each over its own copy of the graph. Every read answers the same.
+// With room for everything the two hold the same entries after every
+// thousand operations; at a quarter of each one's working set their hit
+// fractions are within 0.02.
+func TestFlatCacheAgainstListCache(t *testing.T) {
+	const nIDs = 2000
+	labels := []string{"read", "write"}
+	build := func() *MemStore {
+		mem := skewedGraph(nIDs)
+		for i := 0; i < nIDs; i += 3 {
+			mem.PutEdge(model.Edge{Src: model.VertexID(i), Label: "write", Dst: model.VertexID(i / 3)})
+		}
+		return mem
+	}
+	mem := build()
+	var flatTotal, listTotal int64
+	for i := 0; i < nIDs; i++ {
+		id := model.VertexID(i)
+		val, _ := viewed(t, mem, id)
+		v, _, _ := mem.GetVertex(id)
+		flatTotal += cachedSize(val, nil)
+		listTotal += listVertexSize(v)
+		for _, l := range labels {
+			run := collectEdgeIDs(t, mem, id, l)
+			flatTotal += cachedSize(nil, run)
+			listTotal += listAdjSize(l, run)
+		}
+	}
+	for _, tc := range []struct {
+		name             string
+		flatB, listB     int64
+		within           float64
+		compareResidents bool
+	}{
+		{"ample", 4 * flatTotal, 4 * listTotal, 0, true},
+		{"quarter", flatTotal / 4, listTotal / 4, 0.02, false},
+	} {
+		flat, ref := NewCachedGraph(build(), tc.flatB), newListCache(build(), tc.listB)
+		r := rand.New(rand.NewSource(31))
+		zipf := rand.NewZipf(r, 1.1, 8, nIDs-1)
+		flatHits, refHits := 0, 0
+		const ops = 60_000
+		for op := 0; op < ops; op++ {
+			id := model.VertexID(zipf.Uint64())
+			label := labels[r.Intn(len(labels))]
+			before := flat.CacheStats()
+			switch r.Intn(40) {
+			case 0:
+				v := model.Vertex{ID: id, Label: "File", Props: property.Map{"n": property.Int(int64(op))}}
+				flat.PutVertex(v)
+				ref.g.PutVertex(v)
+				ref.invalidate(id, "", false)
+			case 1:
+				e := model.Edge{Src: id, Label: label, Dst: model.VertexID(op % nIDs)}
+				flat.PutEdge(e)
+				ref.g.PutEdge(e)
+				ref.invalidate(id, label, false)
+			case 2:
+				if r.Intn(10) == 0 {
+					flat.DeleteVertex(id)
+					ref.g.DeleteVertex(id)
+					ref.invalidate(id, "", true)
+				}
+			case 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19:
+				got, okGot, _ := flat.GetVertex(id)
+				want, okWant, refHit := ref.getVertex(id)
+				if okGot != okWant || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s op %d: GetVertex(%d) = %+v/%v, reference %+v/%v", tc.name, op, id, got, okGot, want, okWant)
+				}
+				if refHit {
+					refHits++
+				}
+			default:
+				got := collectEdgeIDs(t, flat, id, label)
+				want, refHit := ref.scanEdgeIDs(id, label)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s op %d: ScanEdgeIDs(%d,%s) = %v, reference %v", tc.name, op, id, label, got, want)
+				}
+				if refHit {
+					refHits++
+				}
+			}
+			after := flat.CacheStats()
+			flatHits += int(after.VtxHits + after.AdjHits - before.VtxHits - before.AdjHits)
+			if tc.compareResidents && op%1000 == 999 {
+				if got, want := flat.resident(), ref.resident(); !slices.Equal(got, want) {
+					t.Fatalf("%s op %d: %d entries resident, the reference holds %d", tc.name, op, len(got), len(want))
+				}
+			}
+		}
+		got, want := float64(flatHits)/ops, float64(refHits)/ops
+		t.Logf("%s: hit fraction %.4f, list cache %.4f", tc.name, got, want)
+		if math.Abs(got-want) > tc.within {
+			t.Errorf("%s: hit fraction %.4f, list cache %.4f: more than %.2f apart", tc.name, got, want, tc.within)
+		}
+	}
+}
+
+// TestCacheChargeMatchesHeap holds the charge rule to the heap: with 10 000
+// vertices and 10 000 runs cached, the bytes the cache says it holds are
+// within a quarter of what the heap grew by to hold them.
+func TestCacheChargeMatchesHeap(t *testing.T) {
+	const n = 10_000
+	mem := skewedGraph(n)
+	c := NewCachedGraph(mem, 1<<40)
+	accept := func([]byte) error { return nil }
+	sink := func(model.VertexID) bool { return true }
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		c.ViewVertex(model.VertexID(i), accept)
+		c.ScanEdgeIDs(model.VertexID(i), "read", sink)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grown := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	charged := float64(c.CacheStats().Bytes)
+	t.Logf("charged %.0f bytes, heap grew %.0f: %.1f and %.1f bytes an entry", charged, grown, charged/(2*n), grown/(2*n))
+	if charged < 0.75*grown || charged > 1.25*grown {
+		t.Errorf("charged %.0f bytes for %.0f of heap: outside ±25 %%", charged, grown)
+	}
+	runtime.KeepAlive(c)
+}
+
 // BenchmarkCachedHit reads resident entries from four goroutines: the warm
 // traversal's two store calls, where the replacement policy's bookkeeping is
-// all there is besides the map lookup.
+// all there is besides the table lookup.
 func BenchmarkCachedHit(b *testing.B) {
 	const nIDs = 4096
 	mem := NewMemStore()
@@ -427,15 +835,16 @@ func BenchmarkCachedHit(b *testing.B) {
 	}
 	c := NewCachedGraph(mem, 1<<30)
 	sink := func(model.VertexID) bool { return true }
+	accept := func([]byte) error { return nil }
 	for i := 0; i < nIDs; i++ {
-		c.GetVertex(model.VertexID(i))
+		c.ViewVertex(model.VertexID(i), accept)
 		c.ScanEdgeIDs(model.VertexID(i), "read", sink)
 	}
 	for _, bc := range []struct {
 		name string
 		read func(id model.VertexID)
 	}{
-		{"vertex", func(id model.VertexID) { c.GetVertex(id) }},
+		{"vertex", func(id model.VertexID) { c.ViewVertex(id, accept) }},
 		{"adj", func(id model.VertexID) { c.ScanEdgeIDs(id, "read", sink) }},
 	} {
 		read := bc.read

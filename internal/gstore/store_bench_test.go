@@ -60,40 +60,54 @@ func benchStore(b testing.TB, tables int) *Store {
 	return s
 }
 
-// TestColdHopAllocs pins what a cold hop costs in objects over the graph the
-// benchmarks below read: a vertex decoded where it lies in kv, so that
-// GetVertex allocates what decoding the value does and nothing else (no key,
-// no value copy); a typed scan that is one kv iterator whatever the number
-// of tables; and a read-cache adjacency miss that allocates its run once, at
-// its length, beside the iterator and the cache entry. (A miss the cache
-// keeps also pays the entry's list element.)
+// TestColdHopAllocs pins what a hop costs in objects over the graph the
+// benchmarks below read. A vertex is viewed where it lies in kv with no
+// allocation, and GetVertex allocates what decoding the value does and
+// nothing else. A typed scan, with or without the edge values, is one kv
+// iterator whatever the number of tables. Through the read cache, a hit of
+// either shape allocates nothing, a vertex miss only the copy it keeps, and
+// a run miss its run once, at its length, beside the iterator.
 func TestColdHopAllocs(t *testing.T) {
 	const id = model.VertexID(77)
 	var scans []float64
+	accept := func([]byte) error { return nil }
+	n := 0
+	count := func(model.VertexID) bool { n++; return true }
+	budget := func(what string, tables int, limit float64, fn func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(50, fn); got > limit {
+			t.Errorf("%d tables: %s makes %.0f allocations, want <= %.0f", tables, what, got, limit)
+		}
+	}
 	for _, tables := range []int{1, 2, 4, 8} {
 		s := benchStore(t, tables)
 		v, _, _ := s.GetVertex(id)
 		val := model.AppendVertexValue(nil, v)
 		decode := testing.AllocsPerRun(50, func() { model.DecodeVertexValue(id, val) })
-		if n := testing.AllocsPerRun(50, func() { s.GetVertex(id) }); n > decode {
-			t.Errorf("%d tables: GetVertex makes %.0f allocations, decoding its value %.0f", tables, n, decode)
-		}
-		n := 0
+		budget("GetVertex", tables, decode, func() { s.GetVertex(id) })
+		budget("Store.ViewVertex", tables, 0, func() { s.ViewVertex(id, accept) })
+		budget("ScanEdgeValues", tables, 1, func() {
+			s.ScanEdgeValues(id, "read", func(model.VertexID, []byte) bool { return true })
+		})
 		scan := testing.AllocsPerRun(50, func() {
 			n = 0
-			s.ScanEdgeIDs(id, "read", func(model.VertexID) bool { n++; return true })
+			s.ScanEdgeIDs(id, "read", count)
 		})
 		if scan > 2 || n != benchFanout {
 			t.Errorf("%d tables: ScanEdgeIDs makes %.0f allocations for %d ids, want <= 2 for %d", tables, scan, n, benchFanout)
 		}
 		scans = append(scans, scan)
-		c := NewCachedGraph(s, 0) // keeps nothing: every read is a miss
-		miss := testing.AllocsPerRun(50, func() {
-			n = 0
-			c.ScanEdgeIDs(id, "read", func(model.VertexID) bool { n++; return true })
-		})
-		if miss > 3 || n != benchFanout {
-			t.Errorf("%d tables: a cache miss makes %.0f allocations for %d ids, want <= 3 for %d", tables, miss, n, benchFanout)
+		miss := NewCachedGraph(s, 0) // keeps nothing: every read is a miss
+		budget("a vertex miss", tables, 1, func() { miss.ViewVertex(id, accept) })
+		budget("a run miss", tables, 2, func() { miss.ScanEdgeIDs(id, "read", count) })
+		hit := NewCachedGraph(s, 1<<20)
+		hit.ViewVertex(id, accept)
+		hit.ScanEdgeIDs(id, "read", count)
+		budget("a vertex hit", tables, 0, func() { hit.ViewVertex(id, accept) })
+		n = 0
+		budget("a run hit", tables, 0, func() { hit.ScanEdgeIDs(id, "read", count) })
+		if st := hit.CacheStats(); st.VtxMisses != 1 || st.AdjMisses != 1 || n != 51*benchFanout {
+			t.Errorf("%d tables: the hits were not hits: %+v, %d ids", tables, st, n)
 		}
 	}
 	for _, n := range scans[1:] {
@@ -123,6 +137,49 @@ func BenchmarkStoreGetVertex(b *testing.B) {
 			b.Fatal(ok, err)
 		}
 	})
+}
+
+// BenchmarkStoreViewVertex is the traversal's read beside GetVertex: the same
+// lookup, with the value judged in place instead of decoded.
+func BenchmarkStoreViewVertex(b *testing.B) {
+	m := model.VertexMatcher{Label: "File"}
+	judge := func(val []byte) error {
+		_, err := m.Match(val)
+		return err
+	}
+	benchOverTables(b, func(b *testing.B, s *Store, i int) {
+		if ok, err := s.ViewVertex(model.VertexID(i*7%benchVertices+1), judge); err != nil || !ok {
+			b.Fatal(ok, err)
+		}
+	})
+}
+
+// BenchmarkCachedMiss reads through a read cache of fanout-cold's size (16 KiB
+// a shard) over a one-table store, cycling through every vertex, so that
+// nearly every read misses and is inserted over an eviction.
+func BenchmarkCachedMiss(b *testing.B) {
+	s := benchStore(b, 1)
+	m := model.VertexMatcher{Label: "File"}
+	judge := func(val []byte) error {
+		_, err := m.Match(val)
+		return err
+	}
+	sink := func(model.VertexID) bool { return true }
+	for _, bc := range []struct {
+		name string
+		read func(c *CachedGraph, id model.VertexID)
+	}{
+		{"vertex", func(c *CachedGraph, id model.VertexID) { c.ViewVertex(id, judge) }},
+		{"adj", func(c *CachedGraph, id model.VertexID) { c.ScanEdgeIDs(id, "read", sink) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := NewCachedGraph(s, cacheShards*16<<10)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.read(c, model.VertexID(i*7%benchVertices+1))
+			}
+		})
+	}
 }
 
 func BenchmarkStoreScanEdgeIDs(b *testing.B) {

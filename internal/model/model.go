@@ -103,14 +103,24 @@ func AppendVertexValue(b []byte, v Vertex) []byte {
 	return property.AppendMap(b, v.Props)
 }
 
-// DecodeVertexValue decodes a vertex payload produced by AppendVertexValue.
-func DecodeVertexValue(id VertexID, b []byte) (Vertex, error) {
+// splitVertexValue cuts a vertex payload into its label and its encoded
+// property map, both aliasing b.
+func splitVertexValue(b []byte) (label, props []byte, err error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || uint64(len(b)-sz) < n {
-		return Vertex{}, fmt.Errorf("model: truncated vertex label")
+		return nil, nil, fmt.Errorf("model: truncated vertex label")
 	}
-	v := Vertex{ID: id, Label: string(b[sz : sz+int(n)])}
-	props, rest, err := property.ConsumeMap(b[sz+int(n):])
+	return b[sz : sz+int(n)], b[sz+int(n):], nil
+}
+
+// DecodeVertexValue decodes a vertex payload produced by AppendVertexValue.
+func DecodeVertexValue(id VertexID, b []byte) (Vertex, error) {
+	label, b, err := splitVertexValue(b)
+	if err != nil {
+		return Vertex{}, err
+	}
+	v := Vertex{ID: id, Label: string(label)}
+	props, rest, err := property.ConsumeMap(b)
 	if err != nil {
 		return Vertex{}, fmt.Errorf("model: vertex %v: %w", id, err)
 	}

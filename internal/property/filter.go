@@ -90,9 +90,13 @@ func (f Filter) Validate() error {
 // Match reports whether the property map satisfies the filter.
 func (f Filter) Match(m Map) bool {
 	v, ok := m[f.Key]
-	if !ok {
-		return false
-	}
+	return ok && f.MatchValue(v)
+}
+
+// MatchValue reports whether the value found under the filter's key
+// satisfies it: the one definition of EQ, IN and RANGE that decoded maps,
+// the vertex label and the encoded-value walk (Matcher) all share.
+func (f Filter) MatchValue(v Value) bool {
 	switch f.Op {
 	case EQ:
 		return v.Equal(f.Args[0])

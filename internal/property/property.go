@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the scalar types a property value may hold.
@@ -233,11 +234,24 @@ func appendString(b []byte, s string) []byte {
 }
 
 func consumeString(b []byte) (string, []byte, error) {
+	s, rest, err := viewString(b)
+	return strings.Clone(s), rest, err
+}
+
+// viewString is consumeString without the copy: the string aliases b.
+func viewString(b []byte) (string, []byte, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || uint64(len(b)-sz) < n {
 		return "", nil, fmt.Errorf("property: truncated string")
 	}
-	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
+	return StringView(b[sz : sz+int(n)]).str, b[sz+int(n):], nil
+}
+
+// StringView returns a String value over b's bytes without copying them. It
+// is for comparing in place: the value is valid only while b is unchanged,
+// and must not be kept.
+func StringView(b []byte) Value {
+	return Value{kind: KindString, str: unsafe.String(unsafe.SliceData(b), len(b))}
 }
 
 // AppendValue appends the binary encoding of v to b. The encoding is a one
@@ -294,6 +308,13 @@ func OrderComparable(k Kind) bool {
 // ConsumeValue decodes one value from the front of b, returning the value
 // and the remaining bytes.
 func ConsumeValue(b []byte) (Value, []byte, error) {
+	v, rest, err := viewValue(b)
+	v.str = strings.Clone(v.str)
+	return v, rest, err
+}
+
+// viewValue is ConsumeValue without the copy: a string value aliases b.
+func viewValue(b []byte) (Value, []byte, error) {
 	if len(b) == 0 {
 		return Value{}, nil, fmt.Errorf("property: empty value encoding")
 	}
@@ -301,7 +322,7 @@ func ConsumeValue(b []byte) (Value, []byte, error) {
 	b = b[1:]
 	switch k {
 	case KindString:
-		s, rest, err := consumeString(b)
+		s, rest, err := viewString(b)
 		if err != nil {
 			return Value{}, nil, err
 		}
@@ -330,30 +351,18 @@ func AppendMap(b []byte, m Map) []byte {
 
 // ConsumeMap decodes a property map from the front of b.
 func ConsumeMap(b []byte) (Map, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return nil, nil, fmt.Errorf("property: truncated map header")
-	}
-	b = b[sz:]
-	if n == 0 {
-		return nil, b, nil
-	}
-	// Each entry encodes to at least 2 bytes (key length + value kind);
-	// a larger declared count is corruption, rejected before allocating.
-	if n > uint64(len(b))/2 {
-		return nil, nil, fmt.Errorf("property: map declares %d entries in %d bytes", n, len(b))
+	n, b, err := mapHeader(b)
+	if err != nil || n == 0 {
+		return nil, b, err
 	}
 	m := make(Map, n)
 	for i := uint64(0); i < n; i++ {
-		k, rest, err := consumeString(b)
+		k, v, rest, err := viewPair(b)
 		if err != nil {
 			return nil, nil, err
 		}
-		v, rest, err := ConsumeValue(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		m[k] = v
+		v.str = strings.Clone(v.str)
+		m[strings.Clone(k)] = v
 		b = rest
 	}
 	return m, b, nil

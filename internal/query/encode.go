@@ -113,5 +113,6 @@ func DecodePlan(b []byte) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	p.compile()
 	return p, nil
 }

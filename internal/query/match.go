@@ -1,6 +1,8 @@
 package query
 
 import (
+	"slices"
+
 	"graphtrek/internal/model"
 	"graphtrek/internal/property"
 )
@@ -11,10 +13,6 @@ import (
 // written Va(query.LabelKey, property.EQ, "Execution").
 const LabelKey = "label"
 
-// VertexMatches applies a step's vertex filters to a vertex, resolving the
-// reserved LabelKey against the vertex label. Every engine and the
-// reference evaluator share this single definition so their semantics
-// cannot drift.
 // SourceMatches applies a traversal's full step-0 predicate to a candidate
 // source vertex: the SourceLabel restriction (when the plan seeds from a
 // label) plus the vertex filters. Engines that resolve seed candidates
@@ -27,17 +25,38 @@ func SourceMatches(v model.Vertex, s0 Step) bool {
 	return VertexMatches(v, s0.VertexFilters)
 }
 
+// VertexMatches applies a step's vertex filters to a decoded vertex,
+// resolving the reserved LabelKey against the vertex label. The engines run
+// the same predicate compiled over the encoded value (Plan.VertexMatcher);
+// the reference evaluator and the tests that hold the two together use this.
 func VertexMatches(v model.Vertex, fs property.Filters) bool {
 	for _, f := range fs {
 		if f.Key == LabelKey {
-			if !f.Match(property.Map{LabelKey: property.String(v.Label)}) {
+			if !f.MatchValue(property.String(v.Label)) {
 				return false
 			}
-			continue
-		}
-		if !f.Match(v.Props) {
+		} else if !f.Match(v.Props) {
 			return false
 		}
 	}
 	return true
+}
+
+// compileVertex compiles one step's vertex predicate: filters on LabelKey go
+// to the label, the rest to the stored properties. Step 0 also carries its
+// source label. A plan is compiled on every server it reaches, so a filter
+// list that needs no split is shared, not copied.
+func compileVertex(s Step) model.VertexMatcher {
+	onLabel, props := property.Filters(nil), s.VertexFilters
+	if slices.ContainsFunc(props, func(f property.Filter) bool { return f.Key == LabelKey }) {
+		props = nil
+		for _, f := range s.VertexFilters {
+			if f.Key == LabelKey {
+				onLabel = append(onLabel, f)
+			} else {
+				props = append(props, f)
+			}
+		}
+	}
+	return model.VertexMatcher{Label: s.SourceLabel, OnLabel: onLabel, Props: property.NewMatcher(props)}
 }

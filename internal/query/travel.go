@@ -131,6 +131,7 @@ func (t *Travel) Compile() (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	p.compile()
 	return p, nil
 }
 
@@ -138,7 +139,30 @@ func (t *Travel) Compile() (*Plan, error) {
 // later step follows one edge label with optional edge and vertex filters.
 type Plan struct {
 	Steps []Step
+
+	// Each step's predicates compiled over the encoded values, once per
+	// plan by Compile and DecodePlan.
+	compiled []compiledStep
 }
+
+type compiledStep struct {
+	vertex model.VertexMatcher
+	edge   property.Matcher
+}
+
+func (p *Plan) compile() {
+	p.compiled = make([]compiledStep, len(p.Steps))
+	for i, s := range p.Steps {
+		p.compiled[i] = compiledStep{compileVertex(s), property.NewMatcher(s.EdgeFilters)}
+	}
+}
+
+// VertexMatcher returns step i's vertex predicate over an encoded vertex:
+// query.SourceMatches for step 0, VertexMatches after it.
+func (p *Plan) VertexMatcher(i int) *model.VertexMatcher { return &p.compiled[i].vertex }
+
+// EdgeMatcher returns step i's edge predicate over an encoded edge value.
+func (p *Plan) EdgeMatcher(i int) property.Matcher { return p.compiled[i].edge }
 
 // Step is one hop of a Plan. For step 0, EdgeLabel is empty and exactly one
 // of SourceIDs / SourceLabel / neither (full scan) selects the seeds.

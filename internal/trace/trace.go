@@ -63,9 +63,10 @@ type Span struct {
 	// assembler clamps).
 	StartNs int64 `json:"start_ns"`
 	// FetchNs is time spent in storage vertex fetches (the merged disk
-	// access of §V-B), attributed to the group head that paid it.
+	// access of §V-B), attributed to the group head that paid it. The step
+	// predicates run on the fetched bytes inside it.
 	FetchNs int64 `json:"fetch_ns,omitempty"`
-	// FilterNs is time spent evaluating step predicates.
+	// FilterNs is time spent taking an item's verdict on its predicate.
 	FilterNs int64 `json:"filter_ns,omitempty"`
 	// ScanNs is time spent iterating next-step edges, dispatch buffering
 	// included (DispatchNs is the contained sub-phase).
