@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: all build crossbuild vet test race stress fuzz-smoke check lint loc fmt fmtcheck bench benchfull bench-smoke bench-readpath bench-failover bench-readwrite clean
+.PHONY: all build crossbuild vet test race stress fuzz-smoke check lint loc fmt fmtcheck bench benchfull clean
 
 all: build
 
@@ -115,35 +115,6 @@ bench:
 # packages; expect it to take minutes where bench takes seconds.
 benchfull:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
-
-# bench-smoke is the CI benchmark gate: every engine on one tiny workload,
-# with engine-equivalence, §VII-A invariant, trace-completeness and
-# histogram-exposition checks recorded in the machine-readable report, plus
-# a sample Chrome timeline of the traced traversal and dumps of the scraped
-# /metrics exposition and /status document for out-of-process validation.
-# Exits nonzero if any check fails.
-bench-smoke:
-	GRAPHTREK_SCALE=tiny $(GO) run ./cmd/graphtrek-bench -exp smoke -json BENCH_smoke.json -chrome travel.chrome.json -exposition metrics.prom -status status.json
-
-# bench-readpath gates the storage read path: scan-vs-index seed selection
-# (SeedScanned == matches when indexed) and cold/warm read-cache hit rate.
-bench-readpath:
-	GRAPHTREK_SCALE=tiny $(GO) run ./cmd/graphtrek-bench -exp readpath -json BENCH_readpath.json
-
-# bench-failover gates the replication subsystem: quorum-acknowledged
-# writes, primary-kill promotion latency, zero lost acked writes, traversal
-# equivalence across the failover, and online shard handoff.
-bench-failover:
-	GRAPHTREK_SCALE=tiny $(GO) run ./cmd/graphtrek-bench -exp failover -json BENCH_failover.json
-
-# bench-readwrite gates the streaming mutation pipeline under a mixed
-# read/write workload: bulk load through the quorum write path, concurrent
-# mutators during traversals (zero lost acked writes, bounded p95 traversal
-# degradation vs the read-only baseline, §VII-A invariant under churn), and
-# change-feed completeness (every committed mutation delivered exactly
-# once, in order).
-bench-readwrite:
-	GRAPHTREK_SCALE=tiny $(GO) run ./cmd/graphtrek-bench -exp readwrite -json BENCH_readwrite.json
 
 clean:
 	$(GO) clean ./...

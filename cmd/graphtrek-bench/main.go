@@ -3,24 +3,18 @@
 //
 // Usage:
 //
-//	graphtrek-bench [-exp all|smoke|readpath|table1|fig7|fig8|fig9|fig10|fig11|table2|table3|ablation|concurrent|partition] [-json out.json]
+//	graphtrek-bench [-exp all|list|table1|fig7|fig8|fig9|fig10|fig11|table2|table3|ablation|concurrent|partition]
 //
 // The concurrent experiment sweeps K=1/4/16/64 simultaneous traversals over
 // the shared per-server executor and reports per-traversal latency
-// percentiles plus queue-depth and queue-wait executor metrics. The smoke
-// experiment is the CI gate: every engine on one small workload, with
-// engine-equivalence and metrics-invariant checks. The readpath experiment
-// measures the storage hot layer: scan-vs-index seed selection (asserting
-// an indexed selective seed enumerates O(matches) candidates) and cold-vs-
-// warm read-cache hit rates.
-//
-// -json writes a machine-readable report (BENCH_<exp>.json by convention)
-// alongside the human tables and exits nonzero if any recorded check
-// failed, which is how CI blocks on an invariant or equivalence violation.
+// percentiles plus queue-depth and queue-wait executor metrics. A runner
+// exits nonzero when a property its figure rests on breaks (the §VII-A
+// accounting identity, engine equivalence); behaviour beyond the figures is
+// checked by the go tests (DESIGN.md §3).
 //
 // The experiment scale is selected with GRAPHTREK_SCALE
-// (tiny|small|medium|paper; default small). See EXPERIMENTS.md for
-// recorded outputs and the paper-vs-measured comparison.
+// (tiny|small|medium|paper; default small); any other value exits 2. See
+// EXPERIMENTS.md for recorded outputs and the paper-vs-measured comparison.
 package main
 
 import (
@@ -35,34 +29,14 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (or 'all', or 'list')")
-	jsonPath := flag.String("json", "", "write a machine-readable report here (schema v1); exit nonzero if any check failed")
-	chromePath := flag.String("chrome", "", "write the smoke experiment's traced traversal as Chrome trace_event JSON here")
-	expoPath := flag.String("exposition", "", "write the smoke experiment's scraped /metrics Prometheus exposition here")
-	statusPath := flag.String("status", "", "write the smoke experiment's scraped /status JSON document here")
 	flag.Parse()
-	bench.ChromeOut = *chromePath
-	bench.ExpositionOut = *expoPath
-	bench.StatusOut = *statusPath
 
-	scale := bench.GetScale()
+	scale, err := bench.GetScale()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphtrek-bench:", err)
+		os.Exit(2)
+	}
 	fmt.Printf("graphtrek-bench: scale=%s (set GRAPHTREK_SCALE=tiny|small|medium|paper)\n\n", scale.Name)
-
-	var rep *bench.Report
-	if *jsonPath != "" {
-		rep = bench.NewReport(scale)
-	}
-	// The report is written even when a runner dies partway: a truncated
-	// run still leaves CI an artifact saying where and why.
-	writeReport := func() {
-		if rep == nil {
-			return
-		}
-		if err := rep.WriteFile(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "graphtrek-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("graphtrek-bench: report written to %s\n", *jsonPath)
-	}
 
 	switch *exp {
 	case "list":
@@ -74,29 +48,17 @@ func main() {
 		fmt.Println(strings.Join(names, "\n"))
 		return
 	case "all":
-		err := bench.RunAll(scale, os.Stdout, rep)
-		writeReport()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphtrek-bench:", err)
-			os.Exit(1)
-		}
+		err = bench.RunAll(scale, os.Stdout)
 	default:
 		run, ok := bench.Experiments[*exp]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "graphtrek-bench: unknown experiment %q (try -exp list)\n", *exp)
 			os.Exit(2)
 		}
-		sect := rep.Experiment(*exp)
-		err := run(scale, os.Stdout, sect)
-		sect.SetErr(err)
-		writeReport()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphtrek-bench:", err)
-			os.Exit(1)
-		}
+		err = run(scale, os.Stdout)
 	}
-	if rep.Failed() {
-		fmt.Fprintln(os.Stderr, "graphtrek-bench: one or more report checks failed")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphtrek-bench:", err)
 		os.Exit(1)
 	}
 }

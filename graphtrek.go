@@ -67,14 +67,14 @@ type (
 	// Value is a typed property value.
 	Value = property.Value
 	// Mutation is one raw (integer-addressed) write operation; batches of
-	// these feed Cluster.Write and Cluster.BulkLoad.
+	// these feed Client().Write and Client().BulkLoad.
 	Mutation = gstore.Mutation
 	// NamedMutation is one name-addressed write operation for
-	// Cluster.Mutate, lowered through the interning dictionary.
+	// Client().Mutate, lowered through the interning dictionary.
 	NamedMutation = core.NamedMutation
 	// WriteOptions bounds quorum writes (timeout, retries).
 	WriteOptions = core.WriteOptions
-	// BulkOptions configures Cluster.BulkLoad batching.
+	// BulkOptions configures Client().BulkLoad batching.
 	BulkOptions = core.BulkOptions
 	// FeedOptions configures a change-feed subscription (resume cursor,
 	// refresh interval).
@@ -85,7 +85,7 @@ type (
 	FeedEvent = core.FeedEvent
 )
 
-// Raw mutation opcodes for Cluster.Write / Cluster.BulkLoad batches.
+// Raw mutation opcodes for Client().Write / Client().BulkLoad batches.
 const (
 	OpPutVertex = gstore.OpPutVertex
 	OpDelVertex = gstore.OpDelVertex
@@ -93,7 +93,7 @@ const (
 	OpDelEdge   = gstore.OpDelEdge
 )
 
-// Name-addressed mutation opcodes for Cluster.Mutate batches.
+// Name-addressed mutation opcodes for Client().Mutate batches.
 const (
 	NamedAddVertex = core.NamedAddVertex
 	NamedDelVertex = core.NamedDelVertex
@@ -238,7 +238,7 @@ type Options struct {
 	// ReplicationFactor-1 follower replicas: quorum-acknowledged writes via
 	// Client.Write, automatic epoch-fenced failover when the failure
 	// detector condemns a primary, and online shard handoff via
-	// JoinPartition. Each node holds its own route view and converges via
+	// Server.JoinPartition. Each node holds its own route view and converges via
 	// gossip. The default (0 or 1) runs the seed cluster's unreplicated
 	// layout, bit-for-bit identical behavior. Incompatible with a custom
 	// Partitioner.
@@ -408,8 +408,8 @@ func (c *Cluster) Owner(id VertexID) int { return c.part.Owner(id) }
 
 // AddVertex stores a vertex on its owning server — on every replica of its
 // partition when the cluster is replicated (bulk loading writes the stores
-// directly, bypassing the quorum write path; use Write for runtime
-// mutations).
+// directly, bypassing the quorum write path; use Client().Write for
+// runtime mutations).
 func (c *Cluster) AddVertex(v Vertex) error {
 	for _, s := range c.replicaStores(v.ID) {
 		if err := s.PutVertex(v); err != nil {
@@ -442,40 +442,6 @@ func (c *Cluster) replicaStores(id VertexID) []gstore.Graph {
 		out = append(out, c.stores[r])
 	}
 	return out
-}
-
-// Write applies graph mutations through the replication protocol: routed
-// to each partition's primary and acknowledged once a quorum holds them.
-// Only available on replicated clusters (ReplicationFactor >= 2).
-func (c *Cluster) Write(muts []gstore.Mutation, opts core.WriteOptions) error {
-	return c.client.Write(muts, opts)
-}
-
-// Mutate applies a batch of name-addressed add/update/delete mutations
-// through the quorum write path: add ops intern their names, deletes
-// resolve read-only (unknown names are no-ops), and the lowered mutations
-// ship grouped by partition. The returned map holds the interned id of
-// every name an add op touched. Only available on replicated clusters
-// (ReplicationFactor >= 2).
-func (c *Cluster) Mutate(muts []core.NamedMutation, opts core.WriteOptions) (map[string]VertexID, error) {
-	return c.client.Mutate(muts, opts)
-}
-
-// BulkLoad ingests a mutation set through the quorum write path at full
-// cluster width: per-partition streams run concurrently (saturating every
-// primary), oversized runs split into bounded rounds, and same-partition
-// order is preserved so later writes win. Only available on replicated
-// clusters (ReplicationFactor >= 2).
-func (c *Cluster) BulkLoad(muts []gstore.Mutation, opts core.BulkOptions) error {
-	return c.client.BulkLoad(muts, opts)
-}
-
-// SubscribeFeed opens a change-feed subscription on one partition: an
-// ordered stream of quorum-committed mutation batches with a resumable
-// cursor that survives primary failover. Only available on replicated
-// clusters (ReplicationFactor >= 2).
-func (c *Cluster) SubscribeFeed(part int, opts core.FeedOptions) (*core.Feed, error) {
-	return c.client.SubscribeFeed(part, opts)
 }
 
 // Intern maps external string vertex names to dense interned ids,
@@ -528,22 +494,6 @@ func (c *Cluster) ResolveName(name string) (VertexID, bool, error) {
 	return in.LookupID(name)
 }
 
-// KillServer simulates a crash of backend i: the engine stops and the
-// node's endpoint closes, so in-flight and future messages to it vanish.
-// The failure detector condemns it within SuspectAfter, and on replicated
-// clusters its primaried partitions fail over to followers.
-func (c *Cluster) KillServer(i int) {
-	c.servers[i].Close()
-	c.fabric.Endpoint(i).Close()
-}
-
-// JoinPartition streams partition part's state onto backend server (online
-// shard handoff): a snapshot plus the live append tail, then a fresh epoch
-// that adds the server to the replica set — promotable from then on.
-func (c *Cluster) JoinPartition(server, part int) error {
-	return c.servers[server].JoinPartition(part)
-}
-
 // RouteView returns backend i's route view on a replicated cluster (nil
 // otherwise) — each node has its own, converging via gossip.
 func (c *Cluster) RouteView(i int) *route.View {
@@ -552,10 +502,6 @@ func (c *Cluster) RouteView(i int) *route.View {
 	}
 	return c.views[i]
 }
-
-// ClientRouteView returns the client's route view on a replicated cluster,
-// nil otherwise.
-func (c *Cluster) ClientRouteView() *route.View { return c.croute }
 
 // Sink returns a generator sink that routes elements to their owners; pass
 // it to gen.RMAT or gen.Metadata.
@@ -627,8 +573,8 @@ func (c *Cluster) RunUnion(mode Mode, travels ...*Travel) ([]VertexID, error) {
 	return out, nil
 }
 
-// Client exposes the underlying traversal client for advanced submission
-// options (explicit coordinator, timeout).
+// Client exposes the underlying client: explicit submission options, and on
+// replicated clusters the write path, change feed and status pulls.
 func (c *Cluster) Client() *core.Client { return c.client }
 
 // Store returns server i's graph partition (e.g. for direct inspection).

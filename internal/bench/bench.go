@@ -46,9 +46,11 @@ type Scale struct {
 }
 
 // GetScale resolves the scale from the GRAPHTREK_SCALE environment
-// variable ("", "small", "medium", "paper").
-func GetScale() Scale {
-	switch os.Getenv("GRAPHTREK_SCALE") {
+// variable: "tiny", "small" (also when unset), "medium" or "paper". Any
+// other value is an error rather than a silent fall back to small, whose
+// run takes minutes where tiny takes seconds.
+func GetScale() (Scale, error) {
+	switch name := os.Getenv("GRAPHTREK_SCALE"); name {
 	case "medium":
 		return Scale{
 			Name: "medium", RMATScale: 14, RMATDeg: 12,
@@ -56,7 +58,7 @@ func GetScale() Scale {
 			StragglerDelay: 10 * time.Millisecond, StragglerCount: 200,
 			MetaVertices: 60000,
 			ServerCounts: []int{2, 4, 8, 16, 32}, Fig11Runs: 3,
-		}
+		}, nil
 	case "paper":
 		return Scale{
 			Name: "paper", RMATScale: 20, RMATDeg: 16,
@@ -64,7 +66,7 @@ func GetScale() Scale {
 			StragglerDelay: 50 * time.Millisecond, StragglerCount: 500,
 			MetaVertices: 2_000_000,
 			ServerCounts: []int{2, 4, 8, 16, 32}, Fig11Runs: 3,
-		}
+		}, nil
 	case "tiny":
 		return Scale{
 			Name: "tiny", RMATScale: 9, RMATDeg: 6,
@@ -72,15 +74,17 @@ func GetScale() Scale {
 			StragglerDelay: 1 * time.Millisecond, StragglerCount: 30,
 			MetaVertices: 3000,
 			ServerCounts: []int{2, 8, 32}, Fig11Runs: 2,
-		}
-	default:
+		}, nil
+	case "", "small":
 		return Scale{
 			Name: "small", RMATScale: 12, RMATDeg: 8,
 			DiskService: 100 * time.Microsecond, DiskParallelism: 1,
 			StragglerDelay: 5 * time.Millisecond, StragglerCount: 100,
 			MetaVertices: 20000,
 			ServerCounts: []int{2, 4, 8, 16, 32}, Fig11Runs: 3,
-		}
+		}, nil
+	default:
+		return Scale{}, fmt.Errorf("bench: unknown GRAPHTREK_SCALE %q (want tiny, small, medium or paper)", name)
 	}
 }
 
@@ -146,8 +150,8 @@ type seriesRow struct {
 }
 
 // runSweep measures the given modes across the scale's server counts,
-// printing each row as it lands and mirroring it into the report.
-func runSweep(s Scale, steps int, modes []core.Mode, stragglers func(servers int) *simio.StragglerPlan, runs int, w io.Writer, rep *ExperimentResult) ([]seriesRow, error) {
+// printing each row as it lands.
+func runSweep(s Scale, steps int, modes []core.Mode, stragglers func(servers int) *simio.StragglerPlan, runs int, w io.Writer) ([]seriesRow, error) {
 	var rows []seriesRow
 	for _, n := range s.ServerCounts {
 		row := seriesRow{Servers: n, Times: make(map[core.Mode]time.Duration)}
@@ -178,9 +182,6 @@ func runSweep(s Scale, steps int, modes []core.Mode, stragglers func(servers int
 		}
 		rows = append(rows, row)
 		printSweepRow(w, row, modes)
-		for _, mode := range modes {
-			rep.AddRow(Row{Series: mode.String(), Servers: n, Runs: runs, ElapsedNs: int64(row.Times[mode])})
-		}
 	}
 	return rows, nil
 }

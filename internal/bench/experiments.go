@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -23,19 +22,19 @@ import (
 // RMAT-1 traversal across the server-count sweep. Paper reference (seconds,
 // 2→32 servers): Sync 47.8/28.5/17.1/10.3/7.2; Async 63.7/33.1/20.6/12.1/
 // 7.4; GraphTrek 45.2/22.5/13.4/8.3/5.6.
-func Table1(s Scale, w io.Writer, rep *ExperimentResult) error {
+func Table1(s Scale, w io.Writer) error {
 	fmt.Fprintf(w, "TABLE I — 8-step traversal on RMAT-1 (scale=%s), elapsed per engine\n", s.Name)
 	fmt.Fprintln(w, "paper shape: Async-GT slowest everywhere; GraphTrek < Sync-GT at every width")
 	modes := []core.Mode{core.ModeSync, core.ModeAsyncPlain, core.ModeGraphTrek}
 	printSweepHeader(w, modes)
-	_, err := runSweep(s, 8, modes, nil, 1, w, rep)
+	_, err := runSweep(s, 8, modes, nil, 1, w)
 	return err
 }
 
 // Fig7 reproduces Figure 7: the per-server breakdown of received vertex
 // requests into real I/O, merge-combined and cache-redundant visits for an
 // 8-step GraphTrek traversal on the widest server count.
-func Fig7(s Scale, w io.Writer, rep *ExperimentResult) error {
+func Fig7(s Scale, w io.Writer) error {
 	servers := s.ServerCounts[len(s.ServerCounts)-1]
 	fmt.Fprintf(w, "FIGURE 7 — per-server visit breakdown, 8-step GraphTrek on %d servers (scale=%s)\n", servers, s.Name)
 	c, seed, err := rmatCluster(s, servers, nil)
@@ -58,10 +57,6 @@ func Fig7(s Scale, w io.Writer, rep *ExperimentResult) error {
 		d := after[i].Sub(before[i])
 		totals = totals.Add(d)
 		fmt.Fprintf(w, "%-8d%12d%12d%12d%12d\n", i, d.RealIO, d.Combined, d.Redundant, d.Received)
-		rep.AddRow(Row{Series: "server", Servers: i,
-			Received: d.Received, Redundant: d.Redundant, Combined: d.Combined, RealIO: d.RealIO})
-		rep.AddCheck(fmt.Sprintf("invariant-server-%d", i), d.Consistent(),
-			"redundant %d + combined %d + real %d vs received %d", d.Redundant, d.Combined, d.RealIO, d.Received)
 		if !d.Consistent() {
 			return fmt.Errorf("bench: server %d accounting identity violated: %+v", i, d)
 		}
@@ -76,7 +71,7 @@ func Fig7(s Scale, w io.Writer, rep *ExperimentResult) error {
 // Sync wins short traversals on few servers (Fig 8); GraphTrek's advantage
 // grows with steps and servers, reaching ≈24% at 8 steps / 32 servers
 // versus ≈5% at 2 servers (Fig 10).
-func FigSteps(s Scale, steps int, w io.Writer, rep *ExperimentResult) error {
+func FigSteps(s Scale, steps int, w io.Writer) error {
 	fig := map[int]string{2: "FIGURE 8", 4: "FIGURE 9", 8: "FIGURE 10"}[steps]
 	if fig == "" {
 		fig = "FIGURE"
@@ -84,7 +79,7 @@ func FigSteps(s Scale, steps int, w io.Writer, rep *ExperimentResult) error {
 	fmt.Fprintf(w, "%s — %d-step traversal on RMAT-1 (scale=%s)\n", fig, steps, s.Name)
 	modes := []core.Mode{core.ModeSync, core.ModeGraphTrek}
 	printSweepHeader(w, modes)
-	rows, err := runSweep(s, steps, modes, nil, 1, w, rep)
+	rows, err := runSweep(s, steps, modes, nil, 1, w)
 	if err != nil {
 		return err
 	}
@@ -100,7 +95,7 @@ func FigSteps(s Scale, steps int, w io.Writer, rep *ExperimentResult) error {
 // accesses by StragglerDelay (the paper used 50 ms × 500). Each bar is the
 // average of Fig11Runs runs. Paper shape: GraphTrek ≈2× faster at 32
 // servers.
-func Fig11(s Scale, w io.Writer, rep *ExperimentResult) error {
+func Fig11(s Scale, w io.Writer) error {
 	fmt.Fprintf(w, "FIGURE 11 — 8-step traversal with external stragglers (delay=%v x %d accesses, scale=%s, avg of %d runs)\n",
 		s.StragglerDelay, s.StragglerCount, s.Name, s.Fig11Runs)
 	modes := []core.Mode{core.ModeSync, core.ModeGraphTrek}
@@ -113,7 +108,7 @@ func Fig11(s Scale, w io.Writer, rep *ExperimentResult) error {
 		}
 		return simio.PaperPlan(sel, []int{1, 3, 7}, s.StragglerDelay, s.StragglerCount)
 	}
-	rows, err := runSweep(s, 8, modes, mk, s.Fig11Runs, w, rep)
+	rows, err := runSweep(s, 8, modes, mk, s.Fig11Runs, w)
 	if err != nil {
 		return err
 	}
@@ -126,7 +121,7 @@ func Fig11(s Scale, w io.Writer, rep *ExperimentResult) error {
 // Table2 prints the synthetic rich-metadata graph statistics next to the
 // paper's Table II, demonstrating that the generator preserves the entity
 // ratios of the Darshan/Intrepid graph at the chosen scale.
-func Table2(s Scale, w io.Writer, rep *ExperimentResult) error {
+func Table2(s Scale, w io.Writer) error {
 	fmt.Fprintf(w, "TABLE II — rich metadata graph statistics (scale=%s)\n", s.Name)
 	cfg := gen.ScaledMeta(s.MetaVertices, 1)
 	g := newCountingSink()
@@ -134,8 +129,10 @@ func Table2(s Scale, w io.Writer, rep *ExperimentResult) error {
 	if err != nil {
 		return err
 	}
-	rep.AddCheck("graph-nonempty", stats.Edges > 0 && stats.Executions > 0,
-		"users=%d jobs=%d executions=%d files=%d edges=%d", stats.Users, stats.Jobs, stats.Executions, stats.Files, stats.Edges)
+	if stats.Edges == 0 || stats.Executions == 0 {
+		return fmt.Errorf("bench: empty metadata graph: users=%d jobs=%d executions=%d files=%d edges=%d",
+			stats.Users, stats.Jobs, stats.Executions, stats.Files, stats.Edges)
+	}
 	fmt.Fprintf(w, "%-12s%12s%12s%14s%12s%12s\n", "", "Users", "Jobs", "Executions", "Files", "Edges")
 	fmt.Fprintf(w, "%-12s%12d%12d%14d%12d%12d\n", "generated", stats.Users, stats.Jobs, stats.Executions, stats.Files, stats.Edges)
 	fmt.Fprintf(w, "%-12s%12d%12d%14d%12d%12d\n", "paper", 177, 47600, 123_400_000, 34_600_000, 239_800_000)
@@ -157,7 +154,7 @@ func (c *countingSink) AddEdge(gen2 graphtrek.Edge) error     { c.edges++; retur
 // the rich-metadata graph at the widest server count, under the three
 // engines. Paper (32 servers): Sync 3575 ms, Async 4159 ms, GraphTrek
 // 2839 ms.
-func Table3(s Scale, w io.Writer, rep *ExperimentResult) error {
+func Table3(s Scale, w io.Writer) error {
 	servers := s.ServerCounts[len(s.ServerCounts)-1]
 	fmt.Fprintf(w, "TABLE III — Darshan-style audit query on %d servers (scale=%s)\n", servers, s.Name)
 	c, err := graphtrek.NewCluster(graphtrek.Options{
@@ -207,22 +204,20 @@ func Table3(s Scale, w io.Writer, rep *ExperimentResult) error {
 			n = nn
 		}
 		counts[mode] = n
-		rep.AddRow(Row{Series: mode.String(), Servers: servers, Runs: runs,
-			ElapsedNs: int64(total / runs), Results: n})
 		fmt.Fprintf(w, "%-14s%12s%12d\n", mode, fmtDur(total/runs), n)
 	}
-	rep.AddCheck("engine-equivalence", counts[core.ModeAsyncPlain] == counts[core.ModeSync] &&
-		counts[core.ModeGraphTrek] == counts[core.ModeSync],
-		"result counts sync=%d async=%d graphtrek=%d",
-		counts[core.ModeSync], counts[core.ModeAsyncPlain], counts[core.ModeGraphTrek])
 	fmt.Fprintln(w, "paper (32 servers): Sync-GT 3575ms, Async-GT 4159ms, GraphTrek 2839ms")
+	if counts[core.ModeAsyncPlain] != counts[core.ModeSync] || counts[core.ModeGraphTrek] != counts[core.ModeSync] {
+		return fmt.Errorf("bench: engines disagree on the audit query: sync=%d async=%d graphtrek=%d results",
+			counts[core.ModeSync], counts[core.ModeAsyncPlain], counts[core.ModeGraphTrek])
+	}
 	return nil
 }
 
 // Ablation goes beyond the paper: it isolates each GraphTrek optimization
 // (cache only, scheduling/merging only, both) on the 8-step RMAT workload
 // at the widest server count, quantifying where the win comes from.
-func Ablation(s Scale, w io.Writer, rep *ExperimentResult) error {
+func Ablation(s Scale, w io.Writer) error {
 	servers := s.ServerCounts[len(s.ServerCounts)-1]
 	fmt.Fprintf(w, "ABLATION — 8-step RMAT-1 on %d servers (scale=%s)\n", servers, s.Name)
 	fmt.Fprintf(w, "%-16s%12s%12s%12s%12s\n", "Engine", "Elapsed", "RealIO", "Combined", "Redundant")
@@ -249,11 +244,10 @@ func Ablation(s Scale, w io.Writer, rep *ExperimentResult) error {
 			total = total.Add(m)
 		}
 		c.Close()
-		rep.AddRow(Row{Series: mode.String(), Servers: servers, ElapsedNs: int64(d),
-			Received: total.Received, Redundant: total.Redundant, Combined: total.Combined, RealIO: total.RealIO})
-		rep.AddCheck("invariant-"+mode.String(), total.Consistent(),
-			"redundant %d + combined %d + real %d vs received %d", total.Redundant, total.Combined, total.RealIO, total.Received)
 		fmt.Fprintf(w, "%-16s%12s%12d%12d%12d\n", mode, fmtDur(d), total.RealIO, total.Combined, total.Redundant)
+		if !total.Consistent() {
+			return fmt.Errorf("bench: %v accounting identity violated: %+v", mode, total)
+		}
 	}
 	return nil
 }
@@ -265,7 +259,7 @@ func Ablation(s Scale, w io.Writer, rep *ExperimentResult) error {
 // reports, per engine and K, the makespan, the per-traversal latency
 // distribution (p50/p95) and the executor's own view of the contention —
 // queue depth high-water mark and mean enqueue→pop wait.
-func Concurrent(s Scale, w io.Writer, rep *ExperimentResult) error {
+func Concurrent(s Scale, w io.Writer) error {
 	servers := s.ServerCounts[len(s.ServerCounts)-1] / 2
 	if servers < 2 {
 		servers = 2
@@ -316,8 +310,6 @@ func Concurrent(s Scale, w io.Writer, rep *ExperimentResult) error {
 			if groups > 0 {
 				avgWait = time.Duration(waitNs / groups)
 			}
-			rep.AddRow(Row{Series: mode.String(), Servers: servers, K: k, ElapsedNs: int64(makespan),
-				P50Ns: int64(durs[k/2]), P95Ns: int64(durs[(95*(k-1))/100])})
 			fmt.Fprintf(w, "%-14s%6d%12s%12s%12s%12d%12s\n",
 				mode, k, fmtDur(makespan),
 				fmtDur(durs[k/2]), fmtDur(durs[(95*(k-1))/100]),
@@ -334,7 +326,7 @@ func Concurrent(s Scale, w io.Writer, rep *ExperimentResult) error {
 // balancing" future work, §VIII) on the 8-step workload. Even perfectly
 // balanced placement leaves stragglers — the paper's argument for
 // asynchrony — but it narrows Sync-GT's per-step barrier wait.
-func Partition(s Scale, w io.Writer, rep *ExperimentResult) error {
+func Partition(s Scale, w io.Writer) error {
 	servers := s.ServerCounts[len(s.ServerCounts)-1]
 	fmt.Fprintf(w, "PARTITION — 8-step RMAT-1 on %d servers, hash vs degree-balanced placement (scale=%s)\n", servers, s.Name)
 	fmt.Fprintf(w, "%-12s%-14s%12s%16s\n", "Placement", "Engine", "Elapsed", "MaxIO/MeanIO")
@@ -397,8 +389,6 @@ func Partition(s Scale, w io.Writer, rep *ExperimentResult) error {
 			}
 			c.Close()
 			mean := float64(sumIO) / float64(servers)
-			rep.AddRow(Row{Series: placement + "/" + mode.String(), Servers: servers,
-				ElapsedNs: int64(d), RealIO: sumIO})
 			fmt.Fprintf(w, "%-12s%-14s%12s%16.2f\n", placement, mode, fmtDur(d), float64(maxIO)/mean)
 		}
 	}
@@ -406,164 +396,32 @@ func Partition(s Scale, w io.Writer, rep *ExperimentResult) error {
 	return nil
 }
 
-// Smoke is the CI gate: at the scale's smallest server count it runs every
-// engine on the same RMAT workload and asserts the two properties CI blocks
-// on — engine equivalence (every engine returns the identical result set)
-// and the §VII-A accounting identity on every server — while recording
-// per-engine latency percentiles over a few cold runs. Small enough for a
-// per-commit run, strict enough to catch a broken engine or counter.
-func Smoke(s Scale, w io.Writer, rep *ExperimentResult) error {
-	servers := s.ServerCounts[0]
-	const steps, runs = 4, 3
-	fmt.Fprintf(w, "SMOKE — %d-step RMAT-1 on %d servers, all engines, %d cold runs (scale=%s)\n", steps, servers, runs, s.Name)
-	c, seed, err := rmatCluster(s, servers, nil)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	plan, err := hopPlan(seed, steps)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-16s%12s%12s%12s%12s\n", "Engine", "p50", "p95", "Results", "RealIO")
-	var baseline []graphtrek.VertexID
-	for _, mode := range []core.Mode{
-		core.ModeSync, core.ModeAsyncPlain, core.ModeAsyncCacheOnly,
-		core.ModeAsyncSchedOnly, core.ModeGraphTrek, core.ModeClientSide,
-	} {
-		durs := make([]time.Duration, runs)
-		var res []graphtrek.VertexID
-		before := c.ServerMetrics()
-		for r := 0; r < runs; r++ {
-			c.ResetDisks()
-			start := time.Now()
-			res, err = c.RunPlan(plan, core.SubmitOptions{Mode: mode, Coordinator: 0, Timeout: 10 * time.Minute})
-			durs[r] = time.Since(start)
-			if err != nil {
-				return fmt.Errorf("bench: smoke %v: %w", mode, err)
-			}
-		}
-		sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
-		if baseline == nil {
-			baseline = res
-		} else {
-			equal := len(res) == len(baseline)
-			for i := 0; equal && i < len(res); i++ {
-				equal = res[i] == baseline[i]
-			}
-			rep.AddCheck("equivalence-"+mode.String(), equal,
-				"%d results vs %d from %v", len(res), len(baseline), core.ModeSync)
-		}
-		var delta graphtrek.Metrics
-		consistent := true
-		for i, m := range c.ServerMetrics() {
-			d := m.Sub(before[i])
-			consistent = consistent && d.Consistent()
-			delta = delta.Add(d)
-		}
-		rep.AddCheck("invariant-"+mode.String(), consistent,
-			"redundant %d + combined %d + real %d vs received %d", delta.Redundant, delta.Combined, delta.RealIO, delta.Received)
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		p50, p95 := durs[runs/2], durs[(95*(runs-1))/100]
-		rep.AddRow(Row{Series: mode.String(), Servers: servers, Runs: runs,
-			ElapsedNs: int64(p50), P50Ns: int64(p50), P95Ns: int64(p95), Results: len(res),
-			Received: delta.Received, Redundant: delta.Redundant, Combined: delta.Combined, RealIO: delta.RealIO})
-		fmt.Fprintf(w, "%-16s%12s%12s%12d%12d\n", mode, fmtDur(p50), fmtDur(p95), len(res), delta.RealIO)
-	}
-	if err := smokeTraceDAG(c, plan, w, rep); err != nil {
-		return err
-	}
-	return smokeIntrospection(c, w, rep)
-}
-
-// ChromeOut, when non-empty, makes the smoke experiment write its traced
-// traversal's Chrome trace_event JSON to this path (graphtrek-bench
-// -chrome). CI uploads the file as a browsable timeline artifact.
-var ChromeOut string
-
-// smokeTraceDAG runs one more traced GraphTrek traversal and gates on
-// trace completeness: the causal DAG assembled from every server's spans
-// must match the coordinator ledger exactly — node count == Created, zero
-// orphans, zero duplicates — on a fault-free transport. This is the
-// end-to-end cross-check that span linkage (ParentExec on the wire) and
-// the §IV-C quiescence accounting describe the same execution population.
-func smokeTraceDAG(c *graphtrek.Cluster, plan *graphtrek.Plan, w io.Writer, rep *ExperimentResult) error {
-	c.ResetDisks()
-	h, err := c.Client().SubmitPlanAsync(plan, core.SubmitOptions{Mode: core.ModeGraphTrek, Coordinator: 0, Timeout: 10 * time.Minute})
-	if err != nil {
-		return fmt.Errorf("bench: smoke trace run: %w", err)
-	}
-	if _, err := h.Wait(10 * time.Minute); err != nil {
-		return fmt.Errorf("bench: smoke trace run: %w", err)
-	}
-	dag, err := h.FetchDAG(0)
-	if err != nil {
-		return fmt.Errorf("bench: smoke trace fetch: %w", err)
-	}
-	created := -1
-	if dag.Summary != nil {
-		created = dag.Summary.Created
-	}
-	rep.AddCheck("trace-completeness", dag.Complete(),
-		"dag execs %d vs ledger created %d, orphans %d, duplicates %d, spans dropped %d",
-		len(dag.Nodes), created, len(dag.Orphans), len(dag.Duplicates), dag.SpansDropped)
-	critNs := int64(0)
-	if dag.CriticalPath != nil {
-		critNs = dag.CriticalPath.DurationNs
-	}
-	hops := 0
-	if dag.CriticalPath != nil {
-		hops = len(dag.CriticalPath.Hops)
-	}
-	fmt.Fprintf(w, "trace DAG: %d execs, %d roots, critical path %s over %d hops\n",
-		len(dag.Nodes), len(dag.Roots), fmtDur(time.Duration(critNs)), hops)
-	if ChromeOut != "" {
-		buf, err := dag.ChromeTrace()
-		if err != nil {
-			return fmt.Errorf("bench: chrome export: %w", err)
-		}
-		if err := os.WriteFile(ChromeOut, buf, 0o644); err != nil {
-			return fmt.Errorf("bench: chrome export: %w", err)
-		}
-		fmt.Fprintf(w, "chrome trace written to %s\n", ChromeOut)
-	}
-	return nil
-}
-
 // Experiments maps experiment ids to runners, for cmd/graphtrek-bench. A
-// runner prints its human-readable table to w and, when a report section is
-// supplied (nil otherwise), mirrors the measurements and pass/fail checks
-// into it for the -json document.
-var Experiments = map[string]func(Scale, io.Writer, *ExperimentResult) error{
-	"smoke":      Smoke,
-	"readpath":   ReadPath,
+// runner prints its paper-style table to w and returns an error when the
+// run fails or breaks a property its figure rests on (the §VII-A
+// accounting identity, engine equivalence, a non-empty graph).
+var Experiments = map[string]func(Scale, io.Writer) error{
 	"table1":     Table1,
 	"fig7":       Fig7,
-	"fig8":       func(s Scale, w io.Writer, rep *ExperimentResult) error { return FigSteps(s, 2, w, rep) },
-	"fig9":       func(s Scale, w io.Writer, rep *ExperimentResult) error { return FigSteps(s, 4, w, rep) },
-	"fig10":      func(s Scale, w io.Writer, rep *ExperimentResult) error { return FigSteps(s, 8, w, rep) },
+	"fig8":       func(s Scale, w io.Writer) error { return FigSteps(s, 2, w) },
+	"fig9":       func(s Scale, w io.Writer) error { return FigSteps(s, 4, w) },
+	"fig10":      func(s Scale, w io.Writer) error { return FigSteps(s, 8, w) },
 	"fig11":      Fig11,
 	"table2":     Table2,
 	"table3":     Table3,
 	"ablation":   Ablation,
 	"concurrent": Concurrent,
 	"partition":  Partition,
-	"failover":   Failover,
-	"readwrite":  ReadWrite,
 }
 
 // Order is the canonical run order for "all".
-var Order = []string{"smoke", "readpath", "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "table3", "ablation", "concurrent", "partition", "failover", "readwrite"}
+var Order = []string{"table1", "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "table3", "ablation", "concurrent", "partition"}
 
-// RunAll executes every experiment in order, appending one report section
-// per experiment when rep is non-nil. A runner error is recorded on its
-// section (so the written report shows where the run died) and returned.
-func RunAll(s Scale, w io.Writer, rep *Report) error {
+// RunAll executes every experiment in order and stops at the first error.
+func RunAll(s Scale, w io.Writer) error {
 	for _, name := range Order {
 		fmt.Fprintln(w, strings.Repeat("=", 78))
-		e := rep.Experiment(name)
-		if err := Experiments[name](s, w, e); err != nil {
-			e.SetErr(err)
+		if err := Experiments[name](s, w); err != nil {
 			return fmt.Errorf("bench: %s: %w", name, err)
 		}
 		fmt.Fprintln(w)

@@ -355,7 +355,11 @@ func TestStressFeedTraversalDifferentialOracle(t *testing.T) {
 
 	// Churn: four writers extend the graph with User->Execution->File chains
 	// through the named-mutation path while two readers traverse through it.
-	var writers sync.WaitGroup
+	var (
+		writers sync.WaitGroup
+		ackMu   sync.Mutex
+		acked   []model.VertexID // every File a writer's Mutate acknowledged
+	)
 	for w := 0; w < 4; w++ {
 		writers.Add(1)
 		go func(w int) {
@@ -364,16 +368,20 @@ func TestStressFeedTraversalDifferentialOracle(t *testing.T) {
 				u := fmt.Sprintf("u-%d-%d", w, i)
 				x := fmt.Sprintf("x-%d-%d", w, i)
 				y := fmt.Sprintf("y-%d-%d", w, i)
-				if _, err := c.client.Mutate([]NamedMutation{
+				ids, err := c.client.Mutate([]NamedMutation{
 					{Op: NamedAddVertex, Name: u, Label: "User"},
 					{Op: NamedAddVertex, Name: x, Label: "Execution"},
 					{Op: NamedAddVertex, Name: y, Label: "File", Props: property.Map{"type": property.String("text")}},
 					{Op: NamedAddEdge, Src: u, Label: "run", Dst: x},
 					{Op: NamedAddEdge, Src: x, Label: "read", Dst: y},
-				}, WriteOptions{Timeout: 10 * time.Second}); err != nil {
+				}, WriteOptions{Timeout: 10 * time.Second})
+				if err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
+				ackMu.Lock()
+				acked = append(acked, ids[y])
+				ackMu.Unlock()
 			}
 		}(w)
 	}
@@ -418,6 +426,18 @@ func TestStressFeedTraversalDifferentialOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	// No acknowledged write is lost, and the §VII-A identity holds over
+	// everything the traversals executed beside the writes.
+	for _, id := range acked {
+		if i := sort.Search(len(want), func(i int) bool { return want[i] >= id }); i == len(want) || want[i] != id {
+			t.Errorf("acknowledged file %d missing from the live traversal", id)
+		}
+	}
+	for _, s := range c.servers {
+		if m := s.Metrics(); !m.Consistent() {
+			t.Errorf("server %d: accounting identity broken under churn: %+v", s.ID(), m)
+		}
+	}
 	pollUntil(t, 15*time.Second, "shadow store convergence", func() bool {
 		smu.Lock()
 		defer smu.Unlock()

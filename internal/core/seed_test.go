@@ -29,7 +29,8 @@ func seedPlans(t *testing.T, r *rand.Rand) []*query.Plan {
 // results with indexes off, indexes on, the read cache on, both on, and
 // both on with an eviction-thrashing tiny cache. Extends the
 // TestTinyCacheStillCorrect principle — both structures are performance
-// paths, never correctness dependencies.
+// paths, never correctness dependencies. The roomy cache must also pay:
+// re-running a plan it has seen reads mostly hits.
 func TestIndexAndCacheModesEquivalent(t *testing.T) {
 	configs := []struct {
 		name    string
@@ -56,8 +57,12 @@ func TestIndexAndCacheModesEquivalent(t *testing.T) {
 			c := newCluster(t, 3, tc.tweak)
 			r := rand.New(rand.NewSource(29))
 			randomGraph(t, c, r, 50, 250)
-			for _, plan := range seedPlans(t, r) {
+			plans := seedPlans(t, r)
+			for _, plan := range plans {
 				c.runAllModes(t, plan)
+			}
+			if tc.name == "cache" {
+				c.checkWarmRerun(t, plans[0])
 			}
 			var indexHits int64
 			for _, s := range c.servers {
@@ -70,6 +75,39 @@ func TestIndexAndCacheModesEquivalent(t *testing.T) {
 				t.Errorf("un-indexed config reported %d index hits", indexHits)
 			}
 		})
+	}
+}
+
+// checkWarmRerun runs plan twice and holds the second run to the cache: at
+// least 80 % of its vertex and adjacency reads are hits, and it returns what
+// the first run returned.
+func (c *cluster) checkWarmRerun(t *testing.T, plan *query.Plan) {
+	t.Helper()
+	opts := SubmitOptions{Mode: ModeGraphTrek, Coordinator: -1}
+	first, err := c.client.SubmitPlan(plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before Metrics
+	for _, s := range c.servers {
+		before = before.Add(s.Metrics())
+	}
+	second, err := c.client.SubmitPlan(plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var after Metrics
+	for _, s := range c.servers {
+		after = after.Add(s.Metrics())
+	}
+	d := after.Sub(before)
+	hits := d.VtxCacheHits + d.AdjCacheHits
+	reads := hits + d.VtxCacheMisses + d.AdjCacheMisses
+	if reads == 0 || float64(hits) < 0.8*float64(reads) {
+		t.Errorf("warm re-run: %d cache hits of %d vertex+adjacency reads, want >= 80 %%", hits, reads)
+	}
+	if !sameIDs(second, first) {
+		t.Errorf("warm re-run returned %v, first run %v", second, first)
 	}
 }
 
@@ -109,52 +147,62 @@ func TestIndexEnabledMidLife(t *testing.T) {
 	}
 }
 
-// TestSeedScannedCountsBothPaths pins the SeedScanned semantics the
-// readpath benchmark gates on: the counter totals step-0 candidates
-// enumerated whichever way they were produced, so for an indexed EQ seed
-// the cluster-wide total equals the number of matching vertices rather
-// than the scanned population.
+// TestSeedScannedCountsBothPaths pins the SeedScanned semantics: the
+// counter totals step-0 candidates enumerated whichever way they were
+// produced. On the scan path an EQ, IN or RANGE seed enumerates the whole
+// label population; with the key indexed it enumerates exactly the matches,
+// every one of them an index hit.
 func TestSeedScannedCountsBothPaths(t *testing.T) {
 	const n = 40
 	c := newCluster(t, 3, nil)
-	matches := 0
 	for i := 0; i < n; i++ {
-		v := model.Vertex{ID: model.VertexID(i), Label: "User",
-			Props: property.Map{"p": property.Int(int64(i % 8))}}
-		c.addVertex(t, v)
-		if i%8 == 3 {
-			matches++
-		}
+		c.addVertex(t, model.Vertex{ID: model.VertexID(i), Label: "User",
+			Props: property.Map{"p": property.Int(int64(i % 8))}})
 	}
-	plan := mustPlan(t, query.VLabel("User").Va("p", property.EQ, 3))
-	sum := func(get func(Metrics) int64) int64 {
-		var total int64
+	// p cycles through 0..7, so each value matches n/8 = 5 users.
+	seeds := []struct {
+		name    string
+		plan    *query.Plan
+		matches int64
+	}{
+		{"eq", mustPlan(t, query.VLabel("User").Va("p", property.EQ, 3)), 5},
+		{"in", mustPlan(t, query.VLabel("User").Va("p", property.IN, 1, 6)), 10},
+		{"range", mustPlan(t, query.VLabel("User").Va("p", property.RANGE, 2, 5)), 20},
+	}
+	sum := func() (scanned, indexHits int64) {
 		for _, s := range c.servers {
-			total += get(s.Metrics())
+			m := s.Metrics()
+			scanned += m.SeedScanned
+			indexHits += m.SeedIndexHits
 		}
-		return total
+		return scanned, indexHits
+	}
+	check := func(path, name string, plan *query.Plan, matches, wantScanned, wantHits int64) {
+		t.Helper()
+		scanned0, hits0 := sum()
+		res, err := c.client.SubmitPlan(plan, SubmitOptions{Mode: ModeGraphTrek, Coordinator: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanned, hits := sum()
+		if int64(len(res)) != matches {
+			t.Errorf("%s %s: %d results, want %d", path, name, len(res), matches)
+		}
+		if scanned-scanned0 != wantScanned || hits-hits0 != wantHits {
+			t.Errorf("%s %s: SeedScanned delta %d, SeedIndexHits delta %d; want %d and %d",
+				path, name, scanned-scanned0, hits-hits0, wantScanned, wantHits)
+		}
 	}
 
-	if _, err := c.client.SubmitPlan(plan, SubmitOptions{Mode: ModeGraphTrek, Coordinator: -1}); err != nil {
-		t.Fatal(err)
+	for _, sd := range seeds {
+		check("scan", sd.name, sd.plan, sd.matches, n, 0)
 	}
-	if got := sum(func(m Metrics) int64 { return m.SeedScanned }); got != n {
-		t.Errorf("scan path SeedScanned = %d, want %d", got, n)
-	}
-
 	for _, st := range c.stores {
 		if err := st.EnableIndex("p"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := sum(func(m Metrics) int64 { return m.SeedScanned })
-	if _, err := c.client.SubmitPlan(plan, SubmitOptions{Mode: ModeGraphTrek, Coordinator: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sum(func(m Metrics) int64 { return m.SeedScanned }) - before; got != int64(matches) {
-		t.Errorf("index path SeedScanned delta = %d, want %d", got, matches)
-	}
-	if got := sum(func(m Metrics) int64 { return m.SeedIndexHits }); got != int64(matches) {
-		t.Errorf("SeedIndexHits = %d, want %d", got, matches)
+	for _, sd := range seeds {
+		check("index", sd.name, sd.plan, sd.matches, sd.matches, sd.matches)
 	}
 }

@@ -101,7 +101,7 @@ type Snapshot struct {
 	// selection, on either path: the label population when seeding by
 	// scan, or the index matches when a filter was pushed down. With an
 	// index covering a selective seed this equals the match count instead
-	// of the label population — the benefit the readpath bench asserts.
+	// of the label population (core's TestSeedScannedCountsBothPaths).
 	SeedScanned int64
 	// SeedIndexHits counts seed candidates resolved via a property index
 	// lookup instead of a label scan.
