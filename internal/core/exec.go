@@ -88,10 +88,9 @@ func (a *execAcc) finished(s *Server, ts *travelState) {
 }
 
 // finishItems is the single termination point for scheduled items: it
-// records the failure (if any) once per distinct accumulator, counts each
-// item done — running the completion action of accumulators whose last item
-// this was — and balances the in-process counter that gates quiescence
-// flushes.
+// records the failure (if any) once per distinct accumulator and counts each
+// item done, running the completion action of accumulators whose last item
+// this was.
 func (s *Server) finishItems(ts *travelState, items []sched.Item, failure error) {
 	if len(items) == 0 {
 		return
@@ -111,7 +110,6 @@ func (s *Server) finishItems(ts *travelState, items []sched.Item, failure error)
 		if acc.ItemDone() {
 			acc.finished(s, ts)
 		}
-		ts.inProcess.Add(-1)
 	}
 }
 
@@ -175,7 +173,8 @@ type expansion struct {
 
 	// The vertex view's state: judge evaluates, on the fetched vertex's
 	// bytes, the predicate of each distinct step among live (plan's steps)
-	// into verdict, indexed by step.
+	// into verdict, indexed by step. An empty predicate matches without
+	// reading the bytes: the view hands over only well-formed values.
 	plan    *query.Plan
 	live    []sched.Item
 	verdict []uint8
@@ -215,7 +214,12 @@ func newExpansion() *expansion {
 			if ex.verdict[it.Step] != unjudged {
 				continue
 			}
-			ok, err := ex.plan.VertexMatcher(int(it.Step)).Match(val)
+			m := ex.plan.VertexMatcher(int(it.Step))
+			if m.Empty() {
+				ex.verdict[it.Step] = matched
+				continue
+			}
+			ok, err := m.Match(val)
 			if err != nil {
 				return err
 			}
@@ -320,7 +324,8 @@ func (s *Server) sendDispatch(ts *travelState, parent uint64, target int, step i
 
 // flushTravel drains the traversal's outboxes, buffered results and
 // pending terminations into messages. Multiple workers may call it
-// concurrently; each call atomically swaps out the buffered state.
+// concurrently; each call atomically swaps out the buffered state, and the
+// calls report to the coordinator in the order they swapped.
 func (s *Server) flushTravel(ts *travelState) {
 	numSteps := int32(ts.plan.NumSteps())
 	var created []wire.ExecRef
@@ -354,10 +359,15 @@ func (s *Server) flushTravel(ts *travelState) {
 	ts.results = nil
 	ts.ended = nil
 	ts.errs = nil
-	ts.flushMu.Unlock()
 	if len(msgs) == 0 && len(results) == 0 && len(ended) == 0 && len(errs) == 0 {
+		ts.flushMu.Unlock()
 		return
 	}
+	// A later flush's Ended must not overtake an earlier one's Result and
+	// Created carrying the ended execution's outputs (§IV-C): the
+	// coordinator-bound sends leave under sendMu, in take order.
+	ts.sendMu.Lock()
+	ts.flushMu.Unlock()
 	coord := int(ts.coord)
 	var sendErrs []string
 	if len(results) > 0 {
@@ -375,6 +385,7 @@ func (s *Server) flushTravel(ts *travelState) {
 			sendErrs = append(sendErrs, fmt.Sprintf("core: exec events to coordinator %d failed: %v", coord, err))
 		}
 	}
+	ts.sendMu.Unlock()
 	s.met.AddExecs(int(int64(len(ended))))
 	for _, om := range msgs {
 		if err := s.send(om.target, om.msg); err != nil {

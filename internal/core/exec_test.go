@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,34 +76,41 @@ func TestOutboxSetSeenSurvivesTake(t *testing.T) {
 	}
 }
 
+// TestExecAccCountdown: an execution of three entries ends with its last
+// item, and the executor holds its traversal in process until every popped
+// group is reported done — the count quiescence flushes read.
 func TestExecAccCountdown(t *testing.T) {
-	c := newCluster(t, 1, nil)
-	ts := &travelState{
-		id:  1,
-		rtn: make(map[rtnKey]*rtnRec),
-	}
+	s, ts := dispatchRig(t)
 	acc := &execAcc{id: 99}
 	acc.pending.Store(3)
-	items := make([]sched.Item, 3)
-	for i := range items {
-		items[i] = sched.Item{Travel: 1, Vertex: model.VertexID(i), Exec: acc}
+	if err := s.enqueue(ts, 0, acc, []wire.Entry{{Vertex: 1}, {Vertex: 2}, {Vertex: 3}}); err != nil {
+		t.Fatal(err)
 	}
-	ts.inProcess.Add(3)
-	s := c.servers[0]
+	var items []sched.Item
+	for range 3 {
+		g, _ := s.exec.Pop()
+		if g.Owner() != ts {
+			t.Fatalf("popped group owned by %v, want the traversal's state", g.Owner())
+		}
+		items = g.Items(items)
+	}
 	s.finishItems(ts, items[:2], nil)
 	ts.flushMu.Lock()
 	if len(ts.ended) != 0 {
 		t.Fatal("execution ended early")
 	}
 	ts.flushMu.Unlock()
+	if s.exec.Done(ts.id, 2) {
+		t.Fatal("quiescent with a popped item not done")
+	}
 	s.finishItems(ts, items[2:], nil)
 	ts.flushMu.Lock()
 	if len(ts.ended) != 1 || ts.ended[0] != 99 {
 		t.Fatalf("ended = %v", ts.ended)
 	}
 	ts.flushMu.Unlock()
-	if ts.inProcess.Load() != 0 {
-		t.Fatalf("inProcess = %d after all items finished", ts.inProcess.Load())
+	if !s.exec.Done(ts.id, 1) {
+		t.Fatal("not quiescent after every popped item was done")
 	}
 }
 
@@ -118,7 +126,6 @@ func TestFinishItemsRecordsFailureOncePerExec(t *testing.T) {
 		{Travel: 1, Vertex: 1, Exec: acc},
 		{Travel: 1, Vertex: 2, Exec: acc},
 	}
-	ts.inProcess.Add(2)
 	c.servers[0].finishItems(ts, items, errForTest)
 	ts.flushMu.Lock()
 	defer ts.flushMu.Unlock()
@@ -292,5 +299,96 @@ func TestDispatchOnePassPerExpansion(t *testing.T) {
 	}
 	if expanded == 0 {
 		t.Error("no span recorded a dispatch phase")
+	}
+}
+
+// heldTransport parks the first message of one traversal a server sends
+// until release is closed, and logs every send in the order it leaves.
+type heldTransport struct {
+	rpc.Transport
+	travel  uint64
+	log     *sendLog
+	first   atomic.Bool
+	parked  chan struct{} // closed once the first send is parked
+	release chan struct{}
+	ended   chan struct{} // closed once a termination report has left
+	endOnce sync.Once
+}
+
+func (h *heldTransport) Send(to int, msg wire.Message) error {
+	if msg.TravelID == h.travel && h.first.CompareAndSwap(false, true) {
+		close(h.parked)
+		<-h.release
+	}
+	err := loggingTransport{h.Transport, h.log}.Send(to, msg)
+	if msg.TravelID == h.travel && len(msg.Ended) > 0 {
+		h.endOnce.Do(func() { close(h.ended) })
+	}
+	return err
+}
+
+// TestFlushesSendInTakeOrder holds the first of two flushes of one traversal
+// in its first send to the coordinator — the result batch — while the second
+// flush, which reports the termination of the execution whose outputs the
+// first carries, runs. The coordinator must still receive the first flush's
+// Result and Created before the second flush's Ended (§IV-C): were the Ended
+// first, a balanced ledger would finish the traversal without those outputs.
+func TestFlushesSendInTakeOrder(t *testing.T) {
+	const travel, exec = 77, 42
+	held := &heldTransport{travel: travel, log: &sendLog{},
+		parked: make(chan struct{}), release: make(chan struct{}), ended: make(chan struct{})}
+	c := newWrappedCluster(t, 2, nil, func(id int, tr rpc.Transport) rpc.Transport {
+		if id != 0 {
+			return tr
+		}
+		held.Transport = tr
+		return held
+	})
+	s := c.servers[0]
+	plan := mustPlan(t, query.V(1).E("run"))
+	ts := &travelState{id: travel, plan: plan, coord: 1,
+		outbox: make([][]*outboxSet, plan.NumSteps()+1), rtn: make(map[rtnKey]*rtnRec)}
+
+	// The first flush takes exec's outputs: a result and a child dispatch.
+	s.bufferResult(ts, 5)
+	ts.flushMu.Lock()
+	s.outboxLocked(ts, 1, 1).add(wire.Entry{Vertex: 9, AncStep: -1, Dest: -1}, exec)
+	ts.flushMu.Unlock()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); s.flushTravel(ts) }()
+	<-held.parked
+	// The second flush takes exec's termination while the first is held.
+	ts.addEnded(exec)
+	go func() { defer wg.Done(); s.flushTravel(ts) }()
+	select {
+	case <-held.ended: // the second flush overtook the first
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(held.release)
+	wg.Wait()
+
+	held.log.mu.Lock()
+	defer held.log.mu.Unlock()
+	result, created, ended := -1, -1, -1
+	for i, ls := range held.log.sent {
+		if ls.msg.TravelID != travel || ls.to != int(ts.coord) {
+			continue
+		}
+		switch {
+		case ls.msg.Kind == wire.KindResult:
+			result = i
+		case len(ls.msg.Created) > 0:
+			created = i
+		case len(ls.msg.Ended) > 0:
+			ended = i
+		}
+	}
+	if result < 0 || created < 0 || ended < 0 {
+		t.Fatalf("coordinator sends: result %d, created %d, ended %d; want all three", result, created, ended)
+	}
+	if ended < result || ended < created {
+		t.Errorf("Ended{%d} left as send %d, before the first flush's Result (send %d) and Created (send %d)",
+			exec, ended, result, created)
 	}
 }

@@ -16,8 +16,8 @@ import (
 // candidates — instead of enqueuing the whole label population and
 // filtering each vertex after its disk access. The index is label-agnostic,
 // so candidates still pass through the full step-0 predicate
-// (query.SourceMatches) when processed; the pushdown only shrinks the
-// candidate set, never changes results.
+// (Plan.VertexMatcher(0), source label included) when processed; the
+// pushdown only shrinks the candidate set, never changes results.
 
 // seedFromIndex resolves the step-0 source candidates through a property
 // index when one covers a step-0 filter. ok is false when no index covers

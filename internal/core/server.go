@@ -152,7 +152,8 @@ func (s *Server) Bind(tr transport) {
 }
 
 // worker is one lane of the shared executor pool: it drains the two-level
-// queue, serving whichever traversal the fair-share policy selects.
+// queue, serving whichever traversal the fair-share policy selects. Each
+// group comes with its traversal's state, so a worker takes no server lock.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	ex := newExpansion()
@@ -161,13 +162,7 @@ func (s *Server) worker() {
 		if !ok {
 			return
 		}
-		s.mu.Lock()
-		ts := s.travels[g.Travel]
-		s.mu.Unlock()
-		if ts == nil {
-			continue // traversal torn down between pop and lookup
-		}
-		ts.inProcess.Add(int64(g.Len()))
+		ts := g.Owner().(*travelState)
 		// Popped is stamped by the scheduler's pop, so the metric and the
 		// span-level wait attribution downstream share one clock read.
 		s.met.AddQueueWait(g.Popped - g.Enqueued)
@@ -180,16 +175,21 @@ func (s *Server) worker() {
 		// One compute sample per popped group, so the step-compute
 		// histogram's _count stays pinned to queue_groups_total.
 		s.met.ObserveStepCompute(end - g.Popped)
-		s.maybeFlush(ts)
+		s.maybeFlush(ts, g.Len())
 	}
 }
 
-// maybeFlush flushes a traversal's outboxes at local quiescence — eligible
-// queue empty AND nothing in process. With FlushLinger configured the flush
-// is deferred on a timer (never on a shared worker: a sleeping worker would
-// stall other traversals) so waves of in-flight batches consolidate.
-func (s *Server) maybeFlush(ts *travelState) {
-	if !s.quiescent(ts) {
+// maybeFlush reports n of the traversal's popped items done and flushes its
+// outboxes if that left it locally quiescent (sched.Multi.Done), so each
+// server's step output consolidates into about one batch per target.
+// Flushing on every transient queue drain would fragment it into small
+// batches whose re-processing compounds step over step; consolidation keeps
+// the plain-async engine's redundant visits at the levels of the paper's
+// Fig 7 and Table I. With FlushLinger configured the flush is deferred on a
+// timer (never on a shared worker: a sleeping worker would stall other
+// traversals) so waves of in-flight batches consolidate.
+func (s *Server) maybeFlush(ts *travelState, n int) {
+	if !s.exec.Done(ts.id, n) {
 		return
 	}
 	if s.cfg.FlushLinger <= 0 {
@@ -210,24 +210,10 @@ func (s *Server) maybeFlush(ts *travelState) {
 			return
 		default:
 		}
-		if s.quiescent(ts) {
+		if s.exec.Done(ts.id, 0) {
 			s.flushTravel(ts)
 		}
 	})
-}
-
-// quiescent reports local quiescence: eligible queue empty, then nothing in
-// process. The first read of the count only spares the executor's lock while
-// another worker is inside one of the traversal's groups; the answer rests on
-// the read after EligibleLen. A worker counts a group some time after popping
-// it, and a count read before the queue was seen empty turns that gap into
-// flushes beside a running execution: more batches, and a termination that
-// can overtake the outputs such a flush carries.
-func (s *Server) quiescent(ts *travelState) bool {
-	if ts.inProcess.Load() != 0 {
-		return false
-	}
-	return s.exec.EligibleLen(ts.id) == 0 && ts.inProcess.Load() == 0
 }
 
 // enqueue admits a request batch — entries, all at step, on behalf of acc —
@@ -366,7 +352,10 @@ type travelState struct {
 	coord int32
 
 	// flushMu guards the outboxes, buffered results and ended executions.
+	// sendMu, taken before a flush releases flushMu and held through its
+	// sends to the coordinator, makes flushes report in take order.
 	flushMu sync.Mutex
+	sendMu  sync.Mutex
 	outbox  [][]*outboxSet // dispatch entry sets, [step][target]; see outboxLocked
 	results []model.VertexID
 	errs    []string
@@ -376,15 +365,6 @@ type travelState struct {
 	rtnMu sync.Mutex
 	rtn   map[rtnKey]*rtnRec
 
-	// inProcess counts items popped from the queue but not yet finished.
-	// Outboxes are flushed only at local quiescence — eligible queue empty
-	// AND nothing in process — so each server's step output consolidates
-	// into approximately one batch per target. Flushing on every transient
-	// queue drain would fragment the output into many small batches whose
-	// re-processing compounds step over step; consolidation keeps the
-	// plain-async engine's redundant-visit amplification at the moderate
-	// levels the paper's Fig 7 and Table I report.
-	inProcess atomic.Int64
 	// flushPending guards against stacking more than one deferred
 	// FlushLinger flush timer per traversal.
 	flushPending atomic.Bool
@@ -520,6 +500,7 @@ func (s *Server) handleStartTravel(from int, msg wire.Message) {
 		Priority: ts.tun.priority,
 		Merge:    ts.tun.merge,
 		Gated:    ts.tun.gated,
+		Owner:    ts,
 	})
 	s.travels[msg.TravelID] = ts
 	replay := s.pendingMsgs[msg.TravelID]

@@ -27,7 +27,7 @@ func dispatchRig(tb testing.TB) (*Server, *travelState) {
 	ts := &travelState{id: 9, mode: ModeGraphTrek, tun: ModeGraphTrek.tuning(),
 		rtn: make(map[rtnKey]*rtnRec)}
 	s.travels[ts.id] = ts
-	s.exec.Register(ts.id, sched.Options{Priority: ts.tun.priority, Merge: ts.tun.merge})
+	s.exec.Register(ts.id, sched.Options{Priority: ts.tun.priority, Merge: ts.tun.merge, Owner: ts})
 	return s, ts
 }
 

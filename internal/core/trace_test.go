@@ -240,7 +240,7 @@ func stepComputeNs(t *testing.T, s *Server) int64 {
 	return 0
 }
 
-// TestSpanPhasesTileStepCompute: a span's fetch, filter and scan phases are
+// TestSpanPhasesTileStepCompute: a span's fetch and scan phases are
 // consecutive intervals between readings of one clock, inside the
 // step-compute interval of the group they ran in, so they can never add up
 // to more than it — exactly for a traversal of one group, and in sum per
@@ -250,7 +250,7 @@ func TestSpanPhasesTileStepCompute(t *testing.T) {
 		if sp.DispatchNs > sp.ScanNs {
 			t.Errorf("span %d: DispatchNs %d exceeds ScanNs %d", sp.Exec, sp.DispatchNs, sp.ScanNs)
 		}
-		return sp.FetchNs + sp.FilterNs + sp.ScanNs
+		return sp.FetchNs + sp.ScanNs
 	}
 
 	one := newCluster(t, 1, nil)

@@ -28,8 +28,8 @@ func spanOf(it sched.Item) *trace.Builder { return it.Exec.(accumulator).span() 
 //     disk access.
 //
 // Every phase boundary is one reading of the executor clock, shared by the
-// phases on either side: fetch end is filter start, filter end is scan start,
-// an item's end is the next item's start. The last reading is returned
+// phases on either side: fetch end is the first item's scan start, an item's
+// end is the next item's start. The last reading is returned
 // (g.Popped when none was taken) and closes the group's step-compute interval.
 func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) time.Duration {
 	// The scheduler stamped the pop time; reusing it keeps span-level wait
@@ -100,18 +100,13 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) tim
 }
 
 // processItem carries one request on from the vertex's verdict on its
-// step's predicate. Its filter phase starts at now, the caller's last clock
+// step's predicate. Its scan phase starts at now, the caller's last clock
 // reading; it returns its own last reading (now itself with tracing off).
 func (s *Server) processItem(ts *travelState, ex *expansion, match bool, it sched.Item, now time.Duration) time.Duration {
 	plan := ts.plan
 	last := int32(plan.NumSteps() - 1)
 	exec := it.Exec.(accumulator).execID()
 	sp := spanOf(it)
-	if sp != nil {
-		filtered := sched.Now()
-		sp.AddFilter(filtered - now)
-		now = filtered
-	}
 	if !match {
 		return now // the path dies here
 	}
@@ -141,9 +136,9 @@ func (s *Server) processItem(ts *travelState, ex *expansion, match bool, it sche
 
 	// Expand the next step's typed edges: the scan collects the destinations,
 	// then one outbox pass hands them to their owners. The scan interval opens
-	// where the filter closed; dispatch time (that pass, possibly with early
-	// batch sends) is its tail and ends on the same clock read, so the two
-	// phases report separably.
+	// at now; dispatch time (that pass, possibly with early batch sends) is
+	// its tail and ends on the same clock read, so the two phases report
+	// separably.
 	var dispatchStart time.Duration
 	err := s.expand(ex, plan, it.Step+1, it.Vertex)
 	if sp != nil {

@@ -31,9 +31,12 @@ type Graph interface {
 	GetVertex(id model.VertexID) (model.Vertex, bool, error)
 	// ViewVertex calls fn with vertex id's encoded value (AppendVertexValue's
 	// bytes) where it lies, and reports whether the vertex exists; fn is not
-	// called when it does not. The bytes are valid only until fn returns, and
-	// an error from fn is ViewVertex's. This is the traversal's read: a step's
-	// predicate runs on the bytes (model.VertexMatcher), nothing is decoded.
+	// called when it does not. fn sees only well-formed values: a corrupt one
+	// is ViewVertex's error, as DecodeVertexValue would report it. The bytes
+	// are valid only until fn returns, and an error from fn is ViewVertex's.
+	// This is the traversal's read: a step's predicate runs on the bytes
+	// (model.VertexMatcher), nothing is decoded, and an empty predicate reads
+	// nothing.
 	ViewVertex(id model.VertexID, fn func(val []byte) error) (found bool, err error)
 	// DeleteVertex removes a vertex, its index entry and its out-edges.
 	DeleteVertex(id model.VertexID) error
@@ -214,7 +217,8 @@ func (s *Store) PutVertex(v model.Vertex) error {
 // GetVertex implements Graph. The value is decoded where it lies in kv —
 // DecodeVertexValue copies every string it keeps — so it is never copied.
 func (s *Store) GetVertex(id model.VertexID) (v model.Vertex, found bool, err error) {
-	found, err = s.ViewVertex(id, func(val []byte) (err error) {
+	var key [1 + 8]byte
+	found, err = s.db.View(vertexKey(key[:0], id), func(val []byte) (err error) {
 		v, err = model.DecodeVertexValue(id, val)
 		return err
 	})
@@ -225,10 +229,15 @@ func (s *Store) GetVertex(id model.VertexID) (v model.Vertex, found bool, err er
 }
 
 // ViewVertex implements Graph: the value is the one in the memtable or a
-// table's mapping, and nothing is allocated.
+// table's mapping, checked before fn sees it, and nothing is allocated.
 func (s *Store) ViewVertex(id model.VertexID, fn func(val []byte) error) (bool, error) {
 	var key [1 + 8]byte
-	return s.db.View(vertexKey(key[:0], id), fn)
+	return s.db.View(vertexKey(key[:0], id), func(val []byte) error {
+		if err := model.CheckVertexValue(val); err != nil {
+			return err
+		}
+		return fn(val)
+	})
 }
 
 // DeleteVertex implements Graph.

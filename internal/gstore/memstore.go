@@ -88,7 +88,7 @@ func (m *MemStore) GetVertex(id model.VertexID) (model.Vertex, bool, error) {
 	return v, ok, nil
 }
 
-// ViewVertex implements Graph, encoding the vertex on each call.
+// ViewVertex implements Graph, encoding the vertex (well-formed) each call.
 func (m *MemStore) ViewVertex(id model.VertexID, fn func(val []byte) error) (bool, error) {
 	v, ok, _ := m.GetVertex(id)
 	if !ok {

@@ -284,9 +284,10 @@ func (sh *cacheShard) invalidate(id model.VertexID, lo, hi uint16) {
 }
 
 // ViewVertex implements Graph. A hit hands fn the cached bytes; a miss
-// fetches a copy of the value, which the cache keeps only if fn accepted it.
-// Every reader walks the whole value (a step's matcher, GetVertex's decode),
-// and a value that does not parse makes fn fail, so what is cached parses.
+// fetches a copy of the value and checks it once, at admission, so a hit
+// hands over only values that parse without walking them again — a step
+// with an empty predicate reads nothing. The cache keeps the copy only if
+// fn accepted it.
 func (c *CachedGraph) ViewVertex(id model.VertexID, fn func(val []byte) error) (bool, error) {
 	sh := c.shard(id)
 	e, gen, ok := sh.hit(id, 0)
@@ -300,6 +301,9 @@ func (c *CachedGraph) ViewVertex(id model.VertexID, fn func(val []byte) error) (
 		// Negative results are not cached: missing-vertex reads are not a
 		// hot traversal shape, and skipping them keeps invalidation simple.
 		return found, err
+	}
+	if err := model.CheckVertexValue(val); err != nil {
+		return true, err
 	}
 	if err := fn(val); err != nil {
 		return true, err

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"graphtrek/internal/kv"
 	"graphtrek/internal/model"
 	"graphtrek/internal/property"
 )
@@ -92,6 +93,55 @@ func TestCacheHitMissCounters(t *testing.T) {
 	}
 	if st.Bytes <= 0 {
 		t.Errorf("cached bytes = %d, want > 0", st.Bytes)
+	}
+}
+
+// TestCorruptVertexIsAnError: a stored vertex value that does not parse is an
+// error on every read, even through a function that, like an empty step
+// predicate, reads none of it — on the Store's view, on the cache's miss, and
+// on the read after it, which must miss again: the cache admits only values
+// it checked. A well-formed value read the same way is admitted and then hit.
+func TestCorruptVertexIsAnError(t *testing.T) {
+	store, err := Open(t.TempDir(), kv.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	good := model.AppendVertexValue(nil, model.Vertex{ID: 1, Label: "File", Props: property.Map{"n": property.Int(1)}})
+	bad := [][]byte{
+		good[:len(good)-1],                    // truncated
+		append(slices.Clone(good), 0),         // trailing byte
+		{0x7f, 'F'},                           // label past the end
+		append([]byte{1, 'F'}, 0x80, 0x80, 4), // map count past the end
+	}
+	for i, val := range append([][]byte{good}, bad...) {
+		if err := store.db.Put(vertexKey(nil, model.VertexID(i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readsNothing := func([]byte) error { return nil }
+	c := NewCachedGraph(store, 1<<20)
+	for i, val := range bad {
+		id := model.VertexID(1 + i)
+		if _, err := model.DecodeVertexValue(id, val); err == nil {
+			t.Fatalf("bad value %d (%x) decodes", i, val)
+		}
+		if _, err := store.ViewVertex(id, readsNothing); err == nil {
+			t.Errorf("Store: corrupt value %x read without error", val)
+		}
+		for read := range 2 {
+			if _, err := c.ViewVertex(id, readsNothing); err == nil {
+				t.Errorf("CachedGraph read %d: corrupt value %x read without error", read, val)
+			}
+		}
+	}
+	for range 2 {
+		if found, err := c.ViewVertex(0, readsNothing); !found || err != nil {
+			t.Fatalf("well-formed value: found %v, err %v", found, err)
+		}
+	}
+	if st := c.CacheStats(); st.VtxHits != 1 || st.VtxMisses != 1+2*int64(len(bad)) {
+		t.Errorf("stats = %+v, want 1 hit (the well-formed value) and every corrupt read a miss", st)
 	}
 }
 

@@ -16,6 +16,22 @@ type VertexMatcher struct {
 	Props property.Matcher
 }
 
+// Empty reports whether the predicate tests nothing — no label, no label
+// filter, no property filter — and so accepts every well-formed value. A
+// step with an empty predicate is judged on its vertex's existence alone:
+// gstore.Graph.ViewVertex hands over only well-formed values.
+func (m *VertexMatcher) Empty() bool {
+	return m.Label == "" && len(m.OnLabel) == 0 && m.Props.Empty()
+}
+
+// CheckVertexValue reports whether val is a well-formed vertex value: it
+// errors exactly where DecodeVertexValue does, and allocates nothing on
+// AppendVertexValue's output.
+func CheckVertexValue(val []byte) error {
+	_, err := (&VertexMatcher{}).Match(val)
+	return err
+}
+
 // Match reports whether the vertex encoded in val satisfies the predicate.
 // It errors exactly where DecodeVertexValue does, so a corrupt value is an
 // error, never a vertex that exists.

@@ -27,6 +27,9 @@ func NewMatcher(fs Filters) Matcher {
 	return Matcher{fs}
 }
 
+// Empty reports whether the matcher has no filters.
+func (m Matcher) Empty() bool { return len(m.fs) == 0 }
+
 // Match reports whether the map encoded in b — all of b — satisfies every
 // filter. It errors exactly where ConsumeMap would, or on trailing bytes, so a
 // corrupt value is an error and never a verdict.

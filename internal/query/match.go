@@ -13,18 +13,6 @@ import (
 // written Va(query.LabelKey, property.EQ, "Execution").
 const LabelKey = "label"
 
-// SourceMatches applies a traversal's full step-0 predicate to a candidate
-// source vertex: the SourceLabel restriction (when the plan seeds from a
-// label) plus the vertex filters. Engines that resolve seed candidates
-// through a property index need this — index matches are label-agnostic, so
-// the label restriction the scan path gets for free must be re-checked.
-func SourceMatches(v model.Vertex, s0 Step) bool {
-	if s0.SourceLabel != "" && v.Label != s0.SourceLabel {
-		return false
-	}
-	return VertexMatches(v, s0.VertexFilters)
-}
-
 // VertexMatches applies a step's vertex filters to a decoded vertex,
 // resolving the reserved LabelKey against the vertex label. The engines run
 // the same predicate compiled over the encoded value (Plan.VertexMatcher);

@@ -166,8 +166,18 @@ func corrupt(r *rand.Rand, val []byte) []byte {
 	}
 }
 
+// SourceMatches is a step's full predicate on a decoded vertex — its source
+// label, if any, and its vertex filters — as Plan.VertexMatcher compiles it.
+func SourceMatches(v model.Vertex, s Step) bool {
+	if s.SourceLabel != "" && v.Label != s.SourceLabel {
+		return false
+	}
+	return VertexMatches(v, s.VertexFilters)
+}
+
 // checkVertex holds the compiled predicate to decode-then-match on one value:
-// the same error-ness, and on success the same verdict.
+// the same error-ness, and on success the same verdict. The check a read
+// makes before an empty predicate, which reads nothing, errs the same way.
 func checkVertex(t *testing.T, s Step, val []byte) {
 	t.Helper()
 	m := compileVertex(s)
@@ -175,6 +185,12 @@ func checkVertex(t *testing.T, s Step, val []byte) {
 	v, decErr := model.DecodeVertexValue(1, val)
 	if (err != nil) != (decErr != nil) {
 		t.Fatalf("step %+v on %x: matcher error %v, decode error %v", s, val, err, decErr)
+	}
+	if chkErr := model.CheckVertexValue(val); (chkErr != nil) != (decErr != nil) {
+		t.Fatalf("%x: check error %v, decode error %v", val, chkErr, decErr)
+	}
+	if empty := s.SourceLabel == "" && len(s.VertexFilters) == 0; m.Empty() != empty {
+		t.Fatalf("step %+v: Empty() = %v, want %v", s, m.Empty(), empty)
 	}
 	if err == nil {
 		if want := SourceMatches(v, s); got != want {
@@ -208,6 +224,7 @@ func TestVertexMatcherAgainstDecode(t *testing.T) {
 			matched++
 		}
 		checkVertex(t, s, corrupt(r, val))
+		checkVertex(t, Step{}, corrupt(r, val)) // the empty predicate
 	}
 	if matched < 1000 {
 		t.Errorf("only %d of 20 000 predicates matched: the generator is too strict to test", matched)

@@ -157,8 +157,8 @@ func (p *Plan) compile() {
 	}
 }
 
-// VertexMatcher returns step i's vertex predicate over an encoded vertex:
-// query.SourceMatches for step 0, VertexMatches after it.
+// VertexMatcher returns step i's vertex predicate over an encoded vertex: its
+// source label, if any, and VertexMatches over its filters.
 func (p *Plan) VertexMatcher(i int) *model.VertexMatcher { return &p.compiled[i].vertex }
 
 // EdgeMatcher returns step i's edge predicate over an encoded edge value.

@@ -22,7 +22,8 @@
 // traversal's sub-queue into the synchronous engine's barrier buffer.
 // Admission control bounds the total buffered items across all traversals
 // (Push fails with ErrBackpressure), and dropping a traversal evicts its
-// pending groups without processing them.
+// pending groups without processing them. Done tells the engine, in one
+// read, that a traversal went locally quiescent.
 package sched
 
 import (
@@ -92,10 +93,14 @@ type Group struct {
 	Popped time.Duration
 	head   *node
 	n      int
+	t      *travelQueue
 }
 
 // Len reports the number of requests in the group.
 func (g Group) Len() int { return g.n }
+
+// Owner returns the Options.Owner its traversal was registered with.
+func (g Group) Owner() any { return g.t.opts.Owner }
 
 // Items appends the group's requests to buf in arrival order and returns it.
 // The copies are the caller's; the pushed keys behind them stay untouched.
@@ -112,7 +117,7 @@ func (g Group) Items(buf []Item) []Item {
 	return buf
 }
 
-// Options selects a traversal's level-2 policies.
+// Options selects a traversal's level-2 policies and names its owner.
 type Options struct {
 	// Priority pops smallest-step groups first (execution scheduling).
 	Priority bool
@@ -121,6 +126,9 @@ type Options struct {
 	// Gated holds back items whose step exceeds the released gate — the
 	// synchronous engine's barrier. Ungated traversals admit every step.
 	Gated bool
+	// Owner is the engine's state for the traversal, handed back with each of
+	// its popped groups (Group.Owner), so a worker looks nothing up.
+	Owner any
 }
 
 // batch is what one execution's requests pushed together share. keys is the
@@ -166,6 +174,7 @@ type travelQueue struct {
 	gate    int32
 	arrival uint64 // registration order — the fair-share tie-break
 	served  int    // items handed to workers so far — the fair-share key
+	running int    // items popped and not yet reported Done
 	seq     uint64
 	index   frontier.Index[node] // vertex → buffered group; only when merging
 	buckets []stepBucket         // sorted by step; a plan has few steps
@@ -386,8 +395,9 @@ func (m *Multi) popLocked() (Group, bool) {
 	n := int(bestG.n)
 	best.take(bestG)
 	best.served += n
+	best.running += n
 	m.size -= n
-	return Group{Travel: best.travel, Vertex: bestG.vertex(), Enqueued: bestG.batch.enqueued, head: bestG, n: n}, true
+	return Group{Travel: best.travel, Vertex: bestG.vertex(), Enqueued: bestG.batch.enqueued, head: bestG, n: n, t: best}, true
 }
 
 // peek selects the traversal's next group under its policy without removing
@@ -446,17 +456,6 @@ func (m *Multi) Release(travel uint64, step int32) {
 	m.cond.Broadcast()
 }
 
-// Gate returns a traversal's current gate (MaxInt32 when ungated or
-// unknown).
-func (m *Multi) Gate(travel uint64) int32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t, ok := m.travels[travel]; ok {
-		return t.gate
-	}
-	return math.MaxInt32
-}
-
 // Len reports the number of buffered items across all traversals.
 func (m *Multi) Len() int {
 	m.mu.Lock()
@@ -471,26 +470,31 @@ func (m *Multi) HighWater() int {
 	return m.highWater
 }
 
-// EligibleLen reports the number of a traversal's buffered items whose step
-// is within its gate — the items a worker could pop right now. The engine
-// flushes a traversal's outboxes when this reaches zero; counting gated
-// items would deadlock the synchronous barrier (step-k executions would
-// never report termination while step-k+1 items wait behind the gate).
-func (m *Multi) EligibleLen(travel uint64) int {
+// Done reports n items of a traversal's popped groups processed and whether
+// that left it locally quiescent: nothing buffered within its gate and
+// nothing popped but not done. Pop counts a group in process in the lock hold
+// that takes it and Done reads both in the hold that lowers one, so no group
+// is ever between the two. Done(travel, 0) only asks. Gated items do not
+// count: the synchronous barrier would deadlock (step-k executions would never
+// end while step-k+1 items wait behind the gate). A dropped traversal is never
+// quiescent.
+func (m *Multi) Done(travel uint64, n int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t, ok := m.travels[travel]
 	if !ok {
-		return 0
+		return false
 	}
-	n := 0
-	for i := range t.buckets {
-		if t.buckets[i].step > t.gate {
-			break
+	t.running -= n
+	if t.running != 0 {
+		return false
+	}
+	for _, b := range t.buckets {
+		if b.step <= t.gate && b.items > 0 {
+			return false
 		}
-		n += t.buckets[i].items
 	}
-	return n
+	return true
 }
 
 // Close wakes all blocked Pops; they drain remaining eligible work and then

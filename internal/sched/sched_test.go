@@ -165,14 +165,14 @@ func TestReleaseNeverLowersGate(t *testing.T) {
 	q := newQueue(1, Options{Gated: true})
 	q.Release(1, 5)
 	q.Release(1, 3)
-	if q.Gate(1) != 5 {
-		t.Errorf("gate = %d, want 5", q.Gate(1))
+	if g := gate(q, 1); g != 5 {
+		t.Errorf("gate = %d, want 5", g)
 	}
 	// Ungated traversals ignore Release.
 	u := newQueue(1, Options{})
 	u.Release(1, 1)
-	if u.Gate(1) <= 1<<30 {
-		t.Errorf("ungated gate = %d", u.Gate(1))
+	if g := gate(u, 1); g <= 1<<30 {
+		t.Errorf("ungated gate = %d", g)
 	}
 }
 
@@ -187,8 +187,14 @@ func TestGateIsPerTravel(t *testing.T) {
 	if !ok || g.Travel != 1 {
 		t.Fatalf("pop = %+v, want travel 1 (travel 2 still gated)", g)
 	}
-	if q.EligibleLen(2) != 0 {
-		t.Errorf("travel 2 eligible = %d, want 0", q.EligibleLen(2))
+	if n := eligibleLen(q, 2); n != 0 {
+		t.Errorf("travel 2 eligible = %d, want 0", n)
+	}
+	if !q.Done(2, 0) {
+		t.Error("travel 2 holds only gated work, yet is not quiescent")
+	}
+	if q.Done(1, 0) || !q.Done(1, g.Len()) {
+		t.Error("travel 1 must be quiescent exactly when its popped group is done")
 	}
 	q.Close()
 }
@@ -450,14 +456,50 @@ func TestPriorityInvariantQuick(t *testing.T) {
 func TestEligibleLenRespectsGate(t *testing.T) {
 	q := newQueue(1, Options{Gated: true})
 	push(t, q, item(1, 0, 1), item(1, 1, 2), item(1, 1, 3))
-	if got := q.EligibleLen(1); got != 1 {
-		t.Fatalf("EligibleLen = %d, want 1 (only step 0)", got)
+	if got := eligibleLen(q, 1); got != 1 {
+		t.Fatalf("eligible = %d, want 1 (only step 0)", got)
+	}
+	g, _ := q.Pop()
+	if !q.Done(1, g.Len()) {
+		t.Fatal("with step 0 done and step 1 gated, the traversal must be quiescent")
 	}
 	q.Release(1, 1)
-	if got := q.EligibleLen(1); got != 3 {
-		t.Fatalf("EligibleLen after release = %d, want 3", got)
+	if got := eligibleLen(q, 1); got != 2 {
+		t.Fatalf("eligible after release = %d, want 2", got)
+	}
+	if q.Done(1, 0) {
+		t.Fatal("quiescent with released work buffered")
 	}
 	q.Close()
+}
+
+// eligibleLen is what a worker could pop of the traversal right now: the
+// per-bucket counts up to its gate.
+func eligibleLen(m *Multi, travel uint64) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t, ok := m.travels[travel]
+	if !ok {
+		return 0
+	}
+	n := 0
+	for _, b := range t.buckets {
+		if b.step > t.gate {
+			break
+		}
+		n += b.items
+	}
+	return n
+}
+
+// gate is a traversal's current gate (MaxInt32 when ungated or unknown).
+func gate(m *Multi, travel uint64) int32 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t, ok := m.travels[travel]; ok {
+		return t.gate
+	}
+	return math.MaxInt32
 }
 
 func TestEnqueuedTimestampSet(t *testing.T) {
@@ -553,7 +595,7 @@ func TestFairShareOrderAcrossThreeTravels(t *testing.T) {
 	q.Close()
 }
 
-// eligibleWalk is the O(groups) EligibleLen the per-bucket counters replaced,
+// eligibleWalk is the O(groups) count the per-bucket counters replaced,
 // kept as their oracle: every live group at or below the gate, counted where
 // it currently sits.
 func eligibleWalk(m *Multi, travel uint64) int {
@@ -672,10 +714,13 @@ func (t *refTravel) pop() *refGroup {
 
 // TestEligibleLenMatchesWalk drives a seeded random schedule of Push (batches
 // that repeat vertices at lower and higher steps, so merges both append and
-// relocate, on behalf of several executions), Pop, Release and Drop followed
-// by re-registration under every policy combination. After every operation
-// the counters must agree with the walk, and every Pop must return the group
-// — vertex and items, in order — that the map-indexed reference returns.
+// relocate, on behalf of several executions), Pop, Done of a popped group,
+// Release and Drop followed by re-registration under every policy
+// combination. After every operation the counters must agree with the walk,
+// Done must report quiescence exactly when the walk finds nothing eligible
+// and the schedule holds no popped group undone, and every Pop must return
+// the group — vertex and items, in order — that the map-indexed reference
+// returns.
 func TestEligibleLenMatchesWalk(t *testing.T) {
 	const travels, steps, verts = 3, 6, 24
 	accs := []*testAcc{{1}, {2}, {3}}
@@ -684,6 +729,8 @@ func TestEligibleLenMatchesWalk(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(100 + mask)))
 		q := NewMulti(0)
 		ref := make([]*refTravel, travels)
+		running := make([]int, travels) // popped items not yet reported Done
+		var held []Group                // the popped groups behind running
 		for tr := uint64(0); tr < travels; tr++ {
 			q.Register(tr, opts)
 			ref[tr] = newRefTravel(opts)
@@ -691,15 +738,19 @@ func TestEligibleLenMatchesWalk(t *testing.T) {
 		check := func(op string, i int) {
 			t.Helper()
 			for tr := uint64(0); tr < travels; tr++ {
-				if got, want := q.EligibleLen(tr), eligibleWalk(q, tr); got != want {
-					t.Fatalf("%+v op %d (%s): EligibleLen(%d) = %d, walk = %d", opts, i, op, tr, got, want)
+				walk := eligibleWalk(q, tr)
+				if got := eligibleLen(q, tr); got != walk {
+					t.Fatalf("%+v op %d (%s): eligible(%d) = %d, walk = %d", opts, i, op, tr, got, walk)
+				}
+				if got, want := q.Done(tr, 0), walk == 0 && running[tr] == 0; got != want {
+					t.Fatalf("%+v op %d (%s): Done(%d, 0) = %v with walk %d and %d in process", opts, i, op, tr, got, walk, running[tr])
 				}
 			}
 		}
 		eligible := func() int {
 			n := 0
 			for tr := uint64(0); tr < travels; tr++ {
-				n += q.EligibleLen(tr)
+				n += eligibleLen(q, tr)
 			}
 			return n
 		}
@@ -716,6 +767,19 @@ func TestEligibleLenMatchesWalk(t *testing.T) {
 			}
 			if want == nil || g.Vertex != want.items[0].Vertex || g.Len() != len(got) || !slices.Equal(got, want.items) {
 				t.Fatalf("%+v op %d (%s): popped vertex %d items %+v, the reference pops %+v", opts, i, op, g.Vertex, got, want)
+			}
+			held = append(held, g)
+			running[g.Travel] += g.Len()
+			check(op, i)
+		}
+		done := func(op string, i, j int) {
+			t.Helper()
+			g := held[j]
+			held = slices.Delete(held, j, j+1)
+			running[g.Travel] -= g.Len()
+			want := running[g.Travel] == 0 && eligibleWalk(q, g.Travel) == 0
+			if got := q.Done(g.Travel, g.Len()); got != want {
+				t.Fatalf("%+v op %d (%s): Done(%d, %d) = %v with %d left in process", opts, i, op, g.Travel, g.Len(), got, running[g.Travel])
 			}
 			check(op, i)
 		}
@@ -738,12 +802,16 @@ func TestEligibleLenMatchesWalk(t *testing.T) {
 				push(t, q, batch...)
 				ref[tr].push(batch)
 				check("push", i)
-			case p < 90:
+			case p < 75:
 				if eligible() == 0 {
 					continue // Pop would block
 				}
 				pop("pop", i)
 				pops++
+			case p < 90:
+				if len(held) > 0 {
+					done("done", i, r.Intn(len(held)))
+				}
 			case p < 98:
 				tr, step := r.Intn(travels), int32(r.Intn(steps))
 				q.Release(uint64(tr), step)
@@ -754,9 +822,15 @@ func TestEligibleLenMatchesWalk(t *testing.T) {
 			default:
 				tr := uint64(r.Intn(travels))
 				q.Drop(tr)
-				check("drop", i)
+				// A dropped traversal's popped groups are nobody's count.
+				held = slices.DeleteFunc(held, func(g Group) bool { return g.Travel == tr })
+				running[tr] = 0
+				if q.Done(tr, 0) {
+					t.Fatalf("%+v op %d: dropped traversal %d reported quiescent", opts, i, tr)
+				}
 				q.Register(tr, opts)
 				ref[tr] = newRefTravel(opts)
+				check("drop", i)
 			}
 		}
 		if pops < 500 {
@@ -769,6 +843,9 @@ func TestEligibleLenMatchesWalk(t *testing.T) {
 		}
 		for eligible() > 0 {
 			pop("drain", -1)
+		}
+		for len(held) > 0 {
+			done("drain", -1, 0)
 		}
 		if q.Len() != 0 {
 			t.Fatalf("%+v: %d items left after draining every eligible one", opts, q.Len())
@@ -938,12 +1015,12 @@ func BenchmarkPushPop(b *testing.B) {
 	}
 }
 
-var eligibleSink int
-
-// BenchmarkEligibleLen asks a traversal with depth buffered groups how much a
-// worker could pop — the question maybeFlush puts after every group. The cost
-// must not depend on depth.
-func BenchmarkEligibleLen(b *testing.B) {
+// BenchmarkPopDone is a worker's traffic with the scheduler for one group:
+// Pop hands it over and counts it in process, Done reports it processed and
+// answers whether the traversal went quiescent. One op is one group, popped
+// from a traversal with up to depth groups buffered over four steps; the
+// pushes that refill it are not timed. The cost must not depend on depth.
+func BenchmarkPopDone(b *testing.B) {
 	for _, depth := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			q := newQueue(1, Options{Priority: true, Merge: true})
@@ -951,10 +1028,16 @@ func BenchmarkEligibleLen(b *testing.B) {
 			for i := range batch {
 				batch[i] = item(1, int32(i%4), i)
 			}
-			push(b, q, batch...)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eligibleSink += q.EligibleLen(1)
+				if i%depth == 0 {
+					b.StopTimer()
+					push(b, q, batch...)
+					b.StartTimer()
+				}
+				g, _ := q.Pop()
+				q.Done(g.Travel, g.Len())
 			}
 		})
 	}

@@ -43,21 +43,21 @@ func NewRecorder(spanCap int) *Recorder {
 }
 
 // packedSpan is a Span as the ring stores it: the same fields without Err,
-// counts as uint32 (an execution carries nowhere near 2^32 entries), 104
-// bytes for Span's 136 and nothing for the collector to scan.
+// counts as uint32 (an execution carries nowhere near 2^32 entries), 96
+// bytes for Span's 128 and nothing for the collector to scan.
 type packedSpan struct {
-	travel, exec, parent                  uint64
-	queueWaitNs, wallNs, startNs          int64
-	fetchNs, filterNs, scanNs, dispatchNs int64
-	frontier, redundant, combined, real   uint32
-	server, step                          int32
+	travel, exec, parent                uint64
+	queueWaitNs, wallNs, startNs        int64
+	fetchNs, scanNs, dispatchNs         int64
+	frontier, redundant, combined, real uint32
+	server, step                        int32
 }
 
 func pack(s Span) packedSpan {
 	return packedSpan{
 		travel: s.Travel, exec: s.Exec, parent: s.Parent,
 		queueWaitNs: s.QueueWaitNs, wallNs: s.WallNs, startNs: s.StartNs,
-		fetchNs: s.FetchNs, filterNs: s.FilterNs, scanNs: s.ScanNs, dispatchNs: s.DispatchNs,
+		fetchNs: s.FetchNs, scanNs: s.ScanNs, dispatchNs: s.DispatchNs,
 		frontier: uint32(s.Frontier), redundant: uint32(s.Redundant),
 		combined: uint32(s.Combined), real: uint32(s.Real),
 		server: s.Server, step: s.Step,
@@ -72,7 +72,7 @@ func (p packedSpan) span(err string) Span {
 		Frontier: int(p.frontier), Redundant: int(p.redundant),
 		Combined: int(p.combined), Real: int(p.real),
 		QueueWaitNs: p.queueWaitNs, WallNs: p.wallNs, StartNs: p.startNs,
-		FetchNs: p.fetchNs, FilterNs: p.filterNs, ScanNs: p.scanNs, DispatchNs: p.dispatchNs,
+		FetchNs: p.fetchNs, ScanNs: p.scanNs, DispatchNs: p.dispatchNs,
 		Err: err,
 	}
 }

@@ -66,8 +66,6 @@ type Span struct {
 	// access of §V-B), attributed to the group head that paid it. The step
 	// predicates run on the fetched bytes inside it.
 	FetchNs int64 `json:"fetch_ns,omitempty"`
-	// FilterNs is time spent taking an item's verdict on its predicate.
-	FilterNs int64 `json:"filter_ns,omitempty"`
 	// ScanNs is time spent iterating next-step edges, dispatch buffering
 	// included (DispatchNs is the contained sub-phase).
 	ScanNs int64 `json:"scan_ns,omitempty"`
@@ -100,7 +98,6 @@ type Builder struct {
 	real       atomic.Int64
 	waitNs     atomic.Int64
 	fetchNs    atomic.Int64
-	filterNs   atomic.Int64
 	scanNs     atomic.Int64
 	dispatchNs atomic.Int64
 	err        atomic.Pointer[string]
@@ -156,13 +153,6 @@ func (b *Builder) AddFetch(d time.Duration) {
 	}
 }
 
-// AddFilter accumulates step-predicate evaluation time.
-func (b *Builder) AddFilter(d time.Duration) {
-	if b != nil {
-		b.filterNs.Add(int64(d))
-	}
-}
-
 // AddScan accumulates next-step edge-scan time (dispatch buffering
 // included).
 func (b *Builder) AddScan(d time.Duration) {
@@ -199,7 +189,6 @@ func (b *Builder) Finish() Span {
 		WallNs:      int64(time.Since(b.start)),
 		StartNs:     b.start.UnixNano(),
 		FetchNs:     b.fetchNs.Load(),
-		FilterNs:    b.filterNs.Load(),
 		ScanNs:      b.scanNs.Load(),
 		DispatchNs:  b.dispatchNs.Load(),
 	}

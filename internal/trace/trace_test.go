@@ -248,17 +248,17 @@ func TestRecorderFiltersByTravel(t *testing.T) {
 }
 
 // TestPackedSpanRoundTrip: what the ring stores gives back every field of
-// the Span that went in, the failure message included, in 104 pointer-free
+// the Span that went in, the failure message included, in 96 pointer-free
 // bytes.
 func TestPackedSpanRoundTrip(t *testing.T) {
-	if n := unsafe.Sizeof(packedSpan{}); n > 104 {
-		t.Errorf("packedSpan is %d bytes, want <= 104", n)
+	if n := unsafe.Sizeof(packedSpan{}); n > 96 {
+		t.Errorf("packedSpan is %d bytes, want <= 96", n)
 	}
 	want := Span{
 		Travel: 1 << 60, Exec: 2<<48 | 77, Parent: 3<<48 | 5, Server: 2, Step: -1,
 		Frontier: 1 << 20, Redundant: 11, Combined: 12, Real: 13,
 		QueueWaitNs: 14, WallNs: 15, StartNs: time.Now().UnixNano(),
-		FetchNs: 16, FilterNs: 17, ScanNs: 18, DispatchNs: 19, Err: "disk on fire",
+		FetchNs: 16, ScanNs: 18, DispatchNs: 19, Err: "disk on fire",
 	}
 	v := reflect.ValueOf(want)
 	for i := 0; i < v.NumField(); i++ {
