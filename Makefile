@@ -37,8 +37,8 @@ race:
 
 # Concurrency stress: many simultaneous traversals multiplexed over the
 # shared per-server executor, the replication chaos suite (quorum writes,
-# primary-kill failover, epoch fencing, shard handoff), and the change-feed
-# churn tests, all under the race detector with a short deadline. Stress
+# primary-kill failover, epoch fencing, shard handoff), and the write-churn
+# oracle tests, all under the race detector with a short deadline. Stress
 # tests opt in by NAME CONVENTION — any `TestStress*` under internal/ is
 # picked up automatically, and the target fails loudly if the pattern ever
 # matches nothing (the old hand-listed pattern silently drifted as tests
@@ -54,8 +54,8 @@ stress:
 
 # fuzz-smoke gives each wire/storage codec fuzzer a short randomized budget
 # on top of its checked-in seed corpus: frame decoding (v2 columnar), the
-# gossiped route-table blob, the edge-key parser, the mutation-batch codec,
-# the change-feed record codec and the kv table's record parser — and three
+# gossiped route-table blob, the edge-key parser, the mutation-batch codec
+# and the kv table's record parser — and three
 # differential fuzzers: the frontier set (adds, checks and reserves) against
 # a Go map, and the vertex and edge predicates compiled over encoded values
 # against decode-then-match. Go allows one -fuzz target per invocation, hence
@@ -66,7 +66,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run '^$$' -fuzz '^FuzzParseEdgeKey$$' -fuzztime $(FUZZTIME) ./internal/gstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/gstore
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFeedRecords$$' -fuzztime $(FUZZTIME) ./internal/gstore
 	$(GO) test -run '^$$' -fuzz '^FuzzSSTableRecords$$' -fuzztime $(FUZZTIME) ./internal/kv
 	$(GO) test -run '^$$' -fuzz '^FuzzSetMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/frontier
 	$(GO) test -run '^$$' -fuzz '^FuzzVertexMatcher$$' -fuzztime $(FUZZTIME) ./internal/query

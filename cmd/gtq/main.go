@@ -19,7 +19,7 @@
 // backend's control-plane journal and prints the merged, time-sorted
 // timeline; -status pulls every backend's live status document and prints
 // a per-partition replication table (epoch, role, applied/acked/commit
-// watermarks, lag, handoffs, feed cursors).
+// watermarks, lag, handoffs).
 package main
 
 import (
@@ -91,7 +91,7 @@ func run(self, servers, replicas int, addrs, vIDs, vNames, vLabel, eSpec, vaSpec
 	if vIDs != "" && vNames != "" {
 		return fmt.Errorf("-v and -names are mutually exclusive")
 	}
-	// A replicated cluster needs the route view (write path, feed); the
+	// A replicated cluster needs the route view (write path); the
 	// plain hash partitioner addresses a single-copy cluster read-only.
 	var part partition.Partitioner = partition.NewHash(servers)
 	if replicas > 0 {
@@ -270,7 +270,7 @@ func printStatus(sts []status.Server) {
 		if len(st.Partitions) == 0 {
 			continue
 		}
-		fmt.Println("  part  epoch  role      primary  followers     applied    acked   commit  lag(n)  lag(B)   lag-age  handoffs  feed-subs")
+		fmt.Println("  part  epoch  role      primary  followers     applied    acked   commit  lag(n)  lag(B)   lag-age  handoffs")
 		for _, p := range st.Partitions {
 			var fol []string
 			for _, f := range p.Followers {
@@ -284,18 +284,10 @@ func printStatus(sts []status.Server) {
 			if p.Joining {
 				role += "+join"
 			}
-			var subs []string
-			for _, fs := range p.FeedSubscribers {
-				subs = append(subs, fmt.Sprintf("%d@%d", fs.Peer, fs.Cursor))
-			}
-			feed := strings.Join(subs, ",")
-			if feed == "" {
-				feed = "-"
-			}
-			fmt.Printf("  %4d  %5d  %-8s  %7d  %-9s  %8d  %7d  %7d  %6d  %6d  %8v  %8d  %s\n",
+			fmt.Printf("  %4d  %5d  %-8s  %7d  %-9s  %8d  %7d  %7d  %6d  %6d  %8v  %8d\n",
 				p.Part, p.Epoch, role, p.Primary, followers,
 				p.AppliedSeq, p.AckedSeq, p.CommitSeq, p.LagEntries, p.LagBytes,
-				time.Duration(p.LagAgeNs).Round(time.Microsecond), p.HandoffsInFlight, feed)
+				time.Duration(p.LagAgeNs).Round(time.Microsecond), p.HandoffsInFlight)
 		}
 	}
 }

@@ -76,13 +76,6 @@ type (
 	WriteOptions = core.WriteOptions
 	// BulkOptions configures Client().BulkLoad batching.
 	BulkOptions = core.BulkOptions
-	// FeedOptions configures a change-feed subscription (resume cursor,
-	// refresh interval).
-	FeedOptions = core.FeedOptions
-	// Feed is a live change-feed subscription; consume Events().
-	Feed = core.Feed
-	// FeedEvent is one committed, per-partition-ordered feed record.
-	FeedEvent = core.FeedEvent
 )
 
 // Raw mutation opcodes for Client().Write / Client().BulkLoad batches.
@@ -141,9 +134,6 @@ const (
 
 // V starts a traversal from explicit source vertices (GTravel v()).
 func V(ids ...VertexID) *Travel { return query.V(ids...) }
-
-// VLabel starts a traversal from every vertex with the given type label.
-func VLabel(label string) *Travel { return query.VLabel(label) }
 
 // LabelKey is the reserved Va() key that filters on a vertex's type label.
 const LabelKey = query.LabelKey
@@ -258,10 +248,10 @@ type Cluster struct {
 	stores  []gstore.Graph
 	disks   []*simio.Disk
 	client  *core.Client
-	// views holds each server's route view (replicated clusters only);
-	// croute is the client's. Separate views per node — they converge
-	// through gossip, like a real deployment.
-	views  []*route.View
+	// croute is the client's route view (replicated clusters only). Every
+	// server has a view of its own, booted from the same identity table;
+	// failover and handoff move them apart and gossip re-converges them,
+	// like a real deployment.
 	croute *route.View
 	closed bool
 }
@@ -299,11 +289,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		fabric: rpc.NewFabric(opts.Servers+1, opts.InboxSize),
 	}
 	if replicated {
-		// One route view per node, all booted from the same identity table;
-		// failover and handoff move them apart and gossip re-converges them.
-		for i := 0; i < opts.Servers; i++ {
-			c.views = append(c.views, route.NewView(route.Identity(opts.Servers, opts.ReplicationFactor)))
-		}
 		c.croute = route.NewView(route.Identity(opts.Servers, opts.ReplicationFactor))
 		c.part = c.croute
 	}
@@ -338,8 +323,8 @@ func NewCluster(opts Options) (*Cluster, error) {
 		srvPart := c.part
 		var srvRoute *route.View
 		if replicated {
-			srvPart = c.views[i]
-			srvRoute = c.views[i]
+			srvRoute = route.NewView(route.Identity(opts.Servers, opts.ReplicationFactor))
+			srvPart = srvRoute
 		}
 		srv := core.NewServer(core.Config{
 			ID:                i,
@@ -444,65 +429,6 @@ func (c *Cluster) replicaStores(id VertexID) []gstore.Graph {
 	return out
 }
 
-// Intern maps external string vertex names to dense interned ids,
-// allocating new ids for names not seen before. Ids are positionally
-// aligned with names and stable across calls — re-interning returns the
-// existing id. On replicated clusters the allocation runs through the
-// quorum write path (so every replica reconstructs the same mapping); on
-// unreplicated clusters it writes the owning partition's store directly.
-// Use the returned ids as the graph's vertex ids: they embed their
-// partition, so routing never needs the dictionary.
-func (c *Cluster) Intern(names ...string) ([]VertexID, error) {
-	if c.croute != nil {
-		return c.client.Intern(names, core.WriteOptions{})
-	}
-	out := make([]VertexID, len(names))
-	for i, name := range names {
-		p := c.part.Owner(model.VertexID(model.HashName(name)))
-		in, ok := gstore.InternerOf(c.stores[p])
-		if !ok {
-			return nil, fmt.Errorf("graphtrek: server %d store does not support interning", p)
-		}
-		id, err := in.Intern(name, p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = id
-	}
-	return out, nil
-}
-
-// NameOf materializes an interned id back to its external name — the
-// client-boundary direction, e.g. for presenting rtn() results. Reports
-// false for ids that were never interned.
-func (c *Cluster) NameOf(id VertexID) (string, bool, error) {
-	in, ok := gstore.InternerOf(c.stores[c.part.Owner(id)])
-	if !ok {
-		return "", false, nil
-	}
-	return in.LookupName(id)
-}
-
-// ResolveName is the read-only direction of Intern: the interned id of a
-// name, or false if the name was never interned.
-func (c *Cluster) ResolveName(name string) (VertexID, bool, error) {
-	p := c.part.Owner(model.VertexID(model.HashName(name)))
-	in, ok := gstore.InternerOf(c.stores[p])
-	if !ok {
-		return 0, false, nil
-	}
-	return in.LookupID(name)
-}
-
-// RouteView returns backend i's route view on a replicated cluster (nil
-// otherwise) — each node has its own, converging via gossip.
-func (c *Cluster) RouteView(i int) *route.View {
-	if c.views == nil || i < 0 || i >= len(c.views) {
-		return nil
-	}
-	return c.views[i]
-}
-
 // Sink returns a generator sink that routes elements to their owners; pass
 // it to gen.RMAT or gen.Metadata.
 func (c *Cluster) Sink() gen.Sink {
@@ -574,7 +500,7 @@ func (c *Cluster) RunUnion(mode Mode, travels ...*Travel) ([]VertexID, error) {
 }
 
 // Client exposes the underlying client: explicit submission options, and on
-// replicated clusters the write path, change feed and status pulls.
+// replicated clusters the write path and status pulls.
 func (c *Cluster) Client() *core.Client { return c.client }
 
 // Store returns server i's graph partition (e.g. for direct inspection).
@@ -591,12 +517,6 @@ func (c *Cluster) ServerMetrics() []Metrics {
 		out[i] = s.Metrics()
 	}
 	return out
-}
-
-// Progress reports live executions per step for a traversal coordinated by
-// server `coord` (§IV-C progress estimation).
-func (c *Cluster) Progress(coord int, travelID uint64) (map[int32]int, bool) {
-	return c.servers[coord].Progress(travelID)
 }
 
 // DiskAccesses reports each server's simulated disk access count.

@@ -39,9 +39,6 @@ type Client struct {
 
 	mu      sync.Mutex
 	pending map[uint64]*pendingTravel
-	// feeds holds this client's open change-feed subscriptions, one per
-	// partition (see feedclient.go).
-	feeds map[int]*Feed
 }
 
 type pendingTravel struct {
@@ -114,13 +111,6 @@ func (c *Client) Handle(_ int, msg wire.Message) {
 		c.calls.resolve(msg)
 	case wire.KindRouteUpdate:
 		c.mergeRoute(msg.Blob)
-	case wire.KindFeedBatch:
-		c.mu.Lock()
-		f := c.feeds[int(msg.Part)]
-		c.mu.Unlock()
-		if f != nil {
-			f.handleBatch(msg)
-		}
 	}
 }
 

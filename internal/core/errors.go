@@ -31,7 +31,6 @@ var terminalMarks = []string{
 	"client not bound",              // local misconfiguration
 	"cannot run asynchronously",     // mode misuse
 	"replication is not enabled",    // Write without a route table
-	"predates retained history",     // feed cursor aged out of the ring
 }
 
 // Retryable classifies a traversal or write error as transient (worth a

@@ -26,9 +26,6 @@ import (
 // first. Empty when the journal is disabled (Config.EventCap < 0).
 func (s *Server) Events() []events.Event { return s.journal.Events() }
 
-// EventsDropped counts journal entries evicted by the ring bound.
-func (s *Server) EventsDropped() uint64 { return s.journal.Dropped() }
-
 // Histograms returns snapshots of the server's native latency histograms
 // for metric exposition.
 func (s *Server) Histograms() []metrics.HistogramSnapshot { return s.met.Histograms() }

@@ -16,11 +16,11 @@ import (
 
 // This file is the shell around internal/repl, which holds the replication
 // protocol — quorum writes, epoch fencing, ring repair, snapshot handoff,
-// promotion, the committed feed — as one pure state machine per partition
-// (DESIGN.md §12). The shell decodes and bounds-checks a message, steps the
-// partition's machine under replMu, and executes the effects the step
-// returned after releasing it. It is active only when Config.Route is set;
-// without a route view s.repl is nil and the engine behaves as before.
+// promotion — as one pure state machine per partition (DESIGN.md §12). The
+// shell decodes and bounds-checks a message, steps the partition's machine
+// under replMu, and executes the effects the step returned after releasing
+// it. It is active only when Config.Route is set; without a route view
+// s.repl is nil and the engine behaves as before.
 
 // newRepl builds one machine per partition from the boot route table.
 func (s *Server) newRepl() {
@@ -98,13 +98,7 @@ func (s *Server) runEffects(p int, out []repl.Effect) (first error) {
 			if e.Table {
 				msg.Blob = s.cfg.Route.Table().Encode()
 			}
-			err := s.send(int(e.To), msg)
-			if err != nil && e.Wire == wire.KindFeedBatch {
-				// An unreachable subscriber re-presents its cursor when it
-				// returns; the watermark protocol makes the overlap harmless.
-				s.replStep(p, repl.Event{Kind: repl.FeedUnsub, From: e.To}, nil)
-			}
-			if first == nil {
+			if err := s.send(int(e.To), msg); first == nil {
 				first = err
 			}
 		case repl.Apply:
@@ -151,14 +145,10 @@ func (s *Server) replCount(m repl.Metric, n int64) {
 		s.met.AddEpochRejects(int(n))
 	case repl.RejoinNudges:
 		s.met.AddRejoinNudges(n)
-	case repl.FeedRecords:
-		s.met.AddFeedRecords(n)
 	case repl.LagBytes:
 		s.met.AddReplLagBytes(n)
 	case repl.QuorumWrite:
 		s.met.ObserveQuorumWrite(time.Duration(n))
-	case repl.FeedLag:
-		s.met.ObserveFeedLag(time.Duration(n))
 	}
 }
 
@@ -200,7 +190,6 @@ var (
 	appendEvents = []repl.EventKind{repl.Append}
 	ackEvents    = []repl.EventKind{repl.Ack, repl.Nak, repl.Fence, repl.SeqQuery, repl.SeqInfo}
 	snapEvents   = []repl.EventKind{repl.SnapReq, repl.SnapChunk, repl.SnapFinal, repl.SnapDone, repl.Join}
-	feedEvents   = []repl.EventKind{repl.FeedSub, repl.FeedUnsub}
 )
 
 // replPart bounds-checks a replication message's partition.
@@ -312,23 +301,6 @@ func (s *Server) replWrite(from int, msg wire.Message) error {
 		return gstore.EncodeBatch(muts), wire.EncodeIDs(ids), nil
 	})
 	return err
-}
-
-// handleFeedSub serves a change-feed subscribe or unsubscribe (DESIGN.md
-// §14). Requests the shell can refuse are answered here; the machine
-// answers the rest at once and streams as the commit watermark advances.
-func (s *Server) handleFeedSub(from int, msg wire.Message) {
-	reply := wire.Message{Kind: wire.KindFeedBatch, ReqID: msg.ReqID, Part: msg.Part}
-	switch _, ok := s.replPart(msg); {
-	case s.repl == nil:
-		reply.Err = "core: replication is not enabled on this cluster"
-	case !ok:
-		reply.Err = fmt.Sprintf("query: no such partition %d", msg.Part)
-	default:
-		s.handleRepl(from, msg, feedEvents)
-		return
-	}
-	s.send(from, reply)
 }
 
 // JoinPartition asks partition p's primary to stream its state to this

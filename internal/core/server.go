@@ -435,8 +435,6 @@ func (s *Server) Handle(from int, msg wire.Message) {
 		s.handleRepl(from, msg, snapEvents)
 	case wire.KindRouteUpdate:
 		s.handleRouteUpdate(from, msg)
-	case wire.KindFeedSub:
-		s.handleFeedSub(from, msg)
 	}
 }
 

@@ -273,6 +273,12 @@ func (m *MemStore) ScanInterned(fn func(name string, id model.VertexID) bool) er
 // intern entries are immutable once allocated, so there is nothing to
 // invalidate, and the id→name direction is only exercised at the client
 // boundary where a kv read per result is fine.
+//
+// InternerOf unwraps a *CachedGraph itself, so the engine's own lookups never
+// run these forwarders. A decorator that embeds *CachedGraph does reach them:
+// InternerOf does not see through it, and the embedded methods are what make
+// it an Interner. The benchmark's traced store is such a decorator, and its
+// traced runs intern through here.
 
 // Intern implements Interner.
 func (c *CachedGraph) Intern(name string, part int) (model.VertexID, error) {

@@ -45,7 +45,6 @@ type Server struct {
 	replLag      atomic.Int64
 	handoffBytes atomic.Int64
 	rejoinNudges atomic.Int64
-	feedRecords  atomic.Int64
 
 	// Native latency histograms (log-linear buckets, see histogram.go).
 	// These live outside Snapshot — Snapshot stays the flat counter copy
@@ -55,7 +54,6 @@ type Server struct {
 	queueWaitHist Histogram
 	stepCompute   Histogram
 	quorumWrite   Histogram
-	feedLag       Histogram
 }
 
 // Snapshot is a point-in-time copy of the counters.
@@ -138,10 +136,6 @@ type Snapshot struct {
 	// value without matching epoch bumps flags partitions stuck below the
 	// configured replication factor.
 	RejoinNudges int64
-	// FeedRecords counts committed change-feed records shipped to
-	// subscribers (each record is one quorum-acknowledged mutation batch;
-	// a record delivered to two subscribers counts twice).
-	FeedRecords int64
 
 	// Go runtime GC overlay (from runtime.ReadMemStats at snapshot time;
 	// the runtime owns them like the storage layer owns the cache
@@ -222,9 +216,6 @@ func (s *Server) AddHandoffBytes(n int64) { s.handoffBytes.Add(n) }
 // AddRejoinNudges records n rejoin invitations sent to a recovered peer.
 func (s *Server) AddRejoinNudges(n int64) { s.rejoinNudges.Add(n) }
 
-// AddFeedRecords records n change-feed records shipped to subscribers.
-func (s *Server) AddFeedRecords(n int64) { s.feedRecords.Add(n) }
-
 // AddQueueWait records one popped scheduler group's enqueue→pop wait,
 // both in the legacy cumulative counters and the queue-wait histogram —
 // so the histogram's _count stays pinned to queue_groups_total.
@@ -245,11 +236,6 @@ func (s *Server) ObserveStepCompute(d time.Duration) { s.stepCompute.Record(int6
 // ObserveQuorumWrite records one quorum write's accept-to-acknowledge
 // latency at the partition primary.
 func (s *Server) ObserveQuorumWrite(d time.Duration) { s.quorumWrite.Record(int64(d)) }
-
-// ObserveFeedLag records one shipped change-feed record's delivery lag:
-// the age of the committed record (commit-watermark age) when it left the
-// primary for a subscriber.
-func (s *Server) ObserveFeedLag(d time.Duration) { s.feedLag.Record(int64(d)) }
 
 // HistogramSnapshot pairs one histogram's exposition identity with its
 // snapshot. Base names carry no unit suffix conversion: samples are
@@ -273,7 +259,6 @@ func (s *Server) Histograms() []HistogramSnapshot {
 		{"queue_wait_seconds", "Enqueue-to-pop wait of scheduler groups served by executor workers.", s.queueWaitHist.Snapshot()},
 		{"step_compute_seconds", "Executor compute time per popped scheduler group (disk included).", s.stepCompute.Snapshot()},
 		{"quorum_write_seconds", "Quorum write accept-to-acknowledge latency at the partition primary.", s.quorumWrite.Snapshot()},
-		{"feed_lag_seconds", "Committed change-feed record age at delivery to a subscriber.", s.feedLag.Snapshot()},
 	}
 }
 
@@ -300,7 +285,6 @@ func (s *Server) Snapshot() Snapshot {
 		ReplLagBytes:   s.replLag.Load(),
 		HandoffBytes:   s.handoffBytes.Load(),
 		RejoinNudges:   s.rejoinNudges.Load(),
-		FeedRecords:    s.feedRecords.Load(),
 	}
 }
 
@@ -334,7 +318,6 @@ func (a Snapshot) Sub(b Snapshot) Snapshot {
 		ReplLagBytes:   a.ReplLagBytes,
 		HandoffBytes:   a.HandoffBytes - b.HandoffBytes,
 		RejoinNudges:   a.RejoinNudges - b.RejoinNudges,
-		FeedRecords:    a.FeedRecords - b.FeedRecords,
 		// Runtime overlay: gauges keep the later value, cycle/pause counters
 		// difference to the interval's GC activity.
 		HeapAllocBytes: a.HeapAllocBytes,
@@ -375,7 +358,6 @@ func (a Snapshot) Add(b Snapshot) Snapshot {
 		ReplLagBytes: a.ReplLagBytes + b.ReplLagBytes,
 		HandoffBytes: a.HandoffBytes + b.HandoffBytes,
 		RejoinNudges: a.RejoinNudges + b.RejoinNudges,
-		FeedRecords:  a.FeedRecords + b.FeedRecords,
 		// Process-level runtime stats: in-process clusters share one runtime,
 		// so max (not sum) keeps the aggregate honest.
 		HeapAllocBytes: max(a.HeapAllocBytes, b.HeapAllocBytes),
@@ -441,7 +423,6 @@ func Fields() []Field {
 		{"repl_lag_bytes", "Shipped-minus-acked replication byte lag across partitions.", true, false, func(s Snapshot) int64 { return s.ReplLagBytes }},
 		{"handoff_bytes_total", "Snapshot bytes streamed for shard handoff and catch-up.", false, false, func(s Snapshot) int64 { return s.HandoffBytes }},
 		{"rejoin_nudges_total", "Rejoin invitations sent to recovered peers for under-replicated partitions.", false, false, func(s Snapshot) int64 { return s.RejoinNudges }},
-		{"feed_records_total", "Committed change-feed records shipped to subscribers.", false, false, func(s Snapshot) int64 { return s.FeedRecords }},
 		{"heap_alloc_bytes", "Live heap bytes at snapshot time (runtime.MemStats.HeapAlloc).", true, true, func(s Snapshot) int64 { return s.HeapAllocBytes }},
 		{"gc_cycles_total", "Completed GC cycles since process start.", false, true, func(s Snapshot) int64 { return s.NumGC }},
 		{"gc_pause_ns_total", "Cumulative stop-the-world GC pause time.", false, true, func(s Snapshot) int64 { return s.GCPauseTotalNs }},

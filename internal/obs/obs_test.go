@@ -222,7 +222,6 @@ func TestMetricsHistogramExposition(t *testing.T) {
 		"graphtrek_queue_wait_seconds",
 		"graphtrek_step_compute_seconds",
 		"graphtrek_quorum_write_seconds",
-		"graphtrek_feed_lag_seconds",
 	}
 	les := make([]string, 0, len(metrics.DefaultLadderNs)+1)
 	for _, ns := range metrics.DefaultLadderNs {
@@ -275,9 +274,6 @@ func TestMetricsHistogramExposition(t *testing.T) {
 		}
 		if got := vals["graphtrek_step_compute_seconds_count"][srv]; got != groups {
 			t.Errorf("server %s: step_compute count %v != queue_groups_total %v", srv, got, groups)
-		}
-		if feed := vals["graphtrek_feed_records_total"][srv]; vals["graphtrek_feed_lag_seconds_count"][srv] != feed {
-			t.Errorf("server %s: feed_lag count %v != feed_records_total %v", srv, vals["graphtrek_feed_lag_seconds_count"][srv], feed)
 		}
 	}
 	if travels != 3 {

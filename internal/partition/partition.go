@@ -1,10 +1,7 @@
 // Package partition maps vertices to owner servers. GraphTrek, like most
 // graph databases, uses edge-cut partitioning (§VI): a vertex and all of its
-// out-edges live on one server chosen by a hash of the vertex id. A range
-// partitioner is provided as an ablation alternative — it preserves id
-// locality, which concentrates the high-degree head of a power-law graph on
-// few servers and makes stragglers worse, illustrating why the paper's
-// imbalance argument holds regardless of partitioning choice.
+// out-edges live on one server chosen by a hash of the vertex id. Balanced
+// places vertices by degree instead (§VIII's load balancing).
 package partition
 
 import (
@@ -69,7 +66,6 @@ type Balanced struct {
 	n      int
 	owner  map[model.VertexID]int
 	fallba Hash // vertices outside the census fall back to hashing
-	loads  []int64
 }
 
 // NewBalanced builds a balanced partitioner over n servers from a degree
@@ -83,7 +79,6 @@ func NewBalanced(n int, degrees map[model.VertexID]int) *Balanced {
 		n:      n,
 		owner:  make(map[model.VertexID]int, len(degrees)),
 		fallba: NewHash(n),
-		loads:  make([]int64, n),
 	}
 	type vd struct {
 		id  model.VertexID
@@ -100,15 +95,16 @@ func NewBalanced(n int, degrees map[model.VertexID]int) *Balanced {
 		}
 		return order[i].id < order[j].id
 	})
+	loads := make([]int64, n)
 	for _, v := range order {
 		lightest := 0
 		for s := 1; s < n; s++ {
-			if b.loads[s] < b.loads[lightest] {
+			if loads[s] < loads[lightest] {
 				lightest = s
 			}
 		}
 		b.owner[v.id] = lightest
-		b.loads[lightest] += int64(1 + v.deg)
+		loads[lightest] += int64(1 + v.deg)
 	}
 	return b
 }
@@ -123,38 +119,3 @@ func (b *Balanced) Owner(id model.VertexID) int {
 
 // N implements Partitioner.
 func (b *Balanced) N() int { return b.n }
-
-// Loads returns the per-server placed weight, for imbalance reporting.
-func (b *Balanced) Loads() []int64 {
-	return append([]int64(nil), b.loads...)
-}
-
-// Range partitions the id space [0, MaxID] into n contiguous slices.
-type Range struct {
-	n     int
-	maxID uint64
-}
-
-// NewRange returns a range partitioner over n servers for ids in
-// [0, maxID]. Both arguments must be positive.
-func NewRange(n int, maxID uint64) Range {
-	if n <= 0 {
-		panic("partition: server count must be positive")
-	}
-	if maxID == 0 {
-		panic("partition: maxID must be positive")
-	}
-	return Range{n: n, maxID: maxID}
-}
-
-// Owner implements Partitioner. IDs above MaxID fold into the last slice.
-func (r Range) Owner(id model.VertexID) int {
-	if uint64(id) > r.maxID {
-		return r.n - 1
-	}
-	per := (r.maxID + uint64(r.n)) / uint64(r.n) // ceil((max+1)/n)
-	return int(uint64(id) / per)
-}
-
-// N implements Partitioner.
-func (r Range) N() int { return r.n }

@@ -49,46 +49,9 @@ func TestHashBalance(t *testing.T) {
 	}
 }
 
-func TestRangeOwner(t *testing.T) {
-	p := NewRange(4, 99) // ids 0..99, 25 per server
-	cases := map[uint64]int{0: 0, 24: 0, 25: 1, 50: 2, 75: 3, 99: 3, 1000: 3}
-	for id, want := range cases {
-		if got := p.Owner(model.VertexID(id)); got != want {
-			t.Errorf("Owner(%d) = %d, want %d", id, got, want)
-		}
-	}
-	if p.N() != 4 {
-		t.Errorf("N() = %d", p.N())
-	}
-}
-
-func TestRangeOwnerInRangeQuick(t *testing.T) {
-	p := NewRange(7, 1<<20)
-	f := func(id uint64) bool {
-		o := p.Owner(model.VertexID(id))
-		return o >= 0 && o < 7
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRangeCoversAllServers(t *testing.T) {
-	p := NewRange(32, 1<<10-1)
-	seen := make(map[int]bool)
-	for id := uint64(0); id < 1<<10; id++ {
-		seen[p.Owner(model.VertexID(id))] = true
-	}
-	if len(seen) != 32 {
-		t.Errorf("range partitioner used %d of 32 servers", len(seen))
-	}
-}
-
 func TestInvalidConstructorsPanic(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"hash zero":   func() { NewHash(0) },
-		"range zero":  func() { NewRange(0, 10) },
-		"range maxID": func() { NewRange(2, 0) },
+		"hash zero": func() { NewHash(0) },
 	} {
 		func() {
 			defer func() {
@@ -121,8 +84,11 @@ func TestBalancedSpreadsHubs(t *testing.T) {
 			t.Errorf("server %d owns %d hubs, want 1 (owners %v)", s, hubOwners[s], hubOwners)
 		}
 	}
-	// Loads must be near-equal.
-	loads := b.Loads()
+	// Placed weight (1 + out-degree per vertex) must be near-equal.
+	loads := make([]int64, 4)
+	for id, deg := range degrees {
+		loads[b.Owner(id)] += int64(1 + deg)
+	}
 	min, max := loads[0], loads[0]
 	for _, l := range loads {
 		if l < min {

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"graphtrek/internal/events"
-	"graphtrek/internal/gstore"
 	"graphtrek/internal/route"
 	"graphtrek/internal/status"
 	"graphtrek/internal/wire"
@@ -35,8 +34,8 @@ var (
 	ErrPartitionMoved = errors.New("core: partition moved to another server (stale route)")
 )
 
-// Sub-modes of wire.KindReplAck, wire.KindSnapshot and wire.KindFeedSub
-// (wire.Message.Mode). The numbers are wire format.
+// Sub-modes of wire.KindReplAck and wire.KindSnapshot (wire.Message.Mode).
+// The numbers are wire format.
 const (
 	ModeAck      = 0 // follower applied through Seq
 	ModeNak      = 1 // follower is missing records; Seq = its applied seq
@@ -49,13 +48,10 @@ const (
 	SnapModeFinal = 2 // end of stream; Seq/Epoch = what the snapshot covers
 	SnapModeDone  = 3 // receiver applied the stream; Seq = its applied seq
 	SnapModeNudge = 4 // primary invites a recovered ex-replica back; Blob = route table
-
-	FeedModeSub   = 0 // subscribe from cursor Seq (exclusive)
-	FeedModeUnsub = 1 // drop the sender's subscription
 )
 
-// RingCap bounds the ring of recent records kept for gap repair and feed
-// backlog; a gap older than the ring falls back to a snapshot stream.
+// RingCap bounds the ring of recent records kept for gap repair; a gap
+// older than the ring falls back to a snapshot stream.
 const RingCap = 1024
 
 // Role is what this server is for the partition. It is set in New, observe,
@@ -88,13 +84,11 @@ const (
 	SnapChunk
 	SnapFinal
 	SnapDone
-	Join      // JoinPartition, or a rejoin nudge whose table was merged first
-	Assign    // the route view changed; Step's assignment argument is the news
-	PeerDown  // the failure detector condemned From (majority guard passed)
-	PeerUp    // From's suspicion cleared
-	Tick      // a Timer effect fired
-	FeedSub   // KindFeedSub sub-modes: From, ReqID, Seq (cursor)
-	FeedUnsub // also: a feed batch to From could not be sent
+	Join     // JoinPartition, or a rejoin nudge whose table was merged first
+	Assign   // the route view changed; Step's assignment argument is the news
+	PeerDown // the failure detector condemned From (majority guard passed)
+	PeerUp   // From's suspicion cleared
+	Tick     // a Timer effect fired
 )
 
 // Event is one input to Step.
@@ -115,8 +109,7 @@ type EffectKind uint8
 const (
 	// Send transmits wire.Message{Kind: Wire, Mode, ReqID, Epoch, Seq, Base,
 	// Err, Blob} for this partition to To; with Table set, Blob is the
-	// caller's encoded route table. A failed KindFeedBatch send comes back
-	// as FeedUnsub.
+	// caller's encoded route table.
 	Send EffectKind = iota
 	// Apply writes the mutation batch Blob to the store. With Seq != 0 a
 	// successful apply comes back as Applied echoing To, Epoch, Seq, Blob
@@ -143,10 +136,8 @@ const (
 	Promotions Metric = iota
 	EpochRejects
 	RejoinNudges
-	FeedRecords
 	LagBytes    // shipped-minus-acked bytes, as a delta
 	QuorumWrite // ns from write accept to quorum
-	FeedLag     // ns from apply to feed delivery, one per record
 )
 
 // Effect is one output of Step.
@@ -209,10 +200,10 @@ type Machine struct {
 
 	// The ring holds the payloads of records [ringStart, ringStart+len(ring)),
 	// always ending at applied: primaries push what they sequence, followers
-	// what they apply, so a promoted follower serves repair and feed backlog
-	// from the history it actually holds.
+	// what they apply, so a promoted follower serves repair from the history
+	// it actually holds.
 	ring      [][]byte
-	ringTimes []int64 // per record: apply stamp, unix nanos (feed lag, status age)
+	ringTimes []int64 // per record: apply stamp, unix nanos (status age)
 	ringStart uint64
 
 	// Primary side.
@@ -222,7 +213,6 @@ type Machine struct {
 	lag     int64            // bytes shipped minus bytes acked
 	pending []pendingWrite   // ascending seq
 	joiners map[int32]bool   // snapshot streams in flight; they get live appends
-	subs    map[int32]uint64 // feed subscriber -> last seq delivered
 	poll    *poll
 	wake    time.Time // earliest armed timer, zero when none
 
@@ -307,10 +297,6 @@ func (m *Machine) Step(now time.Time, a route.Assignment, ev Event, out []Effect
 		m.peerUp(a, ev.From, &o)
 	case Tick:
 		m.tick(now, a, &o)
-	case FeedSub:
-		m.feedSub(now, ev, &o)
-	case FeedUnsub:
-		delete(m.subs, ev.From)
 	}
 	return o
 }
@@ -334,8 +320,8 @@ func (o *effects) journal(t events.Type, peer int32, epoch uint64, detail string
 // --- Role transitions -----------------------------------------------------
 
 // observe aligns the role with an assignment not seen before. It runs at
-// the top of every Step, so a write or subscribe that outruns the gossip's
-// own Assign event still finds the machine in the role its assignment says.
+// the top of every Step, so a write that outruns the gossip's own Assign
+// event still finds the machine in the role its assignment says.
 func (m *Machine) observe(now time.Time, a route.Assignment, o *effects) {
 	if a.Epoch == m.seen {
 		return
@@ -388,7 +374,7 @@ func (m *Machine) observe(now time.Time, a route.Assignment, o *effects) {
 // becomePrimary is the one way into the Primary role after boot. All
 // primary-side state describes an older primaryship or nothing, so it
 // starts empty; the ring survives, holding exactly the lineage history
-// subscribers resume from. Everything held is adopted as committed — the
+// followers are repaired from. Everything held is adopted as committed — the
 // mirror of Raft's rule that a new leader commits its log by replicating
 // under its own term. An append the old primary never got a quorum for can
 // thereby become committed here; a committed-then-lost sequence cannot
@@ -400,23 +386,19 @@ func (m *Machine) becomePrimary(a route.Assignment, o *effects) {
 	o.journal(events.Promotion, -1, a.Epoch, fmt.Sprintf("follower -> primary at applied seq %d", m.applied))
 }
 
-// demote is the one way out of it: pending writes fail with why, feed
-// subscribers are sent to the new primary, and watermarks, counters and
-// joiners are dropped so they cannot leak into a later primaryship. The ring
+// demote is the one way out of it: pending writes fail with why, and
+// watermarks, counters and joiners are dropped so they cannot leak into a later primaryship. The ring
 // and epoch stay — they describe what this server applied, and the new
 // primary's first append adjudicates divergence against them.
 func (m *Machine) demote(why error, o *effects) {
 	m.failPending(why, o)
-	for _, sub := range sorted(m.subs) {
-		o.send(sub, Effect{Wire: wire.KindFeedBatch, Err: ErrPartitionMoved.Error(), Table: true})
-	}
 	m.addLag(-m.lag, o)
 	m.resetPrimary()
 }
 
 func (m *Machine) resetPrimary() {
 	m.commit = 0
-	m.acked, m.joiners, m.subs = map[int32]uint64{}, map[int32]bool{}, map[int32]uint64{}
+	m.acked, m.joiners = map[int32]uint64{}, map[int32]bool{}
 }
 
 func (m *Machine) failPending(why error, o *effects) {
@@ -456,10 +438,10 @@ func (m *Machine) write(now time.Time, a route.Assignment, ev Event, o *effects)
 	m.addLag(int64(len(ev.Blob)*targets), o)
 	need := a.Quorum() - 1 // the local apply is the primary's own vote
 	if need <= 0 {
-		// The primary alone is the quorum: commit and feed out at once.
+		// The primary alone is the quorum: commit at once.
 		o.count(QuorumWrite, int64(now.Sub(ev.Start)))
 		o.send(ev.From, reply)
-		m.advanceCommit(now, a, o)
+		m.advanceCommit(a)
 		return
 	}
 	due := now.Add(m.cfg.WriteTimeout)
@@ -503,7 +485,7 @@ func (m *Machine) reap(now time.Time, a route.Assignment, o *effects) {
 	}
 	clear(m.pending[len(kept):])
 	m.pending = kept
-	m.advanceCommit(now, a, o)
+	m.advanceCommit(a)
 }
 
 // commitFloor is the highest sequence a quorum holds: the need-th highest
@@ -523,14 +505,11 @@ func (m *Machine) commitFloor(a route.Assignment) uint64 {
 	return min(c, m.applied)
 }
 
-// advanceCommit raises the commit watermark to the quorum floor and feeds
-// out what that unlocks. A replica-set change can lower the floor; what was
-// committed stays committed.
-func (m *Machine) advanceCommit(now time.Time, a route.Assignment, o *effects) {
-	if c := m.commitFloor(a); c > m.commit {
-		m.commit = c
-		m.feedShip(now, o)
-	}
+// advanceCommit raises the commit watermark to the quorum floor. A
+// replica-set change can lower the floor; what was committed stays
+// committed.
+func (m *Machine) advanceCommit(a route.Assignment) {
+	m.commit = max(m.commit, m.commitFloor(a))
 }
 
 // repair re-ships what a nak reported missing, from the ring when it covers
@@ -796,66 +775,6 @@ func (m *Machine) tick(now time.Time, a route.Assignment, o *effects) {
 	}
 }
 
-// --- Change feed ----------------------------------------------------------
-//
-// Only committed records are emitted. An append no quorum holds can vanish
-// in a failover and its sequence be reassigned to a different mutation; a
-// consumer that saw the first meaning would silently skip the second. The
-// commit watermark makes that unobservable, so a cursor is a plain
-// sequence number that stays valid across failover.
-
-func (m *Machine) agedOut(cursor uint64) string {
-	return fmt.Sprintf("core: feed cursor %d on partition %d predates retained history (ring starts at %d)",
-		cursor, m.cfg.Part, m.ringStart)
-}
-
-// feedSub answers at once: the committed backlog past the cursor, or an
-// empty batch that confirms a caught-up subscription.
-func (m *Machine) feedSub(now time.Time, ev Event, o *effects) {
-	reply := Effect{Wire: wire.KindFeedBatch, ReqID: ev.ReqID}
-	switch {
-	case m.role != Primary:
-		// The table sends the resubscribe to the right server.
-		reply.Err, reply.Table = ErrPartitionMoved.Error(), true
-	case ev.Seq < m.commit && m.evicted(ev.Seq+1):
-		reply.Err = m.agedOut(ev.Seq)
-	case ev.Seq < m.commit:
-		m.subs[ev.From] = ev.Seq
-		m.feedShip(now, o)
-		return
-	default:
-		m.subs[ev.From] = ev.Seq
-		reply.Epoch, reply.Seq, reply.Blob = m.epoch, m.commit, gstore.AppendFeedCount(nil, 0)
-	}
-	o.send(ev.From, reply)
-}
-
-// feedShip sends every subscriber behind the commit watermark one batch,
-// relaying ring payloads as they are (already in EncodeBatch form). A
-// subscriber whose backlog left the ring is dropped with a terminal error
-// and must re-seed from a full read.
-func (m *Machine) feedShip(now time.Time, o *effects) {
-	for _, sub := range sorted(m.subs) {
-		sent := m.subs[sub]
-		if sent >= m.commit {
-			continue
-		}
-		if m.evicted(sent + 1) {
-			delete(m.subs, sub)
-			o.send(sub, Effect{Wire: wire.KindFeedBatch, Epoch: m.epoch, Err: m.agedOut(sent)})
-			continue
-		}
-		blob := gstore.AppendFeedCount(nil, int(m.commit-sent))
-		for seq := sent + 1; seq <= m.commit; seq++ {
-			blob = gstore.AppendFeedRecordRaw(blob, m.epoch, seq, m.ring[seq-m.ringStart])
-			o.count(FeedLag, now.UnixNano()-m.ringTimes[seq-m.ringStart])
-		}
-		o.count(FeedRecords, int64(m.commit-sent))
-		m.subs[sub] = m.commit
-		o.send(sub, Effect{Wire: wire.KindFeedBatch, Epoch: m.epoch, Seq: m.commit, Blob: blob})
-	}
-}
-
 // --- Ring -----------------------------------------------------------------
 
 func (m *Machine) push(seq uint64, blob []byte, now time.Time) {
@@ -921,9 +840,6 @@ func (m *Machine) Status(now time.Time, a route.Assignment) (status.Partition, b
 	ps.LagEntries = m.applied - ps.AckedSeq
 	if oldest := m.commit + 1; oldest <= m.applied && !m.evicted(oldest) {
 		ps.LagAgeNs = now.UnixNano() - m.ringTimes[oldest-m.ringStart]
-	}
-	for _, sub := range sorted(m.subs) {
-		ps.FeedSubscribers = append(ps.FeedSubscribers, status.FeedSubscriber{Peer: int(sub), Cursor: m.subs[sub]})
 	}
 	return ps, true
 }

@@ -31,7 +31,7 @@ func assign(epoch uint64, primary int32, followers ...int32) route.Assignment {
 
 var wireNames = map[wire.Kind]string{
 	wire.KindWriteResp: "writeResp", wire.KindReplAppend: "append", wire.KindReplAck: "ack",
-	wire.KindSnapshot: "snap", wire.KindFeedBatch: "feed",
+	wire.KindSnapshot: "snap",
 }
 
 // brief renders the protocol-visible effects (journal and counter effects
@@ -212,17 +212,16 @@ func TestPromoteAndDemote(t *testing.T) {
 	if counted(out, Promotions) != 1 {
 		t.Errorf("promotion counted %d", counted(out, Promotions))
 	}
-	expect(t, "subscribe from the retained history", m.Step(t0, a, Event{Kind: FeedSub, From: client, Seq: 1}, nil), "feed/0>9 e2 s3")
 	expect(t, "write", m.Step(t0, a, Event{Kind: Write, From: client, ReqID: 4, Blob: []byte{4}, Start: t0}, nil),
 		"append/0>2 e2 s4", "timer 1s")
 
 	out = m.Step(t0, assign(3, 2, 1), Event{Kind: Assign}, nil)
-	expect(t, "demoted", out, "writeResp/0>9 e0 s0 err", "feed/0>9 e0 s0 err table")
-	if out[0].Err != ErrWrongEpoch.Error() || out[1].Err != ErrPartitionMoved.Error() {
-		t.Errorf("demotion errors %q / %q", out[0].Err, out[1].Err)
+	expect(t, "demoted", out, "writeResp/0>9 e0 s0 err")
+	if out[0].Err != ErrWrongEpoch.Error() {
+		t.Errorf("demotion error %q", out[0].Err)
 	}
-	if m.role != Follower || len(m.pending)+len(m.subs)+len(m.acked) != 0 || m.epoch != 2 || len(m.ring) != 4 {
-		t.Errorf("demoted: role %d pending %d subs %d acked %d epoch %d ringLen %d", m.role, len(m.pending), len(m.subs), len(m.acked), m.epoch, len(m.ring))
+	if m.role != Follower || len(m.pending)+len(m.acked) != 0 || m.epoch != 2 || len(m.ring) != 4 {
+		t.Errorf("demoted: role %d pending %d acked %d epoch %d ringLen %d", m.role, len(m.pending), len(m.acked), m.epoch, len(m.ring))
 	}
 	out = m.Step(t0, assign(4, 2), Event{Kind: Assign}, nil)
 	if m.role != None || m.applied != 0 || len(out) != 0 {
@@ -230,10 +229,10 @@ func TestPromoteAndDemote(t *testing.T) {
 	}
 }
 
-// TestFeedCommitFloor pins the commit watermark: the need-th highest
+// TestCommitFloor pins the commit watermark: the need-th highest
 // follower ack, capped at the primary's applied sequence, with a 1-replica
 // set committing at the applied sequence directly.
-func TestFeedCommitFloor(t *testing.T) {
+func TestCommitFloor(t *testing.T) {
 	m := &Machine{applied: 10, acked: map[int32]uint64{1: 7, 2: 4}}
 	cases := []struct {
 		name      string
@@ -376,31 +375,6 @@ func TestFailover(t *testing.T) {
 	}
 	expect(t, "factor already restored", p.Step(t0, assign(6, 0, 2), Event{Kind: PeerUp, From: 1}, nil))
 	expect(t, "nudged server joins", New(testConfig(1), shrunk).Step(t0, shrunk, Event{Kind: Join}, nil), "snap/0>0 e0 s0")
-}
-
-func TestFeed(t *testing.T) {
-	a := assign(1, 0, 1)
-	m := primaryWith(a, 3)
-	m.Step(t0, a, Event{Kind: Ack, From: 1, Epoch: 1, Seq: 2}, nil)
-	expect(t, "backlog", m.Step(t0, a, Event{Kind: FeedSub, From: client, ReqID: 5, Seq: 0}, nil), "feed/0>9 e1 s2")
-	out := m.Step(t0.Add(time.Millisecond), a, Event{Kind: Ack, From: 1, Epoch: 1, Seq: 3}, nil)
-	expect(t, "commit advance streams", out, "writeResp/0>9 e0 s0", "feed/0>9 e1 s3")
-	if counted(out, FeedRecords) != 1 || counted(out, FeedLag) != int64(time.Millisecond) {
-		t.Errorf("feed counters: records %d lag %d", counted(out, FeedRecords), counted(out, FeedLag))
-	}
-	expect(t, "caught-up confirmation", m.Step(t0, a, Event{Kind: FeedSub, From: client + 1, ReqID: 6, Seq: 3}, nil), "feed/0>10 e1 s3")
-	m.Step(t0, a, Event{Kind: FeedUnsub, From: client}, nil)
-	if _, ok := m.subs[client]; ok || len(m.subs) != 1 {
-		t.Errorf("subs after unsub: %v", m.subs)
-	}
-	expect(t, "follower redirects", New(testConfig(1), a).Step(t0, a, Event{Kind: FeedSub, From: client}, nil), "feed/0>9 e0 s0 err table")
-
-	old := primaryWith(assign(1, 0), RingCap+5)
-	out = old.Step(t0, assign(1, 0), Event{Kind: FeedSub, From: client, Seq: 2}, nil)
-	expect(t, "cursor aged out", out, "feed/0>9 e0 s0 err")
-	if !strings.Contains(out[0].Err, "predates retained history") {
-		t.Errorf("aged-out error %q", out[0].Err)
-	}
 }
 
 func TestStatusAndReadiness(t *testing.T) {

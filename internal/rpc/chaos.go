@@ -114,9 +114,6 @@ func (c *Chaos) N() int { return c.inner.N() }
 // indistinguishable from a dead process.
 func (c *Chaos) Crash() { c.crashed.Store(true) }
 
-// Crashed reports whether Crash was called.
-func (c *Chaos) Crashed() bool { return c.crashed.Load() }
-
 // Revive undoes Crash — the node "restarts" with its state intact, which
 // models a network partition healing rather than a process restart.
 func (c *Chaos) Revive() { c.crashed.Store(false) }

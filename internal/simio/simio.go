@@ -33,7 +33,6 @@ type Disk struct {
 	straggler *StragglerPlan
 	server    int
 	accesses  int64
-	cold      int64
 	debt      time.Duration
 	touched   map[uint64]struct{}
 	tracer    func(server, step int, block uint64)
@@ -107,7 +106,6 @@ func (d *Disk) Access(step int, block uint64) {
 		service = time.Duration(float64(service) * warmFraction)
 	} else {
 		d.touched[block] = struct{}{}
-		d.cold++
 	}
 	if d.straggler != nil {
 		extra = d.straggler.take(d.server, step)
@@ -143,13 +141,6 @@ func (d *Disk) Accesses() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.accesses
-}
-
-// ColdAccesses reports how many accesses missed the simulated block cache.
-func (d *Disk) ColdAccesses() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cold
 }
 
 // Reset empties the simulated block cache and latency debt, restoring the

@@ -26,7 +26,7 @@ type Partition struct {
 	// AckedSeq is the highest sequence every follower has acknowledged
 	// (primary only; the quorum floor).
 	AckedSeq uint64 `json:"acked_seq"`
-	// CommitSeq is the quorum commit watermark feeding the change feed.
+	// CommitSeq is the quorum commit watermark (primary only).
 	CommitSeq uint64 `json:"commit_seq"`
 	// LagEntries counts applied-but-uncommitted entries (applied_seq -
 	// commit_seq on the reporter).
@@ -43,17 +43,6 @@ type Partition struct {
 	// HandoffsInFlight counts snapshot streams this primary is currently
 	// sending for the partition.
 	HandoffsInFlight int `json:"handoffs_in_flight,omitempty"`
-	// FeedSubscribers lists live change-feed subscriptions on this
-	// primary (cursor = last shipped sequence).
-	FeedSubscribers []FeedSubscriber `json:"feed_subscribers,omitempty"`
-}
-
-// FeedSubscriber is one live change-feed subscription on a primary.
-type FeedSubscriber struct {
-	// Peer is the subscriber's endpoint id.
-	Peer int `json:"peer"`
-	// Cursor is the last sequence shipped to the subscriber.
-	Cursor uint64 `json:"cursor"`
 }
 
 // CacheStats mirrors the storage layer's read-cache counters.

@@ -91,16 +91,6 @@ const (
 	// KindRouteUpdate gossips an epoch-stamped route table (Blob); the
 	// receiver merges it per partition, higher epoch wins.
 	KindRouteUpdate
-	// KindFeedSub subscribes the sender to a partition's change feed from
-	// cursor Seq (exclusive): the primary replies with every committed
-	// record after Seq and streams new commits as they happen. ReqID ties
-	// error replies back to the subscribe call.
-	KindFeedSub
-	// KindFeedBatch carries committed change-feed records (Blob, a
-	// gstore.FeedRecord batch) for partition Part. Err set means the
-	// subscription failed (wrong primary, cursor too old) and carries a
-	// piggybacked route table in Blob when the sender knows a newer one.
-	KindFeedBatch
 )
 
 // Introspection documents (wire.Message.Mode on KindIntrospectReq).
@@ -166,10 +156,6 @@ func (k Kind) String() string {
 		return "Snapshot"
 	case KindRouteUpdate:
 		return "RouteUpdate"
-	case KindFeedSub:
-		return "FeedSub"
-	case KindFeedBatch:
-		return "FeedBatch"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -234,7 +220,7 @@ type Message struct {
 	Part int32
 	Err  string
 	// Blob carries an opaque auxiliary payload: a mutation batch, name or
-	// id list, route table, feed records, or a JSON introspection document,
+	// id list, route table, or a JSON introspection document,
 	// as the Kind says.
 	Blob []byte
 }
