@@ -53,9 +53,9 @@ stress:
 	echo "stress: $$n TestStress* tests passed under -race"
 
 # fuzz-smoke gives each wire/storage codec fuzzer a short randomized budget
-# on top of its checked-in seed corpus: frame decoding (v2 columnar), the
-# gossiped route-table blob, the edge-key parser, the mutation-batch codec
-# and the kv table's record parser — and three
+# on top of its checked-in seed corpus: frame decoding (v2 columnar), the TCP
+# transport's framed reader, the gossiped route-table blob, the edge-key
+# parser, the mutation-batch codec and the kv table's record parser — and three
 # differential fuzzers: the frontier set (adds, checks and reserves) against
 # a Go map, and the vertex and edge predicates compiled over encoded values
 # against decode-then-match. Go allows one -fuzz target per invocation, hence
@@ -63,6 +63,7 @@ stress:
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzTCPReadFrames$$' -fuzztime $(FUZZTIME) ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime $(FUZZTIME) ./internal/route
 	$(GO) test -run '^$$' -fuzz '^FuzzParseEdgeKey$$' -fuzztime $(FUZZTIME) ./internal/gstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/gstore

@@ -5,7 +5,8 @@
 //   - Fabric / Endpoint: an in-process transport over buffered channels,
 //     used by the simulated clusters in tests and benchmarks;
 //   - TCP (tcp.go): a length-framed stream transport over net, used by the
-//     standalone server daemon.
+//     standalone server daemon; one writev sends every frame already queued
+//     for a peer, and each connection is read through a buffer.
 //
 // Both guarantee the property the engines' correctness argument needs:
 // messages from one sender goroutine to one receiver are delivered in send

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,7 +153,7 @@ func TestFabricConcurrentSenders(t *testing.T) {
 	waitFor(t, func() bool { return total.Load() == 4*per })
 }
 
-func newTCPPair(t *testing.T, h0, h1 Handler) (*TCP, *TCP) {
+func newTCPPair(t testing.TB, h0, h1 Handler) (*TCP, *TCP) {
 	t.Helper()
 	// Bind both listeners on ephemeral ports, then exchange real addrs.
 	t0, err := NewTCP(0, []string{"127.0.0.1:0", "127.0.0.1:0"}, h0)
@@ -319,21 +318,26 @@ func BenchmarkFabricSend(b *testing.B) {
 	}
 }
 
+// reportBatching reports how many frames the pair's writes and reads each
+// carried.
+func reportBatching(b *testing.B, ts ...*TCP) {
+	var s TCPStats
+	for _, t := range ts {
+		st := t.Stats()
+		s.FramesSent += st.FramesSent
+		s.Writes += st.Writes
+		s.FramesRead += st.FramesRead
+		s.Reads += st.Reads
+	}
+	b.ReportMetric(float64(s.FramesSent)/float64(max(s.Writes, 1)), "frames/write")
+	b.ReportMetric(float64(s.Reads)/float64(max(s.FramesRead, 1)), "reads/frame")
+}
+
+// BenchmarkTCPSend is the burst shape: frames are sent back to back, so the
+// writer finds many already queued.
 func BenchmarkTCPSend(b *testing.B) {
 	var n atomic.Int64
-	t0, err := NewTCP(0, []string{"127.0.0.1:0", "127.0.0.1:0"}, func(int, wire.Message) {})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer t0.Close()
-	t1, err := NewTCP(1, []string{t0.Addr(), "127.0.0.1:0"}, func(int, wire.Message) { n.Add(1) })
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer t1.Close()
-	patched := append([]string(nil), t0.addrs...)
-	patched[1] = t1.Addr()
-	t0.PatchAddrs(patched)
+	t0, t1 := newTCPPair(b, func(int, wire.Message) {}, func(int, wire.Message) { n.Add(1) })
 	msg := wire.Message{Kind: wire.KindDispatch, Entries: make([]wire.Entry, 8)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -344,9 +348,32 @@ func BenchmarkTCPSend(b *testing.B) {
 	for n.Load() < int64(b.N) {
 		time.Sleep(time.Microsecond)
 	}
+	b.StopTimer()
+	reportBatching(b, t0, t1)
 }
 
-var _ = fmt.Sprintf // keep fmt for future debug use
+// BenchmarkTCPPingPong is the shape that does not queue: one small frame
+// each way at a time, as a short traversal's messages go. Batching cannot
+// help it; it must not cost it either.
+func BenchmarkTCPPingPong(b *testing.B) {
+	pong := make(chan struct{}, 1)
+	var t1 *TCP
+	t0, t1 := newTCPPair(b, func(int, wire.Message) { pong <- struct{}{} }, func(_ int, msg wire.Message) {
+		if err := t1.Send(0, msg); err != nil {
+			b.Error(err)
+		}
+	})
+	msg := wire.Message{Kind: wire.KindDispatch, Entries: make([]wire.Entry, 8)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := t0.Send(1, msg); err != nil {
+			b.Fatal(err)
+		}
+		<-pong
+	}
+	b.StopTimer()
+	reportBatching(b, t0, t1)
+}
 
 // TestFramePoolCycleDoesNotAllocate: the pool's own *[]byte goes out through
 // the outbox and comes back, so a send's frame costs no allocation once the

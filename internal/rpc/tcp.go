@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,22 +56,27 @@ func putFrame(p *[]byte) {
 // A dedicated writer goroutine per peer preserves per-pair FIFO order, and
 // each inbound connection is read (and its handler invoked) sequentially,
 // so the ordering contract matches the in-process Fabric. The Handler must
-// therefore be safe for concurrent calls from different peers.
+// therefore be safe for concurrent calls from different peers. One system
+// call carries many frames: the writer sends a frame with whatever else is
+// already queued for the peer (up to 64; it never waits for more) in one
+// writev, and a connection is read through a bufio.Reader.
 //
 // Failure behavior: a broken peer connection is redialed with capped
-// exponential backoff. A frame whose write fails is retried once on a
-// fresh connection — the engines tolerate duplicates, and the retry is
-// what lets a restarted peer pick up where it left off — and is lost if
-// the retry fails too (the engine's failure detector, not the transport,
-// provides delivery guarantees). While a peer is unreachable its outbox
-// fills, and Send fails with ErrBackpressure after Options.SendTimeout
-// instead of blocking forever.
+// exponential backoff. A failed batch is retried once on a fresh
+// connection from the first frame the kernel did not take whole — the
+// engines tolerate duplicates, and the retry is what lets a restarted peer
+// pick up where it left off — and a frame the retry does not write is lost
+// (the engine's failure detector, not the transport, provides delivery
+// guarantees). While a peer is unreachable its outbox fills, and Send
+// fails with ErrBackpressure after Options.SendTimeout instead of blocking
+// forever.
 type TCP struct {
 	self    int
 	addrs   []string
 	handler Handler
 	ln      net.Listener
 	opts    TCPOptions
+	dial    func(t *TCP, to int) (net.Conn, error) // (*TCP).dialTCP; tests substitute failing connections
 
 	mu      sync.Mutex
 	peers   map[int]*tcpPeer
@@ -78,9 +84,8 @@ type TCP struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	reconnects   atomic.Int64
-	sendFailures atomic.Int64
-	framesLost   atomic.Int64
+	reconnects, sendFailures, framesLost  atomic.Int64
+	framesSent, writes, framesRead, reads atomic.Int64
 }
 
 var _ Transport = (*TCP)(nil)
@@ -122,7 +127,7 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	return o
 }
 
-// TCPStats is a snapshot of the transport's failure counters.
+// TCPStats is a snapshot of the transport's counters.
 type TCPStats struct {
 	// Reconnects counts successful re-dials after a lost connection.
 	Reconnects int64
@@ -132,6 +137,8 @@ type TCPStats struct {
 	// FramesLost counts frames accepted into an outbox but lost to a
 	// write or dial failure.
 	FramesLost int64
+	// Frames written whole and read, and the writes and reads that carried them.
+	FramesSent, Writes, FramesRead, Reads int64
 }
 
 type tcpPeer struct {
@@ -168,7 +175,7 @@ func NewTCPWithOptions(self int, addrs []string, h Handler, opts TCPOptions) (*T
 	addrs = append([]string(nil), addrs...)
 	addrs[self] = ln.Addr().String() // resolve ":0" to the bound port
 	t := &TCP{
-		self: self, addrs: addrs, handler: h, ln: ln,
+		self: self, addrs: addrs, handler: h, ln: ln, dial: (*TCP).dialTCP,
 		opts:    opts.withDefaults(),
 		peers:   make(map[int]*tcpPeer),
 		inbound: make(map[net.Conn]bool),
@@ -182,12 +189,16 @@ func NewTCPWithOptions(self int, addrs []string, h Handler, opts TCPOptions) (*T
 // configured address used port 0).
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
-// Stats returns the transport's failure counters.
+// Stats returns the transport's counters.
 func (t *TCP) Stats() TCPStats {
 	return TCPStats{
 		Reconnects:   t.reconnects.Load(),
 		SendFailures: t.sendFailures.Load(),
 		FramesLost:   t.framesLost.Load(),
+		FramesSent:   t.framesSent.Load(),
+		Writes:       t.writes.Load(),
+		FramesRead:   t.framesRead.Load(),
+		Reads:        t.reads.Load(),
 	}
 }
 
@@ -240,35 +251,51 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
-	var hello [4]byte
-	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+	r := bufio.NewReader(countingReader{conn, &t.reads})
+	var lenBuf [4]byte // the hello, then each frame's length
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return
 	}
-	from := int(binary.LittleEndian.Uint32(hello[:]))
-	var lenBuf [4]byte
+	from := int(binary.LittleEndian.Uint32(lenBuf[:]))
 	var payload []byte // reused across frames; wire.Decode never aliases it
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 			return
 		}
 		n := binary.LittleEndian.Uint32(lenBuf[:])
 		if n > 256<<20 {
 			return // absurd frame, drop the connection
 		}
-		if uint32(cap(payload)) < n {
-			payload = make([]byte, n)
+		var buf []byte
+		var err error
+		if n > maxPooledFrame { // a snapshot chunk: grown as it arrives, and not kept
+			buf, err = io.ReadAll(io.LimitReader(r, int64(n)))
+		} else {
+			if uint32(cap(payload)) < n {
+				payload = make([]byte, n)
+			}
+			buf = payload[:n]
+			_, err = io.ReadFull(r, buf)
 		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		if err != nil || uint32(len(buf)) < n {
 			return
 		}
-		msg, err := wire.Decode(payload)
+		t.framesRead.Add(1)
+		msg, err := wire.Decode(buf)
 		if err != nil {
 			return
 		}
 		t.handler(from, msg)
 	}
 }
+
+// countingReader counts the reads under a connection's bufio.Reader.
+type countingReader struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c countingReader) Read(b []byte) (int, error) { c.reads.Add(1); return c.Conn.Read(b) }
 
 // Send implements Transport. A full outbox is waited on for at most
 // SendTimeout before ErrBackpressure — a stuck peer cannot wedge the
@@ -336,9 +363,9 @@ func (t *TCP) peer(to int) (*tcpPeer, error) {
 	return p, nil
 }
 
-// dial establishes one outbound connection to peer and sends the hello
+// dialTCP establishes one outbound connection to peer and sends the hello
 // frame identifying this node.
-func (t *TCP) dial(to int) (net.Conn, error) {
+func (t *TCP) dialTCP(to int) (net.Conn, error) {
 	t.mu.Lock()
 	addr := t.addrs[to]
 	t.mu.Unlock()
@@ -346,19 +373,25 @@ func (t *TCP) dial(to int) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hello [4]byte
-	binary.LittleEndian.PutUint32(hello[:], uint32(t.self))
-	if _, err := conn.Write(hello[:]); err != nil {
+	if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, uint32(t.self))); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return conn, nil
 }
 
+// writeFrames writes frames to conn in one vectored write (writev on a TCP
+// connection), consuming them, and reports how many the kernel took whole.
+func writeFrames(conn net.Conn, frames *net.Buffers) (sent int, err error) {
+	n := len(*frames)
+	_, err = frames.WriteTo(conn)
+	return n - len(*frames), err
+}
+
 // writeLoop owns one peer's connection: it dials (with capped exponential
-// backoff on failure), drains the outbox, and on a dead connection redials
-// and retries the frame once. A frame is lost only when the retry fails
-// too, with loss made visible through the counters.
+// backoff on failure), drains the outbox a batch at a time, and on a dead
+// connection redials and retries the batch once. A frame is lost only when
+// the retry fails too, with loss made visible through the counters.
 func (t *TCP) writeLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	var conn net.Conn
@@ -376,17 +409,14 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 				return false
 			default:
 			}
-			c, err := t.dial(p.id)
+			c, err := t.dial(t, p.id)
 			if err != nil {
 				select {
 				case <-p.done:
 					return false
 				case <-time.After(backoff):
 				}
-				backoff *= 2
-				if backoff > t.opts.DialBackoffMax {
-					backoff = t.opts.DialBackoffMax
-				}
+				backoff = min(2*backoff, t.opts.DialBackoffMax)
 				continue
 			}
 			conn = c
@@ -403,50 +433,59 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 		}
 		return true
 	}
-	write := func(frame []byte) {
-		for attempt := 0; attempt < 2; attempt++ {
+	batch := make([]*[]byte, 0, 64) // its capacity bounds the frames one write carries
+	vec := make([][]byte, cap(batch))
+	var bufs net.Buffers // writeFrames consumes it; declared once, it escapes once
+	// write sends batch, retrying once from the first frame not written whole.
+	// Once closing, connect refuses to redial: the last flush is best effort.
+	write := func() {
+		sent := 0
+		for attempt := 0; attempt < 2 && sent < len(batch); attempt++ {
 			if conn != nil && p.connDead.Load() {
 				conn.Close()
 				conn = nil
 			}
 			if conn == nil && !connect() {
-				t.framesLost.Add(1)
+				t.framesLost.Add(int64(len(batch) - sent))
 				return // transport closing
 			}
-			if _, err := conn.Write(frame); err == nil {
-				return
+			bufs = vec[:0]
+			for _, frame := range batch[sent:] {
+				bufs = append(bufs, *frame)
 			}
-			conn.Close()
-			conn = nil
+			n, err := writeFrames(conn, &bufs)
+			t.writes.Add(1)
+			t.framesSent.Add(int64(n))
+			if sent += n; err != nil {
+				conn.Close()
+				conn = nil
+			}
 		}
-		t.framesLost.Add(1)
-		t.sendFailures.Add(1)
-		if t.opts.OnSendFailure != nil {
+		lost := len(batch) - sent
+		t.framesLost.Add(int64(lost))
+		t.sendFailures.Add(int64(lost))
+		for ; lost > 0 && t.opts.OnSendFailure != nil; lost-- {
 			t.opts.OnSendFailure(p.id)
 		}
 	}
 	for {
 		select {
 		case frame := <-p.out:
-			write(*frame)
-			putFrame(frame)
-		case <-p.done:
-			// Flush anything already queued (best effort), then stop.
-			for {
-				select {
-				case frame := <-p.out:
-					if conn != nil {
-						if _, err := conn.Write(*frame); err != nil {
-							conn.Close()
-							conn = nil
-						}
-					}
-					putFrame(frame)
-				default:
-					return
-				}
-			}
+			batch = append(batch, frame)
+		case <-p.done: // flush what is already queued, then stop
 		}
+		for len(batch) < cap(batch) && len(p.out) > 0 {
+			batch = append(batch, <-p.out) // only this goroutine receives
+		}
+		if len(batch) == 0 {
+			return // closing, and nothing is queued
+		}
+		write()
+		for _, frame := range batch {
+			putFrame(frame)
+		}
+		clear(batch) // a stale pointer would keep a frame the pool has let go
+		batch = batch[:0]
 	}
 }
 
