@@ -55,11 +55,13 @@ stress:
 # fuzz-smoke gives each wire/storage codec fuzzer a short randomized budget
 # on top of its checked-in seed corpus: frame decoding (v2 columnar), the TCP
 # transport's framed reader, the gossiped route-table blob, the edge-key
-# parser, the mutation-batch codec and the kv table's record parser — and three
-# differential fuzzers: the frontier set (adds, checks and reserves) against
-# a Go map, and the vertex and edge predicates compiled over encoded values
-# against decode-then-match. Go allows one -fuzz target per invocation, hence
-# the sequence.
+# parser, the mutation-batch codec, the kv table's record parser, the plan
+# decoder (a plan arrives from the client and on the first message from a
+# peer) and the name service's name and id lists — and three differential
+# fuzzers: the frontier set (adds, checks and reserves) against a Go map, and
+# the vertex and edge predicates compiled over encoded values against
+# decode-then-match. Go allows one -fuzz target per invocation, hence the
+# sequence.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/wire
@@ -71,6 +73,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/frontier
 	$(GO) test -run '^$$' -fuzz '^FuzzVertexMatcher$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgeMatcher$$' -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlan$$' -fuzztime $(FUZZTIME) ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNames$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 check: vet build test race stress bench lint
 

@@ -154,10 +154,3 @@ func (c *Cache) DropTravel(travel uint64) {
 		delete(c.travels, travel)
 	}
 }
-
-// Len reports the number of cached keys.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
-}

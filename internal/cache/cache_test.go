@@ -12,6 +12,13 @@ import (
 // id shortens VertexID literals in table entries.
 func id(i int) model.VertexID { return model.VertexID(i) }
 
+// cacheLen reports the number of cached keys.
+func cacheLen(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.size
+}
+
 func TestCheckAndInsertBasic(t *testing.T) {
 	c := New(100)
 	k := Key{Travel: 1, Step: 2, Vertex: 3}
@@ -21,8 +28,8 @@ func TestCheckAndInsertBasic(t *testing.T) {
 	if !c.CheckAndInsert(k) {
 		t.Error("second insert should hit")
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d", c.Len())
+	if cacheLen(c) != 1 {
+		t.Errorf("Len = %d", cacheLen(c))
 	}
 }
 
@@ -56,8 +63,8 @@ func TestUnboundedCache(t *testing.T) {
 			t.Fatalf("unexpected hit at %d", i)
 		}
 	}
-	if c.Len() != 10000 {
-		t.Errorf("Len = %d", c.Len())
+	if cacheLen(c) != 10000 {
+		t.Errorf("Len = %d", cacheLen(c))
 	}
 }
 
@@ -94,8 +101,8 @@ func TestEvictionAcrossTravels(t *testing.T) {
 	if !c.CheckAndInsert(Key{Travel: 2, Step: 0, Vertex: id(0)}) {
 		t.Error("travel 2 entry should be cached")
 	}
-	if c.Len() > 10 {
-		t.Errorf("Len = %d exceeds capacity", c.Len())
+	if cacheLen(c) > 10 {
+		t.Errorf("Len = %d exceeds capacity", cacheLen(c))
 	}
 }
 
@@ -106,8 +113,8 @@ func TestDropTravel(t *testing.T) {
 		c.CheckAndInsert(Key{Travel: 2, Step: 1, Vertex: id(i)})
 	}
 	c.DropTravel(1)
-	if c.Len() != 5 {
-		t.Errorf("Len = %d, want 5", c.Len())
+	if cacheLen(c) != 5 {
+		t.Errorf("Len = %d, want 5", cacheLen(c))
 	}
 	if c.CheckAndInsert(Key{Travel: 1, Step: 1, Vertex: id(0)}) {
 		t.Error("dropped travel entries should be gone")
@@ -129,7 +136,7 @@ func TestCapacityIsRespectedQuick(t *testing.T) {
 				Step:   int32(r.Intn(8)),
 				Vertex: id(r.Intn(200)),
 			})
-			if c.Len() > cap {
+			if cacheLen(c) > cap {
 				return false
 			}
 		}
@@ -279,9 +286,9 @@ func TestMatchesMapCache(t *testing.T) {
 			if ref.size <= before && !want {
 				evictions++
 			}
-			if c.Len() != ref.size || len(c.travels) != len(ref.travels) {
+			if cacheLen(c) != ref.size || len(c.travels) != len(ref.travels) {
 				t.Fatalf("cap %d op %d: %d keys of %d traversals, the map cache holds %d of %d",
-					capacity, i, c.Len(), len(c.travels), ref.size, len(ref.travels))
+					capacity, i, cacheLen(c), len(c.travels), ref.size, len(ref.travels))
 			}
 			for tr, rt := range ref.travels {
 				ts := c.travels[tr]

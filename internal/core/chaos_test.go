@@ -20,7 +20,10 @@ import (
 // absorb the faults without changing any answer. Drops and reordering are
 // deliberately excluded: a dropped message is a failure (covered by the
 // retry tests), and reordering breaks the per-pair FIFO contract the
-// completion argument relies on.
+// completion argument relies on. Id-seeded plans start without the
+// broadcast, so every server they reach learns of them from a message that
+// carries the plan; after each seed no server may still hold a traversal's
+// state or a message waiting for one.
 func TestChaosDifferentialAllModes(t *testing.T) {
 	plans := []struct {
 		name string
@@ -28,6 +31,13 @@ func TestChaosDifferentialAllModes(t *testing.T) {
 	}{
 		{"chain", query.VLabel("User").E("run").E("read")},
 		{"rtn", query.VLabel("Execution").Rtn().E("read").Va("type", property.EQ, "text")},
+		{"one-source", query.V(1).E("run").E("read")},
+		// Started at vertex 1's owner, server 1, this one reaches server 0
+		// only through a dispatch from server 2: its execution may end at
+		// the ledger before server 2's registration of it arrives.
+		{"one-source-far", query.V(1).E("run").E("write")},
+		{"owners", query.V(1, 2, 10, 11, 12, 20).E("read")},
+		{"rtn-ids", query.V(1, 2).E("run").Rtn().E("read")},
 	}
 	for _, seed := range []int64{1, 7, 42} {
 		c, _ := newChaosCluster(t, 3, func(id int) rpc.ChaosConfig {
@@ -39,24 +49,31 @@ func TestChaosDifferentialAllModes(t *testing.T) {
 			}
 		}, nil)
 		loadAuditGraph(t, c)
+		base := runtime.NumGoroutine()
 		for _, p := range plans {
 			plan := mustPlan(t, p.q)
 			want, err := query.Reference(c.global, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range allModes {
-				got, err := c.client.SubmitPlan(plan, SubmitOptions{
-					Mode: mode, Coordinator: 0, Timeout: 30 * time.Second,
-				})
-				if err != nil {
-					t.Fatalf("seed %d %s %v: %v", seed, p.name, mode, err)
-				}
-				if !sameIDs(got, want.Results) {
-					t.Errorf("seed %d %s %v: got %v want %v", seed, p.name, mode, got, want.Results)
+			// Coordinator 0 owns no source of the id-seeded plans, which
+			// then start with roots sent from it; -1 starts them at their
+			// first source's owner.
+			for _, coord := range []int{0, -1} {
+				for _, mode := range allModes {
+					got, err := c.client.SubmitPlan(plan, SubmitOptions{
+						Mode: mode, Coordinator: coord, Timeout: 30 * time.Second,
+					})
+					if err != nil {
+						t.Fatalf("seed %d %s coordinator %d %v: %v", seed, p.name, coord, mode, err)
+					}
+					if !sameIDs(got, want.Results) {
+						t.Errorf("seed %d %s coordinator %d %v: got %v want %v", seed, p.name, coord, mode, got, want.Results)
+					}
 				}
 			}
 		}
+		waitForQuiescence(t, c, base+16)
 	}
 }
 

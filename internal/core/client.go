@@ -302,7 +302,8 @@ type SubmitOptions struct {
 	// Mode selects the engine; default ModeGraphTrek.
 	Mode Mode
 	// Coordinator picks the backend that coordinates the traversal;
-	// negative selects one by hashing the traversal id (the paper's
+	// negative selects the owner of the first source id, or, for a
+	// scan-seeded plan, a backend by hashing the traversal id (the paper's
 	// "selected backend server").
 	Coordinator int
 	// Timeout bounds the client-side wait (default 120s).
@@ -310,8 +311,9 @@ type SubmitOptions struct {
 	// Retries restarts a failed traversal from scratch up to this many
 	// additional times — the recovery policy of §IV-C ("this failure will
 	// simply cause the traversal to be restarted"). Each retry gets a
-	// fresh traversal id and, when Coordinator is negative, a different
-	// coordinator, so a dead coordinator is routed around.
+	// fresh traversal id and, when Coordinator is negative and the plan is
+	// scan-seeded, a different coordinator, so a dead coordinator is routed
+	// around.
 	Retries int
 }
 
@@ -389,6 +391,9 @@ func (c *Client) SubmitPlanAsync(plan *query.Plan, opts SubmitOptions) (*Handle,
 	coord := opts.Coordinator
 	if coord < 0 || coord >= c.part.N() {
 		coord = int(travelID % uint64(c.part.N()))
+		if ids := plan.Steps[0].SourceIDs; len(ids) > 0 {
+			coord = c.part.Owner(ids[0]) // the traversal starts where its seed lies
+		}
 	}
 	p := &pendingTravel{done: make(chan struct{})}
 	c.mu.Lock()

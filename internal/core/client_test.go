@@ -57,24 +57,34 @@ func TestClientSideModeUnboundErrors(t *testing.T) {
 }
 
 func TestSubmitDistributesCoordinators(t *testing.T) {
-	// With Coordinator: -1, successive traversals should not all pick the
-	// same backend (the paper's "selected backend server" rotates).
+	// With Coordinator: -1, an id-seeded traversal is coordinated by the
+	// owner of its first source, where it starts; successive scan-seeded
+	// traversals should not all pick the same backend (the paper's
+	// "selected backend server" rotates).
 	c := newCluster(t, 4, nil)
 	loadAuditGraph(t, c)
-	coords := map[int]bool{}
-	for i := 0; i < 12; i++ {
-		h, err := c.client.SubmitPlanAsync(mustPlan(t, query.V(1).E("run")),
-			SubmitOptions{Mode: ModeGraphTrek, Coordinator: -1})
+	submit := func(q *query.Travel) int {
+		t.Helper()
+		h, err := c.client.SubmitPlanAsync(mustPlan(t, q), SubmitOptions{Mode: ModeGraphTrek, Coordinator: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coords[h.Coordinator()] = true
 		if _, err := h.Wait(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
+		return h.Coordinator()
+	}
+	for _, src := range []model.VertexID{1, 2, 10, 11, 12} {
+		if got, owner := submit(query.V(src, 1).E("run")), c.part.Owner(src); got != owner {
+			t.Errorf("traversal from vertex %d coordinated by server %d, not its owner %d", src, got, owner)
+		}
+	}
+	coords := map[int]bool{}
+	for i := 0; i < 12; i++ {
+		coords[submit(query.VLabel("User").E("run"))] = true
 	}
 	if len(coords) < 2 {
-		t.Errorf("12 traversals used only coordinators %v", coords)
+		t.Errorf("12 scan-seeded traversals used only coordinators %v", coords)
 	}
 }
 

@@ -551,6 +551,32 @@ func TestMalformedPlanRejected(t *testing.T) {
 	}
 }
 
+// TestPeerPlanNamingNoServerIgnored: a message from a peer that carries a
+// plan registers its traversal, so a coordinator id outside the servers is
+// malformed input and must be dropped, not indexed.
+func TestPeerPlanNamingNoServerIgnored(t *testing.T) {
+	c := newCluster(t, 2, nil)
+	loadAuditGraph(t, c)
+	for _, coord := range []int32{-1, 2, 99} {
+		err := c.fabric.Endpoint(1).Send(0, wire.Message{
+			Kind: wire.KindDispatch, TravelID: 1000 + uint64(coord+1), ExecID: 1,
+			Entries: []wire.Entry{{Vertex: 2, AncStep: -1, Dest: -1}},
+			Mode:    uint8(ModeGraphTrek), Coord: coord, Plan: mustPlan(t, query.V(2)).Encode(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A well-formed traversal behind them is served: the handler lived.
+	c.runAllModes(t, mustPlan(t, query.V(1).E("run")))
+	s := c.servers[0]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.travels) != 0 {
+		t.Errorf("server 0 registered %d traversals from plans naming no server", len(s.travels))
+	}
+}
+
 func TestSubmitValidatesBuilderErrors(t *testing.T) {
 	c := newCluster(t, 2, nil)
 	if _, err := c.client.Submit(query.V(1).E(""), SubmitOptions{}); err == nil {

@@ -163,7 +163,7 @@ type expansion struct {
 	items   []sched.Item     // the group being processed
 	dsts    []model.VertexID // destinations of the scan in progress
 	collect func(model.VertexID) bool
-	full    []fullBatch // outboxes that reached BatchSize, sent after unlocking
+	full    []outMsg // outboxes that reached BatchSize, sent after unlocking
 
 	// An edge-filtered scan's state: collectIf collects the destinations
 	// whose edge value edge accepts, and keeps the first error in scanErr.
@@ -188,10 +188,10 @@ const (
 	rejected
 )
 
-type fullBatch struct {
-	target  int
-	parent  uint64
-	entries []wire.Entry
+// outMsg is a message taken from an outbox, bound for target.
+type outMsg struct {
+	target int
+	msg    wire.Message
 }
 
 func newExpansion() *expansion {
@@ -249,15 +249,14 @@ func (s *Server) bufferDispatch(ts *travelState, ex *expansion, parent uint64, s
 		box := s.outboxLocked(ts, step, target)
 		tag.Vertex = dst
 		if box.add(tag, parent) && box.pending() >= s.cfg.BatchSize {
-			entries, first := box.take()
-			ex.full = append(ex.full, fullBatch{target, first, entries})
+			ex.full = append(ex.full, s.takeLocked(ts, box, wire.KindDispatch, step, target))
 		}
 	}
 	ts.flushMu.Unlock()
 	// The scratch outlives the traversal: leave no batch pinned.
-	for i, b := range ex.full {
-		s.sendDispatch(ts, b.parent, b.target, step, b.entries)
-		ex.full[i] = fullBatch{}
+	for i, om := range ex.full {
+		s.sendDispatch(ts, om)
+		ex.full[i] = outMsg{}
 	}
 	ex.full = ex.full[:0]
 }
@@ -280,6 +279,28 @@ func (s *Server) outboxLocked(ts *travelState, step int32, target int) *outboxSe
 		ts.outbox[step][target] = box
 	}
 	return box
+}
+
+// takeLocked drains box, the traversal's outbox for target at step, into a
+// message that creates one execution there. Caller holds flushMu.
+func (s *Server) takeLocked(ts *travelState, box *outboxSet, kind wire.Kind, step int32, target int) outMsg {
+	entries, parent := box.take()
+	m := wire.Message{
+		Kind: kind, TravelID: ts.id, Step: step, ExecID: s.newExecID(), ParentExec: parent, Entries: entries,
+	}
+	ts.tellLocked(target, &m)
+	return outMsg{target, m}
+}
+
+// tellLocked attaches the plan to m when m is the first message this server
+// sends target for a traversal started without the broadcast: target learns
+// the traversal from it (Server.withTravel). Caller holds flushMu.
+func (ts *travelState) tellLocked(target int, m *wire.Message) {
+	if ts.told == nil || ts.told[target] {
+		return
+	}
+	ts.told[target] = true
+	m.Plan, m.Coord, m.Mode = ts.planBytes, ts.coord, uint8(ts.mode)
 }
 
 // bufferSig adds an end-of-chain signal for an rtn()-marked ancestor,
@@ -306,33 +327,35 @@ func (s *Server) bufferResult(ts *travelState, v model.VertexID) {
 // terminated sets coincide). A failed send is recorded as a traversal error
 // — the next flush carries it to the coordinator, which fails the
 // traversal instead of waiting for the watchdog to notice the lost work.
-func (s *Server) sendDispatch(ts *travelState, parent uint64, target int, step int32, entries []wire.Entry) {
-	id := s.newExecID()
-	if err := s.send(int(ts.coord), wire.Message{
+func (s *Server) sendDispatch(ts *travelState, om outMsg) {
+	if err := s.report(ts, wire.Message{
 		Kind: wire.KindExecEvents, TravelID: ts.id,
-		Created: []wire.ExecRef{{ID: id, Server: int32(target), Step: step}},
+		Created: []wire.ExecRef{{ID: om.msg.ExecID, Server: int32(om.target), Step: om.msg.Step}},
 	}); err != nil {
 		ts.addErr(fmt.Sprintf("core: exec registration to coordinator %d failed: %v", ts.coord, err))
 	}
-	if err := s.send(target, wire.Message{
-		Kind: wire.KindDispatch, TravelID: ts.id,
-		Step: step, ExecID: id, ParentExec: parent, Entries: entries,
-	}); err != nil {
-		ts.addErr(fmt.Sprintf("core: dispatch to server %d failed: %v", target, err))
+	if err := s.send(om.target, om.msg); err != nil {
+		ts.addErr(fmt.Sprintf("core: dispatch to server %d failed: %v", om.target, err))
 	}
 }
 
+// report delivers a message to the traversal's coordinator: in place when
+// this server coordinates the traversal, over the transport otherwise.
+func (s *Server) report(ts *travelState, msg wire.Message) error {
+	if ts.coord == int32(s.cfg.ID) {
+		s.handleCoordinator(msg)
+		return nil
+	}
+	return s.send(int(ts.coord), msg)
+}
+
 // flushTravel drains the traversal's outboxes, buffered results and
-// pending terminations into messages. Multiple workers may call it
-// concurrently; each call atomically swaps out the buffered state, and the
-// calls report to the coordinator in the order they swapped.
+// pending terminations into messages: one report to the coordinator and one
+// message per outbox. Multiple workers may call it concurrently; each call
+// atomically swaps out the buffered state, and the calls report to the
+// coordinator in the order they swapped.
 func (s *Server) flushTravel(ts *travelState) {
 	numSteps := int32(ts.plan.NumSteps())
-	var created []wire.ExecRef
-	type outMsg struct {
-		target int
-		msg    wire.Message
-	}
 	var msgs []outMsg
 
 	ts.flushMu.Lock()
@@ -342,15 +365,9 @@ func (s *Server) flushTravel(ts *travelState) {
 			kind = wire.KindReturnSig
 		}
 		for target, box := range row {
-			if box == nil || box.pending() == 0 {
-				continue
+			if box != nil && box.pending() > 0 {
+				msgs = append(msgs, s.takeLocked(ts, box, kind, int32(step), target))
 			}
-			entries, parent := box.take()
-			id := s.newExecID()
-			created = append(created, wire.ExecRef{ID: id, Server: int32(target), Step: int32(step)})
-			msgs = append(msgs, outMsg{target, wire.Message{
-				Kind: kind, TravelID: ts.id, Step: int32(step), ExecID: id, ParentExec: parent, Entries: entries,
-			}})
 		}
 	}
 	results := ts.results
@@ -363,27 +380,23 @@ func (s *Server) flushTravel(ts *travelState) {
 		ts.flushMu.Unlock()
 		return
 	}
-	// A later flush's Ended must not overtake an earlier one's Result and
-	// Created carrying the ended execution's outputs (§IV-C): the
-	// coordinator-bound sends leave under sendMu, in take order.
+	// A later flush's Ended must not overtake an earlier one's results and
+	// Created carrying the ended execution's outputs (§IV-C): the reports
+	// leave under sendMu, in take order.
 	ts.sendMu.Lock()
 	ts.flushMu.Unlock()
-	coord := int(ts.coord)
-	var sendErrs []string
-	if len(results) > 0 {
-		if err := s.send(coord, wire.Message{Kind: wire.KindResult, TravelID: ts.id, Verts: results}); err != nil {
-			sendErrs = append(sendErrs, fmt.Sprintf("core: result send to coordinator %d failed: %v", coord, err))
-		}
+	created := make([]wire.ExecRef, len(msgs))
+	for i, om := range msgs {
+		created[i] = wire.ExecRef{ID: om.msg.ExecID, Server: int32(om.target), Step: om.msg.Step}
 	}
-	// Register children and report terminations in one atomic ledger
-	// update, then ship the children.
-	if len(created) > 0 || len(ended) > 0 || len(errs) > 0 {
-		if err := s.send(coord, wire.Message{
-			Kind: wire.KindExecEvents, TravelID: ts.id,
-			Created: created, Ended: ended, Err: strings.Join(errs, "; "),
-		}); err != nil {
-			sendErrs = append(sendErrs, fmt.Sprintf("core: exec events to coordinator %d failed: %v", coord, err))
-		}
+	// Results, child registrations and terminations make one atomic ledger
+	// update; then the children ship.
+	var sendErrs []string
+	if err := s.report(ts, wire.Message{
+		Kind: wire.KindExecEvents, TravelID: ts.id,
+		Created: created, Ended: ended, Verts: results, Err: strings.Join(errs, "; "),
+	}); err != nil {
+		sendErrs = append(sendErrs, fmt.Sprintf("core: exec events to coordinator %d failed: %v", ts.coord, err))
 	}
 	ts.sendMu.Unlock()
 	s.met.AddExecs(int(int64(len(ended))))
@@ -397,7 +410,7 @@ func (s *Server) flushTravel(ts *travelState) {
 	// even that send fails, the errors stay buffered for the next flush and
 	// the coordinator-side failure detector / watchdog takes over.
 	if len(sendErrs) > 0 {
-		if err := s.send(coord, wire.Message{
+		if err := s.report(ts, wire.Message{
 			Kind: wire.KindExecEvents, TravelID: ts.id,
 			Err: strings.Join(sendErrs, "; "),
 		}); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -192,7 +193,9 @@ func (l loggingTransport) Send(to int, msg wire.Message) error {
 // BatchSize in the middle of a scan and the remainder at the flush; nothing
 // is sent to a (target, step) twice; every child is registered at the
 // coordinator no later than its parent's termination is reported (§IV-C);
-// and each span's dispatch phase sits inside its scan phase.
+// and each span's dispatch phase sits inside its scan phase. The coordinator
+// is server 1, which owns neither source: server 0's reports to it cross the
+// transport, where the log sees them.
 func TestDispatchOnePassPerExpansion(t *testing.T) {
 	const batchSize = 4
 	log := &sendLog{}
@@ -228,7 +231,7 @@ func TestDispatchOnePassPerExpansion(t *testing.T) {
 	link(sources[1], extra)
 
 	plan := mustPlan(t, query.V(sources...).E("run"))
-	got, err := c.client.SubmitPlan(plan, SubmitOptions{Mode: ModeGraphTrek, Coordinator: 0, Timeout: 20 * time.Second})
+	got, err := c.client.SubmitPlan(plan, SubmitOptions{Mode: ModeGraphTrek, Coordinator: 1, Timeout: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +305,8 @@ func TestDispatchOnePassPerExpansion(t *testing.T) {
 	}
 }
 
-// heldTransport parks the first message of one traversal a server sends
-// until release is closed, and logs every send in the order it leaves.
+// heldTransport parks the first ExecEvents report of one traversal a server
+// sends until release is closed, and logs every send in the order it leaves.
 type heldTransport struct {
 	rpc.Transport
 	travel  uint64
@@ -316,7 +319,7 @@ type heldTransport struct {
 }
 
 func (h *heldTransport) Send(to int, msg wire.Message) error {
-	if msg.TravelID == h.travel && h.first.CompareAndSwap(false, true) {
+	if msg.TravelID == h.travel && msg.Kind == wire.KindExecEvents && h.first.CompareAndSwap(false, true) {
 		close(h.parked)
 		<-h.release
 	}
@@ -328,11 +331,12 @@ func (h *heldTransport) Send(to int, msg wire.Message) error {
 }
 
 // TestFlushesSendInTakeOrder holds the first of two flushes of one traversal
-// in its first send to the coordinator — the result batch — while the second
-// flush, which reports the termination of the execution whose outputs the
-// first carries, runs. The coordinator must still receive the first flush's
-// Result and Created before the second flush's Ended (§IV-C): were the Ended
-// first, a balanced ledger would finish the traversal without those outputs.
+// in its report to the coordinator — the results and the child registration
+// — while the second flush, which reports the termination of the execution
+// whose outputs the first carries, runs. The coordinator must still receive
+// the first flush's report before the second flush's Ended (§IV-C): were the
+// Ended first, a balanced ledger would finish the traversal without those
+// outputs.
 func TestFlushesSendInTakeOrder(t *testing.T) {
 	const travel, exec = 77, 42
 	held := &heldTransport{travel: travel, log: &sendLog{},
@@ -370,25 +374,98 @@ func TestFlushesSendInTakeOrder(t *testing.T) {
 
 	held.log.mu.Lock()
 	defer held.log.mu.Unlock()
-	result, created, ended := -1, -1, -1
+	report, ended := -1, -1
 	for i, ls := range held.log.sent {
-		if ls.msg.TravelID != travel || ls.to != int(ts.coord) {
+		if ls.msg.TravelID != travel || ls.to != int(ts.coord) || ls.msg.Kind != wire.KindExecEvents {
 			continue
 		}
 		switch {
-		case ls.msg.Kind == wire.KindResult:
-			result = i
-		case len(ls.msg.Created) > 0:
-			created = i
+		case len(ls.msg.Verts) > 0 && len(ls.msg.Created) > 0:
+			report = i
 		case len(ls.msg.Ended) > 0:
 			ended = i
 		}
 	}
-	if result < 0 || created < 0 || ended < 0 {
-		t.Fatalf("coordinator sends: result %d, created %d, ended %d; want all three", result, created, ended)
+	if report < 0 || ended < 0 {
+		t.Fatalf("coordinator sends: results and created %d, ended %d; want both", report, ended)
 	}
-	if ended < result || ended < created {
-		t.Errorf("Ended{%d} left as send %d, before the first flush's Result (send %d) and Created (send %d)",
-			exec, ended, result, created)
+	if ended < report {
+		t.Errorf("Ended{%d} left as send %d, before the first flush's results and Created (send %d)",
+			exec, ended, report)
+	}
+}
+
+// TestPointQueryControlMessagesFlatInN holds a point query's control
+// traffic to the servers it touches, at every cluster width. The query
+// starts at its source's owner, which coordinates it, and reaches k - 1
+// other servers. No server is sent StartTravel, exactly those k - 1 peers
+// are sent TravelDone, no server outside the k hears of the traversal, and
+// the coordinator sends itself no report: 2(k - 1) control messages
+// whatever N is, where the broadcast cost 2(N - 1).
+func TestPointQueryControlMessagesFlatInN(t *testing.T) {
+	for _, n := range []int{3, 8, 16} {
+		log := &sendLog{}
+		c := newWrappedCluster(t, n, nil,
+			func(_ int, tr rpc.Transport) rpc.Transport { return loggingTransport{tr, log} })
+		k := min(3, n-1)
+		// The source lives on server 0; one destination on each of the
+		// servers 1 .. k-1.
+		ownedBy := func(server int) model.VertexID {
+			for id := model.VertexID(1); ; id++ {
+				if c.part.Owner(id) == server {
+					return id
+				}
+			}
+		}
+		src := ownedBy(0)
+		c.addVertex(t, model.Vertex{ID: src, Label: "V"})
+		touched := map[int]bool{0: true}
+		for srv := 1; srv < k; srv++ {
+			dst := ownedBy(srv)
+			c.addVertex(t, model.Vertex{ID: dst, Label: "V"})
+			c.addEdge(t, model.Edge{Src: src, Dst: dst, Label: "run"})
+			touched[srv] = true
+		}
+		base := runtime.NumGoroutine()
+		h, err := c.client.SubmitPlanAsync(mustPlan(t, query.V(src).E("run")),
+			SubmitOptions{Mode: ModeGraphTrek, Coordinator: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.Wait(10 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != k-1 || h.Coordinator() != 0 {
+			t.Fatalf("N=%d: %d results from coordinator %d, want %d from server 0", n, len(got), h.Coordinator(), k-1)
+		}
+		// Every touched server releases the traversal, so every TravelDone
+		// has been sent.
+		waitForQuiescence(t, c, base+8)
+
+		log.mu.Lock()
+		released := map[int]bool{}
+		for _, ls := range log.sent {
+			if ls.msg.TravelID != h.TravelID() || ls.to >= n {
+				continue // client traffic
+			}
+			switch {
+			case !touched[ls.to]:
+				t.Errorf("N=%d: server %d, outside the traversal, was sent %v", n, ls.to, ls.msg.Kind)
+			case ls.msg.Kind == wire.KindStartTravel:
+				t.Errorf("N=%d: server %d sent StartTravel to server %d", n, ls.from, ls.to)
+			case ls.msg.Kind == wire.KindTravelDone:
+				if released[ls.to] || ls.from != 0 {
+					t.Errorf("N=%d: TravelDone %d -> %d sent twice or not by the coordinator", n, ls.from, ls.to)
+				}
+				released[ls.to] = true
+			case ls.from == 0 && ls.to == 0 && (ls.msg.Kind == wire.KindExecEvents || ls.msg.Kind == wire.KindResult):
+				t.Errorf("N=%d: the coordinator sent itself %v", n, ls.msg.Kind)
+			}
+		}
+		log.mu.Unlock()
+		if len(released) != k-1 || released[0] {
+			t.Errorf("N=%d: TravelDone went to %v, want the %d touched peers", n, released, k-1)
+		}
 	}
 }

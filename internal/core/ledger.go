@@ -28,6 +28,11 @@ type ledger struct {
 	client  int
 	plan    *query.Plan
 	servers int
+	// broadcast: every live server was sent the plan at the start. Otherwise
+	// only the servers named by a registered execution (touched) learnt of
+	// the traversal.
+	broadcast bool
+	touched   []bool
 
 	execs         map[uint64]*execInfo
 	liveByStep    map[int32]int // created-and-not-ended executions per step
@@ -60,8 +65,9 @@ type execInfo struct {
 }
 
 // startCoordination turns this server into the coordinator for a traversal
-// submitted by a client: it broadcasts the plan to the other backends,
-// seeds the source step, and arms the watchdog.
+// submitted by a client: it sends the root executions — a scan-seeded or
+// gated traversal is broadcast, an id-seeded one starts at its seeds'
+// owners, this server's own root in place — and arms the watchdog.
 func (s *Server) startCoordination(client int, travelID uint64, ts *travelState) {
 	led := &ledger{
 		travel:       travelID,
@@ -70,6 +76,8 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 		client:       client,
 		plan:         ts.plan,
 		servers:      s.cfg.Part.N(),
+		broadcast:    ts.told == nil,
+		touched:      make([]bool, s.cfg.Part.N()),
 		execs:        make(map[uint64]*execInfo),
 		liveByStep:   make(map[int32]int),
 		liveByServer: make(map[int32]int),
@@ -100,46 +108,13 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 		}
 	}
 
-	planBytes := ts.plan.Encode()
 	s0 := ts.plan.Steps[0]
 	seedByScan := len(s0.SourceIDs) == 0
 
-	led.mu.Lock()
-	// Broadcast the traversal to every other live backend; with scan
-	// seeding, each broadcast carries that server's root execution id.
-	// Suspected-dead peers are skipped entirely — a traversal started
-	// while a peer is down routes around it (its partition's vertices are
-	// unreachable until it recovers) instead of hanging on it.
-	type bcast struct {
-		server int
-		msg    wire.Message
-	}
-	var bcasts []bcast
-	for srv := 0; srv < led.servers; srv++ {
-		if srv == s.cfg.ID || s.isSuspect(srv) {
-			continue
-		}
-		m := wire.Message{
-			Kind: wire.KindStartTravel, TravelID: travelID,
-			Mode: uint8(ts.mode), Coord: int32(s.cfg.ID), Plan: planBytes,
-		}
-		if seedByScan {
-			m.ExecID = s.newExecID()
-			led.registerCreatedLocked(wire.ExecRef{ID: m.ExecID, Server: int32(srv), Step: 0})
-		}
-		bcasts = append(bcasts, bcast{srv, m})
-	}
-	var selfSeed uint64
-	if seedByScan {
-		selfSeed = s.newExecID()
-		led.registerCreatedLocked(wire.ExecRef{ID: selfSeed, Server: int32(s.cfg.ID), Step: 0})
-	}
-	// Explicit-id seeding: one root dispatch per owning server.
-	type rootMsg struct {
-		server int
-		msg    wire.Message
-	}
-	var roots []rootMsg
+	// Explicit-id seeding: one root dispatch per owning server. Each root
+	// bound for another server is the traversal's first message there and,
+	// without the broadcast, carries the plan.
+	var roots []outMsg
 	if !seedByScan {
 		byOwner := make(map[int][]wire.Entry)
 		seen := make(map[model.VertexID]bool, len(s0.SourceIDs))
@@ -151,14 +126,43 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 			owner := s.cfg.Part.Owner(id)
 			byOwner[owner] = append(byOwner[owner], wire.Entry{Vertex: id, AncStep: -1, Dest: -1})
 		}
+		ts.flushMu.Lock()
 		for owner, entries := range byOwner {
-			id := s.newExecID()
-			led.registerCreatedLocked(wire.ExecRef{ID: id, Server: int32(owner), Step: 0})
-			roots = append(roots, rootMsg{owner, wire.Message{
-				Kind: wire.KindDispatch, TravelID: travelID,
-				Step: 0, ExecID: id, Entries: entries,
-			}})
+			m := wire.Message{Kind: wire.KindDispatch, TravelID: travelID, Step: 0, ExecID: s.newExecID(), Entries: entries}
+			ts.tellLocked(owner, &m)
+			roots = append(roots, outMsg{owner, m})
 		}
+		ts.flushMu.Unlock()
+	}
+
+	led.mu.Lock()
+	// Broadcast the traversal to every other live backend; with scan
+	// seeding, each broadcast carries that server's root execution id.
+	// Suspected-dead peers are skipped entirely — a traversal started
+	// while a peer is down routes around it (its partition's vertices are
+	// unreachable until it recovers) instead of hanging on it.
+	var bcasts []outMsg
+	for srv := 0; led.broadcast && srv < led.servers; srv++ {
+		if srv == s.cfg.ID || s.isSuspect(srv) {
+			continue
+		}
+		m := wire.Message{
+			Kind: wire.KindStartTravel, TravelID: travelID,
+			Mode: uint8(ts.mode), Coord: int32(s.cfg.ID), Plan: ts.planBytes,
+		}
+		if seedByScan {
+			m.ExecID = s.newExecID()
+			led.registerCreatedLocked(wire.ExecRef{ID: m.ExecID, Server: int32(srv), Step: 0})
+		}
+		bcasts = append(bcasts, outMsg{srv, m})
+	}
+	var selfSeed uint64
+	if seedByScan {
+		selfSeed = s.newExecID()
+		led.registerCreatedLocked(wire.ExecRef{ID: selfSeed, Server: int32(s.cfg.ID), Step: 0})
+	}
+	for _, r := range roots {
+		led.registerCreatedLocked(wire.ExecRef{ID: r.msg.ExecID, Server: int32(r.target), Step: 0})
 	}
 	led.rootsSent = true
 	led.mu.Unlock()
@@ -168,16 +172,18 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 	// fast instead of waiting for the watchdog.
 	var sendErrs []string
 	for _, b := range bcasts {
-		if err := s.send(b.server, b.msg); err != nil {
-			sendErrs = append(sendErrs, fmt.Sprintf("core: start broadcast to server %d failed: %v", b.server, err))
+		if err := s.send(b.target, b.msg); err != nil {
+			sendErrs = append(sendErrs, fmt.Sprintf("core: start broadcast to server %d failed: %v", b.target, err))
 		}
 	}
 	if seedByScan {
 		s.runSeedExec(ts, selfSeed)
 	}
 	for _, r := range roots {
-		if err := s.send(r.server, r.msg); err != nil {
-			sendErrs = append(sendErrs, fmt.Sprintf("core: root dispatch to server %d failed: %v", r.server, err))
+		if r.target == s.cfg.ID {
+			s.handleDispatch(r.target, r.msg, ts)
+		} else if err := s.send(r.target, r.msg); err != nil {
+			sendErrs = append(sendErrs, fmt.Sprintf("core: root dispatch to server %d failed: %v", r.target, err))
 		}
 	}
 	if len(sendErrs) > 0 {
@@ -195,8 +201,11 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 	}
 }
 
-// registerCreatedLocked records a newly created execution.
+// registerCreatedLocked records a newly created execution. Its server is
+// touched whether or not the execution's end came first and it was never
+// live: the traversal reached the server either way.
 func (l *ledger) registerCreatedLocked(ref wire.ExecRef) {
+	l.touched[ref.Server] = true
 	info, ok := l.execs[ref.ID]
 	if !ok {
 		l.execs[ref.ID] = &execInfo{step: ref.Step, server: ref.Server, created: true}
@@ -242,9 +251,10 @@ func (l *ledger) registerEndedLocked(id uint64) {
 	}
 }
 
-// handleCoordinator processes Result and ExecEvents messages addressed to
-// this server in its coordinator role.
-func (s *Server) handleCoordinator(_ int, msg wire.Message) {
+// handleCoordinator applies an ExecEvents report — results, created and
+// ended executions, errors — to the ledger of a traversal this server
+// coordinates. Reports from this server arrive here in place (report).
+func (s *Server) handleCoordinator(msg wire.Message) {
 	s.mu.Lock()
 	led, ok := s.ledgers[msg.TravelID]
 	s.mu.Unlock()
@@ -252,24 +262,22 @@ func (s *Server) handleCoordinator(_ int, msg wire.Message) {
 		return // finished or unknown traversal; drop silently
 	}
 	led.mu.Lock()
-	led.activity = time.Now()
-	switch msg.Kind {
-	case wire.KindResult:
-		for _, v := range msg.Verts {
-			led.results[v] = true
-		}
+	if led.done {
 		led.mu.Unlock()
 		return
-	case wire.KindExecEvents:
-		for _, ref := range msg.Created {
-			led.registerCreatedLocked(ref)
-		}
-		for _, id := range msg.Ended {
-			led.registerEndedLocked(id)
-		}
-		if msg.Err != "" {
-			led.errs = append(led.errs, msg.Err)
-		}
+	}
+	led.activity = time.Now()
+	for _, v := range msg.Verts {
+		led.results[v] = true
+	}
+	for _, ref := range msg.Created {
+		led.registerCreatedLocked(ref)
+	}
+	for _, id := range msg.Ended {
+		led.registerEndedLocked(id)
+	}
+	if msg.Err != "" {
+		led.errs = append(led.errs, msg.Err)
 	}
 	led.mu.Unlock()
 	s.checkLedger(led)
@@ -330,8 +338,11 @@ func (s *Server) checkLedger(led *ledger) {
 }
 
 // finishTravelLocked completes a traversal: results (or the error) go to
-// the client, every backend is told to release its state, and the ledger
-// is retired. Called with led.mu held; releases it.
+// the client, the backends holding its state are told to release it, and
+// the ledger is retired. A clean finish releases the servers a registered
+// execution named: the ledger saw every execution, so no other server
+// learnt of the traversal. A failed one, or a broadcast one, releases every
+// server. Called with led.mu held; releases it.
 func (s *Server) finishTravelLocked(led *ledger) {
 	led.done = true
 	results := make([]model.VertexID, 0, len(led.results))
@@ -344,7 +355,10 @@ func (s *Server) finishTravelLocked(led *ledger) {
 	}
 	client := led.client
 	travel := led.travel
-	servers := led.servers
+	release := led.touched
+	if led.broadcast || len(led.errs) > 0 {
+		release = nil
+	}
 	sum := trace.TravelSummary{
 		Travel:      travel,
 		Mode:        led.mode.String(),
@@ -375,11 +389,10 @@ func (s *Server) finishTravelLocked(led *ledger) {
 		s.send(client, wire.Message{Kind: wire.KindResult, TravelID: travel, Verts: results[i:end]})
 	}
 	s.send(client, wire.Message{Kind: wire.KindTravelDone, TravelID: travel, Err: errText})
-	for srv := 0; srv < servers; srv++ {
-		if srv == s.cfg.ID {
-			continue
+	for srv := range led.servers {
+		if srv != s.cfg.ID && (release == nil || release[srv]) {
+			s.send(srv, wire.Message{Kind: wire.KindTravelDone, TravelID: travel})
 		}
-		s.send(srv, wire.Message{Kind: wire.KindTravelDone, TravelID: travel})
 	}
 	// Drop the local state directly rather than via a self-send: the dead
 	// traversal's pending groups must leave the shared executor even if the

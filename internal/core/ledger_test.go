@@ -14,6 +14,8 @@ import (
 
 func newTestLedger() *ledger {
 	return &ledger{
+		servers:      4,
+		touched:      make([]bool, 4),
 		execs:        make(map[uint64]*execInfo),
 		liveByStep:   make(map[int32]int),
 		liveByServer: make(map[int32]int),
@@ -64,6 +66,11 @@ func TestLedgerEndBeforeCreate(t *testing.T) {
 	l.registerCreatedLocked(wire.ExecRef{ID: 2, Server: 1, Step: 1})
 	if !l.quiescentLocked() {
 		t.Fatal("matching the early end should complete the traversal")
+	}
+	// Exec 2 was never live, yet its server holds the traversal's state
+	// and must be released with it.
+	if !l.touched[0] || !l.touched[1] || l.touched[2] {
+		t.Fatalf("touched = %v, want servers 0 and 1", l.touched)
 	}
 	if l.liveTotal != 0 || l.unmatchedEnds != 0 {
 		t.Fatalf("final accounting: live %d unmatched %d", l.liveTotal, l.unmatchedEnds)

@@ -45,8 +45,10 @@ type Server struct {
 	mu      sync.Mutex
 	travels map[uint64]*travelState
 	ledgers map[uint64]*ledger
-	// pendingMsgs buffers messages that raced ahead of their StartTravel
-	// broadcast (possible across independent links).
+	// pendingMsgs buffers messages that raced ahead of the message that
+	// registers their traversal here — the StartTravel broadcast, or the
+	// first message a peer sent with the plan — on another link or another
+	// flush.
 	pendingMsgs map[uint64][]pendingMsg
 	// slowMu guards the bounded ring of captured slow-traversal DAGs.
 	slowMu   sync.Mutex
@@ -345,21 +347,29 @@ func (s *Server) ObserveSendFailure(int) { s.met.AddMsgsFailed(1) }
 // travelState is the per-traversal state a backend server keeps. Its
 // requests live in the server's shared executor queue, keyed by id.
 type travelState struct {
-	id    uint64
-	plan  *query.Plan
-	mode  Mode
-	tun   tuning
-	coord int32
+	id        uint64
+	plan      *query.Plan
+	planBytes []byte // plan as it arrived, encoded
+	mode      Mode
+	tun       tuning
+	coord     int32
 
-	// flushMu guards the outboxes, buffered results and ended executions.
-	// sendMu, taken before a flush releases flushMu and held through its
-	// sends to the coordinator, makes flushes report in take order.
+	// flushMu guards the outboxes, buffered results, ended executions and
+	// told. sendMu, taken before a flush releases flushMu and held through
+	// its report to the coordinator, makes flushes report in take order. On
+	// the coordinator the report is handled in place, so the lock order is
+	// flushMu → sendMu → ledger.mu → Server.mu.
 	flushMu sync.Mutex
 	sendMu  sync.Mutex
 	outbox  [][]*outboxSet // dispatch entry sets, [step][target]; see outboxLocked
 	results []model.VertexID
 	errs    []string
 	ended   []uint64
+	// told[target] records that target knows the traversal, for one started
+	// without the broadcast: the first message to each other target carries
+	// planBytes (tellLocked). Nil when every server was sent the plan at the
+	// start.
+	told []bool
 
 	// rtnMu guards the rtn() pending table (§IV-D).
 	rtnMu sync.Mutex
@@ -415,8 +425,8 @@ func (s *Server) Handle(from int, msg wire.Message) {
 		s.handleProgressReq(from, msg)
 	case wire.KindCancel:
 		s.handleCancel(msg)
-	case wire.KindResult, wire.KindExecEvents:
-		s.handleCoordinator(from, msg)
+	case wire.KindExecEvents:
+		s.handleCoordinator(msg)
 	case wire.KindHeartbeat:
 		// Liveness already noted above; heartbeats carry nothing else.
 	case wire.KindPeerDown:
@@ -439,26 +449,33 @@ func (s *Server) Handle(from int, msg wire.Message) {
 }
 
 // withTravel resolves the traversal state for a message, buffering the
-// message if its StartTravel has not arrived yet and dropping it if the
-// traversal already finished.
+// message if its traversal is not registered here yet and dropping it if
+// the traversal already finished. A message that carries the plan registers
+// its traversal: a traversal started without the broadcast reaches a server
+// first that way.
 func (s *Server) withTravel(from int, msg wire.Message, fn func(int, wire.Message, *travelState)) {
 	s.mu.Lock()
 	ts, ok := s.travels[msg.TravelID]
-	if !ok {
-		if !s.doneTravels[msg.TravelID] && !s.closed {
-			if len(s.pendingMsgs[msg.TravelID]) < maxPendingMsgs {
-				s.pendingMsgs[msg.TravelID] = append(s.pendingMsgs[msg.TravelID], pendingMsg{from, msg})
-			}
+	if !ok && len(msg.Plan) == 0 && !s.doneTravels[msg.TravelID] && !s.closed {
+		if len(s.pendingMsgs[msg.TravelID]) < maxPendingMsgs {
+			s.pendingMsgs[msg.TravelID] = append(s.pendingMsgs[msg.TravelID], pendingMsg{from, msg})
 		}
-		s.mu.Unlock()
-		return
 	}
 	s.mu.Unlock()
-	fn(from, msg, ts)
+	if !ok && len(msg.Plan) > 0 {
+		s.handleStartTravel(from, msg)
+		s.mu.Lock()
+		ts, ok = s.travels[msg.TravelID]
+		s.mu.Unlock()
+	}
+	if ok {
+		fn(from, msg, ts)
+	}
 }
 
-// handleStartTravel registers a traversal on this server. If the message
-// came from a client node (id >= Part.N()), this server becomes the
+// handleStartTravel registers a traversal on this server, from a
+// StartTravel or from the first message a peer sent it with the plan. If the
+// message came from a client node (id >= Part.N()), this server becomes the
 // traversal's coordinator.
 func (s *Server) handleStartTravel(from int, msg wire.Message) {
 	plan, err := query.DecodePlan(msg.Plan)
@@ -472,18 +489,29 @@ func (s *Server) handleStartTravel(from int, msg wire.Message) {
 	mode := Mode(msg.Mode)
 	tun := mode.tuning()
 	isCoordinatorRequest := from >= s.cfg.Part.N() && !tun.clientDriven
+	if !isCoordinatorRequest && !tun.clientDriven && (msg.Coord < 0 || int(msg.Coord) >= s.cfg.Part.N()) {
+		return // a server-side traversal's coordinator is a server
+	}
 
 	ts := &travelState{
-		id:     msg.TravelID,
-		plan:   plan,
-		mode:   mode,
-		tun:    tun,
-		coord:  msg.Coord,
-		outbox: make([][]*outboxSet, plan.NumSteps()+1),
-		rtn:    make(map[rtnKey]*rtnRec),
+		id:        msg.TravelID,
+		plan:      plan,
+		planBytes: msg.Plan,
+		mode:      mode,
+		tun:       tun,
+		coord:     msg.Coord,
+		outbox:    make([][]*outboxSet, plan.NumSteps()+1),
+		rtn:       make(map[rtnKey]*rtnRec),
 	}
 	if isCoordinatorRequest {
 		ts.coord = int32(s.cfg.ID)
+	}
+	// Only a scan-seeded or gated traversal is broadcast: its seeds, or the
+	// barrier, are on every server. Otherwise servers learn of it from the
+	// work they are sent.
+	if msg.Kind != wire.KindStartTravel || isCoordinatorRequest && len(plan.Steps[0].SourceIDs) > 0 && !tun.gated {
+		ts.told = make([]bool, s.cfg.Part.N())
+		ts.told[s.cfg.ID], ts.told[ts.coord] = true, true
 	}
 
 	s.mu.Lock()
@@ -507,7 +535,7 @@ func (s *Server) handleStartTravel(from int, msg wire.Message) {
 
 	if isCoordinatorRequest {
 		s.startCoordination(from, msg.TravelID, ts)
-	} else if msg.ExecID != 0 {
+	} else if msg.Kind == wire.KindStartTravel && msg.ExecID != 0 {
 		// The broadcast carried a seed execution: select local sources.
 		s.runSeedExec(ts, msg.ExecID)
 	}

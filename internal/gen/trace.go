@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
-	"graphtrek/internal/gstore"
 	"graphtrek/internal/model"
 	"graphtrek/internal/property"
 )
@@ -235,115 +233,4 @@ func (imp *traceImporter) addWrite(execID, path, ts string) error {
 		Src: exec, Dst: file, Label: "write",
 		Props: property.Map{"ts": property.Int(tsv)},
 	})
-}
-
-// ExportTrace walks a metadata property graph and emits the trace format,
-// so imported and generated graphs can round-trip through text. Entity
-// names come from each vertex's "name" property, falling back to the
-// vertex id.
-func ExportTrace(g gstore.Graph, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	name := func(id model.VertexID) (string, error) {
-		v, ok, err := g.GetVertex(id)
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			return "", fmt.Errorf("gen: export: dangling vertex %v", id)
-		}
-		if n, ok := v.Props["name"]; ok {
-			return n.Str(), nil
-		}
-		return fmt.Sprintf("v%d", uint64(id)), nil
-	}
-	users, err := sortedByLabel(g, "User")
-	if err != nil {
-		return err
-	}
-	for _, u := range users {
-		un, err := name(u)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(bw, "user %s\n", un)
-	}
-	// Jobs under each user, executions under each job, I/O under each
-	// execution — in id order throughout for deterministic output.
-	for _, u := range users {
-		un, _ := name(u)
-		err := g.ScanEdges(u, "run", func(run model.Edge) bool {
-			jn, err := name(run.Dst)
-			if err != nil {
-				return false
-			}
-			fmt.Fprintf(bw, "job %s %s %d\n", jn, un, run.Props["ts"].I64())
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	jobs, err := sortedByLabel(g, "Job")
-	if err != nil {
-		return err
-	}
-	for _, j := range jobs {
-		jn, _ := name(j)
-		err := g.ScanEdges(j, "hasExecutions", func(he model.Edge) bool {
-			en, err := name(he.Dst)
-			if err != nil {
-				return false
-			}
-			mv, _, _ := g.GetVertex(he.Dst)
-			modelName := "unknown"
-			if m, ok := mv.Props["model"]; ok {
-				modelName = m.Str()
-			}
-			fmt.Fprintf(bw, "exec %s %s %s\n", en, jn, modelName)
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	execs, err := sortedByLabel(g, "Execution")
-	if err != nil {
-		return err
-	}
-	for _, e := range execs {
-		en, _ := name(e)
-		err := g.ScanEdges(e, "read", func(rd model.Edge) bool {
-			fn, err := name(rd.Dst)
-			if err != nil {
-				return false
-			}
-			fmt.Fprintf(bw, "read %s %s\n", en, fn)
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		err = g.ScanEdges(e, "write", func(wr model.Edge) bool {
-			fn, err := name(wr.Dst)
-			if err != nil {
-				return false
-			}
-			fmt.Fprintf(bw, "write %s %s %d\n", en, fn, wr.Props["ts"].I64())
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-func sortedByLabel(g gstore.Graph, label string) ([]model.VertexID, error) {
-	var ids []model.VertexID
-	err := g.ScanVerticesByLabel(label, func(id model.VertexID) bool {
-		ids = append(ids, id)
-		return true
-	})
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, err
 }

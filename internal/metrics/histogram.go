@@ -130,33 +130,6 @@ func (a HistSnapshot) Merge(b HistSnapshot) HistSnapshot {
 	return out
 }
 
-// Quantile returns the upper bound of the bucket holding the q-quantile
-// sample (nearest-rank), in the sample unit. q outside (0,1] clamps; an
-// empty histogram reports 0.
-func (a HistSnapshot) Quantile(q float64) int64 {
-	if a.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(a.Count))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range a.Counts {
-		cum += c
-		if cum >= rank {
-			return BucketUpper(i)
-		}
-	}
-	return BucketUpper(HistBuckets - 1)
-}
-
 // CumulativeLE counts samples in buckets whose upper bound is <= bound —
 // the `le` semantics of a Prometheus cumulative bucket. Exact when bound
 // is itself a bucket upper bound (every DefaultLadderNs entry is).

@@ -205,18 +205,6 @@ func (v Value) Compare(o Value) int {
 // Map is a set of named property values, as stored on a vertex or edge.
 type Map map[string]Value
 
-// Clone returns a shallow copy of the map (values are immutable).
-func (m Map) Clone() Map {
-	if m == nil {
-		return nil
-	}
-	c := make(Map, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
 // Keys returns the sorted property names, for deterministic encoding.
 func (m Map) Keys() []string {
 	ks := make([]string, 0, len(m))

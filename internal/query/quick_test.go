@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -108,6 +109,32 @@ func TestDecodeRejectsRandomCorruptionQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzDecodePlan fuzzes the plan decoder: a plan arrives off the network
+// from the client and, for a traversal started without the broadcast, on
+// the first message from any peer. Decoding must never panic, and a plan
+// that decodes must survive encode and decode again unchanged.
+func FuzzDecodePlan(f *testing.F) {
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 8; i++ {
+		f.Add(randomPlan(r).Encode())
+	}
+	f.Add([]byte{planVersion, 1, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := DecodePlan(b)
+		if err != nil {
+			return
+		}
+		enc := p.Encode()
+		again, err := DecodePlan(enc)
+		if err != nil {
+			t.Fatalf("re-decode of %x: %v", enc, err)
+		}
+		if !bytes.Equal(again.Encode(), enc) || len(again.Steps) != len(p.Steps) {
+			t.Fatalf("round trip changed the plan: %x -> %x", enc, again.Encode())
+		}
+	})
 }
 
 func TestReturnedNeverOutOfRange(t *testing.T) {

@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"graphtrek/internal/model"
 )
 
 // TestDecodeRandomBytesNeverPanics feeds arbitrary byte soup to the
@@ -61,4 +65,28 @@ func TestUvarintLengthBombs(t *testing.T) {
 	if _, err := Decode(bomb); err == nil {
 		t.Error("length bomb should fail to decode")
 	}
+}
+
+// FuzzDecodeNames fuzzes the name service's two list codecs, which decode
+// payloads off the network: a name list (DecodeNames) and an id list
+// (DecodeIDs) read the same bytes. Neither may panic, and a list either
+// decodes must survive encode and decode again unchanged.
+func FuzzDecodeNames(f *testing.F) {
+	f.Add(EncodeNames([]string{"alice", "", "/data/out-1.nc"}))
+	f.Add(EncodeIDs([]model.VertexID{0, 1, 1 << 40, math.MaxUint64}))
+	f.Add([]byte{2, 0x80})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if names, err := DecodeNames(b); err == nil {
+			again, err := DecodeNames(EncodeNames(names))
+			if err != nil || !slices.Equal(again, names) {
+				t.Fatalf("names %q came back as %q (%v)", names, again, err)
+			}
+		}
+		if ids, err := DecodeIDs(b); err == nil {
+			again, err := DecodeIDs(EncodeIDs(ids))
+			if err != nil || !slices.Equal(again, ids) {
+				t.Fatalf("ids %v came back as %v (%v)", ids, again, err)
+			}
+		}
+	})
 }

@@ -17,25 +17,35 @@ import (
 type Kind uint8
 
 const (
-	// KindStartTravel is broadcast by the coordinator to every backend
-	// server before a traversal: it registers the plan and engine mode.
+	// KindStartTravel submits a traversal from the client to its
+	// coordinator, which broadcasts it to every backend server only when it
+	// is scan-seeded or gated (Sync-GT): it registers the plan and engine
+	// mode. Other traversals reach a server first through a KindDispatch or
+	// KindReturnSig carrying Plan, Coord and Mode.
 	KindStartTravel Kind = iota + 1
 	// KindDispatch carries a frontier batch to the server owning its
-	// vertices, creating one traversal execution there.
+	// vertices, creating one traversal execution there. A sender's first
+	// message to a server for a traversal that was not broadcast also
+	// carries its Plan, Coord and Mode.
 	KindDispatch
 	// KindReturnSig notifies an rtn()-holding server that descendant paths
 	// of the listed ancestor vertices reached the end of the chain (§IV-D).
 	KindReturnSig
-	// KindResult delivers returned vertices to the coordinator.
+	// KindResult delivers a finished traversal's returned vertices from the
+	// coordinator to the client.
 	KindResult
-	// KindExecEvents reports execution creation/termination to the
-	// coordinator's status-tracing ledger (§IV-C).
+	// KindExecEvents reports execution creation/termination, and the
+	// returned vertices of the same flush (Verts), to the coordinator's
+	// status-tracing ledger (§IV-C).
 	KindExecEvents
 	// KindStepGo is the synchronous engine's barrier release: the
 	// controller permits processing of the given step.
 	KindStepGo
 	// KindTravelDone tells backend servers a traversal has completed so
-	// they may release per-traversal state (plans, caches, rtn tables).
+	// they may release per-traversal state (plans, caches, rtn tables): the
+	// servers a registered execution named after a clean finish, every
+	// server after a failure or a broadcast start. To the client it ends the
+	// result stream, with Err on failure.
 	KindTravelDone
 	// KindVisitReq is the client-side traversal mode's unit RPC: process
 	// these vertices for one step and reply, rather than forwarding.
