@@ -57,11 +57,12 @@ stress:
 # transport's framed reader, the gossiped route-table blob, the edge-key
 # parser, the mutation-batch codec, the kv table's record parser, the plan
 # decoder (a plan arrives from the client and on the first message from a
-# peer) and the name service's name and id lists — and three differential
-# fuzzers: the frontier set (adds, checks and reserves) against a Go map, and
-# the vertex and edge predicates compiled over encoded values against
-# decode-then-match. Go allows one -fuzz target per invocation, hence the
-# sequence.
+# peer) and the name service's name and id lists — and four differential
+# fuzzers: the frontier set (adds, checks and reserves) against a Go map, the
+# affiliate cache's batch admission against one-by-one CheckAndInsert
+# (FuzzAdmitMatchesCheckAndInsert), and the vertex and edge predicates
+# compiled over encoded values against decode-then-match. Go allows one
+# -fuzz target per invocation, hence the sequence.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/wire
@@ -71,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/gstore
 	$(GO) test -run '^$$' -fuzz '^FuzzSSTableRecords$$' -fuzztime $(FUZZTIME) ./internal/kv
 	$(GO) test -run '^$$' -fuzz '^FuzzSetMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/frontier
+	$(GO) test -run '^$$' -fuzz '^FuzzAdmitMatchesCheckAndInsert$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzVertexMatcher$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgeMatcher$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlan$$' -fuzztime $(FUZZTIME) ./internal/query

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"graphtrek/internal/core"
@@ -215,9 +214,8 @@ type Options struct {
 	// and the obs /traces/slow endpoint. Zero or negative disables capture.
 	SlowTravelNs int64
 	// IndexKeys lists property keys to secondary-index on every partition
-	// at boot, so step-0 va() filters on them seed via index pushdown
-	// instead of a label scan. Equivalent to calling EnableIndex for each
-	// key right after NewCluster, but before the engines see traffic.
+	// at boot, before the engines see traffic, so step-0 va() filters on
+	// them seed via index pushdown instead of a label scan.
 	IndexKeys []string
 	// ReadCacheBytes, when positive, wraps each partition in a sharded
 	// LRU read cache of roughly this many bytes (decoded vertices +
@@ -387,10 +385,6 @@ func (c *Cluster) Close() error {
 // Servers returns the cluster size.
 func (c *Cluster) Servers() int { return c.opts.Servers }
 
-// Owner returns the backend server owning a vertex (edge-cut hash
-// partitioning).
-func (c *Cluster) Owner(id VertexID) int { return c.part.Owner(id) }
-
 // AddVertex stores a vertex on its owning server — on every replica of its
 // partition when the cluster is replicated (bulk loading writes the stores
 // directly, bypassing the quorum write path; use Client().Write for
@@ -461,50 +455,9 @@ func (c *Cluster) RunAsync(t *Travel, mode Mode) (*core.Handle, error) {
 	return c.client.SubmitPlanAsync(plan, core.SubmitOptions{Mode: mode, Coordinator: -1})
 }
 
-// RunUnion runs several traversals concurrently and returns the
-// deduplicated union of their results — the paper's §III recipe for OR
-// filter semantics ("users can issue different traversals and combine
-// their results").
-func (c *Cluster) RunUnion(mode Mode, travels ...*Travel) ([]VertexID, error) {
-	handles := make([]*core.Handle, 0, len(travels))
-	for _, t := range travels {
-		h, err := c.RunAsync(t, mode)
-		if err != nil {
-			return nil, err
-		}
-		handles = append(handles, h)
-	}
-	seen := make(map[VertexID]bool)
-	var out []VertexID
-	var firstErr error
-	for _, h := range handles {
-		res, err := h.Wait(0)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		for _, id := range res {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
 // Client exposes the underlying client: explicit submission options, and on
 // replicated clusters the write path and status pulls.
 func (c *Cluster) Client() *core.Client { return c.client }
-
-// Store returns server i's graph partition (e.g. for direct inspection).
-func (c *Cluster) Store(i int) gstore.Graph { return c.stores[i] }
 
 // Server returns backend server i's engine, exposing its metrics, trace
 // buffers and queue gauges (e.g. for an obs.Handler).
@@ -517,51 +470,6 @@ func (c *Cluster) ServerMetrics() []Metrics {
 		out[i] = s.Metrics()
 	}
 	return out
-}
-
-// DiskAccesses reports each server's simulated disk access count.
-func (c *Cluster) DiskAccesses() []int64 {
-	out := make([]int64, len(c.disks))
-	for i, d := range c.disks {
-		out[i] = d.Accesses()
-	}
-	return out
-}
-
-// EnableIndex builds a secondary index on a property key across every
-// partition — the "searching or indexing mechanisms" §III says GTravel
-// entry points are resolved with.
-func (c *Cluster) EnableIndex(key string) error {
-	for _, st := range c.stores {
-		if err := st.(gstore.PropertyIndex).EnableIndex(key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FindVertices resolves an exact property match across the cluster (the
-// index must have been enabled), returning ids in ascending order — ready
-// to seed a traversal with V(ids...).
-func (c *Cluster) FindVertices(key string, value Value) ([]VertexID, error) {
-	// On replicated clusters the same vertex is indexed on every replica;
-	// dedup so callers see each id once.
-	seen := make(map[VertexID]bool)
-	var out []VertexID
-	for _, st := range c.stores {
-		ids, err := st.(gstore.PropertyIndex).LookupVertices(key, value)
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range ids {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }
 
 // ResetDisks restores every simulated disk to the cold-start state the

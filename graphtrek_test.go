@@ -99,24 +99,6 @@ func TestClusterPersistentStores(t *testing.T) {
 	}
 }
 
-func TestClusterOwnerRouting(t *testing.T) {
-	c := newTestCluster(t, graphtrek.Options{Servers: 4})
-	loadFig1(t, c)
-	// Every vertex must be stored exactly on its owner.
-	for _, id := range []graphtrek.VertexID{1, 10, 20, 21} {
-		owner := c.Owner(id)
-		for s := 0; s < c.Servers(); s++ {
-			_, ok, err := c.Store(s).GetVertex(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok != (s == owner) {
-				t.Errorf("vertex %v on server %d: present=%v, owner=%d", id, s, ok, owner)
-			}
-		}
-	}
-}
-
 func TestClusterGeneratorLoad(t *testing.T) {
 	c := newTestCluster(t, graphtrek.Options{Servers: 4})
 	var stats gen.MetaStats
@@ -149,11 +131,24 @@ func TestClusterGeneratorLoad(t *testing.T) {
 	}
 }
 
+// TestClusterMetricsAndDiskAccounting: a traversal's fetches reach the
+// servers' simulated disks and their counters. The three steps of
+// V(1).E("run").E("read") each fetch one cold vertex after the step before,
+// so the run takes at least three service times, and again after ResetDisks
+// makes every block cold; no other cost comes near that.
 func TestClusterMetricsAndDiskAccounting(t *testing.T) {
-	c := newTestCluster(t, graphtrek.Options{Servers: 3})
+	const service = 20 * time.Millisecond
+	c := newTestCluster(t, graphtrek.Options{Servers: 3, DiskService: service})
 	loadFig1(t, c)
-	if _, err := c.Run(graphtrek.V(1).E("run").E("read"), graphtrek.ModeGraphTrek); err != nil {
-		t.Fatal(err)
+	for _, run := range []string{"cold start", "after ResetDisks"} {
+		start := time.Now()
+		if _, err := c.Run(graphtrek.V(1).E("run").E("read"), graphtrek.ModeGraphTrek); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took < 3*service {
+			t.Errorf("%s: three cold steps took %v, under three disk service times", run, took)
+		}
+		c.ResetDisks()
 	}
 	ms := c.ServerMetrics()
 	if len(ms) != 3 {
@@ -169,14 +164,6 @@ func TestClusterMetricsAndDiskAccounting(t *testing.T) {
 	if total.RealIO == 0 {
 		t.Error("no I/O recorded")
 	}
-	var accesses int64
-	for _, a := range c.DiskAccesses() {
-		accesses += a
-	}
-	if accesses == 0 {
-		t.Error("no disk accesses recorded")
-	}
-	c.ResetDisks() // must not panic and must keep counters
 }
 
 func TestClusterBuilderErrorSurfaces(t *testing.T) {
@@ -267,28 +254,6 @@ func ExampleCluster() {
 	// Output: [v2]
 }
 
-func TestRunUnionORSemantics(t *testing.T) {
-	c := newTestCluster(t, graphtrek.Options{Servers: 3})
-	loadFig1(t, c)
-	// OR over file types: issue one traversal per branch, union results —
-	// the paper's recipe (§III: "OR is not explicitly supported ... users
-	// can issue different traversals and combine their results").
-	got, err := c.RunUnion(graphtrek.ModeGraphTrek,
-		graphtrek.V(1).E("run").E("read").Va("type", graphtrek.EQ, "text"),
-		graphtrek.V(1).E("run").E("write").Va("type", graphtrek.EQ, "data"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []graphtrek.VertexID{20, 21}) {
-		t.Errorf("union = %v, want [v20 v21]", got)
-	}
-	// A failing branch surfaces its error.
-	if _, err := c.RunUnion(graphtrek.ModeGraphTrek, graphtrek.V(1).E("")); err == nil {
-		t.Error("builder error should surface from union")
-	}
-}
-
 // TestLiveUpdatesDuringTraversal exercises the paper's online requirement:
 // the store ingests production updates while traversals run. The traversal
 // result may or may not see the new data (no snapshot isolation is
@@ -332,31 +297,5 @@ func TestLiveUpdatesDuringTraversal(t *testing.T) {
 	close(stop)
 	if err := <-writerDone; err != nil {
 		t.Fatalf("live writer: %v", err)
-	}
-}
-
-func TestClusterPropertyIndex(t *testing.T) {
-	c := newTestCluster(t, graphtrek.Options{Servers: 4})
-	loadFig1(t, c)
-	if err := c.EnableIndex("name"); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := c.FindVertices("name", graphtrek.String("sam"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []graphtrek.VertexID{1}) {
-		t.Fatalf("FindVertices(sam) = %v", ids)
-	}
-	// The resolved ids seed a traversal — the §III entry-point pattern.
-	files, err := c.Run(graphtrek.V(ids...).E("run").E("read"), graphtrek.ModeGraphTrek)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(files, []graphtrek.VertexID{20}) {
-		t.Errorf("seeded traversal = %v", files)
-	}
-	if _, err := c.FindVertices("never-indexed", graphtrek.Int(1)); err == nil {
-		t.Error("unindexed lookup should error")
 	}
 }

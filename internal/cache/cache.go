@@ -4,7 +4,7 @@
 // can drop the redundant re-visits that different paths arriving at
 // different times would otherwise turn into duplicate disk I/O.
 //
-// Two deliberate refinements over the paper's triple:
+// Three deliberate refinements over the paper's triple:
 //
 //   - the key also carries the rtn()-ancestor tag, because two requests for
 //     the same vertex at the same step with different ancestors are NOT
@@ -13,10 +13,13 @@
 //     degenerates to the paper's exact triple;
 //   - eviction follows the paper's time-based policy: within a traversal,
 //     entries with the smallest step id are evicted first, because a larger
-//     observed step implies the oldest steps have effectively drained.
+//     observed step implies the oldest steps have effectively drained;
+//   - a traversal admits each execution id once (Admit), so a duplicated
+//     dispatch cannot end its twin early by finding all its keys taken.
 package cache
 
 import (
+	"slices"
 	"sync"
 
 	"graphtrek/internal/frontier"
@@ -42,12 +45,15 @@ type Cache struct {
 }
 
 // travelSet holds one traversal's served keys bucketed by step, the rest of
-// the key in the step's frontier.Set, so smallest-step eviction drops a set.
+// the key in the step's frontier.Set, so smallest-step eviction drops a set,
+// and the ids of the executions admitted for it, which are never evicted.
 type travelSet struct {
 	steps   map[int32]*frontier.Set
 	minStep int32
 	maxStep int32
 	size    int
+	execs   []uint64 // sorted
+	execs0  [4]uint64
 }
 
 // New creates a cache bounded to capacity entries. Capacity below one
@@ -59,40 +65,90 @@ func New(capacity int) *Cache {
 
 // CheckAndInsert reports whether the key was already served; if it was not,
 // the key is inserted (and, if the cache is full, entries from the smallest
-// step of the same traversal are evicted to make room).
+// step of the same traversal are evicted to make room). It is Admit's
+// one-key case.
 func (c *Cache) CheckAndInsert(k Key) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ts, ok := c.travels[k.Travel]
-	if !ok {
-		ts = &travelSet{steps: make(map[int32]*frontier.Set), minStep: k.Step, maxStep: k.Step}
-		c.travels[k.Travel] = ts
-	}
 	fk := frontier.Key{Vertex: k.Vertex, Anc: k.Anc, AncStep: k.AncStep}
-	bucket := ts.steps[k.Step]
+	return c.insertLocked(c.travelLocked(k.Travel, k.Step), k.Step, fk, 1)
+}
+
+// Admit checks and inserts, in one lock hold, the keys of one execution's
+// batch, all at step, as CheckAndInsert would one by one (a key's Dest is
+// not part of it). It sets redundant[i] for each keys[i] already there and
+// returns how many it set. keys is only read. A traversal admits an
+// execution once: for an exec id admitted before, Admit changes nothing and
+// reports fresh false.
+func (c *Cache) Admit(travel, exec uint64, step int32, keys []frontier.Key, redundant []bool) (n int, fresh bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ts := c.travelLocked(travel, step)
+	at, seen := slices.BinarySearch(ts.execs, exec)
+	if seen {
+		return 0, false
+	}
+	switch {
+	case ts.execs == nil:
+		ts.execs = ts.execs0[:0]
+	case len(ts.execs) == cap(ts.execs):
+		// A point query admits a few executions, a fanout tens a server:
+		// the first overflow grows ×16, so a fanout's rarely grows twice.
+		ts.execs = slices.Grow(ts.execs, 15*len(ts.execs))
+	}
+	ts.execs = slices.Insert(ts.execs, at, exec)
+	if b := ts.steps[step]; b != nil {
+		b.Reserve(len(keys))
+	}
+	for i, k := range keys {
+		k.Dest = 0
+		if c.insertLocked(ts, step, k, len(keys)-i) {
+			redundant[i] = true
+			n++
+		}
+	}
+	return n, true
+}
+
+// travelLocked returns the traversal's record, made on first use at step.
+func (c *Cache) travelLocked(travel uint64, step int32) *travelSet {
+	ts, ok := c.travels[travel]
+	if !ok {
+		ts = &travelSet{steps: make(map[int32]*frontier.Set), minStep: step, maxStep: step}
+		c.travels[travel] = ts
+	}
+	return ts
+}
+
+// insertLocked reports whether fk was already served at step of ts, and
+// inserts it if not. A bucket it makes has room for room keys: the step's
+// set is sized for a batch once, up front, not by doubling.
+func (c *Cache) insertLocked(ts *travelSet, step int32, fk frontier.Key, room int) bool {
+	bucket := ts.steps[step]
 	if c.cap > 0 && c.size >= c.cap {
 		// Full: a miss evicts (perhaps this bucket) before it inserts, so
 		// the check cannot be the insert's probe.
 		if bucket != nil && bucket.Has(fk) {
 			return true
 		}
-		c.evictLocked(ts, k.Step)
-		bucket = ts.steps[k.Step]
+		c.evictLocked(ts, step)
+		bucket = ts.steps[step]
 	}
 	if bucket == nil {
 		bucket = new(frontier.Set)
-		ts.steps[k.Step] = bucket
+		bucket.Reserve(room)
+		ts.steps[step] = bucket
 	}
 	if !bucket.Add(fk) {
 		return true
 	}
 	ts.size++
 	c.size++
-	if k.Step < ts.minStep {
-		ts.minStep = k.Step
+	if step < ts.minStep {
+		ts.minStep = step
 	}
-	if k.Step > ts.maxStep {
-		ts.maxStep = k.Step
+	if step > ts.maxStep {
+		ts.maxStep = step
 	}
 	return false
 }

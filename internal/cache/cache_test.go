@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -349,5 +350,106 @@ func BenchmarkCheckAndInsert(b *testing.B) {
 			c = New(1 << 20)
 		}
 		hitSink = c.CheckAndInsert(keys[i%n])
+	}
+}
+
+// FuzzAdmitMatchesCheckAndInsert holds batch admission to the one-key calls
+// it batches. The input is a capacity byte, small so that eviction runs, then
+// batches: a header of traversal, step, execution id (from a small range, so
+// ids repeat) and length, then two bytes a key. A header can drop its
+// traversal instead. Batches are never empty, as the engine's are not.
+// Admit must report a repeated execution id of a live traversal as not fresh
+// and change nothing; otherwise it must mark exactly the keys CheckAndInsert
+// reports served, called one by one on a second cache, and both caches must
+// then hold the same keys in the same buckets.
+func FuzzAdmitMatchesCheckAndInsert(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{4, 0, 1, 2, 1, 0, 2, 0, 0, 1, 1, 1, 1, 0, 2, 0})
+	f.Add([]byte{3, 0x04, 1, 3, 1, 0, 2, 0, 3, 0, 0x08, 2, 2, 1, 0, 4, 0, 0x04, 1, 1, 9, 0, 0xe0, 0, 0, 0x04, 1, 1, 1, 0})
+	seq := make([]byte, 0, 1+5*40)
+	seq = append(seq, 9)
+	for i := 0; i < 40; i++ {
+		seq = append(seq, byte(i%3|i%5<<2), byte(i%11), 0, byte(i*7), byte(i%4))
+	}
+	f.Add(seq)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		capacity := int(b[0] % 24)
+		c, ref := New(capacity), New(capacity)
+		type execKey struct{ travel, exec uint64 }
+		started := map[execKey]bool{}
+		var keys []frontier.Key
+		var redundant []bool
+		for b = b[1:]; len(b) >= 3; {
+			travel, step, exec := uint64(b[0]&3), int32(b[0]>>2&7), uint64(b[1]%16)
+			if b[0]>>5 == 7 {
+				c.DropTravel(travel)
+				ref.DropTravel(travel)
+				for k := range started {
+					if k.travel == travel {
+						delete(started, k)
+					}
+				}
+				b = b[2:]
+				continue
+			}
+			n := 1 + int(b[2]%8)
+			b = b[3:]
+			keys = keys[:0]
+			for ; n > 0 && len(b) >= 2; n, b = n-1, b[2:] {
+				keys = append(keys, frontier.Key{
+					Vertex:  id(int(b[0] & 31)),
+					Anc:     id(int(b[1] & 3)),
+					AncStep: int32(b[1]>>2&3) - 1,
+					Dest:    int32(b[1]>>4&3) - 1,
+				})
+			}
+			if len(keys) == 0 {
+				break
+			}
+			redundant = append(redundant[:0], make([]bool, len(keys))...)
+			got, fresh := c.Admit(travel, exec, step, keys, redundant)
+			ek := execKey{travel, exec}
+			if fresh == started[ek] {
+				t.Fatalf("execution %d of traversal %d: fresh %v, admitted before %v", exec, travel, fresh, started[ek])
+			}
+			started[ek] = true
+			want := 0
+			for i, k := range keys {
+				hit := fresh && ref.CheckAndInsert(Key{Travel: travel, Step: step, Vertex: k.Vertex, Anc: k.Anc, AncStep: k.AncStep})
+				if hit {
+					want++
+				}
+				if redundant[i] != hit {
+					t.Fatalf("execution %d of traversal %d, key %d %+v: redundant %v, CheckAndInsert says %v", exec, travel, i, k, redundant[i], hit)
+				}
+			}
+			if got != want {
+				t.Fatalf("Admit counted %d redundant keys, marked %d", got, want)
+			}
+			sameKeys(t, c, ref)
+		}
+	})
+}
+
+// sameKeys fails unless c and ref hold the same keys, in the same buckets
+// under the same step bounds, in the same order.
+func sameKeys(t *testing.T, c, ref *Cache) {
+	t.Helper()
+	if c.size != ref.size || len(c.travels) != len(ref.travels) {
+		t.Fatalf("%d keys of %d traversals, one by one %d of %d", c.size, len(c.travels), ref.size, len(ref.travels))
+	}
+	for tr, rt := range ref.travels {
+		ts := c.travels[tr]
+		if ts == nil || ts.size != rt.size || ts.minStep != rt.minStep || ts.maxStep != rt.maxStep || len(ts.steps) != len(rt.steps) {
+			t.Fatalf("traversal %d differs from the one-by-one cache's", tr)
+		}
+		for step, rb := range rt.steps {
+			if b := ts.steps[step]; b == nil || !slices.Equal(b.Keys(), rb.Keys()) {
+				t.Fatalf("traversal %d step %d holds other keys than the one-by-one cache's", tr, step)
+			}
+		}
 	}
 }

@@ -93,7 +93,7 @@ func (s *Server) handleVisitReq(from int, msg wire.Message, ts *travelState) {
 		sp: s.beginSpan(ts.id, msg.ReqID, msg.ParentExec, msg.Step, len(msg.Entries))}
 	acc.pending.Store(int32(len(msg.Entries)))
 	// Only Vertex is read of a client-mode entry: no cache, no merging, no rtn.
-	if err := s.enqueue(ts, msg.Step, acc, msg.Entries); err != nil {
+	if err := s.enqueue(ts, msg.Step, acc, msg.Entries, nil, len(msg.Entries)); err != nil {
 		resp.Err = s.admissionError(err)
 		s.send(from, resp)
 	}

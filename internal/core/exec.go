@@ -37,8 +37,8 @@ type accumulator interface {
 	// was processed (ItemDone returned true).
 	finished(s *Server, ts *travelState)
 	// span returns the execution's trace builder, nil when tracing is off.
-	// Workers attribute per-item queue wait and cache/merge disposition to
-	// it while processing groups.
+	// Workers attribute per-item queue wait and merge disposition to it
+	// while processing groups; the cache's is counted at admission.
 	span() *trace.Builder
 	// execID is the accumulator's causal identity: the ledger execution id
 	// (or, for client-mode batches, the request id) stamped as ParentExec
@@ -172,11 +172,10 @@ type expansion struct {
 	collectIf func(dst model.VertexID, val []byte) bool
 
 	// The vertex view's state: judge evaluates, on the fetched vertex's
-	// bytes, the predicate of each distinct step among live (plan's steps)
+	// bytes, the predicate of each distinct step among items (plan's steps)
 	// into verdict, indexed by step. An empty predicate matches without
 	// reading the bytes: the view hands over only well-formed values.
 	plan    *query.Plan
-	live    []sched.Item
 	verdict []uint8
 	judge   func(val []byte) error
 }
@@ -210,7 +209,7 @@ func newExpansion() *expansion {
 	}
 	ex.judge = func(val []byte) error {
 		ex.verdict = append(ex.verdict[:0], make([]uint8, ex.plan.NumSteps())...)
-		for _, it := range ex.live {
+		for _, it := range ex.items {
 			if ex.verdict[it.Step] != unjudged {
 				continue
 			}

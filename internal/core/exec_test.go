@@ -84,7 +84,7 @@ func TestExecAccCountdown(t *testing.T) {
 	s, ts := dispatchRig(t)
 	acc := &execAcc{id: 99}
 	acc.pending.Store(3)
-	if err := s.enqueue(ts, 0, acc, []wire.Entry{{Vertex: 1}, {Vertex: 2}, {Vertex: 3}}); err != nil {
+	if err := s.enqueue(ts, 0, acc, []wire.Entry{{Vertex: 1}, {Vertex: 2}, {Vertex: 3}}, nil, 3); err != nil {
 		t.Fatal(err)
 	}
 	var items []sched.Item

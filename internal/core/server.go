@@ -172,7 +172,7 @@ func (s *Server) worker() {
 		end := s.processGroup(ts, g, ex)
 		clear(ex.items) // the scratch outlives the traversal: pin no execution
 		if end == g.Popped {
-			end = sched.Now() // no phase was timed: tracing off, or nothing live
+			end = sched.Now() // no phase was timed: tracing is off
 		}
 		// One compute sample per popped group, so the step-compute
 		// histogram's _count stays pinned to queue_groups_total.
@@ -220,21 +220,25 @@ func (s *Server) maybeFlush(ts *travelState, n int) {
 
 // enqueue admits a request batch — entries, all at step, on behalf of acc —
 // into the shared executor, enforcing MaxQueueDepth. The executor keeps
-// entries as they are, without copying and without writing to them. On
-// ErrBackpressure the whole batch was refused and the caller must surface it
-// on the traversal's error path so the client can retry; admitted batches
-// update the received counter and depth gauge.
-func (s *Server) enqueue(ts *travelState, step int32, acc accumulator, entries []wire.Entry) error {
-	depth, err := s.exec.PushBatch(ts.id, step, acc, entries)
-	if err != nil {
-		s.met.AddRejected(1)
-		// Bursts coalesce into one journal entry with a growing count.
-		s.journal.Record(events.Event{Type: events.Backpressure, Part: -1, Peer: -1,
-			Detail: fmt.Sprintf("executor queue full, batch of %d refused", len(entries))})
-		return err
+// entries as they are, without copying and without writing to them, and
+// skips those marked in skip (nil skips none), which leaves live of them; a
+// batch with none live is not pushed. On ErrBackpressure the whole batch was
+// refused and the caller must surface it on the traversal's error path so
+// the client can retry; admitted batches update the received counter and
+// the depth gauge.
+func (s *Server) enqueue(ts *travelState, step int32, acc accumulator, entries []wire.Entry, skip []bool, live int) error {
+	if live > 0 {
+		depth, err := s.exec.PushBatch(ts.id, step, acc, entries, skip, live)
+		if err != nil {
+			s.met.AddRejected(1)
+			// Bursts coalesce into one journal entry with a growing count.
+			s.journal.Record(events.Event{Type: events.Backpressure, Part: -1, Peer: -1,
+				Detail: fmt.Sprintf("executor queue full, batch of %d refused", len(entries))})
+			return err
+		}
+		s.met.ObserveQueueDepth(int64(depth))
 	}
 	s.met.AddReceived(len(entries))
-	s.met.ObserveQueueDepth(int64(depth))
 	return nil
 }
 
@@ -574,13 +578,31 @@ func (s *Server) runSeedExec(ts *travelState, execID uint64) {
 }
 
 // startExec enqueues entries as the traversal execution id at step, created
-// by execution parent. A batch the executor refuses (it refuses whole) ends
-// the execution at once with a retryable error, so the ledger fails the
-// traversal promptly.
+// by execution parent: with the affiliate cache on (§V-A), only those no
+// execution brought here before, ending at once if none is left, and not at
+// all if this server started the id already (a duplicated dispatch). A batch
+// the executor refuses (it refuses whole) ends the execution at once with a
+// retryable error, so the ledger fails the traversal promptly.
 func (s *Server) startExec(ts *travelState, id, parent uint64, step int32, entries []wire.Entry) {
+	var skip []bool
+	redundant := 0
+	if ts.tun.useCache {
+		var small [2048]bool // the batch's mask, on the stack when it fits
+		if len(entries) <= len(small) {
+			skip = small[:len(entries)]
+		} else {
+			skip = make([]bool, len(entries))
+		}
+		var fresh bool
+		if redundant, fresh = s.cache.Admit(ts.id, id, step, entries, skip); !fresh {
+			return
+		}
+	}
 	acc := &execAcc{id: id, sp: s.beginSpan(ts.id, id, parent, step, len(entries))}
-	acc.pending.Store(int32(len(entries)))
-	if err := s.enqueue(ts, step, acc, entries); err != nil {
+	live := len(entries) - redundant
+	acc.pending.Store(int32(live))
+	acc.sp.AddRedundant(redundant)
+	if err := s.enqueue(ts, step, acc, entries, skip, live); err != nil {
 		errMsg := s.admissionError(err)
 		ts.addErr(errMsg)
 		ts.addEnded(id)
@@ -589,6 +611,12 @@ func (s *Server) startExec(ts *travelState, id, parent uint64, step int32, entri
 			s.trc.RecordSpan(acc.sp.Finish())
 		}
 		s.flushTravel(ts)
+		return
+	}
+	s.met.AddRedundant(redundant)
+	if live == 0 {
+		acc.finished(s, ts)
+		s.maybeFlush(ts, 0)
 	}
 }
 

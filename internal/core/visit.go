@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"graphtrek/internal/cache"
 	"graphtrek/internal/model"
 	"graphtrek/internal/property"
 	"graphtrek/internal/query"
@@ -20,12 +19,9 @@ func spanOf(it sched.Item) *trace.Builder { return it.Exec.(accumulator).span() 
 // vertex of one traversal. This is the server's unit of work from §IV-B —
 // fetch the vertex, apply the step's vertex filters, iterate the next
 // step's typed edges, and buffer dispatches to the owners of the new
-// frontier — extended with the §V optimizations:
-//
-//   - traversal-affiliate caching: a request whose {travel, step, vertex,
-//     ancestor} was already served is dropped as redundant;
-//   - execution merging: all surviving requests in the group share one
-//     disk access.
+// frontier — with execution merging (§V-B): all requests in the group share
+// one disk access. The affiliate cache dropped the redundant requests before
+// they were queued (Server.startExec).
 //
 // Every phase boundary is one reading of the executor clock, shared by the
 // phases on either side: fetch end is the first item's scan start, an item's
@@ -35,36 +31,17 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) tim
 	// The scheduler stamped the pop time; reusing it keeps span-level wait
 	// attribution consistent with the server's queue-wait metric.
 	now := g.Popped
-	// The worker's copies of the group's items (ex.items) are its alone: the
-	// survivors are compacted in place, each redundant one finished where it
-	// stands. The entries behind them may be shared and are not touched.
-	live := ex.items[:0]
-	for i, it := range ex.items {
+	items := ex.items
+	for _, it := range items {
 		spanOf(it).ObserveWait(now - it.Enqueued)
-		if ts.tun.useCache {
-			k := cache.Key{
-				Travel: ts.id, Step: it.Step, Vertex: it.Vertex,
-				Anc: it.Anc, AncStep: it.AncStep,
-			}
-			if s.cache.CheckAndInsert(k) {
-				s.met.AddRedundant(1)
-				spanOf(it).AddRedundant(1)
-				s.finishItems(ts, ex.items[i:i+1], nil)
-				continue
-			}
-		}
-		live = append(live, it)
-	}
-	if len(live) == 0 {
-		return now
 	}
 	s.met.AddRealIO(1)
-	s.met.AddCombined(len(live) - 1)
-	// The first live entry pays the (merged) storage access; the rest ride
+	s.met.AddCombined(len(items) - 1)
+	// The first entry pays the (merged) storage access; the rest ride
 	// along — the same attribution the server counters use, so per-span
 	// dispositions sum to the server totals.
-	spanOf(live[0]).AddReal(1)
-	for _, it := range live[1:] {
+	spanOf(items[0]).AddReal(1)
+	for _, it := range items[1:] {
 		spanOf(it).AddCombined(1)
 	}
 
@@ -72,14 +49,14 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) tim
 	// storage layout keeps a vertex's attributes and typed edge lists
 	// contiguous, so this is a single sequential read. The fetch phase is
 	// attributed to the span paying the access, like the real-IO counter.
-	headSp := spanOf(live[0])
+	headSp := spanOf(items[0])
 	if headSp != nil {
 		now = sched.Now()
 	}
-	s.disk.Access(int(live[0].Step), uint64(g.Vertex))
+	s.disk.Access(int(items[0].Step), uint64(g.Vertex))
 	// The fetch is a view of the vertex's bytes, and each distinct step among
-	// the live items has its predicate judged on them there (ex.judge).
-	ex.plan, ex.live = ts.plan, live
+	// the items has its predicate judged on them there (ex.judge).
+	ex.plan = ts.plan
 	found, err := s.cfg.Store.ViewVertex(g.Vertex, ex.judge)
 	ex.plan = nil // the scratch outlives the traversal
 	if headSp != nil {
@@ -88,14 +65,14 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) tim
 		now = fetched
 	}
 	if err != nil {
-		s.finishItems(ts, live, err)
+		s.finishItems(ts, items, err)
 		return now
 	}
-	for _, it := range live {
+	for _, it := range items {
 		match := found && ex.verdict[it.Step] == matched
 		now = it.Exec.(accumulator).process(s, ts, ex, match, it, now)
 	}
-	s.finishItems(ts, live, nil)
+	s.finishItems(ts, items, nil)
 	return now
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -68,6 +69,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := db.removeOrphans(names); err != nil {
+		return nil, err
+	}
 	for _, name := range names {
 		num, err := tableFileNum(name)
 		if err != nil {
@@ -104,6 +108,30 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	return db, nil
+}
+
+// removeOrphans deletes what a process killed between two file-system steps
+// of a flush or compaction leaves in the directory besides the live tables
+// (names): a table no manifest names, whose entries are in a named table or
+// still in the WAL, and a manifest written but not renamed. New tables are
+// numbered past every table file present, removed or not.
+func (db *DB) removeOrphans(names []string) error {
+	ents, err := os.ReadDir(db.dir)
+	if err != nil {
+		return fmt.Errorf("kv: list %s: %w", db.dir, err)
+	}
+	for _, e := range ents {
+		name := e.Name()
+		num, err := tableFileNum(name)
+		table := err == nil && name == tableFileName(num)
+		if table {
+			db.nextNum = max(db.nextNum, num+1)
+		}
+		if name == manifestName+".tmp" || table && !slices.Contains(names, name) {
+			os.Remove(filepath.Join(db.dir, name))
+		}
+	}
+	return nil
 }
 
 func (db *DB) closeTables() {

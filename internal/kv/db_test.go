@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -646,4 +647,92 @@ func BenchmarkPrefixScan(b *testing.B) {
 		prefix := []byte(fmt.Sprintf("e/%03d/read/", i%100))
 		db.Scan(prefix, func(k, v []byte) bool { return true })
 	}
+}
+
+// TestOpenRemovesOrphanTables: a process killed between compaction's manifest
+// rename and its removal of the merged tables leaves them on disk, named by no
+// manifest; one killed between writing MANIFEST.tmp and renaming it leaves the
+// tmp file; one killed after a flush built its table and before the manifest
+// named it leaves that table, whose entries are still in the WAL. Open
+// removes all of them: the directory then holds the manifest, the WAL and the
+// tables the manifest names. Every key reads its latest value, a deleted one
+// stays deleted, and the next table takes a number no file present had.
+func TestOpenRemovesOrphanTables(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{CompactAt: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
+		db.Put([]byte("shared"), []byte(fmt.Sprint(i)))
+		db.Flush()
+	}
+	db.Delete([]byte("k0"))
+	db.Flush()
+	merged := map[string][]byte{}
+	files, _ := filepath.Glob(filepath.Join(dir, "*.sst"))
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged[filepath.Base(f)] = data
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	db.Put([]byte("late"), []byte("wal"))
+	db.Sync()
+	db.Close()
+
+	// The states the kills leave, all at once.
+	for name, data := range merged {
+		os.WriteFile(filepath.Join(dir, name), data, 0o644)
+	}
+	os.WriteFile(filepath.Join(dir, tableFileName(9)), merged[tableFileName(1)], 0o644)
+	os.WriteFile(filepath.Join(dir, manifestName+".tmp"), []byte(tableFileName(9)+"\n"), 0o644)
+
+	db, err = Open(dir, Options{CompactAt: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	live, err := readManifest(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string{manifestName, walName}, live...)
+	sort.Strings(want)
+	if got := dirNames(t, dir); !slices.Equal(got, want) {
+		t.Errorf("after Open the directory holds %v, want %v", got, want)
+	}
+	for k, v := range map[string]string{"k1": "v", "k2": "v", "shared": "2", "late": "wal"} {
+		if got, ok, err := db.Get([]byte(k)); err != nil || !ok || string(got) != v {
+			t.Errorf("%s = %q %v %v, want %q", k, got, ok, err, v)
+		}
+	}
+	if _, ok, _ := db.Get([]byte("k0")); ok {
+		t.Error("deleted k0 is back")
+	}
+	db.Put([]byte("next"), []byte("1"))
+	db.Flush()
+	if _, err := os.Stat(filepath.Join(dir, tableFileName(10))); err != nil {
+		t.Errorf("the next table is not numbered past the orphans: %v in %v", err, dirNames(t, dir))
+	}
+}
+
+// dirNames lists the names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	sort.Strings(names)
+	return names
 }

@@ -244,15 +244,16 @@ func (m *Multi) Drop(travel uint64) int {
 }
 
 // PushBatch buffers keys as requests of travel at step on behalf of exec,
-// enforcing the depth limit as all-or-nothing admission per batch, and
-// returns the resulting total queue depth. It takes ownership of keys: the
-// slice is the queue's record of the requests until they are popped — no
+// all but those whose skip is set (skip may be nil); live is how many that
+// leaves. It enforces the depth limit as all-or-nothing admission per batch,
+// and returns the resulting total queue depth. It takes ownership of keys:
+// the slice is the queue's record of the requests until they are popped — no
 // copy is made, and nothing writes to it, so it may be memory other readers
-// share (a decoded frame). Pushing to a closed queue or an unregistered
-// (dropped) traversal silently discards the batch, mirroring message
-// delivery to a finished traversal.
-func (m *Multi) PushBatch(travel uint64, step int32, exec Accumulator, keys []frontier.Key) (int, error) {
-	return m.push(travel, step, exec, keys, nil)
+// share (a decoded frame). skip is only read during the call. Pushing to a closed queue or an
+// unregistered (dropped) traversal silently discards the batch, mirroring
+// message delivery to a finished traversal.
+func (m *Multi) PushBatch(travel uint64, step int32, exec Accumulator, keys []frontier.Key, skip []bool, live int) (int, error) {
+	return m.push(travel, step, exec, keys, skip, live, nil)
 }
 
 // Push is PushBatch for requests spelled out one by one, which may differ in
@@ -265,39 +266,45 @@ func (m *Multi) Push(items []Item) (int, error) {
 	for i := range items {
 		keys[i] = frontier.Key{Vertex: items[i].Vertex, Anc: items[i].Anc, AncStep: items[i].AncStep, Dest: items[i].Dest}
 	}
-	return m.push(items[0].Travel, items[0].Step, items[0].Exec, keys, items)
+	return m.push(items[0].Travel, items[0].Step, items[0].Exec, keys, nil, len(keys), items)
 }
 
-// push is both: items, when given, name each key's own step and execution.
-func (m *Multi) push(travel uint64, step int32, exec Accumulator, keys []frontier.Key, items []Item) (int, error) {
+// push is both: items, when given, name each key's own step and execution;
+// n keys are not skipped.
+func (m *Multi) push(travel uint64, step int32, exec Accumulator, keys []frontier.Key, skip []bool, n int, items []Item) (int, error) {
 	// One slab holds the batch's nodes; one clock read stamps them all.
 	b := &batch{exec: exec, enqueued: Now(), keys: keys}
-	nodes := make([]node, len(keys))
+	nodes := make([]node, n)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t, ok := m.travels[travel]
 	if m.closed || !ok {
 		return m.size, nil
 	}
-	if m.maxDepth > 0 && m.size+len(keys) > m.maxDepth {
+	if m.maxDepth > 0 && m.size+n > m.maxDepth {
 		return m.size, ErrBackpressure
 	}
 	// Every table the batch can grow is sized for it once, up front.
 	if t.opts.Merge {
-		t.index.Reserve(len(keys))
+		t.index.Reserve(n)
 	}
 	bk := t.bucketFor(step)
-	bk.groups = slices.Grow(bk.groups, len(keys))
+	bk.groups = slices.Grow(bk.groups, n)
+	nd := nodes
 	for i := range keys {
+		if skip != nil && skip[i] {
+			continue
+		}
 		if items != nil {
 			if step = items[i].Step; items[i].Exec != b.exec {
 				b = &batch{exec: items[i].Exec, enqueued: b.enqueued, keys: keys}
 			}
 		}
-		t.add(&nodes[i], b, int32(i), step)
+		t.add(&nd[0], b, int32(i), step)
+		nd = nd[1:]
 	}
-	m.size += len(keys)
-	t.size += len(keys)
+	m.size += n
+	t.size += n
 	if m.size > m.highWater {
 		m.highWater = m.size
 	}

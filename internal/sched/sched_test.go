@@ -871,10 +871,10 @@ func TestPushOwnsItsSlab(t *testing.T) {
 	q := newQueue(1, Options{Merge: true})
 	acc := &testAcc{4}
 	keys := vkeys(10, 11, 12)
-	if _, err := q.PushBatch(1, 0, acc, keys); err != nil {
+	if _, err := q.PushBatch(1, 0, acc, keys, nil, len(keys)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.PushBatch(1, 3, acc, vkeys(10)); err != nil {
+	if _, err := q.PushBatch(1, 3, acc, vkeys(10), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if want := vkeys(10, 11, 12); !slices.Equal(keys, want) {
@@ -896,6 +896,39 @@ func TestPushOwnsItsSlab(t *testing.T) {
 		want.Enqueued = got[i+1].Enqueued
 		if len(it) != 1 || it[0] != want {
 			t.Errorf("group %d = %+v, want the untouched step-0 request %+v", i+1, it, want)
+		}
+	}
+}
+
+// TestPushBatchSkipsMasked: a masked key gets no node. It is neither popped
+// nor counted in the depth, the limit or Done, and the keys that are pushed
+// keep their own slots of the slice.
+func TestPushBatchSkipsMasked(t *testing.T) {
+	q := NewMulti(3)
+	q.Register(1, Options{Merge: true})
+	keys := vkeys(10, 11, 12, 13, 14)
+	skip := []bool{true, false, true, false, false}
+	depth, err := q.PushBatch(1, 2, &testAcc{3}, keys, skip, 3)
+	if err != nil || depth != 3 {
+		t.Fatalf("PushBatch = %d, %v; want depth 3 under a limit of 3", depth, err)
+	}
+	if _, err := q.PushBatch(1, 2, &testAcc{1}, vkeys(15, 16), []bool{false, false}, 2); err != ErrBackpressure {
+		t.Fatalf("a fourth and fifth live key: %v, want backpressure", err)
+	}
+	if _, err := q.PushBatch(1, 2, &testAcc{0}, vkeys(15), []bool{true}, 0); err != nil {
+		t.Fatalf("a batch with nothing live: %v", err)
+	}
+	var got []Item
+	for range 3 {
+		g, _ := q.Pop()
+		got = g.Items(got)
+	}
+	if q.Len() != 0 || !q.Done(1, 3) {
+		t.Fatalf("%d buffered after popping the live keys, or not quiescent", q.Len())
+	}
+	for i, v := range []model.VertexID{11, 13, 14} {
+		if got[i].Vertex != v || got[i].Anc != keys[v-10].Anc || got[i].Step != 2 {
+			t.Errorf("popped %+v, want vertex %d of the batch", got[i], v)
 		}
 	}
 }
@@ -962,7 +995,7 @@ func TestPushAllocsPerBatch(t *testing.T) {
 					q.Pop()
 				}
 			}
-			run := func() { q.PushBatch(1, 0, nil, keys); drain() }
+			run := func() { q.PushBatch(1, 0, nil, keys, nil, len(keys)); drain() }
 			run()
 			if allocs := testing.AllocsPerRun(20, run); allocs > 2+grow {
 				t.Errorf("%+v repeats=%v: PushBatch of 256 entries allocates %.0f times, want <= 3", opts, repeats, allocs)

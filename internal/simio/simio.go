@@ -32,7 +32,6 @@ type Disk struct {
 	mu        sync.Mutex
 	straggler *StragglerPlan
 	server    int
-	accesses  int64
 	debt      time.Duration
 	touched   map[uint64]struct{}
 	tracer    func(server, step int, block uint64)
@@ -100,7 +99,6 @@ func (d *Disk) Access(step int, block uint64) {
 	}
 	var extra time.Duration
 	d.mu.Lock()
-	d.accesses++
 	service := d.service
 	if _, warm := d.touched[block]; warm {
 		service = time.Duration(float64(service) * warmFraction)
@@ -134,13 +132,6 @@ func (d *Disk) Access(step int, block uint64) {
 		time.Sleep(pay)
 	}
 	d.slots <- struct{}{}
-}
-
-// Accesses reports how many accesses the disk has served.
-func (d *Disk) Accesses() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.accesses
 }
 
 // Reset empties the simulated block cache and latency debt, restoring the
@@ -202,15 +193,4 @@ func (p *StragglerPlan) take(server, step int) time.Duration {
 	}
 	r.remaining--
 	return r.delay
-}
-
-// Remaining reports the undelivered delay count for a (server, step) rule,
-// mostly for tests.
-func (p *StragglerPlan) Remaining(server, step int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r, ok := p.rules[stragglerKey{server, step}]; ok {
-		return r.remaining
-	}
-	return 0
 }
