@@ -40,7 +40,7 @@ func main() {
 	workers := flag.Int("workers", 4, "shared executor pool size: worker goroutines per server, across all concurrent traversals")
 	maxQueue := flag.Int("max-queue", 0, "executor admission limit: max buffered requests across all traversals (0 = unbounded)")
 	diskService := flag.Duration("disk-service", 0, "simulated per-access disk latency (0 = real storage only)")
-	timeout := flag.Duration("travel-timeout", 60*time.Second, "coordinator inactivity watchdog timeout")
+	timeout := flag.Duration("travel-timeout", 60*time.Second, "coordinator inactivity timeout")
 	heartbeat := flag.Duration("heartbeat", time.Second, "backend heartbeat interval (0 disables the failure detector)")
 	suspectAfter := flag.Duration("suspect-after", 0, "silence before a peer is suspected dead (0 = 3x heartbeat)")
 	sendTimeout := flag.Duration("send-timeout", 2*time.Second, "bounded wait on a full peer outbox before failing the send")
@@ -74,8 +74,8 @@ func main() {
 	}
 	defer store.Close()
 	if *indexKeys != "" {
-		// Enable explicitly (not via Config.IndexKeys) so a failed backfill
-		// is a loud startup error rather than a silent scan fallback.
+		// A failed backfill is a loud startup error rather than a silent
+		// scan fallback.
 		for _, key := range strings.Split(*indexKeys, ",") {
 			if key = strings.TrimSpace(key); key == "" {
 				continue

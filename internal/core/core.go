@@ -25,8 +25,10 @@
 //   - traversal return (§IV-D): rtn()-marked vertices redirect downstream
 //     reporting destinations, so a marked vertex is returned iff one of its
 //     descendant paths reaches the end of the chain;
-//   - silent-failure detection: a coordinator watchdog fails the traversal
-//     if the ledger stops making progress (e.g. a server drops requests).
+//   - silent-failure detection: each server runs one control loop that
+//     beacons heartbeats, suspects silent peers, and fails every traversal
+//     it coordinates whose ledger stops making progress (e.g. a server
+//     drops requests).
 package core
 
 import (
@@ -126,11 +128,6 @@ type Config struct {
 	// Part maps vertices to owning servers. Node ids 0..Part.N()-1 must be
 	// backend servers; higher transport ids are clients.
 	Part partition.Partitioner
-	// IndexKeys lists property keys to secondary-index at boot (best
-	// effort) so step-0 filters on them resolve via index pushdown instead
-	// of a label scan. Requires a Store implementing gstore.PropertyIndex;
-	// keys are silently skipped otherwise.
-	IndexKeys []string
 	// Disk is the simulated storage device; nil means no simulated
 	// latency.
 	Disk *simio.Disk
@@ -156,9 +153,10 @@ type Config struct {
 	// for latency-free unit tests); simulated-disk deployments use a few
 	// service times.
 	FlushLinger time.Duration
-	// TravelTimeout is the coordinator watchdog deadline for ledger
-	// inactivity (default 30s; zero selects the default, negative
-	// disables). It is the coarse backstop; with heartbeats enabled,
+	// TravelTimeout fails a coordinated traversal whose ledger has seen no
+	// report for this long (default 30s; zero selects the default,
+	// negative disables). The control loop checks it at least every
+	// TravelTimeout/4. It is the coarse backstop; with heartbeats enabled,
 	// crashed peers are detected within a couple of HeartbeatInterval.
 	TravelTimeout time.Duration
 	// HeartbeatInterval enables the backend failure detector: each
@@ -201,12 +199,6 @@ type Config struct {
 	// invited back into a replica set that shrank during its outage; zero
 	// means unknown, and every recovered ex-replica is invited back.
 	ReplicationFactor int
-	// EventCap sizes the cluster event journal: the bounded ring of
-	// typed control-plane transitions (suspicions, promotions, epoch
-	// bumps, handoffs, backpressure bursts, slow-travel captures) served
-	// at /events and by gtq -events. Zero selects 256; negative disables
-	// the journal.
-	EventCap int
 }
 
 func (c Config) withDefaults() Config {
@@ -233,9 +225,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 5 * time.Second
-	}
-	if c.EventCap == 0 {
-		c.EventCap = 256
 	}
 	return c
 }

@@ -22,7 +22,7 @@ var (
 // plan stays malformed, a client-cancelled traversal stays cancelled, and
 // an unbound client cannot reach anything. Everything else — backpressure
 // (sched.ErrBackpressure via the admission "retry later" text), suspected
-// peers, watchdog timeouts, epoch fences, moved partitions, transport
+// peers, inactivity timeouts, epoch fences, moved partitions, transport
 // failures — is transient cluster state that a restarted attempt can land
 // around, so retryability defaults to true.
 var terminalMarks = []string{

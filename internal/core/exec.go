@@ -325,7 +325,7 @@ func (s *Server) bufferResult(ts *travelState, v model.VertexID) {
 // before its registration (it only declares completion when the created and
 // terminated sets coincide). A failed send is recorded as a traversal error
 // — the next flush carries it to the coordinator, which fails the
-// traversal instead of waiting for the watchdog to notice the lost work.
+// traversal instead of waiting out the inactivity timeout.
 func (s *Server) sendDispatch(ts *travelState, om outMsg) {
 	if err := s.report(ts, wire.Message{
 		Kind: wire.KindExecEvents, TravelID: ts.id,
@@ -407,7 +407,7 @@ func (s *Server) flushTravel(ts *travelState) {
 	// Lost messages mean lost work the ledger is waiting on: surface the
 	// failure to the coordinator so the traversal errors out promptly. If
 	// even that send fails, the errors stay buffered for the next flush and
-	// the coordinator-side failure detector / watchdog takes over.
+	// the coordinator-side failure detector or inactivity timeout takes over.
 	if len(sendErrs) > 0 {
 		if err := s.report(ts, wire.Message{
 			Kind: wire.KindExecEvents, TravelID: ts.id,

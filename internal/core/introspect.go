@@ -23,7 +23,7 @@ import (
 // -status and a coordinator uses for its slow-traversal capture.
 
 // Events returns the server's buffered control-plane journal, oldest
-// first. Empty when the journal is disabled (Config.EventCap < 0).
+// first: the last journalCap events.
 func (s *Server) Events() []events.Event { return s.journal.Events() }
 
 // Histograms returns snapshots of the server's native latency histograms

@@ -53,8 +53,7 @@ type ledger struct {
 	results  map[model.VertexID]bool
 	errs     []string
 	done     bool
-	activity time.Time
-	stopWake chan struct{}
+	activity time.Time // last report; the control loop's inactivity timeout reads it
 }
 
 type execInfo struct {
@@ -67,7 +66,8 @@ type execInfo struct {
 // startCoordination turns this server into the coordinator for a traversal
 // submitted by a client: it sends the root executions — a scan-seeded or
 // gated traversal is broadcast, an id-seeded one starts at its seeds'
-// owners, this server's own root in place — and arms the watchdog.
+// owners, this server's own root in place. From then on the control loop
+// (control.go) fails it if its ledger stays inactive for TravelTimeout.
 func (s *Server) startCoordination(client int, travelID uint64, ts *travelState) {
 	led := &ledger{
 		travel:       travelID,
@@ -84,7 +84,6 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 		results:      make(map[model.VertexID]bool),
 		activity:     time.Now(),
 		started:      time.Now(),
-		stopWake:     make(chan struct{}),
 	}
 	s.mu.Lock()
 	s.ledgers[travelID] = led
@@ -169,7 +168,7 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 
 	// A failed send here means the execution just registered for that
 	// peer will never run: record it on the ledger so the traversal fails
-	// fast instead of waiting for the watchdog.
+	// fast instead of waiting out the inactivity timeout.
 	var sendErrs []string
 	for _, b := range bcasts {
 		if err := s.send(b.target, b.msg); err != nil {
@@ -194,11 +193,6 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 	// A traversal with zero sources completes immediately; one with a
 	// dead link or a suspected peer in its root set fails immediately.
 	s.checkLedger(led)
-
-	if s.cfg.TravelTimeout > 0 {
-		s.wg.Add(1)
-		go s.watchdog(led)
-	}
 }
 
 // registerCreatedLocked records a newly created execution. Its server is
@@ -375,7 +369,6 @@ func (s *Server) finishTravelLocked(led *ledger) {
 	// End-to-end latency histogram at the coordinator: one sample per
 	// coordinated traversal, tracing enabled or not.
 	s.met.ObserveTravelLatency(time.Duration(sum.ElapsedNs))
-	close(led.stopWake)
 	led.mu.Unlock()
 
 	s.mu.Lock()
@@ -403,40 +396,6 @@ func (s *Server) finishTravelLocked(led *ledger) {
 	// Trace rings outlive travel state, so the capture can still join every
 	// server's spans after the release broadcast above.
 	s.maybeCaptureSlow(sum)
-}
-
-// watchdog fails the traversal if the ledger stops making progress — the
-// silent-failure detection of §IV-C. Without it, a server that crashed (or
-// a fault-injected one that drops requests) would leave the traversal
-// hanging forever.
-func (s *Server) watchdog(led *ledger) {
-	defer s.wg.Done()
-	tick := s.cfg.TravelTimeout / 4
-	if tick <= 0 {
-		tick = time.Second
-	}
-	timer := time.NewTicker(tick)
-	defer timer.Stop()
-	for {
-		select {
-		case <-led.stopWake:
-			return
-		case <-timer.C:
-		}
-		led.mu.Lock()
-		if led.done {
-			led.mu.Unlock()
-			return
-		}
-		if time.Since(led.activity) > s.cfg.TravelTimeout {
-			led.errs = append(led.errs,
-				"core: traversal made no progress within the failure-detection timeout; "+
-					"an execution was created but never terminated (suspected server failure)")
-			s.finishTravelLocked(led)
-			return
-		}
-		led.mu.Unlock()
-	}
 }
 
 // handleCancel aborts a traversal this server coordinates: the client gets

@@ -20,7 +20,6 @@ func newTestLedger() *ledger {
 		liveByStep:   make(map[int32]int),
 		liveByServer: make(map[int32]int),
 		results:      make(map[model.VertexID]bool),
-		stopWake:     make(chan struct{}),
 	}
 }
 

@@ -275,7 +275,7 @@ func TestStressChurnTraversalOracle(t *testing.T) {
 func TestStressMutateCacheIndexCoherence(t *testing.T) {
 	c, _, _ := newReplCluster(t, 3, 2, func(cfg *Config) {
 		cfg.Store = gstore.NewCachedGraph(cfg.Store, 1<<20)
-		cfg.IndexKeys = []string{"type"}
+		enableIndex(cfg.Store, "type")
 	})
 	const docs = 12
 	if _, err := c.client.Mutate([]NamedMutation{

@@ -109,11 +109,7 @@ func (s *Server) runEffects(p int, out []repl.Effect) (first error) {
 		case repl.Snapshot:
 			// Off the dispatch goroutine: scanning a large partition must not
 			// stall heartbeat and traversal handling.
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.streamSnapshot(p, e)
-			}()
+			s.spawn(func() { s.streamSnapshot(p, e) })
 		case repl.Propose:
 			// nil: lost to a concurrent proposal of an equal or higher epoch.
 			if tbl := s.cfg.Route.Propose(p, e.Next); tbl != nil {
@@ -121,13 +117,7 @@ func (s *Server) runEffects(p int, out []repl.Effect) (first error) {
 				s.gossipRoute(tbl)
 			}
 		case repl.Timer:
-			time.AfterFunc(e.D, func() {
-				select {
-				case <-s.stop:
-				default:
-					s.replStep(p, repl.Event{Kind: repl.Tick}, nil)
-				}
-			})
+			s.after(e.D, func() { s.replStep(p, repl.Event{Kind: repl.Tick}, nil) })
 		case repl.Journal:
 			s.journal.Record(events.Event{Type: e.Event, Part: p, Peer: int(e.To), Epoch: e.Epoch, Detail: e.Detail})
 		case repl.Count:

@@ -24,6 +24,14 @@ func seedPlans(t *testing.T, r *rand.Rand) []*query.Plan {
 	}
 }
 
+// enableIndex indexes key on a server's store before the server is built,
+// as the facade and graphtrek-server do at boot.
+func enableIndex(store gstore.Graph, key string) {
+	if err := store.(gstore.PropertyIndex).EnableIndex(key); err != nil {
+		panic(err)
+	}
+}
+
 // TestIndexAndCacheModesEquivalent is the acceptance matrix for the seed
 // pushdown and the read cache: every engine mode must return identical
 // results with indexes off, indexes on, the read cache on, both on, and
@@ -38,18 +46,18 @@ func TestIndexAndCacheModesEquivalent(t *testing.T) {
 		tweak   func(*Config)
 	}{
 		{"baseline", false, nil},
-		{"index", true, func(cfg *Config) { cfg.IndexKeys = []string{"p"} }},
+		{"index", true, func(cfg *Config) { enableIndex(cfg.Store, "p") }},
 		{"cache", false, func(cfg *Config) {
 			cfg.Store = gstore.NewCachedGraph(cfg.Store, 1<<20)
 		}},
 		{"index+cache", true, func(cfg *Config) {
 			cfg.Store = gstore.NewCachedGraph(cfg.Store, 1<<20)
-			cfg.IndexKeys = []string{"p"}
+			enableIndex(cfg.Store, "p")
 		}},
 		{"index+tinycache", true, func(cfg *Config) {
 			// 512 bytes over 16 shards: almost nothing stays resident.
 			cfg.Store = gstore.NewCachedGraph(cfg.Store, 512)
-			cfg.IndexKeys = []string{"p"}
+			enableIndex(cfg.Store, "p")
 		}},
 	}
 	for _, tc := range configs {

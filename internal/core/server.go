@@ -34,9 +34,8 @@ type Server struct {
 	// trc ring-buffers a span per terminated traversal execution, plus
 	// coordinator travel summaries. Nil when Config.TraceCap is negative.
 	trc *trace.Recorder
-	// journal ring-buffers typed control-plane events (suspicions,
-	// promotions, handoffs — see internal/events). Nil (a valid no-op
-	// recorder) when Config.EventCap is negative.
+	// journal ring-buffers the last journalCap typed control-plane events
+	// (suspicions, promotions, handoffs — see internal/events).
 	journal *events.Journal
 	// calls carries the requests this server itself originates (the
 	// slow-traversal capture's span pulls); stop fails them at shutdown.
@@ -62,10 +61,14 @@ type Server struct {
 	// Failure-detector state: per-backend liveness timestamps (unix
 	// nanos) and suspicion flags, indexed by server id. Allocated even
 	// when heartbeats are disabled so suspicion checks are always safe
-	// (and always false).
+	// (and always false). nextBeat is the next heartbeat's due time; only
+	// tick touches it.
 	lastSeen  []atomic.Int64
 	suspected []atomic.Bool
-	stop      chan struct{}
+	nextBeat  time.Time
+	// stop is closed when Close begins: the control loop and pending
+	// requests (calls) watch it.
+	stop chan struct{}
 
 	// Replication state (repl.go): one protocol machine per partition, all
 	// stepped under one mutex because transport handlers, the failure
@@ -74,7 +77,8 @@ type Server struct {
 	repl   []*repl.Machine
 
 	execSeq atomic.Uint64
-	wg      sync.WaitGroup
+	// wg counts the goroutines spawn and after started; Close waits for it.
+	wg sync.WaitGroup
 }
 
 type pendingMsg struct {
@@ -85,6 +89,9 @@ type pendingMsg struct {
 const maxPendingMsgs = 1 << 16
 const doneHistory = 4096
 
+// journalCap bounds the event journal (the last journalCap events).
+const journalCap = 256
+
 // NewServer creates a server. Bind must be called with the transport before
 // any message can be sent or received.
 func NewServer(cfg Config) *Server {
@@ -93,26 +100,11 @@ func NewServer(cfg Config) *Server {
 	if cfg.TraceCap > 0 {
 		trc = trace.NewRecorder(cfg.TraceCap)
 	}
-	if len(cfg.IndexKeys) > 0 {
-		// Best-effort boot-time enable: a store without index support (or a
-		// failed backfill) leaves the key un-indexed and seed selection on
-		// the scan path — slower, never wrong. Deployments that must know
-		// enable explicitly (cmd/graphtrek-server does, and fails loudly).
-		if ix, ok := cfg.Store.(gstore.PropertyIndex); ok {
-			for _, key := range cfg.IndexKeys {
-				_ = ix.EnableIndex(key)
-			}
-		}
-	}
-	var journal *events.Journal
-	if cfg.EventCap > 0 {
-		journal = events.NewJournal(cfg.ID, cfg.EventCap)
-	}
 	s := &Server{
 		cfg:         cfg,
 		disk:        cfg.Disk,
 		cache:       cache.New(cfg.CacheCap),
-		journal:     journal,
+		journal:     events.NewJournal(cfg.ID, journalCap),
 		exec:        sched.NewMulti(cfg.MaxQueueDepth),
 		trc:         trc,
 		travels:     make(map[uint64]*travelState),
@@ -131,17 +123,14 @@ func NewServer(cfg Config) *Server {
 // Bind attaches the transport and starts the server's worker pool — exactly
 // Workers goroutines for the server's lifetime, independent of how many
 // traversals are in flight. It must be called exactly once, before the
-// transport starts delivering messages. With HeartbeatInterval set, Bind
-// also starts the failure detector.
+// transport starts delivering messages. Bind also starts the control loop
+// (control.go) unless both HeartbeatInterval and TravelTimeout are off.
 func (s *Server) Bind(tr transport) {
 	s.tr = tr
 	for i := 0; i < s.cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
+		s.spawn(s.worker)
 	}
-	if s.cfg.HeartbeatInterval > 0 {
-		s.startFailureDetector()
-	}
+	s.startControl()
 	// Boot route announcement: offer our table to every node. On a fresh
 	// cluster everyone holds the identical epoch-1 table and this is a
 	// no-op; on a restart after a failover it is what fences us — any peer
@@ -157,7 +146,6 @@ func (s *Server) Bind(tr transport) {
 // queue, serving whichever traversal the fair-share policy selects. Each
 // group comes with its traversal's state, so a worker takes no server lock.
 func (s *Server) worker() {
-	defer s.wg.Done()
 	ex := newExpansion()
 	for {
 		g, ok := s.exec.Pop()
@@ -201,17 +189,8 @@ func (s *Server) maybeFlush(ts *travelState, n int) {
 	if !ts.flushPending.CompareAndSwap(false, true) {
 		return // a deferred flush is already scheduled
 	}
-	// The timer goroutine joins the server's waitgroup; Add happens on a
-	// worker goroutine, so the counter is still positive during Close's Wait.
-	s.wg.Add(1)
-	time.AfterFunc(s.cfg.FlushLinger, func() {
-		defer s.wg.Done()
+	s.after(s.cfg.FlushLinger, func() {
 		ts.flushPending.Store(false)
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
 		if s.exec.Done(ts.id, 0) {
 			s.flushTravel(ts)
 		}
@@ -338,6 +317,41 @@ func (s *Server) Close() {
 	close(s.stop)
 	s.exec.Close()
 	s.wg.Wait()
+}
+
+// spawn runs fn on a goroutine that Close waits for, unless Close has
+// begun.
+func (s *Server) spawn(fn func()) {
+	if s.enter() {
+		go func() {
+			defer s.wg.Done()
+			fn()
+		}()
+	}
+}
+
+// after runs fn once d has passed, unless Close has begun by then; Close
+// waits for a callback that is running.
+func (s *Server) after(d time.Duration, fn func()) {
+	time.AfterFunc(d, func() {
+		if s.enter() {
+			defer s.wg.Done()
+			fn()
+		}
+	})
+}
+
+// enter counts one more goroutine for Close to wait for, and reports false
+// once Close has begun. Under s.mu, so no count is added after Close's
+// wait has started.
+func (s *Server) enter() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.wg.Add(1)
+	return true
 }
 
 // ObserveReconnect records a transport-level peer reconnection in this
@@ -689,8 +703,9 @@ func (s *Server) dropTravelLocked(id uint64) {
 // send transmits one engine message, tracking the outbound-message and
 // failure counters. There is no per-message retry — callers that can
 // attribute a failure to a traversal record it on the traversal's error
-// path, and the failure detector / watchdog cover the rest — but a dead
-// link is observable in MsgsFailed instead of vanishing silently.
+// path, and the failure detector and inactivity timeout cover the rest —
+// but a dead link is observable in MsgsFailed instead of vanishing
+// silently.
 func (s *Server) send(to int, msg wire.Message) error {
 	s.met.AddMsgsSent(1)
 	if err := s.tr.Send(to, msg); err != nil {

@@ -34,12 +34,10 @@ func (s *Server) maybeCaptureSlow(sum trace.TravelSummary) {
 	s.journal.Record(events.Event{Type: events.SlowTravel, Part: -1, Peer: -1,
 		Detail: fmt.Sprintf("travel %d took %v (threshold %v), capturing DAG",
 			sum.Travel, time.Duration(sum.ElapsedNs), time.Duration(s.cfg.SlowTravelNs))})
-	s.wg.Add(1)
-	go s.captureSlowTravel(sum)
+	s.spawn(func() { s.captureSlowTravel(sum) })
 }
 
 func (s *Server) captureSlowTravel(sum trace.TravelSummary) {
-	defer s.wg.Done()
 	deadline := time.Now().Add(slowPullTimeout)
 	// Skip-unreachable: a peer whose pull fails leaves an empty dump, and its
 	// executions surface as orphans in the DAG.
