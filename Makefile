@@ -58,7 +58,8 @@ stress:
 # parser, the mutation-batch codec, the kv table's record parser, the plan
 # decoder (a plan arrives from the client and on the first message from a
 # peer) and the name service's name and id lists — and four differential
-# fuzzers: the frontier set (adds, checks and reserves) against a Go map, the
+# fuzzers: the frontier set (adds, checks and reserves, its keys switching
+# from the set's first tag to others at any point) against a Go map, the
 # affiliate cache's batch admission against one-by-one CheckAndInsert
 # (FuzzAdmitMatchesCheckAndInsert), and the vertex and edge predicates
 # compiled over encoded values against decode-then-match. Go allows one

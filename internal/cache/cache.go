@@ -10,7 +10,8 @@
 //     the same vertex at the same step with different ancestors are NOT
 //     redundant — dropping one would lose that ancestor's end-of-chain
 //     signal. For plans without rtn() the tag is constant and the key
-//     degenerates to the paper's exact triple;
+//     degenerates to the paper's exact triple: a step's bucket, a
+//     frontier.Set, then holds the tag once and 8 bytes a key;
 //   - eviction follows the paper's time-based policy: within a traversal,
 //     entries with the smallest step id are evicted first, because a larger
 //     observed step implies the oldest steps have effectively drained;

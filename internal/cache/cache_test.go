@@ -353,6 +353,38 @@ func BenchmarkCheckAndInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkAdmit times Admit as a server admits a fanout's dispatches: 256
+// keys a batch, each batch a new execution of one traversal at one step,
+// three keys in ten repeating an earlier batch's; a traversal takes 64
+// batches and is dropped. One op is one batch.
+func BenchmarkAdmit(b *testing.B) {
+	const n, perTravel = 256, 64
+	r := rand.New(rand.NewSource(3))
+	batches := make([][]frontier.Key, perTravel)
+	for i := range batches {
+		batches[i] = make([]frontier.Key, n)
+		for j := range batches[i] {
+			v := i*n + j
+			if i > 0 && r.Intn(10) < 3 {
+				v = r.Intn(i * n)
+			}
+			batches[i][j] = frontier.Key{Vertex: id(v), AncStep: -1, Dest: -1}
+		}
+	}
+	redundant := make([]bool, n)
+	c := New(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		travel := uint64(i/perTravel) + 1
+		if i%perTravel == 0 {
+			c.DropTravel(travel - 1)
+		}
+		clear(redundant)
+		c.Admit(travel, uint64(i%perTravel+1), 2, batches[i%perTravel], redundant)
+	}
+}
+
 // FuzzAdmitMatchesCheckAndInsert holds batch admission to the one-key calls
 // it batches. The input is a capacity byte, small so that eviction runs, then
 // batches: a header of traversal, step, execution id (from a small range, so
@@ -447,7 +479,7 @@ func sameKeys(t *testing.T, c, ref *Cache) {
 			t.Fatalf("traversal %d differs from the one-by-one cache's", tr)
 		}
 		for step, rb := range rt.steps {
-			if b := ts.steps[step]; b == nil || !slices.Equal(b.Keys(), rb.Keys()) {
+			if b := ts.steps[step]; b == nil || !slices.Equal(b.AppendKeys(nil, 0), rb.AppendKeys(nil, 0)) {
 				t.Fatalf("traversal %d step %d holds other keys than the one-by-one cache's", tr, step)
 			}
 		}

@@ -125,7 +125,7 @@ func (s *Server) finishItems(ts *travelState, items []sched.Item, failure error)
 // the traversal-affiliate cache then removes at the receiver (§V-A).
 type outboxSet struct {
 	seen frontier.Set
-	sent int // seen.Keys()[sent:] are the entries pending
+	sent int // the seen set's keys from the sent'th on are the entries pending
 	// parent is the causal attribution of the current batch: the exec id of
 	// the first execution that contributed to it since the last take. Batches
 	// merge the outputs of many executions, so one parent per message is an
@@ -146,13 +146,12 @@ func (o *outboxSet) add(e wire.Entry, parent uint64) bool {
 func (o *outboxSet) pending() int { return o.seen.Len() - o.sent }
 
 // take drains the pending entries and the batch's parent attribution. The
-// batch is a stretch of the seen set's own key slice — the set keeps its
-// keys in arrival order and never rewrites one — so repeats stay suppressed
-// for the traversal's lifetime and nothing is copied to send.
+// seen set keeps its keys in arrival order, so repeats stay suppressed for
+// the traversal's lifetime, and the batch is the pending run copied once
+// into a slice of exactly its size: the message owns it from here on.
 func (o *outboxSet) take() ([]wire.Entry, uint64) {
-	keys, parent := o.seen.Keys(), o.parent
-	list := keys[o.sent:len(keys):len(keys)]
-	o.sent, o.parent = len(keys), 0
+	list, parent := o.seen.AppendKeys(make([]wire.Entry, 0, o.pending()), o.sent), o.parent
+	o.sent, o.parent = o.seen.Len(), 0
 	return list, parent
 }
 

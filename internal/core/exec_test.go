@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,6 +75,56 @@ func TestOutboxSetSeenSurvivesTake(t *testing.T) {
 	}
 	if got, parent := box.take(); len(got) != 0 || parent != 0 {
 		t.Fatalf("empty take = %v parent %d", got, parent)
+	}
+}
+
+// TestOutboxTakeAfterSecondTag: an outbox takes a batch under one rtn()
+// tag, then gets keys under a second tag mixed with repeats of the first
+// batch. Its set switches to per-key tags under the pending run, and the
+// second take must hold exactly the new keys, in arrival order, each with
+// its own tag, in a slice of its own.
+func TestOutboxTakeAfterSecondTag(t *testing.T) {
+	box := &outboxSet{}
+	one := wire.Entry{Anc: 5, AncStep: 0, Dest: 2}
+	var first []wire.Entry
+	for v := 1; v <= 20; v++ { // past the set's first table
+		e := one
+		e.Vertex = model.VertexID(v)
+		box.add(e, 1)
+		first = append(first, e)
+	}
+	got, _ := box.take()
+	if !slices.Equal(got, first) {
+		t.Fatalf("first take = %v", got)
+	}
+	var want []wire.Entry
+	for v := 1; v <= 30; v++ {
+		e := wire.Entry{Vertex: model.VertexID(v), Anc: 6, AncStep: 0, Dest: 2}
+		if !box.add(e, 2) {
+			t.Fatalf("%+v, new under the second tag, was suppressed", e)
+		}
+		want = append(want, e)
+		if v <= 20 && box.add(first[v-1], 2) {
+			t.Fatalf("%+v, sent in the first batch, was added again", first[v-1])
+		}
+		if v > 20 {
+			e = one
+			e.Vertex = model.VertexID(v)
+			if !box.add(e, 2) {
+				t.Fatalf("%+v, new under the first tag, was suppressed", e)
+			}
+			want = append(want, e)
+		}
+	}
+	second, parent := box.take()
+	if !slices.Equal(second, want) || parent != 2 {
+		t.Fatalf("second take = %v parent %d, want %v parent 2", second, parent, want)
+	}
+	if cap(second) != len(want) {
+		t.Errorf("the second batch has room for %d entries, holds %d", cap(second), len(want))
+	}
+	if !slices.Equal(got, first) {
+		t.Fatal("the first batch changed under the second tag's adds")
 	}
 }
 

@@ -80,42 +80,55 @@ func allocated(fn func()) uint64 {
 // TestDispatchEntryAllocBudget: a received entry is allocated once — its 24
 // decoded bytes, which the executor keeps — plus one 40-byte scheduler node
 // and 8 bytes of the step's bucket list (42.5 and 9 with the allocator's
-// headers and size classes), and the affiliate cache keeps its key: the key
-// again in the step's set and its slot in the set's table, whose growth
-// seven frames share. Between the socket and the end of serving it, that was
-// 182 bytes an entry while the cache was checked after Pop, and 177 since it
-// is checked at admission, where the set is sized for the batch. The first
-// frame also finds the traversal's merge index and cache set empty and pays
-// for their growth: 227 bytes an entry, and 161 at admission. Both budgets
-// sit just above the numbers from before the move.
+// headers and size classes), and the affiliate cache keeps its key: the
+// vertex in the step's set (8 bytes; the tag is held once per set) and its
+// slot in the set's table, whose growth seven frames share. Between the
+// socket and the end of serving it, that was 182 bytes an entry while the
+// cache was checked after Pop, 177 once it was checked at admission, and
+// 121.4 since a set holds vertex ids, not 24-byte keys. The first frame also
+// finds the traversal's merge index and cache set empty and pays for their
+// growth: 227, then 161, then 136.2 bytes an entry. Both budgets sit just
+// above the last numbers, so 24-byte keys fail them. The counter is the
+// process's, and now and then something else allocates inside the window
+// (up to 142 bytes an entry on the first frame in 60 runs), so each case
+// counts its least over three fresh rigs.
 func TestDispatchEntryAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte budgets do not hold under the race detector")
 	}
 	const n = 256
-	s, ts := dispatchRig(t)
-	ex := newExpansion()
 	frames := make([][]byte, 8)
 	for i := range frames {
 		frames[i] = dispatchFrame(n, 2, i*n, uint64(i+1), false)
 	}
-	for _, tc := range []struct {
+	cases := []struct {
 		name   string
 		frames [][]byte
 		budget float64
-	}{{"first frame", frames[:1], 235}, {"later frames", frames[1:], 190}} {
-		var got int
-		per := float64(allocated(func() {
-			for _, f := range tc.frames {
-				got += receive(t, s, ts, ex, f)
+	}{{"first frame", frames[:1], 150}, {"later frames", frames[1:], 130}}
+	least := make([]float64, len(cases))
+	for rig := 0; rig < 3; rig++ {
+		s, ts := dispatchRig(t)
+		ex := newExpansion()
+		for i, tc := range cases {
+			var got int
+			per := float64(allocated(func() {
+				for _, f := range tc.frames {
+					got += receive(t, s, ts, ex, f)
+				}
+			})) / float64(n*len(tc.frames))
+			if got != n*len(tc.frames) {
+				t.Fatalf("%s: served %d entries of %d", tc.name, got, n*len(tc.frames))
 			}
-		})) / float64(n*len(tc.frames))
-		t.Logf("%s: %.1f bytes allocated per entry", tc.name, per)
-		if got != n*len(tc.frames) {
-			t.Fatalf("%s: served %d entries of %d", tc.name, got, n*len(tc.frames))
+			if rig == 0 || per < least[i] {
+				least[i] = per
+			}
 		}
-		if per > tc.budget {
-			t.Errorf("%s: %.1f bytes allocated per entry between Decode and serving it, budget %.0f", tc.name, per, tc.budget)
+	}
+	for i, tc := range cases {
+		t.Logf("%s: %.1f bytes allocated per entry", tc.name, least[i])
+		if least[i] > tc.budget {
+			t.Errorf("%s: %.1f bytes allocated per entry between Decode and serving it, budget %.0f", tc.name, least[i], tc.budget)
 		}
 	}
 }

@@ -76,9 +76,8 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Journal is a bounded ring of events. A nil *Journal is a valid no-op
-// recorder, so call sites need no guards. All methods are safe for
-// concurrent use.
+// Journal is a bounded ring of events. All methods are safe for concurrent
+// use.
 type Journal struct {
 	mu      sync.Mutex
 	server  int
@@ -94,12 +93,8 @@ type Journal struct {
 // and still absorb another rejection burst into its Count.
 const coalesceWindow = time.Second
 
-// NewJournal makes a journal for one server holding up to capacity
-// events; capacity <= 0 selects 256.
+// NewJournal makes a journal for one server holding up to capacity events.
 func NewJournal(server, capacity int) *Journal {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	return &Journal{server: server, cap: capacity}
 }
 
@@ -108,9 +103,6 @@ func NewJournal(server, capacity int) *Journal {
 // full. Backpressure events arriving within coalesceWindow of a previous
 // Backpressure entry for the same partition merge into it instead.
 func (j *Journal) Record(e Event) {
-	if j == nil {
-		return
-	}
 	now := time.Now().UnixNano()
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -145,12 +137,8 @@ func (j *Journal) Record(e Event) {
 	j.n++
 }
 
-// Events returns a copy of the buffered entries, oldest first. Nil
-// receivers report nothing.
+// Events returns a copy of the buffered entries, oldest first.
 func (j *Journal) Events() []Event {
-	if j == nil {
-		return nil
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	out := make([]Event, 0, j.n)
@@ -162,9 +150,6 @@ func (j *Journal) Events() []Event {
 
 // Dropped counts entries evicted by the ring bound since start.
 func (j *Journal) Dropped() uint64 {
-	if j == nil {
-		return 0
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.dropped

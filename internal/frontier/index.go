@@ -19,7 +19,7 @@ type indexSlot[V any] struct {
 }
 
 func (x *Index[V]) home(k model.VertexID) int {
-	return int(mix(uint64(k)^0x9e3779b97f4a7c15, 0x94d049bb133111eb)) & (len(x.slots) - 1)
+	return int(hashVertex(k)) & (len(x.slots) - 1)
 }
 
 // Reserve makes room for n more vertices at no more than ¾ load (a probe
