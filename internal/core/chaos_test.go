@@ -23,7 +23,7 @@ import (
 // completion argument relies on. Id-seeded plans start without the
 // broadcast, so every server they reach learns of them from a message that
 // carries the plan; after each seed no server may still hold a traversal's
-// state or a message waiting for one.
+// state or have dropped a message for want of one.
 func TestChaosDifferentialAllModes(t *testing.T) {
 	plans := []struct {
 		name string
@@ -74,6 +74,7 @@ func TestChaosDifferentialAllModes(t *testing.T) {
 			}
 		}
 		waitForQuiescence(t, c, base+16)
+		c.checkNoOrphans(t)
 	}
 }
 

@@ -34,6 +34,18 @@ type cluster struct {
 	global  *gstore.MemStore
 }
 
+// checkNoOrphans fails t if a server dropped a plan-less message for a
+// traversal it did not know: every such message must follow, on its link,
+// one that carried the plan (DESIGN §8).
+func (c *cluster) checkNoOrphans(t testing.TB) {
+	t.Helper()
+	for _, s := range c.servers {
+		if n := s.Metrics().OrphanMsgs; n != 0 {
+			t.Errorf("server %d dropped %d orphan messages", s.ID(), n)
+		}
+	}
+}
+
 func newCluster(t testing.TB, n int, tweak func(*Config)) *cluster {
 	t.Helper()
 	return newWrappedCluster(t, n, tweak, nil)
@@ -358,6 +370,7 @@ func TestRandomizedDifferential(t *testing.T) {
 				_ = rtnPlaced
 				c.runAllModes(t, mustPlan(t, tr))
 			}
+			c.checkNoOrphans(t)
 		})
 	}
 }
@@ -574,6 +587,42 @@ func TestPeerPlanNamingNoServerIgnored(t *testing.T) {
 	defer s.mu.Unlock()
 	if len(s.travels) != 0 {
 		t.Errorf("server 0 registered %d traversals from plans naming no server", len(s.travels))
+	}
+}
+
+// TestLateMessagesAfterTravelDone: once a server released a traversal, a
+// late message for it — one carrying the plan or a plan-less one — neither
+// registers the traversal again nor counts as an orphan. A plan-less
+// message for a traversal the server never knew is one.
+func TestLateMessagesAfterTravelDone(t *testing.T) {
+	c := newCluster(t, 2, nil)
+	loadAuditGraph(t, c)
+	s := c.servers[1]
+	const travel, unknown = 1234, 1235
+	dispatch := func(travel uint64, exec uint64, withPlan bool) wire.Message {
+		m := wire.Message{Kind: wire.KindDispatch, TravelID: travel, Step: 0, ExecID: exec,
+			Entries: []wire.Entry{{Vertex: 2, AncStep: -1, Dest: -1}}}
+		if withPlan {
+			m.Plan, m.Coord, m.Mode = mustPlan(t, query.V(2).E("run")).Encode(), 0, uint8(ModeGraphTrek)
+		}
+		return m
+	}
+	s.Handle(0, dispatch(travel, 1, true))
+	s.Handle(0, wire.Message{Kind: wire.KindTravelDone, TravelID: travel})
+	s.Handle(0, dispatch(travel, 2, true))
+	s.Handle(0, dispatch(travel, 3, false))
+	s.mu.Lock()
+	_, registered := s.travels[travel]
+	s.mu.Unlock()
+	if registered {
+		t.Error("a late message registered a finished traversal again")
+	}
+	if n := s.Metrics().OrphanMsgs; n != 0 {
+		t.Errorf("late messages counted as %d orphans, want 0", n)
+	}
+	s.Handle(0, dispatch(unknown, 4, false))
+	if n := s.Metrics().OrphanMsgs; n != 1 {
+		t.Errorf("a plan-less message of an unknown traversal counted %d orphans, want 1", n)
 	}
 }
 

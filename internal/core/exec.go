@@ -283,22 +283,25 @@ func (s *Server) outboxLocked(ts *travelState, step int32, target int) *outboxSe
 // message that creates one execution there. Caller holds flushMu.
 func (s *Server) takeLocked(ts *travelState, box *outboxSet, kind wire.Kind, step int32, target int) outMsg {
 	entries, parent := box.take()
-	m := wire.Message{
+	return outMsg{target, wire.Message{
 		Kind: kind, TravelID: ts.id, Step: step, ExecID: s.newExecID(), ParentExec: parent, Entries: entries,
-	}
-	ts.tellLocked(target, &m)
-	return outMsg{target, m}
+	}}
 }
 
-// tellLocked attaches the plan to m when m is the first message this server
-// sends target for a traversal started without the broadcast: target learns
-// the traversal from it (Server.withTravel). Caller holds flushMu.
-func (ts *travelState) tellLocked(target int, m *wire.Message) {
-	if ts.told == nil || ts.told[target] {
-		return
+// ship sends om with the plan attached until the transport has accepted a
+// message that carried it to om.target: per-pair FIFO delivers that one ahead
+// of any plan-less one, whichever goroutine sends it (DESIGN §8). No sender
+// waits on another's send, and a failed send leaves the target untold.
+func (s *Server) ship(ts *travelState, om outMsg) error {
+	told := &ts.told[om.target]
+	if !told.Load() {
+		om.msg.Plan, om.msg.Coord, om.msg.Mode = ts.planBytes, ts.coord, uint8(ts.mode)
 	}
-	ts.told[target] = true
-	m.Plan, m.Coord, m.Mode = ts.planBytes, ts.coord, uint8(ts.mode)
+	err := s.send(om.target, om.msg)
+	if err == nil && len(om.msg.Plan) > 0 {
+		told.Store(true)
+	}
+	return err
 }
 
 // bufferSig adds an end-of-chain signal for an rtn()-marked ancestor,
@@ -332,7 +335,7 @@ func (s *Server) sendDispatch(ts *travelState, om outMsg) {
 	}); err != nil {
 		ts.addErr(fmt.Sprintf("core: exec registration to coordinator %d failed: %v", ts.coord, err))
 	}
-	if err := s.send(om.target, om.msg); err != nil {
+	if err := s.ship(ts, om); err != nil {
 		ts.addErr(fmt.Sprintf("core: dispatch to server %d failed: %v", om.target, err))
 	}
 }
@@ -399,7 +402,7 @@ func (s *Server) flushTravel(ts *travelState) {
 	ts.sendMu.Unlock()
 	s.met.AddExecs(int(int64(len(ended))))
 	for _, om := range msgs {
-		if err := s.send(om.target, om.msg); err != nil {
+		if err := s.ship(ts, om); err != nil {
 			sendErrs = append(sendErrs, fmt.Sprintf("core: dispatch to server %d failed: %v", om.target, err))
 		}
 	}

@@ -356,29 +356,58 @@ func TestDispatchOnePassPerExpansion(t *testing.T) {
 	}
 }
 
-// heldTransport parks the first ExecEvents report of one traversal a server
-// sends until release is closed, and logs every send in the order it leaves.
+// heldTransport parks the first send that hold matches until release is
+// closed, and logs every send in the order it leaves.
 type heldTransport struct {
 	rpc.Transport
-	travel  uint64
+	hold    func(to int, msg wire.Message) bool
 	log     *sendLog
 	first   atomic.Bool
-	parked  chan struct{} // closed once the first send is parked
+	parked  chan struct{} // closed once the first matching send is parked
 	release chan struct{}
-	ended   chan struct{} // closed once a termination report has left
-	endOnce sync.Once
+}
+
+func newHeldTransport(hold func(to int, msg wire.Message) bool) *heldTransport {
+	return &heldTransport{hold: hold, log: &sendLog{}, parked: make(chan struct{}), release: make(chan struct{})}
 }
 
 func (h *heldTransport) Send(to int, msg wire.Message) error {
-	if msg.TravelID == h.travel && msg.Kind == wire.KindExecEvents && h.first.CompareAndSwap(false, true) {
+	if h.hold(to, msg) && h.first.CompareAndSwap(false, true) {
 		close(h.parked)
 		<-h.release
 	}
-	err := loggingTransport{h.Transport, h.log}.Send(to, msg)
-	if msg.TravelID == h.travel && len(msg.Ended) > 0 {
-		h.endOnce.Do(func() { close(h.ended) })
+	return loggingTransport{h.Transport, h.log}.Send(to, msg)
+}
+
+// holdServer0 passes server 0's outgoing transport through held.
+func holdServer0(held *heldTransport) func(int, rpc.Transport) rpc.Transport {
+	return func(id int, tr rpc.Transport) rpc.Transport {
+		if id != 0 {
+			return tr
+		}
+		held.Transport = tr
+		return held
 	}
-	return err
+}
+
+// goFlush flushes ts on a goroutine and returns a channel closed when the
+// flush has returned.
+func goFlush(s *Server, ts *travelState) chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.flushTravel(ts)
+	}()
+	return done
+}
+
+// awaitBriefly waits up to 100 ms for done: long enough for a flush that
+// is not blocked to have sent.
+func awaitBriefly(done chan struct{}) {
+	select {
+	case <-done:
+	case <-time.After(100 * time.Millisecond):
+	}
 }
 
 // TestFlushesSendInTakeOrder holds the first of two flushes of one traversal
@@ -390,18 +419,13 @@ func (h *heldTransport) Send(to int, msg wire.Message) error {
 // outputs.
 func TestFlushesSendInTakeOrder(t *testing.T) {
 	const travel, exec = 77, 42
-	held := &heldTransport{travel: travel, log: &sendLog{},
-		parked: make(chan struct{}), release: make(chan struct{}), ended: make(chan struct{})}
-	c := newWrappedCluster(t, 2, nil, func(id int, tr rpc.Transport) rpc.Transport {
-		if id != 0 {
-			return tr
-		}
-		held.Transport = tr
-		return held
+	held := newHeldTransport(func(_ int, msg wire.Message) bool {
+		return msg.TravelID == travel && msg.Kind == wire.KindExecEvents
 	})
+	c := newWrappedCluster(t, 2, nil, holdServer0(held))
 	s := c.servers[0]
 	plan := mustPlan(t, query.V(1).E("run"))
-	ts := &travelState{id: travel, plan: plan, coord: 1,
+	ts := &travelState{id: travel, plan: plan, coord: 1, told: make([]atomic.Bool, 2),
 		outbox: make([][]*outboxSet, plan.NumSteps()+1), rtn: make(map[rtnKey]*rtnRec)}
 
 	// The first flush takes exec's outputs: a result and a child dispatch.
@@ -409,19 +433,15 @@ func TestFlushesSendInTakeOrder(t *testing.T) {
 	ts.flushMu.Lock()
 	s.outboxLocked(ts, 1, 1).add(wire.Entry{Vertex: 9, AncStep: -1, Dest: -1}, exec)
 	ts.flushMu.Unlock()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); s.flushTravel(ts) }()
+	first := goFlush(s, ts)
 	<-held.parked
 	// The second flush takes exec's termination while the first is held.
 	ts.addEnded(exec)
-	go func() { defer wg.Done(); s.flushTravel(ts) }()
-	select {
-	case <-held.ended: // the second flush overtook the first
-	case <-time.After(100 * time.Millisecond):
-	}
+	second := goFlush(s, ts)
+	awaitBriefly(second)
 	close(held.release)
-	wg.Wait()
+	<-first
+	<-second
 
 	held.log.mu.Lock()
 	defer held.log.mu.Unlock()
@@ -443,6 +463,137 @@ func TestFlushesSendInTakeOrder(t *testing.T) {
 	if ended < report {
 		t.Errorf("Ended{%d} left as send %d, before the first flush's results and Created (send %d)",
 			exec, ended, report)
+	}
+}
+
+// TestFirstMessageToEachServerCarriesPlan holds the first plan-carrying
+// dispatch server 0 sends server 2 inside Send while a second flush of the
+// traversal dispatches to server 2 too. Server 2 learns of the traversal
+// only from a message that carries the plan, and until the held one is
+// accepted nothing on the link is ahead of the second, so the second must
+// carry the plan as well (DESIGN §8). Server 0 learnt of the traversal from
+// server 1, its coordinator: only server 2 is untold.
+func TestFirstMessageToEachServerCarriesPlan(t *testing.T) {
+	const travel = 78
+	held := newHeldTransport(func(to int, msg wire.Message) bool {
+		return msg.TravelID == travel && to == 2 && len(msg.Plan) > 0
+	})
+	c := newWrappedCluster(t, 3, nil, holdServer0(held))
+	s := c.servers[0]
+	var ts *travelState
+	s.withTravel(1, wire.Message{Kind: wire.KindDispatch, TravelID: travel, Coord: 1,
+		Mode: uint8(ModeGraphTrek), Plan: mustPlan(t, query.V(1).E("run")).Encode()},
+		func(_ int, _ wire.Message, got *travelState) { ts = got })
+	if ts == nil {
+		t.Fatal("a message carrying the plan did not register the traversal")
+	}
+	flush := func(v model.VertexID) chan struct{} {
+		ts.flushMu.Lock()
+		s.outboxLocked(ts, 1, 2).add(wire.Entry{Vertex: v, AncStep: -1, Dest: -1}, 42)
+		ts.flushMu.Unlock()
+		return goFlush(s, ts)
+	}
+	first := flush(9)
+	<-held.parked
+	second := flush(10)
+	awaitBriefly(second)
+	close(held.release)
+	<-first
+	<-second
+
+	held.log.mu.Lock()
+	defer held.log.mu.Unlock()
+	sent := 0
+	for i, ls := range held.log.sent {
+		if ls.msg.TravelID != travel || ls.to != 2 {
+			continue
+		}
+		if sent++; sent == 1 && len(ls.msg.Plan) == 0 {
+			t.Errorf("server 0's first message to server 2 (send %d, entries %v) carries no plan", i, ls.msg.Entries)
+		}
+	}
+	if sent != 2 {
+		t.Errorf("server 0 sent server 2 %d messages, want 2", sent)
+	}
+}
+
+// TestStartTravelOvertakenByPeerDispatch holds the coordinator's
+// StartTravel to server 2 inside Send until server 1, seeded by its own
+// StartTravel, has dispatched to server 2. That dispatch carries the plan
+// and registers the traversal on server 2; the StartTravel that follows
+// must still run server 2's seed execution, or the ledger never balances.
+// In a scan-seeded and in a gated (broadcast) traversal the answer must
+// equal the reference, with no message dropped as an orphan.
+func TestStartTravelOvertakenByPeerDispatch(t *testing.T) {
+	for _, mode := range []Mode{ModeGraphTrek, ModeSync} {
+		held := newHeldTransport(func(to int, msg wire.Message) bool {
+			return to == 2 && msg.Kind == wire.KindStartTravel
+		})
+		// Server 1's transport parks nothing: release is closed, so parked
+		// only signals that server 1 dispatched to server 2.
+		peer := newHeldTransport(func(to int, msg wire.Message) bool {
+			return to == 2 && msg.Kind == wire.KindDispatch
+		})
+		close(peer.release)
+		c := newWrappedCluster(t, 3, nil, func(id int, tr rpc.Transport) rpc.Transport {
+			switch id {
+			case 0:
+				held.Transport = tr
+				return held
+			case 1:
+				peer.Transport = tr
+				return peer
+			}
+			return tr
+		})
+		// One User on each server; each runs to a vertex of the next server.
+		var users, runs [3]model.VertexID
+		for id, next := model.VertexID(1), 0; next < 6; id++ {
+			if srv := c.part.Owner(id); next < 3 && srv == next {
+				users[srv], next = id, next+1
+			} else if next >= 3 && srv == (next-3+1)%3 {
+				runs[next-3], next = id, next+1
+			}
+		}
+		for i := range users {
+			c.addVertex(t, model.Vertex{ID: users[i], Label: "User"})
+			c.addVertex(t, model.Vertex{ID: runs[i], Label: "Execution"})
+			c.addEdge(t, model.Edge{Src: users[i], Dst: runs[i], Label: "run"})
+		}
+		plan := mustPlan(t, query.VLabel("User").E("run"))
+		want, err := query.Reference(c.global, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := c.client.SubmitPlanAsync(plan, SubmitOptions{Mode: mode, Coordinator: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-held.parked
+		select {
+		case <-peer.parked:
+		case <-time.After(5 * time.Second):
+			t.Errorf("%v: server 1 never dispatched to server 2", mode)
+		}
+		close(held.release)
+		got, err := h.Wait(10 * time.Second)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !sameIDs(got, want.Results) {
+			t.Errorf("%v: got %v want %v", mode, got, want.Results)
+		}
+		peer.log.mu.Lock()
+		for _, ls := range peer.log.sent {
+			if ls.to == 2 && ls.msg.Kind == wire.KindDispatch {
+				if len(ls.msg.Plan) == 0 {
+					t.Errorf("%v: server 1's first dispatch to server 2 carries no plan", mode)
+				}
+				break
+			}
+		}
+		peer.log.mu.Unlock()
+		c.checkNoOrphans(t)
 	}
 }
 

@@ -69,6 +69,8 @@ type execInfo struct {
 // owners, this server's own root in place. From then on the control loop
 // (control.go) fails it if its ledger stays inactive for TravelTimeout.
 func (s *Server) startCoordination(client int, travelID uint64, ts *travelState) {
+	s0 := ts.plan.Steps[0]
+	seedByScan := len(s0.SourceIDs) == 0
 	led := &ledger{
 		travel:       travelID,
 		mode:         ts.mode,
@@ -76,7 +78,7 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 		client:       client,
 		plan:         ts.plan,
 		servers:      s.cfg.Part.N(),
-		broadcast:    ts.told == nil,
+		broadcast:    seedByScan || ts.tun.gated,
 		touched:      make([]bool, s.cfg.Part.N()),
 		execs:        make(map[uint64]*execInfo),
 		liveByStep:   make(map[int32]int),
@@ -107,12 +109,9 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 		}
 	}
 
-	s0 := ts.plan.Steps[0]
-	seedByScan := len(s0.SourceIDs) == 0
-
-	// Explicit-id seeding: one root dispatch per owning server. Each root
-	// bound for another server is the traversal's first message there and,
-	// without the broadcast, carries the plan.
+	// Explicit-id seeding: one root dispatch per owning server. A root
+	// bound for another server carries the plan unless a StartTravel or a
+	// dispatch that carried it there was accepted first (ship).
 	var roots []outMsg
 	if !seedByScan {
 		byOwner := make(map[int][]wire.Entry)
@@ -125,13 +124,11 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 			owner := s.cfg.Part.Owner(id)
 			byOwner[owner] = append(byOwner[owner], wire.Entry{Vertex: id, AncStep: -1, Dest: -1})
 		}
-		ts.flushMu.Lock()
 		for owner, entries := range byOwner {
-			m := wire.Message{Kind: wire.KindDispatch, TravelID: travelID, Step: 0, ExecID: s.newExecID(), Entries: entries}
-			ts.tellLocked(owner, &m)
-			roots = append(roots, outMsg{owner, m})
+			roots = append(roots, outMsg{owner, wire.Message{
+				Kind: wire.KindDispatch, TravelID: travelID, Step: 0, ExecID: s.newExecID(), Entries: entries,
+			}})
 		}
-		ts.flushMu.Unlock()
 	}
 
 	led.mu.Lock()
@@ -145,10 +142,7 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 		if srv == s.cfg.ID || s.isSuspect(srv) {
 			continue
 		}
-		m := wire.Message{
-			Kind: wire.KindStartTravel, TravelID: travelID,
-			Mode: uint8(ts.mode), Coord: int32(s.cfg.ID), Plan: ts.planBytes,
-		}
+		m := wire.Message{Kind: wire.KindStartTravel, TravelID: travelID} // ship adds the plan
 		if seedByScan {
 			m.ExecID = s.newExecID()
 			led.registerCreatedLocked(wire.ExecRef{ID: m.ExecID, Server: int32(srv), Step: 0})
@@ -168,10 +162,12 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 
 	// A failed send here means the execution just registered for that
 	// peer will never run: record it on the ledger so the traversal fails
-	// fast instead of waiting out the inactivity timeout.
+	// fast instead of waiting out the inactivity timeout. An accepted
+	// StartTravel tells its target the traversal, so this server's
+	// dispatches there, its own seed's included, go without the plan.
 	var sendErrs []string
 	for _, b := range bcasts {
-		if err := s.send(b.target, b.msg); err != nil {
+		if err := s.ship(ts, b); err != nil {
 			sendErrs = append(sendErrs, fmt.Sprintf("core: start broadcast to server %d failed: %v", b.target, err))
 		}
 	}
@@ -181,7 +177,7 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 	for _, r := range roots {
 		if r.target == s.cfg.ID {
 			s.handleDispatch(r.target, r.msg, ts)
-		} else if err := s.send(r.target, r.msg); err != nil {
+		} else if err := s.ship(ts, r); err != nil {
 			sendErrs = append(sendErrs, fmt.Sprintf("core: root dispatch to server %d failed: %v", r.target, err))
 		}
 	}

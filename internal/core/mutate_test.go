@@ -265,6 +265,7 @@ func TestStressChurnTraversalOracle(t *testing.T) {
 	if !sameIDs(got, want) {
 		t.Errorf("live traversal returned %v, the acknowledged writes give %v", got, want)
 	}
+	c.checkNoOrphans(t)
 }
 
 // TestStressMutateCacheIndexCoherence hammers one indexed, read-cached

@@ -44,16 +44,11 @@ type Server struct {
 	mu      sync.Mutex
 	travels map[uint64]*travelState
 	ledgers map[uint64]*ledger
-	// pendingMsgs buffers messages that raced ahead of the message that
-	// registers their traversal here — the StartTravel broadcast, or the
-	// first message a peer sent with the plan — on another link or another
-	// flush.
-	pendingMsgs map[uint64][]pendingMsg
 	// slowMu guards the bounded ring of captured slow-traversal DAGs.
 	slowMu   sync.Mutex
 	slowDAGs []*trace.DAG
-	// doneTravels remembers recently finished traversals so late messages
-	// are dropped instead of buffered forever.
+	// doneTravels remembers recently finished traversals so that a late
+	// message neither registers one again nor counts as an orphan.
 	doneTravels map[uint64]bool
 	doneOrder   []uint64
 	closed      bool
@@ -81,12 +76,6 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-type pendingMsg struct {
-	from int
-	msg  wire.Message
-}
-
-const maxPendingMsgs = 1 << 16
 const doneHistory = 4096
 
 // journalCap bounds the event journal (the last journalCap events).
@@ -109,7 +98,6 @@ func NewServer(cfg Config) *Server {
 		trc:         trc,
 		travels:     make(map[uint64]*travelState),
 		ledgers:     make(map[uint64]*ledger),
-		pendingMsgs: make(map[uint64][]pendingMsg),
 		doneTravels: make(map[uint64]bool),
 		lastSeen:    make([]atomic.Int64, cfg.Part.N()),
 		suspected:   make([]atomic.Bool, cfg.Part.N()),
@@ -372,10 +360,10 @@ type travelState struct {
 	tun       tuning
 	coord     int32
 
-	// flushMu guards the outboxes, buffered results, ended executions and
-	// told. sendMu, taken before a flush releases flushMu and held through
-	// its report to the coordinator, makes flushes report in take order. On
-	// the coordinator the report is handled in place, so the lock order is
+	// flushMu guards the outboxes, buffered results and ended executions.
+	// sendMu, taken before a flush releases flushMu and held through its
+	// report to the coordinator, makes flushes report in take order. On the
+	// coordinator the report is handled in place, so the lock order is
 	// flushMu → sendMu → ledger.mu → Server.mu.
 	flushMu sync.Mutex
 	sendMu  sync.Mutex
@@ -383,11 +371,10 @@ type travelState struct {
 	results []model.VertexID
 	errs    []string
 	ended   []uint64
-	// told[target] records that target knows the traversal, for one started
-	// without the broadcast: the first message to each other target carries
-	// planBytes (tellLocked). Nil when every server was sent the plan at the
-	// start.
-	told []bool
+
+	// told[target]: the transport accepted a message to target that carried
+	// planBytes, so later ones need not (ship).
+	told []atomic.Bool
 
 	// rtnMu guards the rtn() pending table (§IV-D).
 	rtnMu sync.Mutex
@@ -396,6 +383,8 @@ type travelState struct {
 	// flushPending guards against stacking more than one deferred
 	// FlushLinger flush timer per traversal.
 	flushPending atomic.Bool
+	// seeded: this server ran the seed execution a StartTravel carried.
+	seeded atomic.Bool
 }
 
 type rtnKey struct {
@@ -466,76 +455,83 @@ func (s *Server) Handle(from int, msg wire.Message) {
 	}
 }
 
-// withTravel resolves the traversal state for a message, buffering the
-// message if its traversal is not registered here yet and dropping it if
-// the traversal already finished. A message that carries the plan registers
-// its traversal: a traversal started without the broadcast reaches a server
-// first that way.
+// withTravel runs fn on the state of msg's traversal, if registerTravel
+// finds or makes one.
 func (s *Server) withTravel(from int, msg wire.Message, fn func(int, wire.Message, *travelState)) {
-	s.mu.Lock()
-	ts, ok := s.travels[msg.TravelID]
-	if !ok && len(msg.Plan) == 0 && !s.doneTravels[msg.TravelID] && !s.closed {
-		if len(s.pendingMsgs[msg.TravelID]) < maxPendingMsgs {
-			s.pendingMsgs[msg.TravelID] = append(s.pendingMsgs[msg.TravelID], pendingMsg{from, msg})
-		}
-	}
-	s.mu.Unlock()
-	if !ok && len(msg.Plan) > 0 {
-		s.handleStartTravel(from, msg)
-		s.mu.Lock()
-		ts, ok = s.travels[msg.TravelID]
-		s.mu.Unlock()
-	}
-	if ok {
+	if ts, _ := s.registerTravel(from, msg); ts != nil {
 		fn(from, msg, ts)
 	}
 }
 
-// handleStartTravel registers a traversal on this server, from a
-// StartTravel or from the first message a peer sent it with the plan. If the
-// message came from a client node (id >= Part.N()), this server becomes the
-// traversal's coordinator.
+// handleStartTravel registers a traversal from a StartTravel. From a client
+// node (id >= Part.N()) it makes this server the coordinator. From the
+// coordinator it may carry this server's seed execution, which runs once,
+// even where a peer's dispatch carrying the plan registered the traversal.
 func (s *Server) handleStartTravel(from int, msg wire.Message) {
+	ts, fresh := s.registerTravel(from, msg)
+	switch {
+	case ts == nil:
+	case fresh && from >= s.cfg.Part.N() && !ts.tun.clientDriven:
+		s.startCoordination(from, msg.TravelID, ts)
+	case msg.ExecID != 0 && ts.seeded.CompareAndSwap(false, true):
+		s.runSeedExec(ts, msg.ExecID)
+	}
+}
+
+// registerTravel returns the state of msg's traversal, registering it from
+// msg's plan if this server does not know it yet (fresh). It returns nil for
+// a finished traversal, and for a plan-less message of an unknown one: an
+// orphan, counted, as no message ahead of it on its link carried the plan
+// (DESIGN §8). A known or finished traversal's plan is never decoded.
+func (s *Server) registerTravel(from int, msg wire.Message) (ts *travelState, fresh bool) {
+	s.mu.Lock()
+	ts = s.travels[msg.TravelID]
+	gone := s.closed || s.doneTravels[msg.TravelID]
+	s.mu.Unlock()
+	if ts != nil || gone {
+		return ts, false
+	}
+	if len(msg.Plan) == 0 && msg.Kind != wire.KindStartTravel {
+		s.met.AddOrphanMsgs(1)
+		return nil, false
+	}
 	plan, err := query.DecodePlan(msg.Plan)
 	if err != nil {
 		// A malformed plan from a client gets an immediate error reply.
 		if from >= s.cfg.Part.N() {
 			s.send(from, wire.Message{Kind: wire.KindTravelDone, TravelID: msg.TravelID, Err: err.Error()})
 		}
-		return
+		return nil, false
 	}
 	mode := Mode(msg.Mode)
 	tun := mode.tuning()
-	isCoordinatorRequest := from >= s.cfg.Part.N() && !tun.clientDriven
-	if !isCoordinatorRequest && !tun.clientDriven && (msg.Coord < 0 || int(msg.Coord) >= s.cfg.Part.N()) {
-		return // a server-side traversal's coordinator is a server
+	coord := msg.Coord
+	if from >= s.cfg.Part.N() && !tun.clientDriven {
+		coord = int32(s.cfg.ID) // a client's request: this server coordinates
+	} else if !tun.clientDriven && (coord < 0 || int(coord) >= s.cfg.Part.N()) {
+		return nil, false // a server-side traversal's coordinator is a server
 	}
 
-	ts := &travelState{
+	ts = &travelState{
 		id:        msg.TravelID,
 		plan:      plan,
 		planBytes: msg.Plan,
 		mode:      mode,
 		tun:       tun,
-		coord:     msg.Coord,
+		coord:     coord,
 		outbox:    make([][]*outboxSet, plan.NumSteps()+1),
+		told:      make([]atomic.Bool, s.cfg.Part.N()),
 		rtn:       make(map[rtnKey]*rtnRec),
 	}
-	if isCoordinatorRequest {
-		ts.coord = int32(s.cfg.ID)
-	}
-	// Only a scan-seeded or gated traversal is broadcast: its seeds, or the
-	// barrier, are on every server. Otherwise servers learn of it from the
-	// work they are sent.
-	if msg.Kind != wire.KindStartTravel || isCoordinatorRequest && len(plan.Steps[0].SourceIDs) > 0 && !tun.gated {
-		ts.told = make([]bool, s.cfg.Part.N())
-		ts.told[s.cfg.ID], ts.told[ts.coord] = true, true
+	ts.told[s.cfg.ID].Store(true) // this server knows it, as does a server-side coordinator
+	if !tun.clientDriven {
+		ts.told[coord].Store(true)
 	}
 
 	s.mu.Lock()
-	if s.closed || s.travels[msg.TravelID] != nil || s.doneTravels[msg.TravelID] {
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if cur := s.travels[msg.TravelID]; cur != nil || s.closed || s.doneTravels[msg.TravelID] {
+		return cur, false // registered from another link meanwhile, or finished
 	}
 	// Register the traversal's sub-queue with the shared executor before any
 	// request can be pushed; the server's standing worker pool picks its
@@ -547,20 +543,7 @@ func (s *Server) handleStartTravel(from int, msg wire.Message) {
 		Owner:    ts,
 	})
 	s.travels[msg.TravelID] = ts
-	replay := s.pendingMsgs[msg.TravelID]
-	delete(s.pendingMsgs, msg.TravelID)
-	s.mu.Unlock()
-
-	if isCoordinatorRequest {
-		s.startCoordination(from, msg.TravelID, ts)
-	} else if msg.Kind == wire.KindStartTravel && msg.ExecID != 0 {
-		// The broadcast carried a seed execution: select local sources.
-		s.runSeedExec(ts, msg.ExecID)
-	}
-
-	for _, pm := range replay {
-		s.Handle(pm.from, pm.msg)
-	}
+	return ts, true
 }
 
 // runSeedExec performs the local source selection for label / full-scan
@@ -687,7 +670,6 @@ func (s *Server) dropTravelLocked(id uint64) {
 		s.exec.Drop(id)
 		delete(s.travels, id)
 	}
-	delete(s.pendingMsgs, id)
 	s.cache.DropTravel(id)
 	if !s.doneTravels[id] {
 		s.doneTravels[id] = true

@@ -165,14 +165,19 @@ func (s *Set) hash(k Key) uint64 {
 	return hashVertex(model.VertexID(v))
 }
 
-// rehash builds a table of size slots over the keys held, and makes room in
-// the columns for the ¾ of them that may fill: they grow together.
+// rehash builds a table of size slots over the keys held, in the old one when
+// it has that size (a second tag rehashes every key), and makes room in the
+// columns for the ¾ of them that may fill: they grow together.
 func (s *Set) rehash(size int) {
 	s.ids = slices.Grow(s.ids, size/4*3-len(s.ids))
 	if s.tags != nil {
 		s.tags = slices.Grow(s.tags, size/4*3-len(s.tags))
 	}
-	s.pos = make([]uint32, size)
+	if len(s.pos) == size {
+		clear(s.pos)
+	} else {
+		s.pos = make([]uint32, size)
+	}
 	for p := range s.ids {
 		i := int(s.hash(s.at(p))) & (size - 1)
 		for s.pos[i] != 0 {

@@ -195,6 +195,24 @@ func TestReserveThenAddNeverGrows(t *testing.T) {
 	if s.Reserve(0); s.pos != nil || s.ids != nil {
 		t.Error("Reserve(0) on an empty set allocates")
 	}
+	// A second tag after Reserve rebuilds the table in place: the column of
+	// per-key tags is its one allocation.
+	for _, n := range []int{smallKeys + 1, 100, 5000} {
+		fill := func(second bool) {
+			sinkSet = Set{}
+			sinkSet.Reserve(n)
+			for i := 0; i < n-1; i++ {
+				sinkSet.Add(key(i))
+			}
+			if second {
+				sinkSet.Add(Key{Vertex: 1, Anc: 7, AncStep: 0, Dest: 1})
+			}
+		}
+		one := testing.AllocsPerRun(10, func() { fill(false) })
+		if two := testing.AllocsPerRun(10, func() { fill(true) }); two != one+1 {
+			t.Errorf("Reserve(%d): a second tag costs %.0f allocations, want 1 (the tags column)", n, two-one)
+		}
+	}
 }
 
 var (

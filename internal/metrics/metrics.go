@@ -26,6 +26,7 @@ type Server struct {
 	msgsFailed atomic.Int64
 	reconnects atomic.Int64
 	peerDowns  atomic.Int64
+	orphanMsgs atomic.Int64
 
 	// Shared-executor instrumentation.
 	rejected    atomic.Int64
@@ -82,6 +83,9 @@ type Snapshot struct {
 	// transitioned from alive to suspected-dead (locally detected or
 	// learned via a PeerDown broadcast).
 	PeerDownEvents int64
+	// OrphanMsgs counts dropped plan-less messages of a traversal the server
+	// neither knew nor had finished: none ahead on their link had the plan.
+	OrphanMsgs int64
 	// Rejected counts request batches refused by the shared executor's
 	// admission control (queue depth limit).
 	Rejected int64
@@ -182,6 +186,9 @@ func (s *Server) AddReconnects(n int) { s.reconnects.Add(int64(n)) }
 // AddPeerDownEvents records n failure-detector suspicion events.
 func (s *Server) AddPeerDownEvents(n int) { s.peerDowns.Add(int64(n)) }
 
+// AddOrphanMsgs records n dropped messages of an unknown traversal.
+func (s *Server) AddOrphanMsgs(n int) { s.orphanMsgs.Add(int64(n)) }
+
 // AddRejected records n admission-control rejections.
 func (s *Server) AddRejected(n int) { s.rejected.Add(int64(n)) }
 
@@ -274,6 +281,7 @@ func (s *Server) Snapshot() Snapshot {
 		MsgsFailed:     s.msgsFailed.Load(),
 		Reconnects:     s.reconnects.Load(),
 		PeerDownEvents: s.peerDowns.Load(),
+		OrphanMsgs:     s.orphanMsgs.Load(),
 		Rejected:       s.rejected.Load(),
 		QueueDepthPeak: s.queuePeak.Load(),
 		QueueWaitNs:    s.queueWaitNs.Load(),
@@ -302,6 +310,7 @@ func (a Snapshot) Sub(b Snapshot) Snapshot {
 		MsgsFailed:     a.MsgsFailed - b.MsgsFailed,
 		Reconnects:     a.Reconnects - b.Reconnects,
 		PeerDownEvents: a.PeerDownEvents - b.PeerDownEvents,
+		OrphanMsgs:     a.OrphanMsgs - b.OrphanMsgs,
 		Rejected:       a.Rejected - b.Rejected,
 		QueueDepthPeak: a.QueueDepthPeak,
 		QueueWaitNs:    a.QueueWaitNs - b.QueueWaitNs,
@@ -341,6 +350,7 @@ func (a Snapshot) Add(b Snapshot) Snapshot {
 		MsgsFailed:     a.MsgsFailed + b.MsgsFailed,
 		Reconnects:     a.Reconnects + b.Reconnects,
 		PeerDownEvents: a.PeerDownEvents + b.PeerDownEvents,
+		OrphanMsgs:     a.OrphanMsgs + b.OrphanMsgs,
 		Rejected:       a.Rejected + b.Rejected,
 		QueueDepthPeak: max(a.QueueDepthPeak, b.QueueDepthPeak),
 		QueueWaitNs:    a.QueueWaitNs + b.QueueWaitNs,
@@ -407,6 +417,7 @@ func Fields() []Field {
 		{"msgs_failed_total", "Engine messages the transport failed to deliver.", false, false, func(s Snapshot) int64 { return s.MsgsFailed }},
 		{"reconnects_total", "Transport-level re-dials after a lost peer connection.", false, false, func(s Snapshot) int64 { return s.Reconnects }},
 		{"peer_down_events_total", "Failure-detector suspicion events.", false, false, func(s Snapshot) int64 { return s.PeerDownEvents }},
+		{"orphan_msgs_total", "Plan-less messages of an unknown traversal, dropped.", false, false, func(s Snapshot) int64 { return s.OrphanMsgs }},
 		{"rejected_total", "Request batches refused by executor admission control.", false, false, func(s Snapshot) int64 { return s.Rejected }},
 		{"queue_depth_peak", "High-water mark of the shared executor queue depth.", true, false, func(s Snapshot) int64 { return s.QueueDepthPeak }},
 		{"queue_wait_ns_total", "Cumulative enqueue-to-pop wait of served scheduler groups.", false, false, func(s Snapshot) int64 { return s.QueueWaitNs }},

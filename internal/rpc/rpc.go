@@ -9,8 +9,10 @@
 //     for a peer, and each connection is read through a buffer.
 //
 // Both guarantee the property the engines' correctness argument needs:
-// messages from one sender goroutine to one receiver are delivered in send
-// order (per-pair FIFO). Delivery is asynchronous — Send enqueues and
+// messages from one node to another arrive in the order their Sends were
+// accepted (per-pair FIFO), across goroutines: a Send begun after another to
+// the same node returned nil is delivered after it (in Chaos too, unless
+// ReorderProb fires). Delivery is asynchronous — Send enqueues and
 // returns — which is what lets a traversal execution finish without waiting
 // for downstream servers (§IV-B).
 package rpc

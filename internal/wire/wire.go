@@ -20,13 +20,13 @@ const (
 	// KindStartTravel submits a traversal from the client to its
 	// coordinator, which broadcasts it to every backend server only when it
 	// is scan-seeded or gated (Sync-GT): it registers the plan and engine
-	// mode. Other traversals reach a server first through a KindDispatch or
-	// KindReturnSig carrying Plan, Coord and Mode.
+	// mode. A server may also learn of a traversal first from a KindDispatch
+	// or KindReturnSig carrying Plan, Coord and Mode, broadcast or not.
 	KindStartTravel Kind = iota + 1
 	// KindDispatch carries a frontier batch to the server owning its
-	// vertices, creating one traversal execution there. A sender's first
-	// message to a server for a traversal that was not broadcast also
-	// carries its Plan, Coord and Mode.
+	// vertices, creating one traversal execution there. It carries the
+	// traversal's Plan, Coord and Mode until the sender's transport accepted
+	// one that did, or a StartTravel, for that server (DESIGN §8).
 	KindDispatch
 	// KindReturnSig notifies an rtn()-holding server that descendant paths
 	// of the listed ancestor vertices reached the end of the chain (§IV-D).
