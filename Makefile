@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 STATICCHECK := $(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-.PHONY: all build crossbuild vet test race stress fuzz-smoke check lint loc fmt fmtcheck bench benchfull clean
+.PHONY: all build crossbuild vet test race stress fuzz-smoke check lint loc deadcode examples fmt fmtcheck bench benchfull clean
 
 all: build
 
@@ -79,7 +79,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePlan$$' -fuzztime $(FUZZTIME) ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNames$$' -fuzztime $(FUZZTIME) ./internal/wire
 
-check: vet build test race stress bench lint
+check: vet build test race stress examples bench lint
+
+# examples runs every program under examples/, the callers of the root
+# package's simulated cluster; each must exit 0. go build only compiles them.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 # Staticcheck is pinned and fetched through the module proxy on demand, so
 # nothing is vendored. On an offline machine the probe fails and lint is
@@ -101,6 +108,13 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | sort | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# deadcode lists the functions nothing runs and those only their own
+# package's tests run: the benchmark, the examples and every package's tests,
+# each built with coverage over the whole module (scripts/deadcode.sh says
+# how; EXPERIMENTS.md keeps the tables). It takes minutes.
+deadcode:
+	@bash scripts/deadcode.sh
 
 fmt:
 	gofmt -l -w .

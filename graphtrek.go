@@ -9,7 +9,9 @@
 // The top-level API assembles a simulated cluster in one process: each
 // backend server gets its own graph partition, traversal engine and
 // virtual disk, connected by an asynchronous message fabric. The same
-// engine also runs over TCP via cmd/graphtrek-server.
+// engine also runs over TCP via cmd/graphtrek-server, and replication,
+// quorum writes and failover run only there (-replicas); gtq -load and
+// graphtrek-gen -connect write to such a cluster.
 //
 // Quick start:
 //
@@ -37,7 +39,6 @@ import (
 	"graphtrek/internal/partition"
 	"graphtrek/internal/property"
 	"graphtrek/internal/query"
-	"graphtrek/internal/route"
 	"graphtrek/internal/rpc"
 	"graphtrek/internal/simio"
 )
@@ -65,32 +66,6 @@ type (
 	StragglerPlan = simio.StragglerPlan
 	// Value is a typed property value.
 	Value = property.Value
-	// Mutation is one raw (integer-addressed) write operation; batches of
-	// these feed Client().Write and Client().BulkLoad.
-	Mutation = gstore.Mutation
-	// NamedMutation is one name-addressed write operation for
-	// Client().Mutate, lowered through the interning dictionary.
-	NamedMutation = core.NamedMutation
-	// WriteOptions bounds quorum writes (timeout, retries).
-	WriteOptions = core.WriteOptions
-	// BulkOptions configures Client().BulkLoad batching.
-	BulkOptions = core.BulkOptions
-)
-
-// Raw mutation opcodes for Client().Write / Client().BulkLoad batches.
-const (
-	OpPutVertex = gstore.OpPutVertex
-	OpDelVertex = gstore.OpDelVertex
-	OpPutEdge   = gstore.OpPutEdge
-	OpDelEdge   = gstore.OpDelEdge
-)
-
-// Name-addressed mutation opcodes for Client().Mutate batches.
-const (
-	NamedAddVertex = core.NamedAddVertex
-	NamedDelVertex = core.NamedDelVertex
-	NamedAddEdge   = core.NamedAddEdge
-	NamedDelEdge   = core.NamedDelEdge
 )
 
 // String makes a string property value.
@@ -148,110 +123,47 @@ func PaperStragglers(servers []int, steps []int, delay time.Duration, count int)
 	return simio.PaperPlan(servers, steps, delay, count)
 }
 
-// Options configures a simulated cluster.
+// Options configures a simulated cluster. Everything else is fixed in
+// NewCluster; the TCP daemon (cmd/graphtrek-server) exposes the rest —
+// replication, failure-detector timing, indexes, the read cache — as flags.
 type Options struct {
 	// Servers is the number of backend servers (required, >= 1).
 	Servers int
-	// DiskService is the virtual disk's per-vertex-access service time.
-	// Zero disables simulated latency (fastest; unit-test mode).
+	// DiskService is the virtual disk's per-vertex-access service time of
+	// one cold spindle, the paper's hard-disk setup. Zero disables simulated
+	// latency (fastest; unit-test mode); a positive value also turns on a
+	// 2 ms flush linger and a 1 ms client round trip.
 	DiskService time.Duration
-	// DiskParallelism is the number of concurrent I/O slots per server
-	// (default 1 — a single cold spindle, the paper's hard-disk setup).
-	DiskParallelism int
-	// Workers sizes each server's shared executor pool: the fixed number
-	// of worker goroutines multiplexing every concurrent traversal on that
-	// server (per server, not per traversal).
-	Workers int
-	// MaxQueueDepth bounds each server's executor queue (total buffered
-	// requests across all traversals). Batches beyond the bound are
-	// rejected and surface as retryable traversal errors. Zero or negative
-	// means unbounded.
-	MaxQueueDepth int
-	// CacheCap bounds each server's traversal-affiliate cache.
-	CacheCap int
-	// BatchSize caps dispatch message size (entries per message).
-	BatchSize int
-	// FlushLinger delays quiescence flushes to consolidate outgoing
-	// batches. Zero derives a default from DiskService.
-	FlushLinger time.Duration
 	// Stragglers, when set, injects external interference.
 	Stragglers *StragglerPlan
 	// StoreDir, when non-empty, backs each server with a persistent
 	// kv/gstore partition under StoreDir/server-N; otherwise partitions
 	// live in memory.
 	StoreDir string
-	// KVOptions tunes the persistent stores (ignored for in-memory).
-	KVOptions kv.Options
 	// TravelTimeout is the coordinator failure-detection deadline.
 	TravelTimeout time.Duration
-	// HeartbeatInterval drives the backend failure detector: crashed or
-	// partitioned peers are suspected after SuspectAfter of silence and
-	// traversals touching them fail immediately for retry, instead of
-	// waiting out TravelTimeout. Zero selects 500ms; negative disables
-	// the detector.
-	HeartbeatInterval time.Duration
-	// SuspectAfter is the silence threshold before a peer is suspected
-	// dead (default 3 x HeartbeatInterval).
-	SuspectAfter time.Duration
-	// InboxSize is the per-node fabric inbox capacity.
-	InboxSize int
-	// ClientRTT models the client-server network round trip, which the
-	// client-side traversal baseline pays per step per owner (Fig 2a).
-	// Zero derives a default from DiskService.
-	ClientRTT time.Duration
 	// Partitioner overrides the default edge-cut hash partitioner, e.g.
 	// with partition.NewBalanced for degree-aware placement. Its N() must
 	// equal Servers.
 	Partitioner partition.Partitioner
-	// TraceCap sizes each server's execution-trace ring buffer (spans per
-	// server). Zero selects the engine default (8192); negative disables
-	// per-execution tracing.
-	TraceCap int
 	// SlowTravelNs makes coordinators capture the full causal trace DAG of
 	// any traversal at least this slow end-to-end (nanoseconds): spans are
 	// pulled from every server, assembled with critical-path attribution,
 	// and retained in a bounded ring per server — see core.Server.SlowTravels
 	// and the obs /traces/slow endpoint. Zero or negative disables capture.
 	SlowTravelNs int64
-	// IndexKeys lists property keys to secondary-index on every partition
-	// at boot, before the engines see traffic, so step-0 va() filters on
-	// them seed via index pushdown instead of a label scan.
-	IndexKeys []string
-	// ReadCacheBytes, when positive, wraps each partition in a sharded
-	// LRU read cache of roughly this many bytes (decoded vertices +
-	// materialized adjacency lists), the stand-in for the RocksDB block
-	// cache of §VI. Zero disables the cache.
-	ReadCacheBytes int64
-	// ReplicationFactor, when >= 2, gives every partition a primary plus
-	// ReplicationFactor-1 follower replicas: quorum-acknowledged writes via
-	// Client.Write, automatic epoch-fenced failover when the failure
-	// detector condemns a primary, and online shard handoff via
-	// Server.JoinPartition. Each node holds its own route view and converges via
-	// gossip. The default (0 or 1) runs the seed cluster's unreplicated
-	// layout, bit-for-bit identical behavior. Incompatible with a custom
-	// Partitioner.
-	ReplicationFactor int
-	// WriteTimeout bounds how long a primary holds a quorum write before
-	// failing it as retryable (default 5s).
-	WriteTimeout time.Duration
 }
 
 // Cluster is an in-process GraphTrek deployment: N backend servers plus one
 // client endpoint on an asynchronous message fabric.
 type Cluster struct {
-	opts    Options
 	part    partition.Partitioner
 	fabric  *rpc.Fabric
 	servers []*core.Server
 	stores  []gstore.Graph
 	disks   []*simio.Disk
 	client  *core.Client
-	// croute is the client's route view (replicated clusters only). Every
-	// server has a view of its own, booted from the same identity table;
-	// failover and handoff move them apart and gossip re-converges them,
-	// like a real deployment.
-	croute *route.View
-	closed bool
+	closed  bool
 }
 
 // NewCluster assembles and starts a cluster.
@@ -259,41 +171,24 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Servers < 1 {
 		return nil, errors.New("graphtrek: Options.Servers must be at least 1")
 	}
-	if opts.DiskParallelism <= 0 {
-		opts.DiskParallelism = 1
-	}
-	if opts.FlushLinger == 0 && opts.DiskService > 0 {
-		// Consolidate batches arriving within a couple of OS timer ticks.
-		opts.FlushLinger = 2 * time.Millisecond
-	}
-	if opts.HeartbeatInterval == 0 {
-		opts.HeartbeatInterval = 500 * time.Millisecond
-	}
-	if opts.HeartbeatInterval < 0 {
-		opts.HeartbeatInterval = 0 // detector disabled
-	}
-	replicated := opts.ReplicationFactor >= 2
 	part := opts.Partitioner
 	if part == nil {
 		part = partition.NewHash(opts.Servers)
 	} else if part.N() != opts.Servers {
 		return nil, fmt.Errorf("graphtrek: partitioner covers %d servers, cluster has %d", part.N(), opts.Servers)
-	} else if replicated {
-		return nil, errors.New("graphtrek: ReplicationFactor and a custom Partitioner are mutually exclusive (the route view is the partitioner)")
 	}
-	c := &Cluster{
-		opts:   opts,
-		part:   part,
-		fabric: rpc.NewFabric(opts.Servers+1, opts.InboxSize),
+	// With a simulated disk, flushes linger a couple of OS timer ticks to
+	// consolidate batches, and the client-side baseline pays a round trip
+	// per step per owner (Fig 2a).
+	var linger, rtt time.Duration
+	if opts.DiskService > 0 {
+		linger, rtt = 2*time.Millisecond, time.Millisecond
 	}
-	if replicated {
-		c.croute = route.NewView(route.Identity(opts.Servers, opts.ReplicationFactor))
-		c.part = c.croute
-	}
+	c := &Cluster{part: part, fabric: rpc.NewFabric(opts.Servers + 1)}
 	for i := 0; i < opts.Servers; i++ {
 		var store gstore.Graph
 		if opts.StoreDir != "" {
-			s, err := gstore.Open(filepath.Join(opts.StoreDir, fmt.Sprintf("server-%02d", i)), opts.KVOptions)
+			s, err := gstore.Open(filepath.Join(opts.StoreDir, fmt.Sprintf("server-%02d", i)), kv.Options{})
 			if err != nil {
 				c.Close()
 				return nil, err
@@ -302,45 +197,20 @@ func NewCluster(opts Options) (*Cluster, error) {
 		} else {
 			store = gstore.NewMemStore()
 		}
-		if opts.ReadCacheBytes > 0 {
-			store = gstore.NewCachedGraph(store, opts.ReadCacheBytes)
-		}
-		for _, key := range opts.IndexKeys {
-			if err := store.(gstore.PropertyIndex).EnableIndex(key); err != nil {
-				c.stores = append(c.stores, store) // let Close release it
-				c.Close()
-				return nil, err
-			}
-		}
 		c.stores = append(c.stores, store)
-		disk := simio.NewDisk(opts.DiskService, opts.DiskParallelism)
+		disk := simio.NewDisk(opts.DiskService, 1)
 		if opts.Stragglers != nil {
 			disk.AttachStragglers(i, opts.Stragglers)
 		}
 		c.disks = append(c.disks, disk)
-		srvPart := c.part
-		var srvRoute *route.View
-		if replicated {
-			srvRoute = route.NewView(route.Identity(opts.Servers, opts.ReplicationFactor))
-			srvPart = srvRoute
-		}
 		srv := core.NewServer(core.Config{
 			ID:                i,
 			Store:             store,
-			Part:              srvPart,
-			Route:             srvRoute,
-			WriteTimeout:      opts.WriteTimeout,
-			ReplicationFactor: opts.ReplicationFactor,
+			Part:              part,
 			Disk:              disk,
-			Workers:           opts.Workers,
-			MaxQueueDepth:     opts.MaxQueueDepth,
-			CacheCap:          opts.CacheCap,
-			BatchSize:         opts.BatchSize,
-			FlushLinger:       opts.FlushLinger,
+			FlushLinger:       linger,
 			TravelTimeout:     opts.TravelTimeout,
-			HeartbeatInterval: opts.HeartbeatInterval,
-			SuspectAfter:      opts.SuspectAfter,
-			TraceCap:          opts.TraceCap,
+			HeartbeatInterval: 500 * time.Millisecond,
 			SlowTravelNs:      opts.SlowTravelNs,
 		})
 		srv.Bind(c.fabric.Endpoint(i))
@@ -350,12 +220,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 		}
 		c.servers = append(c.servers, srv)
 	}
-	c.client = core.NewClient(c.part)
+	c.client = core.NewClient(part)
 	c.client.Bind(c.fabric.Endpoint(opts.Servers))
-	if opts.ClientRTT == 0 && opts.DiskService > 0 {
-		opts.ClientRTT = time.Millisecond
-	}
-	c.client.SetRTT(opts.ClientRTT)
+	c.client.SetRTT(rtt)
 	if err := c.fabric.Endpoint(opts.Servers).Start(c.client.Handle); err != nil {
 		c.Close()
 		return nil, err
@@ -383,44 +250,16 @@ func (c *Cluster) Close() error {
 }
 
 // Servers returns the cluster size.
-func (c *Cluster) Servers() int { return c.opts.Servers }
+func (c *Cluster) Servers() int { return len(c.servers) }
 
-// AddVertex stores a vertex on its owning server — on every replica of its
-// partition when the cluster is replicated (bulk loading writes the stores
-// directly, bypassing the quorum write path; use Client().Write for
-// runtime mutations).
+// AddVertex stores a vertex on its owning server.
 func (c *Cluster) AddVertex(v Vertex) error {
-	for _, s := range c.replicaStores(v.ID) {
-		if err := s.PutVertex(v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.stores[c.part.Owner(v.ID)].PutVertex(v)
 }
 
-// AddEdge stores a directed edge with its source vertex (edge-cut), on
-// every replica of the source's partition when the cluster is replicated.
+// AddEdge stores a directed edge with its source vertex (edge-cut).
 func (c *Cluster) AddEdge(e Edge) error {
-	for _, s := range c.replicaStores(e.Src) {
-		if err := s.PutEdge(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replicaStores lists the stores holding a vertex's partition: just the
-// owner on unreplicated clusters, the full replica set otherwise.
-func (c *Cluster) replicaStores(id VertexID) []gstore.Graph {
-	if c.croute == nil {
-		return c.stores[c.part.Owner(id) : c.part.Owner(id)+1]
-	}
-	a := c.croute.Assignment(c.croute.Partition(id))
-	out := make([]gstore.Graph, 0, 1+len(a.Followers))
-	for _, r := range a.Replicas() {
-		out = append(out, c.stores[r])
-	}
-	return out
+	return c.stores[c.part.Owner(e.Src)].PutEdge(e)
 }
 
 // Sink returns a generator sink that routes elements to their owners; pass
@@ -454,10 +293,6 @@ func (c *Cluster) RunAsync(t *Travel, mode Mode) (*core.Handle, error) {
 	}
 	return c.client.SubmitPlanAsync(plan, core.SubmitOptions{Mode: mode, Coordinator: -1})
 }
-
-// Client exposes the underlying client: explicit submission options, and on
-// replicated clusters the write path and status pulls.
-func (c *Cluster) Client() *core.Client { return c.client }
 
 // Server returns backend server i's engine, exposing its metrics, trace
 // buffers and queue gauges (e.g. for an obs.Handler).

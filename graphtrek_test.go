@@ -9,6 +9,7 @@ import (
 	"graphtrek"
 	"graphtrek/internal/gen"
 	"graphtrek/internal/model"
+	"graphtrek/internal/partition"
 )
 
 func newTestCluster(t *testing.T, opts graphtrek.Options) *graphtrek.Cluster {
@@ -70,6 +71,17 @@ func TestClusterEndToEndAllModes(t *testing.T) {
 func TestClusterRejectsZeroServers(t *testing.T) {
 	if _, err := graphtrek.NewCluster(graphtrek.Options{}); err == nil {
 		t.Fatal("expected error for zero servers")
+	}
+}
+
+// A partitioner must place vertices on exactly the cluster's servers.
+func TestClusterRejectsPartitionerOfOtherSize(t *testing.T) {
+	for _, part := range []partition.Partitioner{partition.NewHash(2), partition.NewBalanced(4, nil)} {
+		c, err := graphtrek.NewCluster(graphtrek.Options{Servers: 3, Partitioner: part})
+		if err == nil {
+			c.Close()
+			t.Fatalf("a partitioner over %d servers built a 3-server cluster", part.N())
+		}
 	}
 }
 

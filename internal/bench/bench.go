@@ -30,9 +30,8 @@ type Scale struct {
 	// RMAT workload (Table I, Figs 7-11).
 	RMATScale int
 	RMATDeg   int
-	// Virtual disk.
-	DiskService     time.Duration
-	DiskParallelism int
+	// Virtual disk: one cold spindle's per-access service time.
+	DiskService time.Duration
 	// Straggler emulation (Fig 11): per-access delay and access count,
 	// scaled from the paper's 50 ms x 500.
 	StragglerDelay time.Duration
@@ -54,7 +53,7 @@ func GetScale() (Scale, error) {
 	case "medium":
 		return Scale{
 			Name: "medium", RMATScale: 14, RMATDeg: 12,
-			DiskService: 100 * time.Microsecond, DiskParallelism: 1,
+			DiskService:    100 * time.Microsecond,
 			StragglerDelay: 10 * time.Millisecond, StragglerCount: 200,
 			MetaVertices: 60000,
 			ServerCounts: []int{2, 4, 8, 16, 32}, Fig11Runs: 3,
@@ -62,7 +61,7 @@ func GetScale() (Scale, error) {
 	case "paper":
 		return Scale{
 			Name: "paper", RMATScale: 20, RMATDeg: 16,
-			DiskService: 100 * time.Microsecond, DiskParallelism: 1,
+			DiskService:    100 * time.Microsecond,
 			StragglerDelay: 50 * time.Millisecond, StragglerCount: 500,
 			MetaVertices: 2_000_000,
 			ServerCounts: []int{2, 4, 8, 16, 32}, Fig11Runs: 3,
@@ -70,7 +69,7 @@ func GetScale() (Scale, error) {
 	case "tiny":
 		return Scale{
 			Name: "tiny", RMATScale: 9, RMATDeg: 6,
-			DiskService: 20 * time.Microsecond, DiskParallelism: 1,
+			DiskService:    20 * time.Microsecond,
 			StragglerDelay: 1 * time.Millisecond, StragglerCount: 30,
 			MetaVertices: 3000,
 			ServerCounts: []int{2, 8, 32}, Fig11Runs: 2,
@@ -78,7 +77,7 @@ func GetScale() (Scale, error) {
 	case "", "small":
 		return Scale{
 			Name: "small", RMATScale: 12, RMATDeg: 8,
-			DiskService: 100 * time.Microsecond, DiskParallelism: 1,
+			DiskService:    100 * time.Microsecond,
 			StragglerDelay: 5 * time.Millisecond, StragglerCount: 100,
 			MetaVertices: 20000,
 			ServerCounts: []int{2, 4, 8, 16, 32}, Fig11Runs: 3,
@@ -93,11 +92,10 @@ func GetScale() (Scale, error) {
 // large fraction of the graph, as in the paper's runs).
 func rmatCluster(s Scale, servers int, stragglers *simio.StragglerPlan) (*graphtrek.Cluster, model.VertexID, error) {
 	c, err := graphtrek.NewCluster(graphtrek.Options{
-		Servers:         servers,
-		DiskService:     s.DiskService,
-		DiskParallelism: s.DiskParallelism,
-		Stragglers:      stragglers,
-		TravelTimeout:   10 * time.Minute,
+		Servers:       servers,
+		DiskService:   s.DiskService,
+		Stragglers:    stragglers,
+		TravelTimeout: 10 * time.Minute,
 	})
 	if err != nil {
 		return nil, 0, err

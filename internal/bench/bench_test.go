@@ -11,7 +11,7 @@ import (
 func microScale() Scale {
 	return Scale{
 		Name: "micro", RMATScale: 7, RMATDeg: 4,
-		DiskService: 0, DiskParallelism: 1,
+		DiskService:    0,
 		StragglerDelay: 500 * time.Microsecond, StragglerCount: 5,
 		MetaVertices: 600,
 		ServerCounts: []int{2, 4}, Fig11Runs: 1,

@@ -158,10 +158,9 @@ func Table3(s Scale, w io.Writer) error {
 	servers := s.ServerCounts[len(s.ServerCounts)-1]
 	fmt.Fprintf(w, "TABLE III — Darshan-style audit query on %d servers (scale=%s)\n", servers, s.Name)
 	c, err := graphtrek.NewCluster(graphtrek.Options{
-		Servers:         servers,
-		DiskService:     s.DiskService,
-		DiskParallelism: s.DiskParallelism,
-		TravelTimeout:   10 * time.Minute,
+		Servers:       servers,
+		DiskService:   s.DiskService,
+		TravelTimeout: 10 * time.Minute,
 	})
 	if err != nil {
 		return err
@@ -348,11 +347,10 @@ func Partition(s Scale, w io.Writer) error {
 		}
 		for _, mode := range []core.Mode{core.ModeSync, core.ModeGraphTrek} {
 			c, err := graphtrek.NewCluster(graphtrek.Options{
-				Servers:         servers,
-				DiskService:     s.DiskService,
-				DiskParallelism: s.DiskParallelism,
-				TravelTimeout:   10 * time.Minute,
-				Partitioner:     part,
+				Servers:       servers,
+				DiskService:   s.DiskService,
+				TravelTimeout: 10 * time.Minute,
+				Partitioner:   part,
 			})
 			if err != nil {
 				return err

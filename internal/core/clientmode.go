@@ -94,8 +94,10 @@ func (s *Server) handleVisitReq(from int, msg wire.Message, ts *travelState) {
 	acc.pending.Store(int32(len(msg.Entries)))
 	// Only Vertex is read of a client-mode entry: no cache, no merging, no rtn.
 	if err := s.enqueue(ts, msg.Step, acc, msg.Entries, nil, len(msg.Entries)); err != nil {
-		resp.Err = s.admissionError(err)
-		s.send(from, resp)
+		// A refused batch (refused whole) ends here: one reply carrying the
+		// error, and its span recorded as failed.
+		acc.fail(s, ts, s.admissionError(err))
+		acc.finished(s, ts)
 	}
 }
 

@@ -193,10 +193,24 @@ func TestStressSharedExecutorBackpressure(t *testing.T) {
 		t.Errorf("rejection error not marked retryable: %v", err)
 	}
 
-	// Client-side: the VisitReq batch takes the same admission check.
+	// Client-side: the VisitReq batch takes the same admission check, and
+	// its span is recorded as failed like a server-side execution's.
+	refused := func() map[uint64]bool {
+		travels := map[uint64]bool{}
+		for _, sp := range c.servers[0].TraceSpans(0) {
+			if strings.Contains(sp.Err, "backpressure") {
+				travels[sp.Travel] = true
+			}
+		}
+		return travels
+	}
+	before := refused()
 	_, err = c.client.SubmitPlan(plan, SubmitOptions{Mode: ModeClientSide, Timeout: 10 * time.Second})
 	if err == nil || !strings.Contains(err.Error(), "backpressure") {
 		t.Errorf("client-side rejection = %v, want backpressure error", err)
+	}
+	if after := refused(); len(after) != len(before)+1 {
+		t.Errorf("traversals with a refused span: %d before the client-side run, %d after; want one more", len(before), len(after))
 	}
 
 	// A single-source plan fits the bound step by step... until its first

@@ -60,7 +60,7 @@ func TestStressRetryableClassification(t *testing.T) {
 func newReplCluster(t testing.TB, n, rf int, tweak func(*Config)) (*cluster, []*rpc.Chaos, []*route.View) {
 	t.Helper()
 	c := &cluster{
-		fabric: rpc.NewFabric(n+1, 0),
+		fabric: rpc.NewFabric(n + 1),
 		global: gstore.NewMemStore(),
 	}
 	views := make([]*route.View, n+1)

@@ -272,20 +272,18 @@ func (s *Server) beginSpan(travel, exec, parent uint64, step int32, frontier int
 	return trace.Begin(travel, exec, parent, int32(s.cfg.ID), step, frontier)
 }
 
-// recordInstantSpan traces an execution that terminated without entering
-// the executor — an empty dispatch, a lightweight return-signal batch, or
-// an admission-rejected batch. Keeping these in the ring preserves the
-// span-per-terminated-execution invariant the ledger cross-check relies
-// on.
-func (s *Server) recordInstantSpan(travel, exec, parent uint64, step int32, frontier int, errMsg string) {
-	if s.trc == nil {
-		return
-	}
-	b := trace.Begin(travel, exec, parent, int32(s.cfg.ID), step, frontier)
+// endUnqueued ends an execution that never enters the executor — a seed
+// scan that found nothing or failed, an empty or misrouted dispatch, a
+// return-signal batch, or a batch admission refused — with its span (nil
+// when tracing is off) and, when errMsg is set, a retryable error. Keeping
+// its span in the ring preserves the span-per-terminated-execution
+// invariant the ledger cross-check relies on.
+func (s *Server) endUnqueued(ts *travelState, acc *execAcc, errMsg string) {
 	if errMsg != "" {
-		b.Fail(errMsg)
+		acc.fail(s, ts, errMsg)
 	}
-	s.trc.RecordSpan(b.Finish())
+	acc.finished(s, ts)
+	s.flushTravel(ts)
 }
 
 // Close stops the worker pool, releases every in-flight traversal's state
@@ -553,17 +551,12 @@ func (s *Server) registerTravel(from int, msg wire.Message) (ts *travelState, fr
 func (s *Server) runSeedExec(ts *travelState, execID uint64) {
 	s0 := ts.plan.Steps[0]
 	ids, err := s.selectSeeds(s0)
-	if err != nil {
-		ts.addErr(err.Error())
-	}
 	if len(ids) == 0 || err != nil {
 		errMsg := ""
 		if err != nil {
 			errMsg = err.Error()
 		}
-		ts.addEnded(execID)
-		s.recordInstantSpan(ts.id, execID, 0, 0, len(ids), errMsg)
-		s.flushTravel(ts)
+		s.endUnqueued(ts, &execAcc{id: execID, sp: s.beginSpan(ts.id, execID, 0, 0, len(ids))}, errMsg)
 		return
 	}
 	entries := make([]wire.Entry, len(ids))
@@ -600,14 +593,7 @@ func (s *Server) startExec(ts *travelState, id, parent uint64, step int32, entri
 	acc.pending.Store(int32(live))
 	acc.sp.AddRedundant(redundant)
 	if err := s.enqueue(ts, step, acc, entries, skip, live); err != nil {
-		errMsg := s.admissionError(err)
-		ts.addErr(errMsg)
-		ts.addEnded(id)
-		if acc.sp != nil {
-			acc.sp.Fail(errMsg)
-			s.trc.RecordSpan(acc.sp.Finish())
-		}
-		s.flushTravel(ts)
+		s.endUnqueued(ts, acc, s.admissionError(err))
 		return
 	}
 	s.met.AddRedundant(redundant)
@@ -634,9 +620,7 @@ func (s *Server) misroutedEntries(entries []wire.Entry) (int, bool) {
 // handleDispatch enqueues a frontier batch as one traversal execution.
 func (s *Server) handleDispatch(_ int, msg wire.Message, ts *travelState) {
 	if len(msg.Entries) == 0 {
-		ts.addEnded(msg.ExecID)
-		s.recordInstantSpan(ts.id, msg.ExecID, msg.ParentExec, msg.Step, 0, "")
-		s.flushTravel(ts)
+		s.endUnqueued(ts, &execAcc{id: msg.ExecID, sp: s.beginSpan(ts.id, msg.ExecID, msg.ParentExec, msg.Step, 0)}, "")
 		return
 	}
 	// With replication enabled, fence work routed with a stale table: a
@@ -646,10 +630,7 @@ func (s *Server) handleDispatch(_ int, msg wire.Message, ts *travelState) {
 	if s.cfg.Route != nil {
 		if p, moved := s.misroutedEntries(msg.Entries); moved {
 			errMsg := fmt.Sprintf("%v: partition %d is not primaried by server %d", ErrPartitionMoved, p, s.cfg.ID)
-			ts.addErr(errMsg)
-			ts.addEnded(msg.ExecID)
-			s.recordInstantSpan(ts.id, msg.ExecID, msg.ParentExec, msg.Step, len(msg.Entries), errMsg)
-			s.flushTravel(ts)
+			s.endUnqueued(ts, &execAcc{id: msg.ExecID, sp: s.beginSpan(ts.id, msg.ExecID, msg.ParentExec, msg.Step, len(msg.Entries))}, errMsg)
 			return
 		}
 	}

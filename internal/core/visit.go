@@ -211,7 +211,5 @@ func (s *Server) handleReturnSig(_ int, msg wire.Message, ts *travelState) {
 			s.notifyUp(ts, msg.ExecID, up)
 		}
 	}
-	ts.addEnded(msg.ExecID)
-	s.recordInstantSpan(ts.id, msg.ExecID, msg.ParentExec, msg.Step, len(msg.Entries), "")
-	s.flushTravel(ts)
+	s.endUnqueued(ts, &execAcc{id: msg.ExecID, sp: s.beginSpan(ts.id, msg.ExecID, msg.ParentExec, msg.Step, len(msg.Entries))}, "")
 }

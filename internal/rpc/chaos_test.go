@@ -11,7 +11,7 @@ import (
 // fabric and returns the injector plus node 1's collector.
 func chaosPair(t *testing.T, cfg ChaosConfig) (*Chaos, *collector) {
 	t.Helper()
-	f := NewFabric(2, 0)
+	f := NewFabric(2)
 	var c collector
 	if err := f.Endpoint(1).Start(c.handle); err != nil {
 		t.Fatal(err)

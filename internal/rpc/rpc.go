@@ -50,18 +50,16 @@ type Transport interface {
 
 // Fabric is an in-process cluster of endpoints connected by channels.
 type Fabric struct {
-	mu        sync.Mutex
 	endpoints []*Endpoint
-	inboxSize int
 }
 
-// NewFabric creates a fabric of n endpoints with the given inbox capacity
-// per endpoint (0 selects a default sized for traversal bursts).
-func NewFabric(n int, inboxSize int) *Fabric {
-	if inboxSize <= 0 {
-		inboxSize = 4096
-	}
-	f := &Fabric{inboxSize: inboxSize}
+// inboxSize is each endpoint's inbox capacity, sized for traversal bursts;
+// a sender blocks only when its receiver's inbox is full.
+const inboxSize = 4096
+
+// NewFabric creates a fabric of n endpoints.
+func NewFabric(n int) *Fabric {
+	f := &Fabric{}
 	f.endpoints = make([]*Endpoint, n)
 	for i := range f.endpoints {
 		f.endpoints[i] = &Endpoint{

@@ -41,7 +41,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestFabricBasicDelivery(t *testing.T) {
-	f := NewFabric(3, 0)
+	f := NewFabric(3)
 	defer f.Close()
 	var c collector
 	for i := 0; i < 3; i++ {
@@ -61,7 +61,7 @@ func TestFabricBasicDelivery(t *testing.T) {
 }
 
 func TestFabricSelfSend(t *testing.T) {
-	f := NewFabric(1, 0)
+	f := NewFabric(1)
 	defer f.Close()
 	var c collector
 	f.Endpoint(0).Start(c.handle)
@@ -72,7 +72,7 @@ func TestFabricSelfSend(t *testing.T) {
 }
 
 func TestFabricPerPairFIFO(t *testing.T) {
-	f := NewFabric(2, 0)
+	f := NewFabric(2)
 	defer f.Close()
 	var c collector
 	f.Endpoint(0).Start(c.handle)
@@ -94,7 +94,7 @@ func TestFabricPerPairFIFO(t *testing.T) {
 }
 
 func TestFabricInvalidDestination(t *testing.T) {
-	f := NewFabric(2, 0)
+	f := NewFabric(2)
 	defer f.Close()
 	f.Endpoint(0).Start(func(int, wire.Message) {})
 	if err := f.Endpoint(0).Send(5, wire.Message{}); err == nil {
@@ -106,7 +106,7 @@ func TestFabricInvalidDestination(t *testing.T) {
 }
 
 func TestFabricSendAfterCloseErrors(t *testing.T) {
-	f := NewFabric(2, 0)
+	f := NewFabric(2)
 	f.Endpoint(0).Start(func(int, wire.Message) {})
 	f.Endpoint(1).Start(func(int, wire.Message) {})
 	f.Endpoint(1).Close()
@@ -117,7 +117,7 @@ func TestFabricSendAfterCloseErrors(t *testing.T) {
 }
 
 func TestFabricDoubleStartErrors(t *testing.T) {
-	f := NewFabric(1, 0)
+	f := NewFabric(1)
 	defer f.Close()
 	ep := f.Endpoint(0)
 	if err := ep.Start(func(int, wire.Message) {}); err != nil {
@@ -129,7 +129,7 @@ func TestFabricDoubleStartErrors(t *testing.T) {
 }
 
 func TestFabricConcurrentSenders(t *testing.T) {
-	f := NewFabric(4, 0)
+	f := NewFabric(4)
 	defer f.Close()
 	var total atomic.Int64
 	for i := 0; i < 4; i++ {
@@ -301,7 +301,7 @@ func TestTCPManyNodes(t *testing.T) {
 }
 
 func BenchmarkFabricSend(b *testing.B) {
-	f := NewFabric(2, 1<<16)
+	f := NewFabric(2)
 	defer f.Close()
 	var n atomic.Int64
 	f.Endpoint(0).Start(func(int, wire.Message) {})
