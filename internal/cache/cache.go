@@ -22,6 +22,7 @@ package cache
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"graphtrek/internal/frontier"
 	"graphtrek/internal/model"
@@ -42,6 +43,7 @@ type Cache struct {
 	mu      sync.Mutex
 	cap     int
 	size    int
+	evicted atomic.Int64 // keys dropped to make room, over the cache's life
 	travels map[uint64]*travelSet
 }
 
@@ -184,6 +186,7 @@ func (c *Cache) evictLocked(ts *travelSet, incoming int32) {
 			if b := victim.steps[step]; b != nil && b.Len() > 0 {
 				victim.size -= b.Len()
 				c.size -= b.Len()
+				c.evicted.Add(int64(b.Len()))
 				delete(victim.steps, step)
 				break
 			}
@@ -201,6 +204,9 @@ func (c *Cache) evictLocked(ts *travelSet, incoming int32) {
 		}
 	}
 }
+
+// Evictions reports how many keys the cache has evicted to make room.
+func (c *Cache) Evictions() int64 { return c.evicted.Load() }
 
 // DropTravel releases every entry of a finished traversal.
 func (c *Cache) DropTravel(travel uint64) {

@@ -653,14 +653,24 @@ func TestModeString(t *testing.T) {
 
 // TestTinyCacheStillCorrect forces heavy traversal-affiliate cache
 // eviction (capacity 8) and checks results are unaffected: the cache is a
-// performance structure, never a correctness dependency.
+// performance structure, never a correctness dependency. A User-seeded
+// 3-hop plan over 120 vertices admits far more than 8 keys on every
+// server, so the cache must have evicted by the end.
 func TestTinyCacheStillCorrect(t *testing.T) {
 	c := newCluster(t, 3, func(cfg *Config) { cfg.CacheCap = 8 })
 	r := rand.New(rand.NewSource(11))
-	randomGraph(t, c, r, 50, 250)
+	randomGraph(t, c, r, 120, 600)
+	c.runAllModes(t, mustPlan(t, query.VLabel("User").E("run").E("read").E("write")))
 	for q := 0; q < 3; q++ {
-		tr := query.V(model.VertexID(r.Intn(50))).E("run").E("read").E("write")
+		tr := query.V(model.VertexID(r.Intn(120))).E("run").E("read").E("write")
 		c.runAllModes(t, mustPlan(t, tr))
+	}
+	var evicted int64
+	for _, s := range c.servers {
+		evicted += s.Metrics().CacheEvictions
+	}
+	if evicted == 0 {
+		t.Errorf("cache_evictions_total is 0 on every server: the cache never filled")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -49,8 +50,8 @@ type ledger struct {
 	endedTotal   int
 	started      time.Time
 
-	gate     int32 // Sync-GT barrier position
-	results  map[model.VertexID]bool
+	gate     int32            // Sync-GT barrier position
+	results  []model.VertexID // every report's, in arrival order; sorted and compacted at the finish
 	errs     []string
 	done     bool
 	activity time.Time // last report; the control loop's inactivity timeout reads it
@@ -83,7 +84,6 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 		execs:        make(map[uint64]*execInfo),
 		liveByStep:   make(map[int32]int),
 		liveByServer: make(map[int32]int),
-		results:      make(map[model.VertexID]bool),
 		activity:     time.Now(),
 		started:      time.Now(),
 	}
@@ -257,9 +257,7 @@ func (s *Server) handleCoordinator(msg wire.Message) {
 		return
 	}
 	led.activity = time.Now()
-	for _, v := range msg.Verts {
-		led.results[v] = true
-	}
+	led.results = append(led.results, msg.Verts...)
 	for _, ref := range msg.Created {
 		led.registerCreatedLocked(ref)
 	}
@@ -327,18 +325,16 @@ func (s *Server) checkLedger(led *ledger) {
 	led.mu.Unlock()
 }
 
-// finishTravelLocked completes a traversal: results (or the error) go to
-// the client, the backends holding its state are told to release it, and
-// the ledger is retired. A clean finish releases the servers a registered
-// execution named: the ledger saw every execution, so no other server
-// learnt of the traversal. A failed one, or a broadcast one, releases every
-// server. Called with led.mu held; releases it.
+// finishTravelLocked completes a traversal: results (sorted and unique) or
+// the error go to the client, the backends holding its state are told to
+// release it, and the ledger is retired. A clean finish releases the
+// servers a registered execution named: the ledger saw every execution, so
+// no other server learnt of the traversal. A failed one, or a broadcast
+// one, releases every server. Called with led.mu held; releases it.
 func (s *Server) finishTravelLocked(led *ledger) {
 	led.done = true
-	results := make([]model.VertexID, 0, len(led.results))
-	for v := range led.results {
-		results = append(results, v)
-	}
+	slices.Sort(led.results)
+	results := slices.Compact(led.results)
 	errText := ""
 	if len(led.errs) > 0 {
 		errText = led.errs[0]

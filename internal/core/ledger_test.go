@@ -8,6 +8,7 @@ import (
 
 	"graphtrek/internal/model"
 	"graphtrek/internal/query"
+	"graphtrek/internal/rpc"
 	"graphtrek/internal/simio"
 	"graphtrek/internal/wire"
 )
@@ -19,7 +20,6 @@ func newTestLedger() *ledger {
 		execs:        make(map[uint64]*execInfo),
 		liveByStep:   make(map[int32]int),
 		liveByServer: make(map[int32]int),
-		results:      make(map[model.VertexID]bool),
 	}
 }
 
@@ -92,6 +92,48 @@ func TestLedgerDuplicateEventsIdempotent(t *testing.T) {
 	}
 	if !l.quiescentLocked() {
 		t.Fatal("should be quiescent")
+	}
+}
+
+// TestLedgerResultsSortedAndUnique reports 96 vertices twice, 48 of them in
+// both reports, each report in a shuffled order: the client must receive
+// the 144 distinct ids once each, ascending, in one KindResult.
+func TestLedgerResultsSortedAndUnique(t *testing.T) {
+	const travel = 77
+	log := &sendLog{}
+	c := newWrappedCluster(t, 1, nil, func(_ int, tr rpc.Transport) rpc.Transport { return loggingTransport{tr, log} })
+	s := c.servers[0]
+	led := newTestLedger()
+	led.travel, led.client, led.servers, led.rootsSent = travel, 1, 1, true
+	s.mu.Lock()
+	s.ledgers[travel] = led
+	s.mu.Unlock()
+	r := rand.New(rand.NewSource(5))
+	report := func(lo int, msg wire.Message) {
+		msg.Kind, msg.TravelID = wire.KindExecEvents, travel
+		for _, i := range r.Perm(96) {
+			msg.Verts = append(msg.Verts, model.VertexID(lo+i))
+		}
+		s.handleCoordinator(msg)
+	}
+	report(0, wire.Message{Created: []wire.ExecRef{{ID: 1, Server: 0, Step: 0}}})
+	report(48, wire.Message{Ended: []uint64{1}})
+
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	var got [][]model.VertexID
+	for _, ls := range log.sent {
+		if ls.to == 1 && ls.msg.Kind == wire.KindResult {
+			got = append(got, ls.msg.Verts)
+		}
+	}
+	if len(got) != 1 || len(got[0]) != 144 {
+		t.Fatalf("client received %d result messages (%v), want one of 144 ids", len(got), got)
+	}
+	for i, v := range got[0] {
+		if v != model.VertexID(i) {
+			t.Fatalf("result %d is %d: want 0..143 in order, got %v", i, v, got[0])
+		}
 	}
 }
 

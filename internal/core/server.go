@@ -233,6 +233,8 @@ func (s *Server) Metrics() Metrics {
 	// The trace layer owns the span-eviction counter; overlay it the same
 	// way so DAG assemblers can tell wrapped rings from tracing bugs.
 	m.SpansDropped = int64(s.trc.Stats().SpansEvicted)
+	// The affiliate cache owns its eviction counter.
+	m.CacheEvictions = s.cache.Evictions()
 	// The Go runtime owns the GC gauges.
 	metrics.ReadRuntime(&m)
 	return m

@@ -46,9 +46,10 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) tim
 	}
 
 	// One (simulated) disk access serves the whole merged group: the
-	// storage layout keeps a vertex's attributes and typed edge lists
-	// contiguous, so this is a single sequential read. The fetch phase is
-	// attributed to the span paying the access, like the real-IO counter.
+	// vertex's read and each step's typed edge scan. In the store these are
+	// separate key ranges, a point read plus a seek per overlapping table
+	// (gstore's package doc). The fetch phase is attributed to the span
+	// paying the access, like the real-IO counter.
 	headSp := spanOf(items[0])
 	if headSp != nil {
 		now = sched.Now()

@@ -1,11 +1,13 @@
 // Package gstore implements the property-graph storage layer each backend
 // server runs, mapping vertices and edges onto an ordered key-value store
-// the way the paper's storage system does (§VI):
+// after the paper's storage system (§VI):
 //
-//   - a vertex's attributes and its connected edges become key-value pairs
-//     that sort contiguously, so scanning them is sequential I/O;
-//   - edges of the same type (label) are stored together, making the typed
-//     edge iteration of a traversal step one prefix scan;
+//   - a vertex's attributes are one key-value pair, 'V'<id>;
+//   - its out-edges of one type (label) sort together under their own
+//     prefix, 'E'<src><label>, making the typed edge iteration of a
+//     traversal step one prefix scan. The vertex and its edges live in
+//     separate key ranges, so a hop is a point read plus a scan: one kv
+//     View, and one seek in each table whose range overlaps the prefix;
 //   - vertex types live in separate namespaces via a by-label index.
 //
 // Two implementations share the Graph interface: Store persists through the

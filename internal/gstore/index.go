@@ -50,20 +50,14 @@ var (
 // order-preserving for numeric kinds, so RANGE lookups are one bounded
 // [lo, hi] key-range scan instead of a full-index sweep.
 func propIndexKey(key string, v property.Value, id model.VertexID) []byte {
-	b := propIndexPrefix(key, v)
+	b := propIndexPrefix(make([]byte, 0, 2+len(key)+16), key, v)
 	return binary.BigEndian.AppendUint64(b, uint64(id))
 }
 
-func propIndexPrefix(key string, v property.Value) []byte {
-	return property.AppendOrderedValue(propIndexKeyPrefix(key), v)
-}
-
-// propIndexKeyPrefix covers every index row of one property key.
-func propIndexKeyPrefix(key string) []byte {
-	b := make([]byte, 0, 2+len(key)+16)
-	b = append(b, 'P')
-	b = binary.AppendUvarint(b, uint64(len(key)))
-	return append(b, key...)
+// propIndexPrefix appends to dst the prefix of key's index rows for v.
+func propIndexPrefix(dst []byte, key string, v property.Value) []byte {
+	dst = binary.AppendUvarint(append(dst, 'P'), uint64(len(key)))
+	return property.AppendOrderedValue(append(dst, key...), v)
 }
 
 // prefixSuccessor returns the smallest key greater than every key having b
@@ -137,17 +131,20 @@ func (s *Store) EnableIndex(key string) error {
 	return nil
 }
 
-// LookupVertices implements PropertyIndex.
+// LookupVertices implements PropertyIndex. The prefix and the ids gather on
+// the stack, as in edgeIDs, so the answer is its only allocation.
 func (s *Store) LookupVertices(key string, v property.Value) ([]model.VertexID, error) {
 	if !s.indexEnabled(key) {
 		return nil, fmt.Errorf("gstore: property %q is not indexed", key)
 	}
-	var ids []model.VertexID
-	err := s.db.Scan(propIndexPrefix(key, v), func(k, _ []byte) bool {
+	var prefix [64]byte
+	var buf [128]model.VertexID
+	ids := buf[:0]
+	err := s.db.Scan(propIndexPrefix(prefix[:0], key, v), func(k, _ []byte) bool {
 		ids = append(ids, model.VertexID(binary.BigEndian.Uint64(k[len(k)-8:])))
 		return true
 	})
-	return ids, err
+	return append([]model.VertexID(nil), ids...), err
 }
 
 // LookupVerticesRange implements PropertyIndex. The ordered value encoding
@@ -161,8 +158,8 @@ func (s *Store) LookupVerticesRange(key string, lo, hi property.Value) ([]model.
 	if err := checkRangeBounds(lo, hi); err != nil {
 		return nil, err
 	}
-	start := propIndexPrefix(key, lo)
-	end := prefixSuccessor(propIndexPrefix(key, hi))
+	start := propIndexPrefix(nil, key, lo)
+	end := prefixSuccessor(propIndexPrefix(nil, key, hi))
 	it, err := s.db.NewIterator(kv.IterOptions{Start: start, End: end})
 	if err != nil {
 		return nil, err

@@ -3,11 +3,13 @@ package kv
 import (
 	"bytes"
 	"runtime/debug"
+	"sync"
 )
 
 // Iterator walks live keys in ascending order. It holds the database's read
 // lock from creation until Close, so the view is consistent; the calling
-// goroutine must not write to the DB while an iterator is open.
+// goroutine must not write to the DB while an iterator is open. Scan takes
+// its iterators from scanPool.
 type Iterator struct {
 	db     *DB
 	merge  mergeIterator
@@ -31,13 +33,20 @@ type IterOptions struct {
 // allocation: it copies End (or the prefix's end) and holds its table
 // cursors itself, so it keeps none of opts. A table that fails the seek
 // shows in Err, as it would on Next.
-func (db *DB) NewIterator(opts IterOptions) (it *Iterator, err error) {
+func (db *DB) NewIterator(opts IterOptions) (*Iterator, error) {
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	it = newIterator(len(db.tables))
+	it := newIterator(len(db.tables))
+	it.open(db, opts)
+	return it, nil
+}
+
+// open positions it, which has room for a cursor per table, at the first
+// live key in opts' bounds. The caller holds db's read lock.
+func (it *Iterator) open(db *DB, opts IterOptions) {
 	it.db = db
 	start := opts.Start
 	if start == nil {
@@ -63,34 +72,24 @@ func (db *DB) NewIterator(opts IterOptions) (it *Iterator, err error) {
 	}
 	it.merge.pick()
 	it.settle()
-	return it, nil
 }
 
-// newIterator allocates an Iterator and room for its table cursors as one
-// object, the room rounded up to 1, 2, 3, 4 or 8 cursors; only more tables
-// than that (CompactAt above its default) take a second allocation.
+const poolCursors = 8 // a pooled iterator's room; above CompactAt's default
+
+// scanPool holds idle Scan iterators, their cursors cleared.
+var scanPool = sync.Pool{New: func() any { return newIterator(poolCursors) }}
+
+// newIterator allocates an Iterator with room for poolCursors table cursors
+// as one object; only more tables than that take a second allocation.
 func newIterator(tables int) *Iterator {
-	switch {
-	case tables <= 1:
-		return withCursors(func(c *[1]sstIterator) []sstIterator { return c[:0] })
-	case tables <= 2:
-		return withCursors(func(c *[2]sstIterator) []sstIterator { return c[:0] })
-	case tables <= 3:
-		return withCursors(func(c *[3]sstIterator) []sstIterator { return c[:0] })
-	case tables <= 4:
-		return withCursors(func(c *[4]sstIterator) []sstIterator { return c[:0] })
-	case tables <= 8:
-		return withCursors(func(c *[8]sstIterator) []sstIterator { return c[:0] })
+	if tables > poolCursors {
+		return &Iterator{merge: mergeIterator{tabs: make([]sstIterator, 0, tables)}}
 	}
-	return &Iterator{merge: mergeIterator{tabs: make([]sstIterator, 0, tables)}}
-}
-
-func withCursors[A any](slice func(*A) []sstIterator) *Iterator {
 	x := new(struct {
 		Iterator
-		cursors A
+		cursors [poolCursors]sstIterator
 	})
-	x.merge.tabs = slice(&x.cursors)
+	x.merge.tabs = x.cursors[:0]
 	return &x.Iterator
 }
 
@@ -152,13 +151,22 @@ func (it *Iterator) Close() {
 // Scan invokes fn for every live key with the given prefix, in key order,
 // stopping early if fn returns false. It is the common fast path for typed
 // edge scans. The key and value passed to fn are valid only until fn
-// returns.
+// returns. Over up to poolCursors tables it reuses a pooled iterator, so
+// it allocates nothing.
 func (db *DB) Scan(prefix []byte, fn func(key, value []byte) bool) (err error) {
-	it, err := db.NewIterator(IterOptions{Prefix: prefix})
-	if err != nil {
-		return err
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.closed {
+		return ErrClosed
 	}
-	defer it.Close()
+	var it *Iterator
+	if len(db.tables) <= poolCursors {
+		it = scanPool.Get().(*Iterator)
+		defer it.recycle()
+	} else {
+		it = newIterator(len(db.tables))
+	}
+	it.open(db, IterOptions{Prefix: prefix})
 	defer db.catchFault(debug.SetPanicOnFault(true), &err)
 	for ; it.ok; it.step() {
 		if e := it.merge.entry(); !fn(e.key, e.value) {
@@ -166,4 +174,12 @@ func (db *DB) Scan(prefix []byte, fn func(key, value []byte) bool) (err error) {
 		}
 	}
 	return it.Err()
+}
+
+// recycle returns a Scan iterator to scanPool, also when fn panicked. It
+// clears the cursors it used, so the pool pins no table, mapping or key.
+func (it *Iterator) recycle() {
+	clear(it.merge.tabs)
+	*it = Iterator{merge: mergeIterator{tabs: it.merge.tabs[:0]}}
+	scanPool.Put(it)
 }

@@ -568,8 +568,8 @@ func TestZeroedIntervalIsAnError(t *testing.T) {
 
 // TestReadPathAllocs pins what a read costs in objects: a point hit copies
 // its value and nothing else, a View of it nothing at all, a miss the Bloom
-// filter catches is free, and a scan is one object — the Iterator with its
-// table cursors — whatever the number of tables.
+// filter catches is free, and a scan nothing whatever the number of tables:
+// its Iterator, with the table cursors, comes from scanPool.
 func TestReadPathAllocs(t *testing.T) {
 	db := openTemp(t, Options{})
 	edge := func(v, d int) []byte { return []byte(fmt.Sprintf("e/%06d/follows/%06d", v, d)) }
@@ -600,12 +600,12 @@ func TestReadPathAllocs(t *testing.T) {
 		db.Scan(prefix, func(_, _ []byte) bool { rows++; return true })
 	}
 	two := testing.AllocsPerRun(100, scan)
-	if two > 1 || rows != 32 {
-		t.Errorf("32-edge scan over two tables: %.0f allocs, %d rows; want 1, 32", two, rows)
+	if two != 0 || rows != 32 {
+		t.Errorf("32-edge scan over two tables: %.0f allocs, %d rows; want 0, 32", two, rows)
 	}
 	// A third table whose key range spans the prefix with nothing under it
-	// is one more cursor in the same object; a fourth whose range misses the
-	// prefix is not opened at all.
+	// is one more cursor in the same pooled object; a fourth whose range
+	// misses the prefix is not opened at all.
 	db.Put(edge(0, 99), []byte("edge-value"))
 	db.Put(edge(199, 99), []byte("edge-value"))
 	db.Flush()
@@ -613,8 +613,8 @@ func TestReadPathAllocs(t *testing.T) {
 		db.Put(edge(v, 0), []byte("edge-value"))
 	}
 	db.Flush()
-	if four := testing.AllocsPerRun(100, scan); four != two || rows != 32 || db.Stats().NumTables != 4 {
-		t.Errorf("same scan with an overlapping third and a non-overlapping fourth table: %.0f allocs (was %.0f), %d rows", four, two, rows)
+	if four := testing.AllocsPerRun(100, scan); four != 0 || rows != 32 || db.Stats().NumTables != 4 {
+		t.Errorf("same scan with an overlapping third and a non-overlapping fourth table: %.0f allocs, want 0; %d rows", four, rows)
 	}
 }
 

@@ -356,7 +356,7 @@ func parseRecord(b, prev []byte) (key, value []byte, n int64, err error) {
 type sstIterator struct {
 	t      *sstable
 	off    int64    // data offset of the next record
-	keyBuf [56]byte // longer keys move to the heap; 56 fits 4 cursors and an Iterator in 768 B
+	keyBuf [56]byte // longer keys move to the heap
 	cur    entry
 	ok     bool
 	err    error

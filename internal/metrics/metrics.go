@@ -86,6 +86,8 @@ type Snapshot struct {
 	// OrphanMsgs counts dropped plan-less messages of a traversal the server
 	// neither knew nor had finished: none ahead on their link had the plan.
 	OrphanMsgs int64
+	// CacheEvictions counts keys the affiliate cache evicted (§V-A).
+	CacheEvictions int64
 	// Rejected counts request batches refused by the shared executor's
 	// admission control (queue depth limit).
 	Rejected int64
@@ -311,6 +313,7 @@ func (a Snapshot) Sub(b Snapshot) Snapshot {
 		Reconnects:     a.Reconnects - b.Reconnects,
 		PeerDownEvents: a.PeerDownEvents - b.PeerDownEvents,
 		OrphanMsgs:     a.OrphanMsgs - b.OrphanMsgs,
+		CacheEvictions: a.CacheEvictions - b.CacheEvictions,
 		Rejected:       a.Rejected - b.Rejected,
 		QueueDepthPeak: a.QueueDepthPeak,
 		QueueWaitNs:    a.QueueWaitNs - b.QueueWaitNs,
@@ -351,6 +354,7 @@ func (a Snapshot) Add(b Snapshot) Snapshot {
 		Reconnects:     a.Reconnects + b.Reconnects,
 		PeerDownEvents: a.PeerDownEvents + b.PeerDownEvents,
 		OrphanMsgs:     a.OrphanMsgs + b.OrphanMsgs,
+		CacheEvictions: a.CacheEvictions + b.CacheEvictions,
 		Rejected:       a.Rejected + b.Rejected,
 		QueueDepthPeak: max(a.QueueDepthPeak, b.QueueDepthPeak),
 		QueueWaitNs:    a.QueueWaitNs + b.QueueWaitNs,
@@ -418,6 +422,7 @@ func Fields() []Field {
 		{"reconnects_total", "Transport-level re-dials after a lost peer connection.", false, false, func(s Snapshot) int64 { return s.Reconnects }},
 		{"peer_down_events_total", "Failure-detector suspicion events.", false, false, func(s Snapshot) int64 { return s.PeerDownEvents }},
 		{"orphan_msgs_total", "Plan-less messages of an unknown traversal, dropped.", false, false, func(s Snapshot) int64 { return s.OrphanMsgs }},
+		{"cache_evictions_total", "Keys the traversal-affiliate cache evicted to admit newer ones.", false, false, func(s Snapshot) int64 { return s.CacheEvictions }},
 		{"rejected_total", "Request batches refused by executor admission control.", false, false, func(s Snapshot) int64 { return s.Rejected }},
 		{"queue_depth_peak", "High-water mark of the shared executor queue depth.", true, false, func(s Snapshot) int64 { return s.QueueDepthPeak }},
 		{"queue_wait_ns_total", "Cumulative enqueue-to-pop wait of served scheduler groups.", false, false, func(s Snapshot) int64 { return s.QueueWaitNs }},
