@@ -18,10 +18,7 @@ import (
 type visitAcc struct {
 	pending atomic.Int32
 	from    int
-	// reqID is the client request id, doubling as the batch's exec identity
-	// in trace spans (client-mode batches are not ledger executions).
-	reqID uint64
-	sp    *trace.Builder // nil when tracing is off
+	sp      *trace.Builder // nil when tracing is off
 
 	mu   sync.Mutex
 	resp wire.Message
@@ -35,8 +32,6 @@ func (a *visitAcc) process(s *Server, ts *travelState, ex *expansion, match bool
 	s.processVisitItem(ts, ex, match, it)
 	return now
 }
-
-func (a *visitAcc) execID() uint64 { return a.reqID }
 
 // fail records the first error on the response; the client treats a
 // response error as fatal for the whole traversal attempt.
@@ -89,7 +84,7 @@ func (s *Server) handleVisitReq(from int, msg wire.Message, ts *travelState) {
 	// observability; they are not ledger executions, so the coordinator
 	// cross-check ignores them. The client chains ParentExec across steps,
 	// so even client-driven traversals assemble into a causal DAG.
-	acc := &visitAcc{from: from, reqID: msg.ReqID, resp: resp,
+	acc := &visitAcc{from: from, resp: resp,
 		sp: s.beginSpan(ts.id, msg.ReqID, msg.ParentExec, msg.Step, len(msg.Entries))}
 	acc.pending.Store(int32(len(msg.Entries)))
 	// Only Vertex is read of a client-mode entry: no cache, no merging, no rtn.

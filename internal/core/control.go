@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"graphtrek/internal/events"
+	"graphtrek/internal/metrics"
 	"graphtrek/internal/wire"
 )
 
@@ -156,7 +157,7 @@ func (s *Server) isSuspect(p int) bool {
 // one message delay, and every coordinated traversal with live work on the
 // suspect fails fast.
 func (s *Server) onPeerDown(peer int, detail string, broadcast bool) {
-	s.met.AddPeerDownEvents(1)
+	s.met.Add(metrics.PeerDownEvents, 1)
 	s.journal.Record(events.Event{Type: events.SuspicionUp, Part: -1, Peer: peer, Detail: detail})
 	if broadcast {
 		for p := 0; p < s.cfg.Part.N(); p++ {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"graphtrek/internal/frontier"
+	"graphtrek/internal/metrics"
 	"graphtrek/internal/model"
 	"graphtrek/internal/property"
 	"graphtrek/internal/query"
@@ -40,10 +41,6 @@ type accumulator interface {
 	// Workers attribute per-item queue wait and merge disposition to it
 	// while processing groups; the cache's is counted at admission.
 	span() *trace.Builder
-	// execID is the accumulator's causal identity: the ledger execution id
-	// (or, for client-mode batches, the request id) stamped as ParentExec
-	// on every dispatch its items produce.
-	execID() uint64
 }
 
 // execAcc tracks one traversal execution being processed on this server: a
@@ -56,7 +53,7 @@ type accumulator interface {
 // every terminated execution's children are registered no later than the
 // termination itself.
 type execAcc struct {
-	id      uint64
+	id      uint64 // ledger execution id: the ParentExec of what its items dispatch
 	pending atomic.Int32
 	sp      *trace.Builder // nil when tracing is off
 }
@@ -70,8 +67,6 @@ func (a *execAcc) span() *trace.Builder { return a.sp }
 func (a *execAcc) process(s *Server, ts *travelState, ex *expansion, match bool, it sched.Item, now time.Duration) time.Duration {
 	return s.processItem(ts, ex, match, it, now)
 }
-
-func (a *execAcc) execID() uint64 { return a.id }
 
 func (a *execAcc) fail(_ *Server, ts *travelState, msg string) {
 	a.sp.Fail(msg)
@@ -400,7 +395,7 @@ func (s *Server) flushTravel(ts *travelState) {
 		sendErrs = append(sendErrs, fmt.Sprintf("core: exec events to coordinator %d failed: %v", ts.coord, err))
 	}
 	ts.sendMu.Unlock()
-	s.met.AddExecs(int(int64(len(ended))))
+	s.met.Add(metrics.Execs, int64(len(ended)))
 	for _, om := range msgs {
 		if err := s.ship(ts, om); err != nil {
 			sendErrs = append(sendErrs, fmt.Sprintf("core: dispatch to server %d failed: %v", om.target, err))

@@ -8,6 +8,7 @@ import (
 
 	"graphtrek/internal/events"
 	"graphtrek/internal/gstore"
+	"graphtrek/internal/metrics"
 	"graphtrek/internal/model"
 	"graphtrek/internal/repl"
 	"graphtrek/internal/route"
@@ -121,25 +122,12 @@ func (s *Server) runEffects(p int, out []repl.Effect) (first error) {
 		case repl.Journal:
 			s.journal.Record(events.Event{Type: e.Event, Part: p, Peer: int(e.To), Epoch: e.Epoch, Detail: e.Detail})
 		case repl.Count:
-			s.replCount(e.Metric, e.N)
+			s.met.Add(e.Counter, e.N)
+		case repl.QuorumWrite:
+			s.met.ObserveQuorumWrite(e.D)
 		}
 	}
 	return first
-}
-
-func (s *Server) replCount(m repl.Metric, n int64) {
-	switch m {
-	case repl.Promotions:
-		s.met.AddPromotions(int(n))
-	case repl.EpochRejects:
-		s.met.AddEpochRejects(int(n))
-	case repl.RejoinNudges:
-		s.met.AddRejoinNudges(n)
-	case repl.LagBytes:
-		s.met.AddReplLagBytes(n)
-	case repl.QuorumWrite:
-		s.met.ObserveQuorumWrite(time.Duration(n))
-	}
 }
 
 // applyBatch decodes and applies one shipped mutation batch to the local
@@ -165,7 +153,7 @@ func (s *Server) streamSnapshot(p int, e repl.Effect) {
 	keep := func(id model.VertexID) bool { return view.Partition(id) == p }
 	err := gstore.SnapshotMutations(s.cfg.Store, keep, s.cfg.BatchSize, func(ms []gstore.Mutation) error {
 		blob := gstore.EncodeBatch(ms)
-		s.met.AddHandoffBytes(int64(len(blob)))
+		s.met.Add(metrics.HandoffBytes, int64(len(blob)))
 		return s.send(int(e.To), wire.Message{Kind: wire.KindSnapshot, Mode: repl.SnapModeChunk, Part: int32(p), Blob: blob})
 	})
 	if err == nil { // else a stalled join; the joiner's operator retries

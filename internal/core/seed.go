@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"graphtrek/internal/gstore"
+	"graphtrek/internal/metrics"
 	"graphtrek/internal/model"
 	"graphtrek/internal/property"
 	"graphtrek/internal/query"
@@ -142,8 +143,8 @@ func (s *Server) selectSeeds(s0 query.Step) ([]model.VertexID, error) {
 		ids = owned
 	}
 	if usedIndex {
-		s.met.AddSeedIndexHits(len(ids))
+		s.met.Add(metrics.SeedIndexHits, int64(len(ids)))
 	}
-	s.met.AddSeedScanned(len(ids))
+	s.met.Add(metrics.SeedScanned, int64(len(ids)))
 	return ids, nil
 }

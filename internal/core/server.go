@@ -197,7 +197,7 @@ func (s *Server) enqueue(ts *travelState, step int32, acc accumulator, entries [
 	if live > 0 {
 		depth, err := s.exec.PushBatch(ts.id, step, acc, entries, skip, live)
 		if err != nil {
-			s.met.AddRejected(1)
+			s.met.Add(metrics.Rejected, 1)
 			// Bursts coalesce into one journal entry with a growing count.
 			s.journal.Record(events.Event{Type: events.Backpressure, Part: -1, Peer: -1,
 				Detail: fmt.Sprintf("executor queue full, batch of %d refused", len(entries))})
@@ -205,7 +205,7 @@ func (s *Server) enqueue(ts *travelState, step int32, acc accumulator, entries [
 		}
 		s.met.ObserveQueueDepth(int64(depth))
 	}
-	s.met.AddReceived(len(entries))
+	s.met.Add(metrics.Received, int64(len(entries)))
 	return nil
 }
 
@@ -344,11 +344,11 @@ func (s *Server) enter() bool {
 
 // ObserveReconnect records a transport-level peer reconnection in this
 // server's metrics; wire it to rpc.TCPOptions.OnReconnect.
-func (s *Server) ObserveReconnect(int) { s.met.AddReconnects(1) }
+func (s *Server) ObserveReconnect(int) { s.met.Add(metrics.Reconnects, 1) }
 
 // ObserveSendFailure records a transport-level frame loss in this server's
 // metrics; wire it to rpc.TCPOptions.OnSendFailure.
-func (s *Server) ObserveSendFailure(int) { s.met.AddMsgsFailed(1) }
+func (s *Server) ObserveSendFailure(int) { s.met.Add(metrics.MsgsFailed, 1) }
 
 // travelState is the per-traversal state a backend server keeps. Its
 // requests live in the server's shared executor queue, keyed by id.
@@ -492,7 +492,7 @@ func (s *Server) registerTravel(from int, msg wire.Message) (ts *travelState, fr
 		return ts, false
 	}
 	if len(msg.Plan) == 0 && msg.Kind != wire.KindStartTravel {
-		s.met.AddOrphanMsgs(1)
+		s.met.Add(metrics.OrphanMsgs, 1)
 		return nil, false
 	}
 	plan, err := query.DecodePlan(msg.Plan)
@@ -598,7 +598,7 @@ func (s *Server) startExec(ts *travelState, id, parent uint64, step int32, entri
 		s.endUnqueued(ts, acc, s.admissionError(err))
 		return
 	}
-	s.met.AddRedundant(redundant)
+	s.met.Add(metrics.Redundant, int64(redundant))
 	if live == 0 {
 		acc.finished(s, ts)
 		s.maybeFlush(ts, 0)
@@ -672,9 +672,9 @@ func (s *Server) dropTravelLocked(id uint64) {
 // but a dead link is observable in MsgsFailed instead of vanishing
 // silently.
 func (s *Server) send(to int, msg wire.Message) error {
-	s.met.AddMsgsSent(1)
+	s.met.Add(metrics.MsgsSent, 1)
 	if err := s.tr.Send(to, msg); err != nil {
-		s.met.AddMsgsFailed(1)
+		s.met.Add(metrics.MsgsFailed, 1)
 		return err
 	}
 	return nil

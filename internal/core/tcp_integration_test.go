@@ -188,3 +188,64 @@ func TestNoRetryFailsFast(t *testing.T) {
 		t.Errorf("error = %v", err)
 	}
 }
+
+// TestTransportHooksFeedServerMetrics wires a server's ObserveReconnect and
+// ObserveSendFailure into its TCP transport, as graphtrek-server and the
+// benchmark do, then drops the peer's connection: frames refused while the
+// peer is down must show in MsgsFailed, and the re-dial once it is back in
+// Reconnects.
+func TestTransportHooksFeedServerMetrics(t *testing.T) {
+	srv := NewServer(Config{ID: 0, Store: gstore.NewMemStore(), Part: partition.NewHash(1)})
+	defer srv.Close()
+	tr, err := rpc.NewTCPWithOptions(0, []string{"127.0.0.1:0", "127.0.0.1:0"}, srv.Handle, rpc.TCPOptions{
+		OutboxSize:      2,
+		SendTimeout:     -1, // refuse at once on a full outbox
+		DialBackoffBase: 5 * time.Millisecond,
+		DialBackoffMax:  50 * time.Millisecond,
+		OnReconnect:     srv.ObserveReconnect,
+		OnSendFailure:   srv.ObserveSendFailure,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	srv.Bind(tr)
+
+	var got atomic.Int64
+	peer := func(addr string) *rpc.TCP {
+		p, err := rpc.NewTCP(1, []string{tr.Addr(), addr}, func(int, wire.Message) { got.Add(1) })
+		if err != nil {
+			t.Fatalf("peer on %s: %v", addr, err)
+		}
+		return p
+	}
+	// sendUntil sends until cond holds; a refused Send is what the test
+	// waits for, not a failure of it.
+	sendUntil := func(what string, cond func() bool) {
+		t.Helper()
+		pollUntil(t, 10*time.Second, what, func() bool {
+			tr.Send(1, wire.Message{Kind: wire.KindResult, TravelID: 1})
+			return cond()
+		})
+	}
+
+	p1 := peer("127.0.0.1:0")
+	addr := p1.Addr()
+	if err := tr.PatchAddrs([]string{tr.Addr(), addr}); err != nil {
+		t.Fatal(err)
+	}
+	sendUntil("first delivery", func() bool { return got.Load() > 0 })
+	if n := srv.Metrics().Reconnects; n != 0 {
+		t.Fatalf("Reconnects = %d after the first dial, want 0", n)
+	}
+
+	p1.Close()
+	sendUntil("a refused frame", func() bool { return srv.Metrics().MsgsFailed >= 1 })
+
+	defer peer(addr).Close()
+	before := got.Load()
+	sendUntil("delivery after the restart", func() bool { return got.Load() > before })
+	if m := srv.Metrics(); m.Reconnects < 1 {
+		t.Errorf("Reconnects = %d after the peer came back, want >= 1 (transport %+v)", m.Reconnects, tr.Stats())
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"graphtrek/internal/metrics"
 	"graphtrek/internal/model"
 	"graphtrek/internal/property"
 	"graphtrek/internal/query"
@@ -35,8 +36,8 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) tim
 	for _, it := range items {
 		spanOf(it).ObserveWait(now - it.Enqueued)
 	}
-	s.met.AddRealIO(1)
-	s.met.AddCombined(len(items) - 1)
+	s.met.Add(metrics.RealIO, 1)
+	s.met.Add(metrics.Combined, int64(len(items)-1))
 	// The first entry pays the (merged) storage access; the rest ride
 	// along — the same attribution the server counters use, so per-span
 	// dispositions sum to the server totals.
@@ -83,7 +84,7 @@ func (s *Server) processGroup(ts *travelState, g sched.Group, ex *expansion) tim
 func (s *Server) processItem(ts *travelState, ex *expansion, match bool, it sched.Item, now time.Duration) time.Duration {
 	plan := ts.plan
 	last := int32(plan.NumSteps() - 1)
-	exec := it.Exec.(accumulator).execID()
+	exec := it.Exec.(*execAcc).id
 	sp := spanOf(it)
 	if !match {
 		return now // the path dies here

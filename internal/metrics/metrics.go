@@ -9,6 +9,7 @@ package metrics
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -17,35 +18,10 @@ import (
 // Server holds one backend server's counters. All methods are safe for
 // concurrent use. The zero value is ready.
 type Server struct {
-	received   atomic.Int64
-	redundant  atomic.Int64
-	combined   atomic.Int64
-	realIO     atomic.Int64
-	msgsSent   atomic.Int64
-	execs      atomic.Int64
-	msgsFailed atomic.Int64
-	reconnects atomic.Int64
-	peerDowns  atomic.Int64
-	orphanMsgs atomic.Int64
-
-	// Shared-executor instrumentation.
-	rejected    atomic.Int64
-	queuePeak   atomic.Int64
-	queueWaitNs atomic.Int64
-	queueGroups atomic.Int64
-
-	// Seed-selection instrumentation. The read-cache counters have no
-	// atomics here: the storage layer owns them and the server overlays
-	// them into its snapshots.
-	seedScanned   atomic.Int64
-	seedIndexHits atomic.Int64
-
-	// Replication / failover instrumentation.
-	promotions   atomic.Int64
-	epochRejects atomic.Int64
-	replLag      atomic.Int64
-	handoffBytes atomic.Int64
-	rejoinNudges atomic.Int64
+	// c holds one atomic per Counter. The rows another layer owns (the
+	// read-cache, trace-ring, affiliate-cache and runtime counters) stay 0
+	// here: the server overlays them into its snapshots.
+	c [numCounters]atomic.Int64
 
 	// Native latency histograms (log-linear buckets, see histogram.go).
 	// These live outside Snapshot — Snapshot stays the flat counter copy
@@ -161,76 +137,67 @@ type Snapshot struct {
 	GCPauseP95Ns int64
 }
 
-// AddReceived records n accepted vertex requests.
-func (s *Server) AddReceived(n int) { s.received.Add(int64(n)) }
+// Counter names one Snapshot field: its index in declaration order, in
+// Server's atomics and in the Fields() table.
+type Counter uint8
 
-// AddRedundant records n cache-eliminated requests.
-func (s *Server) AddRedundant(n int) { s.redundant.Add(int64(n)) }
+// One Counter per Snapshot field, in declaration order.
+const (
+	Received Counter = iota
+	Redundant
+	Combined
+	RealIO
+	MsgsSent
+	Execs
+	MsgsFailed
+	Reconnects
+	PeerDownEvents
+	OrphanMsgs
+	CacheEvictions
+	Rejected
+	QueueDepthPeak
+	QueueWaitNs
+	QueueGroups
+	SeedScanned
+	SeedIndexHits
+	VtxCacheHits
+	VtxCacheMisses
+	AdjCacheHits
+	AdjCacheMisses
+	SpansDropped
+	Promotions
+	EpochRejects
+	ReplLagBytes
+	HandoffBytes
+	RejoinNudges
+	HeapAllocBytes
+	NumGC
+	GCPauseTotalNs
+	GCPauseP95Ns
+	numCounters
+)
 
-// AddCombined records n merge-eliminated requests.
-func (s *Server) AddCombined(n int) { s.combined.Add(int64(n)) }
-
-// AddRealIO records n real storage accesses.
-func (s *Server) AddRealIO(n int) { s.realIO.Add(int64(n)) }
-
-// AddMsgsSent records n outbound messages.
-func (s *Server) AddMsgsSent(n int) { s.msgsSent.Add(int64(n)) }
-
-// AddExecs records n processed executions.
-func (s *Server) AddExecs(n int) { s.execs.Add(int64(n)) }
-
-// AddMsgsFailed records n undeliverable outbound messages.
-func (s *Server) AddMsgsFailed(n int) { s.msgsFailed.Add(int64(n)) }
-
-// AddReconnects records n transport re-dials.
-func (s *Server) AddReconnects(n int) { s.reconnects.Add(int64(n)) }
-
-// AddPeerDownEvents records n failure-detector suspicion events.
-func (s *Server) AddPeerDownEvents(n int) { s.peerDowns.Add(int64(n)) }
-
-// AddOrphanMsgs records n dropped messages of an unknown traversal.
-func (s *Server) AddOrphanMsgs(n int) { s.orphanMsgs.Add(int64(n)) }
-
-// AddRejected records n admission-control rejections.
-func (s *Server) AddRejected(n int) { s.rejected.Add(int64(n)) }
+// Add moves counter c by n (a gauge such as ReplLagBytes by a signed
+// delta).
+func (s *Server) Add(c Counter, n int64) { s.c[c].Add(n) }
 
 // ObserveQueueDepth raises the executor queue-depth high-water mark.
 func (s *Server) ObserveQueueDepth(depth int64) {
+	peak := &s.c[QueueDepthPeak]
 	for {
-		cur := s.queuePeak.Load()
-		if depth <= cur || s.queuePeak.CompareAndSwap(cur, depth) {
+		cur := peak.Load()
+		if depth <= cur || peak.CompareAndSwap(cur, depth) {
 			return
 		}
 	}
 }
 
-// AddSeedScanned records n step-0 source candidates enumerated.
-func (s *Server) AddSeedScanned(n int) { s.seedScanned.Add(int64(n)) }
-
-// AddSeedIndexHits records n seed candidates resolved via a property index.
-func (s *Server) AddSeedIndexHits(n int) { s.seedIndexHits.Add(int64(n)) }
-
-// AddPromotions records n follower→primary promotions of this server.
-func (s *Server) AddPromotions(n int) { s.promotions.Add(int64(n)) }
-
-// AddEpochRejects records n stale-epoch rejections.
-func (s *Server) AddEpochRejects(n int) { s.epochRejects.Add(int64(n)) }
-
-// AddReplLagBytes moves the replication byte lag by a delta.
-func (s *Server) AddReplLagBytes(n int64) { s.replLag.Add(n) }
-
-// AddHandoffBytes records n snapshot bytes streamed for handoff.
-func (s *Server) AddHandoffBytes(n int64) { s.handoffBytes.Add(n) }
-
-// AddRejoinNudges records n rejoin invitations sent to a recovered peer.
-func (s *Server) AddRejoinNudges(n int64) { s.rejoinNudges.Add(n) }
-
 // AddQueueWait records one popped scheduler group's enqueue→pop wait,
 // both in the legacy cumulative counters and the queue-wait histogram —
 // so the histogram's _count stays pinned to queue_groups_total.
 func (s *Server) AddQueueWait(d time.Duration) {
-	s.queueWaitNs.Add(int64(d))
-	s.queueGroups.Add(1)
+	s.c[QueueWaitNs].Add(int64(d))
+	s.c[QueueGroups].Add(1)
 	s.queueWaitHist.Record(int64(d))
 }
 
@@ -273,112 +240,37 @@ func (s *Server) Histograms() []HistogramSnapshot {
 
 // Snapshot returns a copy of the current counters.
 func (s *Server) Snapshot() Snapshot {
-	return Snapshot{
-		Received:       s.received.Load(),
-		Redundant:      s.redundant.Load(),
-		Combined:       s.combined.Load(),
-		RealIO:         s.realIO.Load(),
-		MsgsSent:       s.msgsSent.Load(),
-		Execs:          s.execs.Load(),
-		MsgsFailed:     s.msgsFailed.Load(),
-		Reconnects:     s.reconnects.Load(),
-		PeerDownEvents: s.peerDowns.Load(),
-		OrphanMsgs:     s.orphanMsgs.Load(),
-		Rejected:       s.rejected.Load(),
-		QueueDepthPeak: s.queuePeak.Load(),
-		QueueWaitNs:    s.queueWaitNs.Load(),
-		QueueGroups:    s.queueGroups.Load(),
-		SeedScanned:    s.seedScanned.Load(),
-		SeedIndexHits:  s.seedIndexHits.Load(),
-		Promotions:     s.promotions.Load(),
-		EpochRejects:   s.epochRejects.Load(),
-		ReplLagBytes:   s.replLag.Load(),
-		HandoffBytes:   s.handoffBytes.Load(),
-		RejoinNudges:   s.rejoinNudges.Load(),
+	var snap Snapshot
+	for c, f := range &table {
+		*f.ptr(&snap) = s.c[c].Load()
 	}
+	return snap
 }
 
 // Sub returns the counter deltas from an earlier snapshot — how the
-// benchmark harness isolates one traversal's statistics. QueueDepthPeak is
-// a gauge and keeps the receiver's (later) value.
+// benchmark harness isolates one traversal's statistics. A gauge keeps the
+// receiver's (later) value.
 func (a Snapshot) Sub(b Snapshot) Snapshot {
-	return Snapshot{
-		Received:       a.Received - b.Received,
-		Redundant:      a.Redundant - b.Redundant,
-		Combined:       a.Combined - b.Combined,
-		RealIO:         a.RealIO - b.RealIO,
-		MsgsSent:       a.MsgsSent - b.MsgsSent,
-		Execs:          a.Execs - b.Execs,
-		MsgsFailed:     a.MsgsFailed - b.MsgsFailed,
-		Reconnects:     a.Reconnects - b.Reconnects,
-		PeerDownEvents: a.PeerDownEvents - b.PeerDownEvents,
-		OrphanMsgs:     a.OrphanMsgs - b.OrphanMsgs,
-		CacheEvictions: a.CacheEvictions - b.CacheEvictions,
-		Rejected:       a.Rejected - b.Rejected,
-		QueueDepthPeak: a.QueueDepthPeak,
-		QueueWaitNs:    a.QueueWaitNs - b.QueueWaitNs,
-		QueueGroups:    a.QueueGroups - b.QueueGroups,
-		SeedScanned:    a.SeedScanned - b.SeedScanned,
-		SeedIndexHits:  a.SeedIndexHits - b.SeedIndexHits,
-		VtxCacheHits:   a.VtxCacheHits - b.VtxCacheHits,
-		VtxCacheMisses: a.VtxCacheMisses - b.VtxCacheMisses,
-		AdjCacheHits:   a.AdjCacheHits - b.AdjCacheHits,
-		AdjCacheMisses: a.AdjCacheMisses - b.AdjCacheMisses,
-		SpansDropped:   a.SpansDropped - b.SpansDropped,
-		Promotions:     a.Promotions - b.Promotions,
-		EpochRejects:   a.EpochRejects - b.EpochRejects,
-		ReplLagBytes:   a.ReplLagBytes,
-		HandoffBytes:   a.HandoffBytes - b.HandoffBytes,
-		RejoinNudges:   a.RejoinNudges - b.RejoinNudges,
-		// Runtime overlay: gauges keep the later value, cycle/pause counters
-		// difference to the interval's GC activity.
-		HeapAllocBytes: a.HeapAllocBytes,
-		NumGC:          a.NumGC - b.NumGC,
-		GCPauseTotalNs: a.GCPauseTotalNs - b.GCPauseTotalNs,
-		GCPauseP95Ns:   a.GCPauseP95Ns,
+	for _, f := range &table {
+		if !f.Gauge {
+			*f.ptr(&a) -= *f.ptr(&b)
+		}
 	}
+	return a
 }
 
-// Add returns the field-wise sum of two snapshots. QueueDepthPeak is a
-// gauge and takes the max — summing per-server peaks would overstate any
-// single server's backlog.
+// Add returns the field-wise sum of two snapshots; a Max row takes the
+// larger value instead.
 func (a Snapshot) Add(b Snapshot) Snapshot {
-	return Snapshot{
-		Received:       a.Received + b.Received,
-		Redundant:      a.Redundant + b.Redundant,
-		Combined:       a.Combined + b.Combined,
-		RealIO:         a.RealIO + b.RealIO,
-		MsgsSent:       a.MsgsSent + b.MsgsSent,
-		Execs:          a.Execs + b.Execs,
-		MsgsFailed:     a.MsgsFailed + b.MsgsFailed,
-		Reconnects:     a.Reconnects + b.Reconnects,
-		PeerDownEvents: a.PeerDownEvents + b.PeerDownEvents,
-		OrphanMsgs:     a.OrphanMsgs + b.OrphanMsgs,
-		CacheEvictions: a.CacheEvictions + b.CacheEvictions,
-		Rejected:       a.Rejected + b.Rejected,
-		QueueDepthPeak: max(a.QueueDepthPeak, b.QueueDepthPeak),
-		QueueWaitNs:    a.QueueWaitNs + b.QueueWaitNs,
-		QueueGroups:    a.QueueGroups + b.QueueGroups,
-		SeedScanned:    a.SeedScanned + b.SeedScanned,
-		SeedIndexHits:  a.SeedIndexHits + b.SeedIndexHits,
-		VtxCacheHits:   a.VtxCacheHits + b.VtxCacheHits,
-		VtxCacheMisses: a.VtxCacheMisses + b.VtxCacheMisses,
-		AdjCacheHits:   a.AdjCacheHits + b.AdjCacheHits,
-		AdjCacheMisses: a.AdjCacheMisses + b.AdjCacheMisses,
-		SpansDropped:   a.SpansDropped + b.SpansDropped,
-		Promotions:     a.Promotions + b.Promotions,
-		EpochRejects:   a.EpochRejects + b.EpochRejects,
-		// Per-server lags sum to the cluster's total outstanding bytes.
-		ReplLagBytes: a.ReplLagBytes + b.ReplLagBytes,
-		HandoffBytes: a.HandoffBytes + b.HandoffBytes,
-		RejoinNudges: a.RejoinNudges + b.RejoinNudges,
-		// Process-level runtime stats: in-process clusters share one runtime,
-		// so max (not sum) keeps the aggregate honest.
-		HeapAllocBytes: max(a.HeapAllocBytes, b.HeapAllocBytes),
-		NumGC:          max(a.NumGC, b.NumGC),
-		GCPauseTotalNs: max(a.GCPauseTotalNs, b.GCPauseTotalNs),
-		GCPauseP95Ns:   max(a.GCPauseP95Ns, b.GCPauseP95Ns),
+	for _, f := range &table {
+		p, v := f.ptr(&a), *f.ptr(&b)
+		if f.Max {
+			*p = max(*p, v)
+		} else {
+			*p += v
+		}
 	}
+	return a
 }
 
 // Consistent reports whether redundant + combined + real == received, the
@@ -387,64 +279,74 @@ func (a Snapshot) Consistent() bool {
 	return a.Redundant+a.Combined+a.RealIO == a.Received
 }
 
-// Field is one exported counter in the canonical enumeration.
+// Field is one exported counter in the canonical enumeration, with the
+// rule that combines two snapshots' values of it.
 type Field struct {
 	// Name is the Prometheus-style metric name (snake_case, no prefix).
 	Name string
 	// Help is the one-line exposition comment.
 	Help string
-	// Gauge marks point-in-time values; everything else is a monotonic
-	// counter.
+	// Gauge marks point-in-time values: Sub keeps the receiver's (later)
+	// value. Everything else is a monotonic counter, and Sub differences it.
 	Gauge bool
 	// Process marks process-wide facts (the Go runtime's GC statistics):
 	// every server in one process reports the same value, so the
 	// exposition emits them once, unlabeled, instead of per-server series
 	// that a PromQL sum() would multiply by the server count.
 	Process bool
-	// Get reads the field from a snapshot.
-	Get func(Snapshot) int64
+	// Max makes Add take the larger value instead of the sum: summing
+	// per-server peaks would overstate any one server's backlog, and
+	// in-process clusters share one runtime.
+	Max bool
+
+	ptr func(*Snapshot) *int64
+}
+
+// Get reads the field from a snapshot.
+func (f Field) Get(s Snapshot) int64 { return *f.ptr(&s) }
+
+// table is the one per-field list: Server's atomics, Snapshot, Sub, Add and
+// the /metrics exposition all read it. Adding a counter is one Counter
+// constant, one Snapshot field and one row here; TestFieldsCoverSnapshot
+// holds the three to one order.
+var table = [numCounters]Field{
+	Received:       {Name: "received_total", Help: "Vertex requests (frontier entries) accepted.", ptr: func(s *Snapshot) *int64 { return &s.Received }},
+	Redundant:      {Name: "redundant_total", Help: "Requests dropped by the traversal-affiliate cache.", ptr: func(s *Snapshot) *int64 { return &s.Redundant }},
+	Combined:       {Name: "combined_total", Help: "Requests served by an execution-merged disk access.", ptr: func(s *Snapshot) *int64 { return &s.Combined }},
+	RealIO:         {Name: "real_io_total", Help: "Actual vertex accesses against the storage system.", ptr: func(s *Snapshot) *int64 { return &s.RealIO }},
+	MsgsSent:       {Name: "msgs_sent_total", Help: "Engine messages sent to peers.", ptr: func(s *Snapshot) *int64 { return &s.MsgsSent }},
+	Execs:          {Name: "execs_total", Help: "Traversal executions processed.", ptr: func(s *Snapshot) *int64 { return &s.Execs }},
+	MsgsFailed:     {Name: "msgs_failed_total", Help: "Engine messages the transport failed to deliver.", ptr: func(s *Snapshot) *int64 { return &s.MsgsFailed }},
+	Reconnects:     {Name: "reconnects_total", Help: "Transport-level re-dials after a lost peer connection.", ptr: func(s *Snapshot) *int64 { return &s.Reconnects }},
+	PeerDownEvents: {Name: "peer_down_events_total", Help: "Failure-detector suspicion events.", ptr: func(s *Snapshot) *int64 { return &s.PeerDownEvents }},
+	OrphanMsgs:     {Name: "orphan_msgs_total", Help: "Plan-less messages of an unknown traversal, dropped.", ptr: func(s *Snapshot) *int64 { return &s.OrphanMsgs }},
+	CacheEvictions: {Name: "cache_evictions_total", Help: "Keys the traversal-affiliate cache evicted to admit newer ones.", ptr: func(s *Snapshot) *int64 { return &s.CacheEvictions }},
+	Rejected:       {Name: "rejected_total", Help: "Request batches refused by executor admission control.", ptr: func(s *Snapshot) *int64 { return &s.Rejected }},
+	QueueDepthPeak: {Name: "queue_depth_peak", Help: "High-water mark of the shared executor queue depth.", Gauge: true, Max: true, ptr: func(s *Snapshot) *int64 { return &s.QueueDepthPeak }},
+	QueueWaitNs:    {Name: "queue_wait_ns_total", Help: "Cumulative enqueue-to-pop wait of served scheduler groups.", ptr: func(s *Snapshot) *int64 { return &s.QueueWaitNs }},
+	QueueGroups:    {Name: "queue_groups_total", Help: "Scheduler groups popped by executor workers.", ptr: func(s *Snapshot) *int64 { return &s.QueueGroups }},
+	SeedScanned:    {Name: "seed_scanned_total", Help: "Step-0 source candidates enumerated by seed selection.", ptr: func(s *Snapshot) *int64 { return &s.SeedScanned }},
+	SeedIndexHits:  {Name: "seed_index_hits_total", Help: "Seed candidates resolved via a property index lookup.", ptr: func(s *Snapshot) *int64 { return &s.SeedIndexHits }},
+	VtxCacheHits:   {Name: "vtx_cache_hits_total", Help: "Decoded-vertex read-cache hits in the storage layer.", ptr: func(s *Snapshot) *int64 { return &s.VtxCacheHits }},
+	VtxCacheMisses: {Name: "vtx_cache_misses_total", Help: "Decoded-vertex read-cache misses in the storage layer.", ptr: func(s *Snapshot) *int64 { return &s.VtxCacheMisses }},
+	AdjCacheHits:   {Name: "adj_cache_hits_total", Help: "Materialized-adjacency read-cache hits in the storage layer.", ptr: func(s *Snapshot) *int64 { return &s.AdjCacheHits }},
+	AdjCacheMisses: {Name: "adj_cache_misses_total", Help: "Materialized-adjacency read-cache misses in the storage layer.", ptr: func(s *Snapshot) *int64 { return &s.AdjCacheMisses }},
+	SpansDropped:   {Name: "trace_spans_dropped_total", Help: "Execution spans evicted from the trace ring to admit newer ones.", ptr: func(s *Snapshot) *int64 { return &s.SpansDropped }},
+	Promotions:     {Name: "promotions_total", Help: "Follower-to-primary promotions performed by this server.", ptr: func(s *Snapshot) *int64 { return &s.Promotions }},
+	EpochRejects:   {Name: "epoch_rejects_total", Help: "Replication or write messages rejected for a stale epoch.", ptr: func(s *Snapshot) *int64 { return &s.EpochRejects }},
+	ReplLagBytes:   {Name: "repl_lag_bytes", Help: "Shipped-minus-acked replication byte lag across partitions.", Gauge: true, ptr: func(s *Snapshot) *int64 { return &s.ReplLagBytes }},
+	HandoffBytes:   {Name: "handoff_bytes_total", Help: "Snapshot bytes streamed for shard handoff and catch-up.", ptr: func(s *Snapshot) *int64 { return &s.HandoffBytes }},
+	RejoinNudges:   {Name: "rejoin_nudges_total", Help: "Rejoin invitations sent to recovered peers for under-replicated partitions.", ptr: func(s *Snapshot) *int64 { return &s.RejoinNudges }},
+	HeapAllocBytes: {Name: "heap_alloc_bytes", Help: "Live heap bytes at snapshot time (runtime.MemStats.HeapAlloc).", Gauge: true, Process: true, Max: true, ptr: func(s *Snapshot) *int64 { return &s.HeapAllocBytes }},
+	NumGC:          {Name: "gc_cycles_total", Help: "Completed GC cycles since process start.", Process: true, Max: true, ptr: func(s *Snapshot) *int64 { return &s.NumGC }},
+	GCPauseTotalNs: {Name: "gc_pause_ns_total", Help: "Cumulative stop-the-world GC pause time.", Process: true, Max: true, ptr: func(s *Snapshot) *int64 { return &s.GCPauseTotalNs }},
+	GCPauseP95Ns:   {Name: "gc_pause_p95_ns", Help: "95th-percentile GC pause over the runtime's recent pause ring.", Gauge: true, Process: true, Max: true, ptr: func(s *Snapshot) *int64 { return &s.GCPauseP95Ns }},
 }
 
 // Fields enumerates every Snapshot field in declaration order, with
-// exposition names and help strings. The observability endpoint renders
-// /metrics from this list, so a counter added to Snapshot must be added
-// here too — a reflection test enforces the correspondence, which keeps
-// future counters from silently missing the exposition.
-func Fields() []Field {
-	return []Field{
-		{"received_total", "Vertex requests (frontier entries) accepted.", false, false, func(s Snapshot) int64 { return s.Received }},
-		{"redundant_total", "Requests dropped by the traversal-affiliate cache.", false, false, func(s Snapshot) int64 { return s.Redundant }},
-		{"combined_total", "Requests served by an execution-merged disk access.", false, false, func(s Snapshot) int64 { return s.Combined }},
-		{"real_io_total", "Actual vertex accesses against the storage system.", false, false, func(s Snapshot) int64 { return s.RealIO }},
-		{"msgs_sent_total", "Engine messages sent to peers.", false, false, func(s Snapshot) int64 { return s.MsgsSent }},
-		{"execs_total", "Traversal executions processed.", false, false, func(s Snapshot) int64 { return s.Execs }},
-		{"msgs_failed_total", "Engine messages the transport failed to deliver.", false, false, func(s Snapshot) int64 { return s.MsgsFailed }},
-		{"reconnects_total", "Transport-level re-dials after a lost peer connection.", false, false, func(s Snapshot) int64 { return s.Reconnects }},
-		{"peer_down_events_total", "Failure-detector suspicion events.", false, false, func(s Snapshot) int64 { return s.PeerDownEvents }},
-		{"orphan_msgs_total", "Plan-less messages of an unknown traversal, dropped.", false, false, func(s Snapshot) int64 { return s.OrphanMsgs }},
-		{"cache_evictions_total", "Keys the traversal-affiliate cache evicted to admit newer ones.", false, false, func(s Snapshot) int64 { return s.CacheEvictions }},
-		{"rejected_total", "Request batches refused by executor admission control.", false, false, func(s Snapshot) int64 { return s.Rejected }},
-		{"queue_depth_peak", "High-water mark of the shared executor queue depth.", true, false, func(s Snapshot) int64 { return s.QueueDepthPeak }},
-		{"queue_wait_ns_total", "Cumulative enqueue-to-pop wait of served scheduler groups.", false, false, func(s Snapshot) int64 { return s.QueueWaitNs }},
-		{"queue_groups_total", "Scheduler groups popped by executor workers.", false, false, func(s Snapshot) int64 { return s.QueueGroups }},
-		{"seed_scanned_total", "Step-0 source candidates enumerated by seed selection.", false, false, func(s Snapshot) int64 { return s.SeedScanned }},
-		{"seed_index_hits_total", "Seed candidates resolved via a property index lookup.", false, false, func(s Snapshot) int64 { return s.SeedIndexHits }},
-		{"vtx_cache_hits_total", "Decoded-vertex read-cache hits in the storage layer.", false, false, func(s Snapshot) int64 { return s.VtxCacheHits }},
-		{"vtx_cache_misses_total", "Decoded-vertex read-cache misses in the storage layer.", false, false, func(s Snapshot) int64 { return s.VtxCacheMisses }},
-		{"adj_cache_hits_total", "Materialized-adjacency read-cache hits in the storage layer.", false, false, func(s Snapshot) int64 { return s.AdjCacheHits }},
-		{"adj_cache_misses_total", "Materialized-adjacency read-cache misses in the storage layer.", false, false, func(s Snapshot) int64 { return s.AdjCacheMisses }},
-		{"trace_spans_dropped_total", "Execution spans evicted from the trace ring to admit newer ones.", false, false, func(s Snapshot) int64 { return s.SpansDropped }},
-		{"promotions_total", "Follower-to-primary promotions performed by this server.", false, false, func(s Snapshot) int64 { return s.Promotions }},
-		{"epoch_rejects_total", "Replication or write messages rejected for a stale epoch.", false, false, func(s Snapshot) int64 { return s.EpochRejects }},
-		{"repl_lag_bytes", "Shipped-minus-acked replication byte lag across partitions.", true, false, func(s Snapshot) int64 { return s.ReplLagBytes }},
-		{"handoff_bytes_total", "Snapshot bytes streamed for shard handoff and catch-up.", false, false, func(s Snapshot) int64 { return s.HandoffBytes }},
-		{"rejoin_nudges_total", "Rejoin invitations sent to recovered peers for under-replicated partitions.", false, false, func(s Snapshot) int64 { return s.RejoinNudges }},
-		{"heap_alloc_bytes", "Live heap bytes at snapshot time (runtime.MemStats.HeapAlloc).", true, true, func(s Snapshot) int64 { return s.HeapAllocBytes }},
-		{"gc_cycles_total", "Completed GC cycles since process start.", false, true, func(s Snapshot) int64 { return s.NumGC }},
-		{"gc_pause_ns_total", "Cumulative stop-the-world GC pause time.", false, true, func(s Snapshot) int64 { return s.GCPauseTotalNs }},
-		{"gc_pause_p95_ns", "95th-percentile GC pause over the runtime's recent pause ring.", true, true, func(s Snapshot) int64 { return s.GCPauseP95Ns }},
-	}
-}
+// exposition names, help strings and combine rules. The observability
+// endpoint renders /metrics from this list.
+func Fields() []Field { return slices.Clone(table[:]) }
 
 // ReadRuntime overlays the Go runtime's GC statistics onto a snapshot —
 // the runtime owns these the way the storage layer owns the cache

@@ -10,12 +10,12 @@ import (
 
 func TestCountersAndSnapshot(t *testing.T) {
 	var s Server
-	s.AddReceived(10)
-	s.AddRedundant(3)
-	s.AddCombined(2)
-	s.AddRealIO(5)
-	s.AddMsgsSent(7)
-	s.AddExecs(4)
+	s.Add(Received, 10)
+	s.Add(Redundant, 3)
+	s.Add(Combined, 2)
+	s.Add(RealIO, 5)
+	s.Add(MsgsSent, 7)
+	s.Add(Execs, 4)
 	snap := s.Snapshot()
 	want := Snapshot{Received: 10, Redundant: 3, Combined: 2, RealIO: 5, MsgsSent: 7, Execs: 4}
 	if snap != want {
@@ -63,7 +63,7 @@ func TestExecutorMetrics(t *testing.T) {
 	s.ObserveQueueDepth(3) // never lowers the peak
 	s.AddQueueWait(100)
 	s.AddQueueWait(300)
-	s.AddRejected(2)
+	s.Add(Rejected, 2)
 	snap := s.Snapshot()
 	if snap.QueueDepthPeak != 12 {
 		t.Errorf("QueueDepthPeak = %d, want 12", snap.QueueDepthPeak)
@@ -98,8 +98,8 @@ func TestConcurrentAdds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				s.AddReceived(1)
-				s.AddRealIO(1)
+				s.Add(Received, 1)
+				s.Add(RealIO, 1)
 			}
 		}()
 	}
@@ -140,6 +140,39 @@ func TestFieldsCoverSnapshot(t *testing.T) {
 	}
 }
 
+// TestCombineRuleOfEveryRow sets one field in two snapshots and checks
+// Sub and Add against that field's row: a counter takes the difference in
+// Sub and the sum in Add, a gauge keeps the receiver's value in Sub, a Max
+// row takes the larger value in Add, and no other field moves. The rules
+// themselves are pinned by name, so a row whose flag flips fails too.
+func TestCombineRuleOfEveryRow(t *testing.T) {
+	gauges := map[string]bool{"queue_depth_peak": true, "repl_lag_bytes": true, "heap_alloc_bytes": true, "gc_pause_p95_ns": true}
+	maxes := map[string]bool{"queue_depth_peak": true, "heap_alloc_bytes": true, "gc_cycles_total": true, "gc_pause_ns_total": true, "gc_pause_p95_ns": true}
+	only := func(i int, v int64) (s Snapshot) {
+		reflect.ValueOf(&s).Elem().Field(i).SetInt(v)
+		return s
+	}
+	for i, f := range Fields() {
+		if f.Gauge != gauges[f.Name] || f.Max != maxes[f.Name] {
+			t.Errorf("%s: Gauge %v Max %v, want %v %v", f.Name, f.Gauge, f.Max, gauges[f.Name], maxes[f.Name])
+		}
+		wantSub, wantAdd := int64(7-9), int64(7+9)
+		if f.Gauge {
+			wantSub = 7
+		}
+		if f.Max {
+			wantAdd = 9
+		}
+		a, b := only(i, 7), only(i, 9)
+		if got := a.Sub(b); got != only(i, wantSub) {
+			t.Errorf("%s: Sub = %+v, want only this field at %d", f.Name, got, wantSub)
+		}
+		if got := a.Add(b); got != only(i, wantAdd) {
+			t.Errorf("%s: Add = %+v, want only this field at %d", f.Name, got, wantAdd)
+		}
+	}
+}
+
 // TestReadRuntimeOverlay exercises the GC gauge overlay: after a forced GC
 // cycle the runtime must report at least one completed cycle, a live heap,
 // and a p95 pause bounded by the cumulative pause time.
@@ -175,5 +208,35 @@ func TestRuntimeGaugeSemantics(t *testing.T) {
 	sum := a.Add(b)
 	if sum.HeapAllocBytes != 300 || sum.NumGC != 10 || sum.GCPauseTotalNs != 500 || sum.GCPauseP95Ns != 90 {
 		t.Errorf("Add = %+v, want field-wise max for runtime stats", sum)
+	}
+}
+
+// BenchmarkServerAdd is the engine's per-group counter cost: parallel adds
+// on the four counters every served group moves.
+func BenchmarkServerAdd(b *testing.B) {
+	var s Server
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			s.Add(Received, 4)
+			s.Add(Redundant, 1)
+			s.Add(Combined, 1)
+			s.Add(RealIO, 2)
+		}
+	})
+}
+
+// BenchmarkSnapshotSubAdd is the harness's cost to read a server: one
+// Snapshot, then the delta from an earlier one summed into a total.
+func BenchmarkSnapshotSubAdd(b *testing.B) {
+	var s Server
+	s.Add(Received, 10)
+	before := s.Snapshot()
+	var total Snapshot
+	b.ReportAllocs()
+	for range b.N {
+		total = total.Add(s.Snapshot().Sub(before))
+	}
+	if total.Received != 0 {
+		b.Fatal("Received moved without an add")
 	}
 }

@@ -3,7 +3,8 @@
 // Step takes an event, the current time and the partition's current
 // assignment, mutates only the Machine and returns what the caller must now
 // do as a list of effects: send a message, apply a batch to the store,
-// stream a snapshot, propose an assignment, arm a timer, journal, count.
+// stream a snapshot, propose an assignment, arm a timer, journal, count,
+// record a quorum write's latency.
 // There is no lock, clock, goroutine or transport in here; internal/core
 // holds the mutex, executes the effects and feeds their outcomes back in as
 // further events, and a test can drive any number of machines through a
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"graphtrek/internal/events"
+	"graphtrek/internal/metrics"
 	"graphtrek/internal/route"
 	"graphtrek/internal/status"
 	"graphtrek/internal/wire"
@@ -125,19 +127,10 @@ const (
 	Timer
 	// Journal records events.Event{Type: Event, Peer: To, Epoch, Detail}.
 	Journal
-	// Count adds N to Metric (a delta, or a nanosecond sample).
+	// Count adds N to Counter (ReplLagBytes moves by a signed delta).
 	Count
-)
-
-// Metric names a counter or histogram a Count effect feeds.
-type Metric uint8
-
-const (
-	Promotions Metric = iota
-	EpochRejects
-	RejoinNudges
-	LagBytes    // shipped-minus-acked bytes, as a delta
-	QuorumWrite // ns from write accept to quorum
+	// QuorumWrite records D, one write's accept-to-quorum latency.
+	QuorumWrite
 )
 
 // Effect is one output of Step.
@@ -145,7 +138,7 @@ type Effect struct {
 	Kind             EffectKind
 	Wire             wire.Kind
 	Mode             uint8
-	Metric           Metric
+	Counter          metrics.Counter
 	Table, Snap      bool
 	To               int32
 	ReqID            uint64
@@ -311,7 +304,7 @@ func (o *effects) send(to int32, e Effect) {
 	o.add(e)
 }
 
-func (o *effects) count(m Metric, n int64) { o.add(Effect{Kind: Count, Metric: m, N: n}) }
+func (o *effects) count(c metrics.Counter, n int64) { o.add(Effect{Kind: Count, Counter: c, N: n}) }
 
 func (o *effects) journal(t events.Type, peer int32, epoch uint64, detail string) {
 	o.add(Effect{Kind: Journal, Event: t, To: peer, Epoch: epoch, Detail: detail})
@@ -382,7 +375,7 @@ func (m *Machine) observe(now time.Time, a route.Assignment, o *effects) {
 func (m *Machine) becomePrimary(a route.Assignment, o *effects) {
 	m.resetPrimary()
 	m.role, m.tail, m.commit = Primary, nil, m.applied
-	o.count(Promotions, 1)
+	o.count(metrics.Promotions, 1)
 	o.journal(events.Promotion, -1, a.Epoch, fmt.Sprintf("follower -> primary at applied seq %d", m.applied))
 }
 
@@ -439,7 +432,7 @@ func (m *Machine) write(now time.Time, a route.Assignment, ev Event, o *effects)
 	need := a.Quorum() - 1 // the local apply is the primary's own vote
 	if need <= 0 {
 		// The primary alone is the quorum: commit at once.
-		o.count(QuorumWrite, int64(now.Sub(ev.Start)))
+		o.add(Effect{Kind: QuorumWrite, D: now.Sub(ev.Start)})
 		o.send(ev.From, reply)
 		m.advanceCommit(a)
 		return
@@ -453,7 +446,7 @@ func (m *Machine) write(now time.Time, a route.Assignment, ev Event, o *effects)
 func (m *Machine) addLag(d int64, o *effects) {
 	if d != 0 {
 		m.lag += d
-		o.count(LagBytes, d)
+		o.count(metrics.ReplLagBytes, d)
 	}
 }
 
@@ -480,7 +473,7 @@ func (m *Machine) reap(now time.Time, a route.Assignment, o *effects) {
 			kept = append(kept, pw)
 			continue
 		}
-		o.count(QuorumWrite, int64(now.Sub(pw.start)))
+		o.add(Effect{Kind: QuorumWrite, D: now.Sub(pw.start)})
 		o.send(pw.from, Effect{Wire: wire.KindWriteResp, ReqID: pw.reqID, Blob: pw.reply})
 	}
 	clear(m.pending[len(kept):])
@@ -565,7 +558,7 @@ func (m *Machine) snapDone(now time.Time, a route.Assignment, ev Event, o *effec
 func (m *Machine) append(a route.Assignment, ev Event, o *effects) {
 	if ev.Epoch < a.Epoch {
 		// The sender is a deposed primary; the table teaches it so.
-		o.count(EpochRejects, 1)
+		o.count(metrics.EpochRejects, 1)
 		o.send(ev.From, Effect{Wire: wire.KindReplAck, Mode: ModeFence, Epoch: a.Epoch, Seq: ev.Seq, Table: true})
 		return
 	}
@@ -639,7 +632,7 @@ func (m *Machine) snapshotData(a route.Assignment, ev Event, o *effects) {
 		src = m.src
 	}
 	if ev.From != src || m.role == Primary {
-		o.count(EpochRejects, 1)
+		o.count(metrics.EpochRejects, 1)
 		return
 	}
 	if len(ev.Blob) > 0 {
@@ -721,7 +714,7 @@ func (m *Machine) peerUp(a route.Assignment, peer int32, o *effects) {
 	if rf := m.cfg.Factor; rf >= 2 && len(a.Followers)+1 >= rf {
 		return // someone else already restored the factor
 	}
-	o.count(RejoinNudges, 1)
+	o.count(metrics.RejoinNudges, 1)
 	o.journal(events.RejoinNudge, peer, 0, "inviting recovered peer back into the replica set")
 	o.send(peer, Effect{Wire: wire.KindSnapshot, Mode: SnapModeNudge, Table: true})
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"graphtrek/internal/metrics"
 	"graphtrek/internal/route"
 	"graphtrek/internal/wire"
 )
@@ -34,8 +35,8 @@ var wireNames = map[wire.Kind]string{
 	wire.KindSnapshot: "snap",
 }
 
-// brief renders the protocol-visible effects (journal and counter effects
-// are asserted separately where they matter) one short string each.
+// brief renders the protocol-visible effects (journal, counter and latency
+// effects are asserted separately where they matter) one short string each.
 func brief(out []Effect) []string {
 	var s []string
 	for _, e := range out {
@@ -62,9 +63,9 @@ func brief(out []Effect) []string {
 	return s
 }
 
-func counted(out []Effect, m Metric) (n int64) {
+func counted(out []Effect, c metrics.Counter) (n int64) {
 	for _, e := range out {
-		if e.Kind == Count && e.Metric == m {
+		if e.Kind == Count && e.Counter == c {
 			n += e.N
 		}
 	}
@@ -120,7 +121,7 @@ func TestFollowerAppend(t *testing.T) {
 	}
 	out := m.Step(t0, assign(2, 0, 1), Event{Kind: Append, From: 2, Epoch: 1, Seq: 4}, nil)
 	expect(t, "stale epoch is fenced", out, "ack/2>2 e2 s4 table")
-	if counted(out, EpochRejects) != 1 {
+	if counted(out, metrics.EpochRejects) != 1 {
 		t.Error("fence not counted in EpochRejects")
 	}
 }
@@ -209,8 +210,8 @@ func TestPromoteAndDemote(t *testing.T) {
 	if m.role != Primary || m.commit != 3 || m.base != 3 || m.epoch != 2 || len(m.acked) != 0 || m.lag != 0 || len(m.ring) != 3 {
 		t.Errorf("promoted: role %d commit %d base %d epoch %d acked %v lag %d ringLen %d", m.role, m.commit, m.base, m.epoch, m.acked, m.lag, len(m.ring))
 	}
-	if counted(out, Promotions) != 1 {
-		t.Errorf("promotion counted %d", counted(out, Promotions))
+	if counted(out, metrics.Promotions) != 1 {
+		t.Errorf("promotion counted %d", counted(out, metrics.Promotions))
 	}
 	expect(t, "write", m.Step(t0, a, Event{Kind: Write, From: client, ReqID: 4, Blob: []byte{4}, Start: t0}, nil),
 		"append/0>2 e2 s4", "timer 1s")
@@ -278,8 +279,8 @@ func TestSnapshotDataSource(t *testing.T) {
 		m := New(testConfig(2), a)
 		out := m.Step(t0, a, tc.ev, nil)
 		expect(t, tc.name, out, tc.want...)
-		if rejected := counted(out, EpochRejects) == 1; rejected != (tc.want == nil) {
-			t.Errorf("%s: EpochRejects counted %d", tc.name, counted(out, EpochRejects))
+		if rejected := counted(out, metrics.EpochRejects) == 1; rejected != (tc.want == nil) {
+			t.Errorf("%s: EpochRejects counted %d", tc.name, counted(out, metrics.EpochRejects))
 		}
 		if tc.want == nil && (m.applied != 0 || m.epoch != 2) {
 			t.Errorf("%s: state moved to applied %d epoch %d", tc.name, m.applied, m.epoch)
@@ -300,7 +301,7 @@ func TestSnapshotDataSource(t *testing.T) {
 	expect(t, "chunk from the asked server, stale table", m.Step(t0, stale, Event{Kind: SnapChunk, From: 1, Blob: []byte{1}}, nil), "apply s0")
 	out := m.Step(t0, stale, Event{Kind: SnapChunk, From: 0, Blob: []byte{1}}, nil)
 	expect(t, "chunk from the stale table's primary", out)
-	if counted(out, EpochRejects) != 1 {
+	if counted(out, metrics.EpochRejects) != 1 {
 		t.Error("chunk from a server the joiner never asked was not counted")
 	}
 	expect(t, "chunk from the asked server, fresh table", m.Step(t0, fresh, Event{Kind: SnapChunk, From: 1, Blob: []byte{1}}, nil), "apply s0")
@@ -370,7 +371,7 @@ func TestFailover(t *testing.T) {
 	shrunk := assign(5, 0)
 	out := p.Step(t0, shrunk, Event{Kind: PeerUp, From: 1}, nil)
 	expect(t, "recovered peer is nudged", out, "snap/4>1 e0 s0 table")
-	if counted(out, RejoinNudges) != 1 {
+	if counted(out, metrics.RejoinNudges) != 1 {
 		t.Error("nudge not counted")
 	}
 	expect(t, "factor already restored", p.Step(t0, assign(6, 0, 2), Event{Kind: PeerUp, From: 1}, nil))

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"graphtrek/internal/metrics"
 	"graphtrek/internal/route"
 	"graphtrek/internal/wire"
 )
@@ -111,7 +112,7 @@ func (s *sim) stepped(i int32, ev Event) {
 	if asked {
 		// The stream a machine asked for is taken, also when it outruns the
 		// gossip that names its sender primary.
-		if counted(out, EpochRejects) != 0 {
+		if counted(out, metrics.EpochRejects) != 0 {
 			s.t.Fatalf("seed/step %d: server %d rejected snapshot data from server %d, which it had asked", [2]int64{s.seed, int64(s.steps)}, i, ev.From)
 		}
 		if s.views[i].Primary != ev.From {
