@@ -80,7 +80,7 @@ func main() {
 			if key = strings.TrimSpace(key); key == "" {
 				continue
 			}
-			if err := store.(gstore.PropertyIndex).EnableIndex(key); err != nil {
+			if err := store.EnableIndex(key); err != nil {
 				fmt.Fprintln(os.Stderr, "graphtrek-server: -index:", err)
 				os.Exit(1)
 			}

@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"graphtrek/internal/gstore"
+	"graphtrek/internal/metrics"
 	"graphtrek/internal/model"
 	"graphtrek/internal/partition"
 	"graphtrek/internal/property"
@@ -30,7 +32,7 @@ type cluster struct {
 	servers []*Server
 	client  *Client
 	part    partition.Partitioner
-	stores  []*gstore.MemStore
+	stores  []gstore.Graph
 	global  *gstore.MemStore
 }
 
@@ -426,6 +428,21 @@ func TestMetricsAccountingIdentity(t *testing.T) {
 	}
 	if total.Received == 0 || total.RealIO == 0 {
 		t.Errorf("no work recorded: %+v", total)
+	}
+}
+
+// TestMetricsLeavesProcessRowsZero: a server's snapshot does not read the Go
+// runtime (a stop-the-world ReadMemStats); /metrics reads it once per scrape.
+func TestMetricsLeavesProcessRowsZero(t *testing.T) {
+	c := newCluster(t, 2, nil)
+	runtime.GC()
+	for _, s := range c.servers {
+		m := s.Metrics()
+		for _, f := range metrics.Fields() {
+			if f.Process && f.Get(m) != 0 {
+				t.Errorf("server %d: process row %s = %d, want 0", s.ID(), f.Name, f.Get(m))
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"graphtrek/internal/gstore"
 	"graphtrek/internal/metrics"
 	"graphtrek/internal/model"
 	"graphtrek/internal/property"
@@ -62,18 +61,12 @@ var numericNameOf = map[model.VertexID]string{
 func internDirect(t testing.TB, c *cluster, name string) model.VertexID {
 	t.Helper()
 	p := c.part.Owner(model.VertexID(model.HashName(name)))
-	in, ok := gstore.InternerOf(c.stores[p])
-	if !ok {
-		t.Fatalf("store %d has no interner", p)
-	}
-	id, err := in.Intern(name, p)
+	id, err := c.stores[p].Intern(name, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gin, ok := gstore.InternerOf(c.global); ok {
-		if err := gin.ApplyIntern(name, id); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.global.ApplyIntern(name, id); err != nil {
+		t.Fatal(err)
 	}
 	return id
 }
@@ -158,8 +151,7 @@ func TestInternedDifferentialAllModes(t *testing.T) {
 			}
 		}
 		intNameOf := func(id model.VertexID) (string, bool) {
-			in, _ := gstore.InternerOf(intC.global)
-			name, ok, _ := in.LookupName(id)
+			name, ok, _ := intC.global.LookupName(id)
 			return name, ok
 		}
 		numNameOf := func(id model.VertexID) (string, bool) {
@@ -347,9 +339,8 @@ func TestStressReplInternQuorumHandoffAndFailover(t *testing.T) {
 	}
 	// The quorum (rf=2: primary + follower) holds the mapping at ack time.
 	for _, srv := range []int{primary, follower} {
-		in, _ := gstore.InternerOf(c.stores[srv])
 		for i, name := range names {
-			id, ok, err := in.LookupID(name)
+			id, ok, err := c.stores[srv].LookupID(name)
 			if err != nil || !ok || id != ids[i] {
 				t.Fatalf("server %d: LookupID(%q) = %v ok=%v err=%v, want %v", srv, name, id, ok, err, ids[i])
 			}
@@ -381,9 +372,8 @@ func TestStressReplInternQuorumHandoffAndFailover(t *testing.T) {
 		return clientView.Assignment(p).HasReplica(int32(joiner))
 	})
 	pollUntil(t, 5*time.Second, "dictionary on the joiner", func() bool {
-		in, _ := gstore.InternerOf(c.stores[joiner])
 		for i, name := range names {
-			if id, ok, _ := in.LookupID(name); !ok || id != ids[i] {
+			if id, ok, _ := c.stores[joiner].LookupID(name); !ok || id != ids[i] {
 				return false
 			}
 		}
@@ -397,9 +387,8 @@ func TestStressReplInternQuorumHandoffAndFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	pollUntil(t, 5*time.Second, "tail allocations on the joiner", func() bool {
-		in, _ := gstore.InternerOf(c.stores[joiner])
 		for i, name := range tailNames {
-			if id, ok, _ := in.LookupID(name); !ok || id != tailIDs[i] {
+			if id, ok, _ := c.stores[joiner].LookupID(name); !ok || id != tailIDs[i] {
 				return false
 			}
 		}

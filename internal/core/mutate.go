@@ -25,13 +25,9 @@ func lookup[K, V any](s *Server, blob []byte, what string, dec func([]byte) ([]K
 	if err != nil {
 		return nil, fmt.Errorf("query: %w", err)
 	}
-	in, ok := gstore.InternerOf(s.cfg.Store)
-	if !ok {
-		return nil, fmt.Errorf("core: server %d store does not support interning", s.cfg.ID)
-	}
 	vals := make([]V, len(keys))
 	for i, k := range keys {
-		if vals[i], _, err = get(in, k); err != nil {
+		if vals[i], _, err = get(s.cfg.Store, k); err != nil {
 			return nil, fmt.Errorf("core: %s on server %d: %v", what, s.cfg.ID, err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"graphtrek/internal/gstore"
+	"graphtrek/internal/kv"
 	"graphtrek/internal/model"
 	"graphtrek/internal/partition"
 	"graphtrek/internal/property"
@@ -366,4 +367,188 @@ func TestStressMutateCacheIndexCoherence(t *testing.T) {
 	if !sameIDs(got, want) {
 		t.Errorf("sync engine sees %v through cache+index, want %v", got, want)
 	}
+}
+
+// TestProductionStackReplicated runs the engine's write path on the store
+// stack graphtrek-server and the benchmark build — the kv-backed gstore.Store
+// behind a read cache, one property key indexed — at replication factor 2:
+// named adds and vertex deletes, a RANGE seed resolved through the index,
+// Client.NamesOf, and a JoinPartition handoff while writes continue. The
+// live cluster must answer like query.Reference over a MemStore replay of
+// every acknowledged write, and the joiner must end up holding the
+// partition it joined.
+func TestProductionStackReplicated(t *testing.T) {
+	const n = 3
+	c, _, views := newReplCluster(t, n, 2, func(cfg *Config) {
+		st, err := gstore.Open(t.TempDir(), kv.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		cfg.Store = gstore.NewCachedGraph(st, 1<<20)
+		enableIndex(cfg.Store, "size")
+	})
+	clientView := views[n]
+
+	// mutate writes one batch and replays what it acknowledged into shadow.
+	shadow := gstore.NewMemStore()
+	mutate := func(muts ...NamedMutation) error {
+		ids, err := c.client.Mutate(muts, WriteOptions{Timeout: 10 * time.Second})
+		if err != nil {
+			return err
+		}
+		for _, m := range muts {
+			var gm gstore.Mutation
+			switch m.Op {
+			case NamedAddVertex:
+				if err := shadow.ApplyIntern(m.Name, ids[m.Name]); err != nil {
+					return err
+				}
+				gm = gstore.Mutation{Op: gstore.OpPutVertex, Vertex: model.Vertex{ID: ids[m.Name], Label: m.Label, Props: m.Props}}
+			case NamedAddEdge:
+				gm = gstore.Mutation{Op: gstore.OpPutEdge, Edge: model.Edge{Src: ids[m.Src], Label: m.Label, Dst: ids[m.Dst]}}
+			case NamedDelVertex:
+				id, _, _ := shadow.LookupID(m.Name)
+				gm = gstore.Mutation{Op: gstore.OpDelVertex, ID: id}
+			}
+			if err := gm.Apply(shadow); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// addJob writes job-<tag> (size = its number mod 100) and the file it
+	// writes; every third job deletes the job added two before it, which
+	// drops its index row and its out-edge.
+	addJob := func(tag string, i int) error {
+		job, file := fmt.Sprintf("job-%s-%d", tag, i), fmt.Sprintf("file-%s-%d", tag, i)
+		if err := mutate(
+			NamedMutation{Op: NamedAddVertex, Name: job, Label: "Job", Props: property.Map{"size": property.Int(int64(i * 7 % 100))}},
+			NamedMutation{Op: NamedAddVertex, Name: file, Label: "File"},
+			NamedMutation{Op: NamedAddEdge, Src: job, Label: "write", Dst: file},
+		); err != nil {
+			return err
+		}
+		if i%3 == 2 {
+			return mutate(NamedMutation{Op: NamedDelVertex, Name: fmt.Sprintf("job-%s-%d", tag, i-2)})
+		}
+		return nil
+	}
+	for i := 0; i < 12; i++ {
+		if err := addJob("boot", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Partition p's boot replicas are {p, p+1}; server p+2 joins it while a
+	// writer keeps adding and deleting, until the joiner is published.
+	const p = 0
+	joiner := (p + 2) % n
+	stop, writerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := addJob("live", i); err != nil {
+				t.Errorf("write during handoff: %v", err)
+				return
+			}
+		}
+	}()
+	stopWriter := sync.OnceFunc(func() { close(stop); <-writerDone })
+	t.Cleanup(stopWriter)
+	if err := c.servers[joiner].JoinPartition(p); err != nil {
+		t.Fatal(err)
+	}
+	pollUntil(t, 5*time.Second, "joiner published as follower", func() bool {
+		return clientView.Assignment(p).HasReplica(int32(joiner))
+	})
+	stopWriter()
+
+	// The joiner holds partition p as the acknowledged writes left it:
+	// every vertex with its properties and out-edges, no deleted vertex,
+	// and the dictionary.
+	var inP []model.Vertex
+	if err := shadow.ScanVertices(func(v model.Vertex) bool {
+		if clientView.Partition(v.ID) == p {
+			inP = append(inP, v)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(inP) == 0 {
+		t.Fatalf("no written vertex landed in partition %d", p)
+	}
+	outEdges := func(g gstore.Graph, id model.VertexID) (n int) {
+		if err := g.ScanAllEdges(id, func(model.Edge) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	joined := c.stores[joiner]
+	pollUntil(t, 5*time.Second, "partition on the joiner", func() bool {
+		for _, w := range inP {
+			v, ok, err := joined.GetVertex(w.ID)
+			if err != nil || !ok || v.Label != w.Label || v.Props["size"] != w.Props["size"] ||
+				outEdges(joined, w.ID) != outEdges(shadow, w.ID) {
+				return false
+			}
+		}
+		return true
+	})
+	if err := shadow.ScanInterned(func(name string, id model.VertexID) bool {
+		if clientView.Partition(id) != p {
+			return true
+		}
+		if got, ok, err := joined.LookupID(name); err != nil || !ok || got != id {
+			t.Errorf("joiner: LookupID(%q) = %v ok=%v err=%v, want %v", name, got, ok, err, id)
+		}
+		if _, ok, _ := shadow.GetVertex(id); !ok {
+			if _, ok, _ := joined.GetVertex(id); ok {
+				t.Errorf("joiner holds deleted vertex %q", name)
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A RANGE seed resolves through the index and answers like the oracle.
+	plan := mustPlan(t, query.VLabel("Job").Va("size", property.RANGE, 10, 60).E("write"))
+	got, err := c.client.SubmitPlan(plan, SubmitOptions{Mode: ModeGraphTrek, Coordinator: -1, Timeout: 10 * time.Second, Retries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := query.Reference(shadow, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]model.VertexID(nil), ref.Results...)
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if len(want) == 0 || !sameIDs(got, want) {
+		t.Fatalf("RANGE-seeded traversal = %v, the acknowledged writes give %v", got, want)
+	}
+	var hits int64
+	for _, s := range c.servers {
+		hits += s.Metrics().SeedIndexHits
+	}
+	if hits == 0 {
+		t.Error("the RANGE seed did not go through the index")
+	}
+	names, err := c.client.NamesOf(got, WriteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range got {
+		if want, _, _ := shadow.LookupName(id); names[i] != want {
+			t.Errorf("NamesOf(%v) = %q, want %q", id, names[i], want)
+		}
+	}
+	c.checkNoOrphans(t)
 }

@@ -262,14 +262,10 @@ func (s *Server) replWrite(from int, msg wire.Message) error {
 		// mutations a snapshot would carry, so every replica reconstructs the
 		// identical name↔id mapping. The id list rides on the success
 		// response only — an allocation is observable once a quorum holds it.
-		in, ok := gstore.InternerOf(s.cfg.Store)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: server %d store does not support interning", s.cfg.ID)
-		}
 		ids := make([]model.VertexID, len(names))
 		muts = make([]gstore.Mutation, len(names))
 		for i, name := range names {
-			id, err := in.Intern(name, p)
+			id, err := s.cfg.Store.Intern(name, p)
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: intern on server %d: %v", s.cfg.ID, err)
 			}

@@ -70,12 +70,11 @@ func newReplCluster(t testing.TB, n, rf int, tweak func(*Config)) (*cluster, []*
 	c.part = views[n]
 	chaos := make([]*rpc.Chaos, n)
 	for i := 0; i < n; i++ {
-		store := gstore.NewMemStore()
-		c.stores = append(c.stores, store)
-		cfg := Config{ID: i, Store: store, Part: views[i], Route: views[i], ReplicationFactor: rf, TravelTimeout: 15 * time.Second}
+		cfg := Config{ID: i, Store: gstore.NewMemStore(), Part: views[i], Route: views[i], ReplicationFactor: rf, TravelTimeout: 15 * time.Second}
 		if tweak != nil {
 			tweak(&cfg)
 		}
+		c.stores = append(c.stores, cfg.Store)
 		srv := NewServer(cfg)
 		ch := rpc.NewChaos(c.fabric.Endpoint(i), rpc.ChaosConfig{})
 		chaos[i] = ch

@@ -26,10 +26,7 @@ import (
 // path. An empty id list with ok == true is authoritative: the index
 // proves no local vertex carries a matching value.
 func (s *Server) seedFromIndex(s0 query.Step) (ids []model.VertexID, ok bool) {
-	ix, isIx := s.cfg.Store.(gstore.PropertyIndex)
-	if !isIx {
-		return nil, false
-	}
+	ix := s.cfg.Store
 	f, found := pickIndexedFilter(ix, s0.VertexFilters)
 	if !found {
 		return nil, false

@@ -27,7 +27,7 @@ func seedPlans(t *testing.T, r *rand.Rand) []*query.Plan {
 // enableIndex indexes key on a server's store before the server is built,
 // as the facade and graphtrek-server do at boot.
 func enableIndex(store gstore.Graph, key string) {
-	if err := store.(gstore.PropertyIndex).EnableIndex(key); err != nil {
+	if err := store.EnableIndex(key); err != nil {
 		panic(err)
 	}
 }

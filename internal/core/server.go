@@ -218,7 +218,9 @@ func (s *Server) admissionError(err error) string {
 // ID returns the server's node id.
 func (s *Server) ID() int { return s.cfg.ID }
 
-// Metrics returns a snapshot of this server's engine counters.
+// Metrics returns a snapshot of this server's engine counters. Its process
+// rows (heap, GC) read 0: they are process-wide, and /metrics reads them from
+// the runtime once per scrape.
 func (s *Server) Metrics() Metrics {
 	m := s.met.Snapshot()
 	// The storage layer owns the read-cache counters; overlay them so one
@@ -235,8 +237,6 @@ func (s *Server) Metrics() Metrics {
 	m.SpansDropped = int64(s.trc.Stats().SpansEvicted)
 	// The affiliate cache owns its eviction counter.
 	m.CacheEvictions = s.cache.Evictions()
-	// The Go runtime owns the GC gauges.
-	metrics.ReadRuntime(&m)
 	return m
 }
 

@@ -31,8 +31,8 @@ const (
 	tagDictCtr  = 'C'
 )
 
-// Interner is the dictionary capability a Graph may implement. All methods
-// are safe for concurrent use.
+// Interner is the dictionary half of Graph. All methods are safe for
+// concurrent use.
 type Interner interface {
 	// Intern returns the interned id for name, allocating the next dense id
 	// of part if the name is new. Only the partition's current primary may
@@ -53,16 +53,6 @@ type Interner interface {
 	ScanInterned(fn func(name string, id model.VertexID) bool) error
 }
 
-// InternerOf unwraps g to its Interner capability, reaching through a
-// CachedGraph if needed.
-func InternerOf(g Graph) (Interner, bool) {
-	if c, ok := g.(*CachedGraph); ok {
-		g = c.Unwrap()
-	}
-	in, ok := g.(Interner)
-	return in, ok
-}
-
 func dictNameKey(name string) []byte {
 	b := make([]byte, 0, 1+len(name))
 	b = append(b, tagDictName)
@@ -80,12 +70,6 @@ func dictCtrKey(part int) []byte {
 	b = append(b, tagDictCtr)
 	return binary.AppendUvarint(b, uint64(part))
 }
-
-var (
-	_ Interner = (*Store)(nil)
-	_ Interner = (*MemStore)(nil)
-	_ Interner = (*CachedGraph)(nil)
-)
 
 // Intern implements Interner.
 func (s *Store) Intern(name string, part int) (model.VertexID, error) {
@@ -267,60 +251,4 @@ func (m *MemStore) ScanInterned(fn func(name string, id model.VertexID) bool) er
 		}
 	}
 	return nil
-}
-
-// Dictionary reads and writes pass through the cache wrapper untouched:
-// intern entries are immutable once allocated, so there is nothing to
-// invalidate, and the id→name direction is only exercised at the client
-// boundary where a kv read per result is fine.
-//
-// InternerOf unwraps a *CachedGraph itself, so the engine's own lookups never
-// run these forwarders. A decorator that embeds *CachedGraph does reach them:
-// InternerOf does not see through it, and the embedded methods are what make
-// it an Interner. The benchmark's traced store is such a decorator, and its
-// traced runs intern through here.
-
-// Intern implements Interner.
-func (c *CachedGraph) Intern(name string, part int) (model.VertexID, error) {
-	in, ok := InternerOf(c.Graph)
-	if !ok {
-		return 0, fmt.Errorf("gstore: underlying store has no interner")
-	}
-	return in.Intern(name, part)
-}
-
-// ApplyIntern implements Interner.
-func (c *CachedGraph) ApplyIntern(name string, id model.VertexID) error {
-	in, ok := InternerOf(c.Graph)
-	if !ok {
-		return fmt.Errorf("gstore: underlying store has no interner")
-	}
-	return in.ApplyIntern(name, id)
-}
-
-// LookupID implements Interner.
-func (c *CachedGraph) LookupID(name string) (model.VertexID, bool, error) {
-	in, ok := InternerOf(c.Graph)
-	if !ok {
-		return 0, false, fmt.Errorf("gstore: underlying store has no interner")
-	}
-	return in.LookupID(name)
-}
-
-// LookupName implements Interner.
-func (c *CachedGraph) LookupName(id model.VertexID) (string, bool, error) {
-	in, ok := InternerOf(c.Graph)
-	if !ok {
-		return "", false, fmt.Errorf("gstore: underlying store has no interner")
-	}
-	return in.LookupName(id)
-}
-
-// ScanInterned implements Interner.
-func (c *CachedGraph) ScanInterned(fn func(name string, id model.VertexID) bool) error {
-	in, ok := InternerOf(c.Graph)
-	if !ok {
-		return fmt.Errorf("gstore: underlying store has no interner")
-	}
-	return in.ScanInterned(fn)
 }

@@ -27,14 +27,10 @@ func dictStores(t *testing.T) map[string]Graph {
 func TestInternAllocatesDenseIDsPerPartition(t *testing.T) {
 	for name, g := range dictStores(t) {
 		t.Run(name, func(t *testing.T) {
-			in, ok := InternerOf(g)
-			if !ok {
-				t.Fatal("store has no interner")
-			}
 			// Dense per-partition counters, partition embedded in the id.
 			for part := 0; part < 3; part++ {
 				for ctr := uint64(0); ctr < 4; ctr++ {
-					id, err := in.Intern(fmt.Sprintf("p%d-n%d", part, ctr), part)
+					id, err := g.Intern(fmt.Sprintf("p%d-n%d", part, ctr), part)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -47,7 +43,7 @@ func TestInternAllocatesDenseIDsPerPartition(t *testing.T) {
 				}
 			}
 			// Re-interning an existing name returns its id, no allocation.
-			id, err := in.Intern("p1-n2", 1)
+			id, err := g.Intern("p1-n2", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,13 +51,13 @@ func TestInternAllocatesDenseIDsPerPartition(t *testing.T) {
 				t.Fatalf("re-intern = %x, want %x", uint64(id), uint64(want))
 			}
 			// Both lookup directions.
-			if got, ok, err := in.LookupID("p2-n3"); err != nil || !ok || got != model.InternedID(2, 3) {
+			if got, ok, err := g.LookupID("p2-n3"); err != nil || !ok || got != model.InternedID(2, 3) {
 				t.Fatalf("LookupID = %x/%v/%v", uint64(got), ok, err)
 			}
-			if name, ok, err := in.LookupName(model.InternedID(0, 1)); err != nil || !ok || name != "p0-n1" {
+			if name, ok, err := g.LookupName(model.InternedID(0, 1)); err != nil || !ok || name != "p0-n1" {
 				t.Fatalf("LookupName = %q/%v/%v", name, ok, err)
 			}
-			if _, ok, err := in.LookupID("ghost"); err != nil || ok {
+			if _, ok, err := g.LookupID("ghost"); err != nil || ok {
 				t.Fatalf("ghost LookupID ok=%v err=%v", ok, err)
 			}
 		})
@@ -71,28 +67,27 @@ func TestInternAllocatesDenseIDsPerPartition(t *testing.T) {
 func TestApplyInternIdempotentAndAdvancesAllocator(t *testing.T) {
 	for name, g := range dictStores(t) {
 		t.Run(name, func(t *testing.T) {
-			in, _ := InternerOf(g)
 			// A replica replays a primary-allocated pair (twice — replication
 			// is at-least-once).
 			id := model.InternedID(4, 7)
 			for i := 0; i < 2; i++ {
-				if err := in.ApplyIntern("replayed", id); err != nil {
+				if err := g.ApplyIntern("replayed", id); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got, ok, _ := in.LookupID("replayed"); !ok || got != id {
+			if got, ok, _ := g.LookupID("replayed"); !ok || got != id {
 				t.Fatalf("after replay: %x/%v", uint64(got), ok)
 			}
 			// Promotion: the replica now allocates for partition 4 and must
 			// continue past the replayed counter, not collide with it.
-			next, err := in.Intern("fresh", 4)
+			next, err := g.Intern("fresh", 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := model.InternedID(4, 8); next != want {
 				t.Fatalf("post-replay allocation = %x, want %x", uint64(next), uint64(want))
 			}
-			if err := in.ApplyIntern("bogus", model.VertexID(123)); err == nil {
+			if err := g.ApplyIntern("bogus", model.VertexID(123)); err == nil {
 				t.Fatal("ApplyIntern accepted a non-interned id")
 			}
 		})
@@ -102,18 +97,17 @@ func TestApplyInternIdempotentAndAdvancesAllocator(t *testing.T) {
 func TestScanInternedAndSnapshotCarriesDictionary(t *testing.T) {
 	for name, g := range dictStores(t) {
 		t.Run(name, func(t *testing.T) {
-			in, _ := InternerOf(g)
 			want := map[string]model.VertexID{}
 			for i := 0; i < 5; i++ {
 				n := fmt.Sprintf("n%d", i)
-				id, err := in.Intern(n, i%2)
+				id, err := g.Intern(n, i%2)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want[n] = id
 			}
 			got := map[string]model.VertexID{}
-			if err := in.ScanInterned(func(n string, id model.VertexID) bool {
+			if err := g.ScanInterned(func(n string, id model.VertexID) bool {
 				got[n] = id
 				return true
 			}); err != nil {

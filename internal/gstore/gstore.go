@@ -10,9 +10,11 @@
 //     View, and one seek in each table whose range overlaps the prefix;
 //   - vertex types live in separate namespaces via a by-label index.
 //
-// Two implementations share the Graph interface: Store persists through the
-// kv LSM store (the RocksDB stand-in), and MemStore keeps everything in
-// process memory for tests and large simulated clusters.
+// Graph is the one storage contract: graph reads and writes, the interning
+// dictionary and the property index, all on one per-server store (§VI).
+// Store persists through the kv LSM store (the RocksDB stand-in), MemStore
+// keeps everything in process memory for tests and large simulated clusters,
+// and CachedGraph puts a read cache in front of either.
 package gstore
 
 import (
@@ -24,9 +26,13 @@ import (
 	"graphtrek/internal/model"
 )
 
-// Graph is the storage contract the traversal engines consume. All methods
-// are safe for concurrent use. Scan callbacks return false to stop early.
+// Graph is the storage contract the traversal engines consume: the graph
+// itself, its interning dictionary and its property index. All methods are
+// safe for concurrent use. Scan callbacks return false to stop early.
 type Graph interface {
+	Interner
+	PropertyIndex
+
 	// PutVertex inserts or replaces a vertex and its by-label index entry.
 	PutVertex(v model.Vertex) error
 	// GetVertex fetches one vertex by id, decoded.

@@ -11,12 +11,12 @@ import (
 	"graphtrek/internal/property"
 )
 
-// PropertyIndex is the optional secondary-index capability of a Graph: the
-// "searching or indexing mechanisms provided by the underlying graph
-// storage" that §III says GTravel entry points are retrieved with. An
-// enabled index maps one property key's values to vertex ids, so v() seeds
-// like "the user named sam" resolve without a scan, and numeric RANGE seeds
-// resolve as one bounded key-range scan.
+// PropertyIndex is the secondary-index half of Graph: the "searching or
+// indexing mechanisms provided by the underlying graph storage" that §III
+// says GTravel entry points are retrieved with. An enabled index maps one
+// property key's values to vertex ids, so v() seeds like "the user named
+// sam" resolve without a scan, and numeric RANGE seeds resolve as one
+// bounded key-range scan.
 type PropertyIndex interface {
 	// EnableIndex starts indexing the property key, backfilling existing
 	// vertices. Enabling twice is a no-op. Safe to call concurrently with
@@ -35,11 +35,6 @@ type PropertyIndex interface {
 	// return an error — callers fall back to the scan path.
 	LookupVerticesRange(key string, lo, hi property.Value) ([]model.VertexID, error)
 }
-
-var (
-	_ PropertyIndex = (*Store)(nil)
-	_ PropertyIndex = (*MemStore)(nil)
-)
 
 // Persistent store implementation. Index rows live under their own tag:
 //

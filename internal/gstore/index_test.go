@@ -9,22 +9,15 @@ import (
 	"graphtrek/internal/property"
 )
 
-// indexedStores returns both implementations as PropertyIndex-capable
-// graphs.
-func indexedStores(t *testing.T) map[string]interface {
-	Graph
-	PropertyIndex
-} {
+// indexedStores returns both implementations.
+func indexedStores(t *testing.T) map[string]Graph {
 	t.Helper()
 	disk, err := Open(t.TempDir(), kv.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { disk.Close() })
-	return map[string]interface {
-		Graph
-		PropertyIndex
-	}{"disk": disk, "mem": NewMemStore()}
+	return map[string]Graph{"disk": disk, "mem": NewMemStore()}
 }
 
 func lookup(t *testing.T, g PropertyIndex, key, val string) []model.VertexID {

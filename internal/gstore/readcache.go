@@ -2,12 +2,10 @@ package gstore
 
 import (
 	"bytes"
-	"errors"
 	"sync"
 	"sync/atomic"
 
 	"graphtrek/internal/model"
-	"graphtrek/internal/property"
 )
 
 // CachedGraph wraps a Graph with a memory-bounded, sharded read cache over
@@ -16,10 +14,11 @@ import (
 // the cached bytes as on the table's) and CSR-style packed (src,label)
 // adjacency runs (ScanEdgeIDs, one per expansion) — a plain []VertexID, 8
 // bytes per edge. A hit skips the LSM lookup — the stand-in for the RocksDB
-// block cache §VI leans on, holding what a traversal consumes. Every other
-// Graph method, the property-bearing scans among them, and the property
-// index pass through to the embedded store uncached (index rows derive from
-// the same writes that invalidate the cache).
+// block cache §VI leans on, holding what a traversal consumes. Writes pass
+// through and invalidate. Every other Graph method — the property-bearing
+// scans, the interning dictionary and the property index — is the embedded
+// store's, uncached: index rows derive from the same writes that invalidate
+// the cache, and dictionary entries never change once allocated.
 //
 // Each shard is one flat table: a dense slice of entries that a CLOCK hand
 // sweeps, indexed by open addressing over 4-byte positions. A vertex is keyed
@@ -34,10 +33,9 @@ import (
 // so a stale fetch can never be published over a newer write.
 type CachedGraph struct {
 	Graph
-	PropertyIndex       // the store's, or noIndex
-	budget        int64 // per-shard byte budget
-	labels        atomic.Pointer[[]string]
-	shards        [cacheShards]cacheShard
+	budget int64 // per-shard byte budget
+	labels atomic.Pointer[[]string]
+	shards [cacheShards]cacheShard
 
 	vtxHits   atomic.Int64
 	vtxMisses atomic.Int64
@@ -121,9 +119,8 @@ func (c *CachedGraph) label(label string, add bool) uint16 {
 }
 
 var (
-	_ Graph         = (*CachedGraph)(nil)
-	_ PropertyIndex = (*CachedGraph)(nil)
-	_ CacheStatter  = (*CachedGraph)(nil)
+	_ Graph        = (*CachedGraph)(nil)
+	_ CacheStatter = (*CachedGraph)(nil)
 )
 
 // NewCachedGraph wraps g with a read cache bounded to roughly maxBytes of
@@ -131,17 +128,10 @@ var (
 // shard's budget is never cached. maxBytes <= 0 yields a cache that stores
 // nothing but still counts hits and misses.
 func NewCachedGraph(g Graph, maxBytes int64) *CachedGraph {
-	ix, ok := g.(PropertyIndex)
-	if !ok {
-		ix = noIndex{}
-	}
-	c := &CachedGraph{Graph: g, PropertyIndex: ix, budget: maxBytes / cacheShards}
+	c := &CachedGraph{Graph: g, budget: maxBytes / cacheShards}
 	c.labels.Store(new([]string))
 	return c
 }
-
-// Unwrap returns the underlying store.
-func (c *CachedGraph) Unwrap() Graph { return c.Graph }
 
 // CacheStats implements CacheStatter.
 func (c *CachedGraph) CacheStats() CacheStats {
@@ -426,18 +416,4 @@ func (c *CachedGraph) DeleteEdge(src model.VertexID, label string, dst model.Ver
 func (c *CachedGraph) invalidateRun(src model.VertexID, label string) {
 	n := c.label(label, false) // 0: no run of it was ever cached
 	c.shard(src).invalidate(src, max(n, 1), n)
-}
-
-// noIndex is the PropertyIndex of a store that has none.
-type noIndex struct{}
-
-var errNoIndex = errors.New("gstore: underlying store has no property index")
-
-func (noIndex) EnableIndex(string) error { return errNoIndex }
-func (noIndex) HasIndex(string) bool     { return false }
-func (noIndex) LookupVertices(string, property.Value) ([]model.VertexID, error) {
-	return nil, errNoIndex
-}
-func (noIndex) LookupVerticesRange(string, property.Value, property.Value) ([]model.VertexID, error) {
-	return nil, errNoIndex
 }

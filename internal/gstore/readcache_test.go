@@ -303,11 +303,11 @@ func TestCacheConcurrentReadsAndWrites(t *testing.T) {
 	wg.Wait()
 	for id := model.VertexID(0); id < nIDs; id++ {
 		got, okGot, _ := c.GetVertex(id)
-		want, okWant, _ := c.Unwrap().GetVertex(id)
+		want, okWant, _ := c.Graph.GetVertex(id)
 		if okGot != okWant || !reflect.DeepEqual(got, want) {
 			t.Errorf("quiesced GetVertex(%d) = %+v/%v, underlying %+v/%v", id, got, okGot, want, okWant)
 		}
-		if got, want := collectEdgeIDs(t, c, id, "run"), collectEdgeIDs(t, c.Unwrap(), id, "run"); !reflect.DeepEqual(got, want) {
+		if got, want := collectEdgeIDs(t, c, id, "run"), collectEdgeIDs(t, c.Graph, id, "run"); !reflect.DeepEqual(got, want) {
 			t.Errorf("quiesced ScanEdgeIDs(%d) = %v, underlying %v", id, got, want)
 		}
 	}

@@ -80,11 +80,7 @@ func (m Mutation) Apply(g Graph) error {
 	case OpDelEdge:
 		return g.DeleteEdge(m.Src, m.Label, m.Dst)
 	case OpIntern:
-		in, ok := InternerOf(g)
-		if !ok {
-			return fmt.Errorf("gstore: store cannot apply intern mutation")
-		}
-		return in.ApplyIntern(m.Name, m.ID)
+		return g.ApplyIntern(m.Name, m.ID)
 	default:
 		return fmt.Errorf("gstore: unknown mutation op %d", m.Op)
 	}
@@ -261,28 +257,25 @@ func SnapshotMutations(g Graph, keep func(model.VertexID) bool, batchSize int, e
 	// Dictionary entries ship first: a replica that can resolve names from
 	// the start can serve reads the moment its graph rows land, and intern
 	// pairs are standalone (no vertex dependency), so fronting them is free.
-	if in, ok := InternerOf(g); ok {
-		err := in.ScanInterned(func(name string, id model.VertexID) bool {
-			if !keep(id) {
-				return true
-			}
-			batch = append(batch, Mutation{Op: OpIntern, ID: id, Name: name})
-			if len(batch) >= batchSize {
-				if scanErr = flush(); scanErr != nil {
-					return false
-				}
-			}
+	err := g.ScanInterned(func(name string, id model.VertexID) bool {
+		if !keep(id) {
 			return true
-		})
-		if err == nil {
-			err = scanErr
 		}
-		if err != nil {
-			return err
+		batch = append(batch, Mutation{Op: OpIntern, ID: id, Name: name})
+		if len(batch) >= batchSize {
+			if scanErr = flush(); scanErr != nil {
+				return false
+			}
 		}
-		scanErr = nil
+		return true
+	})
+	if err == nil {
+		err = scanErr
 	}
-	err := g.ScanVertices(func(v model.Vertex) bool {
+	if err != nil {
+		return err
+	}
+	err = g.ScanVertices(func(v model.Vertex) bool {
 		if !keep(v.ID) {
 			return true
 		}

@@ -119,11 +119,11 @@ type Snapshot struct {
 	// configured replication factor.
 	RejoinNudges int64
 
-	// Go runtime GC overlay (from runtime.ReadMemStats at snapshot time;
-	// the runtime owns them like the storage layer owns the cache
-	// counters). Process-level: in-process simulated clusters report the
-	// same values on every server, so Add takes the max instead of an
-	// N-fold overcount.
+	// Go runtime GC overlay (ReadRuntime, one runtime.ReadMemStats; the
+	// runtime owns them like the storage layer owns the cache counters).
+	// Process-level: in-process simulated clusters share one runtime, so
+	// Add takes the max instead of an N-fold overcount, and a server's own
+	// snapshot leaves them 0 for the exposition to read once per scrape.
 
 	// HeapAllocBytes is the live heap at snapshot time. A gauge.
 	HeapAllocBytes int64
