@@ -79,11 +79,11 @@ func (c *Cache) CheckAndInsert(k Key) bool {
 
 // Admit checks and inserts, in one lock hold, the keys of one execution's
 // batch, all at step, as CheckAndInsert would one by one (a key's Dest is
-// not part of it). It sets redundant[i] for each keys[i] already there and
+// not part of it). It sets redundant[i] for each i'th key already there and
 // returns how many it set. keys is only read. A traversal admits an
 // execution once: for an exec id admitted before, Admit changes nothing and
 // reports fresh false.
-func (c *Cache) Admit(travel, exec uint64, step int32, keys []frontier.Key, redundant []bool) (n int, fresh bool) {
+func (c *Cache) Admit(travel, exec uint64, step int32, keys frontier.Batch, redundant []bool) (n int, fresh bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ts := c.travelLocked(travel, step)
@@ -101,11 +101,12 @@ func (c *Cache) Admit(travel, exec uint64, step int32, keys []frontier.Key, redu
 	}
 	ts.execs = slices.Insert(ts.execs, at, exec)
 	if b := ts.steps[step]; b != nil {
-		b.Reserve(len(keys))
+		b.Reserve(keys.Len())
 	}
-	for i, k := range keys {
+	for i := range keys.IDs {
+		k := keys.At(i)
 		k.Dest = 0
-		if c.insertLocked(ts, step, k, len(keys)-i) {
+		if c.insertLocked(ts, step, k, keys.Len()-i) {
 			redundant[i] = true
 			n++
 		}

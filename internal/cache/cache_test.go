@@ -2,7 +2,7 @@ package cache
 
 import (
 	"math/rand"
-	"slices"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -360,15 +360,15 @@ func BenchmarkCheckAndInsert(b *testing.B) {
 func BenchmarkAdmit(b *testing.B) {
 	const n, perTravel = 256, 64
 	r := rand.New(rand.NewSource(3))
-	batches := make([][]frontier.Key, perTravel)
+	batches := make([]frontier.Batch, perTravel)
 	for i := range batches {
-		batches[i] = make([]frontier.Key, n)
-		for j := range batches[i] {
+		batches[i].Tag = frontier.Tag{AncStep: -1, Dest: -1}
+		for j := 0; j < n; j++ {
 			v := i*n + j
 			if i > 0 && r.Intn(10) < 3 {
 				v = r.Intn(i * n)
 			}
-			batches[i][j] = frontier.Key{Vertex: id(v), AncStep: -1, Dest: -1}
+			batches[i].IDs = append(batches[i].IDs, id(v))
 		}
 	}
 	redundant := make([]bool, n)
@@ -412,7 +412,7 @@ func FuzzAdmitMatchesCheckAndInsert(f *testing.F) {
 		c, ref := New(capacity), New(capacity)
 		type execKey struct{ travel, exec uint64 }
 		started := map[execKey]bool{}
-		var keys []frontier.Key
+		var keys frontier.Batch
 		var redundant []bool
 		for b = b[1:]; len(b) >= 3; {
 			travel, step, exec := uint64(b[0]&3), int32(b[0]>>2&7), uint64(b[1]%16)
@@ -429,19 +429,19 @@ func FuzzAdmitMatchesCheckAndInsert(f *testing.F) {
 			}
 			n := 1 + int(b[2]%8)
 			b = b[3:]
-			keys = keys[:0]
+			keys = frontier.Batch{}
 			for ; n > 0 && len(b) >= 2; n, b = n-1, b[2:] {
-				keys = append(keys, frontier.Key{
+				keys.Append(frontier.Key{
 					Vertex:  id(int(b[0] & 31)),
 					Anc:     id(int(b[1] & 3)),
 					AncStep: int32(b[1]>>2&3) - 1,
 					Dest:    int32(b[1]>>4&3) - 1,
 				})
 			}
-			if len(keys) == 0 {
+			if keys.Len() == 0 {
 				break
 			}
-			redundant = append(redundant[:0], make([]bool, len(keys))...)
+			redundant = append(redundant[:0], make([]bool, keys.Len())...)
 			got, fresh := c.Admit(travel, exec, step, keys, redundant)
 			ek := execKey{travel, exec}
 			if fresh == started[ek] {
@@ -449,7 +449,8 @@ func FuzzAdmitMatchesCheckAndInsert(f *testing.F) {
 			}
 			started[ek] = true
 			want := 0
-			for i, k := range keys {
+			for i := range keys.IDs {
+				k := keys.At(i)
 				hit := fresh && ref.CheckAndInsert(Key{Travel: travel, Step: step, Vertex: k.Vertex, Anc: k.Anc, AncStep: k.AncStep})
 				if hit {
 					want++
@@ -479,7 +480,7 @@ func sameKeys(t *testing.T, c, ref *Cache) {
 			t.Fatalf("traversal %d differs from the one-by-one cache's", tr)
 		}
 		for step, rb := range rt.steps {
-			if b := ts.steps[step]; b == nil || !slices.Equal(b.AppendKeys(nil, 0), rb.AppendKeys(nil, 0)) {
+			if b := ts.steps[step]; b == nil || !reflect.DeepEqual(b.Batch(0), rb.Batch(0)) {
 				t.Fatalf("traversal %d step %d holds other keys than the one-by-one cache's", tr, step)
 			}
 		}

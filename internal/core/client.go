@@ -534,9 +534,9 @@ func (c *Client) runClientSide(plan *query.Plan, travelID uint64, opts SubmitOpt
 	// per-step timeline into one rooted DAG.
 	var stepParent uint64
 	for step := 0; step < numSteps; step++ {
-		byOwner := make(map[int][]wire.Entry)
+		byOwner := make(map[int][]model.VertexID)
 		for v := range candidates {
-			byOwner[c.part.Owner(v)] = append(byOwner[c.part.Owner(v)], wire.Entry{Vertex: v})
+			byOwner[c.part.Owner(v)] = append(byOwner[c.part.Owner(v)], v)
 		}
 		survivors[step] = make(map[model.VertexID]bool)
 		next := map[model.VertexID]bool{}
@@ -552,11 +552,12 @@ func (c *Client) runClientSide(plan *query.Plan, travelID uint64, opts SubmitOpt
 			for _, v := range resp.Verts {
 				survivors[step][v] = true
 			}
-			for _, e := range resp.Entries {
-				// Expansion: e.Anc is the surviving source, e.Vertex the
+			expanded := resp.Batch()
+			for i, v := range expanded.IDs {
+				// Expansion: the tag's Anc is the surviving source, v the
 				// next-step candidate.
-				hops[step+1] = append(hops[step+1], hop{from: e.Anc, to: e.Vertex})
-				next[e.Vertex] = true
+				hops[step+1] = append(hops[step+1], hop{from: expanded.TagAt(i).Anc, to: v})
+				next[v] = true
 			}
 		}
 		stepParent = firstReq
@@ -592,7 +593,7 @@ func (c *Client) runClientSide(plan *query.Plan, travelID uint64, opts SubmitOpt
 
 // visit performs one synchronous VisitReq round trip. parent is the
 // ParentExec stamped on the request (zero for roots).
-func (c *Client) visit(srv int, travelID uint64, step int32, parent uint64, entries []wire.Entry, scan bool, deadline time.Time) (wire.Message, error) {
+func (c *Client) visit(srv int, travelID uint64, step int32, parent uint64, entries []model.VertexID, scan bool, deadline time.Time) (wire.Message, error) {
 	msg := wire.Message{
 		Kind: wire.KindVisitReq, TravelID: travelID,
 		Step: step, ParentExec: parent, Entries: entries,

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/sched"
 	"graphtrek/internal/trace"
 	"graphtrek/internal/wire"
@@ -22,6 +23,7 @@ type visitAcc struct {
 
 	mu   sync.Mutex
 	resp wire.Message
+	next frontier.Batch // the expansions: each candidate tagged with its source as Anc
 }
 
 func (a *visitAcc) ItemDone() bool { return a.pending.Add(-1) == 0 }
@@ -47,6 +49,7 @@ func (a *visitAcc) fail(_ *Server, _ *travelState, msg string) {
 func (a *visitAcc) finished(s *Server, _ *travelState) {
 	a.mu.Lock()
 	resp := a.resp
+	resp.SetBatch(a.next)
 	a.mu.Unlock()
 	if a.sp != nil {
 		s.trc.RecordSpan(a.sp.Finish())
@@ -88,7 +91,7 @@ func (s *Server) handleVisitReq(from int, msg wire.Message, ts *travelState) {
 		sp: s.beginSpan(ts.id, msg.ReqID, msg.ParentExec, msg.Step, len(msg.Entries))}
 	acc.pending.Store(int32(len(msg.Entries)))
 	// Only Vertex is read of a client-mode entry: no cache, no merging, no rtn.
-	if err := s.enqueue(ts, msg.Step, acc, msg.Entries, nil, len(msg.Entries)); err != nil {
+	if err := s.enqueue(ts, msg.Step, acc, msg.Batch(), nil, len(msg.Entries)); err != nil {
 		// A refused batch (refused whole) ends here: one reply carrying the
 		// error, and its span recorded as failed.
 		acc.fail(s, ts, s.admissionError(err))
@@ -117,7 +120,7 @@ func (s *Server) processVisitItem(ts *travelState, ex *expansion, match bool, it
 	for _, dst := range ex.dsts {
 		// Anc carries the surviving source so the client can reconstruct
 		// the hop graph for rtn() liveness.
-		acc.resp.Entries = append(acc.resp.Entries, wire.Entry{Vertex: dst, Anc: it.Vertex})
+		acc.next.Append(frontier.Key{Vertex: dst, Anc: it.Vertex})
 	}
 	acc.mu.Unlock()
 	if err != nil {

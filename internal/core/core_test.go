@@ -591,8 +591,8 @@ func TestPeerPlanNamingNoServerIgnored(t *testing.T) {
 	for _, coord := range coords {
 		err := c.fabric.Endpoint(1).Send(0, wire.Message{
 			Kind: wire.KindDispatch, TravelID: 1000 + uint64(coord+1), ExecID: 1,
-			Entries: []wire.Entry{{Vertex: 2, AncStep: -1, Dest: -1}},
-			Mode:    uint8(ModeGraphTrek), Coord: coord, Plan: mustPlan(t, query.V(2)).Encode(),
+			Entries: []model.VertexID{2}, Tag: rootTag,
+			Mode: uint8(ModeGraphTrek), Coord: coord, Plan: mustPlan(t, query.V(2)).Encode(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -623,7 +623,7 @@ func TestLateMessagesAfterTravelDone(t *testing.T) {
 	const travel, unknown = 1234, 1235
 	dispatch := func(travel uint64, exec uint64, withPlan bool) wire.Message {
 		m := wire.Message{Kind: wire.KindDispatch, TravelID: travel, Step: 0, ExecID: exec,
-			Entries: []wire.Entry{{Vertex: 2, AncStep: -1, Dest: -1}}}
+			Entries: []model.VertexID{2}, Tag: rootTag}
 		if withPlan {
 			m.Plan, m.Coord, m.Mode = mustPlan(t, query.V(2).E("run")).Encode(), 0, uint8(ModeGraphTrek)
 		}

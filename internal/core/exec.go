@@ -128,7 +128,7 @@ type outboxSet struct {
 	parent uint64
 }
 
-func (o *outboxSet) add(e wire.Entry, parent uint64) bool {
+func (o *outboxSet) add(e frontier.Key, parent uint64) bool {
 	if !o.seen.Add(e) {
 		return false
 	}
@@ -142,12 +142,13 @@ func (o *outboxSet) pending() int { return o.seen.Len() - o.sent }
 
 // take drains the pending entries and the batch's parent attribution. The
 // seen set keeps its keys in arrival order, so repeats stay suppressed for
-// the traversal's lifetime, and the batch is the pending run copied once
-// into a slice of exactly its size: the message owns it from here on.
-func (o *outboxSet) take() ([]wire.Entry, uint64) {
-	list, parent := o.seen.AppendKeys(make([]wire.Entry, 0, o.pending()), o.sent), o.parent
+// the traversal's lifetime, and the batch is the pending run of the set's
+// own columns, copied nowhere: the set never writes a key it holds again
+// (frontier.Set.Batch), so the message, its receivers and the set share it.
+func (o *outboxSet) take() (frontier.Batch, uint64) {
+	b, parent := o.seen.Batch(o.sent), o.parent
 	o.sent, o.parent = o.seen.Len(), 0
-	return list, parent
+	return b, parent
 }
 
 // expansion is one worker goroutine's scratch for turning an item's edge scan
@@ -232,7 +233,7 @@ func newExpansion() *expansion {
 // threshold, and the batches taken are sent after unlocking. parent is the
 // exec id of the execution producing the entries, carried onto the wire as
 // the child's ParentExec.
-func (s *Server) bufferDispatch(ts *travelState, ex *expansion, parent uint64, step int32, tag wire.Entry) {
+func (s *Server) bufferDispatch(ts *travelState, ex *expansion, parent uint64, step int32, tag frontier.Tag) {
 	if len(ex.dsts) == 0 {
 		return
 	}
@@ -240,8 +241,7 @@ func (s *Server) bufferDispatch(ts *travelState, ex *expansion, parent uint64, s
 	for _, dst := range ex.dsts {
 		target := s.cfg.Part.Owner(dst)
 		box := s.outboxLocked(ts, step, target)
-		tag.Vertex = dst
-		if box.add(tag, parent) && box.pending() >= s.cfg.BatchSize {
+		if box.add(tag.Key(dst), parent) && box.pending() >= s.cfg.BatchSize {
 			ex.full = append(ex.full, s.takeLocked(ts, box, wire.KindDispatch, step, target))
 		}
 	}
@@ -278,9 +278,9 @@ func (s *Server) outboxLocked(ts *travelState, step int32, target int) *outboxSe
 // message that creates one execution there. Caller holds flushMu.
 func (s *Server) takeLocked(ts *travelState, box *outboxSet, kind wire.Kind, step int32, target int) outMsg {
 	entries, parent := box.take()
-	return outMsg{target, wire.Message{
-		Kind: kind, TravelID: ts.id, Step: step, ExecID: s.newExecID(), ParentExec: parent, Entries: entries,
-	}}
+	om := outMsg{target, wire.Message{Kind: kind, TravelID: ts.id, Step: step, ExecID: s.newExecID(), ParentExec: parent}}
+	om.msg.SetBatch(entries)
+	return om
 }
 
 // ship sends om with the plan attached until the transport has accepted a
@@ -302,7 +302,7 @@ func (s *Server) ship(ts *travelState, om outMsg) error {
 // bufferSig adds an end-of-chain signal for an rtn()-marked ancestor,
 // deduplicated per batch. parent attributes the resulting return-signal
 // execution to the execution that reached the chain's end.
-func (s *Server) bufferSig(ts *travelState, parent uint64, target int, e wire.Entry) {
+func (s *Server) bufferSig(ts *travelState, parent uint64, target int, e frontier.Key) {
 	ts.flushMu.Lock()
 	box := s.outboxLocked(ts, int32(ts.plan.NumSteps()), target)
 	box.add(e, parent)
@@ -352,9 +352,17 @@ func (s *Server) report(ts *travelState, msg wire.Message) error {
 // coordinator in the order they swapped.
 func (s *Server) flushTravel(ts *travelState) {
 	numSteps := int32(ts.plan.NumSteps())
-	var msgs []outMsg
 
 	ts.flushMu.Lock()
+	n := 0
+	for _, row := range ts.outbox {
+		for _, box := range row {
+			if box != nil && box.pending() > 0 {
+				n++
+			}
+		}
+	}
+	msgs := make([]outMsg, 0, n) // sized once: an outMsg is a whole wire.Message
 	for step, row := range ts.outbox {
 		kind := wire.KindDispatch
 		if step == int(numSteps) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/model"
 	"graphtrek/internal/query"
 	"graphtrek/internal/rpc"
@@ -19,9 +20,18 @@ import (
 
 var errForTest = errors.New("simulated storage failure")
 
+// batchKeys spells a batch out key by key.
+func batchKeys(b frontier.Batch) []frontier.Key {
+	keys := make([]frontier.Key, b.Len())
+	for i := range keys {
+		keys[i] = b.At(i)
+	}
+	return keys
+}
+
 func TestOutboxSetDedupsWithinBatch(t *testing.T) {
 	box := &outboxSet{}
-	e := wire.Entry{Vertex: 7, Anc: 1, AncStep: 0, Dest: 2}
+	e := frontier.Key{Vertex: 7, Anc: 1, AncStep: 0, Dest: 2}
 	if !box.add(e, 1) {
 		t.Fatal("first add should be fresh")
 	}
@@ -35,8 +45,8 @@ func TestOutboxSetDedupsWithinBatch(t *testing.T) {
 
 func TestOutboxSetDistinguishesProvenance(t *testing.T) {
 	box := &outboxSet{}
-	base := wire.Entry{Vertex: 7, Anc: 1, AncStep: 0, Dest: 2}
-	variants := []wire.Entry{
+	base := frontier.Key{Vertex: 7, Anc: 1, AncStep: 0, Dest: 2}
+	variants := []frontier.Key{
 		{Vertex: 8, Anc: 1, AncStep: 0, Dest: 2},  // different vertex
 		{Vertex: 7, Anc: 2, AncStep: 0, Dest: 2},  // different ancestor
 		{Vertex: 7, Anc: 1, AncStep: 1, Dest: 2},  // different ancestor step
@@ -54,11 +64,11 @@ func TestOutboxSetSeenSurvivesTake(t *testing.T) {
 	// The send-once-per-traversal property: draining the pending list must
 	// not forget what was already sent.
 	box := &outboxSet{}
-	e1 := wire.Entry{Vertex: 1}
-	e2 := wire.Entry{Vertex: 2}
+	e1 := frontier.Key{Vertex: 1}
+	e2 := frontier.Key{Vertex: 2}
 	box.add(e1, 11)
 	got, parent := box.take()
-	if len(got) != 1 || got[0] != e1 {
+	if got.Len() != 1 || got.At(0) != e1 {
 		t.Fatalf("take = %v", got)
 	}
 	if parent != 11 {
@@ -70,10 +80,10 @@ func TestOutboxSetSeenSurvivesTake(t *testing.T) {
 	if !box.add(e2, 13) {
 		t.Fatal("a genuinely new entry must pass after take")
 	}
-	if got, parent := box.take(); len(got) != 1 || got[0] != e2 || parent != 13 {
+	if got, parent := box.take(); got.Len() != 1 || got.At(0) != e2 || parent != 13 {
 		t.Fatalf("second take = %v parent %d", got, parent)
 	}
-	if got, parent := box.take(); len(got) != 0 || parent != 0 {
+	if got, parent := box.take(); got.Len() != 0 || parent != 0 {
 		t.Fatalf("empty take = %v parent %d", got, parent)
 	}
 }
@@ -82,11 +92,13 @@ func TestOutboxSetSeenSurvivesTake(t *testing.T) {
 // tag, then gets keys under a second tag mixed with repeats of the first
 // batch. Its set switches to per-key tags under the pending run, and the
 // second take must hold exactly the new keys, in arrival order, each with
-// its own tag, in a slice of its own.
+// its own tag, and neither batch may have room past its end, or a receiver's
+// append could write into the set. The first batch, taken under one tag, must
+// be the id column and the tag alone, and stay as it was.
 func TestOutboxTakeAfterSecondTag(t *testing.T) {
 	box := &outboxSet{}
-	one := wire.Entry{Anc: 5, AncStep: 0, Dest: 2}
-	var first []wire.Entry
+	one := frontier.Key{Anc: 5, AncStep: 0, Dest: 2}
+	var first []frontier.Key
 	for v := 1; v <= 20; v++ { // past the set's first table
 		e := one
 		e.Vertex = model.VertexID(v)
@@ -94,12 +106,12 @@ func TestOutboxTakeAfterSecondTag(t *testing.T) {
 		first = append(first, e)
 	}
 	got, _ := box.take()
-	if !slices.Equal(got, first) {
-		t.Fatalf("first take = %v", got)
+	if !slices.Equal(batchKeys(got), first) || got.Tags != nil || cap(got.IDs) != got.Len() {
+		t.Fatalf("first take = %+v", got)
 	}
-	var want []wire.Entry
+	var want []frontier.Key
 	for v := 1; v <= 30; v++ {
-		e := wire.Entry{Vertex: model.VertexID(v), Anc: 6, AncStep: 0, Dest: 2}
+		e := frontier.Key{Vertex: model.VertexID(v), Anc: 6, AncStep: 0, Dest: 2}
 		if !box.add(e, 2) {
 			t.Fatalf("%+v, new under the second tag, was suppressed", e)
 		}
@@ -117,13 +129,13 @@ func TestOutboxTakeAfterSecondTag(t *testing.T) {
 		}
 	}
 	second, parent := box.take()
-	if !slices.Equal(second, want) || parent != 2 {
-		t.Fatalf("second take = %v parent %d, want %v parent 2", second, parent, want)
+	if !slices.Equal(batchKeys(second), want) || parent != 2 {
+		t.Fatalf("second take = %v parent %d, want %v parent 2", batchKeys(second), parent, want)
 	}
-	if cap(second) != len(want) {
-		t.Errorf("the second batch has room for %d entries, holds %d", cap(second), len(want))
+	if cap(second.IDs) != len(want) || cap(second.Tags) != len(want) {
+		t.Errorf("the second batch has room for %d ids and %d tags, holds %d", cap(second.IDs), cap(second.Tags), len(want))
 	}
-	if !slices.Equal(got, first) {
+	if !slices.Equal(batchKeys(got), first) {
 		t.Fatal("the first batch changed under the second tag's adds")
 	}
 }
@@ -135,7 +147,7 @@ func TestExecAccCountdown(t *testing.T) {
 	s, ts := dispatchRig(t)
 	acc := &execAcc{id: 99}
 	acc.pending.Store(3)
-	if err := s.enqueue(ts, 0, acc, []wire.Entry{{Vertex: 1}, {Vertex: 2}, {Vertex: 3}}, nil, 3); err != nil {
+	if err := s.enqueue(ts, 0, acc, frontier.Batch{IDs: []model.VertexID{1, 2, 3}}, nil, 3); err != nil {
 		t.Fatal(err)
 	}
 	var items []sched.Item
@@ -295,7 +307,7 @@ func TestDispatchOnePassPerExpansion(t *testing.T) {
 	type sentKey struct {
 		to   int
 		step int32
-		e    wire.Entry
+		e    frontier.Key
 	}
 	once := make(map[sentKey]bool)
 	sizes := make(map[int][]int)                            // target -> step-1 batch sizes in send order
@@ -310,7 +322,7 @@ func TestDispatchOnePassPerExpansion(t *testing.T) {
 				ended[id] = i
 			}
 		case wire.KindDispatch:
-			for _, e := range ls.msg.Entries {
+			for _, e := range batchKeys(ls.msg.Batch()) {
 				k := sentKey{ls.to, ls.msg.Step, e}
 				if once[k] {
 					t.Errorf("entry %+v sent to server %d for step %d twice", e, ls.to, ls.msg.Step)
@@ -431,7 +443,7 @@ func TestFlushesSendInTakeOrder(t *testing.T) {
 	// The first flush takes exec's outputs: a result and a child dispatch.
 	s.bufferResult(ts, 5)
 	ts.flushMu.Lock()
-	s.outboxLocked(ts, 1, 1).add(wire.Entry{Vertex: 9, AncStep: -1, Dest: -1}, exec)
+	s.outboxLocked(ts, 1, 1).add(rootTag.Key(9), exec)
 	ts.flushMu.Unlock()
 	first := goFlush(s, ts)
 	<-held.parked
@@ -489,7 +501,7 @@ func TestFirstMessageToEachServerCarriesPlan(t *testing.T) {
 	}
 	flush := func(v model.VertexID) chan struct{} {
 		ts.flushMu.Lock()
-		s.outboxLocked(ts, 1, 2).add(wire.Entry{Vertex: v, AncStep: -1, Dest: -1}, 42)
+		s.outboxLocked(ts, 1, 2).add(rootTag.Key(v), 42)
 		ts.flushMu.Unlock()
 		return goFlush(s, ts)
 	}

@@ -114,7 +114,7 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 	// dispatch that carried it there was accepted first (ship).
 	var roots []outMsg
 	if !seedByScan {
-		byOwner := make(map[int][]wire.Entry)
+		byOwner := make(map[int][]model.VertexID)
 		seen := make(map[model.VertexID]bool, len(s0.SourceIDs))
 		for _, id := range s0.SourceIDs {
 			if seen[id] {
@@ -122,11 +122,11 @@ func (s *Server) startCoordination(client int, travelID uint64, ts *travelState)
 			}
 			seen[id] = true
 			owner := s.cfg.Part.Owner(id)
-			byOwner[owner] = append(byOwner[owner], wire.Entry{Vertex: id, AncStep: -1, Dest: -1})
+			byOwner[owner] = append(byOwner[owner], id)
 		}
-		for owner, entries := range byOwner {
+		for owner, ids := range byOwner {
 			roots = append(roots, outMsg{owner, wire.Message{
-				Kind: wire.KindDispatch, TravelID: travelID, Step: 0, ExecID: s.newExecID(), Entries: entries,
+				Kind: wire.KindDispatch, TravelID: travelID, Step: 0, ExecID: s.newExecID(), Entries: ids, Tag: rootTag,
 			}})
 		}
 	}

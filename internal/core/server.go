@@ -8,6 +8,7 @@ import (
 
 	"graphtrek/internal/cache"
 	"graphtrek/internal/events"
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/gstore"
 	"graphtrek/internal/metrics"
 	"graphtrek/internal/model"
@@ -193,19 +194,19 @@ func (s *Server) maybeFlush(ts *travelState, n int) {
 // refused and the caller must surface it on the traversal's error path so
 // the client can retry; admitted batches update the received counter and
 // the depth gauge.
-func (s *Server) enqueue(ts *travelState, step int32, acc accumulator, entries []wire.Entry, skip []bool, live int) error {
+func (s *Server) enqueue(ts *travelState, step int32, acc accumulator, entries frontier.Batch, skip []bool, live int) error {
 	if live > 0 {
 		depth, err := s.exec.PushBatch(ts.id, step, acc, entries, skip, live)
 		if err != nil {
 			s.met.Add(metrics.Rejected, 1)
 			// Bursts coalesce into one journal entry with a growing count.
 			s.journal.Record(events.Event{Type: events.Backpressure, Part: -1, Peer: -1,
-				Detail: fmt.Sprintf("executor queue full, batch of %d refused", len(entries))})
+				Detail: fmt.Sprintf("executor queue full, batch of %d refused", entries.Len())})
 			return err
 		}
 		s.met.ObserveQueueDepth(int64(depth))
 	}
-	s.met.Add(metrics.Received, int64(len(entries)))
+	s.met.Add(metrics.Received, int64(entries.Len()))
 	return nil
 }
 
@@ -546,6 +547,9 @@ func (s *Server) registerTravel(from int, msg wire.Message) (ts *travelState, fr
 	return ts, true
 }
 
+// rootTag is the tag of a traversal's step-0 entries: no rtn() level is open.
+var rootTag = frontier.Tag{AncStep: -1, Dest: -1}
+
 // runSeedExec performs the local source selection for label / full-scan
 // seeded traversals: every candidate local vertex becomes a step-0 request.
 // Candidates come from an index pushdown when one covers a step-0 filter,
@@ -561,12 +565,8 @@ func (s *Server) runSeedExec(ts *travelState, execID uint64) {
 		s.endUnqueued(ts, &execAcc{id: execID, sp: s.beginSpan(ts.id, execID, 0, 0, len(ids))}, errMsg)
 		return
 	}
-	entries := make([]wire.Entry, len(ids))
-	for i, id := range ids {
-		entries[i] = wire.Entry{Vertex: id, AncStep: -1, Dest: -1}
-	}
 	// Seed executions are DAG roots: no dispatching execution created them.
-	s.startExec(ts, execID, 0, 0, entries)
+	s.startExec(ts, execID, 0, 0, frontier.Batch{IDs: ids, Tag: rootTag})
 }
 
 // startExec enqueues entries as the traversal execution id at step, created
@@ -575,23 +575,23 @@ func (s *Server) runSeedExec(ts *travelState, execID uint64) {
 // all if this server started the id already (a duplicated dispatch). A batch
 // the executor refuses (it refuses whole) ends the execution at once with a
 // retryable error, so the ledger fails the traversal promptly.
-func (s *Server) startExec(ts *travelState, id, parent uint64, step int32, entries []wire.Entry) {
+func (s *Server) startExec(ts *travelState, id, parent uint64, step int32, entries frontier.Batch) {
 	var skip []bool
 	redundant := 0
 	if ts.tun.useCache {
 		var small [2048]bool // the batch's mask, on the stack when it fits
-		if len(entries) <= len(small) {
-			skip = small[:len(entries)]
+		if entries.Len() <= len(small) {
+			skip = small[:entries.Len()]
 		} else {
-			skip = make([]bool, len(entries))
+			skip = make([]bool, entries.Len())
 		}
 		var fresh bool
 		if redundant, fresh = s.cache.Admit(ts.id, id, step, entries, skip); !fresh {
 			return
 		}
 	}
-	acc := &execAcc{id: id, sp: s.beginSpan(ts.id, id, parent, step, len(entries))}
-	live := len(entries) - redundant
+	acc := &execAcc{id: id, sp: s.beginSpan(ts.id, id, parent, step, entries.Len())}
+	live := entries.Len() - redundant
 	acc.pending.Store(int32(live))
 	acc.sp.AddRedundant(redundant)
 	if err := s.enqueue(ts, step, acc, entries, skip, live); err != nil {
@@ -608,10 +608,10 @@ func (s *Server) startExec(ts *travelState, id, parent uint64, step int32, entri
 // misroutedEntries scans a dispatch batch for a vertex whose partition
 // this server no longer primaries — evidence the sender routed with a
 // stale table — returning the offending partition.
-func (s *Server) misroutedEntries(entries []wire.Entry) (int, bool) {
+func (s *Server) misroutedEntries(ids []model.VertexID) (int, bool) {
 	self := int32(s.cfg.ID)
-	for _, e := range entries {
-		p := s.cfg.Route.Partition(e.Vertex)
+	for _, v := range ids {
+		p := s.cfg.Route.Partition(v)
 		if s.cfg.Route.Assignment(p).Primary != self {
 			return p, true
 		}
@@ -636,7 +636,7 @@ func (s *Server) handleDispatch(_ int, msg wire.Message, ts *travelState) {
 			return
 		}
 	}
-	s.startExec(ts, msg.ExecID, msg.ParentExec, msg.Step, msg.Entries)
+	s.startExec(ts, msg.ExecID, msg.ParentExec, msg.Step, msg.Batch())
 }
 
 // handleTravelDone releases a finished traversal's state.

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/metrics"
 	"graphtrek/internal/model"
 	"graphtrek/internal/property"
@@ -108,7 +109,7 @@ func (s *Server) processItem(ts *travelState, ex *expansion, match bool, it sche
 	if it.Step == last {
 		if it.Dest >= 0 {
 			// Signal the previous rtn level that a path survived.
-			s.bufferSig(ts, exec, int(it.Dest), wire.Entry{Vertex: it.Anc, AncStep: it.AncStep})
+			s.bufferSig(ts, exec, int(it.Dest), frontier.Key{Vertex: it.Anc, AncStep: it.AncStep})
 		}
 		return now
 	}
@@ -123,7 +124,7 @@ func (s *Server) processItem(ts *travelState, ex *expansion, match bool, it sche
 	if sp != nil {
 		dispatchStart = sched.Now()
 	}
-	s.bufferDispatch(ts, ex, exec, it.Step+1, wire.Entry{Anc: anc, AncStep: ancStep, Dest: dest})
+	s.bufferDispatch(ts, ex, exec, it.Step+1, frontier.Tag{Anc: anc, AncStep: ancStep, Dest: dest})
 	if sp != nil {
 		end := sched.Now()
 		sp.AddScan(end - now)
@@ -187,7 +188,7 @@ func (s *Server) recordRtn(ts *travelState, exec uint64, v model.VertexID, step 
 // resulting signal batch.
 func (s *Server) notifyUp(ts *travelState, parent uint64, up upRef) {
 	if up.dest >= 0 {
-		s.bufferSig(ts, parent, int(up.dest), wire.Entry{Vertex: up.anc, AncStep: up.ancStep})
+		s.bufferSig(ts, parent, int(up.dest), frontier.Key{Vertex: up.anc, AncStep: up.ancStep})
 	}
 }
 
@@ -197,9 +198,10 @@ func (s *Server) notifyUp(ts *travelState, parent uint64, up upRef) {
 // are lightweight bookkeeping — no disk access — so they run inline on the
 // transport's dispatch goroutine as their own traversal execution.
 func (s *Server) handleReturnSig(_ int, msg wire.Message, ts *travelState) {
-	for _, e := range msg.Entries {
+	sigs := msg.Batch()
+	for i, v := range sigs.IDs {
 		ts.rtnMu.Lock()
-		rec, ok := ts.rtn[rtnKey{e.Vertex, e.AncStep}]
+		rec, ok := ts.rtn[rtnKey{v, sigs.TagAt(i).AncStep}]
 		if !ok || rec.returned {
 			ts.rtnMu.Unlock()
 			continue
@@ -208,7 +210,7 @@ func (s *Server) handleReturnSig(_ int, msg wire.Message, ts *travelState) {
 		ups := rec.ups
 		rec.ups = nil
 		ts.rtnMu.Unlock()
-		s.bufferResult(ts, e.Vertex)
+		s.bufferResult(ts, v)
 		for _, up := range ups {
 			s.notifyUp(ts, msg.ExecID, up)
 		}

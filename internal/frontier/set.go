@@ -2,20 +2,21 @@
 // bookkeeping: the dispatch outboxes' "sent already" sets and the
 // traversal-affiliate cache's per-step buckets remember frontier entries for
 // as long as their traversal lives, so they share one insert-only set (Set)
-// of vertex ids under a tag held once per set outside rtn() plans; the
-// scheduler's merge index maps a vertex to its buffered group in a table of
-// the same hash and probe (Index).
+// of vertex ids under a tag held once per set outside rtn() plans. A frontier
+// batch is a Batch, a run of keys in that same layout, from the outbox that
+// takes it to the scheduler that queues it. The scheduler's merge index maps
+// a vertex to its buffered group in a table of the same hash and probe
+// (Index).
 package frontier
 
 import (
 	"math/bits"
-	"slices"
 
 	"graphtrek/internal/model"
 )
 
 // Key is one frontier entry: a vertex and the rtn() provenance tag it travels
-// with. wire.Entry is this type, so a decoded batch is a slice of keys.
+// with.
 type Key struct {
 	Vertex  model.VertexID
 	Anc     model.VertexID
@@ -23,14 +24,67 @@ type Key struct {
 	Dest    int32
 }
 
-// tag is a key without its vertex.
-type tag struct {
-	anc     model.VertexID
-	ancStep int32
-	dest    int32
+// Tag is a key without its vertex: the most recent rtn()-marked ancestor, the
+// step it was marked at, and the server awaiting its end-of-chain signal.
+type Tag struct {
+	Anc     model.VertexID
+	AncStep int32
+	Dest    int32
 }
 
-func (k Key) tag() tag { return tag{k.Anc, k.AncStep, k.Dest} }
+// Tag is the key's tag.
+func (k Key) Tag() Tag { return Tag{k.Anc, k.AncStep, k.Dest} }
+
+// Key is the key of v under the tag.
+func (t Tag) Key(v model.VertexID) Key { return Key{v, t.Anc, t.AncStep, t.Dest} }
+
+// Batch is a run of keys in a set's layout: a column of vertex ids and the
+// tag they share, or, when their tags differ, a column of per-key tags beside
+// it. It is what a frontier batch is on every hop — taken from an outbox,
+// carried by a wire.Message, admitted by the cache and queued by the
+// scheduler — and once handed over it is read-only: whoever holds one may
+// share it, so nobody writes into its columns.
+type Batch struct {
+	IDs  []model.VertexID
+	Tag  Tag   // every key's tag while Tags is nil, and zero once it is not
+	Tags []Tag // Tags[i] is IDs[i]'s tag; nil while the keys share Tag
+}
+
+// Append adds k at the end of a batch being built, under the set's rule: the
+// tag once while every key shares it, a column of per-key tags from the
+// first key that does not. It never writes into a column taken from a set
+// or a decoded message: those have no room past their end.
+func (b *Batch) Append(k Key) {
+	t := k.Tag()
+	switch {
+	case len(b.IDs) == 0 && b.Tags == nil:
+		b.Tag = t
+	case b.Tags == nil && t != b.Tag:
+		b.Tags = make([]Tag, len(b.IDs), cap(b.IDs))
+		for i := range b.Tags {
+			b.Tags[i] = b.Tag
+		}
+		b.Tag = Tag{}
+	}
+	b.IDs = append(b.IDs, k.Vertex)
+	if b.Tags != nil {
+		b.Tags = append(b.Tags, t)
+	}
+}
+
+// Len reports the number of keys in the batch.
+func (b Batch) Len() int { return len(b.IDs) }
+
+// TagAt is the i'th key's tag.
+func (b Batch) TagAt(i int) Tag {
+	if b.Tags != nil {
+		return b.Tags[i]
+	}
+	return b.Tag
+}
+
+// At is the i'th key.
+func (b Batch) At(i int) Key { return b.TagAt(i).Key(b.IDs[i]) }
 
 // smallKeys is how many keys a set holds before it builds a table: up to
 // there a lookup compares them all, and a few keys cost one allocation.
@@ -45,36 +99,39 @@ const smallKeys = 8
 // it is not safe for concurrent use.
 type Set struct {
 	ids  []model.VertexID // the keys' vertices in insertion order
-	tag  tag              // every key's tag while tags is nil
-	tags []tag            // tags[i] is ids[i]'s tag; nil while the set has one tag
+	tag  Tag              // every key's tag while tags is nil
+	tags []Tag            // tags[i] is ids[i]'s tag; nil while the set has one tag
 	pos  []uint32         // index into ids plus one; 0 marks an empty slot; nil up to smallKeys keys
 }
 
 // Len reports the number of keys in the set.
 func (s *Set) Len() int { return len(s.ids) }
 
-// AppendKeys appends the keys from the from'th on, in insertion order, to dst.
-func (s *Set) AppendKeys(dst []Key, from int) []Key {
-	dst = slices.Grow(dst, len(s.ids)-from)
-	for i := from; i < len(s.ids); i++ {
-		dst = append(dst, s.at(i))
+// Batch is the run of keys from the from'th on, in insertion order, as the
+// set's own columns: no key is copied. The set never writes a position it
+// has filled — it only appends past the end, and growing moves the columns
+// to new arrays — so the run stays as it is for as long as anyone holds it,
+// whatever the set takes in after.
+func (s *Set) Batch(from int) Batch {
+	n := len(s.ids)
+	if s.tags != nil {
+		return Batch{IDs: s.ids[from:n:n], Tags: s.tags[from:n:n]}
 	}
-	return dst
+	return Batch{IDs: s.ids[from:n:n], Tag: s.tag}
 }
 
 // at is the i'th key in insertion order.
 func (s *Set) at(i int) Key {
-	t := s.tag
 	if s.tags != nil {
-		t = s.tags[i]
+		return s.tags[i].Key(s.ids[i])
 	}
-	return Key{s.ids[i], t.anc, t.ancStep, t.dest}
+	return s.tag.Key(s.ids[i])
 }
 
 // Has reports whether k is in the set. A set of one tag holds no key of
 // another.
 func (s *Set) Has(k Key) bool {
-	if s.tags == nil && k.tag() != s.tag {
+	if s.tags == nil && k.Tag() != s.tag {
 		return false
 	}
 	_, ok := s.find(k)
@@ -83,11 +140,11 @@ func (s *Set) Has(k Key) bool {
 
 // Add inserts k and reports whether it was absent, in one probe.
 func (s *Set) Add(k Key) bool {
-	if t := k.tag(); s.tags == nil && t != s.tag {
+	if t := k.Tag(); s.tags == nil && t != s.tag {
 		if len(s.ids) == 0 {
 			s.tag = t
 		} else { // a second tag: every key held gets its own, and the table the whole key's hash
-			s.tags = make([]tag, len(s.ids), cap(s.ids))
+			s.tags = make([]Tag, len(s.ids), cap(s.ids))
 			for i := range s.tags {
 				s.tags[i] = s.tag
 			}
@@ -111,7 +168,7 @@ func (s *Set) Add(k Key) bool {
 	}
 	s.ids = append(s.ids, k.Vertex)
 	if s.tags != nil {
-		s.tags = append(s.tags, k.tag())
+		s.tags = append(s.tags, k.Tag())
 	}
 	if s.pos != nil {
 		s.pos[i] = uint32(len(s.ids))
@@ -140,7 +197,7 @@ func slotsFor(n int) int {
 func (s *Set) find(k Key) (slot int, ok bool) {
 	if s.pos == nil {
 		for p, v := range s.ids {
-			if v == k.Vertex && (s.tags == nil || s.tags[p] == k.tag()) {
+			if v == k.Vertex && (s.tags == nil || s.tags[p] == k.Tag()) {
 				return 0, true
 			}
 		}
@@ -148,7 +205,7 @@ func (s *Set) find(k Key) (slot int, ok bool) {
 	}
 	mask := len(s.pos) - 1
 	for slot = int(s.hash(k)) & mask; s.pos[slot] != 0; slot = (slot + 1) & mask {
-		if p := s.pos[slot] - 1; s.ids[p] == k.Vertex && (s.tags == nil || s.tags[p] == k.tag()) {
+		if p := s.pos[slot] - 1; s.ids[p] == k.Vertex && (s.tags == nil || s.tags[p] == k.Tag()) {
 			return slot, true
 		}
 	}
@@ -167,11 +224,16 @@ func (s *Set) hash(k Key) uint64 {
 
 // rehash builds a table of size slots over the keys held, in the old one when
 // it has that size (a second tag rehashes every key), and makes room in the
-// columns for the ¾ of them that may fill: they grow together.
+// columns for the ¾ of them that may fill: they grow together, each into a new
+// array of exactly that room (append's own growth would overshoot it), so a
+// Batch taken before keeps the old one.
 func (s *Set) rehash(size int) {
-	s.ids = slices.Grow(s.ids, size/4*3-len(s.ids))
-	if s.tags != nil {
-		s.tags = slices.Grow(s.tags, size/4*3-len(s.tags))
+	room := size / 4 * 3
+	if cap(s.ids) < room {
+		s.ids = append(make([]model.VertexID, 0, room), s.ids...)
+	}
+	if s.tags != nil && cap(s.tags) < room {
+		s.tags = append(make([]Tag, 0, room), s.tags...)
 	}
 	if len(s.pos) == size {
 		clear(s.pos)

@@ -90,8 +90,8 @@ func TestSetMatchesMapSeeded(t *testing.T) {
 		}
 		if r.Intn(1000) == 0 {
 			from := r.Intn(len(order) + 1)
-			if got := s.AppendKeys(nil, from); !slices.Equal(got, order[from:]) {
-				t.Fatalf("op %d: AppendKeys(nil, %d) is not the keys added from the %d'th on", i, from, from)
+			if got := keysOf(s.Batch(from)); !slices.Equal(got, order[from:]) {
+				t.Fatalf("op %d: Batch(%d) is not the keys added from the %d'th on", i, from, from)
 			}
 		}
 	}
@@ -100,10 +100,8 @@ func TestSetMatchesMapSeeded(t *testing.T) {
 			t.Fatalf("%+v lost", k)
 		}
 	}
-	// AppendKeys is the insertion order, after whatever dst held.
-	head := []Key{{Vertex: ^model.VertexID(0)}}
-	if got := s.AppendKeys(head, 0); !slices.Equal(got[:1], head) || !slices.Equal(got[1:], order) {
-		t.Fatalf("AppendKeys(head, 0) is not head and then the %d keys in the order they were added", len(order))
+	if got := keysOf(s.Batch(0)); !slices.Equal(got, order) {
+		t.Fatalf("Batch(0) is not the %d keys in the order they were added", len(order))
 	}
 }
 
@@ -144,12 +142,12 @@ func TestSetMatchesWideSet(t *testing.T) {
 			}
 		}
 		from := r.Intn(w.Len() + 1)
-		if got := s.AppendKeys(nil, from); !slices.Equal(got, w.keys[from:]) {
-			t.Fatalf("round %d: AppendKeys(nil, %d) differs from the wide set's keys", round, from)
+		if got := keysOf(s.Batch(from)); !slices.Equal(got, w.keys[from:]) {
+			t.Fatalf("round %d: Batch(%d) differs from the wide set's keys", round, from)
 		}
 		oneTag := true
 		for _, k := range w.keys {
-			oneTag = oneTag && k.tag() == w.keys[0].tag()
+			oneTag = oneTag && k.Tag() == w.keys[0].Tag()
 		}
 		if oneTag != (s.tags == nil) {
 			t.Fatalf("round %d: the keys share one tag = %v, but the set keeps a tag column = %v", round, oneTag, s.tags != nil)
@@ -172,6 +170,9 @@ func TestReserveThenAddNeverGrows(t *testing.T) {
 			}
 			s.Reserve(n)
 			size, room := len(s.pos), cap(s.ids)
+			if s.pos != nil && room != size/4*3 {
+				t.Errorf("held %d: Reserve(%d) made %d slots and room for %d keys, want exactly ¾ of the slots", held, n, size, room)
+			}
 			if allocs := testing.AllocsPerRun(1, func() { s.Reserve(n) }); allocs != 0 {
 				t.Errorf("held %d: a second Reserve(%d) allocates", held, n)
 			}
@@ -216,8 +217,9 @@ func TestReserveThenAddNeverGrows(t *testing.T) {
 }
 
 var (
-	sinkSet Set
-	sinkMap map[Key]struct{}
+	sinkSet   Set
+	sinkMap   map[Key]struct{}
+	sinkBatch Batch
 )
 
 // TestSmallSetAllocs holds a set of a few keys — every outbox of a point
@@ -243,9 +245,8 @@ func TestSmallSetAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { sinkSet.Add(Key{Vertex: 1}) }); got != 0 {
 		t.Errorf("Add of a present key allocates %.0f", got)
 	}
-	dst := make([]Key, smallKeys)
-	if got := testing.AllocsPerRun(100, func() { dst = sinkSet.AppendKeys(dst[:0], 0) }); got != 0 {
-		t.Errorf("AppendKeys into a slice with room allocates %.0f", got)
+	if got := testing.AllocsPerRun(100, func() { sinkBatch = sinkSet.Batch(0) }); got != 0 {
+		t.Errorf("Batch allocates %.0f", got)
 	}
 }
 
@@ -255,8 +256,10 @@ func TestSmallSetAllocs(t *testing.T) {
 // size, and compares every answer with a Go map. A key takes the set's first
 // tag when its first byte says so, and its own otherwise, so the set switches
 // from one tag to many wherever the input does: before its first table, right
-// after a Reserve, or mid-table. At the end AppendKeys must give the keys
-// added, in order, from every starting point.
+// after a Reserve, or mid-table. A first byte with bit 2 set first takes the
+// keys added since the last take, as an outbox does. At the end Batch must
+// give the keys added, in order, from every starting point, and every batch
+// taken along the way must still hold the keys it held when it was taken.
 func FuzzSetMatchesMap(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 9})
@@ -280,11 +283,37 @@ func FuzzSetMatchesMap(f *testing.F) {
 		seq = append(seq, op...)
 	}
 	f.Add(seq)
+	// Takes every seventh op, across two doublings and the switch to a
+	// second tag at op 20.
+	seq = nil
+	for i := 0; i < 40; i++ {
+		op := []byte{2, byte(i * 5), 0, 0x15, 0}
+		if i%7 == 6 {
+			op[0] |= 4
+		}
+		if i == 20 {
+			op = []byte{4, 200, 1, 0x2a, 0}
+		}
+		seq = append(seq, op...)
+	}
+	f.Add(seq)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var s Set
 		ref := map[Key]struct{}{}
 		var order []Key
+		type take struct {
+			b        Batch
+			from, to int
+		}
+		var taken []take
 		for ; len(b) >= 5; b = b[5:] {
+			if b[0]&4 != 0 {
+				from := 0
+				if len(taken) > 0 {
+					from = taken[len(taken)-1].to
+				}
+				taken = append(taken, take{s.Batch(from), from, s.Len()})
+			}
 			s.Reserve(int(b[4]))
 			k := Key{
 				Vertex:  model.VertexID(b[1]) | model.VertexID(b[2]&3)<<8,
@@ -304,11 +333,97 @@ func FuzzSetMatchesMap(f *testing.F) {
 			checkAgainst(t, &s, ref, b[0]&1 == 0, k)
 		}
 		for from := 0; from <= len(order); from++ {
-			if got := s.AppendKeys(nil, from); !slices.Equal(got, order[from:]) {
-				t.Fatalf("AppendKeys(nil, %d) = %v, added %v", from, got, order[from:])
+			if got := keysOf(s.Batch(from)); !slices.Equal(got, order[from:]) {
+				t.Fatalf("Batch(%d) = %v, added %v", from, got, order[from:])
+			}
+		}
+		for _, tk := range taken {
+			if got := keysOf(tk.b); !slices.Equal(got, order[tk.from:tk.to]) {
+				t.Fatalf("the batch taken of keys %d to %d became %v, was %v", tk.from, tk.to, got, order[tk.from:tk.to])
 			}
 		}
 	})
+}
+
+// keysOf spells a batch out key by key.
+func keysOf(b Batch) []Key {
+	keys := make([]Key, b.Len())
+	for i := range keys {
+		keys[i] = b.At(i)
+	}
+	return keys
+}
+
+// TestTakenBatchOutlivesGrowth: a run taken from a set, as an outbox takes
+// its pending keys, still holds the keys it held when it was taken after the
+// set rehashes (by doubling, by Reserve, and in place when a second tag
+// arrives) and after the set switches to per-key tags; so does a run taken
+// once the tags are mixed. Nor can an append to a taken run reach the set.
+func TestTakenBatchOutlivesGrowth(t *testing.T) {
+	one := Tag{Anc: 3, AncStep: 1, Dest: 2}
+	var s Set
+	var order []Key
+	add := func(k Key) {
+		if s.Add(k) {
+			order = append(order, k)
+		}
+	}
+	type take struct {
+		b        Batch
+		from, to int
+	}
+	var taken []take
+	takeRun := func() {
+		from := 0
+		if len(taken) > 0 {
+			from = taken[len(taken)-1].to
+		}
+		taken = append(taken, take{s.Batch(from), from, s.Len()})
+	}
+	for i := 0; i < 5; i++ { // no table yet
+		add(one.Key(model.VertexID(i)))
+	}
+	takeRun()
+	for i := 5; i < 40; i++ { // two doublings
+		add(one.Key(model.VertexID(i)))
+	}
+	takeRun()
+	s.Reserve(1000) // a rehash into a larger table
+	for i := 40; i < 60; i++ {
+		add(one.Key(model.VertexID(i)))
+	}
+	takeRun()
+	add(Tag{Anc: 9}.Key(1)) // a second tag: a tag column, a rehash in place
+	takeRun()
+	if taken[3].b.Tags == nil {
+		t.Fatal("a run taken after a second tag arrived has no tag column")
+	}
+	for i := 60; i < 3000; i++ { // doublings with mixed tags
+		add(Tag{Anc: model.VertexID(i % 3)}.Key(model.VertexID(i)))
+	}
+	takeRun()
+	// The holder of the last run appends to it while the set, with room
+	// left in its columns, takes in one more key: neither may see the other's.
+	if cap(s.ids) == s.Len() {
+		t.Fatal("the set has no room left: the append check below checks nothing")
+	}
+	grown := taken[len(taken)-1].b
+	grown.Append(one.Key(1 << 40))
+	add(one.Key(1 << 41))
+	if got := grown.At(grown.Len() - 1); got != one.Key(1<<40) {
+		t.Errorf("the holder's appended key reads %+v after the set took one in", got)
+	}
+	if got := s.at(s.Len() - 1); got != one.Key(1<<41) {
+		t.Errorf("the set's last key reads %+v after a holder appended to a taken run", got)
+	}
+	for i, tk := range taken {
+		if got := keysOf(tk.b); !slices.Equal(got, order[tk.from:tk.to]) {
+			t.Errorf("run %d (keys %d to %d) changed after the set grew: %v", i, tk.from, tk.to, got)
+		}
+		if i < 3 && (tk.b.Tags != nil || tk.b.Tag != one) {
+			t.Errorf("run %d was taken under one tag and holds %+v / %d tags", i, tk.b.Tag, len(tk.b.Tags))
+		}
+	}
 }
 
 // wideSet is the set as it was before it held tags apart: every key stored

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"graphtrek/internal/frontier"
+	"graphtrek/internal/model"
 	"graphtrek/internal/wire"
 )
 
@@ -177,7 +179,7 @@ func newTCPPair(t testing.TB, h0, h1 Handler) (*TCP, *TCP) {
 func TestTCPDelivery(t *testing.T) {
 	var c collector
 	t0, _ := newTCPPair(t, c.handle, c.handle)
-	msg := wire.Message{Kind: wire.KindDispatch, TravelID: 3, Entries: []wire.Entry{{Vertex: 8, Dest: -1}}}
+	msg := wire.Message{Kind: wire.KindDispatch, TravelID: 3, Entries: []model.VertexID{8}, Tag: frontier.Tag{Dest: -1}}
 	if err := t0.Send(1, msg); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +308,7 @@ func BenchmarkFabricSend(b *testing.B) {
 	var n atomic.Int64
 	f.Endpoint(0).Start(func(int, wire.Message) {})
 	f.Endpoint(1).Start(func(int, wire.Message) { n.Add(1) })
-	msg := wire.Message{Kind: wire.KindDispatch, Entries: make([]wire.Entry, 8)}
+	msg := wire.Message{Kind: wire.KindDispatch, Entries: make([]model.VertexID, 8)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := f.Endpoint(0).Send(1, msg); err != nil {
@@ -338,7 +340,7 @@ func reportBatching(b *testing.B, ts ...*TCP) {
 func BenchmarkTCPSend(b *testing.B) {
 	var n atomic.Int64
 	t0, t1 := newTCPPair(b, func(int, wire.Message) {}, func(int, wire.Message) { n.Add(1) })
-	msg := wire.Message{Kind: wire.KindDispatch, Entries: make([]wire.Entry, 8)}
+	msg := wire.Message{Kind: wire.KindDispatch, Entries: make([]model.VertexID, 8)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := t0.Send(1, msg); err != nil {
@@ -363,7 +365,7 @@ func BenchmarkTCPPingPong(b *testing.B) {
 			b.Error(err)
 		}
 	})
-	msg := wire.Message{Kind: wire.KindDispatch, Entries: make([]wire.Entry, 8)}
+	msg := wire.Message{Kind: wire.KindDispatch, Entries: make([]model.VertexID, 8)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := t0.Send(1, msg); err != nil {

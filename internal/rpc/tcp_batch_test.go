@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"graphtrek/internal/frontier"
+	"graphtrek/internal/model"
 	"graphtrek/internal/wire"
 )
 
@@ -237,7 +239,7 @@ func (c *scriptConn) Close() error {
 // net.Pipe, so the reader runs on the fuzzing goroutine, and a reader that
 // fails to drop the connection reads to the end instead of hanging.
 func FuzzTCPReadFrames(f *testing.F) {
-	one := frame(wire.Message{Kind: wire.KindDispatch, TravelID: 3, Entries: []wire.Entry{{Vertex: 8, Dest: -1}}})
+	one := frame(wire.Message{Kind: wire.KindDispatch, TravelID: 3, Entries: []model.VertexID{8}, Tag: frontier.Tag{Dest: -1}})
 	two := frame(blobMsg(1, 300))
 	f.Add(append(append([]byte(nil), one...), two...))
 	f.Add(append(append([]byte(nil), one...), 0xff, 0xff, 0xff, 0xff))

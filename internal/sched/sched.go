@@ -107,9 +107,9 @@ func (g Group) Owner() any { return g.t.opts.Owner }
 func (g Group) Items(buf []Item) []Item {
 	first := len(buf)
 	for nd := g.head; nd != nil; nd = nd.next {
-		k := &nd.batch.keys[nd.idx]
+		t := nd.batch.keys.TagAt(int(nd.idx))
 		buf = append(buf, Item{
-			Travel: g.Travel, Step: nd.step, Vertex: k.Vertex, Anc: k.Anc, AncStep: k.AncStep, Dest: k.Dest,
+			Travel: g.Travel, Step: nd.step, Vertex: nd.vertex(), Anc: t.Anc, AncStep: t.AncStep, Dest: t.Dest,
 			Exec: nd.batch.exec, Enqueued: nd.batch.enqueued,
 		})
 	}
@@ -132,14 +132,14 @@ type Options struct {
 }
 
 // batch is what one execution's requests pushed together share. keys is the
-// pushed slice itself, read-only here.
+// pushed batch itself, read-only here.
 type batch struct {
 	exec     Accumulator
 	enqueued time.Duration
-	keys     []frontier.Key
+	keys     frontier.Batch
 }
 
-// node is one buffered request, keys[idx] of its batch at step; a batch's
+// node is one buffered request, the idx'th key of its batch at step; a batch's
 // nodes are one slab. A request that found no group to join is its group's
 // first node and carries the group's state; merged ones chain off it by next.
 type node struct {
@@ -152,7 +152,7 @@ type node struct {
 	seq     uint64
 }
 
-func (g *node) vertex() model.VertexID { return g.batch.keys[g.idx].Vertex }
+func (g *node) vertex() model.VertexID { return g.batch.keys.IDs[g.idx] }
 
 // stepBucket holds the groups whose smallest step is step, in arrival
 // order. A merge that lowers a group's step appends it to the lower bucket
@@ -247,12 +247,13 @@ func (m *Multi) Drop(travel uint64) int {
 // all but those whose skip is set (skip may be nil); live is how many that
 // leaves. It enforces the depth limit as all-or-nothing admission per batch,
 // and returns the resulting total queue depth. It takes ownership of keys:
-// the slice is the queue's record of the requests until they are popped — no
-// copy is made, and nothing writes to it, so it may be memory other readers
-// share (a decoded frame). skip is only read during the call. Pushing to a closed queue or an
+// the batch's columns are the queue's record of the requests until they are
+// popped — no copy is made, and nothing writes to them, so they may be memory
+// other readers share (a decoded frame, or the outbox set a batch was taken
+// from). skip is only read during the call. Pushing to a closed queue or an
 // unregistered (dropped) traversal silently discards the batch, mirroring
 // message delivery to a finished traversal.
-func (m *Multi) PushBatch(travel uint64, step int32, exec Accumulator, keys []frontier.Key, skip []bool, live int) (int, error) {
+func (m *Multi) PushBatch(travel uint64, step int32, exec Accumulator, keys frontier.Batch, skip []bool, live int) (int, error) {
 	return m.push(travel, step, exec, keys, skip, live, nil)
 }
 
@@ -262,16 +263,16 @@ func (m *Multi) Push(items []Item) (int, error) {
 	if len(items) == 0 {
 		return m.Len(), nil
 	}
-	keys := make([]frontier.Key, len(items))
+	keys := frontier.Batch{IDs: make([]model.VertexID, 0, len(items))}
 	for i := range items {
-		keys[i] = frontier.Key{Vertex: items[i].Vertex, Anc: items[i].Anc, AncStep: items[i].AncStep, Dest: items[i].Dest}
+		keys.Append(frontier.Key{Vertex: items[i].Vertex, Anc: items[i].Anc, AncStep: items[i].AncStep, Dest: items[i].Dest})
 	}
-	return m.push(items[0].Travel, items[0].Step, items[0].Exec, keys, nil, len(keys), items)
+	return m.push(items[0].Travel, items[0].Step, items[0].Exec, keys, nil, len(items), items)
 }
 
 // push is both: items, when given, name each key's own step and execution;
 // n keys are not skipped.
-func (m *Multi) push(travel uint64, step int32, exec Accumulator, keys []frontier.Key, skip []bool, n int, items []Item) (int, error) {
+func (m *Multi) push(travel uint64, step int32, exec Accumulator, keys frontier.Batch, skip []bool, n int, items []Item) (int, error) {
 	// One slab holds the batch's nodes; one clock read stamps them all.
 	b := &batch{exec: exec, enqueued: Now(), keys: keys}
 	nodes := make([]node, n)
@@ -291,7 +292,7 @@ func (m *Multi) push(travel uint64, step int32, exec Accumulator, keys []frontie
 	bk := t.bucketFor(step)
 	bk.groups = slices.Grow(bk.groups, n)
 	nd := nodes
-	for i := range keys {
+	for i := range keys.IDs {
 		if skip != nil && skip[i] {
 			continue
 		}
@@ -312,7 +313,7 @@ func (m *Multi) push(travel uint64, step int32, exec Accumulator, keys []frontie
 	return m.size, nil
 }
 
-// add buffers keys[idx] of b at step as nd: merged onto the vertex's buffered
+// add buffers the idx'th key of b at step as nd: merged onto the vertex's buffered
 // group, or else as a group of its own. The index probe that looks for the
 // group is the one that registers the new one.
 func (t *travelQueue) add(nd *node, b *batch, idx, step int32) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -854,33 +855,33 @@ func TestEligibleLenMatchesWalk(t *testing.T) {
 	}
 }
 
-func vkeys(vs ...int) []frontier.Key {
-	keys := make([]frontier.Key, len(vs))
+func vkeys(vs ...int) frontier.Batch {
+	var keys frontier.Batch
 	for i, v := range vs {
-		keys[i] = frontier.Key{Vertex: model.VertexID(v), Anc: model.VertexID(100 + i), AncStep: -1, Dest: -1}
+		keys.Append(frontier.Key{Vertex: model.VertexID(v), Anc: model.VertexID(100 + i), AncStep: -1, Dest: -1})
 	}
 	return keys
 }
 
-// TestPushOwnsItsSlab: PushBatch keeps the slice it is handed as its record of
-// the requests — a popped item is read out of the pushed array, not out of a
-// copy — and writes nothing into it, neither on admission nor when a later
+// TestPushOwnsItsSlab: PushBatch keeps the columns it is handed as its record
+// of the requests — a popped item is read out of the pushed arrays, not out of
+// a copy — and writes nothing into them, neither on admission nor when a later
 // merge chains onto one of the batch's groups: the neighbours' slots, which
 // another reader of a shared frame may be looking at, stay as they were.
 func TestPushOwnsItsSlab(t *testing.T) {
 	q := newQueue(1, Options{Merge: true})
 	acc := &testAcc{4}
 	keys := vkeys(10, 11, 12)
-	if _, err := q.PushBatch(1, 0, acc, keys, nil, len(keys)); err != nil {
+	if _, err := q.PushBatch(1, 0, acc, keys, nil, keys.Len()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.PushBatch(1, 3, acc, vkeys(10), nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if want := vkeys(10, 11, 12); !slices.Equal(keys, want) {
+	if want := vkeys(10, 11, 12); !reflect.DeepEqual(keys, want) {
 		t.Fatalf("pushed keys are now %+v, pushed as %+v", keys, want)
 	}
-	keys[1].Anc = 777 // the test still owns the memory: visible only if the queue aliases it
+	keys.Tags[1].Anc = 777 // the test still owns the memory: visible only if the queue aliases it
 	got := popAll(q)
 	if len(got) != 3 {
 		t.Fatalf("groups = %d, want 3", len(got))
@@ -927,7 +928,7 @@ func TestPushBatchSkipsMasked(t *testing.T) {
 		t.Fatalf("%d buffered after popping the live keys, or not quiescent", q.Len())
 	}
 	for i, v := range []model.VertexID{11, 13, 14} {
-		if got[i].Vertex != v || got[i].Anc != keys[v-10].Anc || got[i].Step != 2 {
+		if got[i].Vertex != v || got[i].Anc != keys.At(int(v-10)).Anc || got[i].Step != 2 {
 			t.Errorf("popped %+v, want vertex %d of the batch", got[i], v)
 		}
 	}
@@ -969,7 +970,7 @@ func TestPushTwiceSameBackingSlice(t *testing.T) {
 
 // TestPushAllocsPerBatch: admitting a 256-entry batch into a warm queue (merge
 // index and bucket table at size) costs its header, its node slab and the
-// bucket list's one growth — and one more, the key slice, through the Push
+// bucket list's one growth — and one more, the id column, through the Push
 // adapter — whether or not three in ten entries merge onto a buffered group.
 func TestPushAllocsPerBatch(t *testing.T) {
 	// One allocation, except under the race detector, which keeps Grow's
@@ -985,9 +986,9 @@ func TestPushAllocsPerBatch(t *testing.T) {
 					batch[i].Vertex = batch[r.Intn(i)].Vertex
 				}
 			}
-			keys := make([]frontier.Key, len(batch))
+			var keys frontier.Batch
 			for i := range batch {
-				keys[i].Vertex = batch[i].Vertex
+				keys.IDs = append(keys.IDs, batch[i].Vertex)
 			}
 			q := newQueue(1, opts)
 			drain := func() {
@@ -995,7 +996,7 @@ func TestPushAllocsPerBatch(t *testing.T) {
 					q.Pop()
 				}
 			}
-			run := func() { q.PushBatch(1, 0, nil, keys, nil, len(keys)); drain() }
+			run := func() { q.PushBatch(1, 0, nil, keys, nil, keys.Len()); drain() }
 			run()
 			if allocs := testing.AllocsPerRun(20, run); allocs > 2+grow {
 				t.Errorf("%+v repeats=%v: PushBatch of 256 entries allocates %.0f times, want <= 3", opts, repeats, allocs)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/model"
 )
 
@@ -31,6 +32,12 @@ import (
 //	Verts    uvarint count; delta column
 //	Err      uvarint len + bytes
 //	Blob     uvarint len + bytes
+//
+// A batch whose entries share one tag (Message.Tags nil) writes the same
+// bytes as one spelling the tag out per entry: the tag columns repeat it, the
+// Anc column as its value and then zero deltas. Decode collapses tag columns
+// that repeat one tag back into Message.Tag, so such a batch arrives as its
+// vertex column alone, 8 bytes an entry.
 //
 // The decoder never aliases its input: Plan, Blob and Err are copied, so a
 // transport may reuse its read buffer as soon as Decode returns.
@@ -70,19 +77,10 @@ func Append(b []byte, m *Message) []byte {
 
 	b = binary.AppendUvarint(b, uint64(len(m.Entries)))
 	prev := uint64(0)
-	for _, e := range m.Entries {
-		b, prev = appendDelta(b, prev, uint64(e.Vertex))
+	for _, v := range m.Entries {
+		b, prev = appendDelta(b, prev, uint64(v))
 	}
-	prev = 0
-	for _, e := range m.Entries {
-		b, prev = appendDelta(b, prev, uint64(e.Anc))
-	}
-	for _, e := range m.Entries {
-		b = binary.AppendUvarint(b, zigzag(int64(e.AncStep)))
-	}
-	for _, e := range m.Entries {
-		b = binary.AppendUvarint(b, zigzag(int64(e.Dest)))
-	}
+	b = appendTags(b, m)
 
 	b = binary.AppendUvarint(b, uint64(len(m.Created)))
 	prev = 0
@@ -115,6 +113,43 @@ func Append(b []byte, m *Message) []byte {
 	return b
 }
 
+// appendTags writes the Anc, AncStep and Dest columns of m's entries. A tag
+// the entries share is written as the per-entry columns would spell it: its
+// Anc, then zero deltas; its AncStep and its Dest once an entry.
+func appendTags(b []byte, m *Message) []byte {
+	n := len(m.Entries)
+	if m.Tags == nil {
+		if n > 0 {
+			b, _ = appendDelta(b, 0, uint64(m.Tag.Anc))
+			b = appendRepeat(b, 0, n-1)
+			b = appendRepeat(b, zigzag(int64(m.Tag.AncStep)), n)
+			b = appendRepeat(b, zigzag(int64(m.Tag.Dest)), n)
+		}
+		return b
+	}
+	prev := uint64(0)
+	for _, t := range m.Tags[:n] {
+		b, prev = appendDelta(b, prev, uint64(t.Anc))
+	}
+	for _, t := range m.Tags[:n] {
+		b = binary.AppendUvarint(b, zigzag(int64(t.AncStep)))
+	}
+	for _, t := range m.Tags[:n] {
+		b = binary.AppendUvarint(b, zigzag(int64(t.Dest)))
+	}
+	return b
+}
+
+// appendRepeat writes the uvarint v n times.
+func appendRepeat(b []byte, v uint64, n int) []byte {
+	var one [binary.MaxVarintLen64]byte
+	enc := binary.AppendUvarint(one[:0], v)
+	for range n {
+		b = append(b, enc...)
+	}
+	return b
+}
+
 // deltaColumn reads n delta-coded values into out (pre-sized by the caller).
 func deltaColumn[T ~uint64](d *decoder, out []T) {
 	prev := uint64(0)
@@ -122,6 +157,46 @@ func deltaColumn[T ~uint64](d *decoder, out []T) {
 		prev += uint64(unzigzag(d.uvarint()))
 		out[i] = T(prev)
 	}
+}
+
+// tags reads the tag columns of n entries. A first pass only checks whether
+// they repeat one tag, as every batch of an rtn()-less plan does, and then
+// that tag is the batch's; otherwise, from the first entry that differs, a
+// second pass reads the columns again into a column of per-entry tags.
+func (d *decoder) tags(n int) (frontier.Tag, []frontier.Tag) {
+	start := d.b
+	if anc := d.uvarint(); d.repeats(n-1, 0) {
+		if ancStep := d.uvarint(); d.repeats(n-1, ancStep) {
+			if dest := d.uvarint(); d.repeats(n-1, dest) {
+				return frontier.Tag{Anc: model.VertexID(unzigzag(anc)), AncStep: int32(unzigzag(ancStep)), Dest: int32(unzigzag(dest))}, nil
+			}
+		}
+	}
+	d.b = start
+	tags := make([]frontier.Tag, n)
+	prev := uint64(0)
+	for i := range tags {
+		prev += uint64(unzigzag(d.uvarint()))
+		tags[i].Anc = model.VertexID(prev)
+	}
+	for i := range tags {
+		tags[i].AncStep = int32(unzigzag(d.uvarint()))
+	}
+	for i := range tags {
+		tags[i].Dest = int32(unzigzag(d.uvarint()))
+	}
+	return frontier.Tag{}, tags
+}
+
+// repeats reads up to n uvarints and reports whether all n are v; it stops
+// at the first that is not.
+func (d *decoder) repeats(n int, v uint64) bool {
+	for range n {
+		if d.uvarint() != v {
+			return false
+		}
+	}
+	return true
 }
 
 // Decode parses a v2 columnar frame. A frame without the v2 version byte —
@@ -158,24 +233,10 @@ func Decode(b []byte) (Message, error) {
 	// spans four columns of >= 1 byte each, a created ref three, ended and
 	// vert ids one.
 	if n := d.count(d.uvarint(), 4); n > 0 && d.err == nil {
-		// Straight into the slice the executor will keep: no column scratch.
-		m.Entries = make([]Entry, n)
-		prev := uint64(0)
-		for i := range m.Entries {
-			prev += uint64(unzigzag(d.uvarint()))
-			m.Entries[i].Vertex = model.VertexID(prev)
-		}
-		prev = 0
-		for i := range m.Entries {
-			prev += uint64(unzigzag(d.uvarint()))
-			m.Entries[i].Anc = model.VertexID(prev)
-		}
-		for i := range m.Entries {
-			m.Entries[i].AncStep = int32(unzigzag(d.uvarint()))
-		}
-		for i := range m.Entries {
-			m.Entries[i].Dest = int32(unzigzag(d.uvarint()))
-		}
+		// Straight into the columns the executor will keep: no scratch.
+		m.Entries = make([]model.VertexID, n)
+		deltaColumn(d, m.Entries)
+		m.Tag, m.Tags = d.tags(n)
 	}
 	if n := d.count(d.uvarint(), 3); n > 0 && d.err == nil {
 		m.Created = make([]ExecRef, n)

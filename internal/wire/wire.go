@@ -171,17 +171,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Entry is one frontier element: a candidate vertex tagged with its most
-// recent rtn()-marked ancestor (vertex plus the step at which it was
-// marked) and the server that must receive the end-of-chain signal for that
-// ancestor (the "reporting destination" of Fig. 4). Dest < 0 means no rtn
-// level is open. In KindReturnSig messages, Vertex and AncStep identify the
-// marked vertex being signalled. It is the engine's frontier key itself: a
-// decoded batch goes to the scheduler, the cache and the outboxes as it is.
-// A receiver must treat Entries as read-only — the in-process fabric hands
-// over the sender's slice, and a duplicated delivery shares one.
-type Entry = frontier.Key
-
 // ExecRef identifies one traversal execution in the coordinator ledger.
 type ExecRef struct {
 	ID     uint64
@@ -199,10 +188,23 @@ type Message struct {
 	Mode     uint8
 	Coord    int32
 	// Peer names the backend a KindPeerDown message suspects.
-	Peer    int32
-	Plan    []byte
-	ExecID  uint64
-	Entries []Entry
+	Peer   int32
+	Plan   []byte
+	ExecID uint64
+	// Entries, Tag and Tags are a frontier batch in the outbox set's layout
+	// (frontier.Batch): the entries' vertex ids, and the rtn() provenance
+	// tag they share or, when their tags differ, one per entry. A tag names
+	// the entry's most recent rtn()-marked ancestor (vertex plus the step at
+	// which it was marked) and the server that must receive the end-of-chain
+	// signal for that ancestor (the "reporting destination" of Fig. 4); Dest
+	// < 0 means no rtn level is open. In KindReturnSig messages an entry's
+	// vertex and AncStep identify the marked vertex being signalled. A
+	// receiver must treat the columns as read-only: the sender's outbox set
+	// still holds them, the in-process fabric hands them over as they are,
+	// and a duplicated delivery shares them.
+	Entries []model.VertexID
+	Tag     frontier.Tag
+	Tags    []frontier.Tag
 	Created []ExecRef
 	Ended   []uint64
 	Verts   []model.VertexID
@@ -234,6 +236,14 @@ type Message struct {
 	// as the Kind says.
 	Blob []byte
 }
+
+// Batch is the message's frontier batch.
+func (m *Message) Batch() frontier.Batch {
+	return frontier.Batch{IDs: m.Entries, Tag: m.Tag, Tags: m.Tags}
+}
+
+// SetBatch makes b the message's frontier batch.
+func (m *Message) SetBatch(b frontier.Batch) { m.Entries, m.Tag, m.Tags = b.IDs, b.Tag, b.Tags }
 
 type decoder struct {
 	b   []byte

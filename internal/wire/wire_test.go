@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphtrek/internal/frontier"
 	"graphtrek/internal/model"
 )
 
@@ -20,7 +21,8 @@ func TestRoundTripAllFields(t *testing.T) {
 		Peer:       5,
 		Plan:       []byte{1, 2, 3},
 		ExecID:     999,
-		Entries:    []Entry{{Vertex: 5, Anc: 6, AncStep: 2, Dest: -1}, {Vertex: 7, Anc: 0, AncStep: -1, Dest: 3}},
+		Entries:    []model.VertexID{5, 7},
+		Tags:       []frontier.Tag{{Anc: 6, AncStep: 2, Dest: -1}, {Anc: 0, AncStep: -1, Dest: 3}},
 		Created:    []ExecRef{{ID: 1, Server: 2, Step: 3}},
 		Ended:      []uint64{4, 5},
 		Verts:      []model.VertexID{10, 20},
@@ -81,7 +83,7 @@ func randomMessage(r *rand.Rand) Message {
 		}
 	}
 	for i := 0; i < r.Intn(5); i++ {
-		m.Entries = append(m.Entries, Entry{
+		addEntry(&m, frontier.Key{
 			Vertex:  model.VertexID(r.Uint64() >> 1),
 			Anc:     model.VertexID(r.Uint64() >> 1),
 			AncStep: int32(r.Intn(16) - 1),
