@@ -50,25 +50,40 @@ type Batch struct {
 	Tags []Tag // Tags[i] is IDs[i]'s tag; nil while the keys share Tag
 }
 
-// Append adds k at the end of a batch being built, under the set's rule: the
-// tag once while every key shares it, a column of per-key tags from the
-// first key that does not. It never writes into a column taken from a set
-// or a decoded message: those have no room past their end.
+// Append adds k at the end of a batch being built, under the set's rule (see
+// retag). It never writes into a column taken from a set or a decoded
+// message: those have no room past their end.
 func (b *Batch) Append(k Key) {
-	t := k.Tag()
+	b.retag(k.Tag())
+	b.push(k)
+}
+
+// retag readies the batch for a key of tag t: the tag once while every key
+// shares it, and from the first key that does not, a column of per-key tags
+// with the id column's room. It reports whether the keys went over to that
+// column.
+func (b *Batch) retag(t Tag) bool {
 	switch {
-	case len(b.IDs) == 0 && b.Tags == nil:
+	case b.Tags != nil || t == b.Tag:
+		return false
+	case len(b.IDs) == 0:
 		b.Tag = t
-	case b.Tags == nil && t != b.Tag:
-		b.Tags = make([]Tag, len(b.IDs), cap(b.IDs))
-		for i := range b.Tags {
-			b.Tags[i] = b.Tag
-		}
-		b.Tag = Tag{}
+		return false
 	}
+	b.Tags = make([]Tag, len(b.IDs), cap(b.IDs))
+	for i := range b.Tags {
+		b.Tags[i] = b.Tag
+	}
+	b.Tag = Tag{}
+	return true
+}
+
+// push adds k's vertex, and its tag when the batch has a tag column; the
+// batch is retagged for k.
+func (b *Batch) push(k Key) {
 	b.IDs = append(b.IDs, k.Vertex)
 	if b.Tags != nil {
-		b.Tags = append(b.Tags, t)
+		b.Tags = append(b.Tags, k.Tag())
 	}
 }
 
@@ -98,14 +113,12 @@ const smallKeys = 8
 // Growing moves 4-byte positions, not keys. The zero value is an empty set;
 // it is not safe for concurrent use.
 type Set struct {
-	ids  []model.VertexID // the keys' vertices in insertion order
-	tag  Tag              // every key's tag while tags is nil
-	tags []Tag            // tags[i] is ids[i]'s tag; nil while the set has one tag
-	pos  []uint32         // index into ids plus one; 0 marks an empty slot; nil up to smallKeys keys
+	keys Batch    // the keys in insertion order
+	pos  []uint32 // index into keys plus one; 0 marks an empty slot; nil up to smallKeys keys
 }
 
 // Len reports the number of keys in the set.
-func (s *Set) Len() int { return len(s.ids) }
+func (s *Set) Len() int { return len(s.keys.IDs) }
 
 // Batch is the run of keys from the from'th on, in insertion order, as the
 // set's own columns: no key is copied. The set never writes a position it
@@ -113,25 +126,18 @@ func (s *Set) Len() int { return len(s.ids) }
 // to new arrays — so the run stays as it is for as long as anyone holds it,
 // whatever the set takes in after.
 func (s *Set) Batch(from int) Batch {
-	n := len(s.ids)
-	if s.tags != nil {
-		return Batch{IDs: s.ids[from:n:n], Tags: s.tags[from:n:n]}
+	n := len(s.keys.IDs)
+	b := Batch{IDs: s.keys.IDs[from:n:n], Tag: s.keys.Tag}
+	if s.keys.Tags != nil {
+		b.Tags = s.keys.Tags[from:n:n]
 	}
-	return Batch{IDs: s.ids[from:n:n], Tag: s.tag}
-}
-
-// at is the i'th key in insertion order.
-func (s *Set) at(i int) Key {
-	if s.tags != nil {
-		return s.tags[i].Key(s.ids[i])
-	}
-	return s.tag.Key(s.ids[i])
+	return b
 }
 
 // Has reports whether k is in the set. A set of one tag holds no key of
 // another.
 func (s *Set) Has(k Key) bool {
-	if s.tags == nil && k.Tag() != s.tag {
+	if s.keys.Tags == nil && k.Tag() != s.keys.Tag {
 		return false
 	}
 	_, ok := s.find(k)
@@ -140,38 +146,25 @@ func (s *Set) Has(k Key) bool {
 
 // Add inserts k and reports whether it was absent, in one probe.
 func (s *Set) Add(k Key) bool {
-	if t := k.Tag(); s.tags == nil && t != s.tag {
-		if len(s.ids) == 0 {
-			s.tag = t
-		} else { // a second tag: every key held gets its own, and the table the whole key's hash
-			s.tags = make([]Tag, len(s.ids), cap(s.ids))
-			for i := range s.tags {
-				s.tags[i] = s.tag
-			}
-			if s.pos != nil {
-				s.rehash(len(s.pos))
-			}
-		}
+	if s.keys.retag(k.Tag()) && s.pos != nil { // a second tag: the table hashes the whole key
+		s.rehash(len(s.pos))
 	}
 	i, ok := s.find(k)
 	if ok {
 		return false
 	}
 	switch {
-	case s.pos == nil && len(s.ids) < smallKeys:
-		if s.ids == nil {
-			s.ids = make([]model.VertexID, 0, smallKeys)
+	case s.pos == nil && len(s.keys.IDs) < smallKeys:
+		if s.keys.IDs == nil {
+			s.keys.IDs = make([]model.VertexID, 0, smallKeys)
 		}
-	case len(s.ids) >= len(s.pos)/4*3:
+	case len(s.keys.IDs) >= len(s.pos)/4*3:
 		s.rehash(max(2*smallKeys, 2*len(s.pos)))
 		i, _ = s.find(k)
 	}
-	s.ids = append(s.ids, k.Vertex)
-	if s.tags != nil {
-		s.tags = append(s.tags, k.Tag())
-	}
+	s.keys.push(k)
 	if s.pos != nil {
-		s.pos[i] = uint32(len(s.ids))
+		s.pos[i] = uint32(len(s.keys.IDs))
 	}
 	return true
 }
@@ -180,7 +173,7 @@ func (s *Set) Add(k Key) bool {
 // nothing: Add's doubling reallocates columns and table over and over. (Up to
 // smallKeys keys there is nothing to do: the first Add makes room for them.)
 func (s *Set) Reserve(n int) {
-	if size := slotsFor(len(s.ids) + n); len(s.ids)+n > smallKeys && size > len(s.pos) {
+	if size := slotsFor(len(s.keys.IDs) + n); len(s.keys.IDs)+n > smallKeys && size > len(s.pos) {
 		s.rehash(size)
 	}
 }
@@ -196,8 +189,8 @@ func slotsFor(n int) int {
 // carries it, and the vertex alone is hashed and compared.
 func (s *Set) find(k Key) (slot int, ok bool) {
 	if s.pos == nil {
-		for p, v := range s.ids {
-			if v == k.Vertex && (s.tags == nil || s.tags[p] == k.Tag()) {
+		for p, v := range s.keys.IDs {
+			if v == k.Vertex && (s.keys.Tags == nil || s.keys.Tags[p] == k.Tag()) {
 				return 0, true
 			}
 		}
@@ -205,7 +198,7 @@ func (s *Set) find(k Key) (slot int, ok bool) {
 	}
 	mask := len(s.pos) - 1
 	for slot = int(s.hash(k)) & mask; s.pos[slot] != 0; slot = (slot + 1) & mask {
-		if p := s.pos[slot] - 1; s.ids[p] == k.Vertex && (s.tags == nil || s.tags[p] == k.Tag()) {
+		if p := s.pos[slot] - 1; s.keys.IDs[p] == k.Vertex && (s.keys.Tags == nil || s.keys.Tags[p] == k.Tag()) {
 			return slot, true
 		}
 	}
@@ -216,7 +209,7 @@ func (s *Set) find(k Key) (slot int, ok bool) {
 // the vertex's folded with the tag's once tags are mixed.
 func (s *Set) hash(k Key) uint64 {
 	v := uint64(k.Vertex)
-	if s.tags != nil {
+	if s.keys.Tags != nil {
 		v ^= mix(uint64(k.Anc)^0xbf58476d1ce4e5b9, uint64(uint32(k.AncStep))<<32|uint64(uint32(k.Dest))^0x94d049bb133111eb)
 	}
 	return hashVertex(model.VertexID(v))
@@ -229,19 +222,19 @@ func (s *Set) hash(k Key) uint64 {
 // Batch taken before keeps the old one.
 func (s *Set) rehash(size int) {
 	room := size / 4 * 3
-	if cap(s.ids) < room {
-		s.ids = append(make([]model.VertexID, 0, room), s.ids...)
+	if cap(s.keys.IDs) < room {
+		s.keys.IDs = append(make([]model.VertexID, 0, room), s.keys.IDs...)
 	}
-	if s.tags != nil && cap(s.tags) < room {
-		s.tags = append(make([]Tag, 0, room), s.tags...)
+	if s.keys.Tags != nil && cap(s.keys.Tags) < room {
+		s.keys.Tags = append(make([]Tag, 0, room), s.keys.Tags...)
 	}
 	if len(s.pos) == size {
 		clear(s.pos)
 	} else {
 		s.pos = make([]uint32, size)
 	}
-	for p := range s.ids {
-		i := int(s.hash(s.at(p))) & (size - 1)
+	for p := range s.keys.IDs {
+		i := int(s.hash(s.keys.At(p))) & (size - 1)
 		for s.pos[i] != 0 {
 			i = (i + 1) & (size - 1)
 		}

@@ -149,8 +149,8 @@ func TestSetMatchesWideSet(t *testing.T) {
 		for _, k := range w.keys {
 			oneTag = oneTag && k.Tag() == w.keys[0].Tag()
 		}
-		if oneTag != (s.tags == nil) {
-			t.Fatalf("round %d: the keys share one tag = %v, but the set keeps a tag column = %v", round, oneTag, s.tags != nil)
+		if oneTag != (s.keys.Tags == nil) {
+			t.Fatalf("round %d: the keys share one tag = %v, but the set keeps a tag column = %v", round, oneTag, s.keys.Tags != nil)
 		}
 	}
 }
@@ -169,7 +169,7 @@ func TestReserveThenAddNeverGrows(t *testing.T) {
 				checkAgainst(t, &s, ref, true, key(-1-i))
 			}
 			s.Reserve(n)
-			size, room := len(s.pos), cap(s.ids)
+			size, room := len(s.pos), cap(s.keys.IDs)
 			if s.pos != nil && room != size/4*3 {
 				t.Errorf("held %d: Reserve(%d) made %d slots and room for %d keys, want exactly ¾ of the slots", held, n, size, room)
 			}
@@ -179,8 +179,8 @@ func TestReserveThenAddNeverGrows(t *testing.T) {
 			for i := 0; i < n; i++ {
 				checkAgainst(t, &s, ref, true, key(i))
 			}
-			if len(s.pos) != size || (held+n > smallKeys && cap(s.ids) != room) {
-				t.Errorf("held %d: %d slots and room for %d keys became %d and %d under the %d keys reserved for", held, size, room, len(s.pos), cap(s.ids), n)
+			if len(s.pos) != size || (held+n > smallKeys && cap(s.keys.IDs) != room) {
+				t.Errorf("held %d: %d slots and room for %d keys became %d and %d under the %d keys reserved for", held, size, room, len(s.pos), cap(s.keys.IDs), n)
 			}
 			if size > smallKeys && size/2/4*3 >= held+n {
 				t.Errorf("held %d: Reserve(%d) made %d slots, twice what ¾ load needs", held, n, size)
@@ -193,7 +193,7 @@ func TestReserveThenAddNeverGrows(t *testing.T) {
 		}
 	}
 	var s Set
-	if s.Reserve(0); s.pos != nil || s.ids != nil {
+	if s.Reserve(0); s.pos != nil || s.keys.IDs != nil {
 		t.Error("Reserve(0) on an empty set allocates")
 	}
 	// A second tag after Reserve rebuilds the table in place: the column of
@@ -404,7 +404,7 @@ func TestTakenBatchOutlivesGrowth(t *testing.T) {
 	takeRun()
 	// The holder of the last run appends to it while the set, with room
 	// left in its columns, takes in one more key: neither may see the other's.
-	if cap(s.ids) == s.Len() {
+	if cap(s.keys.IDs) == s.Len() {
 		t.Fatal("the set has no room left: the append check below checks nothing")
 	}
 	grown := taken[len(taken)-1].b
@@ -413,7 +413,7 @@ func TestTakenBatchOutlivesGrowth(t *testing.T) {
 	if got := grown.At(grown.Len() - 1); got != one.Key(1<<40) {
 		t.Errorf("the holder's appended key reads %+v after the set took one in", got)
 	}
-	if got := s.at(s.Len() - 1); got != one.Key(1<<41) {
+	if got := s.keys.At(s.Len() - 1); got != one.Key(1<<41) {
 		t.Errorf("the set's last key reads %+v after a holder appended to a taken run", got)
 	}
 	for i, tk := range taken {

@@ -114,38 +114,18 @@ func Append(b []byte, m *Message) []byte {
 }
 
 // appendTags writes the Anc, AncStep and Dest columns of m's entries. A tag
-// the entries share is written as the per-entry columns would spell it: its
-// Anc, then zero deltas; its AncStep and its Dest once an entry.
+// the entries share is spelled out per entry, as a tag column would be.
 func appendTags(b []byte, m *Message) []byte {
-	n := len(m.Entries)
-	if m.Tags == nil {
-		if n > 0 {
-			b, _ = appendDelta(b, 0, uint64(m.Tag.Anc))
-			b = appendRepeat(b, 0, n-1)
-			b = appendRepeat(b, zigzag(int64(m.Tag.AncStep)), n)
-			b = appendRepeat(b, zigzag(int64(m.Tag.Dest)), n)
-		}
-		return b
-	}
+	keys := m.Batch()
 	prev := uint64(0)
-	for _, t := range m.Tags[:n] {
-		b, prev = appendDelta(b, prev, uint64(t.Anc))
+	for i := range keys.IDs {
+		b, prev = appendDelta(b, prev, uint64(keys.TagAt(i).Anc))
 	}
-	for _, t := range m.Tags[:n] {
-		b = binary.AppendUvarint(b, zigzag(int64(t.AncStep)))
+	for i := range keys.IDs {
+		b = binary.AppendUvarint(b, zigzag(int64(keys.TagAt(i).AncStep)))
 	}
-	for _, t := range m.Tags[:n] {
-		b = binary.AppendUvarint(b, zigzag(int64(t.Dest)))
-	}
-	return b
-}
-
-// appendRepeat writes the uvarint v n times.
-func appendRepeat(b []byte, v uint64, n int) []byte {
-	var one [binary.MaxVarintLen64]byte
-	enc := binary.AppendUvarint(one[:0], v)
-	for range n {
-		b = append(b, enc...)
+	for i := range keys.IDs {
+		b = binary.AppendUvarint(b, zigzag(int64(keys.TagAt(i).Dest)))
 	}
 	return b
 }
