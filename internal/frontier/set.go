@@ -78,8 +78,8 @@ func (b *Batch) retag(t Tag) bool {
 	return true
 }
 
-// push adds k's vertex, and its tag when the batch has a tag column; the
-// batch is retagged for k.
+// push adds k's vertex, and its tag when the batch has a tag column; retag
+// must have readied the batch for k's tag.
 func (b *Batch) push(k Key) {
 	b.IDs = append(b.IDs, k.Vertex)
 	if b.Tags != nil {
