@@ -110,7 +110,7 @@ func run(self, servers, replicas int, addrs, vIDs, vNames, vLabel, eSpec, vaSpec
 	}
 	if showEvents || showStatus {
 		if showEvents {
-			evs, err := client.ClusterEvents(timeout)
+			evs, _, err := client.ClusterEvents(timeout)
 			if err != nil {
 				return err
 			}

@@ -141,10 +141,11 @@ func failAny(errs []error) error {
 }
 
 // answered is the best-effort fan-out policy for a degraded cluster:
-// unreachable servers are skipped, and the pull errors only when no server
-// answered.
-func answered[T any](docs []T, errs []error) ([]T, error) {
+// unreachable servers are skipped, from lists the servers whose documents
+// were kept, and the pull errors only when no server answered.
+func answered[T any](docs []T, errs []error) ([]T, []int, error) {
 	var out []T
+	var from []int
 	var lastErr error
 	for srv, err := range errs {
 		if err != nil {
@@ -152,9 +153,10 @@ func answered[T any](docs []T, errs []error) ([]T, error) {
 			continue
 		}
 		out = append(out, docs[srv])
+		from = append(from, srv)
 	}
 	if len(out) == 0 && lastErr != nil {
-		return nil, lastErr
+		return nil, nil, lastErr
 	}
-	return out, nil
+	return out, from, nil
 }

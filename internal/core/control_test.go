@@ -84,8 +84,8 @@ func TestControlTick(t *testing.T) {
 		if coordinating(s, 1) != nil {
 			t.Fatal("traversal still pending after TravelTimeout of inactivity")
 		}
-		if sum, _ := s.TraceSummary(1); sum.Err != inactivityError {
-			t.Errorf("traversal failed with %q, want the inactivity error", sum.Err)
+		if sums := s.SpanDump(1).Summaries; len(sums) != 1 || sums[0].Err != inactivityError {
+			t.Errorf("traversal summaries %+v, want one failed with the inactivity error", sums)
 		}
 	})
 
@@ -107,8 +107,8 @@ func TestControlTick(t *testing.T) {
 		if coordinating(s, 2) != nil {
 			t.Fatal("traversal with live work on the suspect still pending")
 		}
-		if sum, _ := s.TraceSummary(2); sum.Err != peerDeadError(1) {
-			t.Errorf("traversal failed with %q, want the peer-dead error", sum.Err)
+		if sums := s.SpanDump(2).Summaries; len(sums) != 1 || sums[0].Err != peerDeadError(1) {
+			t.Errorf("traversal summaries %+v, want one failed with the peer-dead error", sums)
 		}
 		if ev := s.Events(); len(ev) == 0 || !strings.Contains(ev[len(ev)-1].Detail, "missed heartbeats") {
 			t.Errorf("journal does not end with the local suspicion: %+v", ev)

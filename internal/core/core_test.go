@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"graphtrek/internal/events"
 	"graphtrek/internal/gstore"
 	"graphtrek/internal/metrics"
 	"graphtrek/internal/model"
@@ -443,6 +444,33 @@ func TestMetricsLeavesProcessRowsZero(t *testing.T) {
 				t.Errorf("server %d: process row %s = %d, want 0", s.ID(), f.Name, f.Get(m))
 			}
 		}
+	}
+}
+
+// TestMetricsOverlaysOwnedRows: the rows another layer tracks come from
+// that one tracker into Metrics, and Status reads its gauges from Metrics:
+// the journal's evictions, the trace ring's counts, the queue's length and
+// its high-water mark.
+func TestMetricsOverlaysOwnedRows(t *testing.T) {
+	c := newCluster(t, 2, nil)
+	loadAuditGraph(t, c)
+	c.runAllModes(t, mustPlan(t, query.V(1, 2).E("run").E("read")))
+	s := c.servers[0]
+	for i := 0; i < journalCap+5; i++ {
+		s.journal.Record(events.Event{Type: events.EpochBump, Part: i, Peer: -1})
+	}
+	m, st := s.Metrics(), s.Status()
+	d := s.SpanDump(0)
+	if m.EventsDropped != 5 || m.SpansRecorded != int64(len(d.Spans))+m.SpansDropped ||
+		m.SpansBuffered != int64(len(d.Spans)) || m.TraceSummaries != int64(len(d.Summaries)) {
+		t.Errorf("overlay: events dropped %d (want 5), spans recorded %d / buffered %d / dropped %d, summaries %d; dump has %d spans, %d summaries",
+			m.EventsDropped, m.SpansRecorded, m.SpansBuffered, m.SpansDropped, m.TraceSummaries, len(d.Spans), len(d.Summaries))
+	}
+	if m.SpansRecorded == 0 || m.QueueDepthPeak == 0 || m.QueueLen != 0 {
+		t.Errorf("after traversals: %d spans recorded, queue peak %d, queue length %d", m.SpansRecorded, m.QueueDepthPeak, m.QueueLen)
+	}
+	if int64(st.QueueHighWater) != m.QueueDepthPeak || int64(st.QueueLen) != m.QueueLen {
+		t.Errorf("status queue gauges %d/%d, metrics %d/%d", st.QueueLen, st.QueueHighWater, m.QueueLen, m.QueueDepthPeak)
 	}
 }
 

@@ -142,7 +142,7 @@ func TestDAGUnderChaos(t *testing.T) {
 		count := make(map[uint64]int)
 		byExec := make(map[uint64]trace.Span)
 		for _, s := range c.servers {
-			for _, sp := range s.TraceSpans(h.TravelID()) {
+			for _, sp := range s.SpanDump(h.TravelID()).Spans {
 				count[sp.Exec]++
 				byExec[sp.Exec] = sp
 			}

@@ -354,7 +354,7 @@ func TestDispatchOnePassPerExpansion(t *testing.T) {
 	}
 	expanded := 0
 	for _, s := range c.servers {
-		for _, sp := range s.TraceSpans(0) {
+		for _, sp := range s.SpanDump(0).Spans {
 			if sp.DispatchNs > sp.ScanNs {
 				t.Errorf("span %d: DispatchNs %d exceeds ScanNs %d", sp.Exec, sp.DispatchNs, sp.ScanNs)
 			}

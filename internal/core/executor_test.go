@@ -197,7 +197,7 @@ func TestStressSharedExecutorBackpressure(t *testing.T) {
 	// its span is recorded as failed like a server-side execution's.
 	refused := func() map[uint64]bool {
 		travels := map[uint64]bool{}
-		for _, sp := range c.servers[0].TraceSpans(0) {
+		for _, sp := range c.servers[0].SpanDump(0).Spans {
 			if strings.Contains(sp.Err, "backpressure") {
 				travels[sp.Travel] = true
 			}

@@ -3,24 +3,22 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"graphtrek/internal/events"
-	"graphtrek/internal/gstore"
 	"graphtrek/internal/metrics"
 	"graphtrek/internal/status"
 	"graphtrek/internal/trace"
 	"graphtrek/internal/wire"
 )
 
-// This file is the introspection surface: a server's execution spans,
-// event journal and replication status document, readable in process
-// (Server.TraceSpans / Events / Status / Ready, which internal/obs serves
-// over HTTP) and over the wire through the one pull message
-// (KindIntrospectReq, Mode naming the document), which the client fans out
-// across every backend for gtq -profile / -critical-path / -events /
-// -status and a coordinator uses for its slow-traversal capture.
+// This file is the introspection surface: a server's span dump, event
+// journal and status document, each built by one method (SpanDump, Events,
+// Status) that internal/obs serves over HTTP in process and that the one
+// pull message (KindIntrospectReq, Mode naming the document) serves over the
+// wire, which the client fans out across every backend for gtq -profile /
+// -critical-path / -events / -status and a coordinator uses for its
+// slow-traversal capture.
 
 // Events returns the server's buffered control-plane journal, oldest
 // first: the last journalCap events.
@@ -31,20 +29,18 @@ func (s *Server) Events() []events.Event { return s.journal.Events() }
 func (s *Server) Histograms() []metrics.HistogramSnapshot { return s.met.Histograms() }
 
 // Status assembles the server's live status document: executor and cache
-// gauges plus, with replication enabled, one entry per partition this
-// server holds a role in.
+// gauges, read from the metrics snapshot that carries them, plus, with
+// replication enabled, one entry per partition this server holds a role in.
 func (s *Server) Status() status.Server {
+	m := s.Metrics()
 	out := status.Server{
 		Server:         s.cfg.ID,
-		QueueLen:       s.exec.Len(),
-		QueueHighWater: s.exec.HighWater(),
-	}
-	if cs, ok := s.cfg.Store.(gstore.CacheStatter); ok {
-		st := cs.CacheStats()
-		out.Cache = status.CacheStats{
-			VtxHits: st.VtxHits, VtxMisses: st.VtxMisses,
-			AdjHits: st.AdjHits, AdjMisses: st.AdjMisses,
-		}
+		QueueLen:       int(m.QueueLen),
+		QueueHighWater: int(m.QueueDepthPeak),
+		Cache: status.CacheStats{
+			VtxHits: m.VtxCacheHits, VtxMisses: m.VtxCacheMisses,
+			AdjHits: m.AdjCacheHits, AdjMisses: m.AdjCacheMisses,
+		},
 	}
 	if s.repl != nil {
 		now := time.Now()
@@ -79,21 +75,13 @@ func (s *Server) Ready() status.Readiness {
 	return status.Readiness{Ready: len(reasons) == 0, Reasons: reasons}
 }
 
-// spanDump is this server's answer to a span pull: the spans it buffered
+// SpanDump is this server's answer to a span pull: the spans it buffered
 // for the traversal (travel == 0: everything), its ring's eviction count,
-// and the ledger summary when it coordinated the traversal. With tracing
-// disabled the dump is empty, not an error — profiling degrades, it never
-// fails.
-func (s *Server) spanDump(travel uint64) trace.SpanDump {
-	dump := trace.SpanDump{
-		Server:  int32(s.cfg.ID),
-		Spans:   s.TraceSpans(travel),
-		Dropped: s.trc.Stats().SpansEvicted,
-	}
-	if sum, ok := s.TraceSummary(travel); ok {
-		dump.Summary = &sum
-	}
-	return dump
+// and the ledger summary when it coordinated the traversal (travel == 0:
+// every buffered summary). With tracing disabled the dump is empty, not an
+// error — profiling degrades, it never fails.
+func (s *Server) SpanDump(travel uint64) trace.SpanDump {
+	return s.trc.Dump(int32(s.cfg.ID), travel)
 }
 
 // handleIntrospectReq serves the one introspection pull: the document
@@ -105,7 +93,7 @@ func (s *Server) handleIntrospectReq(from int, msg wire.Message) {
 	var doc any
 	switch msg.Mode {
 	case wire.IntrospectSpans:
-		doc = s.spanDump(msg.TravelID)
+		doc = s.SpanDump(msg.TravelID)
 	case wire.IntrospectEvents:
 		doc = s.Events()
 	case wire.IntrospectStatus:
@@ -122,24 +110,6 @@ func (s *Server) handleIntrospectReq(from int, msg wire.Message) {
 		resp.Blob = blob
 	}
 	s.send(from, resp)
-}
-
-// assembleDumps joins per-server span dumps into the traversal's causal
-// DAG. summary is the coordinator's ledger record when the caller already
-// holds it; otherwise the one a dump carries is used.
-func assembleDumps(travel uint64, dumps []trace.SpanDump, summary *trace.TravelSummary) *trace.DAG {
-	var spans []trace.Span
-	var dropped uint64
-	for _, d := range dumps {
-		spans = append(spans, d.Spans...)
-		dropped += d.Dropped
-		if summary == nil {
-			summary = d.Summary
-		}
-	}
-	dag := trace.Assemble(travel, spans, summary)
-	dag.SpansDropped = dropped
-	return dag
 }
 
 // spanDumps pulls every backend's raw spans for the traversal. A backend
@@ -184,56 +154,36 @@ func (h *Handle) FetchDAG(timeout time.Duration) (*trace.DAG, error) {
 	if err != nil {
 		return nil, err
 	}
-	return assembleDumps(h.travelID, dumps, nil), nil
-}
-
-// ServerEvents pulls one backend's event journal.
-func (c *Client) ServerEvents(srv int, timeout time.Duration) ([]events.Event, error) {
-	return pull[[]events.Event](&c.calls, srv, wire.IntrospectEvents, 0, pullDeadline(timeout))
+	return trace.AssembleDumps(h.travelID, dumps, nil), nil
 }
 
 // ClusterEvents pulls every backend's journal and merges the entries into
-// one timeline, ordered by wall-clock stamp (ties: server, then per-server
-// sequence). Best-effort across a degraded cluster: the pulls run
+// one timeline (events.Merge), and reports the servers that answered, in
+// ascending order: an empty journal and an unreachable one read alike in
+// the timeline. Best-effort across a degraded cluster: the pulls run
 // concurrently so a dead server consumes only its own timeout instead of
 // starving the rest of the fleet, unreachable servers are skipped, and the
 // call errors only when no server answered.
-func (c *Client) ClusterEvents(timeout time.Duration) ([]events.Event, error) {
+func (c *Client) ClusterEvents(timeout time.Duration) (evs []events.Event, from []int, err error) {
 	deadline := pullDeadline(timeout)
-	journals, err := answered(fanOut(c.part.N(), func(srv int) ([]events.Event, error) {
+	journals, from, err := answered(fanOut(c.part.N(), func(srv int) ([]events.Event, error) {
 		return pull[[]events.Event](&c.calls, srv, wire.IntrospectEvents, 0, deadline)
 	}))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var all []events.Event
-	for _, evs := range journals {
-		all = append(all, evs...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].TimeUnixNano != all[j].TimeUnixNano {
-			return all[i].TimeUnixNano < all[j].TimeUnixNano
-		}
-		if all[i].Server != all[j].Server {
-			return all[i].Server < all[j].Server
-		}
-		return all[i].Seq < all[j].Seq
-	})
-	return all, nil
-}
-
-// ServerStatus pulls one backend's status document.
-func (c *Client) ServerStatus(srv int, timeout time.Duration) (status.Server, error) {
-	return pull[status.Server](&c.calls, srv, wire.IntrospectStatus, 0, pullDeadline(timeout))
+	return events.Merge(journals...), from, nil
 }
 
 // ClusterStatus pulls every backend's status document, ordered by server
-// id. Best-effort like ClusterEvents: the pulls run concurrently so a dead
-// server consumes only its own timeout, unreachable servers are skipped,
-// and the call errors only when no server answered.
+// id; each document names its server, so the servers that answered are
+// the documents'. Best-effort like ClusterEvents: the pulls run
+// concurrently so a dead server consumes only its own timeout, unreachable
+// servers are skipped, and the call errors only when no server answered.
 func (c *Client) ClusterStatus(timeout time.Duration) ([]status.Server, error) {
 	deadline := pullDeadline(timeout)
-	return answered(fanOut(c.part.N(), func(srv int) (status.Server, error) {
+	sts, _, err := answered(fanOut(c.part.N(), func(srv int) (status.Server, error) {
 		return pull[status.Server](&c.calls, srv, wire.IntrospectStatus, 0, deadline)
 	}))
+	return sts, err
 }

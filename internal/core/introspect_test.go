@@ -12,6 +12,7 @@ import (
 	"graphtrek/internal/model"
 	"graphtrek/internal/query"
 	"graphtrek/internal/simio"
+	"graphtrek/internal/status"
 	"graphtrek/internal/trace"
 	"graphtrek/internal/wire"
 )
@@ -74,23 +75,34 @@ func TestStressIntrospectionFailoverJournalAndStatus(t *testing.T) {
 		t.Fatalf("post-failover write: %v", err)
 	}
 
-	// Every surviving server must answer a wire journal pull (the per-server
-	// leg of gtq -events) — and the merged, time-sorted timeline must hold
-	// the suspicion of the victim and the epoch-fenced promotion.
+	// Every surviving server must answer the merged journal and status pulls
+	// (gtq -events and -status), so a missing event below cannot be a
+	// missing journal — and the merged, time-sorted timeline must hold the
+	// suspicion of the victim and the epoch-fenced promotion.
+	var survivors, everyone []int
 	for i := 0; i < n; i++ {
-		if i == victim {
-			continue
+		if i != victim {
+			survivors = append(survivors, i)
 		}
-		if _, err := c.client.ServerEvents(i, 5*time.Second); err != nil {
-			t.Errorf("journal pull from server %d: %v", i, err)
-		}
-		if _, err := c.client.ServerStatus(i, 5*time.Second); err != nil {
-			t.Errorf("status pull from server %d: %v", i, err)
-		}
+		everyone = append(everyone, i)
 	}
-	evs, err := c.client.ClusterEvents(10 * time.Second)
+	evs, from, err := c.client.ClusterEvents(10 * time.Second)
 	if err != nil {
 		t.Fatalf("merged journal pull: %v", err)
+	}
+	if !reflect.DeepEqual(from, survivors) {
+		t.Errorf("journal pull answered by servers %v, want every survivor %v", from, survivors)
+	}
+	sts, err := c.client.ClusterStatus(5 * time.Second)
+	if err != nil {
+		t.Fatalf("merged status pull: %v", err)
+	}
+	var answered []int
+	for _, st := range sts {
+		answered = append(answered, st.Server)
+	}
+	if !reflect.DeepEqual(answered, survivors) {
+		t.Errorf("status pull answered by servers %v, want every survivor %v", answered, survivors)
 	}
 	var sawSuspicion, sawPromotion bool
 	for i, e := range evs {
@@ -173,9 +185,12 @@ func TestStressIntrospectionFailoverJournalAndStatus(t *testing.T) {
 		}
 		return true
 	})
-	evs, err = c.client.ClusterEvents(10 * time.Second)
+	evs, from, err = c.client.ClusterEvents(10 * time.Second)
 	if err != nil {
 		t.Fatalf("merged journal pull after rejoin: %v", err)
+	}
+	if !reflect.DeepEqual(from, everyone) {
+		t.Errorf("journal pull after rejoin answered by servers %v, want all of %v", from, everyone)
 	}
 	var sawDown, sawNudge bool
 	for _, e := range evs {
@@ -272,18 +287,21 @@ func TestIntrospectRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("span pull from server %d: %v", srv, err)
 		}
-		if want := s.TraceSpans(h.TravelID()); int(dump.Server) != srv || !reflect.DeepEqual(dump.Spans, want) {
-			t.Errorf("server %d: pulled dump (server %d, %d spans) != %d local spans", srv, dump.Server, len(dump.Spans), len(want))
+		want := s.SpanDump(h.TravelID())
+		if int(dump.Server) != srv || !reflect.DeepEqual(dump.Spans, want.Spans) ||
+			len(dump.Summaries) != len(want.Summaries) || len(want.Summaries) == 1 && dump.Summaries[0] != want.Summaries[0] {
+			t.Errorf("server %d: pulled dump (server %d, %d spans, %d summaries) != local dump (%d spans, %d summaries)",
+				srv, dump.Server, len(dump.Spans), len(dump.Summaries), len(want.Spans), len(want.Summaries))
 		}
-		if (dump.Summary != nil) != (srv == h.Coordinator()) {
-			t.Errorf("server %d: summary present = %v, coordinator is %d", srv, dump.Summary != nil, h.Coordinator())
+		if (len(dump.Summaries) == 1) != (srv == h.Coordinator()) {
+			t.Errorf("server %d: %d summaries, coordinator is %d", srv, len(dump.Summaries), h.Coordinator())
 		}
 		s.journal.Record(events.Event{Type: events.SlowTravel, Part: -1, Peer: -1, Detail: "marker"})
-		evs, err := c.client.ServerEvents(srv, 0)
+		evs, err := pull[[]events.Event](calls, srv, wire.IntrospectEvents, 0, pullDeadline(0))
 		if err != nil || len(evs) != 1 || evs[0].Detail != "marker" || evs[0].Server != srv {
 			t.Errorf("events pull from server %d: %+v, %v", srv, evs, err)
 		}
-		st, err := c.client.ServerStatus(srv, 0)
+		st, err := pull[status.Server](calls, srv, wire.IntrospectStatus, 0, pullDeadline(0))
 		if err != nil || st.Server != srv || !st.Ready {
 			t.Errorf("status pull from server %d: %+v, %v", srv, st, err)
 		}
@@ -298,8 +316,8 @@ func TestIntrospectRoundTrip(t *testing.T) {
 		}
 	}
 	// The merged pulls go through the same message.
-	if evs, err := c.client.ClusterEvents(0); err != nil || len(evs) != len(c.servers) {
-		t.Errorf("merged events: %d entries, %v", len(evs), err)
+	if evs, from, err := c.client.ClusterEvents(0); err != nil || len(evs) != len(c.servers) || len(from) != len(c.servers) {
+		t.Errorf("merged events: %d entries from servers %v, %v", len(evs), from, err)
 	}
 	if sts, err := c.client.ClusterStatus(0); err != nil || len(sts) != len(c.servers) {
 		t.Errorf("merged status: %d documents, %v", len(sts), err)

@@ -45,9 +45,8 @@ type Server struct {
 	mu      sync.Mutex
 	travels map[uint64]*travelState
 	ledgers map[uint64]*ledger
-	// slowMu guards the bounded ring of captured slow-traversal DAGs.
-	slowMu   sync.Mutex
-	slowDAGs []*trace.DAG
+	// slow holds the last slowTravelCap captured slow-traversal DAGs.
+	slow *trace.Ring[*trace.DAG]
 	// doneTravels remembers recently finished traversals so that a late
 	// message neither registers one again nor counts as an orphan.
 	doneTravels map[uint64]bool
@@ -95,6 +94,7 @@ func NewServer(cfg Config) *Server {
 		disk:        cfg.Disk,
 		cache:       cache.New(cfg.CacheCap),
 		journal:     events.NewJournal(cfg.ID, journalCap),
+		slow:        trace.NewRing[*trace.DAG](slowTravelCap),
 		exec:        sched.NewMulti(cfg.MaxQueueDepth),
 		trc:         trc,
 		travels:     make(map[uint64]*travelState),
@@ -219,51 +219,30 @@ func (s *Server) admissionError(err error) string {
 // ID returns the server's node id.
 func (s *Server) ID() int { return s.cfg.ID }
 
-// Metrics returns a snapshot of this server's engine counters. Its process
-// rows (heap, GC) read 0: they are process-wide, and /metrics reads them from
-// the runtime once per scrape.
+// Metrics returns a snapshot of this server's numbers, the one document
+// /metrics, /status and the benchmark read them from. Its process rows
+// (heap, GC) read 0: they are process-wide, and /metrics reads them from the
+// runtime once per scrape.
 func (s *Server) Metrics() Metrics {
 	m := s.met.Snapshot()
-	// The storage layer owns the read-cache counters; overlay them so one
-	// snapshot carries the whole read path.
+	// Rows another layer owns are overlaid from their one tracker: the
+	// storage layer's read-cache counters, the executor queue's length, the
+	// trace ring's counters (its evictions tell DAG assemblers a wrapped
+	// ring from a tracing bug), the journal's evictions and the affiliate
+	// cache's.
 	if cs, ok := s.cfg.Store.(gstore.CacheStatter); ok {
 		st := cs.CacheStats()
-		m.VtxCacheHits = st.VtxHits
-		m.VtxCacheMisses = st.VtxMisses
-		m.AdjCacheHits = st.AdjHits
-		m.AdjCacheMisses = st.AdjMisses
+		m.VtxCacheHits, m.VtxCacheMisses = st.VtxHits, st.VtxMisses
+		m.AdjCacheHits, m.AdjCacheMisses = st.AdjHits, st.AdjMisses
 	}
-	// The trace layer owns the span-eviction counter; overlay it the same
-	// way so DAG assemblers can tell wrapped rings from tracing bugs.
-	m.SpansDropped = int64(s.trc.Stats().SpansEvicted)
-	// The affiliate cache owns its eviction counter.
+	m.QueueLen = int64(s.exec.Len())
+	ts := s.trc.Stats()
+	m.SpansDropped, m.SpansRecorded = int64(ts.SpansEvicted), int64(ts.SpansRecorded)
+	m.SpansBuffered, m.TraceSummaries = int64(ts.SpansBuffered), int64(ts.Summaries)
+	m.EventsDropped = int64(s.journal.Dropped())
 	m.CacheEvictions = s.cache.Evictions()
 	return m
 }
-
-// QueueLen reports the shared executor's current buffered item count.
-func (s *Server) QueueLen() int { return s.exec.Len() }
-
-// QueueHighWater reports the executor queue's depth high-water mark.
-func (s *Server) QueueHighWater() int { return s.exec.HighWater() }
-
-// TraceSpans returns this server's buffered execution spans for one
-// traversal (travel == 0: all traversals), oldest first. Empty when
-// tracing is disabled.
-func (s *Server) TraceSpans(travel uint64) []trace.Span { return s.trc.Spans(travel) }
-
-// TraceSummaries returns the travel summaries of traversals this server
-// coordinated, oldest first.
-func (s *Server) TraceSummaries() []trace.TravelSummary { return s.trc.Summaries() }
-
-// TraceSummary returns the coordinator summary for one traversal, if this
-// server coordinated it and the record is still buffered.
-func (s *Server) TraceSummary(travel uint64) (trace.TravelSummary, bool) {
-	return s.trc.Summary(travel)
-}
-
-// TraceStats reports the trace ring's buffering counters.
-func (s *Server) TraceStats() trace.RingStats { return s.trc.Stats() }
 
 // beginSpan starts a span for an execution of `frontier` entries on this
 // server; nil (recorded nowhere, all methods no-ops) when tracing is off.

@@ -43,24 +43,12 @@ func (s *Server) captureSlowTravel(sum trace.TravelSummary) {
 	// executions surface as orphans in the DAG.
 	dumps, _ := fanOut(s.cfg.Part.N(), func(srv int) (trace.SpanDump, error) {
 		if srv == s.cfg.ID {
-			return s.spanDump(sum.Travel), nil
+			return s.SpanDump(sum.Travel), nil
 		}
 		return pull[trace.SpanDump](&s.calls, srv, wire.IntrospectSpans, sum.Travel, deadline)
 	})
-	d := assembleDumps(sum.Travel, dumps, &sum)
-	s.slowMu.Lock()
-	s.slowDAGs = append(s.slowDAGs, d)
-	if len(s.slowDAGs) > slowTravelCap {
-		s.slowDAGs = s.slowDAGs[len(s.slowDAGs)-slowTravelCap:]
-	}
-	s.slowMu.Unlock()
+	s.slow.Record(trace.AssembleDumps(sum.Travel, dumps, &sum))
 }
 
 // SlowTravels returns the captured slow-traversal DAGs, oldest first.
-func (s *Server) SlowTravels() []*trace.DAG {
-	s.slowMu.Lock()
-	defer s.slowMu.Unlock()
-	out := make([]*trace.DAG, len(s.slowDAGs))
-	copy(out, s.slowDAGs)
-	return out
-}
+func (s *Server) SlowTravels() []*trace.DAG { return s.slow.Snapshot() }

@@ -42,7 +42,7 @@ func TestTraceLedgerCrossCheck(t *testing.T) {
 
 	var summaries []trace.TravelSummary
 	for _, s := range c.servers {
-		summaries = append(summaries, s.TraceSummaries()...)
+		summaries = append(summaries, s.SpanDump(0).Summaries...)
 	}
 	if len(summaries) != rounds {
 		t.Fatalf("got %d coordinator summaries, want %d", len(summaries), rounds)
@@ -68,7 +68,7 @@ func TestTraceLedgerCrossCheck(t *testing.T) {
 		}
 		spans := 0
 		for _, s := range c.servers {
-			spans += len(s.TraceSpans(sum.Travel))
+			spans += len(s.SpanDump(sum.Travel).Spans)
 		}
 		if spans != sum.Created {
 			t.Errorf("travel %d (%s): %d spans buffered, ledger registered %d executions",
@@ -97,7 +97,7 @@ func TestTraceDispositionMatchesMetrics(t *testing.T) {
 	}
 	for _, s := range c.servers {
 		var red, comb, real, frontier int64
-		for _, sp := range s.TraceSpans(0) {
+		for _, sp := range s.SpanDump(0).Spans {
 			red += int64(sp.Redundant)
 			comb += int64(sp.Combined)
 			real += int64(sp.Real)
@@ -116,16 +116,15 @@ func TestTraceDispositionMatchesMetrics(t *testing.T) {
 		if frontier < snap.Received {
 			t.Errorf("server %d: span frontier sum %d < received %d", s.ID(), frontier, snap.Received)
 		}
-		st := s.TraceStats()
-		if st.SpansRecorded == 0 || st.SpansBuffered == 0 {
-			t.Errorf("server %d: no spans recorded: %+v", s.ID(), st)
+		if snap.SpansRecorded == 0 || snap.SpansBuffered == 0 {
+			t.Errorf("server %d: no spans recorded: %d recorded, %d buffered", s.ID(), snap.SpansRecorded, snap.SpansBuffered)
 		}
 	}
 }
 
 // TestHandleProfile pins the profile's definition: the client aggregates
 // the span dumps it pulls, and the rows must equal trace.Aggregate run on
-// each server over its own TraceSpans — what a server-side aggregate would
+// each server over its own span dump — what a server-side aggregate would
 // have answered, (step, server) row for row.
 func TestHandleProfile(t *testing.T) {
 	c := newCluster(t, 3, nil)
@@ -147,7 +146,7 @@ func TestHandleProfile(t *testing.T) {
 	}
 	var want []trace.StepStat
 	for _, s := range c.servers {
-		want = append(want, trace.Aggregate(s.TraceSpans(h.TravelID()))...)
+		want = append(want, trace.Aggregate(s.SpanDump(h.TravelID()).Spans)...)
 	}
 	trace.Sort(want)
 	if len(stats) != len(want) {
@@ -161,10 +160,11 @@ func TestHandleProfile(t *testing.T) {
 		execs += st.Execs
 	}
 	// The profiled execution count matches the coordinator's ledger totals.
-	sum, ok := c.servers[h.Coordinator()].TraceSummary(h.TravelID())
-	if !ok {
-		t.Fatal("no coordinator summary for profiled traversal")
+	sums := c.servers[h.Coordinator()].SpanDump(h.TravelID()).Summaries
+	if len(sums) != 1 {
+		t.Fatalf("%d coordinator summaries for profiled traversal, want 1", len(sums))
 	}
+	sum := sums[0]
 	if execs != sum.Created {
 		t.Errorf("profiled execs %d != ledger created %d", execs, sum.Created)
 	}
@@ -182,24 +182,25 @@ func TestHandleProfile(t *testing.T) {
 }
 
 // TestTraceDisabled pins the opt-out: TraceCap < 0 turns the recorder off
-// entirely and every accessor degrades to empty results while traversals
-// stay correct.
+// entirely and the span dump and the trace rows degrade to empty while
+// traversals stay correct.
 func TestTraceDisabled(t *testing.T) {
 	c := newCluster(t, 3, func(cfg *Config) { cfg.TraceCap = -1 })
 	loadAuditGraph(t, c)
 	c.runAllModes(t, mustPlan(t, query.V(1).E("run").E("read")))
 	for _, s := range c.servers {
-		if got := s.TraceSpans(0); len(got) != 0 {
-			t.Errorf("server %d: %d spans with tracing disabled", s.ID(), len(got))
+		d := s.SpanDump(0)
+		if len(d.Spans) != 0 {
+			t.Errorf("server %d: %d spans with tracing disabled", s.ID(), len(d.Spans))
 		}
-		if got := s.TraceSummaries(); len(got) != 0 {
-			t.Errorf("server %d: %d summaries with tracing disabled", s.ID(), len(got))
+		if len(d.Summaries) != 0 {
+			t.Errorf("server %d: %d summaries with tracing disabled", s.ID(), len(d.Summaries))
 		}
-		if _, ok := s.TraceSummary(1); ok {
+		if got := s.SpanDump(1).Summaries; len(got) != 0 {
 			t.Errorf("server %d: summary lookup succeeded with tracing disabled", s.ID())
 		}
-		if st := s.TraceStats(); st.SpansRecorded != 0 {
-			t.Errorf("server %d: stats nonzero with tracing disabled: %+v", s.ID(), st)
+		if m := s.Metrics(); m.SpansRecorded != 0 || m.SpansBuffered != 0 || m.TraceSummaries != 0 {
+			t.Errorf("server %d: trace rows nonzero with tracing disabled: %d/%d/%d", s.ID(), m.SpansRecorded, m.SpansBuffered, m.TraceSummaries)
 		}
 	}
 }
@@ -217,7 +218,7 @@ func TestTraceQueueWaitObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sawWait bool
-	for _, sp := range c.servers[0].TraceSpans(0) {
+	for _, sp := range c.servers[0].SpanDump(0).Spans {
 		if sp.QueueWaitNs > 0 {
 			sawWait = true
 		}
@@ -258,7 +259,7 @@ func TestSpanPhasesTileStepCompute(t *testing.T) {
 	if _, err := one.client.SubmitPlan(mustPlan(t, query.V(1)), SubmitOptions{Mode: ModeGraphTrek, Timeout: 20 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	spans := one.servers[0].TraceSpans(0)
+	spans := one.servers[0].SpanDump(0).Spans
 	if len(spans) != 1 || spans[0].Real != 1 {
 		t.Fatalf("spans of a one-vertex traversal = %+v, want one span of one real access", spans)
 	}
@@ -274,7 +275,7 @@ func TestSpanPhasesTileStepCompute(t *testing.T) {
 	var total int64
 	for _, s := range c.servers {
 		var sum int64
-		for _, sp := range s.TraceSpans(0) {
+		for _, sp := range s.SpanDump(0).Spans {
 			sum += phases(sp)
 		}
 		if whole := stepComputeNs(t, s); sum > whole {

@@ -8,12 +8,16 @@
 //
 // The journal is served over HTTP by internal/obs (/events), pulled over
 // the wire by wire.KindIntrospectReq, and merged cluster-wide + time-sorted
-// by `gtq -events`.
+// by Merge for both. Its ring is trace.Ring, the one bounded ring the
+// server's buffers share.
 package events
 
 import (
+	"sort"
 	"sync"
 	"time"
+
+	"graphtrek/internal/trace"
 )
 
 // Type discriminates journal entries. String-typed so the JSON forms are
@@ -79,14 +83,10 @@ type Event struct {
 // Journal is a bounded ring of events. All methods are safe for concurrent
 // use.
 type Journal struct {
-	mu      sync.Mutex
-	server  int
-	cap     int
-	seq     uint64
-	buf     []Event
-	start   int // index of oldest entry
-	n       int
-	dropped uint64
+	mu     sync.Mutex // orders sequence numbers with the ring's entries
+	server int
+	seq    uint64
+	ring   *trace.Ring[Event]
 }
 
 // coalesceWindow bounds how stale the newest Backpressure entry may be
@@ -95,7 +95,7 @@ const coalesceWindow = time.Second
 
 // NewJournal makes a journal for one server holding up to capacity events.
 func NewJournal(server, capacity int) *Journal {
-	return &Journal{server: server, cap: capacity}
+	return &Journal{server: server, ring: trace.NewRing[Event](capacity)}
 }
 
 // Record stamps e with the next sequence number, the current time and the
@@ -104,53 +104,49 @@ func NewJournal(server, capacity int) *Journal {
 // Backpressure entry for the same partition merge into it instead.
 func (j *Journal) Record(e Event) {
 	now := time.Now().UnixNano()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if e.Type == Backpressure && j.n > 0 {
-		last := &j.buf[(j.start+j.n-1)%len(j.buf)]
-		if last.Type == Backpressure && last.Part == e.Part && now-last.TimeUnixNano < int64(coalesceWindow) {
-			last.TimeUnixNano = now
-			if e.Count <= 0 {
-				e.Count = 1
-			}
-			last.Count += e.Count
-			return
-		}
-	}
-	j.seq++
-	e.Seq = j.seq
-	e.TimeUnixNano = now
-	e.Server = j.server
-	if e.Count == 0 && e.Type == Backpressure {
+	if e.Type == Backpressure && e.Count <= 0 {
 		e.Count = 1
 	}
-	if j.buf == nil {
-		j.buf = make([]Event, j.cap)
-	}
-	if j.n == len(j.buf) {
-		j.buf[j.start] = e
-		j.start = (j.start + 1) % len(j.buf)
-		j.dropped++
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if e.Type == Backpressure && j.ring.Update(func(last *Event) bool {
+		if last.Type != Backpressure || last.Part != e.Part || now-last.TimeUnixNano >= int64(coalesceWindow) {
+			return false
+		}
+		last.TimeUnixNano = now
+		last.Count += e.Count
+		return true
+	}) {
 		return
 	}
-	j.buf[(j.start+j.n)%len(j.buf)] = e
-	j.n++
+	j.seq++
+	e.Seq, e.TimeUnixNano, e.Server = j.seq, now, j.server
+	j.ring.Record(e)
 }
 
 // Events returns a copy of the buffered entries, oldest first.
-func (j *Journal) Events() []Event {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]Event, 0, j.n)
-	for i := 0; i < j.n; i++ {
-		out = append(out, j.buf[(j.start+i)%len(j.buf)])
-	}
-	return out
-}
+func (j *Journal) Events() []Event { return j.ring.Snapshot() }
 
 // Dropped counts entries evicted by the ring bound since start.
-func (j *Journal) Dropped() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
+func (j *Journal) Dropped() uint64 { return j.ring.Evicted() }
+
+// Merge joins server journals into one timeline ordered by wall-clock stamp
+// (ties: server, then per-server sequence): what /events serves and what a
+// client's cluster-wide pull returns.
+func Merge(journals ...[]Event) []Event {
+	all := make([]Event, 0, 64)
+	for _, evs := range journals {
+		all = append(all, evs...)
+	}
+	sort.Slice(all, func(i, k int) bool {
+		a, b := all[i], all[k]
+		if a.TimeUnixNano != b.TimeUnixNano {
+			return a.TimeUnixNano < b.TimeUnixNano
+		}
+		if a.Server != b.Server {
+			return a.Server < b.Server
+		}
+		return a.Seq < b.Seq
+	})
+	return all
 }

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -94,5 +95,23 @@ func TestStressEventJournalConcurrent(t *testing.T) {
 	}
 	if total := uint64(len(got)) + j.Dropped(); total != 8000 {
 		t.Fatalf("retained+dropped = %d, want 8000", total)
+	}
+}
+
+// TestMergeOrdersTimeline: the merged timeline orders by stamp, then
+// server, then per-server sequence, and an empty merge is an empty array.
+func TestMergeOrdersTimeline(t *testing.T) {
+	a := []Event{{Server: 1, Seq: 1, TimeUnixNano: 10}, {Server: 1, Seq: 2, TimeUnixNano: 30}, {Server: 1, Seq: 3, TimeUnixNano: 30}}
+	b := []Event{{Server: 0, Seq: 1, TimeUnixNano: 20}, {Server: 0, Seq: 2, TimeUnixNano: 30}}
+	var got [][2]int
+	for _, e := range Merge(a, nil, b) {
+		got = append(got, [2]int{e.Server, int(e.Seq)})
+	}
+	want := [][2]int{{1, 1}, {0, 1}, {0, 2}, {1, 2}, {1, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Merge order (server, seq) = %v, want %v", got, want)
+	}
+	if all := Merge(); all == nil || len(all) != 0 {
+		t.Errorf("Merge() = %#v, want an empty, non-nil timeline", all)
 	}
 }

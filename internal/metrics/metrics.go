@@ -19,8 +19,9 @@ import (
 // concurrent use. The zero value is ready.
 type Server struct {
 	// c holds one atomic per Counter. The rows another layer owns (the
-	// read-cache, trace-ring, affiliate-cache and runtime counters) stay 0
-	// here: the server overlays them into its snapshots.
+	// queue length, the read-cache, trace-ring, journal, affiliate-cache and
+	// runtime counters) stay 0 here: the server overlays them into its
+	// snapshots.
 	c [numCounters]atomic.Int64
 
 	// Native latency histograms (log-linear buckets, see histogram.go).
@@ -71,6 +72,9 @@ type Snapshot struct {
 	// depth (items buffered across all traversals). A gauge, not a counter:
 	// Add takes the max of the operands and Sub keeps the receiver's value.
 	QueueDepthPeak int64
+	// QueueLen is the items buffered in the shared executor's queue at
+	// snapshot time. A gauge; the scheduler owns it.
+	QueueLen int64
 	// QueueWaitNs accumulates the enqueue→pop wait of every scheduler group
 	// a worker served; QueueGroups counts those groups, so the mean wait is
 	// QueueWaitNs / QueueGroups.
@@ -100,6 +104,17 @@ type Snapshot struct {
 	// DAG assembler that missing parent spans may be wrapped-ring
 	// artifacts rather than causality bugs.
 	SpansDropped int64
+	// SpansRecorded counts execution spans the trace ring recorded since
+	// start; SpansBuffered (a gauge) is the spans it holds now and
+	// TraceSummaries (a gauge) the coordinator travel summaries. The trace
+	// layer owns all three.
+	SpansRecorded  int64
+	SpansBuffered  int64
+	TraceSummaries int64
+	// EventsDropped counts control-plane events the journal's ring evicted
+	// to admit newer ones; the journal owns it. A nonzero value tells an
+	// empty stretch of /events from a quiet one.
+	EventsDropped int64
 	// Promotions counts follower→primary promotions this server performed
 	// on itself (epoch-fenced failover takeovers).
 	Promotions int64
@@ -156,6 +171,7 @@ const (
 	CacheEvictions
 	Rejected
 	QueueDepthPeak
+	QueueLen
 	QueueWaitNs
 	QueueGroups
 	SeedScanned
@@ -165,6 +181,10 @@ const (
 	AdjCacheHits
 	AdjCacheMisses
 	SpansDropped
+	SpansRecorded
+	SpansBuffered
+	TraceSummaries
+	EventsDropped
 	Promotions
 	EpochRejects
 	ReplLagBytes
@@ -323,6 +343,7 @@ var table = [numCounters]Field{
 	CacheEvictions: {Name: "cache_evictions_total", Help: "Keys the traversal-affiliate cache evicted to admit newer ones.", ptr: func(s *Snapshot) *int64 { return &s.CacheEvictions }},
 	Rejected:       {Name: "rejected_total", Help: "Request batches refused by executor admission control.", ptr: func(s *Snapshot) *int64 { return &s.Rejected }},
 	QueueDepthPeak: {Name: "queue_depth_peak", Help: "High-water mark of the shared executor queue depth.", Gauge: true, Max: true, ptr: func(s *Snapshot) *int64 { return &s.QueueDepthPeak }},
+	QueueLen:       {Name: "queue_len", Help: "Items currently buffered in the shared executor queue.", Gauge: true, ptr: func(s *Snapshot) *int64 { return &s.QueueLen }},
 	QueueWaitNs:    {Name: "queue_wait_ns_total", Help: "Cumulative enqueue-to-pop wait of served scheduler groups.", ptr: func(s *Snapshot) *int64 { return &s.QueueWaitNs }},
 	QueueGroups:    {Name: "queue_groups_total", Help: "Scheduler groups popped by executor workers.", ptr: func(s *Snapshot) *int64 { return &s.QueueGroups }},
 	SeedScanned:    {Name: "seed_scanned_total", Help: "Step-0 source candidates enumerated by seed selection.", ptr: func(s *Snapshot) *int64 { return &s.SeedScanned }},
@@ -332,6 +353,10 @@ var table = [numCounters]Field{
 	AdjCacheHits:   {Name: "adj_cache_hits_total", Help: "Materialized-adjacency read-cache hits in the storage layer.", ptr: func(s *Snapshot) *int64 { return &s.AdjCacheHits }},
 	AdjCacheMisses: {Name: "adj_cache_misses_total", Help: "Materialized-adjacency read-cache misses in the storage layer.", ptr: func(s *Snapshot) *int64 { return &s.AdjCacheMisses }},
 	SpansDropped:   {Name: "trace_spans_dropped_total", Help: "Execution spans evicted from the trace ring to admit newer ones.", ptr: func(s *Snapshot) *int64 { return &s.SpansDropped }},
+	SpansRecorded:  {Name: "trace_spans_recorded_total", Help: "Execution spans recorded since start.", ptr: func(s *Snapshot) *int64 { return &s.SpansRecorded }},
+	SpansBuffered:  {Name: "trace_spans_buffered", Help: "Execution spans currently held in the trace ring.", Gauge: true, ptr: func(s *Snapshot) *int64 { return &s.SpansBuffered }},
+	TraceSummaries: {Name: "trace_summaries_buffered", Help: "Coordinator travel summaries currently buffered.", Gauge: true, ptr: func(s *Snapshot) *int64 { return &s.TraceSummaries }},
+	EventsDropped:  {Name: "events_dropped_total", Help: "Control-plane journal events evicted from the event ring to admit newer ones.", ptr: func(s *Snapshot) *int64 { return &s.EventsDropped }},
 	Promotions:     {Name: "promotions_total", Help: "Follower-to-primary promotions performed by this server.", ptr: func(s *Snapshot) *int64 { return &s.Promotions }},
 	EpochRejects:   {Name: "epoch_rejects_total", Help: "Replication or write messages rejected for a stale epoch.", ptr: func(s *Snapshot) *int64 { return &s.EpochRejects }},
 	ReplLagBytes:   {Name: "repl_lag_bytes", Help: "Shipped-minus-acked replication byte lag across partitions.", Gauge: true, ptr: func(s *Snapshot) *int64 { return &s.ReplLagBytes }},

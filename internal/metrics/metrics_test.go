@@ -144,10 +144,29 @@ func TestFieldsCoverSnapshot(t *testing.T) {
 // Sub and Add against that field's row: a counter takes the difference in
 // Sub and the sum in Add, a gauge keeps the receiver's value in Sub, a Max
 // row takes the larger value in Add, and no other field moves. The rules
-// themselves are pinned by name, so a row whose flag flips fails too.
+// themselves are pinned by name, so a row whose flag flips fails too; the
+// rows other layers own, which the server overlays, are named as well, so
+// one that is renamed or dropped fails instead of passing as a counter.
 func TestCombineRuleOfEveryRow(t *testing.T) {
-	gauges := map[string]bool{"queue_depth_peak": true, "repl_lag_bytes": true, "heap_alloc_bytes": true, "gc_pause_p95_ns": true}
+	gauges := map[string]bool{"queue_depth_peak": true, "queue_len": true, "trace_spans_buffered": true,
+		"trace_summaries_buffered": true, "repl_lag_bytes": true, "heap_alloc_bytes": true, "gc_pause_p95_ns": true}
 	maxes := map[string]bool{"queue_depth_peak": true, "heap_alloc_bytes": true, "gc_cycles_total": true, "gc_pause_ns_total": true, "gc_pause_p95_ns": true}
+	pinned := []string{"queue_len", "trace_spans_dropped_total", "trace_spans_recorded_total", "trace_spans_buffered",
+		"trace_summaries_buffered", "events_dropped_total", "cache_evictions_total"}
+	names := map[string]bool{}
+	for _, f := range Fields() {
+		names[f.Name] = true
+	}
+	for _, set := range []map[string]bool{gauges, maxes} {
+		for name := range set {
+			pinned = append(pinned, name)
+		}
+	}
+	for _, name := range pinned {
+		if !names[name] {
+			t.Errorf("row %s is pinned here but missing from Fields()", name)
+		}
+	}
 	only := func(i int, v int64) (s Snapshot) {
 		reflect.ValueOf(&s).Elem().Field(i).SetInt(v)
 		return s

@@ -7,11 +7,13 @@
 // listener runs exactly as before — and read-only: nothing served here can
 // mutate engine state.
 //
-// The /metrics exposition is generated from metrics.Fields() — the
-// canonical enumeration of the engine's §VII-A counters — plus
-// Target.Histograms() for the native latency histograms, so every counter
-// and histogram the engine records is scrapeable without obs needing a
-// per-metric update. Queue gauges and trace-ring statistics ride along.
+// Every document is built by the server method that also answers the wire
+// pull for it (core.Server.SpanDump, Events, Status), and merged across
+// targets by the function a client's cluster-wide pull uses: obs adds only
+// the HTTP framing. The /metrics exposition is one loop over
+// metrics.Fields() — every per-server number, each with one tracker — plus
+// Target.Histograms() for the native latency histograms, so everything the
+// engine records is scrapeable without obs needing a per-metric update.
 package obs
 
 import (
@@ -32,28 +34,19 @@ import (
 type Target interface {
 	// ID is the backend's node id, used as the exposition's server label.
 	ID() int
-	// Metrics snapshots the engine counters.
+	// Metrics snapshots every per-server number.
 	Metrics() metrics.Snapshot
 	// Histograms snapshots the native latency histograms.
 	Histograms() []metrics.HistogramSnapshot
-	// QueueLen is the shared executor's current buffered item count.
-	QueueLen() int
-	// QueueHighWater is the executor queue's depth high-water mark.
-	QueueHighWater() int
-	// TraceSpans returns buffered execution spans (travel 0: all).
-	TraceSpans(travel uint64) []trace.Span
-	// TraceSummaries returns coordinator travel summaries.
-	TraceSummaries() []trace.TravelSummary
-	// TraceStats reports the trace ring's buffering counters.
-	TraceStats() trace.RingStats
+	// SpanDump returns the buffered spans and coordinator summaries of one
+	// traversal (travel 0: all), the span pull's document.
+	SpanDump(travel uint64) trace.SpanDump
 	// SlowTravels returns captured slow-traversal DAGs, oldest first.
 	SlowTravels() []*trace.DAG
 	// Events returns the buffered control-plane event journal.
 	Events() []events.Event
-	// Status assembles the live replication status document.
+	// Status assembles the live status document, readiness included.
 	Status() status.Server
-	// Ready reports the replication-aware readiness verdict.
-	Ready() status.Readiness
 }
 
 // NewMux builds the observability handler for one or more local backends
@@ -98,10 +91,9 @@ func NewMux(targets ...Target) *http.ServeMux {
 }
 
 // serveMetrics renders the Prometheus text exposition format (version
-// 0.0.4): every metrics.Fields() counter per target (process-wide fields
-// once, unlabeled), the native latency histograms in real histogram form
-// (_bucket/_sum/_count with seconds-valued le bounds), then the scheduler
-// and trace-ring gauges.
+// 0.0.4): every metrics.Fields() row per target (process-wide fields once,
+// unlabeled), then the native latency histograms in real histogram form
+// (_bucket/_sum/_count with seconds-valued le bounds).
 func serveMetrics(w http.ResponseWriter, targets []Target) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	snaps := make([]metrics.Snapshot, len(targets))
@@ -129,30 +121,6 @@ func serveMetrics(w http.ResponseWriter, targets []Target) {
 		}
 	}
 	serveHistograms(w, targets)
-	extra := []struct {
-		name, help, typ string
-		get             func(Target) int64
-	}{
-		{"queue_len", "Items currently buffered in the shared executor queue.", "gauge",
-			func(t Target) int64 { return int64(t.QueueLen()) }},
-		{"queue_high_water", "Executor queue depth high-water mark.", "gauge",
-			func(t Target) int64 { return int64(t.QueueHighWater()) }},
-		{"trace_spans_recorded_total", "Execution spans recorded since start.", "counter",
-			func(t Target) int64 { return int64(t.TraceStats().SpansRecorded) }},
-		{"trace_spans_buffered", "Execution spans currently held in the trace ring.", "gauge",
-			func(t Target) int64 { return int64(t.TraceStats().SpansBuffered) }},
-		{"trace_spans_evicted_total", "Execution spans evicted from the trace ring.", "counter",
-			func(t Target) int64 { return int64(t.TraceStats().SpansEvicted) }},
-		{"trace_summaries_buffered", "Coordinator travel summaries currently buffered.", "gauge",
-			func(t Target) int64 { return int64(t.TraceStats().Summaries) }},
-	}
-	for _, e := range extra {
-		fmt.Fprintf(w, "# HELP graphtrek_%s %s\n", e.name, e.help)
-		fmt.Fprintf(w, "# TYPE graphtrek_%s %s\n", e.name, e.typ)
-		for _, t := range targets {
-			fmt.Fprintf(w, "graphtrek_%s{server=%q} %d\n", e.name, strconv.Itoa(t.ID()), e.get(t))
-		}
-	}
 }
 
 // formatLE renders a nanosecond bucket bound as a seconds-valued le label,
@@ -193,38 +161,36 @@ func serveHistograms(w http.ResponseWriter, targets []Target) {
 }
 
 // serveEvents answers /events with every target's journal merged into one
-// wall-clock-ordered timeline (ties: server, then per-server sequence).
+// timeline by events.Merge, as a client's cluster-wide pull merges them.
 func serveEvents(w http.ResponseWriter, targets []Target) {
-	all := make([]events.Event, 0, 64)
-	for _, t := range targets {
-		all = append(all, t.Events()...)
+	journals := make([][]events.Event, len(targets))
+	for i, t := range targets {
+		journals[i] = t.Events()
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].TimeUnixNano != all[j].TimeUnixNano {
-			return all[i].TimeUnixNano < all[j].TimeUnixNano
-		}
-		if all[i].Server != all[j].Server {
-			return all[i].Server < all[j].Server
-		}
-		return all[i].Seq < all[j].Seq
-	})
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(all)
+	writeJSON(w, events.Merge(journals...))
 }
 
-// serveStatus answers /status with one status document per target,
-// ordered as the targets were registered.
-func serveStatus(w http.ResponseWriter, targets []Target) {
+// statuses reads one status document per target, ordered as the targets
+// were registered.
+func statuses(targets []Target) []status.Server {
 	all := make([]status.Server, 0, len(targets))
 	for _, t := range targets {
 		all = append(all, t.Status())
 	}
+	return all
+}
+
+// serveStatus answers /status with one status document per target.
+func serveStatus(w http.ResponseWriter, targets []Target) {
+	writeJSON(w, statuses(targets))
+}
+
+// writeJSON answers with doc as indented JSON.
+func writeJSON(w http.ResponseWriter, doc any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(all)
+	enc.Encode(doc)
 }
 
 // readyReport is the /readyz JSON body: the aggregate verdict plus each
@@ -240,18 +206,16 @@ type serverReady struct {
 	Reasons []string `json:"reasons,omitempty"`
 }
 
-// serveReady answers /readyz: 200 when every target can meet its
-// durability contract, 503 with per-server reasons otherwise. Distinct
-// from /healthz (pure liveness): a server mid-handoff or below write
-// quorum is alive but should be rotated out of write traffic.
+// serveReady answers /readyz from the status documents' readiness: 200
+// when every target can meet its durability contract, 503 with per-server
+// reasons otherwise. Distinct from /healthz (pure liveness): a server
+// mid-handoff or below write quorum is alive but should be rotated out of
+// write traffic.
 func serveReady(w http.ResponseWriter, targets []Target) {
 	rep := readyReport{Ready: true}
-	for _, t := range targets {
-		r := t.Ready()
-		rep.Servers = append(rep.Servers, serverReady{Server: t.ID(), Ready: r.Ready, Reasons: r.Reasons})
-		if !r.Ready {
-			rep.Ready = false
-		}
+	for _, st := range statuses(targets) {
+		rep.Servers = append(rep.Servers, serverReady{Server: st.Server, Ready: st.Ready, Reasons: st.NotReadyReasons})
+		rep.Ready = rep.Ready && st.Ready
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if !rep.Ready {
@@ -298,25 +262,31 @@ func travelParam(w http.ResponseWriter, r *http.Request) (travel uint64, ok bool
 	return v, true
 }
 
-// serveTraces answers /traces?travel=<id> with the buffered spans,
-// their per-step aggregate, and any matching coordinator summaries. A
-// specific travel id that matches nothing — no spans, no summary on any
-// target — is a 404, not an empty 200: the traversal either never ran
-// here or its trace has been evicted, and callers should be able to tell
-// that apart from a traced traversal that produced no work.
+// dumps reads every target's span dump for the traversal (travel 0: all).
+func dumps(targets []Target, travel uint64) []trace.SpanDump {
+	out := make([]trace.SpanDump, len(targets))
+	for i, t := range targets {
+		out[i] = t.SpanDump(travel)
+	}
+	return out
+}
+
+// serveTraces answers /traces?travel=<id> with the targets' span dumps
+// joined: the buffered spans, their per-step aggregate, and any matching
+// coordinator summaries. A specific travel id that matches nothing — no
+// spans, no summary on any target — is a 404, not an empty 200: the
+// traversal either never ran here or its trace has been evicted, and
+// callers should be able to tell that apart from a traced traversal that
+// produced no work.
 func serveTraces(w http.ResponseWriter, r *http.Request, targets []Target) {
 	travel, ok := travelParam(w, r)
 	if !ok {
 		return
 	}
 	rep := TraceReport{Travel: travel}
-	for _, t := range targets {
-		rep.Spans = append(rep.Spans, t.TraceSpans(travel)...)
-		for _, sum := range t.TraceSummaries() {
-			if travel == 0 || sum.Travel == travel {
-				rep.Summaries = append(rep.Summaries, sum)
-			}
-		}
+	for _, d := range dumps(targets, travel) {
+		rep.Spans = append(rep.Spans, d.Spans...)
+		rep.Summaries = append(rep.Summaries, d.Summaries...)
 	}
 	if travel != 0 && len(rep.Spans) == 0 && len(rep.Summaries) == 0 {
 		jsonError(w, http.StatusNotFound, fmt.Sprintf("no trace data for travel %d (never traced here, or evicted)", travel))
@@ -324,34 +294,7 @@ func serveTraces(w http.ResponseWriter, r *http.Request, targets []Target) {
 	}
 	sort.Slice(rep.Summaries, func(i, j int) bool { return rep.Summaries[i].Travel < rep.Summaries[j].Travel })
 	rep.Steps = trace.Aggregate(rep.Spans)
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(rep)
-}
-
-// assembleDAG joins the targets' spans for one traversal into its causal
-// DAG, using the coordinator summary when one of the targets holds it.
-func assembleDAG(targets []Target, travel uint64) *trace.DAG {
-	var spans []trace.Span
-	var summary *trace.TravelSummary
-	var dropped uint64
-	for _, t := range targets {
-		spans = append(spans, t.TraceSpans(travel)...)
-		dropped += t.TraceStats().SpansEvicted
-		for _, sum := range t.TraceSummaries() {
-			if sum.Travel == travel {
-				s := sum
-				summary = &s
-			}
-		}
-	}
-	if len(spans) == 0 && summary == nil {
-		return nil
-	}
-	d := trace.Assemble(travel, spans, summary)
-	d.SpansDropped = dropped
-	return d
+	writeJSON(w, rep)
 }
 
 // serveDAG answers /traces/dag?travel=<id> with the traversal's assembled
@@ -367,24 +310,22 @@ func serveDAG(w http.ResponseWriter, r *http.Request, targets []Target, chrome b
 		jsonError(w, http.StatusBadRequest, "travel parameter required (a DAG is per-traversal)")
 		return
 	}
-	d := assembleDAG(targets, travel)
-	if d == nil {
+	d := trace.AssembleDumps(travel, dumps(targets, travel), nil)
+	if len(d.Nodes) == 0 && d.Summary == nil {
 		jsonError(w, http.StatusNotFound, fmt.Sprintf("no trace data for travel %d (never traced here, or evicted)", travel))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if chrome {
-		buf, err := d.ChromeTrace()
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		w.Write(buf)
+	if !chrome {
+		writeJSON(w, d)
 		return
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(d)
+	buf, err := d.ChromeTrace()
+	if err != nil {
+		jsonError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(buf)
 }
 
 // serveSlow answers /traces/slow with every captured slow-traversal DAG
@@ -394,10 +335,7 @@ func serveSlow(w http.ResponseWriter, targets []Target) {
 	for _, t := range targets {
 		slow = append(slow, t.SlowTravels()...)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(slow)
+	writeJSON(w, slow)
 }
 
 // ListenAndServe starts the observability endpoint on addr in a new

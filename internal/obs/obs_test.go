@@ -139,10 +139,29 @@ func parseExposition(t *testing.T, body string) map[string]map[string]float64 {
 	return out
 }
 
+// wantFamilies is every metric family /metrics declares, with its type, in
+// exposition order: each per-server number has one row, so a second series
+// for a number that already has one fails here instead of slipping in.
+var wantFamilies = []string{
+	"received_total counter", "redundant_total counter", "combined_total counter", "real_io_total counter",
+	"msgs_sent_total counter", "execs_total counter", "msgs_failed_total counter", "reconnects_total counter",
+	"peer_down_events_total counter", "orphan_msgs_total counter", "cache_evictions_total counter",
+	"rejected_total counter", "queue_depth_peak gauge", "queue_len gauge", "queue_wait_ns_total counter",
+	"queue_groups_total counter", "seed_scanned_total counter", "seed_index_hits_total counter",
+	"vtx_cache_hits_total counter", "vtx_cache_misses_total counter", "adj_cache_hits_total counter",
+	"adj_cache_misses_total counter", "trace_spans_dropped_total counter", "trace_spans_recorded_total counter",
+	"trace_spans_buffered gauge", "trace_summaries_buffered gauge", "events_dropped_total counter",
+	"promotions_total counter", "epoch_rejects_total counter", "repl_lag_bytes gauge", "handoff_bytes_total counter",
+	"rejoin_nudges_total counter", "heap_alloc_bytes gauge", "gc_cycles_total counter", "gc_pause_ns_total counter",
+	"gc_pause_p95_ns gauge", "travel_latency_seconds histogram", "queue_wait_seconds histogram",
+	"step_compute_seconds histogram", "quorum_write_seconds histogram",
+}
+
 // TestMetricsEndpointExposesEveryCounter is the e2e gate: after real
 // traversals, /metrics must expose every metrics.Fields() counter for
-// every server, and the paper's §VII-A identity redundant + combined +
-// real == received must hold from scraped values alone.
+// every server, the families it declares must be exactly wantFamilies, and
+// the paper's §VII-A identity redundant + combined + real == received must
+// hold from scraped values alone.
 func TestMetricsEndpointExposesEveryCounter(t *testing.T) {
 	c, ts := startCluster(t)
 	body, resp := get(t, ts.URL+"/metrics")
@@ -192,13 +211,22 @@ func TestMetricsEndpointExposesEveryCounter(t *testing.T) {
 		t.Error("no requests recorded across the cluster")
 	}
 	for _, gauge := range []string{
-		"graphtrek_queue_len", "graphtrek_queue_high_water",
+		"graphtrek_queue_len",
 		"graphtrek_trace_spans_recorded_total", "graphtrek_trace_spans_buffered",
-		"graphtrek_trace_spans_evicted_total", "graphtrek_trace_summaries_buffered",
+		"graphtrek_trace_summaries_buffered", "graphtrek_events_dropped_total",
 	} {
 		if _, ok := vals[gauge]; !ok {
 			t.Errorf("%s missing from /metrics", gauge)
 		}
+	}
+	var families []string
+	for _, line := range strings.Split(body, "\n") {
+		if typ, ok := strings.CutPrefix(line, "# TYPE graphtrek_"); ok {
+			families = append(families, typ)
+		}
+	}
+	if strings.Join(families, "\n") != strings.Join(wantFamilies, "\n") {
+		t.Errorf("/metrics families:\n%s\nwant:\n%s", strings.Join(families, "\n"), strings.Join(wantFamilies, "\n"))
 	}
 	if vals["graphtrek_trace_spans_recorded_total"]["0"]+
 		vals["graphtrek_trace_spans_recorded_total"]["1"]+

@@ -200,6 +200,7 @@ type Machine struct {
 	ringStart uint64
 
 	// Primary side.
+	since   uint64           // epoch this primaryship began at
 	base    uint64           // applied when the current epoch began
 	commit  uint64           // highest seq a quorum holds; monotone per primaryship
 	acked   map[int32]uint64 // follower -> highest acked seq
@@ -220,7 +221,7 @@ func New(cfg Config, a route.Assignment) *Machine {
 	m := &Machine{cfg: cfg, seen: a.Epoch}
 	switch {
 	case a.Primary == cfg.Self:
-		m.role, m.epoch = Primary, a.Epoch
+		m.role, m.epoch, m.since = Primary, a.Epoch, a.Epoch
 		m.resetPrimary()
 	case a.HasReplica(cfg.Self):
 		m.role, m.epoch = Follower, a.Epoch
@@ -247,9 +248,10 @@ func (m *Machine) Step(now time.Time, a route.Assignment, ev Event, out []Effect
 			m.drain(ev.From, ev.Snap, &o)
 		}
 	case Ack:
-		// A watermark measured under an older epoch must not vote on this
-		// epoch's quorums.
-		if m.role == Primary && ev.Epoch >= m.epoch {
+		// A watermark measured under an older epoch votes only for history
+		// this primary sequenced itself before a bump that kept it: the
+		// sequences at or below the bump's base.
+		if m.role == Primary && (ev.Epoch >= m.epoch || ev.Epoch >= m.since && ev.Seq <= m.base) {
 			if f := ev.From; ev.Seq > m.acked[f] {
 				m.addLag(-m.ringBytes(m.acked[f]+1, ev.Seq), &o)
 				m.acked[f] = ev.Seq
@@ -374,7 +376,7 @@ func (m *Machine) observe(now time.Time, a route.Assignment, o *effects) {
 // happen, because promotion prefers the most caught-up live follower.
 func (m *Machine) becomePrimary(a route.Assignment, o *effects) {
 	m.resetPrimary()
-	m.role, m.tail, m.commit = Primary, nil, m.applied
+	m.role, m.tail, m.commit, m.since = Primary, nil, m.applied, a.Epoch
 	o.count(metrics.Promotions, 1)
 	o.journal(events.Promotion, -1, a.Epoch, fmt.Sprintf("follower -> primary at applied seq %d", m.applied))
 }

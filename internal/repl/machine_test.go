@@ -230,6 +230,39 @@ func TestPromoteAndDemote(t *testing.T) {
 	}
 }
 
+// TestAckAcrossSamePrimaryBump: a write sequenced just before an epoch bump
+// that keeps its primary (here a joiner's publication) is completed by its
+// follower's ack, although that ack carries the epoch the write was
+// sequenced under. An old-epoch ack votes only for sequences at or below the
+// bump's base, and never on a primaryship that began after its epoch.
+func TestAckAcrossSamePrimaryBump(t *testing.T) {
+	a := assign(1, 0, 1)
+	m := primaryWith(a, 1) // seq 1 waits for follower 1
+	b := assign(2, 0, 1, 2)
+	expect(t, "publish keeps seq 1 pending", m.Step(t0, b, Event{Kind: Assign}, nil))
+	if m.base != 1 || m.epoch != 2 {
+		t.Fatalf("after the bump: base %d epoch %d, want 1 and 2", m.base, m.epoch)
+	}
+	expect(t, "seq 2", m.Step(t0, b, Event{Kind: Write, From: client, ReqID: 2, Blob: []byte{2}, Start: t0}, nil),
+		"append/0>1 e2 s2", "append/0>2 e2 s2")
+	expect(t, "old-epoch ack past the base", m.Step(t0, b, Event{Kind: Ack, From: 1, Epoch: 1, Seq: 2}, nil))
+	expect(t, "old-epoch ack of the pre-bump write", m.Step(t0, b, Event{Kind: Ack, From: 1, Epoch: 1, Seq: 1}, nil),
+		"writeResp/0>9 e0 s0")
+	if len(m.pending) != 1 || m.pending[0].seq != 2 || m.acked[1] != 1 {
+		t.Errorf("pending %+v acked %v, want seq 2 pending and follower 1 at 1", m.pending, m.acked)
+	}
+
+	// A promoted primary's base is history another primary sequenced.
+	p := New(testConfig(1), a)
+	follow(p, t0, a, p.Step(t0, a, Event{Kind: Append, From: 0, Epoch: 1, Seq: 1, Blob: []byte{1}}, nil))
+	c := assign(2, 1, 2)
+	p.Step(t0, c, Event{Kind: Assign}, nil)
+	p.Step(t0, c, Event{Kind: Ack, From: 2, Epoch: 1, Seq: 1}, nil)
+	if p.role != Primary || p.base != 1 || p.acked[2] != 0 {
+		t.Errorf("promoted: role %d base %d acked %v, want an old-epoch ack ignored", p.role, p.base, p.acked)
+	}
+}
+
 // TestCommitFloor pins the commit watermark: the need-th highest
 // follower ack, capped at the primary's applied sequence, with a 1-replica
 // set committing at the applied sequence directly.

@@ -184,15 +184,14 @@ type travelQueue struct {
 // Multi is the server-wide two-level queue. All methods are safe for
 // concurrent use.
 type Multi struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	maxDepth  int // admission bound on buffered items; 0 = unbounded
-	travels   map[uint64]*travelQueue
-	order     []*travelQueue // the values of travels, for Pop to walk
-	arrival   uint64
-	size      int // buffered items across all traversals
-	highWater int
-	closed    bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	maxDepth int // admission bound on buffered items; 0 = unbounded
+	travels  map[uint64]*travelQueue
+	order    []*travelQueue // the values of travels, for Pop to walk
+	arrival  uint64
+	size     int // buffered items across all traversals
+	closed   bool
 }
 
 // NewMulti creates the server's queue. maxDepth bounds the total buffered
@@ -306,9 +305,6 @@ func (m *Multi) push(travel uint64, step int32, exec Accumulator, keys frontier.
 	}
 	m.size += n
 	t.size += n
-	if m.size > m.highWater {
-		m.highWater = m.size
-	}
 	m.cond.Broadcast()
 	return m.size, nil
 }
@@ -469,13 +465,6 @@ func (m *Multi) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.size
-}
-
-// HighWater reports the maximum queue depth observed since creation.
-func (m *Multi) HighWater() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.highWater
 }
 
 // Done reports n items of a traversal's popped groups processed and whether

@@ -284,14 +284,26 @@ func TestBackpressureRejectsWholeBatch(t *testing.T) {
 	q.Close()
 }
 
+// TestHighWaterTracksPeakDepth: every admitted push reports the depth it
+// left, and the server's one high-water tracker (metrics.QueueDepthPeak,
+// raised by ObserveQueueDepth) keeps the largest report, so the peak of
+// the reports must be the queue's peak depth.
 func TestHighWaterTracksPeakDepth(t *testing.T) {
 	q := newQueue(1, Options{})
-	push(t, q, item(1, 0, 1), item(1, 0, 2), item(1, 0, 3))
+	peak := 0
+	pushed := func(items ...Item) {
+		d, err := q.Push(items)
+		if err != nil {
+			t.Fatalf("push: %v", err)
+		}
+		peak = max(peak, d)
+	}
+	pushed(item(1, 0, 1), item(1, 0, 2), item(1, 0, 3))
 	q.Pop()
 	q.Pop()
-	push(t, q, item(1, 0, 4))
-	if hw := q.HighWater(); hw != 3 {
-		t.Errorf("HighWater = %d, want 3", hw)
+	pushed(item(1, 0, 4))
+	if peak != 3 {
+		t.Errorf("peak reported depth = %d, want 3", peak)
 	}
 	if d, _ := q.Push([]Item{item(1, 0, 5)}); d != 3 {
 		t.Errorf("Push depth = %d, want 3", d)

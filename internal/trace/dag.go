@@ -14,15 +14,35 @@ import "sort"
 // exec ids) instead of silently absorbed.
 
 // SpanDump is one server's answer to a span pull (KindIntrospectReq,
-// wire.IntrospectSpans): the spans it buffered for the traversal
-// plus, when this server coordinated it, the ledger summary. Dropped
-// counts the spans its ring evicted since start, so an assembler can tell
-// a wrapped ring from a tracing bug when spans are missing.
+// wire.IntrospectSpans), built by Recorder.Dump: the spans it buffered for
+// the traversal plus, when this server coordinated it, the ledger summary
+// (for travel 0, every buffered span and summary). Dropped counts the spans
+// its ring evicted since start, so an assembler can tell a wrapped ring from
+// a tracing bug when spans are missing.
 type SpanDump struct {
-	Server  int32          `json:"server"`
-	Spans   []Span         `json:"spans"`
-	Summary *TravelSummary `json:"summary,omitempty"`
-	Dropped uint64         `json:"dropped,omitempty"`
+	Server    int32           `json:"server"`
+	Spans     []Span          `json:"spans"`
+	Summaries []TravelSummary `json:"summaries,omitempty"`
+	Dropped   uint64          `json:"dropped,omitempty"`
+}
+
+// AssembleDumps joins per-server span dumps into the traversal's causal DAG,
+// its SpansDropped the dumps' evictions summed. summary is the
+// coordinator's ledger record when the caller already holds it; otherwise
+// the latest one a dump carries is used.
+func AssembleDumps(travel uint64, dumps []SpanDump, summary *TravelSummary) *DAG {
+	var spans []Span
+	var dropped uint64
+	for _, d := range dumps {
+		spans = append(spans, d.Spans...)
+		dropped += d.Dropped
+		if n := len(d.Summaries); summary == nil && n > 0 {
+			summary = &d.Summaries[n-1]
+		}
+	}
+	dag := Assemble(travel, spans, summary)
+	dag.SpansDropped = dropped
+	return dag
 }
 
 // DAGNode is one execution in the assembled DAG: its span plus the exec

@@ -7,8 +7,8 @@ import "sync"
 // suffices for the observability endpoints.
 const summaryCap = 512
 
-// RingStats describes a recorder's buffering state, for the /metrics
-// endpoint: how many spans were ever recorded, how many are still
+// RingStats describes a recorder's buffering state, for the server's
+// metrics snapshot: how many spans were ever recorded, how many are still
 // buffered, and how many the ring evicted (a nonzero eviction count warns
 // that aggregations over old traversals may be incomplete).
 type RingStats struct {
@@ -115,24 +115,18 @@ func (r *Recorder) Spans(travel uint64) []Span {
 	return out
 }
 
-// Summaries returns the buffered travel summaries, oldest first.
-func (r *Recorder) Summaries() []TravelSummary {
-	if r == nil {
-		return nil
+// Dump is the recorder's answer to a span pull and the one document every
+// reader of its spans builds from: the buffered spans of one traversal, the
+// coordinator summaries of it, and the span ring's eviction count. travel ==
+// 0 selects every buffered span and summary. A nil recorder dumps only the
+// server id.
+func (r *Recorder) Dump(server int32, travel uint64) SpanDump {
+	d := SpanDump{Server: server, Spans: r.Spans(travel)}
+	if r != nil {
+		d.Summaries = r.summaries.Filter(func(s TravelSummary) bool { return travel == 0 || s.Travel == travel })
+		d.Dropped = r.spans.Evicted()
 	}
-	return r.summaries.Snapshot()
-}
-
-// Summary returns the summary for one traversal, if still buffered.
-func (r *Recorder) Summary(travel uint64) (TravelSummary, bool) {
-	if r == nil {
-		return TravelSummary{}, false
-	}
-	match := r.summaries.Filter(func(s TravelSummary) bool { return s.Travel == travel })
-	if len(match) == 0 {
-		return TravelSummary{}, false
-	}
-	return match[len(match)-1], true
+	return d
 }
 
 // Stats reports the recorder's buffering counters.

@@ -42,6 +42,17 @@ func (r *Ring[T]) Record(v T) (old T, evicted bool) {
 	return old, evicted
 }
 
+// Update calls fn on the newest buffered element in place, under the ring's
+// lock, and returns what fn returned; it returns false on an empty ring.
+func (r *Ring[T]) Update(fn func(newest *T) bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.buf) == 0 {
+		return false
+	}
+	return fn(&r.buf[(r.next+r.cap-1)%r.cap])
+}
+
 // Snapshot copies the buffered elements, oldest first.
 func (r *Ring[T]) Snapshot() []T {
 	return r.Filter(func(T) bool { return true })

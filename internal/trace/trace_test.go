@@ -139,6 +139,24 @@ func TestRingNeverOutgrowsCapacity(t *testing.T) {
 	}
 }
 
+// TestRingUpdate: Update reaches the newest element in place, before and
+// after the ring wraps, and an empty ring never calls it.
+func TestRingUpdate(t *testing.T) {
+	r := NewRing[int](3)
+	if r.Update(func(*int) bool { t.Error("Update called fn on an empty ring"); return true }) {
+		t.Error("Update on an empty ring reported true")
+	}
+	for i := 1; i <= 5; i++ {
+		r.Record(i)
+		if !r.Update(func(v *int) bool { *v *= 10; return true }) {
+			t.Fatalf("Update after record %d reported false", i)
+		}
+	}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, []int{30, 40, 50}) || r.Evicted() != 2 {
+		t.Errorf("Snapshot = %v, evicted %d, want [30 40 50] and 2", got, r.Evicted())
+	}
+}
+
 func TestRingFilter(t *testing.T) {
 	r := NewRing[int](8)
 	for i := 0; i < 8; i++ {
@@ -213,11 +231,8 @@ func TestRecorderNilIsSafe(t *testing.T) {
 	if got := r.Spans(0); got != nil {
 		t.Errorf("Spans on nil = %v", got)
 	}
-	if got := r.Summaries(); got != nil {
-		t.Errorf("Summaries on nil = %v", got)
-	}
-	if _, ok := r.Summary(1); ok {
-		t.Error("Summary on nil reported a hit")
+	if got := r.Dump(3, 0); !reflect.DeepEqual(got, SpanDump{Server: 3}) {
+		t.Errorf("Dump on nil = %+v, want only the server", got)
 	}
 	if st := r.Stats(); st != (RingStats{}) {
 		t.Errorf("Stats on nil = %+v", st)
@@ -236,13 +251,20 @@ func TestRecorderFiltersByTravel(t *testing.T) {
 		t.Errorf("Spans(0) = %d spans, want all", len(got))
 	}
 	r.RecordSummary(TravelSummary{Travel: 1, Created: 3, Ended: 3})
+	r.RecordSummary(TravelSummary{Travel: 2, Created: 4, Ended: 4})
 	r.RecordSummary(TravelSummary{Travel: 1, Created: 5, Ended: 5})
-	sum, ok := r.Summary(1)
-	if !ok || sum.Created != 5 {
-		t.Errorf("Summary(1) = %+v, %v — want the most recent", sum, ok)
+	d := r.Dump(7, 1)
+	if d.Server != 7 || len(d.Spans) != 2 || len(d.Summaries) != 2 || d.Summaries[1].Created != 5 || d.Dropped != 0 {
+		t.Errorf("Dump(7, 1) = %+v, want travel 1's spans and summaries, the most recent last", d)
+	}
+	if sum := AssembleDumps(1, []SpanDump{{}, d}, nil).Summary; sum == nil || sum.Created != 5 {
+		t.Errorf("AssembleDumps summary = %+v, want the most recent", sum)
+	}
+	if d := r.Dump(7, 0); len(d.Spans) != 3 || len(d.Summaries) != 3 {
+		t.Errorf("Dump(7, 0) = %d spans, %d summaries, want all", len(d.Spans), len(d.Summaries))
 	}
 	st := r.Stats()
-	if st.SpansRecorded != 3 || st.SpansBuffered != 3 || st.SpansEvicted != 0 || st.Summaries != 2 {
+	if st.SpansRecorded != 3 || st.SpansBuffered != 3 || st.SpansEvicted != 0 || st.Summaries != 3 {
 		t.Errorf("Stats = %+v", st)
 	}
 }
